@@ -28,13 +28,13 @@ from .construct import (ConstructionError, GaussRatioProblem,
 from .framed import integrability_residual
 from .jets import DomainError
 from .legendre import (DegenerateCurvatureError, curvature_of,
-                       curvature_pair_of, legendre_from_expressions,
-                       parallel_curve, reconstruct_from_curvature,
-                       verify_legendre)
+                       legendre_from_expressions, parallel_curve,
+                       reconstruct_from_curvature, verify_legendre)
 from .quadrature import QuadratureError, uniform_grid
-from .revolution import (frontal_front_status, parallel_commutation_check,
-                         revolution_evolutes, revolve)
-from .singular import (constant_gauss_cusp, constant_mean_cusp,
+from .revolution import (_invariant_columns, frontal_front_status,
+                         parallel_commutation_check, revolution_evolutes,
+                         revolve)
+from .singular import (_default_tol, constant_gauss_cusp, constant_mean_cusp,
                        curve_cusp_by_curvature, curve_cusp_by_derivatives,
                        ord_of, revolution_singularity_classify)
 
@@ -136,8 +136,18 @@ def _add_common(p, out_required=True, grid_required=True):
                    help="output path prefix (BASE.csv/.obj/.json)")
 
 
+def _theta_count(text):
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 8:
+        raise argparse.ArgumentTypeError("must be at least 8")
+    return n
+
+
 def _add_theta(p):
-    p.add_argument("--theta", type=int, default=128, dest="n_theta",
+    p.add_argument("--theta", type=_theta_count, default=128, dest="n_theta",
                    help="number of revolution angles (>= 8)")
 
 
@@ -311,12 +321,18 @@ def build_parser() -> _Parser:
     return p
 
 
-def _tol_of(ns, c=None):
-    if ns.tol is not None:
-        return ns.tol
-    if c is not None and not c.exact:
-        return 1e-4
-    return 1e-8
+def _tol(ns, exact=True):
+    """--tol, else the default zero-test tolerance for exact or sampled data."""
+    return _default_tol(exact) if ns.tol is None else ns.tol
+
+
+def _curvature_roundtrip(ns, c, grid):
+    """Sup distance of the profile's (ell, beta) from --ell and --beta."""
+    pair = curvature_of(c)
+    return {f"{name}_sup": float(np.max(np.abs(
+                np.atleast_1d(getattr(pair, name).value)
+                - expr.eval_values(getattr(ns, name), grid))))
+            for name in ("ell", "beta")}
 
 
 def _meta(ns, **extra):
@@ -335,26 +351,18 @@ def _run_curve(ns):
     _checked_expr(ns.beta, "--beta")
     c = reconstruct_from_curvature(ns.ell, ns.beta, grid, theta0=ns.theta0,
                                    x0=ns.x0, z0=ns.z0, order=ns.order)
-    pair = curvature_of(c)
-    ell_sup = float(np.max(np.abs(
-        np.atleast_1d(pair.ell.value) - expr.eval_values(ns.ell, grid))))
-    beta_sup = float(np.max(np.abs(
-        np.atleast_1d(pair.beta.value) - expr.eval_values(ns.beta, grid))))
     payload = _meta(ns, legendre=_legendre_report(c),
-                    curvature_roundtrip={"ell_sup": ell_sup,
-                                         "beta_sup": beta_sup})
+                    curvature_roundtrip=_curvature_roundtrip(ns, c, grid))
     _write(ns, curve=c, payload=payload)
     return 0
 
 
 def _run_revolve(ns):
     grid = _parse_grid(ns.grid)
-    if ns.n_theta < 8:
-        raise CliError("--theta must be at least 8")
     c = _profile(ns, grid)
     surf = revolve(c, axis=ns.axis, n_theta=ns.n_theta)
     rep = integrability_residual(surf.invariants)
-    front = frontal_front_status(c, axis=ns.axis, tol=_tol_of(ns, c))
+    front = frontal_front_status(c, axis=ns.axis, tol=_tol(ns, c.exact))
     payload = _meta(ns, axis=ns.axis, n_theta=ns.n_theta,
                     integrability={"max_residual": rep.max_residual,
                                    "residuals": rep.residuals},
@@ -368,8 +376,8 @@ def _run_revolve(ns):
 def _run_invariants(ns):
     grid = _parse_grid(ns.grid)
     c = _profile(ns, grid)
-    surf = revolve(c, axis=ns.axis, n_theta=8)
-    records = export.invariants_records(surf, tol=_tol_of(ns, c))
+    records = export.invariants_records(_invariant_columns(c, ns.axis),
+                                        tol=_tol(ns, c.exact))
     payload = _meta(ns, axis=ns.axis, records=records)
     _write(ns, payload=payload)
     return 0
@@ -387,7 +395,7 @@ def _run_classify(ns):
         _checked_expr(ns.beta, "--beta")
         lab = constant_mean_cusp(expr.eval_jet(ns.alpha, ns.t0),
                                  expr.eval_jet(ns.beta, ns.t0),
-                                 tol=_tol_of(ns))
+                                 tol=_tol(ns))
         payload = _meta(ns, family="mean",
                         record=export.classification_record(lab, ns.t0))
     elif ns.family == "gauss":
@@ -396,7 +404,7 @@ def _run_classify(ns):
                            "(expressions for cos(phi) and beta)")
         _checked_expr(ns.a, "--a")
         _checked_expr(ns.beta, "--beta")
-        tol = _tol_of(ns)
+        tol = _tol(ns)
         m = ord_of(expr.eval_jet(ns.a, ns.t0), tol=tol)
         n = ord_of(expr.eval_jet(ns.beta, ns.t0), tol=tol)
         lab = constant_gauss_cusp(m, n)
@@ -443,8 +451,6 @@ def _default_sin0(ns):
 
 def _run_construct(ns):
     grid = _parse_grid(ns.grid)
-    if ns.n_theta < 8:
-        raise CliError("--theta must be at least 8")
     if ns.subcommand == "gauss":
         _checked_expr(ns.alpha, "--alpha")
         _checked_expr(ns.beta, "--beta")
@@ -486,10 +492,8 @@ def _run_construct(ns):
 
 def _run_evolute(ns):
     grid = _parse_grid(ns.grid)
-    if ns.n_theta < 8:
-        raise CliError("--theta must be at least 8")
     c = _profile(ns, grid)
-    bundle = revolution_evolutes(c, n_theta=ns.n_theta, tol=_tol_of(ns, c))
+    bundle = revolution_evolutes(c, n_theta=ns.n_theta, tol=_tol(ns, c.exact))
     payload = _meta(ns, diagnostics=bundle.diagnostics)
     if bundle.axis_flags is not None:
         payload["axis_flagged_nodes"] = [
@@ -503,8 +507,6 @@ def _run_evolute(ns):
 
 def _run_parallel(ns):
     grid = _parse_grid(ns.grid)
-    if ns.n_theta < 8:
-        raise CliError("--theta must be at least 8")
     c = _profile(ns, grid)
     pc = parallel_curve(c, ns.lam)
     surf = revolve(pc, axis=ns.axis, n_theta=ns.n_theta)
@@ -519,10 +521,8 @@ def _run_parallel(ns):
 
 def _run_check(ns):
     grid = _parse_grid(ns.grid)
-    if ns.n_theta < 8:
-        raise CliError("--theta must be at least 8")
     c = _profile(ns, grid)
-    tol = _tol_of(ns, c)
+    tol = _tol(ns, c.exact)
     leg = _legendre_report(c)
     payload = _meta(ns, legendre=leg)
     ok = leg["passed"]
@@ -536,14 +536,9 @@ def _run_check(ns):
                                     "failures": len(front.failures)}
         ok = ok and rep.max_residual <= 1e-8
     if ns.ell is not None and ns.beta is not None:
-        pair = curvature_of(c)
-        ell_sup = float(np.max(np.abs(
-            np.atleast_1d(pair.ell.value) - expr.eval_values(ns.ell, grid))))
-        beta_sup = float(np.max(np.abs(
-            np.atleast_1d(pair.beta.value) - expr.eval_values(ns.beta, grid))))
-        payload["curvature_roundtrip"] = {"ell_sup": ell_sup,
-                                          "beta_sup": beta_sup}
-        ok = ok and ell_sup <= 1e-7 and beta_sup <= 1e-7
+        roundtrip = _curvature_roundtrip(ns, c, grid)
+        payload["curvature_roundtrip"] = roundtrip
+        ok = ok and all(sup <= 1e-7 for sup in roundtrip.values())
     payload["passed"] = bool(ok)
     _write(ns, payload=payload)
     return 0 if ok else 2

@@ -27,7 +27,7 @@ from . import jets
 from .jets import DomainError, Jet, jet_div_reduced
 from .legendre import (CurveJet, CurvaturePair, LegendreCurve, NormalJet,
                        verify_legendre)
-from .quadrature import FineGrid, QuadratureError
+from .quadrature import FineGrid
 
 FLIP_TOL = 1e-8          # fitted |sin phi| extremum within this of 1 -> branch flip
 SIN_EXCESS_TOL = 1e-9    # |sin phi| beyond 1 + this -> inconsistent data
@@ -101,13 +101,6 @@ class ConstructionReport:
             "norm_residual": self.norm_residual,
             "notes": dict(self.notes),
         }
-
-
-def _fine(grid, refine):
-    try:
-        return FineGrid(grid, refine)
-    except QuadratureError as exc:
-        raise ConstructionError(str(exc)) from exc
 
 
 def _values(src, t, what):
@@ -502,7 +495,7 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid, order: int = 5,
     are; a pole of alpha at t0 is handled by a Frobenius series whose
     leading coefficient is x0 and which determines sin_phi0 itself.
     """
-    fg = _fine(grid, refine)
+    fg = FineGrid(grid, refine)
     io = order + 2
     g = fg.grid
     i0, offset = _anchor_index(fg, p.t0)
@@ -654,7 +647,7 @@ def profile_from_JK(J: str, K: str, x0: float, grid, t0: float | None = None,
     """
     if x0 <= 0:
         raise ConstructionError(f"x0 must be positive, got {x0}")
-    fg = _fine(grid, refine)
+    fg = FineGrid(grid, refine)
     io = order + 2
     g = fg.grid
     s = fg.s
@@ -711,7 +704,7 @@ def profile_from_mean_ratio(p: MeanRatioProblem, grid, order: int = 5,
     angle comes from (F, G, eta) without any branch ambiguity.  The
     anchor applies at the fine lattice node nearest t0.
     """
-    fg = _fine(grid, refine)
+    fg = FineGrid(grid, refine)
     io = order + 2
     g = fg.grid
     s = fg.s
@@ -770,7 +763,7 @@ def profile_from_J_phi(J: str, phi: str, x0: float, grid,
     """
     if x0 <= 0:
         raise ConstructionError(f"x0 must be positive, got {x0}")
-    fg = _fine(grid, refine)
+    fg = FineGrid(grid, refine)
     io = order + 2
     g = fg.grid
     s = fg.s
@@ -813,7 +806,7 @@ def profile_from_H_phi(H: str, phi: str, grid, c_a: float = 0.0,
     antiderivative of 2*H*sin(phi) and thereby scales the axis distance.
     The anchor applies at the fine lattice node nearest t0.
     """
-    fg = _fine(grid, refine)
+    fg = FineGrid(grid, refine)
     io = order + 2
     g = fg.grid
     s = fg.s

@@ -9,12 +9,11 @@ byte-identical.
 from __future__ import annotations
 
 import csv
-import io
 import json
 
 import numpy as np
 
-from .framed import curvature_of, immersion_status
+from .framed import BasicInvariants, curvature_of, immersion_status
 from .legendre import LegendreCurve, curvature_pair_of
 from .revolution import RevolutionSurface
 
@@ -34,13 +33,6 @@ def curve_rows(c: LegendreCurve):
     for i in range(cols[0].size):
         rows.append([fmt(col[i]) for col in cols])
     return rows
-
-
-def curve_csv_text(c: LegendreCurve) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerows(curve_rows(c))
-    return buf.getvalue()
 
 
 def write_curve_csv(c: LegendreCurve, path) -> None:
@@ -95,9 +87,13 @@ def write_surface_obj(surface: RevolutionSurface, path) -> None:
         fh.write("\n".join(surface_obj_lines(surface)) + "\n")
 
 
-def invariants_records(surface: RevolutionSurface, tol: float = 1e-8):
-    """Per-profile-node invariant summary: {node, J, K, H, status}."""
-    C = curvature_of(surface.invariants)
+def invariants_records(invariants: BasicInvariants, tol: float = 1e-8):
+    """Per-profile-node invariant summary: {node, J, K, H, status}.
+
+    Reads column 0 of the invariants; a revolute's invariants do not
+    depend on theta, so the (n_t, 1) columns are enough.
+    """
+    C = curvature_of(invariants)
     records = []
     for i in range(C.J.shape[0]):
         st = immersion_status(C, (i, 0), tol)

@@ -5,6 +5,13 @@ gamma = (x, z) and nu = (a, b).  Rotating about the z-axis or the x-axis
 produces a framed surface whose frame and invariants have closed forms in
 the profile data; singular profile points sweep out singular circles (or
 hit the axis) on the surface.
+
+Both axes share one set of formulas, written for the axis-adapted profile:
+radius r, height h, normal (n_r, n_h), turning density k and speed beta,
+which obey r' = -beta n_h, h' = beta n_r, n_r' = -k n_h, n_h' = k n_r.
+About z, (r, h, n_r, n_h, k) = (x, z, a, b, ell).  About x, (r, h, n_r,
+n_h) = (z, x, -b, -a) and ell reverses sign, k = -ell.  The invariants
+depend on t alone.
 """
 
 from __future__ import annotations
@@ -13,10 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .framed import BasicInvariants, FramedSurfaceGrid
+from .framed import BasicInvariants, FramedSurfaceGrid, curvature_of
 from .legendre import LegendreCurve, curvature_pair_of, plane_evolute
 
 VALID_AXES = ("z", "x")
+_INVARIANTS = ("a1", "b1", "a2", "b2", "e1", "f1", "g1", "e2", "f2", "g2")
+
+# Per axis: where the (r cos, r sin, h) components of a revolved vector go
+# in space, and the sign and profile name that give n_r and k in the
+# profile's own terms: (n_r, k) = sign * (that component of nu, ell).
+_AXES = {"z": ((0, 1, 2), 1.0, "a"), "x": ((2, 0, 1), -1.0, "b")}
 
 
 @dataclass
@@ -45,21 +58,44 @@ class FrontStatus:
     failures: list
 
 
-def _profile_arrays(c: LegendreCurve):
-    t = c.curve.t
-    x = c.curve.x.value
-    z = c.curve.z.value
-    a = c.normal.a.value
-    b = c.normal.b.value
+def _adapted(c: LegendreCurve, axis: str):
+    """The profile about axis as (t, r, h, n_r, n_h, k, beta)."""
+    if axis not in _AXES:
+        raise ValueError(f"axis must be one of {VALID_AXES}, got {axis!r}")
+    x, z = c.curve.x.value, c.curve.z.value
+    a, b = c.normal.a.value, c.normal.b.value
     pair = curvature_pair_of(c)
-    ell = pair.ell.value
-    beta = pair.beta.value
-    # derivatives via the structure equations keeps everything consistent
-    x_d = -beta * b
-    z_d = beta * a
-    a_d = -ell * b
-    b_d = ell * a
-    return t, x, z, a, b, ell, beta, x_d, z_d, a_d, b_d
+    ell, beta = pair.ell.value, pair.beta.value
+    if axis == "z":
+        return c.curve.t, x, z, a, b, ell, beta
+    return c.curve.t, z, x, -b, -a, -ell, beta
+
+
+def _t_derivatives(n_r, n_h, k, beta):
+    """(r', h', n_r', n_h') from the structure equations."""
+    return -beta * n_h, beta * n_r, -k * n_h, k * n_r
+
+
+def _invariant_columns(c: LegendreCurve, axis: str) -> BasicInvariants:
+    """The ten invariants and their cross derivatives as (n_t, 1) columns.
+
+    The column is the meridian theta = 0, and every meridian has the same
+    values.
+    """
+    t, r, h, n_r, n_h, k, beta = _adapted(c, axis)
+    r_t, _, n_r_t, n_h_t = _t_derivatives(n_r, n_h, k, beta)
+    zero = np.zeros((t.size, 1))
+    return BasicInvariants(
+        u=t, v=np.zeros(1),
+        a1=zero, b1=-beta[:, None], a2=-r[:, None], b2=zero,
+        e1=zero, f1=-k[:, None], g1=zero,
+        e2=-n_r[:, None], f2=zero, g2=n_h[:, None],
+        cross={"a1_v": zero, "a2_u": -r_t[:, None],
+               "b1_v": zero, "b2_u": zero,
+               "e1_v": zero, "e2_u": -n_r_t[:, None],
+               "f1_v": zero, "f2_u": zero,
+               "g1_v": zero, "g2_u": n_h_t[:, None]},
+    )
 
 
 def revolve(c: LegendreCurve, axis: str = "z", n_theta: int = 128) -> RevolutionSurface:
@@ -67,82 +103,53 @@ def revolve(c: LegendreCurve, axis: str = "z", n_theta: int = 128) -> Revolution
 
     The angular grid covers [0, 2*pi) half-open with n_theta >= 8 samples;
     meshing utilities re-add the seam.  The returned grid carries exact
-    partial and mixed-partial arrays, and the invariants carry exact
-    derivative grids for the integrability check.
+    partial and mixed-partial arrays built from positions and frames, and
+    the invariants carry exact derivative grids for the integrability
+    check.  The invariant arrays are read-only views of one column each.
     """
-    if axis not in VALID_AXES:
-        raise ValueError(f"axis must be one of {VALID_AXES}, got {axis!r}")
+    t, r, h, n_r, n_h, k, beta = _adapted(c, axis)
     if n_theta < 8:
         raise ValueError("n_theta must be at least 8")
-    t, x, z, a, b, ell, beta, x_d, z_d, a_d, b_d = _profile_arrays(c)
+    order = _AXES[axis][0]
     theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
     ct, st = np.cos(theta), np.sin(theta)
-    one = np.ones_like(theta)
-    nt = t.size
+    ones, zero = np.ones(t.size), np.zeros((t.size, n_theta))
+    r_t, h_t, n_r_t, n_h_t = _t_derivatives(n_r, n_h, k, beta)
 
     def outer(f, g):
         return np.multiply.outer(f, g)
 
-    zeros = np.zeros((nt, theta.size))
-    if axis == "z":
-        X = np.stack([outer(x, ct), outer(x, st), outer(z, one)], axis=-1)
-        N = np.stack([outer(a, ct), outer(a, st), outer(b, one)], axis=-1)
-        S = np.stack([outer(np.ones(nt), st), -outer(np.ones(nt), ct), zeros],
-                     axis=-1)
-        X_u = np.stack([outer(x_d, ct), outer(x_d, st), outer(z_d, one)], axis=-1)
-        X_v = np.stack([-outer(x, st), outer(x, ct), zeros], axis=-1)
-        N_u = np.stack([outer(a_d, ct), outer(a_d, st), outer(b_d, one)], axis=-1)
-        N_v = np.stack([-outer(a, st), outer(a, ct), zeros], axis=-1)
-        S_u = np.zeros_like(X)
-        S_v = np.stack([outer(np.ones(nt), ct), outer(np.ones(nt), st), zeros], axis=-1)
-        X_uv = np.stack([-outer(x_d, st), outer(x_d, ct), zeros], axis=-1)
-        N_uv = np.stack([-outer(a_d, st), outer(a_d, ct), zeros], axis=-1)
-        S_uv = np.zeros_like(X)
-        a2 = -x
-        e2, g2 = -a, b
-        a2_u, e2_u, g2_u = -x_d, -a_d, b_d
-        f1 = -ell
-    else:
-        X = np.stack([outer(x, one), outer(z, ct), outer(z, st)], axis=-1)
-        N = np.stack([outer(-a, one), -outer(b, ct), -outer(b, st)], axis=-1)
-        S = np.stack([zeros, outer(np.ones(nt), st), -outer(np.ones(nt), ct)], axis=-1)
-        X_u = np.stack([outer(x_d, one), outer(z_d, ct), outer(z_d, st)], axis=-1)
-        X_v = np.stack([zeros, -outer(z, st), outer(z, ct)], axis=-1)
-        N_u = np.stack([outer(-a_d, one), -outer(b_d, ct), -outer(b_d, st)], axis=-1)
-        N_v = np.stack([zeros, outer(b, st), -outer(b, ct)], axis=-1)
-        S_u = np.zeros_like(X)
-        S_v = np.stack([zeros, outer(np.ones(nt), ct), outer(np.ones(nt), st)], axis=-1)
-        X_uv = np.stack([zeros, -outer(z_d, st), outer(z_d, ct)], axis=-1)
-        N_uv = np.stack([zeros, outer(b_d, st), -outer(b_d, ct)], axis=-1)
-        S_uv = np.zeros_like(X)
-        a2 = -z
-        e2, g2 = b, -a
-        a2_u, e2_u, g2_u = -z_d, b_d, -a_d
-        f1 = ell
+    def lift(radial_cos, radial_sin, axial):
+        """Stack the components of a revolved vector in space order."""
+        comps = (radial_cos, radial_sin, axial)
+        return np.stack([comps[i] for i in order], axis=-1)
 
+    def meridian(f, g):
+        """f (cos, sin) in the radial plane plus g along the axis."""
+        return lift(outer(f, ct), outer(f, st), outer(g, np.ones(n_theta)))
+
+    def turned(f):
+        """The theta-derivative of f (cos, sin)."""
+        return lift(-outer(f, st), outer(f, ct), zero)
+
+    X = meridian(r, h)
     grid = FramedSurfaceGrid(
-        u=t, v=theta, x=X, n=N, s=S,
-        x_u=X_u, x_v=X_v, n_u=N_u, n_v=N_v, s_u=S_u, s_v=S_v,
-        x_uv=X_uv, n_uv=N_uv, s_uv=S_uv, exact=c.exact,
+        u=t, v=theta, x=X, n=meridian(n_r, n_h),
+        s=lift(outer(ones, st), -outer(ones, ct), zero),
+        x_u=meridian(r_t, h_t), x_v=turned(r),
+        n_u=meridian(n_r_t, n_h_t), n_v=turned(n_r),
+        s_u=np.zeros_like(X), s_v=lift(outer(ones, ct), outer(ones, st), zero),
+        x_uv=turned(r_t), n_uv=turned(n_r_t), s_uv=np.zeros_like(X),
+        exact=c.exact,
     )
 
-    col = np.ones_like(theta)
-    def sweep(f):
-        return np.multiply.outer(f, col)
+    cols = _invariant_columns(c, axis)
+    def sweep(col):
+        return np.broadcast_to(col, (t.size, n_theta))
 
-    z2d = np.zeros((nt, theta.size))
     inv = BasicInvariants(
-        u=t, v=theta,
-        a1=z2d, b1=sweep(-beta), a2=sweep(a2), b2=z2d.copy(),
-        e1=z2d.copy(), f1=sweep(f1), g1=z2d.copy(),
-        e2=sweep(e2), f2=z2d.copy(), g2=sweep(g2),
-        cross={
-            "a1_v": z2d.copy(), "a2_u": sweep(a2_u),
-            "b1_v": z2d.copy(), "b2_u": z2d.copy(),
-            "e1_v": z2d.copy(), "e2_u": sweep(e2_u),
-            "f1_v": z2d.copy(), "f2_u": z2d.copy(),
-            "g1_v": z2d.copy(), "g2_u": sweep(g2_u),
-        },
+        u=t, v=theta, **{f: sweep(getattr(cols, f)) for f in _INVARIANTS},
+        cross={key: sweep(col) for key, col in cols.cross.items()},
     )
     return RevolutionSurface(axis=axis, profile=c, theta=theta, grid=grid,
                              invariants=inv)
@@ -150,40 +157,27 @@ def revolve(c: LegendreCurve, axis: str = "z", n_theta: int = 128) -> Revolution
 
 def revolution_curvature(c: LegendreCurve, axis: str = "z") -> RevolutionCurvature:
     """J, K, H of the revolved surface along the profile parameter."""
-    if axis not in VALID_AXES:
-        raise ValueError(f"axis must be one of {VALID_AXES}, got {axis!r}")
-    t, x, z, a, b, ell, beta, *_ = _profile_arrays(c)
-    if axis == "z":
-        J = -beta * x
-        K = -a * ell
-        H = 0.5 * (x * ell + beta * a)
-        det_bg = -beta * b
-        det_fg = -ell * b
-    else:
-        J = -beta * z
-        K = -b * ell
-        H = -0.5 * (z * ell + beta * b)
-        det_bg = beta * a
-        det_fg = -ell * a
-    return RevolutionCurvature(t=t, J=J, K=K, H=H, det_bg=det_bg, det_fg=det_fg)
+    C = curvature_of(_invariant_columns(c, axis))
+    return RevolutionCurvature(t=C.u, J=C.J[:, 0], K=C.K[:, 0], H=C.H[:, 0],
+                               det_bg=C.det_bg[:, 0], det_fg=C.det_fg[:, 0])
 
 
 def frontal_front_status(c: LegendreCurve, axis: str = "z",
                          tol: float = 1e-8) -> FrontStatus:
     """Whether the revolved frontal is a front, with witnesses when not.
 
-    About the z-axis the surface is a front wherever (ell, a) does not both
-    vanish; about the x-axis the pair is (ell, b).  Nodes where both vanish
-    are returned with the offending values.
+    The surface is a front wherever (k, n_r) do not both vanish, that is
+    (ell, a) about the z-axis and (ell, b) about the x-axis.  Nodes where
+    both vanish are returned with the offending values in those names.
     """
-    t, x, z, a, b, ell, beta, *_ = _profile_arrays(c)
-    partner = a if axis == "z" else b
-    scale_l = tol * (1.0 + np.max(np.abs(ell)))
-    scale_p = tol * (1.0 + np.max(np.abs(partner)))
-    bad = (np.abs(ell) <= scale_l) & (np.abs(partner) <= scale_p)
+    t, r, h, n_r, n_h, k, beta = _adapted(c, axis)
+    _, sign, name = _AXES[axis]
+    scale_l = tol * (1.0 + np.max(np.abs(k)))
+    scale_p = tol * (1.0 + np.max(np.abs(n_r)))
+    bad = (np.abs(k) <= scale_l) & (np.abs(n_r) <= scale_p)
     failures = [
-        {"index": int(i), "t": float(t[i]), "ell": float(ell[i]),
-         ("a" if axis == "z" else "b"): float(partner[i])}
+        {"index": int(i), "t": float(t[i]), "ell": sign * float(k[i]),
+         name: sign * float(n_r[i])}
         for i in np.flatnonzero(bad)
     ]
     return FrontStatus(is_front=not failures, failures=failures)
@@ -203,7 +197,7 @@ def xz_congruence_check(c: LegendreCurve, tol: float = 1e-8) -> CongruenceReport
     sign) and x - z constant, so that swapping the axes is realized by the
     reflection through the plane x = z composed with a translation.
     """
-    t, x, z, a, b, ell, beta, *_ = _profile_arrays(c)
+    t, x, z, a, b, ell, beta = _adapted(c, "z")
     scale_l = tol * (1.0 + np.max(np.abs(ell)))
     r_ell = float(np.max(np.abs(ell)))
     if r_ell > scale_l:
@@ -233,12 +227,12 @@ def cone_type_check(c: LegendreCurve, t0: float, axis: str = "z",
     distance to the axis vanishes there while beta and both normal
     components stay away from zero.
     """
-    t, x, z, a, b, ell, beta, *_ = _profile_arrays(c)
+    t, r, h, n_r, n_h, k, beta = _adapted(c, axis)
     i = int(np.argmin(np.abs(t - t0)))
-    dist = x[i] if axis == "z" else z[i]
-    vals = {"t": float(t[i]), "axis_distance": float(dist),
-            "beta": float(beta[i]), "a": float(a[i]), "b": float(b[i])}
-    ok = (abs(dist) <= tol * (1.0 + np.max(np.abs(x if axis == "z" else z)))
+    vals = {"t": float(t[i]), "axis_distance": float(r[i]),
+            "beta": float(beta[i]), "a": float(c.normal.a.value[i]),
+            "b": float(c.normal.b.value[i])}
+    ok = (abs(vals["axis_distance"]) <= tol * (1.0 + np.max(np.abs(r)))
           and abs(vals["beta"]) > tol and abs(vals["a"]) > tol
           and abs(vals["b"]) > tol)
     return ConeTypeReport(is_cone_type=bool(ok), values=vals)
@@ -259,13 +253,13 @@ def flat_classification(c: LegendreCurve, axis: str = "z",
     depending on which of beta, the axis distance, and the normal
     components vanish identically.
     """
-    t, x, z, a, b, ell, beta, *_ = _profile_arrays(c)
-    dist = x if axis == "z" else z
+    t, r, h, n_r, n_h, k, beta = _adapted(c, axis)
     def max_abs(arr):
         return float(np.max(np.abs(arr)))
-    details = {"max_ell": max_abs(ell), "max_beta": max_abs(beta),
-               "max_axis_distance": max_abs(dist),
-               "max_a": max_abs(a), "max_b": max_abs(b)}
+    details = {"max_ell": max_abs(k), "max_beta": max_abs(beta),
+               "max_axis_distance": max_abs(r),
+               "max_a": max_abs(c.normal.a.value),
+               "max_b": max_abs(c.normal.b.value)}
     if details["max_ell"] > tol:
         return FlatReport("not_flat", details)
     if details["max_beta"] <= tol:
@@ -273,11 +267,9 @@ def flat_classification(c: LegendreCurve, axis: str = "z",
         return FlatReport(label, details)
     if details["max_axis_distance"] <= tol:
         return FlatReport("line", details)
-    normal_axis = b if axis == "z" else a
-    normal_radial = a if axis == "z" else b
-    if max_abs(normal_axis) <= tol:
+    if max_abs(n_h) <= tol:
         return FlatReport("cylinder", details)
-    if max_abs(normal_radial) <= tol:
+    if max_abs(n_r) <= tol:
         return FlatReport("plane", details)
     return FlatReport("cone", details)
 
@@ -330,7 +322,7 @@ def revolution_evolutes(c: LegendreCurve, n_theta: int = 128,
     """Both evolutes of the z-axis revolute of the profile."""
     from .legendre import NormalJet
 
-    t, x, z, a, b, ell, beta, *_ = _profile_arrays(c)
+    t, x, z, a, b, ell, beta = _adapted(c, "z")
     diagnostics = {}
     first = None
     first_surface = None
@@ -391,7 +383,7 @@ def parallel_commutation_check(c: LegendreCurve, lam: float, axis: str = "z",
 
     surf = revolve(c, axis=axis, n_theta=16)
     grid_a, inv_a = parallel_surface(surf.grid, lam, surf.invariants)
-    profile_lam = lam if axis == "z" else -lam
+    profile_lam = _AXES[axis][1] * lam
     surf_b = revolve(parallel_curve(c, profile_lam), axis=axis, n_theta=16)
     grid_b, inv_b = surf_b.grid, surf_b.invariants
 
@@ -400,7 +392,7 @@ def parallel_commutation_check(c: LegendreCurve, lam: float, axis: str = "z",
                  "x_uv", "n_uv", "s_uv"):
         pa, pb = getattr(grid_a, name), getattr(grid_b, name)
         res[name] = float(np.max(np.abs(pa - pb)))
-    for name in ("a1", "b1", "a2", "b2", "e1", "f1", "g1", "e2", "f2", "g2"):
+    for name in _INVARIANTS:
         res[name] = float(np.max(np.abs(getattr(inv_a, name) - getattr(inv_b, name))))
     for key in inv_a.cross:
         res["d_" + key] = float(np.max(np.abs(inv_a.cross[key] - inv_b.cross[key])))

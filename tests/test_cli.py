@@ -96,6 +96,8 @@ def test_classify_mean_example(capsys):
     ["bogus"],                                    # unknown subcommand
     ["revolve", "--config", "/no/such/file.cfg"],
     ["classify", "--t0", "1.0"],                  # family auto needs a grid
+    ["revolve", "--ell", "1", "--beta", "1", "--grid", "0:1:33",
+     "--theta", "4", "--out", "x"],               # too few angles
 ])
 def test_parse_errors_exit_one(argv, capsys):
     assert run(argv) == 1

@@ -42,9 +42,15 @@ def test_revolve_validates_and_rejects_bad_args():
         assert surf.theta.size == 16
         assert surf.grid.x.shape == (33, 16, 3)
     with pytest.raises(ValueError):
-        revolve(c, axis="y")
-    with pytest.raises(ValueError):
         revolve(c, n_theta=4)
+    for call in (lambda: revolve(c, axis="y"),
+                 lambda: revolution_curvature(c, axis="y"),
+                 lambda: frontal_front_status(c, axis="y"),
+                 lambda: cone_type_check(c, 1.0, axis="y"),
+                 lambda: flat_classification(c, axis="y"),
+                 lambda: parallel_commutation_check(c, 0.1, axis="y")):
+        with pytest.raises(ValueError, match="axis"):
+            call()
 
 
 def test_closed_form_invariants_match_frame_projections():
@@ -101,13 +107,15 @@ def test_curvature_closed_forms_both_axes():
     np.testing.assert_allclose(rx.J, -beta * z, atol=1e-12)
     np.testing.assert_allclose(rx.K, -b * ell, atol=1e-12)
     np.testing.assert_allclose(rx.H, -(z * ell + beta * b) / 2, atol=1e-12)
+    np.testing.assert_allclose(rx.det_bg, beta * a, atol=1e-12)
+    np.testing.assert_allclose(rx.det_fg, -ell * a, atol=1e-12)
 
     # same numbers through the framed-surface determinants
-    surf = revolve(c, axis="z", n_theta=10)
-    C = curvature_of(surf.invariants)
-    np.testing.assert_allclose(C.J[:, 0], rc.J, atol=1e-12)
-    np.testing.assert_allclose(C.K[:, 0], rc.K, atol=1e-12)
-    np.testing.assert_allclose(C.H[:, 0], rc.H, atol=1e-12)
+    for axis, r in (("z", rc), ("x", rx)):
+        C = curvature_of(revolve(c, axis=axis, n_theta=10).invariants)
+        np.testing.assert_allclose(C.J[:, 0], r.J, atol=1e-12)
+        np.testing.assert_allclose(C.K[:, 0], r.K, atol=1e-12)
+        np.testing.assert_allclose(C.H[:, 0], r.H, atol=1e-12)
 
 
 def test_pseudo_sphere_has_unit_negative_curvature_ratio():
@@ -130,6 +138,22 @@ def test_front_status_pairs():
     assert any(abs(f["t"] - mid) < 1e-12 for f in st.failures)
     assert frontal_front_status(c, axis="x").is_front
 
+    # about x the pair is (ell, b), reported in the profile's own signs
+    g0 = uniform_grid(-1.0, 1.0, 41)
+    # the normal angle is 1 + t^2 - 1 = t^2, so ell and b vanish at t = 0
+    c = reconstruct_from_curvature("2*t", "1", g0, theta0=1.0)
+    assert frontal_front_status(c, axis="z").is_front
+    assert not frontal_front_status(c, axis="x").is_front
+    # a loose tol makes nodes with nonzero ell and b count as failures too
+    st = frontal_front_status(c, axis="x", tol=0.2)
+    assert len(st.failures) > 1
+    ell = curvature_pair_of(c).ell.value
+    for f in st.failures:
+        assert set(f) == {"index", "t", "ell", "b"}
+        assert f["ell"] == ell[f["index"]]
+        assert f["b"] == c.normal.b.value[f["index"]]
+    assert any(f["t"] == 0.0 for f in st.failures)
+
 
 def test_xz_congruence_only_for_diagonal_lines():
     g = uniform_grid(0.0, 1.0, 21)
@@ -146,12 +170,15 @@ def test_xz_congruence_only_for_diagonal_lines():
 def test_cone_type_point():
     g = uniform_grid(-1.0, 1.0, 41)
     s = 0.7071067811865476
-    cone = legendre_from_expressions("t", "t", f"{s}", f"{-s}", g)
-    rep = cone_type_check(cone, 0.0)
-    assert rep.is_cone_type
-    assert abs(rep.values["beta"]) > 1.0
-    off = cone_type_check(cone, 0.5)
-    assert not off.is_cone_type
+    # about x the profile is mirrored: (x, z, a, b) -> (z, x, b, a)
+    for axis, exprs in (("z", ("t", "t", f"{s}", f"{-s}")),
+                        ("x", ("t", "t", f"{-s}", f"{s}"))):
+        cone = legendre_from_expressions(*exprs, g)
+        rep = cone_type_check(cone, 0.0, axis=axis)
+        assert rep.is_cone_type, axis
+        assert abs(rep.values["beta"]) > 1.0
+        off = cone_type_check(cone, 0.5, axis=axis)
+        assert not off.is_cone_type, axis
 
 
 def test_flat_classification_cases():
@@ -166,9 +193,12 @@ def test_flat_classification_cases():
         (("0", "t", "1", "0"), "line"),
         (("cos(t)", "sin(t)", "cos(t)", "sin(t)"), "not_flat"),
     ]
-    for exprs, want in cases:
-        c = legendre_from_expressions(*exprs, g)
-        assert flat_classification(c, axis="z").label == want, exprs
+    for (x, z, a, b), want in cases:
+        c = legendre_from_expressions(x, z, a, b, g)
+        assert flat_classification(c, axis="z").label == want, (x, z, a, b)
+        # the mirrored profile about x sweeps out the same surface
+        m = legendre_from_expressions(z, x, b, a, g)
+        assert flat_classification(m, axis="x").label == want, (z, x, b, a)
 
 
 def test_evolute_bundle_pseudo_sphere():
