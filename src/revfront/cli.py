@@ -527,8 +527,7 @@ def _run_check(ns):
     payload = _meta(ns, legendre=leg)
     ok = leg["passed"]
     for axis in ("z", "x"):
-        surf = revolve(c, axis=axis, n_theta=ns.n_theta)
-        rep = integrability_residual(surf.invariants)
+        rep = integrability_residual(_invariant_columns(c, axis))
         front = frontal_front_status(c, axis=axis, tol=tol)
         payload[f"integrability_{axis}"] = {
             "max_residual": rep.max_residual, "residuals": rep.residuals}

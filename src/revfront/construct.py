@@ -33,6 +33,7 @@ FLIP_TOL = 1e-8          # fitted |sin phi| extremum within this of 1 -> branch 
 SIN_EXCESS_TOL = 1e-9    # |sin phi| beyond 1 + this -> inconsistent data
 FLAG_TOL = 1e-12         # 1 - sin^2 below this at a node -> jets flagged
 SAFE_COS = 1e-3          # |cos phi| above this -> plain jet division for ell
+UNIFORM_RTOL = 1e-6      # step spread above this * step -> non-uniform lattice
 
 
 class ConstructionError(RuntimeError):
@@ -130,19 +131,36 @@ def _anchor_index(fg, t0):
     return i0, t0 - fg.s[i0]
 
 
+def _uniform_step(s):
+    """The fixed step s[1] - s[0] of a lattice with equal intervals.
+
+    RK4 marching, the flip locator and the Frobenius hand-off advance by
+    this one step, so a lattice whose step varies raises ValueError
+    instead of giving a wrong profile.
+    """
+    h = s[1] - s[0]
+    steps = np.diff(s)
+    lo, hi = steps.min(), steps.max()
+    if hi - lo > UNIFORM_RTOL * abs(h):
+        raise ValueError(
+            f"non-uniform grid: the fine step varies from {lo:.6g} to "
+            f"{hi:.6g}, but this path needs equal grid intervals")
+    return h
+
+
 def _branch_signs(s, S, anchor_pos, cos_sign):
     """Branch sign of cos(phi) on the fine lattice.
 
     The sign starts as cos_sign at the anchor and flips at each parameter
     where |sin phi| reaches 1; touch points between samples are located by
-    a parabolic fit through the local maximum of |S|.
+    a parabolic fit through the local maximum of |S|, which needs a
+    uniform lattice wherever a flip is found.
     """
     excess = float(np.max(np.abs(S))) - 1.0
     if excess > SIN_EXCESS_TOL:
         raise ConstructionError(
             f"|sin phi| exceeds 1 by {excess:.3e}; prescribed data inconsistent",
             max_sin=float(np.max(np.abs(S))))
-    h = s[1] - s[0]
     absS = np.abs(S)
     flips = []
     i = 1
@@ -156,7 +174,7 @@ def _branch_signs(s, S, anchor_pos, cos_sign):
             else:
                 delta, peak = 0.0, y1
             if peak >= 1.0 - FLIP_TOL:
-                flips.append(s[i] + delta * h)
+                flips.append(s[i] + delta * _uniform_step(s))
                 i += 2   # skip the twin sample of the same touch
                 continue
         i += 1
@@ -296,7 +314,7 @@ def _rk4_path(s, f_node, f_mid, i0, x0, S0):
     bm = beta_m.tolist()
     am = ab_m.tolist()
 
-    h = float(s[1] - s[0])
+    h = float(_uniform_step(s))
     xc, Sc = float(x0), float(S0)
     for i in range(i0, n - 1):
         xc, Sc = _rk4_step(xc, Sc, bn[i], an[i], bm[i], am[i],
@@ -357,7 +375,7 @@ def _frobenius_data(p, fg, order_n=12):
 
     lo, hi_t = fg.grid[0], fg.grid[-1]
     span = hi_t - lo
-    step = fg.s[1] - fg.s[0]
+    step = _uniform_step(fg.s)
     left, right = t0 - lo, hi_t - t0
     two_sided = left > 4 * step and right > 4 * step
     if two_sided:
@@ -543,7 +561,7 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid, order: int = 5,
                 "(beta vanishes without matching zero of x')", t0=p.t0)
         # alpha*beta is needed only from the handoff nodes outward; those
         # sit at least delta - step away from the pole
-        fstep = s[1] - s[0]
+        fstep = _uniform_step(s)
         ab_s = np.zeros_like(s)
         ab_m = np.zeros_like(mid)
         need_n = np.abs(s - p.t0) >= delta - fstep

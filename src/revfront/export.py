@@ -3,12 +3,13 @@
 All writers are deterministic: floats go out with 17 significant digits,
 JSON keys are sorted, CSV rows end in CRLF per RFC 4180, and OBJ files
 carry no comments or timestamps, so a rerun with the same inputs is
-byte-identical.
+byte-identical.  The CSV and OBJ writers format whole blocks of rows with
+one ``%`` operation; the OBJ writer works through the mesh in blocks of
+``_OBJ_RINGS`` rings, so the text held in memory is bounded by one block.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 
 import numpy as np
@@ -17,31 +18,23 @@ from .framed import BasicInvariants, curvature_of, immersion_status
 from .legendre import LegendreCurve, curvature_pair_of
 from .revolution import RevolutionSurface
 
-
-def fmt(v) -> str:
-    return "%.17g" % float(v)
-
-
-def curve_rows(c: LegendreCurve):
-    """Header plus one row per node: t, x, z, a, b, ell, beta."""
-    pair = curvature_pair_of(c)
-    cols = [np.asarray(c.t),
-            np.atleast_1d(c.curve.x.value), np.atleast_1d(c.curve.z.value),
-            np.atleast_1d(c.normal.a.value), np.atleast_1d(c.normal.b.value),
-            np.atleast_1d(pair.ell.value), np.atleast_1d(pair.beta.value)]
-    rows = [["t", "x", "z", "a", "b", "ell", "beta"]]
-    for i in range(cols[0].size):
-        rows.append([fmt(col[i]) for col in cols])
-    return rows
+_OBJ_RINGS = 64
+_CSV_ROW = ",".join(["%.17g"] * 7) + "\r\n"
 
 
 def write_curve_csv(c: LegendreCurve, path) -> None:
+    """Header plus one row per node: t, x, z, a, b, ell, beta."""
+    pair = curvature_pair_of(c)
+    table = np.column_stack([c.t, c.curve.x.value, c.curve.z.value,
+                             c.normal.a.value, c.normal.b.value,
+                             pair.ell.value, pair.beta.value])
     with open(path, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\r\n").writerows(curve_rows(c))
+        fh.write("t,x,z,a,b,ell,beta\r\n")
+        fh.write((_CSV_ROW * len(table)) % tuple(table.ravel().tolist()))
 
 
-def surface_obj_lines(surface: RevolutionSurface):
-    """OBJ vertex and face lines for a revolved mesh.
+def _obj_blocks(surface: RevolutionSurface):
+    """OBJ text for a revolved mesh: all vertex blocks, then all face blocks.
 
     The theta seam is duplicated (the first ring is copied verbatim), so
     the vertex count is n_t * (n_theta + 1).  Quads are split into two
@@ -51,40 +44,37 @@ def surface_obj_lines(surface: RevolutionSurface):
     """
     x = surface.grid.x
     nt, ntheta = x.shape[0], x.shape[1]
-    verts = np.concatenate([x, x[:, :1, :]], axis=1)   # seam duplicate
-    lines = []
-    for i in range(nt):
-        for j in range(ntheta + 1):
-            p = verts[i, j]
-            lines.append(f"v {fmt(p[0])} {fmt(p[1])} {fmt(p[2])}")
+    for i in range(0, nt, _OBJ_RINGS):
+        rings = x[i:i + _OBJ_RINGS]
+        block = np.concatenate([rings, rings[:, :1]], axis=1)   # seam duplicate
+        yield (("v %.17g %.17g %.17g\n" * (block.size // 3))
+               % tuple(block.ravel().tolist()))
 
+    # J is independent of theta for a revolute; the row average decides
     inv = surface.invariants
-    J = inv.a1 * inv.b2 - inv.a2 * inv.b1
+    J = inv.a1[:, 0] * inv.b2[:, 0] - inv.a2[:, 0] * inv.b1[:, 0]
     jtol = 1e-12 * (1.0 + float(np.max(np.abs(J))))
+    flip = 0.5 * (J[:-1] + J[1:]) < -jtol
+    j = np.arange(ntheta)
+    for i in range(0, nt - 1, _OBJ_RINGS):
+        f = flip[i:i + _OBJ_RINGS, None]
+        q0 = np.arange(i, i + len(f))[:, None] * (ntheta + 1) + j + 1
+        q1 = q0 + ntheta + 1
+        q2 = q1 + 1
+        q3 = q0 + 1
+        tri = np.stack([q0, np.where(f, q3, q1), q2,
+                        q0, q2, np.where(f, q1, q3)], axis=-1)
+        yield ("f %d %d %d\n" * (tri.size // 3)) % tuple(tri.ravel().tolist())
 
-    def vid(i, j):
-        return i * (ntheta + 1) + j + 1
 
-    for i in range(nt - 1):
-        # J is independent of theta for a revolute; row average decides
-        jrow = 0.5 * (J[i, 0] + J[i + 1, 0])
-        flip = jrow < -jtol
-        for j in range(ntheta):
-            q = (vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1))
-            if flip:
-                t1 = (q[0], q[3], q[2])
-                t2 = (q[0], q[2], q[1])
-            else:
-                t1 = (q[0], q[1], q[2])
-                t2 = (q[0], q[2], q[3])
-            lines.append("f %d %d %d" % t1)
-            lines.append("f %d %d %d" % t2)
-    return lines
+def surface_obj_lines(surface: RevolutionSurface):
+    """The lines of the OBJ file that write_surface_obj writes."""
+    return "".join(_obj_blocks(surface)).splitlines()
 
 
 def write_surface_obj(surface: RevolutionSurface, path) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(surface_obj_lines(surface)) + "\n")
+        fh.writelines(_obj_blocks(surface))
 
 
 def invariants_records(invariants: BasicInvariants, tol: float = 1e-8):

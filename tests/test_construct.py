@@ -66,6 +66,35 @@ def test_gauss_rk4_off_lattice_anchor():
     np.testing.assert_allclose(pair.ell.value, -1.0, atol=1e-8)
 
 
+def test_fixed_step_paths_reject_non_uniform_grid():
+    # 150 + 50 nodes split at t = 1: RK4 on s[1] - s[0] used to return
+    # max |x - sin t| = 9.6e-2 here, against 1.4e-14 on 200 uniform nodes
+    g = np.concatenate([np.linspace(0.4, 1.0, 150),
+                        np.linspace(1.0, 1.5, 51)[1:]])
+    p = GaussRatioProblem(alpha="-1", beta="cot(t)", t0=1.0,
+                          x0=np.sin(1.0), sin_phi0=-np.sin(1.0))
+    with pytest.raises(ValueError, match="non-uniform grid"):
+        profile_from_gauss_ratio(p, g)
+    c = profile_from_gauss_ratio(p, uniform_grid(0.4, 1.5, 200))
+    np.testing.assert_allclose(c.curve.x.value, np.sin(c.t), atol=1e-12)
+    # Frobenius hand-off
+    g = np.concatenate([np.linspace(0.0, 0.2, 41),
+                        np.linspace(0.2, 0.45, 21)[1:]])
+    p = GaussRatioProblem(alpha="-2/t^2", beta="1", t0=0.0, x0=1.0)
+    with pytest.raises(ValueError, match="non-uniform grid"):
+        profile_from_gauss_ratio(p, g)
+    # the flip locator: the J-K quadrature itself takes any grid, but the
+    # pseudo-sphere's flip at pi/2 is located with the fixed step
+    g = np.concatenate([np.linspace(0.2, 1.0, 100),
+                        np.linspace(1.0, PI - 0.2, 301)[1:]])
+    with pytest.raises(ValueError, match="non-uniform grid"):
+        profile_from_JK("-cos(t)", "cos(t)", x0=np.sin(0.2), grid=g,
+                        t0=0.2, sin0=-np.sin(0.2))
+    c = profile_from_JK("-cos(t)", "cos(t)", x0=np.sin(0.2), grid=g[g < 1.4],
+                        t0=0.2, sin0=-np.sin(0.2))
+    np.testing.assert_allclose(c.curve.x.value, np.sin(c.t), atol=1e-10)
+
+
 def test_gauss_sin_band_violation():
     g = uniform_grid(0.0, 3.0, 101)
     p = GaussRatioProblem(alpha="1", beta="2", t0=0.0, x0=1.0, sin_phi0=0.9)

@@ -1,0 +1,130 @@
+"""The CSV and OBJ writers against a per-number reference formatter.
+
+The reference formats one number per "%.17g" call, writes one OBJ line
+per vertex and per triangle, and writes the CSV through csv.writer.  The
+block writers must give the same bytes on every profile, axis and size.
+"""
+
+import csv
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from revfront import export
+from revfront.legendre import (curvature_pair_of, legendre_from_samples,
+                               reconstruct_from_curvature)
+from revfront.quadrature import uniform_grid
+from revfront.revolution import revolve
+
+
+def fmt(v):
+    return "%.17g" % float(v)
+
+
+def reference_obj(surface):
+    x = surface.grid.x
+    nt, ntheta = x.shape[0], x.shape[1]
+    verts = np.concatenate([x, x[:, :1, :]], axis=1)
+    lines = []
+    for i in range(nt):
+        for j in range(ntheta + 1):
+            p = verts[i, j]
+            lines.append(f"v {fmt(p[0])} {fmt(p[1])} {fmt(p[2])}")
+    inv = surface.invariants
+    J = inv.a1 * inv.b2 - inv.a2 * inv.b1
+    jtol = 1e-12 * (1.0 + float(np.max(np.abs(J))))
+
+    def vid(i, j):
+        return i * (ntheta + 1) + j + 1
+
+    for i in range(nt - 1):
+        flip = 0.5 * (J[i, 0] + J[i + 1, 0]) < -jtol
+        for j in range(ntheta):
+            q = (vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1))
+            if flip:
+                t1, t2 = (q[0], q[3], q[2]), (q[0], q[2], q[1])
+            else:
+                t1, t2 = (q[0], q[1], q[2]), (q[0], q[2], q[3])
+            lines.append("f %d %d %d" % t1)
+            lines.append("f %d %d %d" % t2)
+    return ("\n".join(lines) + "\n").encode()
+
+
+def reference_csv(c, path):
+    pair = curvature_pair_of(c)
+    cols = [c.t, c.curve.x.value, c.curve.z.value, c.normal.a.value,
+            c.normal.b.value, pair.ell.value, pair.beta.value]
+    rows = [["t", "x", "z", "a", "b", "ell", "beta"]]
+    rows += [[fmt(col[i]) for col in cols] for i in range(c.t.size)]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\r\n").writerows(rows)
+
+
+def assert_same_bytes(c, axis, n_theta, tmp_path):
+    """Write both artifacts both ways; returns the surface and its OBJ."""
+    surf = revolve(c, axis=axis, n_theta=n_theta)
+    export.write_surface_obj(surf, tmp_path / "block.obj")
+    obj = (tmp_path / "block.obj").read_bytes()
+    assert obj == reference_obj(surf)
+    assert export.surface_obj_lines(surf) == obj.decode().splitlines()
+    export.write_curve_csv(c, tmp_path / "block.csv")
+    reference_csv(c, tmp_path / "reference.csv")
+    assert ((tmp_path / "block.csv").read_bytes() ==
+            (tmp_path / "reference.csv").read_bytes())
+    return surf, obj
+
+
+def sampled_profile(t, x, z, phi):
+    return legendre_from_samples(t, x, z, np.cos(phi), np.sin(phi))
+
+
+@st.composite
+def sampled_profiles(draw):
+    n = draw(st.integers(7, 150))
+    value = st.floats(-20.0, 20.0, allow_nan=False)   # includes -0.0 and 0.0
+    steps = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    x, z, phi = (draw(st.lists(value, min_size=n, max_size=n))
+                 for _ in range(3))
+    return sampled_profile(np.cumsum(steps), np.array(x), np.array(z),
+                           np.array(phi))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(c=sampled_profiles(), axis=st.sampled_from(["z", "x"]),
+       n_theta=st.integers(8, 12))
+def test_writers_match_reference_on_random_profiles(c, axis, n_theta,
+                                                    tmp_path):
+    assert_same_bytes(c, axis, n_theta, tmp_path)
+
+
+@pytest.mark.parametrize("axis", ["z", "x"])
+@pytest.mark.parametrize("n_t", [10, 64, 65, 130])
+def test_writers_match_reference_across_block_edges(n_t, axis, tmp_path):
+    # beta = t - 1 changes sign, so J changes sign and some rows flip
+    c = reconstruct_from_curvature("1", "t - 1", uniform_grid(0.0, 2.0, n_t),
+                                   x0=0.5)
+    surf, obj = assert_same_bytes(c, axis, 16, tmp_path)
+    inv = surf.invariants
+    J = (inv.a1 * inv.b2 - inv.a2 * inv.b1)[:, 0]
+    assert J.min() < -1e-3 and J.max() > 1e-3
+    faces = [ln.split()[1:] for ln in obj.decode().splitlines()
+             if ln.startswith("f ")]
+    assert len(faces) == 2 * 16 * (n_t - 1)
+    # parameter order puts q0 + n_theta + 1 second, the flip puts q0 + 1
+    second = {int(f[1]) - int(f[0]) for f in faces[::2]}
+    assert second == {1, 17}
+
+
+def test_writers_keep_signed_zeros(tmp_path):
+    n = 9
+    t = np.arange(1.0, n + 1.0)
+    x = np.where(np.arange(n) % 2, -0.0, 0.0)
+    z = np.array([0.0, -0.0] * 4 + [1.0])
+    c = sampled_profile(t, x, z, np.zeros(n))
+    assert_same_bytes(c, "z", 8, tmp_path)
+    assert_same_bytes(c, "x", 8, tmp_path)
+    text = (tmp_path / "block.csv").read_text()
+    assert ",-0," in text and ",0," in text
