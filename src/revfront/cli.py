@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -66,13 +67,12 @@ def _parse_grid(spec: str) -> np.ndarray:
     return uniform_grid(t_min, t_max, count)
 
 
-def _checked_expr(src, flag):
-    if src is None:
-        return None
+def _expression(src):
+    """argparse type of the expression flags: the text, once it parses."""
     try:
         expr.parse(src)
     except ValueError as exc:
-        raise CliError(f"{flag}: {exc}") from None
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return src
 
 
@@ -152,12 +152,14 @@ def _add_theta(p):
 
 
 def _add_profile_source(p):
-    p.add_argument("--x", help="profile x(t) expression")
-    p.add_argument("--z", help="profile z(t) expression")
-    p.add_argument("--a", help="normal first component a(t)")
-    p.add_argument("--b", help="normal second component b(t)")
-    p.add_argument("--ell", help="normal turning density; implies --beta")
-    p.add_argument("--beta", help="tangential speed density; implies --ell")
+    p.add_argument("--x", type=_expression, help="profile x(t) expression")
+    p.add_argument("--z", type=_expression, help="profile z(t) expression")
+    p.add_argument("--a", type=_expression, help="normal first component a(t)")
+    p.add_argument("--b", type=_expression, help="normal second component b(t)")
+    p.add_argument("--ell", type=_expression,
+                   help="normal turning density; implies --beta")
+    p.add_argument("--beta", type=_expression,
+                   help="tangential speed density; implies --ell")
     p.add_argument("--theta0", type=float, default=0.0,
                    help="initial normal angle for --ell/--beta")
     p.add_argument("--x0", type=float, default=0.0,
@@ -176,15 +178,11 @@ def _profile(ns, grid):
         if missing:
             raise CliError("profile needs all of --x --z --a --b (missing: "
                            + " ".join("--" + m for m in missing) + ")")
-        for f in ("x", "z", "a", "b"):
-            _checked_expr(getattr(ns, f), "--" + f)
         return legendre_from_expressions(ns.x, ns.z, ns.a, ns.b, grid,
                                          ns.order)
     if has_lb:
         if ns.ell is None or ns.beta is None:
             raise CliError("--ell and --beta must be given together")
-        _checked_expr(ns.ell, "--ell")
-        _checked_expr(ns.beta, "--beta")
         return reconstruct_from_curvature(ns.ell, ns.beta, grid,
                                           theta0=ns.theta0, x0=ns.x0,
                                           z0=ns.z0, order=ns.order)
@@ -221,8 +219,8 @@ def build_parser() -> _Parser:
     csub = pc.add_subparsers(dest="subcommand", required=True)
     cfc = csub.add_parser("from-curvature",
                           help="integrate a curvature pair to a curve")
-    cfc.add_argument("--ell", required=True)
-    cfc.add_argument("--beta", required=True)
+    cfc.add_argument("--ell", type=_expression, required=True)
+    cfc.add_argument("--beta", type=_expression, required=True)
     cfc.add_argument("--theta0", type=float, default=0.0)
     cfc.add_argument("--x0", type=float, default=0.0)
     cfc.add_argument("--z0", type=float, default=0.0)
@@ -245,7 +243,8 @@ def build_parser() -> _Parser:
     pl.add_argument("--family",
                     choices=("auto", "gauss", "mean", "revolution"),
                     default="auto")
-    pl.add_argument("--alpha", help="curvature ratio (gauss/mean families)")
+    pl.add_argument("--alpha", type=_expression,
+                    help="curvature ratio (gauss/mean families)")
     _add_profile_source(pl)
     _add_common(pl, out_required=False, grid_required=False)
 
@@ -254,8 +253,8 @@ def build_parser() -> _Parser:
     ksub = pk.add_subparsers(dest="subcommand", required=True)
 
     kg = ksub.add_parser("gauss", help="area ratio K = alpha*J")
-    kg.add_argument("--alpha", required=True)
-    kg.add_argument("--beta", required=True)
+    kg.add_argument("--alpha", type=_expression, required=True)
+    kg.add_argument("--beta", type=_expression, required=True)
     kg.add_argument("--t0", type=float, required=True)
     kg.add_argument("--x0", type=float, default=1.0)
     kg.add_argument("--sin0", type=float, default=None,
@@ -267,8 +266,8 @@ def build_parser() -> _Parser:
                     default="auto")
 
     kj = ksub.add_parser("gauss-jk", help="prescribed densities J and K")
-    kj.add_argument("--J", required=True, dest="J")
-    kj.add_argument("--K", required=True, dest="K")
+    kj.add_argument("--J", type=_expression, required=True)
+    kj.add_argument("--K", type=_expression, required=True)
     kj.add_argument("--x0", type=float, required=True)
     kj.add_argument("--t0", type=float, default=None)
     kj.add_argument("--sin0", type=float, default=0.0)
@@ -276,23 +275,23 @@ def build_parser() -> _Parser:
     kj.add_argument("--z0", type=float, default=0.0)
 
     km = ksub.add_parser("mean", help="mean ratio H = alpha*J")
-    km.add_argument("--alpha", required=True)
-    km.add_argument("--beta", required=True)
+    km.add_argument("--alpha", type=_expression, required=True)
+    km.add_argument("--beta", type=_expression, required=True)
     km.add_argument("--c1", type=float, required=True)
     km.add_argument("--c2", type=float, required=True)
     km.add_argument("--t0", type=float, default=None)
     km.add_argument("--z0", type=float, default=0.0)
 
     kp = ksub.add_parser("j-phi", help="prescribed J and normal angle")
-    kp.add_argument("--J", required=True, dest="J")
-    kp.add_argument("--phi", required=True)
+    kp.add_argument("--J", type=_expression, required=True)
+    kp.add_argument("--phi", type=_expression, required=True)
     kp.add_argument("--x0", type=float, default=1.0)
     kp.add_argument("--t0", type=float, default=None)
     kp.add_argument("--z0", type=float, default=0.0)
 
     kh = ksub.add_parser("h-phi", help="prescribed H and normal angle")
-    kh.add_argument("--H", required=True, dest="H")
-    kh.add_argument("--phi", required=True)
+    kh.add_argument("--H", type=_expression, required=True)
+    kh.add_argument("--phi", type=_expression, required=True)
     kh.add_argument("--ca", type=float, default=0.0)
     kh.add_argument("--t0", type=float, default=None)
     kh.add_argument("--z0", type=float, default=0.0)
@@ -316,7 +315,11 @@ def build_parser() -> _Parser:
     ph = sub.add_parser("check",
                         help="integrability, contact, and round-trip suite")
     _add_profile_source(ph)
-    _add_theta(ph)
+    # check reads the invariants on the profile grid and revolves nothing;
+    # --theta stays accepted so check takes the same flags as revolve
+    ph.add_argument("--theta", type=_theta_count, default=128, dest="n_theta",
+                    help="ignored by check; accepted (>= 8) for flag "
+                         "compatibility with revolve")
     _add_common(ph, out_required=False)
     return p
 
@@ -347,8 +350,6 @@ def _meta(ns, **extra):
 
 def _run_curve(ns):
     grid = _parse_grid(ns.grid)
-    _checked_expr(ns.ell, "--ell")
-    _checked_expr(ns.beta, "--beta")
     c = reconstruct_from_curvature(ns.ell, ns.beta, grid, theta0=ns.theta0,
                                    x0=ns.x0, z0=ns.z0, order=ns.order)
     payload = _meta(ns, legendre=_legendre_report(c),
@@ -391,8 +392,6 @@ def _run_classify(ns):
     if ns.family == "mean":
         if ns.alpha is None or ns.beta is None:
             raise CliError("--family mean needs --alpha and --beta")
-        _checked_expr(ns.alpha, "--alpha")
-        _checked_expr(ns.beta, "--beta")
         lab = constant_mean_cusp(expr.eval_jet(ns.alpha, ns.t0),
                                  expr.eval_jet(ns.beta, ns.t0),
                                  tol=_tol(ns))
@@ -402,8 +401,6 @@ def _run_classify(ns):
         if ns.a is None or ns.beta is None:
             raise CliError("--family gauss needs --a and --beta "
                            "(expressions for cos(phi) and beta)")
-        _checked_expr(ns.a, "--a")
-        _checked_expr(ns.beta, "--beta")
         tol = _tol(ns)
         m = ord_of(expr.eval_jet(ns.a, ns.t0), tol=tol)
         n = ord_of(expr.eval_jet(ns.beta, ns.t0), tol=tol)
@@ -452,8 +449,6 @@ def _default_sin0(ns):
 def _run_construct(ns):
     grid = _parse_grid(ns.grid)
     if ns.subcommand == "gauss":
-        _checked_expr(ns.alpha, "--alpha")
-        _checked_expr(ns.beta, "--beta")
         sin0 = ns.sin0 if ns.sin0 is not None else _default_sin0(ns)
         prob = GaussRatioProblem(alpha=ns.alpha, beta=ns.beta, t0=ns.t0,
                                  x0=ns.x0, sin_phi0=sin0,
@@ -461,30 +456,22 @@ def _run_construct(ns):
                                  method=ns.method)
         c = profile_from_gauss_ratio(prob, grid, order=ns.order)
     elif ns.subcommand == "gauss-jk":
-        _checked_expr(ns.J, "--J")
-        _checked_expr(ns.K, "--K")
         c = profile_from_JK(ns.J, ns.K, x0=ns.x0, grid=grid, t0=ns.t0,
                             sin0=ns.sin0, cos_sign=ns.cos_sign, z0=ns.z0,
                             order=ns.order)
     elif ns.subcommand == "mean":
-        _checked_expr(ns.alpha, "--alpha")
-        _checked_expr(ns.beta, "--beta")
         prob = MeanRatioProblem(alpha=ns.alpha, beta=ns.beta, c1=ns.c1,
                                 c2=ns.c2, t0=ns.t0, z0=ns.z0)
         c = profile_from_mean_ratio(prob, grid, order=ns.order)
     elif ns.subcommand == "j-phi":
-        _checked_expr(ns.J, "--J")
-        _checked_expr(ns.phi, "--phi")
         c = profile_from_J_phi(ns.J, ns.phi, x0=ns.x0, grid=grid, t0=ns.t0,
                                z0=ns.z0, order=ns.order)
     else:
-        _checked_expr(ns.H, "--H")
-        _checked_expr(ns.phi, "--phi")
         c = profile_from_H_phi(ns.H, ns.phi, grid, c_a=ns.ca, t0=ns.t0,
                                z0=ns.z0, order=ns.order)
     surf = revolve(c, axis="z", n_theta=ns.n_theta)
     report = c.flags["construction"]
-    payload = _meta(ns, report=report.as_dict(),
+    payload = _meta(ns, report=asdict(report),
                     legendre=_legendre_report(c))
     _write(ns, curve=c, surface=surf, payload=payload)
     return 0

@@ -10,15 +10,16 @@ z-axis revolute realizes prescribed curvature relations:
   * (H, phi)         mean density plus normal angle
 
 Each returns a LegendreCurve with jets chained analytically from the
-defining relations; the numerical content is lattice quadrature plus, for
-the gauss ratio, RK4 on the first-order system or a Frobenius series at a
-regular singular point of the ratio.
+defining relations; the numerical content is lattice quadrature (16 fine
+steps per grid step) plus, for the gauss ratio, RK4 on the first-order
+system or a Frobenius series at a regular singular point of the ratio.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,7 @@ SIN_EXCESS_TOL = 1e-9    # |sin phi| beyond 1 + this -> inconsistent data
 FLAG_TOL = 1e-12         # 1 - sin^2 below this at a node -> jets flagged
 SAFE_COS = 1e-3          # |cos phi| above this -> plain jet division for ell
 UNIFORM_RTOL = 1e-6      # step spread above this * step -> non-uniform lattice
+COS_TOL = 1e-8           # |cos phi| within this (relative) of 0 -> (H, phi) rejects
 
 
 class ConstructionError(RuntimeError):
@@ -80,33 +82,30 @@ class MeanRatioProblem:
 
 @dataclass
 class ConstructionReport:
+    """Decisions and residuals of one construction; _assemble fills the
+    contact and norm residuals.  dataclasses.asdict gives the JSON form."""
     method: str
     t0: float
     anchor_offset: float
-    flips: list
-    flagged_nodes: list
-    ode_residual: float | None
-    contact_residual: float
-    norm_residual: float
+    flips: list = field(default_factory=list)
+    flagged_nodes: list = field(default_factory=list)
+    ode_residual: float | None = None
+    contact_residual: float = 0.0
+    norm_residual: float = 0.0
     notes: dict = field(default_factory=dict)
 
-    def as_dict(self):
-        return {
-            "method": self.method,
-            "t0": self.t0,
-            "anchor_offset": self.anchor_offset,
-            "flips": list(self.flips),
-            "flagged_nodes": list(self.flagged_nodes),
-            "ode_residual": self.ode_residual,
-            "contact_residual": self.contact_residual,
-            "norm_residual": self.norm_residual,
-            "notes": dict(self.notes),
-        }
+
+class _Source(str):
+    """Expression text whose parse tree is built on first use and kept."""
+
+    @cached_property
+    def tree(self):
+        return expr.parse(self)
 
 
 def _values(src, t, what):
     try:
-        return expr.eval_values(src, t)
+        return expr.eval_values(getattr(src, "tree", src), t)
     except DomainError as exc:
         raise ConstructionError(f"{what} cannot be evaluated on the grid: {exc}",
                                 source=str(src)) from exc
@@ -114,21 +113,36 @@ def _values(src, t, what):
 
 def _jet(src, t, order, what):
     try:
-        return expr.eval_jet_any_order(src, t, order)
+        return expr.eval_jet_any_order(getattr(src, "tree", src), t, order)
     except DomainError as exc:
         raise ConstructionError(f"{what} jets cannot be evaluated: {exc}",
                                 source=str(src)) from exc
 
 
-def _anchor_index(fg, t0):
+def _padded(coeffs, n):
+    """The first n entries of coeffs, padded with zeros to length n."""
+    coeffs = np.ravel(coeffs)
+    out = np.zeros(n)
+    take = min(n, coeffs.size)
+    out[:take] = coeffs[:take]
+    return out
+
+
+def _lattice(grid, t0, order):
+    """Fine lattice, internal jet order, anchor node and anchor offset.
+
+    t0 snaps to the nearest fine lattice node (offset t0 - node); None
+    anchors at the left end of the grid.
+    """
+    fg = FineGrid(grid)
     if t0 is None:
-        return 0, 0.0
+        return fg, order + 2, 0, 0.0
     lo, hi = fg.grid[0], fg.grid[-1]
     span = hi - lo
     if t0 < lo - 1e-12 * span or t0 > hi + 1e-12 * span:
         raise ConstructionError(f"t0={t0} lies outside the grid [{lo}, {hi}]")
     i0 = fg.nearest_fine_index(t0)
-    return i0, t0 - fg.s[i0]
+    return fg, order + 2, i0, t0 - fg.s[i0]
 
 
 def _uniform_step(s):
@@ -148,20 +162,21 @@ def _uniform_step(s):
     return h
 
 
-def _branch_signs(s, S, anchor_pos, cos_sign):
-    """Branch sign of cos(phi) on the fine lattice.
+def _lattice_angle(s, S, anchor_pos, cos_sign):
+    """Branch signs, flips, clipped sin(phi) and cos(phi) on the lattice.
 
-    The sign starts as cos_sign at the anchor and flips at each parameter
-    where |sin phi| reaches 1; touch points between samples are located by
-    a parabolic fit through the local maximum of |S|, which needs a
-    uniform lattice wherever a flip is found.
+    The sign of cos(phi) starts as cos_sign at the anchor and flips at each
+    parameter where |sin phi| reaches 1; touch points between samples are
+    located by a parabolic fit through the local maximum of |S|, which
+    needs a uniform lattice wherever a flip is found.  Returns
+    (sigma, flips, clipped S, sigma*sqrt(1 - S^2)).
     """
-    excess = float(np.max(np.abs(S))) - 1.0
+    absS = np.abs(S)
+    excess = float(np.max(absS)) - 1.0
     if excess > SIN_EXCESS_TOL:
         raise ConstructionError(
             f"|sin phi| exceeds 1 by {excess:.3e}; prescribed data inconsistent",
-            max_sin=float(np.max(np.abs(S))))
-    absS = np.abs(S)
+            max_sin=float(np.max(absS)))
     flips = []
     i = 1
     while i < len(S) - 1:
@@ -183,78 +198,44 @@ def _branch_signs(s, S, anchor_pos, cos_sign):
     n_before = np.searchsorted(flips, s, side="left")
     n_anchor = int(np.searchsorted(flips, anchor_pos, side="left"))
     sigma = np.where((n_before - n_anchor) % 2 == 0, cos_sign, -cos_sign)
-    return sigma, [float(f) for f in flips]
+    Sc = np.clip(S, -1.0, 1.0)
+    return (sigma, [float(f) for f in flips], Sc,
+            sigma * np.sqrt(np.maximum(1.0 - Sc * Sc, 0.0)))
 
 
-def _cos_jet_from_sin(b_j, sigma_coarse):
-    """cos(phi) jets as sigma*sqrt(1 - sin^2), clamping flagged columns.
+def _angle_jets(b_j, sigma, notes):
+    """cos(phi) and ell jets from the sin(phi) jet b_j and branch signs sigma.
 
-    Columns where 1 - sin^2 falls below FLAG_TOL cannot support the square
-    root jet; they get a constant clamped radicand and their indices are
-    returned for the report.
+    cos phi = sigma*sqrt(1 - sin^2).  Columns where 1 - sin^2 falls below
+    FLAG_TOL cannot support the square root jet: they are flagged and get a
+    constant clamped radicand.  ell = (sin phi)'/cos phi, by reduced
+    division where |cos phi| <= SAFE_COS.  A flagged column carries no
+    usable derivative data, so both jets there are replaced by the Taylor
+    shift of the nearest unflagged column (ties go to the lower index),
+    accurate to the jet order since the functions are smooth in t; the
+    rebuilt nodes go into notes.  Returns (a_j, ell_j, flagged nodes).
     """
     rad = 1.0 - b_j * b_j
-    vals = np.atleast_1d(rad.value).astype(float)
-    flagged = np.flatnonzero(vals < FLAG_TOL)
-    if flagged.size:
-        co = rad.coeffs.copy()
-        co[0] = np.where(vals < FLAG_TOL, FLAG_TOL, co[0])
-        for k in range(1, co.shape[0]):
-            co[k] = np.where(vals < FLAG_TOL, 0.0, co[k])
-        rad = Jet(rad.t, co)
-    sq = jets.sqrt(rad)
-    a_j = Jet(sq.t, sq.coeffs * sigma_coarse)
-    return a_j, [int(i) for i in flagged]
-
-
-def _ell_jet_from_angle(b_j, a_j):
-    """ell = (sin phi)' / cos phi with strip division near branch flips."""
+    flagged = np.flatnonzero(np.atleast_1d(rad.value) < FLAG_TOL)
+    clamped = rad.coeffs.copy()
+    clamped[0, flagged] = FLAG_TOL
+    clamped[1:, flagged] = 0.0
+    sq = jets.sqrt(Jet(rad.t, clamped))
+    a_j = Jet(sq.t, sq.coeffs * sigma)
     num = b_j.differentiated()
     den = a_j.truncated(num.order)
-    aval = np.atleast_1d(a_j.value).astype(float)
-    safe = np.abs(aval) > SAFE_COS
-    if safe.all():
-        return num / den
+    unsafe = np.flatnonzero(~(np.abs(np.atleast_1d(a_j.value)) > SAFE_COS))
     patched = den.coeffs.copy()
-    patched[0] = np.where(safe, patched[0], 1.0)
-    ell = num / Jet(den.t, patched)
-    co = ell.coeffs.copy()
-    for i in np.flatnonzero(~safe):
+    patched[0, unsafe] = 1.0
+    ell_co = (num / Jet(den.t, patched)).coeffs.copy()
+    for i in unsafe:
         r = jet_div_reduced(num.at(i), den.at(i), tol=1e-7)
-        col = np.zeros(co.shape[0])
-        take = min(co.shape[0], r.coeffs.size)
-        col[:take] = r.coeffs[:take]
-        co[:, i] = col
-    return Jet(ell.t, co)
-
-
-def _rebuild_flagged_columns(flagged, t, jet_list):
-    """Replace clamped jet columns by Taylor shifts of a healthy neighbor.
-
-    A column clamped by _cos_jet_from_sin carries no usable derivative
-    data, and the ell jet divides by it, so both come out wrong at that
-    node.  The underlying functions are smooth in t, so recentering the
-    nearest unflagged column (shift by the node spacing) restores them to
-    the accuracy of the jet order.  Returns the replacement Jets and the
-    indices actually rebuilt.
-    """
-    if not flagged:
-        return jet_list, []
-    bad = set(flagged)
-    n = t.size
-    outs = [J.coeffs.copy() for J in jet_list]
-    rebuilt = []
-    for i in flagged:
-        donor = None
-        for d in range(1, n):
-            for cand in (i - d, i + d):
-                if 0 <= cand < n and cand not in bad:
-                    donor = cand
-                    break
-            if donor is not None:
-                break
-        if donor is None:
-            continue
+        ell_co[:, i] = _padded(r.coeffs, ell_co.shape[0])
+    outs = [a_j.coeffs.copy(), ell_co]
+    t = b_j.t
+    healthy = np.setdiff1d(np.arange(t.size), flagged)
+    for i in flagged if healthy.size else ():
+        donor = healthy[np.argmin(np.abs(healthy - i))]
         h = float(t[i] - t[donor])
         for co in outs:
             top = co.shape[0] - 1
@@ -264,8 +245,10 @@ def _rebuild_flagged_columns(flagged, t, jet_list):
                 for k in range(top, m - 1, -1):
                     acc = acc * h + math.comb(k, m) * src[k]
                 co[m, i] = acc
-        rebuilt.append(int(i))
-    return [Jet(J.t, co) for J, co in zip(jet_list, outs)], rebuilt
+    flagged = [int(i) for i in flagged]
+    if flagged and healthy.size:
+        notes["flagged_jets_rebuilt"] = flagged
+    return Jet(t, outs[0]), Jet(t, outs[1]), flagged
 
 
 def _system_jets(beta_j, ab_j, x_vals, S_vals, order):
@@ -328,9 +311,40 @@ def _rk4_path(s, f_node, f_mid, i0, x0, S0):
     return x, S
 
 
-def _assemble(grid, x_j, z_j, a_j, b_j, ell_j, beta_j, report):
-    pair = CurvaturePair(grid, ell_j, beta_j, exact=True)
-    curve = LegendreCurve(CurveJet(grid, x_j, z_j), NormalJet(grid, a_j, b_j),
+def _j_tail(fg, io, i0, x0, z0, J, J_s, sin_s, cos_s, angle, why=""):
+    """Axis distance, beta and z from prescribed J and the normal angle.
+
+    On the lattice x^2 = x0^2 + 2*int(J sin phi) must stay positive,
+    beta = -J/x and z = z0 + int(beta cos phi); the x and beta jets follow
+    from the same relations.  angle = (source, name, to_sin) names the
+    second prescribed expression, whose jet to_sin turns into the sin phi
+    jet.  Returns (angle jet, sin phi jet, x_j, beta_j, z on the lattice).
+    """
+    s = fg.s
+    x2_s = x0 * x0 + 2.0 * fg.cumulative_from(J_s * sin_s, i0, 0.0)
+    bad = x2_s <= 0.0
+    if bad.any():
+        tb = s[bad][0]
+        raise ConstructionError(
+            f"squared axis distance becomes non-positive at t={tb:.6g}{why}",
+            t=float(tb))
+    z_s = fg.cumulative_from(-J_s / np.sqrt(x2_s) * cos_s, i0, z0)
+    J_j = _jet(J, fg.grid, io, "J")
+    src, name, to_sin = angle
+    angle_j = _jet(src, fg.grid, io, name)
+    b_j = to_sin(angle_j)
+    rad_j = (2.0 * (J_j * b_j)).antiderivative(fg.at_coarse(x2_s)).truncated(io)
+    x_j = jets.sqrt(rad_j)
+    return angle_j, b_j, x_j, -(J_j / x_j), z_s
+
+
+def _assemble(fg, io, z_s, x_j, a_j, b_j, ell_j, beta_j, report):
+    """The curve with z chained from its lattice values z_s; fills the
+    report's contact and norm residuals."""
+    g = fg.grid
+    z_j = (beta_j * a_j).antiderivative(fg.at_coarse(z_s)).truncated(io)
+    pair = CurvaturePair(g, ell_j, beta_j, exact=True)
+    curve = LegendreCurve(CurveJet(g, x_j, z_j), NormalJet(g, a_j, b_j),
                           exact=True, curvature=pair,
                           flags={"construction": report})
     rep = verify_legendre(curve)
@@ -357,7 +371,7 @@ def _frobenius_data(p, fg, order_n=12):
     The coefficient functions are the locally analytic combinations
     p(s) = -s*beta'/beta (jet division) and q(s) = alpha*beta^2*s^2
     (least-squares polynomial fit on Chebyshev nodes, since alpha itself
-    is singular at t0).  Returns (r, coeffs, q_poly, delta, notes).
+    is singular at t0).  Returns (r, coeffs, delta, notes).
     """
     t0 = p.t0
     hi = order_n + 2
@@ -369,9 +383,7 @@ def _frobenius_data(p, fg, order_n=12):
     except DomainError as exc:
         raise ConstructionError(
             f"beta'/beta is not meromorphic enough at t0={t0}: {exc}") from exc
-    p_co = np.zeros(order_n + 1)
-    take = min(order_n + 1, np.asarray(p_jet.coeffs).size)
-    p_co[:take] = np.asarray(p_jet.coeffs, dtype=float).ravel()[:take]
+    p_co = _padded(p_jet.coeffs, order_n + 1)
 
     lo, hi_t = fg.grid[0], fg.grid[-1]
     span = hi_t - lo
@@ -394,7 +406,8 @@ def _frobenius_data(p, fg, order_n=12):
         s_nodes = -delta_fit * 0.5 * (cheb + 1.0)
     s_nodes = s_nodes[np.abs(s_nodes) > 1e-8 * delta_fit]
     tn = t0 + s_nodes
-    w = _values(f"({p.alpha})*({p.beta})^2", tn, "alpha*beta^2") * s_nodes ** 2
+    ab2 = _Source(f"({p.alpha})*({p.beta})^2")
+    w = _values(ab2, tn, "alpha*beta^2") * s_nodes ** 2
     if not np.all(np.isfinite(w)):
         raise ConstructionError(
             "alpha*beta^2*(t-t0)^2 is not finite near t0; t0 is not a regular "
@@ -407,7 +420,7 @@ def _frobenius_data(p, fg, order_n=12):
     if not two_sided and left > right:
         shrink = -shrink
     try:
-        wv = _values(f"({p.alpha})*({p.beta})^2", t0 + shrink, "alpha*beta^2")
+        wv = _values(ab2, t0 + shrink, "alpha*beta^2")
         wv = wv * shrink ** 2
         analytic_ok = bool(np.all(np.isfinite(wv)) and
                            np.max(np.abs(wv[-4:])) <=
@@ -433,8 +446,7 @@ def _frobenius_data(p, fg, order_n=12):
             "at t0 and jets cannot represent it", t0=t0)
     r = float(r_int)
 
-    q_co = np.zeros(order_n + 1)
-    q_co[:min(order_n + 1, q_poly.size)] = q_poly[:order_n + 1]
+    q_co = _padded(q_poly, order_n + 1)
 
     def F(rho):
         return rho * (rho - 1.0) + p0 * rho + q0
@@ -473,7 +485,6 @@ def _frobenius_data(p, fg, order_n=12):
 def _series_eval(c, r, s):
     powers = s[:, None] ** (np.arange(c.size)[None, :] + r)
     x = powers @ c
-    dpow = np.zeros_like(powers)
     expo = np.arange(c.size) + r
     with np.errstate(divide="ignore", invalid="ignore"):
         base = np.where(s[:, None] != 0.0, s[:, None], 1.0)
@@ -503,8 +514,8 @@ def _series_node_jets(c, r, s_i, t_i, order):
     return out
 
 
-def profile_from_gauss_ratio(p: GaussRatioProblem, grid, order: int = 5,
-                             refine: int = 16) -> LegendreCurve:
+def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
+                             order: int = 5) -> LegendreCurve:
     """Profile whose z-axis revolute satisfies K = alpha * J.
 
     The axis distance x solves beta*x'' - beta'*x' + alpha*beta^3*x = 0,
@@ -513,31 +524,29 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid, order: int = 5,
     are; a pole of alpha at t0 is handled by a Frobenius series whose
     leading coefficient is x0 and which determines sin_phi0 itself.
     """
-    fg = FineGrid(grid, refine)
-    io = order + 2
-    g = fg.grid
-    i0, offset = _anchor_index(fg, p.t0)
-    s = fg.s
-    use_series = (p.method == "frobenius" or
-                  (p.method == "auto" and _alpha_has_pole(p.alpha, p.t0)))
+    fg, io, i0, offset = _lattice(grid, p.t0, order)
+    g, s = fg.grid, fg.s
     if p.method not in ("auto", "rk4", "frobenius"):
         raise ConstructionError(f"unknown method {p.method!r}")
+    use_series = (p.method == "frobenius" or
+                  (p.method == "auto" and _alpha_has_pole(p.alpha, p.t0)))
 
     beta_s = _values(p.beta, s, "beta")
     mid = 0.5 * (s[:-1] + s[1:])
     beta_m = _values(p.beta, mid, "beta")
+    ab = _Source(f"({p.alpha})*({p.beta})")
     notes = {}
-    series_span = None
+    in_c = np.zeros(g.size, dtype=bool)   # coarse nodes inside the series
 
     if not use_series:
-        ab_s = _values(f"({p.alpha})*({p.beta})", s, "alpha*beta")
-        ab_m = _values(f"({p.alpha})*({p.beta})", mid, "alpha*beta")
+        ab_s = _values(ab, s, "alpha*beta")
+        ab_m = _values(ab, mid, "alpha*beta")
         x0c, S0c = p.x0, p.sin_phi0
         if offset != 0.0:
             # carry the initial data from the true t0 to the snapped node
             ts = np.array([p.t0, 0.5 * (p.t0 + s[i0]), s[i0]])
             bv = _values(p.beta, ts, "beta")
-            av = _values(f"({p.alpha})*({p.beta})", ts, "alpha*beta")
+            av = _values(ab, ts, "alpha*beta")
             x0c, S0c = _rk4_step(p.x0, p.sin_phi0, bv[0], av[0], bv[1], av[1],
                                  bv[2], av[2], -offset)
         x_s, S_s = _rk4_path(s, (beta_s, ab_s), (beta_m, ab_m), i0, x0c, S0c)
@@ -567,11 +576,9 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid, order: int = 5,
         need_n = np.abs(s - p.t0) >= delta - fstep
         need_m = np.abs(mid - p.t0) >= delta - fstep
         if need_n.any():
-            ab_s[need_n] = _values(f"({p.alpha})*({p.beta})", s[need_n],
-                                   "alpha*beta")
+            ab_s[need_n] = _values(ab, s[need_n], "alpha*beta")
         if need_m.any():
-            ab_m[need_m] = _values(f"({p.alpha})*({p.beta})", mid[need_m],
-                                   "alpha*beta")
+            ab_m[need_m] = _values(ab, mid[need_m], "alpha*beta")
         if iR < s.size - 1:
             xr, Sr = _rk4_path(s[iR:], (beta_s[iR:], ab_s[iR:]),
                                (beta_m[iR:], ab_m[iR:]), 0, x_s[iR], S_s[iR])
@@ -581,71 +588,42 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid, order: int = 5,
                                (beta_m[:iL], ab_m[:iL]), iL, x_s[iL], S_s[iL])
             x_s[:iL + 1], S_s[:iL + 1] = xl, Sl
         method = "gauss_frobenius"
-        series_span = (iL, iR)
         notes["sin_phi0_ignored"] = True
         notes["series_sin_phi0"] = float(S_s[i0])
+        notes["ode_residual_excludes_series_nodes"] = True
+        in_c = np.abs(g - p.t0) <= delta
 
-    sigma, flips = _branch_signs(s, S_s, s[i0] + offset, p.cos_sign)
-    Sc = np.clip(S_s, -1.0, 1.0)
-    C_s = sigma * np.sqrt(np.maximum(1.0 - Sc * Sc, 0.0))
+    sigma, flips, Sc, C_s = _lattice_angle(s, S_s, s[i0] + offset, p.cos_sign)
     z_s = fg.cumulative_from(beta_s * C_s, i0, p.z0)
 
     beta_j = _jet(p.beta, g, io, "beta")
-    x_vals = fg.at_coarse(x_s)
-    S_vals = fg.at_coarse(Sc)
     if not use_series:
-        ab_j = _jet(f"({p.alpha})*({p.beta})", g, io, "alpha*beta")
-        x_j, b_j = _system_jets(beta_j, ab_j, x_vals, S_vals, io)
-    else:
-        coarse_s = g - p.t0
-        in_c = np.abs(coarse_s) <= delta
+        ab_j = _jet(ab, g, io, "alpha*beta")
+    else:   # alpha has its pole among the series nodes; zeros stand in there
         ab_co = np.zeros((io + 1, g.size))
         if (~in_c).any():
-            ab_out = _jet(f"({p.alpha})*({p.beta})", g[~in_c], io,
-                          "alpha*beta")
-            ab_co[:, ~in_c] = ab_out.coeffs
+            ab_co[:, ~in_c] = _jet(ab, g[~in_c], io, "alpha*beta").coeffs
         ab_j = Jet(g, ab_co)
-        x_j, b_j = _system_jets(beta_j, ab_j, x_vals, S_vals, io)
-        xco = x_j.coeffs.copy()
-        bco = b_j.coeffs.copy()
-        for i in np.flatnonzero(in_c):
-            xj_i = _series_node_jets(c, r, float(coarse_s[i]), float(g[i]), io)
-            xco[:, i] = xj_i.coeffs
-            bj_i = jet_div_reduced(-xj_i.differentiated(),
-                                   beta_j.at(i).truncated(io - 1), tol=1e-9)
-            col = np.zeros(io + 1)
-            take = min(io + 1, bj_i.coeffs.size)
-            col[:take] = bj_i.coeffs[:take]
-            bco[:, i] = col
-        x_j, b_j = Jet(g, xco), Jet(g, bco)
+    x_j, b_j = _system_jets(beta_j, ab_j, fg.at_coarse(x_s),
+                            fg.at_coarse(Sc), io)
+    xco, bco = x_j.coeffs.copy(), b_j.coeffs.copy()
+    for i in np.flatnonzero(in_c):
+        xj_i = _series_node_jets(c, r, float(g[i] - p.t0), float(g[i]), io)
+        xco[:, i] = xj_i.coeffs
+        bj_i = jet_div_reduced(-xj_i.differentiated(),
+                               beta_j.at(i).truncated(io - 1), tol=1e-9)
+        bco[:, i] = _padded(bj_i.coeffs, io + 1)
+    x_j, b_j = Jet(g, xco), Jet(g, bco)
+    a_j, ell_j, flagged = _angle_jets(b_j, sigma[fg.coarse_index], notes)
 
-    sigma_coarse = sigma[fg.coarse_index]
-    a_j, flagged = _cos_jet_from_sin(b_j, sigma_coarse)
-    ell_j = _ell_jet_from_angle(b_j, a_j)
-    (a_j, ell_j), rebuilt = _rebuild_flagged_columns(flagged, g, [a_j, ell_j])
-    if rebuilt:
-        notes["flagged_jets_rebuilt"] = rebuilt
-    z_j = (beta_j * a_j).antiderivative(fg.at_coarse(z_s)).truncated(io)
-
-    x2 = x_j.derivative(2)
-    x1 = x_j.derivative(1)
-    bb = np.atleast_1d(beta_j.value)
-    bd = np.atleast_1d(beta_j.derivative(1))
-    if use_series:
-        mask = ~in_c
-    else:
-        mask = np.ones(g.size, dtype=bool)
-    abx = np.atleast_1d((ab_j * beta_j * beta_j * x_j).value)
-    resid = bb * np.atleast_1d(x2) - bd * np.atleast_1d(x1) + abx
-    ode_res = float(np.max(np.abs(resid[mask]))) if mask.any() else None
-    if use_series:
-        notes["ode_residual_excludes_series_nodes"] = True
-
-    report = ConstructionReport(
-        method=method, t0=p.t0, anchor_offset=float(offset), flips=flips,
-        flagged_nodes=flagged, ode_residual=ode_res,
-        contact_residual=0.0, norm_residual=0.0, notes=notes)
-    return _assemble(g, x_j, z_j, a_j, b_j, ell_j, beta_j, report)
+    resid = (beta_j.value * x_j.derivative(2)
+             - beta_j.derivative(1) * x_j.derivative(1)
+             + (ab_j * beta_j * beta_j * x_j).value)
+    ode_res = float(np.max(np.abs(resid[~in_c]))) if (~in_c).any() else None
+    report = ConstructionReport(method, p.t0, float(offset), flips=flips,
+                                flagged_nodes=flagged, ode_residual=ode_res,
+                                notes=notes)
+    return _assemble(fg, io, z_s, x_j, a_j, b_j, ell_j, beta_j, report)
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +632,7 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid, order: int = 5,
 
 def profile_from_JK(J: str, K: str, x0: float, grid, t0: float | None = None,
                     sin0: float = 0.0, cos_sign: float = 1.0, z0: float = 0.0,
-                    order: int = 5, refine: int = 16) -> LegendreCurve:
+                    order: int = 5) -> LegendreCurve:
     """Profile with prescribed curvature densities J and K of the revolute.
 
     sin phi is the anchored antiderivative of -K (value sin0 at t0), the
@@ -665,55 +643,33 @@ def profile_from_JK(J: str, K: str, x0: float, grid, t0: float | None = None,
     """
     if x0 <= 0:
         raise ConstructionError(f"x0 must be positive, got {x0}")
-    fg = FineGrid(grid, refine)
-    io = order + 2
-    g = fg.grid
-    s = fg.s
-    i0, offset = _anchor_index(fg, t0)
+    fg, io, i0, offset = _lattice(grid, t0, order)
+    g, s = fg.grid, fg.s
     J_s = _values(J, s, "J")
     K_s = _values(K, s, "K")
     S_s = sin0 - fg.cumulative_from(K_s, i0, 0.0)
-    sigma, flips = _branch_signs(s, S_s, s[i0] + offset, cos_sign)
-    Sc = np.clip(S_s, -1.0, 1.0)
-    C_s = sigma * np.sqrt(np.maximum(1.0 - Sc * Sc, 0.0))
-    x2_s = x0 * x0 + 2.0 * fg.cumulative_from(J_s * Sc, i0, 0.0)
-    bad = x2_s <= 0.0
-    if bad.any():
-        tb = s[bad][0]
-        raise ConstructionError(
-            f"squared axis distance becomes non-positive at t={tb:.6g}; "
-            "x0 anchor incompatible with prescribed (J, K)", t=float(tb))
-    x_s = np.sqrt(x2_s)
-    beta_fine = -J_s / x_s
-    z_s = fg.cumulative_from(beta_fine * C_s, i0, z0)
+    sigma, flips, Sc, C_s = _lattice_angle(s, S_s, s[i0] + offset, cos_sign)
 
-    J_j = _jet(J, g, io, "J")
-    K_j = _jet(K, g, io, "K")
-    b_j = (-K_j).antiderivative(fg.at_coarse(S_s)).truncated(io)
-    rad_j = (2.0 * (J_j * b_j)).antiderivative(fg.at_coarse(x2_s)).truncated(io)
-    x_j = jets.sqrt(rad_j)
-    beta_j = -(J_j / x_j)
-    sigma_coarse = sigma[fg.coarse_index]
-    a_j, flagged = _cos_jet_from_sin(b_j, sigma_coarse)
-    ell_j = _ell_jet_from_angle(b_j, a_j)
-    (a_j, ell_j), rebuilt = _rebuild_flagged_columns(flagged, g, [a_j, ell_j])
-    z_j = (beta_j * a_j).antiderivative(fg.at_coarse(z_s)).truncated(io)
+    def sin_jet(K_j):
+        return (-K_j).antiderivative(fg.at_coarse(S_s)).truncated(io)
 
-    notes = {"flagged_jets_rebuilt": rebuilt} if rebuilt else {}
-    report = ConstructionReport(
-        method="jk_quadrature", t0=g[0] if t0 is None else t0,
-        anchor_offset=float(offset), flips=flips, flagged_nodes=flagged,
-        ode_residual=None, contact_residual=0.0, norm_residual=0.0,
-        notes=notes)
-    return _assemble(g, x_j, z_j, a_j, b_j, ell_j, beta_j, report)
+    _, b_j, x_j, beta_j, z_s = _j_tail(
+        fg, io, i0, x0, z0, J, J_s, Sc, C_s, (K, "K", sin_jet),
+        "; x0 anchor incompatible with prescribed (J, K)")
+    notes = {}
+    a_j, ell_j, flagged = _angle_jets(b_j, sigma[fg.coarse_index], notes)
+    report = ConstructionReport("jk_quadrature", g[0] if t0 is None else t0,
+                                float(offset), flips=flips,
+                                flagged_nodes=flagged, notes=notes)
+    return _assemble(fg, io, z_s, x_j, a_j, b_j, ell_j, beta_j, report)
 
 
 # ---------------------------------------------------------------------------
 # Mean ratio: H = alpha * J
 # ---------------------------------------------------------------------------
 
-def profile_from_mean_ratio(p: MeanRatioProblem, grid, order: int = 5,
-                            refine: int = 16) -> LegendreCurve:
+def profile_from_mean_ratio(p: MeanRatioProblem, grid,
+                            order: int = 5) -> LegendreCurve:
     """Profile whose z-axis revolute satisfies H = alpha * J.
 
     Everything is explicit quadrature: eta = 2*int(alpha*beta), F and G
@@ -722,11 +678,8 @@ def profile_from_mean_ratio(p: MeanRatioProblem, grid, order: int = 5,
     angle comes from (F, G, eta) without any branch ambiguity.  The
     anchor applies at the fine lattice node nearest t0.
     """
-    fg = FineGrid(grid, refine)
-    io = order + 2
-    g = fg.grid
-    s = fg.s
-    i0, offset = _anchor_index(fg, p.t0)
+    fg, io, i0, offset = _lattice(grid, p.t0, order)
+    g, s = fg.grid, fg.s
     alpha_s = _values(p.alpha, s, "alpha")
     beta_s = _values(p.beta, s, "beta")
     eta_s = 2.0 * fg.cumulative_from(alpha_s * beta_s, i0, 0.0)
@@ -753,19 +706,16 @@ def profile_from_mean_ratio(p: MeanRatioProblem, grid, order: int = 5,
     x_j = jets.sqrt(F_j * F_j + G_j * G_j)
     a_j = (F_j * se - G_j * ce) / x_j
     b_j = (F_j * ce + G_j * se) / x_j
-    z_j = (beta_j * a_j).antiderivative(fg.at_coarse(z_s)).truncated(io)
     ell_j = -(beta_j * (a_j / x_j + 2.0 * alpha_j))
 
     ratio_resid = float(np.max(np.abs(
         np.atleast_1d((x_j * ell_j + beta_j * a_j).value) / 2.0
         + np.atleast_1d((alpha_j * beta_j * x_j).value))))
     report = ConstructionReport(
-        method="mean_ratio", t0=g[0] if p.t0 is None else p.t0,
-        anchor_offset=float(offset), flips=[], flagged_nodes=[],
-        ode_residual=None, contact_residual=0.0, norm_residual=0.0,
+        "mean_ratio", g[0] if p.t0 is None else p.t0, float(offset),
         notes={"mean_identity_residual": ratio_resid,
                "x_min": float(np.min(x_s))})
-    return _assemble(g, x_j, z_j, a_j, b_j, ell_j, beta_j, report)
+    return _assemble(fg, io, z_s, x_j, a_j, b_j, ell_j, beta_j, report)
 
 
 # ---------------------------------------------------------------------------
@@ -774,67 +724,43 @@ def profile_from_mean_ratio(p: MeanRatioProblem, grid, order: int = 5,
 
 def profile_from_J_phi(J: str, phi: str, x0: float, grid,
                        t0: float | None = None, z0: float = 0.0,
-                       order: int = 5, refine: int = 16) -> LegendreCurve:
+                       order: int = 5) -> LegendreCurve:
     """Profile with prescribed J and normal angle phi; x(t0) = x0 > 0.
 
     The anchor applies at the fine lattice node nearest t0.
     """
     if x0 <= 0:
         raise ConstructionError(f"x0 must be positive, got {x0}")
-    fg = FineGrid(grid, refine)
-    io = order + 2
-    g = fg.grid
-    s = fg.s
-    i0, offset = _anchor_index(fg, t0)
+    fg, io, i0, offset = _lattice(grid, t0, order)
+    g, s = fg.grid, fg.s
     J_s = _values(J, s, "J")
     phi_s = _values(phi, s, "phi")
-    x2_s = x0 * x0 + 2.0 * fg.cumulative_from(J_s * np.sin(phi_s), i0, 0.0)
-    bad = x2_s <= 0.0
-    if bad.any():
-        tb = s[bad][0]
-        raise ConstructionError(
-            f"squared axis distance becomes non-positive at t={tb:.6g}",
-            t=float(tb))
-    x_s = np.sqrt(x2_s)
-    z_s = fg.cumulative_from(-(J_s / x_s) * np.cos(phi_s), i0, z0)
-
-    J_j = _jet(J, g, io, "J")
-    phi_j = _jet(phi, g, io, "phi")
-    a_j, b_j = jets.cos(phi_j), jets.sin(phi_j)
-    rad_j = (2.0 * (J_j * b_j)).antiderivative(fg.at_coarse(x2_s)).truncated(io)
-    x_j = jets.sqrt(rad_j)
-    beta_j = -(J_j / x_j)
-    z_j = (beta_j * a_j).antiderivative(fg.at_coarse(z_s)).truncated(io)
-    ell_j = phi_j.differentiated()
-
-    report = ConstructionReport(
-        method="j_phi_quadrature", t0=g[0] if t0 is None else t0,
-        anchor_offset=float(offset), flips=[], flagged_nodes=[],
-        ode_residual=None, contact_residual=0.0, norm_residual=0.0)
-    return _assemble(g, x_j, z_j, a_j, b_j, ell_j, beta_j, report)
+    phi_j, b_j, x_j, beta_j, z_s = _j_tail(
+        fg, io, i0, x0, z0, J, J_s, np.sin(phi_s), np.cos(phi_s),
+        (phi, "phi", jets.sin))
+    report = ConstructionReport("j_phi_quadrature",
+                                g[0] if t0 is None else t0, float(offset))
+    return _assemble(fg, io, z_s, x_j, jets.cos(phi_j), b_j,
+                     phi_j.differentiated(), beta_j, report)
 
 
 def profile_from_H_phi(H: str, phi: str, grid, c_a: float = 0.0,
                        t0: float | None = None, z0: float = 0.0,
-                       order: int = 5, refine: int = 16,
-                       tol: float = 1e-8) -> LegendreCurve:
+                       order: int = 5) -> LegendreCurve:
     """Profile with prescribed mean density H and normal angle phi.
 
     Requires cos(phi) bounded away from zero on the grid; c_a shifts the
     antiderivative of 2*H*sin(phi) and thereby scales the axis distance.
     The anchor applies at the fine lattice node nearest t0.
     """
-    fg = FineGrid(grid, refine)
-    io = order + 2
-    g = fg.grid
-    s = fg.s
-    i0, offset = _anchor_index(fg, t0)
+    fg, io, i0, offset = _lattice(grid, t0, order)
+    g, s = fg.grid, fg.s
     H_s = _values(H, s, "H")
     phi_fine = _jet(phi, s, 1, "phi")
     phi_s = np.atleast_1d(phi_fine.value)
     dphi_s = np.atleast_1d(phi_fine.derivative(1))
     cos_s = np.cos(phi_s)
-    thr = tol * (1.0 + float(np.max(np.abs(cos_s))))
+    thr = COS_TOL * (1.0 + float(np.max(np.abs(cos_s))))
     crossings = np.flatnonzero(cos_s[:-1] * cos_s[1:] < 0)
     if np.min(np.abs(cos_s)) <= thr or crossings.size:
         bad = int(crossings[0]) if crossings.size else int(np.argmin(np.abs(cos_s)))
@@ -853,11 +779,7 @@ def profile_from_H_phi(H: str, phi: str, grid, c_a: float = 0.0,
     x_j = -(A_j / a_j)
     dphi_j = phi_j.differentiated()
     beta_j = (2.0 * H_j - dphi_j * x_j) / a_j.truncated(io - 1)
-    z_j = (beta_j * a_j).antiderivative(fg.at_coarse(z_s)).truncated(io)
-    ell_j = dphi_j
 
-    report = ConstructionReport(
-        method="h_phi_quadrature", t0=g[0] if t0 is None else t0,
-        anchor_offset=float(offset), flips=[], flagged_nodes=[],
-        ode_residual=None, contact_residual=0.0, norm_residual=0.0)
-    return _assemble(g, x_j, z_j, a_j, b_j, ell_j, beta_j, report)
+    report = ConstructionReport("h_phi_quadrature",
+                                g[0] if t0 is None else t0, float(offset))
+    return _assemble(fg, io, z_s, x_j, a_j, b_j, dphi_j, beta_j, report)

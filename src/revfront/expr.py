@@ -360,7 +360,14 @@ def _eval_value(e: Expr, t):
             return left * right
         if e.op == "/":
             return _checked_div(left, right, t)
-        exponent = float(np.ravel(right)[0]) if np.ndim(right) else float(right)
+        # the same rule as _eval_jet: one constant exponent for all samples
+        exponent = right
+        if np.ndim(right) > 0:
+            flat = np.ravel(right)
+            if flat.size == 0 or not np.all(flat == flat[0]):
+                raise DomainError("exponent must be a single constant")
+            exponent = flat[0]
+        exponent = float(exponent)
         if exponent == int(exponent):
             return left ** int(exponent)
         if np.any(left <= 0):

@@ -173,8 +173,7 @@ def curvature_of(c: LegendreCurve) -> CurvaturePair:
 def reconstruct_from_curvature(ell_src, beta_src, grid,
                                theta0: float = 0.0,
                                x0: float = 0.0, z0: float = 0.0,
-                               order: int = 5,
-                               refine: int = 16) -> LegendreCurve:
+                               order: int = 5) -> LegendreCurve:
     """Integrate a curvature pair back to a Legendre curve.
 
     The normal direction is the antiderivative angle of ell, the curve the
@@ -183,7 +182,7 @@ def reconstruct_from_curvature(ell_src, beta_src, grid,
     order zero is chained analytically from the structure equations, so the
     output satisfies the contact condition to rounding.
     """
-    fg = FineGrid(grid, refine)
+    fg = FineGrid(grid)
     ell_s = fg.eval_expr(ell_src)
     beta_s = fg.eval_expr(beta_src)
     theta_s = fg.cumulative(ell_s, theta0)

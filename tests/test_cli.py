@@ -98,6 +98,8 @@ def test_classify_mean_example(capsys):
     ["classify", "--t0", "1.0"],                  # family auto needs a grid
     ["revolve", "--ell", "1", "--beta", "1", "--grid", "0:1:33",
      "--theta", "4", "--out", "x"],               # too few angles
+    ["construct", "j-phi", "--J", "-t", "--phi", "sin(t",
+     "--grid", "0:0.9:33", "--out", "x"],        # construct expression flag
 ])
 def test_parse_errors_exit_one(argv, capsys):
     assert run(argv) == 1

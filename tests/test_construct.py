@@ -4,6 +4,8 @@ Every fixture has a closed-form solution; the asserts pin both the
 profile and the identity the construction is supposed to enforce.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -151,17 +153,31 @@ def test_jk_quadrature_pseudo_sphere():
     assert report_of(c).method == "jk_quadrature"
 
 
-def test_jk_rejects_nonpositive_radicand():
-    g = uniform_grid(0.0, 1.0, 51)
-    with pytest.raises(ConstructionError) as ei:
-        profile_from_JK("-5", "0", x0=0.5, grid=g, sin0=0.5)
-    assert getattr(ei.value, "info", {})
+# (J, K) and (J, phi) share the x^2 = x0^2 + 2*int(J sin phi) step; the
+# second argument gives sin phi = 0.5 there
+J_CONSTRUCTIONS = {
+    "jk": lambda J, x0, g: profile_from_JK(J, "0", x0=x0, grid=g, sin0=0.5),
+    "j_phi": lambda J, x0, g: profile_from_J_phi(J, "0.5235987755982988",
+                                                 x0=x0, grid=g),
+}
 
 
-def test_jk_rejects_x0_nonpositive():
+@pytest.mark.parametrize("build", J_CONSTRUCTIONS.values(),
+                         ids=J_CONSTRUCTIONS.keys())
+def test_jk_rejects_nonpositive_radicand(build):
     g = uniform_grid(0.0, 1.0, 51)
-    with pytest.raises(ConstructionError):
-        profile_from_JK("1", "0", x0=0.0, grid=g)
+    with pytest.raises(ConstructionError,
+                       match="squared axis distance becomes non-positive") as ei:
+        build("-5", 0.5, g)
+    assert ei.value.info["t"] > 0.0
+
+
+@pytest.mark.parametrize("build", J_CONSTRUCTIONS.values(),
+                         ids=J_CONSTRUCTIONS.keys())
+def test_jk_rejects_x0_nonpositive(build):
+    g = uniform_grid(0.0, 1.0, 51)
+    with pytest.raises(ConstructionError, match="x0 must be positive"):
+        build("1", 0.0, g)
 
 
 def test_mean_flat_catenoid_profile():
@@ -235,7 +251,7 @@ def test_construction_report_shape():
     g = uniform_grid(0.0, 1.0, 51)
     c = profile_from_H_phi("1/2", "0", g, c_a=-1.0)
     rep = report_of(c)
-    d = rep.as_dict()
+    d = asdict(rep)
     for key in ("method", "t0", "anchor_offset", "flips", "flagged_nodes",
                 "ode_residual", "contact_residual", "norm_residual", "notes"):
         assert key in d, key

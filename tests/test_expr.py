@@ -113,3 +113,12 @@ def test_division_guard_raises_domain_error():
 
 def test_scientific_notation_literals():
     assert expr.eval_values("2.5e-3 + 1E2", 0.0) == pytest.approx(100.0025)
+
+
+def test_t_dependent_exponent_rejected_on_both_paths():
+    # an exponent that varies between samples has no single value to use
+    ts = np.array([1.0, 2.0, 3.0])
+    for evaluate in (expr.eval_values, expr.eval_jet):
+        with pytest.raises(DomainError, match="exponent must be a single constant"):
+            evaluate("2^t", ts)
+    np.testing.assert_array_equal(expr.eval_values("t^2", ts), ts ** 2)
