@@ -25,7 +25,7 @@ import numpy as np
 
 from . import expr
 from . import jets
-from .jets import DomainError, Jet, jet_div_reduced
+from .jets import DIV_TOL, DomainError, Jet, jet_div_reduced
 from .legendre import (CurveJet, CurvaturePair, LegendreCurve, NormalJet,
                        verify_legendre)
 from .quadrature import FineGrid
@@ -36,6 +36,7 @@ FLAG_TOL = 1e-12         # 1 - sin^2 below this at a node -> jets flagged
 SAFE_COS = 1e-3          # |cos phi| above this -> plain jet division for ell
 UNIFORM_RTOL = 1e-6      # step spread above this * step -> non-uniform lattice
 COS_TOL = 1e-8           # |cos phi| within this (relative) of 0 -> (H, phi) rejects
+RK4_BLOCK = 4096         # RK4 steps whose coefficients become Python floats at once
 
 
 class ConstructionError(RuntimeError):
@@ -128,6 +129,36 @@ def _padded(coeffs, n):
     return out
 
 
+def _div_reduced(num, den, tol, width):
+    """jet_div_reduced column by column over array-based jets.
+
+    Each column strips the leading coefficients that are (near-)zero in
+    both num and den, with the tolerances of jet_div_reduced; the columns
+    of one strip count share one jet division.  Returns the quotient
+    coefficients zero-padded (or cut) to width rows.  A pole raises the
+    DomainError of the first failing column.
+    """
+    n = min(num.order, den.order)
+    sn = np.fmax(np.max(np.abs(num.coeffs), axis=0), 1.0)
+    sd = np.fmax(np.max(np.abs(den.coeffs), axis=0), 1.0)
+    small = ((np.abs(num.coeffs[:n]) <= tol * sn) &
+             (np.abs(den.coeffs[:n]) <= tol * sd))
+    strip = np.logical_and.accumulate(small, axis=0).sum(axis=0)
+    every = np.arange(strip.size)
+    bad = (np.abs(den.coeffs[strip, every]) <
+           DIV_TOL * (1.0 + np.abs(num.coeffs[strip, every])))
+    if bad.any():
+        i = int(np.argmax(bad))
+        jet_div_reduced(num.at(i), den.at(i), tol=tol)   # raises
+    out = np.zeros((width, strip.size))
+    for k in np.unique(strip):
+        cols = np.flatnonzero(strip == k)
+        q = (Jet(num.t[cols], num.coeffs[k:n + 1, cols]) /
+             Jet(den.t[cols], den.coeffs[k:n + 1, cols]))
+        out[:n + 1 - k, cols] = q.coeffs[:width]
+    return out
+
+
 def _lattice(grid, t0, order):
     """Fine lattice, internal jet order, anchor node and anchor offset.
 
@@ -177,23 +208,17 @@ def _lattice_angle(s, S, anchor_pos, cos_sign):
         raise ConstructionError(
             f"|sin phi| exceeds 1 by {excess:.3e}; prescribed data inconsistent",
             max_sin=float(np.max(absS)))
-    flips = []
-    i = 1
-    while i < len(S) - 1:
-        if absS[i] >= absS[i - 1] and absS[i] >= absS[i + 1]:
-            y0, y1, y2 = absS[i - 1], absS[i], absS[i + 1]
-            curv = y0 - 2.0 * y1 + y2
-            if curv < 0.0:
-                delta = 0.5 * (y0 - y2) / curv
-                peak = y1 - 0.25 * (y0 - y2) * delta
-            else:
-                delta, peak = 0.0, y1
-            if peak >= 1.0 - FLIP_TOL:
-                flips.append(s[i] + delta * _uniform_step(s))
-                i += 2   # skip the twin sample of the same touch
-                continue
-        i += 1
-    flips = np.asarray(flips)
+    y0, y1, y2 = absS[:-2], absS[1:-1], absS[2:]   # around samples 1..n-2
+    curv = y0 - 2.0 * y1 + y2
+    delta = np.zeros_like(curv)
+    np.divide(0.5 * (y0 - y2), curv, out=delta, where=curv < 0.0)
+    peak = y1 - 0.25 * (y0 - y2) * delta
+    at = []
+    for j in np.flatnonzero((y1 >= y0) & (y1 >= y2) & (peak >= 1.0 - FLIP_TOL)):
+        if not at or j > at[-1] + 1:   # else the twin sample of the same touch
+            at.append(j)
+    at = np.array(at, dtype=int)
+    flips = s[at + 1] + delta[at] * _uniform_step(s) if at.size else np.zeros(0)
     # sign at position p: cos_sign * (-1)^(number of flips between anchor and p)
     n_before = np.searchsorted(flips, s, side="left")
     n_anchor = int(np.searchsorted(flips, anchor_pos, side="left"))
@@ -227,10 +252,9 @@ def _angle_jets(b_j, sigma, notes):
     unsafe = np.flatnonzero(~(np.abs(np.atleast_1d(a_j.value)) > SAFE_COS))
     patched = den.coeffs.copy()
     patched[0, unsafe] = 1.0
-    ell_co = (num / Jet(den.t, patched)).coeffs.copy()
-    for i in unsafe:
-        r = jet_div_reduced(num.at(i), den.at(i), tol=1e-7)
-        ell_co[:, i] = _padded(r.coeffs, ell_co.shape[0])
+    ell_co = (num / Jet(den.t, patched)).coeffs
+    ell_co[:, unsafe] = _div_reduced(num.at(unsafe), den.at(unsafe), 1e-7,
+                                     ell_co.shape[0])
     outs = [a_j.coeffs.copy(), ell_co]
     t = b_j.t
     healthy = np.setdiff1d(np.arange(t.size), flagged)
@@ -284,30 +308,27 @@ def _rk4_path(s, f_node, f_mid, i0, x0, S0):
 
     f_node and f_mid hold (beta, alpha*beta) at the nodes and interval
     midpoints.  Returns arrays over the whole lattice, integrating from
-    index i0 toward both ends.
+    index i0 toward both ends, RK4_BLOCK steps at a time.
     """
     n = s.size
     x = np.empty(n)
     S = np.empty(n)
     x[i0], S[i0] = x0, S0
-    beta_n, ab_n = f_node
-    beta_m, ab_m = f_mid
-    bn = beta_n.tolist()
-    an = ab_n.tolist()
-    bm = beta_m.tolist()
-    am = ab_m.tolist()
-
     h = float(_uniform_step(s))
-    xc, Sc = float(x0), float(S0)
-    for i in range(i0, n - 1):
-        xc, Sc = _rk4_step(xc, Sc, bn[i], an[i], bm[i], am[i],
-                           bn[i + 1], an[i + 1], h)
-        x[i + 1], S[i + 1] = xc, Sc
-    xc, Sc = float(x0), float(S0)
-    for i in range(i0, 0, -1):
-        xc, Sc = _rk4_step(xc, Sc, bn[i], an[i], bm[i - 1], am[i - 1],
-                           bn[i - 1], an[i - 1], -h)
-        x[i - 1], S[i - 1] = xc, Sc
+    for end, d, hd in ((n - 1, 1, h), (0, -1, -h)):
+        xc, Sc = float(x0), float(S0)
+        for a in range(i0, end, d * RK4_BLOCK):
+            nodes = np.arange(a, a + d * min(RK4_BLOCK, abs(end - a)) + d, d)
+            bn, an = (v[nodes].tolist() for v in f_node)
+            bm, am = (v[nodes[:-1] if d > 0 else nodes[1:]].tolist()
+                      for v in f_mid)
+            xs, Ss = [], []
+            for j in range(len(bm)):
+                xc, Sc = _rk4_step(xc, Sc, bn[j], an[j], bm[j], am[j],
+                                   bn[j + 1], an[j + 1], hd)
+                xs.append(xc)
+                Ss.append(Sc)
+            x[nodes[1:]], S[nodes[1:]] = xs, Ss
     return x, S
 
 
@@ -495,23 +516,21 @@ def _series_eval(c, r, s):
     return x, dx
 
 
-def _series_node_jets(c, r, s_i, t_i, order):
-    """Jet of the series at offset s_i from the expansion point."""
-    if s_i == 0.0:
-        co = np.zeros(order + 1)
-        ri = int(round(r))
-        for k in range(c.size):
-            if ri + k <= order:
-                co[ri + k] = c[k]
-        return Jet(t_i, co)
-    iota = jets.variable(t_i, order) - (t_i - s_i)
-    poly = jets.constant(0.0, order, t_i)
+def _series_jets(c, r, t, s, order):
+    """Jets of the series at the nodes t, offsets s from the expansion
+    point; the columns where s == 0 hold the coefficients exactly."""
+    iota = jets.variable(t, order) - (t - s)
+    poly = jets.constant(0.0, order, t)
     for k in range(c.size - 1, -1, -1):
         poly = poly * iota + c[k]
-    out = poly
-    for _ in range(int(round(r))):
-        out = out * iota
-    return out
+    ri = int(round(r))
+    for _ in range(ri):
+        poly = poly * iota
+    exact = np.zeros(order + 1)
+    m = max(min(c.size, order + 1 - ri), 0)
+    exact[ri:ri + m] = c[:m]
+    poly.coeffs[:, s == 0.0] = exact[:, None]
+    return poly
 
 
 def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
@@ -606,14 +625,13 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
         ab_j = Jet(g, ab_co)
     x_j, b_j = _system_jets(beta_j, ab_j, fg.at_coarse(x_s),
                             fg.at_coarse(Sc), io)
-    xco, bco = x_j.coeffs.copy(), b_j.coeffs.copy()
-    for i in np.flatnonzero(in_c):
-        xj_i = _series_node_jets(c, r, float(g[i] - p.t0), float(g[i]), io)
-        xco[:, i] = xj_i.coeffs
-        bj_i = jet_div_reduced(-xj_i.differentiated(),
-                               beta_j.at(i).truncated(io - 1), tol=1e-9)
-        bco[:, i] = _padded(bj_i.coeffs, io + 1)
-    x_j, b_j = Jet(g, xco), Jet(g, bco)
+    if in_c.any():   # series nodes: x from the series, sin phi = -x'/beta
+        nodes = np.flatnonzero(in_c)
+        xs_j = _series_jets(c, r, g[nodes], g[nodes] - p.t0, io)
+        x_j.coeffs[:, nodes] = xs_j.coeffs
+        b_j.coeffs[:, nodes] = _div_reduced(
+            -xs_j.differentiated(), beta_j.at(nodes).truncated(io - 1), 1e-9,
+            io + 1)
     a_j, ell_j, flagged = _angle_jets(b_j, sigma[fg.coarse_index], notes)
 
     resid = (beta_j.value * x_j.derivative(2)

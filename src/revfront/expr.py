@@ -367,6 +367,11 @@ def _eval_value(e: Expr, t):
             if flat.size == 0 or not np.all(flat == flat[0]):
                 raise DomainError("exponent must be a single constant")
             exponent = flat[0]
+        # and, as there, a zero first derivative: a single sample cannot
+        # show by its value alone that the exponent depends on t
+        if _mentions_t(e.right) and np.max(np.abs(
+                _eval_jet(e.right, jets.variable(t, 1)).coeffs[1])) != 0.0:
+            raise DomainError("exponent must not depend on t")
         exponent = float(exponent)
         if exponent == int(exponent):
             return left ** int(exponent)
@@ -374,6 +379,11 @@ def _eval_value(e: Expr, t):
             raise DomainError("non-integer power of a non-positive base")
         return left ** exponent
     raise TypeError("not an expression node: %r" % (e,))
+
+
+def _mentions_t(e: Expr) -> bool:
+    return isinstance(e, Var) or any(
+        isinstance(v, Expr) and _mentions_t(v) for v in vars(e).values())
 
 
 def _checked_div(num, den, t):

@@ -1,0 +1,244 @@
+"""The array passes of construct.py against the per-node loops they replace.
+
+Each reference below is the earlier loop, kept here as the oracle: the
+Horner series jet of one node, jet_div_reduced of one column, the while
+loop of the flip locator, and RK4 over lists of the whole lattice.  The
+array passes must give the same bits and raise the same errors.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from revfront import construct, jets
+from revfront.construct import (ConstructionError, _div_reduced,
+                                _lattice_angle, _padded, _rk4_path,
+                                _rk4_step, _series_jets, _uniform_step)
+from revfront.jets import DomainError, Jet, jet_div_reduced
+
+NO_SHRINK = [ph for ph in Phase if ph is not Phase.shrink]
+
+
+def reference_series_node_jet(c, r, s_i, t_i, order):
+    if s_i == 0.0:
+        co = np.zeros(order + 1)
+        ri = int(round(r))
+        for k in range(c.size):
+            if ri + k <= order:
+                co[ri + k] = c[k]
+        return Jet(t_i, co)
+    iota = jets.variable(t_i, order) - (t_i - s_i)
+    poly = jets.constant(0.0, order, t_i)
+    for k in range(c.size - 1, -1, -1):
+        poly = poly * iota + c[k]
+    out = poly
+    for _ in range(int(round(r))):
+        out = out * iota
+    return out
+
+
+@pytest.mark.parametrize("r, order", [(0.0, 7), (1.0, 4), (2.0, 7),
+                                      (3.0, 9), (9.0, 7)])
+def test_series_jets_match_per_node_horner(r, order):
+    rng = np.random.default_rng(int(r) * 10 + order)
+    c = rng.normal(size=13)
+    t0 = 0.3
+    # node 17 sits exactly at t0, so its column takes the exact branch
+    t = t0 + (np.arange(40) - 17) * (1.0 / 64.0)
+    s = t - t0
+    assert (s == 0.0).sum() == 1
+    got = _series_jets(c, r, t, s, order)
+    want = np.stack([reference_series_node_jet(c, r, float(s[i]), float(t[i]),
+                                               order).coeffs
+                     for i in range(t.size)], axis=1)
+    assert got.coeffs.tobytes() == want.tobytes()
+
+
+def reference_div_reduced(num, den, tol, width):
+    out = np.zeros((width, num.t.size))
+    for i in range(num.t.size):
+        out[:, i] = _padded(jet_div_reduced(num.at(i), den.at(i),
+                                            tol=tol).coeffs, width)
+    return out
+
+
+def mixed_columns(rng, n, strips, tol):
+    """num and den jets of order n whose column j strips strips[j]
+    leading coefficients (values at most tol*0.5 in both); two places
+    after the strip both are that small once more."""
+    m = len(strips)
+    num = rng.normal(size=(n + 1, m))
+    den = rng.normal(size=(n + 1, m)) + 2.0
+    for j, k in enumerate(strips):
+        num[:k, j] = rng.uniform(-0.5, 0.5, size=k) * tol
+        den[:k, j] = rng.uniform(-0.5, 0.5, size=k) * tol
+        if k < n:   # stop stripping here: keep this coefficient large
+            den[k, j] = 1.5 + rng.uniform()
+        if k + 2 <= n:   # small again after the strip: not stripped
+            num[k + 2, j] = den[k + 2, j] = 0.25 * tol
+    t = np.linspace(0.1, 0.9, m)
+    return Jet(t, num), Jet(t, den)
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-9])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_div_reduced_matches_per_column_loop(tol, extra):
+    rng = np.random.default_rng(7)
+    n = 6
+    strips = [0, 2, 1, 0, 3, 2, 6, 0, 1]
+    num, den = mixed_columns(rng, n, strips, tol)
+    got = _div_reduced(num, den, tol, n + 1 + extra)
+    want = reference_div_reduced(num, den, tol, n + 1 + extra)
+    assert got.tobytes() == want.tobytes()
+    # no columns at all
+    empty = np.array([], dtype=int)
+    assert _div_reduced(num.at(empty), den.at(empty), tol, n + 1).shape == \
+        (n + 1, 0)
+
+
+def test_div_reduced_raises_first_pole_in_index_order():
+    rng = np.random.default_rng(3)
+    n = 5
+    num, den = mixed_columns(rng, n, [1, 0, 2, 0, 1, 0], 1e-9)
+    # columns 3 and 5 have a pole after stripping: den vanishes, num not;
+    # column 4 has one only after stripping its first coefficient
+    den.coeffs[0, 3] = 0.0
+    den.coeffs[0, 5] = 1e-15
+    den.coeffs[1, 4] = 0.0
+    num.coeffs[1, 4] = 3.0
+    with pytest.raises(DomainError) as want:
+        reference_div_reduced(num, den, 1e-9, n + 1)
+    with pytest.raises(DomainError) as got:
+        _div_reduced(num, den, 1e-9, n + 1)
+    assert str(got.value) == str(want.value)
+    assert "0.58" in str(got.value)   # t of column 3
+    # the pole behind the strip of column 4 is the first one without column 3
+    den.coeffs[0, 3] = 1.0
+    with pytest.raises(DomainError) as want:
+        reference_div_reduced(num, den, 1e-9, n + 1)
+    with pytest.raises(DomainError) as got:
+        _div_reduced(num, den, 1e-9, n + 1)
+    assert str(got.value) == str(want.value)
+    assert "0.74" in str(got.value)   # t of column 4
+
+
+def reference_flips(s, S):
+    absS = np.abs(S)
+    flips = []
+    i = 1
+    while i < len(S) - 1:
+        if absS[i] >= absS[i - 1] and absS[i] >= absS[i + 1]:
+            y0, y1, y2 = absS[i - 1], absS[i], absS[i + 1]
+            curv = y0 - 2.0 * y1 + y2
+            if curv < 0.0:
+                delta = 0.5 * (y0 - y2) / curv
+                peak = y1 - 0.25 * (y0 - y2) * delta
+            else:
+                delta, peak = 0.0, y1
+            if peak >= 1.0 - construct.FLIP_TOL:
+                flips.append(s[i] + delta * _uniform_step(s))
+                i += 2
+                continue
+        i += 1
+    return np.asarray(flips)
+
+
+# sample values that make touches: exact and near-unit peaks, twins and
+# plateaus come from repeats of the same value
+NEAR_ONE = [1.0, -1.0, 1.0 + 5e-10, 1.0 - 5e-9, -(1.0 - 2e-9), 0.99999,
+            1.0 - 1e-8, 0.999, 0.5, 0.0, -0.0, -0.7]
+
+
+@st.composite
+def sin_sequences(draw):
+    values = st.one_of(st.sampled_from(NEAR_ONE),
+                       st.floats(-1.0, 1.0, allow_subnormal=False))
+    runs = draw(st.lists(st.tuples(values, st.integers(1, 3)),
+                         min_size=1, max_size=40))
+    S = np.array([v for v, k in runs for _ in range(k)])
+    if S.size < 2:
+        S = np.append(S, 0.25)
+    h = draw(st.sampled_from([0.01, 1.0 / 64.0, 0.037]))
+    s = draw(st.floats(-2.0, 2.0)) + h * np.arange(S.size)
+    return s, S
+
+
+@settings(max_examples=400, deadline=None, phases=NO_SHRINK)
+@given(data=sin_sequences(), anchor=st.floats(0.0, 1.0),
+       cos_sign=st.sampled_from([1.0, -1.0]))
+def test_flip_scan_matches_while_loop(data, anchor, cos_sign):
+    s, S = data
+    want = reference_flips(s, S)
+    pos = s[0] + anchor * (s[-1] - s[0])
+    sigma, flips, Sc, C = _lattice_angle(s, S, pos, cos_sign)
+    assert np.asarray(flips).tobytes() == want.tobytes()
+    n_before = np.searchsorted(want, s, side="left")
+    n_anchor = int(np.searchsorted(want, pos, side="left"))
+    want_sigma = np.where((n_before - n_anchor) % 2 == 0, cos_sign, -cos_sign)
+    assert sigma.tobytes() == want_sigma.tobytes()
+
+
+def test_flip_scan_twins_and_adjacent_touches():
+    s = np.arange(9) * 0.125
+    # a twin pair (1, 1) gives one flip; a touch two samples later counts
+    S = np.array([0.2, 1.0, 1.0, 0.3, 1.0, 0.3, 1.0, 1.0, 1.0])
+    flips = _lattice_angle(s, S, 0.0, 1.0)[1]
+    assert flips == list(reference_flips(s, S))
+    assert flips == [0.1875, 0.5, 0.8125]
+    with pytest.raises(ConstructionError, match="exceeds 1"):
+        _lattice_angle(s, S * 1.01, 0.0, 1.0)
+
+
+def reference_rk4_path(s, f_node, f_mid, i0, x0, S0):
+    n = s.size
+    x = np.empty(n)
+    S = np.empty(n)
+    x[i0], S[i0] = x0, S0
+    bn, an = (v.tolist() for v in f_node)
+    bm, am = (v.tolist() for v in f_mid)
+    h = float(_uniform_step(s))
+    xc, Sc = float(x0), float(S0)
+    for i in range(i0, n - 1):
+        xc, Sc = _rk4_step(xc, Sc, bn[i], an[i], bm[i], am[i],
+                           bn[i + 1], an[i + 1], h)
+        x[i + 1], S[i + 1] = xc, Sc
+    xc, Sc = float(x0), float(S0)
+    for i in range(i0, 0, -1):
+        xc, Sc = _rk4_step(xc, Sc, bn[i], an[i], bm[i - 1], am[i - 1],
+                           bn[i - 1], an[i - 1], -h)
+        x[i - 1], S[i - 1] = xc, Sc
+    return x, S
+
+
+def rk4_data(n, seed):
+    rng = np.random.default_rng(seed)
+    s = 0.5 + np.arange(n) * 1e-4
+    f_node = (1.0 + 0.3 * rng.normal(size=n), rng.normal(size=n))
+    f_mid = (1.0 + 0.3 * rng.normal(size=n - 1), rng.normal(size=n - 1))
+    return s, f_node, f_mid
+
+
+def assert_rk4_same(s, f_node, f_mid, i0):
+    got = _rk4_path(s, f_node, f_mid, i0, 0.7, -0.2)
+    want = reference_rk4_path(s, f_node, f_mid, i0, 0.7, -0.2)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_blocked_rk4_matches_unblocked_run():
+    B = construct.RK4_BLOCK
+    n = 2 * B + 3
+    s, f_node, f_mid = rk4_data(n, 1)
+    for i0 in (0, n - 1, B, B - 1, B + 1, 2 * B, n - 1 - B, 5000):
+        assert_rk4_same(s, f_node, f_mid, i0)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_small_rk4_blocks_match_unblocked_run(monkeypatch, block):
+    monkeypatch.setattr(construct, "RK4_BLOCK", block)
+    for n in (2, 3, 15, 22):
+        s, f_node, f_mid = rk4_data(n, n)
+        for i0 in sorted({0, n - 1, min(block, n - 1), n // 2,
+                          max(n - 1 - block, 0)}):
+            assert_rk4_same(s, f_node, f_mid, i0)

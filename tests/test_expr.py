@@ -122,3 +122,17 @@ def test_t_dependent_exponent_rejected_on_both_paths():
         with pytest.raises(DomainError, match="exponent must be a single constant"):
             evaluate("2^t", ts)
     np.testing.assert_array_equal(expr.eval_values("t^2", ts), ts ** 2)
+
+
+@pytest.mark.parametrize("t", [2.0, [2.0], np.array([0.5])])
+def test_t_dependent_exponent_rejected_at_one_sample(t):
+    # one sample cannot show by its value that the exponent varies; the
+    # first derivative of the exponent does, as on the jet path
+    for evaluate in (expr.eval_values, expr.eval_jet):
+        with pytest.raises(DomainError, match="exponent must not depend on t"):
+            evaluate("2^t", t)
+        with pytest.raises(DomainError, match="exponent must not depend on t"):
+            evaluate("t^(t^2 + 1)", t)
+    # equal values and a zero slope: both paths accept it
+    assert expr.eval_values("2^(t - t)", t) == expr.eval_jet("2^(t - t)", t).value
+    np.testing.assert_array_equal(expr.eval_values("t^2", t), np.square(t))
