@@ -369,7 +369,7 @@ def _run_revolve(ns):
                                    "residuals": rep.residuals},
                     front={"is_front": front.is_front,
                            "failures": len(front.failures)},
-                    frame=surf.grid.validate())
+                    frame=surf.validate())
     _write(ns, curve=c, surface=surf, payload=payload)
     return 0
 

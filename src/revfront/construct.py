@@ -381,6 +381,8 @@ def _assemble(fg, io, z_s, x_j, a_j, b_j, ell_j, beta_j, report):
 def _alpha_has_pole(alpha_src, t0):
     try:
         v = expr.eval_values(alpha_src, np.array([t0]))[0]
+    except expr.ExponentError:
+        return False    # not a pole; the RK4 path rejects alpha*beta
     except DomainError:
         return True
     return not np.isfinite(v)

@@ -5,7 +5,9 @@ JSON keys are sorted, CSV rows end in CRLF per RFC 4180, and OBJ files
 carry no comments or timestamps, so a rerun with the same inputs is
 byte-identical.  The CSV and OBJ writers format whole blocks of rows with
 one ``%`` operation; the OBJ writer works through the mesh in blocks of
-``_OBJ_RINGS`` rings, so the text held in memory is bounded by one block.
+``_OBJ_RINGS`` rings.  Each block of vertices is built from the profile
+columns by ``RevolutionSurface.rings``, so neither the text nor the
+positions held in memory exceed one block.
 """
 
 from __future__ import annotations
@@ -42,10 +44,9 @@ def _obj_blocks(surface: RevolutionSurface):
     area density J is negative the winding is flipped to keep that
     convention, and quads with J below threshold keep parameter order.
     """
-    x = surface.grid.x
-    nt, ntheta = x.shape[0], x.shape[1]
+    nt, ntheta = surface.profile.t.size, surface.theta.size
     for i in range(0, nt, _OBJ_RINGS):
-        rings = x[i:i + _OBJ_RINGS]
+        rings = surface.rings(i, i + _OBJ_RINGS)
         block = np.concatenate([rings, rings[:, :1]], axis=1)   # seam duplicate
         yield (("v %.17g %.17g %.17g\n" * (block.size // 3))
                % tuple(block.ravel().tolist()))

@@ -23,6 +23,7 @@ __all__ = [
     "parse", "eval_jet", "eval_values", "to_source",
     "Expr", "Num", "Var", "Neg", "BinOp", "Call",
     "ExprSyntaxError", "UnknownIdentifierError", "DomainError",
+    "ExponentError",
 ]
 
 FUNCTIONS = {
@@ -50,6 +51,11 @@ class UnknownIdentifierError(ValueError):
         super().__init__("unknown identifier %r (byte offset %d)" % (name, offset))
         self.name = name
         self.offset = offset
+
+
+class ExponentError(DomainError):
+    """The exponent of ^ is not one constant: it differs between samples
+    or depends on t."""
 
 
 @dataclass(frozen=True)
@@ -291,10 +297,10 @@ def _eval_jet(e: Expr, t_jet: Jet) -> Jet:
         if np.ndim(exponent) > 0:
             flat = np.asarray(exponent).ravel()
             if flat.size == 0 or not np.all(flat == flat.ravel()[0]):
-                raise DomainError("exponent must be a single constant")
+                raise ExponentError("exponent must be a single constant")
             exponent = float(flat[0])
         if right.order >= 1 and np.max(np.abs(right.coeffs[1:])) != 0.0:
-            raise DomainError("exponent must not depend on t")
+            raise ExponentError("exponent must not depend on t")
         return left ** float(exponent)
     raise TypeError("not an expression node: %r" % (e,))
 
@@ -365,13 +371,14 @@ def _eval_value(e: Expr, t):
         if np.ndim(right) > 0:
             flat = np.ravel(right)
             if flat.size == 0 or not np.all(flat == flat[0]):
-                raise DomainError("exponent must be a single constant")
+                raise ExponentError("exponent must be a single constant")
             exponent = flat[0]
-        # and, as there, a zero first derivative: a single sample cannot
-        # show by its value alone that the exponent depends on t
-        if _mentions_t(e.right) and np.max(np.abs(
-                _eval_jet(e.right, jets.variable(t, 1)).coeffs[1])) != 0.0:
-            raise DomainError("exponent must not depend on t")
+        # and, as there, zero derivatives up to jets.ORDER_CAP: a single
+        # sample cannot show by its value alone that the exponent depends
+        # on t, and its first derivative may vanish there (t^2 at 0)
+        if _mentions_t(e.right) and np.max(np.abs(_eval_jet(
+                e.right, jets.variable(t, jets.ORDER_CAP)).coeffs[1:])) != 0.0:
+            raise ExponentError("exponent must not depend on t")
         exponent = float(exponent)
         if exponent == int(exponent):
             return left ** int(exponent)

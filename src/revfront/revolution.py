@@ -16,7 +16,8 @@ depend on t alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,14 +32,109 @@ _INVARIANTS = ("a1", "b1", "a2", "b2", "e1", "f1", "g1", "e2", "f2", "g2")
 # profile's own terms: (n_r, k) = sign * (that component of nu, ell).
 _AXES = {"z": ((0, 1, 2), 1.0, "a"), "x": ((2, 0, 1), -1.0, "b")}
 
+# Each grid field as a recipe over the axis-adapted profile columns of
+# revolve: meridian(f, g) is f (cos, sin) in the radial plane plus g along
+# the axis, turned(f) is the theta-derivative of f (cos, sin), and zero is
+# the zero field.  s = turned(-1) = (sin, -cos, 0) and s_v = meridian(1, 0).
+_FIELDS = {
+    "x": ("meridian", "r", "h"), "n": ("meridian", "n_r", "n_h"),
+    "s": ("turned", "minus_one"),
+    "x_u": ("meridian", "r_t", "h_t"), "x_v": ("turned", "r"),
+    "n_u": ("meridian", "n_r_t", "n_h_t"), "n_v": ("turned", "n_r"),
+    "s_u": ("zero",), "s_v": ("meridian", "one", "zero"),
+    "x_uv": ("turned", "r_t"), "n_uv": ("turned", "n_r_t"), "s_uv": ("zero",),
+}
+
+# Rings per block when validate() builds the frame fields.
+_RINGS = 64
+
 
 @dataclass
 class RevolutionSurface:
+    """A revolved profile, held as its axis-adapted columns and theta.
+
+    Every grid field is an outer product of profile columns with cos theta
+    or sin theta, so the fields are built when read: rings(i0, i1) gives
+    the positions of a block of rings, validate() checks the frame one
+    block of rings at a time, and grid is the whole FramedSurfaceGrid,
+    each field built on first read and kept.
+    """
     axis: str
     profile: LegendreCurve
     theta: np.ndarray
-    grid: FramedSurfaceGrid
     invariants: BasicInvariants
+    columns: dict = field(repr=False)
+
+    def _field(self, name: str, i0: int, i1: int) -> np.ndarray:
+        """Rows i0:i1 of the grid field name, shape (rows, n_theta, 3)."""
+        recipe, *names = _FIELDS[name]
+        cols = [self.columns[k][i0:i1] for k in names]
+        ct, st = np.cos(self.theta), np.sin(self.theta)
+        outer = np.multiply.outer
+        if recipe == "meridian":
+            f, g = cols
+            comps = (outer(f, ct), outer(f, st), outer(g, np.ones(ct.size)))
+        else:
+            zero = np.zeros((self.columns["t"][i0:i1].size, ct.size))
+            comps = (zero, zero, zero)
+            if recipe == "turned":
+                f, = cols
+                comps = (-outer(f, st), outer(f, ct), zero)
+        return np.stack([comps[k] for k in _AXES[self.axis][0]], axis=-1)
+
+    def rings(self, i0: int, i1: int) -> np.ndarray:
+        """Positions of the rings i0:i1, shape (rings, n_theta, 3)."""
+        return self._field("x", i0, i1)
+
+    @cached_property
+    def grid(self) -> FramedSurfaceGrid:
+        return _RevolvedGrid(self, 0, self.columns["t"].size)
+
+    def validate(self, tol: float = 1e-8) -> dict:
+        """FramedSurfaceGrid.validate, one block of rings at a time.
+
+        Each residual is the max over the blocks, so the dict is the one
+        the whole grid gives.
+        """
+        n_t = self.columns["t"].size
+        blocks = [_RevolvedGrid(self, i, i + _RINGS).validate(tol)
+                  for i in range(0, n_t, _RINGS)]
+        res = {key: float(np.max([b[key] for b in blocks]))
+               for key in blocks[0] if key != "passed"}
+        res["passed"] = all(b["passed"] for b in blocks)
+        return res
+
+
+class _RevolvedGrid(FramedSurfaceGrid):
+    """Rings i0:i1 of a revolved surface as a FramedSurfaceGrid.
+
+    Each field is built from the surface's profile columns when first read
+    and kept; the others are never built.
+    """
+
+    def __init__(self, surface: RevolutionSurface, i0: int, i1: int):
+        self.u = surface.columns["t"][i0:i1]
+        self.v = surface.theta
+        self.exact = surface.profile.exact
+        self._rings = (surface, i0, i1)
+
+
+class _OnRead:
+    """A _RevolvedGrid field, built on first read."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __get__(self, grid, owner=None):
+        if grid is None:
+            return self
+        surface, i0, i1 = grid._rings
+        value = grid.__dict__[self.name] = surface._field(self.name, i0, i1)
+        return value
+
+
+for _name in _FIELDS:
+    setattr(_RevolvedGrid, _name, _OnRead(_name))
 
 
 @dataclass
@@ -102,46 +198,21 @@ def revolve(c: LegendreCurve, axis: str = "z", n_theta: int = 128) -> Revolution
     """Rotate the profile about the chosen axis.
 
     The angular grid covers [0, 2*pi) half-open with n_theta >= 8 samples;
-    meshing utilities re-add the seam.  The returned grid carries exact
-    partial and mixed-partial arrays built from positions and frames, and
-    the invariants carry exact derivative grids for the integrability
-    check.  The invariant arrays are read-only views of one column each.
+    meshing utilities re-add the seam.  The surface keeps the axis-adapted
+    profile columns and builds its grid fields, exact partials and mixed
+    partials included, when they are read (see RevolutionSurface).  The
+    invariants carry exact derivative grids for the integrability check;
+    they are read-only views of one column each.
     """
     t, r, h, n_r, n_h, k, beta = _adapted(c, axis)
     if n_theta < 8:
         raise ValueError("n_theta must be at least 8")
-    order = _AXES[axis][0]
     theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    ct, st = np.cos(theta), np.sin(theta)
-    ones, zero = np.ones(t.size), np.zeros((t.size, n_theta))
     r_t, h_t, n_r_t, n_h_t = _t_derivatives(n_r, n_h, k, beta)
-
-    def outer(f, g):
-        return np.multiply.outer(f, g)
-
-    def lift(radial_cos, radial_sin, axial):
-        """Stack the components of a revolved vector in space order."""
-        comps = (radial_cos, radial_sin, axial)
-        return np.stack([comps[i] for i in order], axis=-1)
-
-    def meridian(f, g):
-        """f (cos, sin) in the radial plane plus g along the axis."""
-        return lift(outer(f, ct), outer(f, st), outer(g, np.ones(n_theta)))
-
-    def turned(f):
-        """The theta-derivative of f (cos, sin)."""
-        return lift(-outer(f, st), outer(f, ct), zero)
-
-    X = meridian(r, h)
-    grid = FramedSurfaceGrid(
-        u=t, v=theta, x=X, n=meridian(n_r, n_h),
-        s=lift(outer(ones, st), -outer(ones, ct), zero),
-        x_u=meridian(r_t, h_t), x_v=turned(r),
-        n_u=meridian(n_r_t, n_h_t), n_v=turned(n_r),
-        s_u=np.zeros_like(X), s_v=lift(outer(ones, ct), outer(ones, st), zero),
-        x_uv=turned(r_t), n_uv=turned(n_r_t), s_uv=np.zeros_like(X),
-        exact=c.exact,
-    )
+    ones = np.ones(t.size)
+    columns = {"t": t, "r": r, "h": h, "n_r": n_r, "n_h": n_h,
+               "r_t": r_t, "h_t": h_t, "n_r_t": n_r_t, "n_h_t": n_h_t,
+               "one": ones, "minus_one": -ones, "zero": np.zeros(t.size)}
 
     cols = _invariant_columns(c, axis)
     def sweep(col):
@@ -151,8 +222,8 @@ def revolve(c: LegendreCurve, axis: str = "z", n_theta: int = 128) -> Revolution
         u=t, v=theta, **{f: sweep(getattr(cols, f)) for f in _INVARIANTS},
         cross={key: sweep(col) for key, col in cols.cross.items()},
     )
-    return RevolutionSurface(axis=axis, profile=c, theta=theta, grid=grid,
-                             invariants=inv)
+    return RevolutionSurface(axis=axis, profile=c, theta=theta,
+                             invariants=inv, columns=columns)
 
 
 def revolution_curvature(c: LegendreCurve, axis: str = "z") -> RevolutionCurvature:

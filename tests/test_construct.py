@@ -142,6 +142,17 @@ def test_gauss_forced_rk4_at_pole_fails():
         profile_from_gauss_ratio(p, g)
 
 
+def test_gauss_auto_t_dependent_exponent_is_not_a_pole():
+    # alpha = 2^t cannot be evaluated at t0, but that is no pole: auto
+    # picks RK4, which rejects alpha*beta on the grid
+    g = uniform_grid(0.0, 0.4, 41)
+    p = GaussRatioProblem(alpha="2^t", beta="1", t0=0.2, x0=1.0)
+    with pytest.raises(ConstructionError,
+                       match=r"^alpha\*beta cannot be evaluated on the grid: "
+                             "exponent must be a single constant"):
+        profile_from_gauss_ratio(p, g)
+
+
 def test_jk_quadrature_pseudo_sphere():
     g = uniform_grid(0.2, PI - 0.2, 400)
     c = profile_from_JK("-cos(t)", "cos(t)", x0=np.sin(0.2), grid=g,

@@ -136,3 +136,24 @@ def test_t_dependent_exponent_rejected_at_one_sample(t):
     # equal values and a zero slope: both paths accept it
     assert expr.eval_values("2^(t - t)", t) == expr.eval_jet("2^(t - t)", t).value
     np.testing.assert_array_equal(expr.eval_values("t^2", t), np.square(t))
+
+
+@pytest.mark.parametrize("src", ["2^(t^2)", "2^(t^3 + 1)", "t^(1 + t^5)"])
+def test_exponent_with_vanishing_slope_rejected_at_one_sample(src):
+    # at t = 0 the first derivative of these exponents is zero; a higher
+    # one up to jets.ORDER_CAP is not, and both paths test all of them
+    for evaluate in (expr.eval_values, expr.eval_jet):
+        with pytest.raises(expr.ExponentError,
+                           match="exponent must not depend on t"):
+            evaluate(src, 0.0)
+
+
+def test_exponent_rejections_are_domain_errors():
+    with pytest.raises(DomainError):
+        expr.eval_values("2^(t^2)", np.array([0.0]))
+    with pytest.raises(expr.ExponentError):
+        expr.eval_values("2^t", np.array([1.0, 2.0]))
+    # other domain errors are not exponent errors
+    with pytest.raises(DomainError) as ei:
+        expr.eval_values("log(t)", 0.0)
+    assert not isinstance(ei.value, expr.ExponentError)

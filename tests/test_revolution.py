@@ -5,10 +5,14 @@ against projection-based recomputation from the realized frame, and the
 curvature densities against explicit formulas in the profile data.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from revfront.framed import basic_invariants_of, curvature_of, integrability_residual
+from revfront import export
+from revfront.framed import (FramedSurfaceGrid, basic_invariants_of,
+                             curvature_of, integrability_residual)
 from revfront.framed import parallel_surface
 from revfront.legendre import (curvature_pair_of, legendre_from_expressions,
                                parallel_curve, reconstruct_from_curvature)
@@ -20,6 +24,8 @@ from revfront.revolution import (cone_type_check, flat_classification,
                                  revolve, xz_congruence_check)
 
 INV_FIELDS = ("a1", "b1", "a2", "b2", "e1", "f1", "g1", "e2", "f2", "g2")
+GRID_FIELDS = ("u", "v", "x", "n", "s", "x_u", "x_v", "n_u", "n_v", "s_u",
+               "s_v", "x_uv", "n_uv", "s_uv")
 
 
 def pseudo_sphere(grid):
@@ -252,3 +258,149 @@ def test_x_axis_parallel_pairs_with_negated_offset():
     off_grid, _ = parallel_surface(surf.grid, lam)
     direct = revolve(parallel_curve(c, -lam), axis="x", n_theta=10)
     np.testing.assert_allclose(off_grid.x, direct.grid.x, atol=1e-12)
+
+
+def eager_grid(c, axis, n_theta):
+    """The framed grid with all twelve fields built at once.
+
+    The reference for the grid that revolve builds on read: the adapted
+    profile is written out per axis, and every field is an outer product
+    of a profile column with cos theta or sin theta.
+    """
+    x, z = c.curve.x.value, c.curve.z.value
+    a, b = c.normal.a.value, c.normal.b.value
+    pair = curvature_pair_of(c)
+    ell, beta = pair.ell.value, pair.beta.value
+    if axis == "z":
+        r, h, n_r, n_h, k, order = x, z, a, b, ell, (0, 1, 2)
+    else:
+        r, h, n_r, n_h, k, order = z, x, -b, -a, -ell, (2, 0, 1)
+    r_t, h_t, n_r_t, n_h_t = -beta * n_h, beta * n_r, -k * n_h, k * n_r
+    theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+    ct, st = np.cos(theta), np.sin(theta)
+    ones, zero = np.ones(c.t.size), np.zeros((c.t.size, n_theta))
+    outer = np.multiply.outer
+
+    def lift(*comps):
+        return np.stack([comps[i] for i in order], axis=-1)
+
+    def meridian(f, g):
+        return lift(outer(f, ct), outer(f, st), outer(g, np.ones(n_theta)))
+
+    def turned(f):
+        return lift(-outer(f, st), outer(f, ct), zero)
+
+    X = meridian(r, h)
+    return FramedSurfaceGrid(
+        u=c.t, v=theta, x=X, n=meridian(n_r, n_h),
+        s=lift(outer(ones, st), -outer(ones, ct), zero),
+        x_u=meridian(r_t, h_t), x_v=turned(r),
+        n_u=meridian(n_r_t, n_h_t), n_v=turned(n_r),
+        s_u=np.zeros_like(X), s_v=lift(outer(ones, ct), outer(ones, st), zero),
+        x_uv=turned(r_t), n_uv=turned(n_r_t), s_uv=np.zeros_like(X),
+        exact=c.exact)
+
+
+def assert_same_bytes(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype, what
+    assert got.tobytes() == want.tobytes(), what
+
+
+def assert_same_dict(got, want):
+    assert list(got) == list(want)
+    for key in want:
+        assert type(got[key]) is type(want[key]), key
+        assert_same_bytes(got[key], want[key], key)
+
+
+@pytest.mark.parametrize("n_t", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("axis", ["z", "x"])
+def test_fields_on_read_match_eager_grid(n_t, axis):
+    c = pseudo_sphere(np.linspace(0.3, 2.8, n_t))
+    want = eager_grid(c, axis, 24)
+    surf = revolve(c, axis=axis, n_theta=24)
+    for name in GRID_FIELDS:
+        assert_same_bytes(getattr(surf.grid, name), getattr(want, name), name)
+    assert surf.grid.exact == want.exact
+    step = export._OBJ_RINGS
+    for i0, i1 in ([(i, i + step) for i in range(0, n_t, step)]
+                   + [(0, n_t), (0, n_t + 10), (5, 70), (n_t - 1, n_t)]):
+        assert_same_bytes(surf.rings(i0, i1), want.x[i0:i1], (i0, i1))
+    assert_same_dict(surf.validate(), want.validate())
+    assert_same_dict(surf.validate(tol=1e-18), want.validate(tol=1e-18))
+
+
+def test_validate_by_blocks_matches_eager_grid_on_random_profiles():
+    rng = np.random.default_rng(5)
+    g = uniform_grid(0.0, 2.0, 200)
+    for axis in ("z", "x"):
+        c = random_profile(rng, g)
+        want = eager_grid(c, axis, 16)
+        surf = revolve(c, axis=axis, n_theta=16)
+        assert_same_dict(surf.validate(), want.validate())
+        assert_same_bytes(surf.rings(0, 200), want.x, axis)
+
+
+def test_validate_by_blocks_keeps_nan():
+    # a NaN in a late block must survive the max over blocks, as it does
+    # in one np.max over the whole grid
+    c = pseudo_sphere(np.linspace(0.3, 2.8, 130))
+    c.normal.a.coeffs[0, 100] = np.nan
+    want = eager_grid(c, "z", 16).validate()
+    got = revolve(c, axis="z", n_theta=16).validate()
+    assert np.isnan(got["unit_n"]) and not got["passed"]
+    assert_same_dict(got, want)
+
+
+def test_commutation_report_matches_eager_grids():
+    rng = np.random.default_rng(31)
+    g = uniform_grid(0.0, 1.5, 41)
+    for axis, sign in (("z", 1.0), ("x", -1.0)):
+        for lam in (-0.4, 0.8):
+            c = random_profile(rng, g)
+            pc = parallel_curve(c, sign * lam)
+            grid_a, inv_a = parallel_surface(
+                eager_grid(c, axis, 16), lam,
+                revolve(c, axis=axis, n_theta=16).invariants)
+            grid_b = eager_grid(pc, axis, 16)
+            inv_b = revolve(pc, axis=axis, n_theta=16).invariants
+            want = {name: float(np.max(np.abs(getattr(grid_a, name)
+                                              - getattr(grid_b, name))))
+                    for name in GRID_FIELDS[2:]}
+            for name in INV_FIELDS:
+                want[name] = float(np.max(np.abs(getattr(inv_a, name)
+                                                 - getattr(inv_b, name))))
+            for key in inv_a.cross:
+                want["d_" + key] = float(np.max(np.abs(inv_a.cross[key]
+                                                       - inv_b.cross[key])))
+            rep = parallel_commutation_check(c, lam, axis=axis)
+            assert_same_dict(rep.max_residuals, want)
+            assert rep.passed == (max(want.values()) <= 1e-10)
+
+
+def test_grid_builds_only_the_fields_read():
+    c = pseudo_sphere(np.linspace(0.3, 2.8, 40))
+    grid = revolve(c, axis="x", n_theta=12).grid
+    assert isinstance(grid, FramedSurfaceGrid)
+    assert grid.x.shape == (40, 12, 3)
+    assert not {"n", "s", "x_u", "s_uv"} & set(vars(grid))
+    assert grid.x is grid.x
+
+
+def test_rings_and_validate_stay_below_one_full_field():
+    # the OBJ writer's ring blocks and the frame check hold one block of
+    # rings at a time, never a whole (n_t, n_theta, 3) field
+    n_t, n_theta = 2000, 128
+    c = pseudo_sphere(np.linspace(0.3, 2.8, n_t))
+    full_field = n_t * n_theta * 3 * 8
+    tracemalloc.start()
+    try:
+        surf = revolve(c, n_theta=n_theta)
+        for i in range(0, n_t, export._OBJ_RINGS):
+            surf.rings(i, i + export._OBJ_RINGS)
+        assert surf.validate()["passed"]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full_field, peak
