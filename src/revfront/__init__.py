@@ -32,7 +32,7 @@ from .construct import (ConstructionError, GaussRatioProblem,
 from .singular import (CuspLabel, constant_gauss_cusp, constant_mean_cusp,
                        curve_cusp_by_curvature, curve_cusp_by_derivatives,
                        cusp_classify_curvature, cusp_classify_derivatives,
-                       gauss_front_status, ord_of,
+                       gauss_front_status, InconsistentInputError, ord_of,
                        revolution_singularity_classify)
 
 __version__ = "0.1.0"

@@ -4,8 +4,9 @@ Subcommands build profiles from expressions or curvature data, revolve
 them, classify singular points, and write deterministic artifacts:
 BASE.csv for curves, BASE.obj for meshes, BASE.json for reports.
 
-Exit codes: 0 success, 1 argument/config error, 2 numerical failure
-(with a JSON diagnostic written to BASE.json, or stdout without --out).
+Exit codes: 0 success, 1 argument/config error, contradictory input or
+an output path that cannot be written, 2 numerical failure (with a JSON
+diagnostic written to BASE.json, or stdout without --out).
 
 A config file given as --config FILE holds key=value lines mirroring the
 long flags (grid=0:1:100, beta=cot(t), ...).  Its entries are spliced in
@@ -35,7 +36,8 @@ from .quadrature import QuadratureError, uniform_grid
 from .revolution import (_invariant_columns, frontal_front_status,
                          parallel_commutation_check, revolution_evolutes,
                          revolve)
-from .singular import (_default_tol, constant_gauss_cusp, constant_mean_cusp,
+from .singular import (InconsistentInputError, _default_tol,
+                       constant_gauss_cusp, constant_mean_cusp,
                        curve_cusp_by_curvature, curve_cusp_by_derivatives,
                        ord_of, revolution_singularity_classify)
 
@@ -362,7 +364,7 @@ def _run_revolve(ns):
     grid = _parse_grid(ns.grid)
     c = _profile(ns, grid)
     surf = revolve(c, axis=ns.axis, n_theta=ns.n_theta)
-    rep = integrability_residual(surf.invariants)
+    rep = integrability_residual(_invariant_columns(c, ns.axis))
     front = frontal_front_status(c, axis=ns.axis, tol=_tol(ns, c.exact))
     payload = _meta(ns, axis=ns.axis, n_theta=ns.n_theta,
                     integrability={"max_residual": rep.max_residual,
@@ -536,28 +538,37 @@ _RUNNERS = {"curve": _run_curve, "revolve": _run_revolve,
             "parallel": _run_parallel, "check": _run_check}
 
 
+def _numerical_failure(ns, exc):
+    """Exit code 2, with the JSON diagnostic in BASE.json or on stdout."""
+    diag = {"error": type(exc).__name__, "message": str(exc)}
+    info = getattr(exc, "info", None)
+    if info:
+        diag["info"] = export._plain(info)
+    base = getattr(ns, "out", None)
+    if base:
+        export.write_json(diag, base + ".json")
+        sys.stderr.write(f"revfront: numerical failure: {exc}\n")
+    else:
+        sys.stdout.write(export.json_text(diag))
+    return 2
+
+
 def run(argv) -> int:
     parser = build_parser()
     ns = None
     try:
-        argv = _expand_config(list(argv))
-        ns = parser.parse_args(argv)
-        return _RUNNERS[ns.command](ns)
-    except CliError as exc:
+        try:
+            argv = _expand_config(list(argv))
+            ns = parser.parse_args(argv)
+            return _RUNNERS[ns.command](ns)
+        except InconsistentInputError:   # a ValueError, but exit code 1
+            raise
+        except NUMERICAL as exc:
+            return _numerical_failure(ns, exc)
+    except (CliError, InconsistentInputError, OSError) as exc:
+        # OSError: an output file, or the diagnostic, cannot be written
         sys.stderr.write(f"revfront: error: {exc}\n")
         return 1
-    except NUMERICAL as exc:
-        diag = {"error": type(exc).__name__, "message": str(exc)}
-        info = getattr(exc, "info", None)
-        if info:
-            diag["info"] = export._plain(info)
-        base = getattr(ns, "out", None)
-        if base:
-            export.write_json(diag, base + ".json")
-            sys.stderr.write(f"revfront: numerical failure: {exc}\n")
-        else:
-            sys.stdout.write(export.json_text(diag))
-        return 2
 
 
 def main() -> int:

@@ -36,7 +36,6 @@ FLAG_TOL = 1e-12         # 1 - sin^2 below this at a node -> jets flagged
 SAFE_COS = 1e-3          # |cos phi| above this -> plain jet division for ell
 UNIFORM_RTOL = 1e-6      # step spread above this * step -> non-uniform lattice
 COS_TOL = 1e-8           # |cos phi| within this (relative) of 0 -> (H, phi) rejects
-RK4_BLOCK = 4096         # RK4 steps whose coefficients become Python floats at once
 
 
 class ConstructionError(RuntimeError):
@@ -176,12 +175,12 @@ def _lattice(grid, t0, order):
     return fg, order + 2, i0, t0 - fg.s[i0]
 
 
-def _uniform_step(s):
+def _uniform_step(s, what):
     """The fixed step s[1] - s[0] of a lattice with equal intervals.
 
-    RK4 marching, the flip locator and the Frobenius hand-off advance by
-    this one step, so a lattice whose step varies raises ValueError
-    instead of giving a wrong profile.
+    The Frobenius series region and the flip locator advance by this one
+    step, so a lattice whose step varies raises ValueError naming what
+    needs the constant spacing, instead of giving a wrong profile.
     """
     h = s[1] - s[0]
     steps = np.diff(s)
@@ -189,7 +188,7 @@ def _uniform_step(s):
     if hi - lo > UNIFORM_RTOL * abs(h):
         raise ValueError(
             f"non-uniform grid: the fine step varies from {lo:.6g} to "
-            f"{hi:.6g}, but this path needs equal grid intervals")
+            f"{hi:.6g}, but {what} needs equal grid intervals")
     return h
 
 
@@ -218,7 +217,8 @@ def _lattice_angle(s, S, anchor_pos, cos_sign):
         if not at or j > at[-1] + 1:   # else the twin sample of the same touch
             at.append(j)
     at = np.array(at, dtype=int)
-    flips = s[at + 1] + delta[at] * _uniform_step(s) if at.size else np.zeros(0)
+    flips = (s[at + 1] + delta[at] * _uniform_step(s, "the flip locator")
+             if at.size else np.zeros(0))
     # sign at position p: cos_sign * (-1)^(number of flips between anchor and p)
     n_before = np.searchsorted(flips, s, side="left")
     n_anchor = int(np.searchsorted(flips, anchor_pos, side="left"))
@@ -303,32 +303,37 @@ def _rk4_step(xc, Sc, b0, a0, b1, a1, b2, a2, h):
             Sc + h / 6.0 * (k1s + 2 * k2s + 2 * k3s + k4s))
 
 
+def _prefix_products(m):
+    """Products M_k ... M_1 M_0 of the 2x2 matrices m[:, :, k], in place,
+    by Hillis-Steele doubling: log2(n) array passes."""
+    d = 1
+    while d < m.shape[-1]:
+        m[..., d:] = np.einsum("ijk,jlk->ilk", m[..., d:], m[..., :-d])
+        d *= 2
+
+
 def _rk4_path(s, f_node, f_mid, i0, x0, S0):
     """Integrate x' = -beta(t)*S, S' = (alpha*beta)(t)*x over the lattice.
 
     f_node and f_mid hold (beta, alpha*beta) at the nodes and interval
     midpoints.  Returns arrays over the whole lattice, integrating from
-    index i0 toward both ends, RK4_BLOCK steps at a time.
+    index i0 toward both ends with each interval's own step.  The system
+    is linear, so an RK4 step is a 2x2 matrix (the step applied to the
+    unit vectors) and each sweep is a prefix product of those matrices.
     """
-    n = s.size
-    x = np.empty(n)
-    S = np.empty(n)
+    x = np.empty(s.size)
+    S = np.empty(s.size)
     x[i0], S[i0] = x0, S0
-    h = float(_uniform_step(s))
-    for end, d, hd in ((n - 1, 1, h), (0, -1, -h)):
-        xc, Sc = float(x0), float(S0)
-        for a in range(i0, end, d * RK4_BLOCK):
-            nodes = np.arange(a, a + d * min(RK4_BLOCK, abs(end - a)) + d, d)
-            bn, an = (v[nodes].tolist() for v in f_node)
-            bm, am = (v[nodes[:-1] if d > 0 else nodes[1:]].tolist()
-                      for v in f_mid)
-            xs, Ss = [], []
-            for j in range(len(bm)):
-                xc, Sc = _rk4_step(xc, Sc, bn[j], an[j], bm[j], am[j],
-                                   bn[j + 1], an[j + 1], hd)
-                xs.append(xc)
-                Ss.append(Sc)
-            x[nodes[1:]], S[nodes[1:]] = xs, Ss
+    # forward from i0, then the backward sweep as a forward one over the
+    # reversed lattice (its steps come out negative)
+    for r, j in ((np.s_[:], i0), (np.s_[::-1], s.size - 1 - i0)):
+        t, b, a, b_mid, a_mid = (v[r][j:] for v in (s, *f_node, *f_mid))
+        coeffs = (b[:-1], a[:-1], b_mid, a_mid, b[1:], a[1:], np.diff(t))
+        m = np.empty((2, 2, t.size - 1))
+        m[0, 0], m[1, 0] = _rk4_step(1.0, 0.0, *coeffs)
+        m[0, 1], m[1, 1] = _rk4_step(0.0, 1.0, *coeffs)
+        _prefix_products(m)
+        x[r][j + 1:], S[r][j + 1:] = m[:, 0] * x0 + m[:, 1] * S0
     return x, S
 
 
@@ -410,7 +415,7 @@ def _frobenius_data(p, fg, order_n=12):
 
     lo, hi_t = fg.grid[0], fg.grid[-1]
     span = hi_t - lo
-    step = _uniform_step(fg.s)
+    step = _uniform_step(fg.s, "the Frobenius series region")
     left, right = t0 - lo, hi_t - t0
     two_sided = left > 4 * step and right > 4 * step
     if two_sided:
@@ -589,25 +594,15 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
             raise ConstructionError(
                 "sin phi = -x'/beta is not finite inside the series region "
                 "(beta vanishes without matching zero of x')", t0=p.t0)
-        # alpha*beta is needed only from the handoff nodes outward; those
-        # sit at least delta - step away from the pole
-        fstep = _uniform_step(s)
-        ab_s = np.zeros_like(s)
-        ab_m = np.zeros_like(mid)
-        need_n = np.abs(s - p.t0) >= delta - fstep
-        need_m = np.abs(mid - p.t0) >= delta - fstep
-        if need_n.any():
-            ab_s[need_n] = _values(ab, s[need_n], "alpha*beta")
-        if need_m.any():
-            ab_m[need_m] = _values(ab, mid[need_m], "alpha*beta")
-        if iR < s.size - 1:
-            xr, Sr = _rk4_path(s[iR:], (beta_s[iR:], ab_s[iR:]),
-                               (beta_m[iR:], ab_m[iR:]), 0, x_s[iR], S_s[iR])
-            x_s[iR:], S_s[iR:] = xr, Sr
-        if iL > 0:
-            xl, Sl = _rk4_path(s[:iL + 1], (beta_s[:iL + 1], ab_s[:iL + 1]),
-                               (beta_m[:iL], ab_m[:iL]), iL, x_s[iL], S_s[iL])
-            x_s[:iL + 1], S_s[:iL + 1] = xl, Sl
+        # RK4 from the hand-off nodes outward; alpha*beta is evaluated only
+        # there, away from the pole
+        for lo, hi, a in ((0, iL + 1, iL), (iR, s.size, 0)):
+            if hi - lo > 1:
+                ab_s = _values(ab, s[lo:hi], "alpha*beta")
+                ab_m = _values(ab, mid[lo:hi - 1], "alpha*beta")
+                x_s[lo:hi], S_s[lo:hi] = _rk4_path(
+                    s[lo:hi], (beta_s[lo:hi], ab_s), (beta_m[lo:hi - 1], ab_m),
+                    a, x_s[lo + a], S_s[lo + a])
         method = "gauss_frobenius"
         notes["sin_phi0_ignored"] = True
         notes["series_sin_phi0"] = float(S_s[i0])

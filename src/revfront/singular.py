@@ -29,6 +29,11 @@ EXACT_TOL = 1e-8
 SAMPLED_TOL = 1e-4
 
 
+class InconsistentInputError(ValueError):
+    """Input data that contradict each other, such as zero orders that no
+    profile of the family can have."""
+
+
 @dataclass
 class CuspLabel:
     label: str
@@ -254,7 +259,7 @@ def constant_gauss_cusp(ord_a: int, ord_beta: int) -> CuspLabel:
     5/2-cusp is impossible for this family.
     """
     if ord_a > ord_beta:
-        raise ValueError(
+        raise InconsistentInputError(
             f"orders ({ord_a}, {ord_beta}) violate ord(a) <= ord(beta)")
     diag = {"orders": (ord_a, ord_beta), "note": "5/2 impossible"}
     table = {(1, 1): "cusp_3_2", (2, 2): "cusp_4_3", (1, 2): "cusp_5_3"}

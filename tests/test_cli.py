@@ -124,6 +124,33 @@ def test_numerical_error_stdout(capsys):
     assert "error" in diag
 
 
+def test_inconsistent_orders_exit_one(capsys):
+    # ord(a) > ord(beta) is contradictory input, not a numerical failure
+    code = run(["classify", "--family", "gauss", "--t0", "0",
+                "--a", "t^2", "--beta", "t"])
+    assert code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("revfront: error: orders (2, 1) violate")
+
+
+def test_unwritable_out_exits_one(tmp_path, capsys):
+    base = str(tmp_path / "missing" / "ps")
+    code = run(["revolve", *PS, "--grid", PS_GRID, "--theta", "8",
+                "--out", base])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("revfront: error: ") and "Traceback" not in err
+    assert "missing" in err
+    # the exit-2 handler's own diagnostic cannot be written either
+    code = run(["curve", "from-curvature", "--ell", "1/t", "--beta", "1",
+                "--grid", "-1:1:101", "--out", base])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("revfront: error: ") and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as ei:
         run(["--help"])

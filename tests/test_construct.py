@@ -70,15 +70,24 @@ def test_gauss_rk4_off_lattice_anchor():
 
 def test_fixed_step_paths_reject_non_uniform_grid():
     # 150 + 50 nodes split at t = 1: RK4 on s[1] - s[0] used to return
-    # max |x - sin t| = 9.6e-2 here, against 1.4e-14 on 200 uniform nodes
+    # max |x - sin t| = 9.6e-2 here; RK4 now steps by each interval's own h
     g = np.concatenate([np.linspace(0.4, 1.0, 150),
                         np.linspace(1.0, 1.5, 51)[1:]])
     p = GaussRatioProblem(alpha="-1", beta="cot(t)", t0=1.0,
                           x0=np.sin(1.0), sin_phi0=-np.sin(1.0))
-    with pytest.raises(ValueError, match="non-uniform grid"):
-        profile_from_gauss_ratio(p, g)
-    c = profile_from_gauss_ratio(p, uniform_grid(0.4, 1.5, 200))
-    np.testing.assert_allclose(c.curve.x.value, np.sin(c.t), atol=1e-12)
+    c = profile_from_gauss_ratio(p, g)
+    assert np.max(np.abs(c.curve.x.value - np.sin(g))) < 1e-12
+    u = profile_from_gauss_ratio(p, uniform_grid(0.4, 1.5, 200))
+    np.testing.assert_allclose(u.curve.x.value, np.sin(u.t), atol=1e-12)
+    # uniform step 0.005 shares 0.4 and the 51 nodes of [1, 1.5] with g
+    u = profile_from_gauss_ratio(p, uniform_grid(0.4, 1.5, 221))
+    _, ig, iu = np.intersect1d(np.round(g, 12), np.round(u.t, 12),
+                               return_indices=True)
+    assert ig.size == 52
+    np.testing.assert_allclose(c.curve.x.value[ig], u.curve.x.value[iu],
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(c.normal.b.value[ig], u.normal.b.value[iu],
+                               rtol=0, atol=1e-12)
     # Frobenius hand-off
     g = np.concatenate([np.linspace(0.0, 0.2, 41),
                         np.linspace(0.2, 0.45, 21)[1:]])
@@ -95,6 +104,21 @@ def test_fixed_step_paths_reject_non_uniform_grid():
     c = profile_from_JK("-cos(t)", "cos(t)", x0=np.sin(0.2), grid=g[g < 1.4],
                         t0=0.2, sin0=-np.sin(0.2))
     np.testing.assert_allclose(c.curve.x.value, np.sin(c.t), atol=1e-10)
+
+
+def test_non_uniform_rejection_names_the_fixed_step():
+    g = np.concatenate([np.linspace(0.0, 0.2, 41),
+                        np.linspace(0.2, 0.45, 21)[1:]])
+    p = GaussRatioProblem(alpha="-2/t^2", beta="1", t0=0.0, x0=1.0)
+    with pytest.raises(ValueError, match="non-uniform grid: .* but the "
+                       "Frobenius series region needs equal grid intervals"):
+        profile_from_gauss_ratio(p, g)
+    g = np.concatenate([np.linspace(0.2, 1.0, 100),
+                        np.linspace(1.0, PI - 0.2, 301)[1:]])
+    with pytest.raises(ValueError, match="non-uniform grid: .* but the "
+                       "flip locator needs equal grid intervals"):
+        profile_from_JK("-cos(t)", "cos(t)", x0=np.sin(0.2), grid=g,
+                        t0=0.2, sin0=-np.sin(0.2))
 
 
 def test_gauss_sin_band_violation():

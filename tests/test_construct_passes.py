@@ -2,13 +2,15 @@
 
 Each reference below is the earlier loop, kept here as the oracle: the
 Horner series jet of one node, jet_div_reduced of one column, the while
-loop of the flip locator, and RK4 over lists of the whole lattice.  The
-array passes must give the same bits and raise the same errors.
+loop of the flip locator, and RK4 one step at a time.  The array passes
+must give the same bits and raise the same errors, except the RK4 scan:
+it multiplies the step matrices in another order, so it agrees with the
+loop to rounding (1e-12 relative).
 """
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from revfront import construct, jets
@@ -137,7 +139,8 @@ def reference_flips(s, S):
             else:
                 delta, peak = 0.0, y1
             if peak >= 1.0 - construct.FLIP_TOL:
-                flips.append(s[i] + delta * _uniform_step(s))
+                h = _uniform_step(s, "the flip locator")
+                flips.append(s[i] + delta * h)
                 i += 2
                 continue
         i += 1
@@ -191,54 +194,72 @@ def test_flip_scan_twins_and_adjacent_touches():
 
 
 def reference_rk4_path(s, f_node, f_mid, i0, x0, S0):
+    """RK4 one node at a time in Python floats, each interval with its own
+    step, from i0 toward both ends."""
     n = s.size
     x = np.empty(n)
     S = np.empty(n)
     x[i0], S[i0] = x0, S0
+    sl = s.tolist()
     bn, an = (v.tolist() for v in f_node)
     bm, am = (v.tolist() for v in f_mid)
-    h = float(_uniform_step(s))
     xc, Sc = float(x0), float(S0)
     for i in range(i0, n - 1):
         xc, Sc = _rk4_step(xc, Sc, bn[i], an[i], bm[i], am[i],
-                           bn[i + 1], an[i + 1], h)
+                           bn[i + 1], an[i + 1], sl[i + 1] - sl[i])
         x[i + 1], S[i + 1] = xc, Sc
     xc, Sc = float(x0), float(S0)
     for i in range(i0, 0, -1):
         xc, Sc = _rk4_step(xc, Sc, bn[i], an[i], bm[i - 1], am[i - 1],
-                           bn[i - 1], an[i - 1], -h)
+                           bn[i - 1], an[i - 1], sl[i - 1] - sl[i])
         x[i - 1], S[i - 1] = xc, Sc
     return x, S
 
 
-def rk4_data(n, seed):
-    rng = np.random.default_rng(seed)
-    s = 0.5 + np.arange(n) * 1e-4
+def assert_rk4_close(s, f_node, f_mid, i0, x0=0.7, S0=-0.2):
+    got = _rk4_path(s, f_node, f_mid, i0, x0, S0)
+    want = reference_rk4_path(s, f_node, f_mid, i0, x0, S0)
+    scale = max(np.max(np.abs(want[0])), np.max(np.abs(want[1])))
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-12 * scale
+    assert got[0][i0] == x0 and got[1][i0] == S0
+
+
+@pytest.mark.parametrize("n", [2, 3, 15, 8195])
+def test_rk4_scan_matches_per_step_loop(n):
+    rng = np.random.default_rng(n)
+    # jittered steps: an RK4 that reused s[1] - s[0] would drift off
+    s = 0.5 + np.append(0.0, np.cumsum(1e-4 * rng.uniform(0.5, 1.5, n - 1)))
     f_node = (1.0 + 0.3 * rng.normal(size=n), rng.normal(size=n))
     f_mid = (1.0 + 0.3 * rng.normal(size=n - 1), rng.normal(size=n - 1))
-    return s, f_node, f_mid
+    for i0 in sorted({0, n - 1, n // 2}):
+        assert_rk4_close(s, f_node, f_mid, i0)
 
 
-def assert_rk4_same(s, f_node, f_mid, i0):
-    got = _rk4_path(s, f_node, f_mid, i0, 0.7, -0.2)
-    want = reference_rk4_path(s, f_node, f_mid, i0, 0.7, -0.2)
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1].tobytes() == want[1].tobytes()
+@st.composite
+def smooth_systems(draw):
+    """A strictly increasing lattice of up to 300 nodes and span up to 2,
+    with beta = b0 + b1 sin(w t + p) and alpha*beta = c0 + c1 cos(v t + q)
+    at its nodes and midpoints."""
+    gaps = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=1,
+                                  max_size=299)))
+    span = draw(st.floats(1e-3, 2.0))
+    s = draw(st.floats(-2.0, 2.0)) + np.append(0.0, np.cumsum(gaps)) * (
+        span / gaps.sum())
+    assume(np.all(np.diff(s) > 0.0))
+    b0, b1, c0, c1 = (draw(st.floats(-1.5, 1.5)) for _ in range(4))
+    w, p, v, q = (draw(st.floats(0.0, 5.0)) for _ in range(4))
+
+    def pair(t):
+        return b0 + b1 * np.sin(w * t + p), c0 + c1 * np.cos(v * t + q)
+
+    return s, pair(s), pair(0.5 * (s[:-1] + s[1:]))
 
 
-def test_blocked_rk4_matches_unblocked_run():
-    B = construct.RK4_BLOCK
-    n = 2 * B + 3
-    s, f_node, f_mid = rk4_data(n, 1)
-    for i0 in (0, n - 1, B, B - 1, B + 1, 2 * B, n - 1 - B, 5000):
-        assert_rk4_same(s, f_node, f_mid, i0)
-
-
-@pytest.mark.parametrize("block", [1, 2, 7])
-def test_small_rk4_blocks_match_unblocked_run(monkeypatch, block):
-    monkeypatch.setattr(construct, "RK4_BLOCK", block)
-    for n in (2, 3, 15, 22):
-        s, f_node, f_mid = rk4_data(n, n)
-        for i0 in sorted({0, n - 1, min(block, n - 1), n // 2,
-                          max(n - 1 - block, 0)}):
-            assert_rk4_same(s, f_node, f_mid, i0)
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
+@given(system=smooth_systems(), anchor=st.floats(0.0, 1.0),
+       x0=st.floats(-1.0, 1.0), S0=st.floats(-1.0, 1.0))
+def test_rk4_scan_matches_loop_on_random_lattices(system, anchor, x0, S0):
+    s, f_node, f_mid = system
+    assume(max(abs(x0), abs(S0)) >= 0.1)
+    assert_rk4_close(s, f_node, f_mid, round(anchor * (s.size - 1)), x0, S0)
