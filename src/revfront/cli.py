@@ -32,7 +32,7 @@ from .jets import DomainError
 from .legendre import (DegenerateCurvatureError, curvature_of,
                        legendre_from_expressions, parallel_curve,
                        reconstruct_from_curvature, verify_legendre)
-from .quadrature import QuadratureError, uniform_grid
+from .quadrature import uniform_grid
 from .revolution import (_invariant_columns, frontal_front_status,
                          parallel_commutation_check, revolution_evolutes,
                          revolve)
@@ -41,8 +41,8 @@ from .singular import (InconsistentInputError, _default_tol,
                        curve_cusp_by_curvature, curve_cusp_by_derivatives,
                        ord_of, revolution_singularity_classify)
 
-NUMERICAL = (ConstructionError, DomainError, QuadratureError,
-             DegenerateCurvatureError, ValueError, ArithmeticError)
+NUMERICAL = (ConstructionError, DomainError, DegenerateCurvatureError,
+             ValueError, ArithmeticError)
 
 
 class CliError(Exception):
@@ -488,7 +488,7 @@ def _run_evolute(ns):
         payload["axis_flagged_nodes"] = [
             int(i) for i in np.flatnonzero(bundle.axis_flags)]
     if bundle.axis_curve is not None:
-        payload["axis_curve"] = export._plain(bundle.axis_curve)
+        payload["axis_curve"] = bundle.axis_curve.tolist()
     _write(ns, curve=bundle.first_profile, surface=bundle.first_surface,
            payload=payload)
     return 0
@@ -543,7 +543,7 @@ def _numerical_failure(ns, exc):
     diag = {"error": type(exc).__name__, "message": str(exc)}
     info = getattr(exc, "info", None)
     if info:
-        diag["info"] = export._plain(info)
+        diag["info"] = info
     base = getattr(ns, "out", None)
     if base:
         export.write_json(diag, base + ".json")

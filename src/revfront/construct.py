@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from . import jets
 from .jets import DIV_TOL, DomainError, Jet, jet_div_reduced
 from .legendre import (CurveJet, CurvaturePair, LegendreCurve, NormalJet,
                        verify_legendre)
-from .quadrature import FineGrid
+from .quadrature import ConstructionError, FineGrid, evaluated
 
 FLIP_TOL = 1e-8          # fitted |sin phi| extremum within this of 1 -> branch flip
 SIN_EXCESS_TOL = 1e-9    # |sin phi| beyond 1 + this -> inconsistent data
@@ -36,14 +35,6 @@ FLAG_TOL = 1e-12         # 1 - sin^2 below this at a node -> jets flagged
 SAFE_COS = 1e-3          # |cos phi| above this -> plain jet division for ell
 UNIFORM_RTOL = 1e-6      # step spread above this * step -> non-uniform lattice
 COS_TOL = 1e-8           # |cos phi| within this (relative) of 0 -> (H, phi) rejects
-
-
-class ConstructionError(RuntimeError):
-    """Raised when prescribed data cannot be realized on the grid."""
-
-    def __init__(self, message, **info):
-        super().__init__(message)
-        self.info = info
 
 
 @dataclass
@@ -95,28 +86,12 @@ class ConstructionReport:
     notes: dict = field(default_factory=dict)
 
 
-class _Source(str):
-    """Expression text whose parse tree is built on first use and kept."""
-
-    @cached_property
-    def tree(self):
-        return expr.parse(self)
-
-
 def _values(src, t, what):
-    try:
-        return expr.eval_values(getattr(src, "tree", src), t)
-    except DomainError as exc:
-        raise ConstructionError(f"{what} cannot be evaluated on the grid: {exc}",
-                                source=str(src)) from exc
+    return evaluated(what, expr.eval_values, src, t)
 
 
 def _jet(src, t, order, what):
-    try:
-        return expr.eval_jet_any_order(getattr(src, "tree", src), t, order)
-    except DomainError as exc:
-        raise ConstructionError(f"{what} jets cannot be evaluated: {exc}",
-                                source=str(src)) from exc
+    return evaluated(what, expr.eval_jet_any_order, src, t, order)
 
 
 def _padded(coeffs, n):
@@ -434,7 +409,7 @@ def _frobenius_data(p, fg, order_n=12):
         s_nodes = -delta_fit * 0.5 * (cheb + 1.0)
     s_nodes = s_nodes[np.abs(s_nodes) > 1e-8 * delta_fit]
     tn = t0 + s_nodes
-    ab2 = _Source(f"({p.alpha})*({p.beta})^2")
+    ab2 = f"({p.alpha})*({p.beta})^2"
     w = _values(ab2, tn, "alpha*beta^2") * s_nodes ** 2
     if not np.all(np.isfinite(w)):
         raise ConstructionError(
@@ -560,7 +535,7 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
     beta_s = _values(p.beta, s, "beta")
     mid = 0.5 * (s[:-1] + s[1:])
     beta_m = _values(p.beta, mid, "beta")
-    ab = _Source(f"({p.alpha})*({p.beta})")
+    ab = f"({p.alpha})*({p.beta})"
     notes = {}
     in_c = np.zeros(g.size, dtype=bool)   # coarse nodes inside the series
 
@@ -673,7 +648,8 @@ def profile_from_JK(J: str, K: str, x0: float, grid, t0: float | None = None,
         "; x0 anchor incompatible with prescribed (J, K)")
     notes = {}
     a_j, ell_j, flagged = _angle_jets(b_j, sigma[fg.coarse_index], notes)
-    report = ConstructionReport("jk_quadrature", g[0] if t0 is None else t0,
+    report = ConstructionReport("jk_quadrature",
+                                float(g[0]) if t0 is None else t0,
                                 float(offset), flips=flips,
                                 flagged_nodes=flagged, notes=notes)
     return _assemble(fg, io, z_s, x_j, a_j, b_j, ell_j, beta_j, report)
@@ -727,7 +703,7 @@ def profile_from_mean_ratio(p: MeanRatioProblem, grid,
         np.atleast_1d((x_j * ell_j + beta_j * a_j).value) / 2.0
         + np.atleast_1d((alpha_j * beta_j * x_j).value))))
     report = ConstructionReport(
-        "mean_ratio", g[0] if p.t0 is None else p.t0, float(offset),
+        "mean_ratio", float(g[0]) if p.t0 is None else p.t0, float(offset),
         notes={"mean_identity_residual": ratio_resid,
                "x_min": float(np.min(x_s))})
     return _assemble(fg, io, z_s, x_j, a_j, b_j, ell_j, beta_j, report)
@@ -754,7 +730,8 @@ def profile_from_J_phi(J: str, phi: str, x0: float, grid,
         fg, io, i0, x0, z0, J, J_s, np.sin(phi_s), np.cos(phi_s),
         (phi, "phi", jets.sin))
     report = ConstructionReport("j_phi_quadrature",
-                                g[0] if t0 is None else t0, float(offset))
+                                float(g[0]) if t0 is None else t0,
+                                float(offset))
     return _assemble(fg, io, z_s, x_j, jets.cos(phi_j), b_j,
                      phi_j.differentiated(), beta_j, report)
 
@@ -796,5 +773,6 @@ def profile_from_H_phi(H: str, phi: str, grid, c_a: float = 0.0,
     beta_j = (2.0 * H_j - dphi_j * x_j) / a_j.truncated(io - 1)
 
     report = ConstructionReport("h_phi_quadrature",
-                                g[0] if t0 is None else t0, float(offset))
+                                float(g[0]) if t0 is None else t0,
+                                float(offset))
     return _assemble(fg, io, z_s, x_j, a_j, b_j, dphi_j, beta_j, report)

@@ -105,24 +105,12 @@ def classification_record(label, t0: float):
             thresholds[key] = diag.pop(key)
     diag.pop("t0", None)
     return {"t0": float(t0), "label": label.label,
-            "criterion_values": _plain(diag), "thresholds": _plain(thresholds)}
-
-
-def _plain(obj):
-    """Recursively strip numpy scalars/arrays so json can serialize."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+            "criterion_values": diag, "thresholds": thresholds}
 
 
 def json_text(payload) -> str:
-    return json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n"
+    """payload holds plain values only: str-keyed dicts, lists, numbers."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def write_json(payload, path) -> None:

@@ -12,6 +12,9 @@ structurally identical tree.
 
 from __future__ import annotations
 
+import functools
+import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +57,9 @@ class UnknownIdentifierError(ValueError):
 
 
 class ExponentError(DomainError):
-    """The exponent of ^ is not one constant: it differs between samples
-    or depends on t."""
+    """The exponent of ^ is not one usable constant: it differs between
+    samples, depends on t, is not finite, or is an integer of magnitude
+    above jets.EXPONENT_CAP."""
 
 
 @dataclass(frozen=True)
@@ -93,50 +97,45 @@ class Call(Expr):
 
 # -- tokenizer --------------------------------------------------------------
 
-_OPS = set("+-*/^()")
+# One match per token: whitespace, then an operator, number, identifier or
+# any other character (an error).  \s, \w, \d test as str.isspace, isalnum
+# or "_", isdecimal.  Numbers take every isdigit character and names start
+# isalpha or "_": non-ASCII text lists the other word characters.
+_TOKEN = (r"(\s*)(?:([-+*/^()])"                  # operator
+          r"|([%(d)s.]+(?:[eE][+-]?[%(d)s]+)?)"    # number
+          r"|([^\W\d%(w)s]\w*)"                    # identifier
+          r"|(\S))")                               # anything else
+_ASCII_TOKEN = re.compile(_TOKEN % {"d": r"\d", "w": ""})
+
+
+@functools.cache
+def _unicode_token():
+    odd = [c for c in map(chr, range(0x110000))
+           if c.isalnum() and not (c.isalpha() or c.isdecimal())]
+    return re.compile(_TOKEN % {
+        "d": r"\d" + "".join(c for c in odd if c.isdigit()),
+        "w": "".join(odd)})
 
 
 def _tokenize(src: str):
     tokens = []
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (src[j].isdigit() or src[j] == "."):
-                j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            text = src[i:j]
+    i = 0
+    scan = _ASCII_TOKEN if src.isascii() else _unicode_token()
+    for space, op, number, name, other in scan.findall(src):
+        i += len(space)
+        if op:
+            tokens.append((op, op, i))
+        elif number:
             try:
-                value = float(text)
+                tokens.append(("num", float(number), i))
             except ValueError:
-                raise ExprSyntaxError("bad numeric literal %r" % text, i) from None
-            tokens.append(("num", value, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(("ident", src[i:j], i))
-            i = j
-            continue
-        raise ExprSyntaxError("unexpected character %r" % ch, i)
-    tokens.append(("eof", None, n))
+                raise ExprSyntaxError("bad numeric literal %r" % number, i) from None
+        elif name:
+            tokens.append(("ident", name, i))
+        else:
+            raise ExprSyntaxError("unexpected character %r" % other, i)
+        i += len(op or number or name)
+    tokens.append(("eof", None, len(src)))
     return tokens
 
 
@@ -187,9 +186,6 @@ class _Parser:
         if self.peek()[0] == "-":
             self.advance()
             return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
         e = self.atom()
         while self.peek()[0] == "^":
             self.advance()
@@ -222,8 +218,10 @@ class _Parser:
         raise ExprSyntaxError("unexpected %s" % kind, offset)
 
 
+@functools.lru_cache(maxsize=256)
 def parse(src: str) -> Expr:
-    """Parse source text into an expression tree."""
+    """Parse source text into an expression tree.  Trees are immutable,
+    so repeats share a cached one; syntax errors are never cached."""
     return _Parser(src).parse()
 
 
@@ -293,15 +291,7 @@ def _eval_jet(e: Expr, t_jet: Jet) -> Jet:
         if e.op == "/":
             return left / right
         # ^ with a constant-foldable exponent; jet exponents are rejected
-        exponent = right.value
-        if np.ndim(exponent) > 0:
-            flat = np.asarray(exponent).ravel()
-            if flat.size == 0 or not np.all(flat == flat.ravel()[0]):
-                raise ExponentError("exponent must be a single constant")
-            exponent = float(flat[0])
-        if right.order >= 1 and np.max(np.abs(right.coeffs[1:])) != 0.0:
-            raise ExponentError("exponent must not depend on t")
-        return left ** float(exponent)
+        return left ** _exponent(right.value, right.coeffs[1:])
     raise TypeError("not an expression node: %r" % (e,))
 
 
@@ -366,26 +356,35 @@ def _eval_value(e: Expr, t):
             return left * right
         if e.op == "/":
             return _checked_div(left, right, t)
-        # the same rule as _eval_jet: one constant exponent for all samples
-        exponent = right
-        if np.ndim(right) > 0:
-            flat = np.ravel(right)
-            if flat.size == 0 or not np.all(flat == flat[0]):
-                raise ExponentError("exponent must be a single constant")
-            exponent = flat[0]
-        # and, as there, zero derivatives up to jets.ORDER_CAP: a single
-        # sample cannot show by its value alone that the exponent depends
-        # on t, and its first derivative may vanish there (t^2 at 0)
-        if _mentions_t(e.right) and np.max(np.abs(_eval_jet(
-                e.right, jets.variable(t, jets.ORDER_CAP)).coeffs[1:])) != 0.0:
-            raise ExponentError("exponent must not depend on t")
-        exponent = float(exponent)
+        # as in _eval_jet, with derivatives up to jets.ORDER_CAP: one sample
+        # cannot show by its value that the exponent depends on t (t^2 at 0)
+        exponent = _exponent(right, _eval_jet(
+            e.right, jets.variable(t, jets.ORDER_CAP)).coeffs[1:]
+            if _mentions_t(e.right) else ())
         if exponent == int(exponent):
             return left ** int(exponent)
         if np.any(left <= 0):
             raise DomainError("non-integer power of a non-positive base")
         return left ** exponent
     raise TypeError("not an expression node: %r" % (e,))
+
+
+def _exponent(value, slope) -> float:
+    """The exponent of ^ from its samples and derivative coefficients
+    (slope): one finite constant, of magnitude at most jets.EXPONENT_CAP
+    if it is an integer.  Anything else raises ExponentError."""
+    flat = np.ravel(value)
+    if flat.size != 1 and not (flat.size and np.all(flat == flat[0])):
+        raise ExponentError("exponent must be a single constant")
+    if np.any(slope):
+        raise ExponentError("exponent must not depend on t")
+    p = float(flat[0])
+    if not math.isfinite(p):
+        raise ExponentError("exponent %r is not finite" % p)
+    if p == int(p) and abs(p) > jets.EXPONENT_CAP:
+        raise ExponentError("integer exponent %.17g exceeds %d in magnitude"
+                            % (p, jets.EXPONENT_CAP))
+    return p
 
 
 def _mentions_t(e: Expr) -> bool:

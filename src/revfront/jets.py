@@ -5,6 +5,11 @@ at a base point, up to a fixed order.  The base point may be a scalar or a
 numpy array, in which case every coefficient is an array of the same shape
 and all operations act elementwise.  Public evaluation caps the order at
 ORDER_CAP; the arithmetic itself works at any order.
+
+The product sums each coefficient left to right, a[0]*b[k] first: array
+bases by shift-and-add over coefficient rows, scalar bases in a loop on
+Python floats.  Both give the bits of the plain double loop, so reruns,
+and rewrites that keep the order, are bit-identical.
 """
 
 from __future__ import annotations
@@ -14,6 +19,9 @@ import math
 import numpy as np
 
 ORDER_CAP = 5
+
+# An integer power is a chain of products: expr caps the exponent here.
+EXPONENT_CAP = 1024
 
 # |denominator| below DIV_TOL * (1 + |numerator|) counts as a pole.
 DIV_TOL = 1e-13
@@ -105,12 +113,17 @@ class Jet:
             return Jet(self.t, self.coeffs * float(other))
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        out = np.empty((n + 1,) + self.t.shape)
+        if self.t.ndim:
+            out = a[0] * b[:n + 1]
+            for i in range(1, n + 1):
+                out[i:] += a[i] * b[:n + 1 - i]
+            return Jet(self.t, out)
+        a, b, out = a.tolist(), b.tolist(), []
         for k in range(n + 1):
             s = a[0] * b[k]
             for i in range(1, k + 1):
                 s = s + a[i] * b[k - i]
-            out[k] = s
+            out.append(s)
         return Jet(self.t, out)
 
     def __rmul__(self, other):
@@ -190,12 +203,16 @@ def constant(c, order: int, like_t=0.0) -> Jet:
 # -- composition with elementary functions ---------------------------------
 
 def _compose(g: Jet, dvals) -> Jet:
-    """Jet of f(g) from the derivative values of f at g's base value."""
+    """Jet of f(g) from the derivative values of f at g's base value, by
+    Horner's rule in g - g(t): each step adds f^(m)/m! to coefficient 0,
+    and 0.0 to the others (turning -0.0 into 0.0, as adding a jet does)."""
     n = g.order
     h = Jet(g.t, np.concatenate([np.zeros((1,) + g.t.shape), g.coeffs[1:]]))
     result = constant(dvals[n] / math.factorial(n), n, g.t)
     for m in range(n - 1, -1, -1):
-        result = result * h + constant(dvals[m] / math.factorial(m), n, g.t)
+        result = result * h
+        result.coeffs[1:] += 0.0
+        result.coeffs[0] += dvals[m] / math.factorial(m)
     return result
 
 

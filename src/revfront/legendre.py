@@ -17,7 +17,7 @@ import numpy as np
 
 from . import expr, jets
 from .jets import Jet
-from .quadrature import FineGrid, QuadratureError
+from .quadrature import FineGrid, evaluated
 
 
 class DegenerateCurvatureError(ValueError):
@@ -85,10 +85,8 @@ def legendre_from_expressions(x_src, z_src, a_src, b_src, grid,
                               order: int = 5) -> LegendreCurve:
     """Build a curve from four closed-form expressions of t."""
     grid = np.asarray(grid, dtype=float)
-    xj = expr.eval_jet(x_src, grid, order)
-    zj = expr.eval_jet(z_src, grid, order)
-    aj = expr.eval_jet(a_src, grid, order)
-    bj = expr.eval_jet(b_src, grid, order)
+    xj, zj, aj, bj = (evaluated(n, expr.eval_jet, s, grid, order)
+                      for n, s in zip("xzab", (x_src, z_src, a_src, b_src)))
     return LegendreCurve(CurveJet(grid, xj, zj), NormalJet(grid, aj, bj),
                          exact=True)
 
@@ -190,8 +188,8 @@ def reconstruct_from_curvature(ell_src, beta_src, grid,
     z_s = fg.cumulative(beta_s * np.cos(theta_s), z0)
 
     g = fg.grid
-    ell_j = expr.eval_jet(ell_src, g, order)
-    beta_j = expr.eval_jet(beta_src, g, order)
+    ell_j = evaluated("ell", expr.eval_jet, ell_src, g, order)
+    beta_j = evaluated("beta", expr.eval_jet, beta_src, g, order)
     theta_j = ell_j.antiderivative(fg.at_coarse(theta_s)).truncated(order)
     a_j = jets.cos(theta_j)
     b_j = jets.sin(theta_j)

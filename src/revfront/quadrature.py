@@ -18,8 +18,26 @@ from . import expr
 from .jets import DomainError
 
 
-class QuadratureError(RuntimeError):
-    """Raised when an integrand cannot be evaluated on the lattice."""
+class ConstructionError(RuntimeError):
+    """Prescribed data cannot be realized on the grid, an expression that
+    cannot be evaluated there among them.  QuadratureError names it too."""
+
+    def __init__(self, message, **info):
+        super().__init__(message)
+        self.info = info
+
+
+QuadratureError = ConstructionError
+
+
+def evaluated(what, evaluate, src, *args):
+    """evaluate(src, *args), a DomainError raised as ConstructionError."""
+    try:
+        return evaluate(src, *args)
+    except DomainError as exc:
+        raise ConstructionError(
+            f"{what} cannot be evaluated on the grid: {exc}",
+            source=str(src)) from exc
 
 
 class FineGrid:
@@ -44,15 +62,10 @@ class FineGrid:
         self.fine_step = np.repeat(np.diff(grid) / refine, refine)
 
     def eval_expr(self, e):
-        """Values of an expression at all fine nodes.
-
-        Domain failures become QuadratureError naming the offending point.
-        """
-        try:
-            return np.asarray(expr.eval_values(e, self.s), dtype=float)
-        except DomainError as exc:
-            raise QuadratureError(
-                "integrand not evaluable on the grid: %s" % exc) from exc
+        """Values of an expression at all fine nodes; ConstructionError
+        names the offending point where it cannot be evaluated."""
+        return np.asarray(evaluated("integrand", expr.eval_values, e, self.s),
+                          dtype=float)
 
     def cumulative(self, values, init: float = 0.0) -> np.ndarray:
         """Antiderivative at all fine nodes, anchored at the first node.

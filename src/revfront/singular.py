@@ -14,6 +14,7 @@ sampled-data jets to 1e-4.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,31 +53,37 @@ class GaussFrontStatus:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _derivs(j: Jet, upto: int):
-    """Derivative values of a scalar jet, as many as the jet order allows."""
+def _derivs(j: Jet, upto: int, node: int = 0):
+    """Derivatives 0..min(upto, order) at one node, from one column read."""
     top = min(upto, j.order)
-    return [float(np.atleast_1d(j.derivative(k))[0]) for k in range(top + 1)]
+    column = j.coeffs[:top + 1].reshape(top + 1, -1)[:, node].tolist()
+    return [math.factorial(k) * c for k, c in enumerate(column)]
+
+
+def _amax(u, v):
+    """max(|u|, |v|), NaN when either is NaN, as np.max gives it."""
+    u, v = abs(u), abs(v)
+    return u if u >= v or u != u else v
 
 
 def ord_of(f: Jet, cap: int = 5, tol: float = EXACT_TOL) -> int:
     """Order of the zero of f at its base point.
 
     Returns 0 when f itself does not vanish, otherwise the index of the
-    first non-vanishing derivative.  When every available derivative up
-    to min(cap, jet order) vanishes the saturated value cap + 1 is
-    returned, meaning "order at least this".
+    first non-vanishing derivative.  When every derivative up to
+    top = min(cap, jet order) vanishes the saturated value top + 1 is
+    returned, meaning "order at least top + 1": no derivative above the
+    jet's own order is tested.
     """
-    top = min(cap, f.order)
-    d = _derivs(f, top)
-    scale = max(1.0, max(abs(v) for v in d))
-    thr = tol * scale
+    d = _derivs(f, cap)
+    thr = tol * max(1.0, max(abs(v) for v in d))
     for k, v in enumerate(d):
         if abs(v) > thr:
             return k
-    return cap + 1
+    return len(d)
 
 
-def _node_index(c: LegendreCurve, t0: float) -> int:
+def _node_index(c, t0: float) -> int:
     return int(np.argmin(np.abs(np.asarray(c.t) - t0)))
 
 
@@ -100,43 +107,42 @@ def cusp_classify_derivatives(curve, t0: float, tol: float | None = None,
         cj = curve
     if tol is None:
         tol = _default_tol(exact)
-    i = int(np.argmin(np.abs(np.asarray(cj.t) - t0)))
-    xj = cj.x.at(i)
-    zj = cj.z.at(i)
-    dx = _derivs(xj, 5)
-    dz = _derivs(zj, 5)
+    i = _node_index(cj, t0)
+    dx = _derivs(cj.x, 5, i)
+    dz = _derivs(cj.z, 5, i)
     top = min(len(dx), len(dz)) - 1
-    d = {k: np.array([dx[k], dz[k]]) for k in range(1, top + 1)}
-    scale = max(1.0, max(np.max(np.abs(v)) for v in d.values()))
+    scale = max(1.0, max(_amax(dx[k], dz[k]) for k in range(1, top + 1)))
     thr = tol * scale
     thr2 = tol * max(1.0, scale * scale)
     diag = {"t0": float(cj.t[i]), "node": i, "tol": tol,
             "threshold": thr, "det_threshold": thr2, "criterion": "derivative"}
 
-    if np.max(np.abs(d[1])) > thr:
+    if _amax(dx[1], dz[1]) > thr:
         return CuspLabel("regular", diag)
     if top < 3:
         diag["note"] = "jet order too low for any cusp test"
         return CuspLabel("unresolved", diag)
 
-    def det(u, v):
-        return float(u[0] * v[1] - u[1] * v[0])
+    def det(k, m):
+        return dx[k] * dz[m] - dz[k] * dx[m]
 
-    if np.max(np.abs(d[2])) > thr:
-        d23 = det(d[2], d[3])
+    if _amax(dx[2], dz[2]) > thr:
+        d23 = det(2, 3)
         diag["det_d2_d3"] = d23
         if abs(d23) > thr2:
             return CuspLabel("cusp_3_2", diag)
         if top < 5:
             diag["note"] = "jet order too low for the 5/2 test"
             return CuspLabel("unresolved", diag)
-        k = int(np.argmax(np.abs(d[2])))
-        C = d[3][k] / d[2][k]
-        resid = float(np.max(np.abs(d[3] - C * d[2])))
+        # the component where |d2| is largest (the first on a tie or NaN)
+        u = dx if abs(dx[2]) >= abs(dz[2]) or dx[2] != dx[2] else dz
+        C = float(np.divide(u[3], u[2]))    # inf or NaN, not an exception
+        resid = _amax(dx[3] - C * dx[2], dz[3] - C * dz[2])
         diag["C"] = C
         diag["collinearity_residual"] = resid
-        if resid <= tol * max(1.0, float(np.max(np.abs(d[3])))):
-            q = det(d[2], 3.0 * d[5] - 10.0 * C * d[4])
+        if resid <= tol * max(1.0, _amax(dx[3], dz[3])):
+            q = (dx[2] * (3.0 * dz[5] - 10.0 * C * dz[4])
+                 - dz[2] * (3.0 * dx[5] - 10.0 * C * dx[4]))
             diag["det_52"] = q
             if abs(q) > thr2 * (1.0 + abs(C)):
                 return CuspLabel("cusp_5_2", diag)
@@ -145,14 +151,14 @@ def cusp_classify_derivatives(curve, t0: float, tol: float | None = None,
     if top < 4:
         diag["note"] = "jet order too low for the 4/3 test"
         return CuspLabel("unresolved", diag)
-    d34 = det(d[3], d[4])
+    d34 = det(3, 4)
     diag["det_d3_d4"] = d34
     if abs(d34) > thr2:
         return CuspLabel("cusp_4_3", diag)
     if top < 5:
         diag["note"] = "jet order too low for the 5/3 test"
         return CuspLabel("unresolved", diag)
-    d35 = det(d[3], d[5])
+    d35 = det(3, 5)
     diag["det_d3_d5"] = d35
     if abs(d35) > thr2:
         return CuspLabel("cusp_5_3", diag)
@@ -171,8 +177,10 @@ def cusp_classify_curvature(ell: Jet, beta: Jet, tol: float = EXACT_TOL,
         4/3  iff  beta' = 0, beta'' * ell != 0
         5/3  iff  beta' = ell = 0, beta'' * ell' != 0
     """
-    db = _derivs(beta, 2)
-    dl = _derivs(ell, 2)
+    return _curvature_label(_derivs(beta, 2), _derivs(ell, 2), tol, t0)
+
+
+def _curvature_label(db, dl, tol, t0):
     if len(db) < 3 or len(dl) < 3:
         return CuspLabel("unresolved", {"note": "jet order too low", "tol": tol})
     b0, b1, b2 = db
@@ -181,8 +189,7 @@ def cusp_classify_curvature(ell: Jet, beta: Jet, tol: float = EXACT_TOL,
     thr = tol * scale
     thr2 = tol * max(1.0, scale * scale)
     diag = {"tol": tol, "threshold": thr, "det_threshold": thr2,
-            "criterion": "curvature",
-            "beta_jet": [b0, b1, b2], "ell_jet": [l0, l1, l2]}
+            "criterion": "curvature", "beta_jet": db, "ell_jet": dl}
     if t0 is not None:
         diag["t0"] = float(t0)
     if abs(b0) > thr:
@@ -218,8 +225,8 @@ def curve_cusp_by_curvature(c: LegendreCurve, t0: float,
     if tol is None:
         tol = _default_tol(c.exact and pair.exact)
     i = _node_index(c, t0)
-    out = cusp_classify_curvature(pair.ell.at(i), pair.beta.at(i), tol,
-                                  t0=float(c.t[i]))
+    out = _curvature_label(_derivs(pair.beta, 2, i), _derivs(pair.ell, 2, i),
+                           tol, float(c.t[i]))
     out.diagnostics["node"] = i
     return out
 
@@ -243,7 +250,8 @@ def gauss_front_status(a: Jet, beta: Jet, alpha0: float, x0: float,
                          "(beta(t0) = 0)")
     m_a = ord_of(a, cap, tol)
     diag = {"ord_a": m_a, "ord_beta": n_beta, "cap": cap, "tol": tol,
-            "saturated": m_a > cap or n_beta > cap}
+            "saturated": (m_a > min(cap, a.order)
+                          or n_beta > min(cap, beta.order))}
     if m_a == n_beta:
         return GaussFrontStatus("front", m_a, n_beta, diag)
     if m_a < n_beta:
@@ -308,8 +316,7 @@ def revolution_singularity_classify(c: LegendreCurve, t0: float,
         tol = _default_tol(c.exact)
     i = _node_index(c, t0)
     xj = c.curve.x.at(i)
-    zj = c.curve.z.at(i)
-    x0 = float(np.atleast_1d(xj.value)[0])
+    x0 = float(xj.value)
     scale = max(1.0, abs(x0))
     if abs(x0) > tol * scale:
         out = cusp_classify_derivatives(c, t0, tol)
@@ -322,7 +329,7 @@ def revolution_singularity_classify(c: LegendreCurve, t0: float,
         diag["cone"] = cone.values
         return CuspLabel("cone_type", diag)
     k1 = ord_of(xj, tol=tol)
-    dz1 = float(np.atleast_1d(zj.derivative(1))[0])
+    dz1 = float(c.curve.z.at(i).derivative(1))
     diag["ord_x"] = k1
     diag["dz_t0"] = dz1
     if 1 <= k1 <= xj.order and abs(dz1) > tol * max(1.0, abs(dz1)):

@@ -124,6 +124,19 @@ def test_numerical_error_stdout(capsys):
     assert "error" in diag
 
 
+@pytest.mark.parametrize("alpha, match", [("t^1e7", "exceeds 1024"),
+                                          ("t^1e400", "not finite")])
+def test_unbounded_exponent_exits_two(alpha, match, capsys):
+    # before the bound, t^1e7 ran ten million jet products and t^1e400
+    # escaped as a raw OverflowError
+    code = run(["classify", "--family", "mean", "--alpha", alpha,
+                "--beta", "t", "--t0", "0"])
+    assert code == 2
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["error"] == "ExponentError"
+    assert match in diag["message"]
+
+
 def test_inconsistent_orders_exit_one(capsys):
     # ord(a) > ord(beta) is contradictory input, not a numerical failure
     code = run(["classify", "--family", "gauss", "--t0", "0",

@@ -14,8 +14,9 @@ from revfront.construct import (ConstructionError, GaussRatioProblem,
                                 profile_from_J_phi, profile_from_JK,
                                 profile_from_gauss_ratio,
                                 profile_from_mean_ratio)
-from revfront.legendre import curvature_pair_of, verify_legendre
-from revfront.quadrature import uniform_grid
+from revfront.legendre import (curvature_pair_of, legendre_from_expressions,
+                               reconstruct_from_curvature, verify_legendre)
+from revfront.quadrature import FineGrid, QuadratureError, uniform_grid
 from revfront.revolution import revolution_curvature
 
 PI = np.pi
@@ -292,3 +293,38 @@ def test_construction_report_shape():
         assert key in d, key
     assert d["contact_residual"] <= 1e-10
     assert c.curvature is not None and c.curvature.exact
+
+
+def _entry_points(bad):
+    """Every way to build a curve from expressions, with bad as one input."""
+    return {
+        "fine grid": lambda g: FineGrid(g).eval_expr(bad),
+        "reconstruct ell": lambda g: reconstruct_from_curvature(bad, "1", g),
+        "reconstruct beta": lambda g: reconstruct_from_curvature("1", bad, g),
+        "expressions": lambda g: legendre_from_expressions(
+            "2", bad, "1", "0", g),
+        "gauss alpha": lambda g: profile_from_gauss_ratio(GaussRatioProblem(
+            alpha=bad, beta="1", t0=0.5, x0=1.0), g),
+        "gauss beta": lambda g: profile_from_gauss_ratio(GaussRatioProblem(
+            alpha="1", beta=bad, t0=0.5, x0=1.0), g),
+        "JK": lambda g: profile_from_JK(bad, "1", x0=1.0, grid=g, t0=0.5),
+        "mean": lambda g: profile_from_mean_ratio(MeanRatioProblem(
+            alpha="1", beta=bad, c1=1.0, c2=1.0, t0=0.5), g),
+        "J phi": lambda g: profile_from_J_phi(bad, "0", x0=1.0, grid=g,
+                                              t0=0.5),
+        "H phi": lambda g: profile_from_H_phi(bad, "0", g, c_a=-1.0, t0=0.5),
+    }
+
+
+@pytest.mark.parametrize("bad, lo, hi", [("1/t", -1.0, 1.0),
+                                         ("log(t)", 0.0, 1.0)])
+def test_unevaluable_expression_raises_one_class(bad, lo, hi):
+    # 1/t has a pole at the grid node 0; log(t) leaves its domain there
+    assert QuadratureError is ConstructionError
+    g = uniform_grid(lo, hi, 21)
+    for name, build in _entry_points(bad).items():
+        with pytest.raises(Exception) as ei:
+            build(g)
+        assert type(ei.value) is ConstructionError, name
+        assert "cannot be evaluated on the grid" in str(ei.value), name
+        assert bad in ei.value.info["source"], name

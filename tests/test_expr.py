@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from revfront import expr
+from revfront import expr, jets
 from revfront.expr import ExprSyntaxError, UnknownIdentifierError, parse, to_source
 from revfront.jets import DomainError
 
@@ -157,3 +157,38 @@ def test_exponent_rejections_are_domain_errors():
     with pytest.raises(DomainError) as ei:
         expr.eval_values("log(t)", 0.0)
     assert not isinstance(ei.value, expr.ExponentError)
+
+
+@pytest.mark.parametrize("src, match", [
+    ("t^1e400", "not finite"),
+    ("t^(-1e400)", "not finite"),
+    # NaN: on several samples the values already differ from each other
+    ("t^(1e400 - 1e400)", "not finite|single constant"),
+    ("t^1025", "exceeds 1024"),
+    ("t^(-1025)", "exceeds 1024"),
+    ("t^1e7", "exceeds 1024"),
+    ("2^100000", "exceeds 1024"),
+])
+def test_unbounded_exponents_rejected_on_both_paths(src, match):
+    # an integer power is a chain of jet products, so its size is bounded;
+    # a non-finite exponent is no power at all
+    for evaluate in (expr.eval_values, expr.eval_jet):
+        for t in (0.5, np.array([0.5, 0.75])):
+            with pytest.raises(expr.ExponentError, match=match), \
+                    np.errstate(invalid="ignore"):
+                evaluate(src, t)
+
+
+def test_exponents_up_to_the_cap_are_powers():
+    assert jets.EXPONENT_CAP == 1024
+    t = np.array([0.999, 1.0, 1.001])
+    for p in (1024, -1024):
+        v = expr.eval_values("t^(%d)" % p, t)
+        np.testing.assert_array_equal(v, t ** p)
+        j = expr.eval_jet("t^(%d)" % p, t)
+        np.testing.assert_allclose(j.value, t ** float(p), rtol=1e-12)
+        np.testing.assert_allclose(j.derivative(1), p * t ** float(p - 1),
+                                   rtol=1e-12)
+    # a large non-integer exponent goes through exp and log
+    np.testing.assert_allclose(expr.eval_values("t^2000.5", t),
+                               t ** 2000.5, rtol=1e-15)

@@ -46,6 +46,10 @@ def test_ord_of_saturates_at_cap():
     assert ord_of(jet_at("0")) == 6
     assert ord_of(jet_at("t^3"), cap=2) == 3   # cap + 1, "at least 3"
     assert ord_of(jet_at("t^2"), cap=2) == 2
+    # a jet of order below cap tests derivatives up to its order only
+    assert ord_of(jet_at("0", order=3)) == 4
+    assert ord_of(jet_at("t^5", order=3), cap=8) == 4
+    assert ord_of(jet_at("t^2", order=3), cap=8) == 2
 
 
 def test_label_names_are_validated():
@@ -169,6 +173,9 @@ def test_gauss_front_status_cases():
 
     sat = gauss_front_status(jet_at("t"), jet_at("0"), alpha0=-1.0, x0=1.0)
     assert sat.diagnostics["saturated"] is True
+    low = gauss_front_status(jet_at("t", order=3), jet_at("0", order=3),
+                             alpha0=-1.0, x0=1.0)
+    assert low.ord_beta == 4 and low.diagnostics["saturated"] is True
 
 
 def test_gauss_front_status_rejects_bad_input():
