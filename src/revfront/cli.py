@@ -28,7 +28,7 @@ from .construct import (ConstructionError, GaussRatioProblem,
                         profile_from_J_phi, profile_from_JK,
                         profile_from_gauss_ratio, profile_from_mean_ratio)
 from .framed import integrability_residual
-from .jets import DomainError
+from .jets import ORDER_CAP, DomainError
 from .legendre import (DegenerateCurvatureError, curvature_of,
                        legendre_from_expressions, parallel_curve,
                        reconstruct_from_curvature, verify_legendre)
@@ -131,25 +131,32 @@ def _expand_config(argv):
 def _add_common(p, out_required=True, grid_required=True):
     p.add_argument("--grid", required=grid_required, metavar="MIN:MAX:COUNT",
                    help="uniform parameter grid")
-    p.add_argument("--order", type=int, default=5, help="jet order")
+    p.add_argument("--order", type=_int_within(0, ORDER_CAP), default=5,
+                   help="jet order (0..%d)" % ORDER_CAP)
     p.add_argument("--tol", type=float, default=None,
                    help="zero-test tolerance (default 1e-8, 1e-4 sampled)")
     p.add_argument("--out", required=out_required, metavar="BASE",
                    help="output path prefix (BASE.csv/.obj/.json)")
 
 
-def _theta_count(text):
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 8:
-        raise argparse.ArgumentTypeError("must be at least 8")
-    return n
+def _int_within(lo, hi=None):
+    """argparse type of an integer flag: n >= lo, and n <= hi if given."""
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if n < lo or (hi is not None and n > hi):
+            raise argparse.ArgumentTypeError(
+                f"must be at least {lo}" if hi is None
+                else f"must be between {lo} and {hi}")
+        return n
+    return parse
 
 
 def _add_theta(p):
-    p.add_argument("--theta", type=_theta_count, default=128, dest="n_theta",
+    p.add_argument("--theta", type=_int_within(8), default=128, dest="n_theta",
                    help="number of revolution angles (>= 8)")
 
 
@@ -319,7 +326,7 @@ def build_parser() -> _Parser:
     _add_profile_source(ph)
     # check reads the invariants on the profile grid and revolves nothing;
     # --theta stays accepted so check takes the same flags as revolve
-    ph.add_argument("--theta", type=_theta_count, default=128, dest="n_theta",
+    ph.add_argument("--theta", type=_int_within(8), default=128, dest="n_theta",
                     help="ignored by check; accepted (>= 8) for flag "
                          "compatibility with revolve")
     _add_common(ph, out_required=False)

@@ -5,15 +5,21 @@ binary operators left-associative), unary minus, parentheses, and calls of
 sin, cos, tan, cot, exp, log, sqrt, sinh, cosh, atan.  Precedence from
 tightest to loosest: ^, unary minus, * /, + -.
 
-Expressions evaluate either to plain values or to truncated Taylor jets
-(see jets.Jet).  Pretty-printing emits source that reparses to a
-structurally identical tree.
+One tree walk evaluates an expression to its values at samples t or to
+its Taylor jets (see jets.Jet), and both raise DomainError alike: at a
+pole of / or of a negative integer power, |den| < jets.DIV_TOL * (1 +
+|num|); for log of x <= 0, sqrt of x < 0, a non-integer power of a base
+<= 0; and, as ExponentError, for an exponent of ^ that is not one finite
+constant (equal on all samples, derivatives up to max(jet order,
+jets.ORDER_CAP) zero, at most jets.EXPONENT_CAP if an integer).  Jets
+also refuse sqrt at 0 and an overflowing derivative.  Pretty-printing
+emits source that reparses to a structurally identical tree.
 """
 
 from __future__ import annotations
 
 import functools
-import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -29,17 +35,19 @@ __all__ = [
     "ExponentError",
 ]
 
+# name -> (jet function, value function); a value function takes the
+# argument's values and the samples t, which name a pole in its error
 FUNCTIONS = {
-    "sin": (jets.sin, np.sin),
-    "cos": (jets.cos, np.cos),
-    "tan": (jets.tan, None),
-    "cot": (jets.cot, None),
-    "exp": (jets.exp, np.exp),
-    "log": (jets.log, None),
-    "sqrt": (jets.sqrt, None),
-    "sinh": (jets.sinh, np.sinh),
-    "cosh": (jets.cosh, np.cosh),
-    "atan": (jets.atan, np.arctan),
+    "sin": (jets.sin, lambda x, t: np.sin(x)),
+    "cos": (jets.cos, lambda x, t: np.cos(x)),
+    "tan": (jets.tan, lambda x, t: jets.quotient(np.sin(x), np.cos(x), t)),
+    "cot": (jets.cot, lambda x, t: jets.quotient(np.cos(x), np.sin(x), t)),
+    "exp": (jets.exp, lambda x, t: np.exp(x)),
+    "log": (jets.log, lambda x, t: jets.log_value(x)),
+    "sqrt": (jets.sqrt, lambda x, t: jets.sqrt_value(x)),
+    "sinh": (jets.sinh, lambda x, t: np.sinh(x)),
+    "cosh": (jets.cosh, lambda x, t: np.cosh(x)),
+    "atan": (jets.atan, lambda x, t: np.arctan(x)),
 }
 
 
@@ -57,9 +65,7 @@ class UnknownIdentifierError(ValueError):
 
 
 class ExponentError(DomainError):
-    """The exponent of ^ is not one usable constant: it differs between
-    samples, depends on t, is not finite, or is an integer of magnitude
-    above jets.EXPONENT_CAP."""
+    """The exponent of ^ breaks a rule of the module docstring."""
 
 
 @dataclass(frozen=True)
@@ -270,36 +276,9 @@ def to_source(e: Expr) -> str:
 
 # -- evaluation -------------------------------------------------------------
 
-def _eval_jet(e: Expr, t_jet: Jet) -> Jet:
-    if isinstance(e, Num):
-        return jets.constant(e.value, t_jet.order, t_jet.t)
-    if isinstance(e, Var):
-        return t_jet
-    if isinstance(e, Neg):
-        return -_eval_jet(e.operand, t_jet)
-    if isinstance(e, Call):
-        return FUNCTIONS[e.func][0](_eval_jet(e.arg, t_jet))
-    if isinstance(e, BinOp):
-        left = _eval_jet(e.left, t_jet)
-        right = _eval_jet(e.right, t_jet)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        if e.op == "/":
-            return left / right
-        # ^ with a constant-foldable exponent; jet exponents are rejected
-        return left ** _exponent(right.value, right.coeffs[1:])
-    raise TypeError("not an expression node: %r" % (e,))
-
-
 def eval_jet(e: Expr | str, t, order: int = 5) -> Jet:
-    """Evaluate an expression as a Taylor jet at t (scalar or array base).
-
-    order is capped at jets.ORDER_CAP.
-    """
+    """Taylor jet of an expression at t (scalar or array base), of an
+    order from 0 to jets.ORDER_CAP."""
     if not 0 <= order <= jets.ORDER_CAP:
         raise ValueError("order must be between 0 and %d" % jets.ORDER_CAP)
     return eval_jet_any_order(e, t, order)
@@ -309,78 +288,67 @@ def eval_jet_any_order(e: Expr | str, t, order: int) -> Jet:
     """Internal variant without the order cap (series machinery needs it)."""
     if isinstance(e, str):
         e = parse(e)
-    return _eval_jet(e, jets.variable(t, order))
+    var = jets.variable(t, order)
+    return _eval(e, var.t, var)
 
 
 def eval_values(e: Expr | str, t):
-    """Evaluate values only (order-0 jet, cheaper path for quadrature/ODE)."""
+    """Evaluate an expression's values at the samples t (scalar or array)."""
     if isinstance(e, str):
         e = parse(e)
-    return _eval_value(e, np.asarray(t, dtype=float))
+    t = np.asarray(t, dtype=float)
+    return _eval(e, t, t)
 
 
-def _eval_value(e: Expr, t):
-    if isinstance(e, Num):
-        return np.broadcast_to(np.float64(e.value), t.shape).copy() \
-            if t.shape else np.float64(e.value)
+_RING = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _eval(e: Expr, t, var):
+    """e at the samples t: its values if var is t, its jet if var is the
+    jet of t.  Every rule is written once for both; they differ only in
+    constants, FUNCTIONS and the final / and ** of each algebra."""
+    jet = isinstance(var, Jet)
     if isinstance(e, Var):
-        return t
+        return var
+    if isinstance(e, Num):
+        if jet:
+            return jets.constant(e.value, var.order, t)
+        return np.full(t.shape, e.value) if t.shape else np.float64(e.value)
     if isinstance(e, Neg):
-        return -_eval_value(e.operand, t)
+        return -_eval(e.operand, t, var)
     if isinstance(e, Call):
-        arg = _eval_value(e.arg, t)
-        fn = FUNCTIONS[e.func][1]
-        if fn is not None:
-            return fn(arg)
-        if e.func == "tan":
-            return _checked_div(np.sin(arg), np.cos(arg), t)
-        if e.func == "cot":
-            return _checked_div(np.cos(arg), np.sin(arg), t)
-        if e.func == "log":
-            if np.any(arg <= 0):
-                raise DomainError("log of a non-positive value")
-            return np.log(arg)
-        if e.func == "sqrt":
-            if np.any(arg < 0):
-                raise DomainError("sqrt of a negative value")
-            return np.sqrt(arg)
-        raise TypeError(e.func)
+        jet_fn, value_fn = FUNCTIONS[e.func]
+        arg = _eval(e.arg, t, var)
+        return jet_fn(arg) if jet else value_fn(arg, t)
     if isinstance(e, BinOp):
-        left = _eval_value(e.left, t)
-        right = _eval_value(e.right, t)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        if e.op == "/":
-            return _checked_div(left, right, t)
-        # as in _eval_jet, with derivatives up to jets.ORDER_CAP: one sample
-        # cannot show by its value that the exponent depends on t (t^2 at 0)
-        exponent = _exponent(right, _eval_jet(
-            e.right, jets.variable(t, jets.ORDER_CAP)).coeffs[1:]
-            if _mentions_t(e.right) else ())
-        if exponent == int(exponent):
-            return left ** int(exponent)
-        if np.any(left <= 0):
-            raise DomainError("non-integer power of a non-positive base")
-        return left ** exponent
+        left = _eval(e.left, t, var)
+        if e.op == "^":
+            p = _exponent(e.right, t, var)
+            return left ** p if jet else _power(left, p, t)
+        right = _eval(e.right, t, var)
+        if e.op in _RING:
+            return _RING[e.op](left, right)
+        return left / right if jet else jets.quotient(left, right, t)
     raise TypeError("not an expression node: %r" % (e,))
 
 
-def _exponent(value, slope) -> float:
-    """The exponent of ^ from its samples and derivative coefficients
-    (slope): one finite constant, of magnitude at most jets.EXPONENT_CAP
-    if it is an integer.  Anything else raises ExponentError."""
-    flat = np.ravel(value)
+def _exponent(e: Expr, t, var) -> float:
+    """The exponent e of ^ as one float, under the rules of the module
+    docstring.  Both modes take its value from the value algebra, so they
+    round it alike (4^1.5), and test its derivatives: one sample cannot
+    show by its value that e depends on t (t^2 at 0)."""
+    flat = np.ravel(_eval(e, t, t))
+    if not np.isfinite(flat).all():
+        wild = flat[~np.isfinite(flat)]
+        raise ExponentError("exponent %r is not finite" % float(wild[0]))
     if flat.size != 1 and not (flat.size and np.all(flat == flat[0])):
         raise ExponentError("exponent must be a single constant")
-    if np.any(slope):
-        raise ExponentError("exponent must not depend on t")
+    if _mentions_t(e):
+        if not (isinstance(var, Jet) and var.order >= jets.ORDER_CAP):
+            var = jets.variable(t, jets.ORDER_CAP)
+        if np.any(_eval(e, t, var).coeffs[1:]):
+            raise ExponentError("exponent must not depend on t")
     p = float(flat[0])
-    if not math.isfinite(p):
-        raise ExponentError("exponent %r is not finite" % p)
     if p == int(p) and abs(p) > jets.EXPONENT_CAP:
         raise ExponentError("integer exponent %.17g exceeds %d in magnitude"
                             % (p, jets.EXPONENT_CAP))
@@ -392,9 +360,12 @@ def _mentions_t(e: Expr) -> bool:
         isinstance(v, Expr) and _mentions_t(v) for v in vars(e).values())
 
 
-def _checked_div(num, den, t):
-    bad = np.abs(den) < jets.DIV_TOL * (1.0 + np.abs(num))
-    if np.any(bad):
-        t_bad = np.atleast_1d(np.broadcast_to(t, np.shape(bad)))[np.atleast_1d(bad)]
-        raise DomainError("division by (near-)zero at t=%r" % (t_bad.ravel()[:4],))
-    return num / den
+def _power(x, p: float, t):
+    """x ** p on values, with the rules of Jet.__pow__: t^(-k) has the
+    pole test of 1/t^k, a non-integer power needs a positive base."""
+    if p == int(p):
+        if p < 0:
+            jets.quotient(1.0, x ** -int(p), t)
+        return x ** int(p)
+    jets.check_base(x)
+    return x ** p

@@ -133,15 +133,10 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.t, self.coeffs / float(other))
         num, den = self, other
-        bad = np.abs(den.value) < DIV_TOL * (1.0 + np.abs(num.value))
-        if np.any(bad):
-            t_bad = np.atleast_1d(self.t)[np.atleast_1d(bad)]
-            raise DomainError(
-                "division by (near-)zero at t=%r" % (t_bad.ravel()[:4],))
         n = min(num.order, den.order)
         a, b = num.coeffs, den.coeffs
         out = np.empty((n + 1,) + self.t.shape)
-        out[0] = a[0] / b[0]
+        out[0] = quotient(a[0], b[0], self.t)
         for k in range(1, n + 1):
             s = a[k].astype(float, copy=True)
             for j in range(1, k + 1):
@@ -157,9 +152,7 @@ class Jet:
             raise TypeError("jet exponents are not supported")
         if float(p) == int(p):
             return self._int_pow(int(p))
-        # non-integer exponent needs a positive base
-        if np.any(self.value <= 0):
-            raise DomainError("non-integer power of a non-positive base")
+        check_base(self.value)
         return exp(float(p) * log(self))
 
     def _int_pow(self, p: int):
@@ -183,14 +176,49 @@ class Jet:
         return "Jet(t=%r, coeffs=%r)" % (self.t, self.coeffs)
 
 
+# -- domain rules, shared with the value algebra of expr --------------------
+
+def _refuse(bad, t, what):
+    """Raise DomainError naming the first samples of t where bad holds."""
+    if np.any(bad):
+        t_bad = np.atleast_1d(np.broadcast_to(t, np.shape(bad)))[np.atleast_1d(bad)]
+        raise DomainError("%s at t=%r" % (what, t_bad.ravel()[:4]))
+
+
+def quotient(num, den, t):
+    """num / den of values at the samples t; DomainError at a pole, where
+    |den| < DIV_TOL * (1 + |num|)."""
+    _refuse(np.abs(den) < DIV_TOL * (1.0 + np.abs(num)), t,
+            "division by (near-)zero")
+    return num / den
+
+
+def check_base(x):
+    """Raise DomainError unless x > 0, as a non-integer power needs."""
+    if np.any(x <= 0):
+        raise DomainError("non-integer power of a non-positive base")
+
+
+def log_value(x):
+    """np.log(x), or DomainError where x <= 0."""
+    if np.any(x <= 0):
+        raise DomainError("log of a non-positive value")
+    return np.log(x)
+
+
+def sqrt_value(x):
+    """np.sqrt(x), or DomainError where x < 0."""
+    if np.any(x < 0):
+        raise DomainError("sqrt of a negative value")
+    return np.sqrt(x)
+
+
 def variable(t, order: int) -> Jet:
     """Jet of the identity function at base point t."""
-    t = _as_array(t)
-    coeffs = np.zeros((order + 1,) + t.shape)
-    coeffs[0] = t
+    j = constant(t, order, t)
     if order >= 1:
-        coeffs[1] = 1.0
-    return Jet(t, coeffs)
+        j.coeffs[1] = 1.0
+    return j
 
 
 def constant(c, order: int, like_t=0.0) -> Jet:
@@ -216,16 +244,24 @@ def _compose(g: Jet, dvals) -> Jet:
     return result
 
 
+def _apply(g: Jet, dvals) -> Jet:
+    """f(g) from f's derivatives at g's value, to g's order or one period;
+    refuses one that overflows (log near 0): _compose would give NaN."""
+    result = _compose(g, [dvals[m % len(dvals)] for m in range(g.order + 1)])
+    if np.isnan(result.value).any():
+        _refuse(np.isnan(result.value) & ~np.isnan(dvals[0]), g.t,
+                "derivative overflow")
+    return result
+
+
 def sin(g: Jet) -> Jet:
     x = g.value
-    cycle = [np.sin(x), np.cos(x), -np.sin(x), -np.cos(x)]
-    return _compose(g, [cycle[m % 4] for m in range(g.order + 1)])
+    return _apply(g, [np.sin(x), np.cos(x), -np.sin(x), -np.cos(x)])
 
 
 def cos(g: Jet) -> Jet:
     x = g.value
-    cycle = [np.cos(x), -np.sin(x), -np.cos(x), np.sin(x)]
-    return _compose(g, [cycle[m % 4] for m in range(g.order + 1)])
+    return _apply(g, [np.cos(x), -np.sin(x), -np.cos(x), np.sin(x)])
 
 
 def tan(g: Jet) -> Jet:
@@ -237,44 +273,36 @@ def cot(g: Jet) -> Jet:
 
 
 def exp(g: Jet) -> Jet:
-    e = np.exp(g.value)
-    return _compose(g, [e] * (g.order + 1))
+    return _apply(g, [np.exp(g.value)])
 
 
 def log(g: Jet) -> Jet:
     x = g.value
-    if np.any(x <= 0):
-        raise DomainError("log of a non-positive value")
-    dvals = [np.log(x)]
-    for m in range(1, g.order + 1):
-        dvals.append((-1.0) ** (m - 1) * math.factorial(m - 1) / x ** m)
-    return _compose(g, dvals)
+    return _apply(g, [log_value(x)] + [
+        (-1.0) ** (m - 1) * math.factorial(m - 1) / x ** m
+        for m in range(1, g.order + 1)])
 
 
 def sqrt(g: Jet) -> Jet:
     x = g.value
-    if np.any(x < 0):
-        raise DomainError("sqrt of a negative value")
+    dvals = [sqrt_value(x)]
     if g.order >= 1 and np.any(x == 0):
         raise DomainError("sqrt derivative at zero")
-    dvals = [np.sqrt(x)]
     coef = 0.5
     for m in range(1, g.order + 1):
         dvals.append(coef * x ** (0.5 - m))
         coef *= 0.5 - m
-    return _compose(g, dvals)
+    return _apply(g, dvals)
 
 
 def sinh(g: Jet) -> Jet:
     x = g.value
-    cycle = [np.sinh(x), np.cosh(x)]
-    return _compose(g, [cycle[m % 2] for m in range(g.order + 1)])
+    return _apply(g, [np.sinh(x), np.cosh(x)])
 
 
 def cosh(g: Jet) -> Jet:
     x = g.value
-    cycle = [np.cosh(x), np.sinh(x)]
-    return _compose(g, [cycle[m % 2] for m in range(g.order + 1)])
+    return _apply(g, [np.cosh(x), np.sinh(x)])
 
 
 def atan(g: Jet) -> Jet:
@@ -284,7 +312,7 @@ def atan(g: Jet) -> Jet:
         w = 1.0 / (1.0 + variable(x, g.order - 1) ** 2)
         for m in range(1, g.order + 1):
             dvals.append(math.factorial(m - 1) * w.coeffs[m - 1])
-    return _compose(g, dvals)
+    return _apply(g, dvals)
 
 
 def jet_div_reduced(num: Jet, den: Jet, tol: float = 1e-9) -> Jet:

@@ -116,6 +116,32 @@ def test_numerical_error_writes_diagnostic(tmp_path):
     assert not (tmp_path / "bad.csv").exists()
 
 
+@pytest.mark.parametrize("ell", ["1/t", "t^(-1)"])
+def test_pole_of_a_negative_power_exits_two(ell, tmp_path):
+    # t^(-1) has the pole test of 1/t: the grid's node at t = 0 is a pole
+    base = str(tmp_path / "pole")
+    code = run(["curve", "from-curvature", "--ell", ell, "--beta", "1",
+                "--grid", "-1:1:20", "--out", base])
+    assert code == 2
+    diag = read_json(base + ".json")
+    assert diag["error"] == "ConstructionError"
+    assert "division by (near-)zero" in diag["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["revolve", "--ell", "1", "--beta", "1", "--grid", "0:1:33"],
+    ["construct", "j-phi", "--J", "-t", "--phi", "1", "--x0", "1",
+     "--grid", "-0.9:0.9:33"],
+    ["construct", "h-phi", "--H", "0.5", "--phi", "0", "--grid", "0:1:33"],
+])
+@pytest.mark.parametrize("order", ["9", "-3", "x"])
+def test_jet_order_checked_at_parse_time(argv, order, tmp_path, capsys):
+    # --order takes 0..jets.ORDER_CAP on every command, as --theta its range
+    assert run([*argv, "--order", order, "--out", str(tmp_path / "o")]) == 1
+    assert "--order" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_numerical_error_stdout(capsys):
     code = run(["invariants", "--ell", "1/t", "--beta", "1",
                 "--grid", "-1:1:101"])

@@ -7,10 +7,15 @@ error type and the reported byte offset.
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from revfront import expr, jets
-from revfront.expr import ExprSyntaxError, UnknownIdentifierError, parse, to_source
+from revfront.expr import (BinOp, Call, ExprSyntaxError, Neg, Num,
+                           UnknownIdentifierError, Var, parse, to_source)
 from revfront.jets import DomainError
+
+NO_SHRINK = [ph for ph in Phase if ph is not Phase.shrink]
 
 
 def as_sympy(src):
@@ -162,8 +167,8 @@ def test_exponent_rejections_are_domain_errors():
 @pytest.mark.parametrize("src, match", [
     ("t^1e400", "not finite"),
     ("t^(-1e400)", "not finite"),
-    # NaN: on several samples the values already differ from each other
-    ("t^(1e400 - 1e400)", "not finite|single constant"),
+    # NaN on every sample: NaN != NaN, yet it is no unequal constant
+    ("t^(1e400 - 1e400)", "not finite"),
     ("t^1025", "exceeds 1024"),
     ("t^(-1025)", "exceeds 1024"),
     ("t^1e7", "exceeds 1024"),
@@ -192,3 +197,102 @@ def test_exponents_up_to_the_cap_are_powers():
     # a large non-integer exponent goes through exp and log
     np.testing.assert_allclose(expr.eval_values("t^2000.5", t),
                                t ** 2000.5, rtol=1e-15)
+
+
+def test_negative_integer_power_has_the_pole_test_of_division():
+    # t^(-k) is 1/t^k on both paths, so a (near-)zero base is a pole
+    for src, pole in [("t^(-1)", 0.0), ("t^(-2)", 1e-14), ("(t - 1)^(-3)", 1.0)]:
+        for evaluate in (expr.eval_values, expr.eval_jet):
+            with pytest.raises(DomainError, match="division by"):
+                evaluate(src, np.array([2.0, pole]))
+            with pytest.raises(DomainError, match="division by"):
+                evaluate(src, pole)
+    np.testing.assert_array_equal(expr.eval_values("t^(-2)", [0.5, 2.0]),
+                                  [4.0, 0.25])
+
+
+def test_jet_exponent_tested_to_the_order_cap_at_every_order():
+    # an order-0 jet has no slope of its own to show that 2^t depends on t
+    for order in range(jets.ORDER_CAP + 1):
+        with pytest.raises(expr.ExponentError,
+                           match="exponent must not depend on t"):
+            expr.eval_jet("2^t", 0.5, order)
+        with pytest.raises(expr.ExponentError,
+                           match="exponent must not depend on t"):
+            expr.eval_jet("2^(t^3 + 1)", 0.0, order)
+    # above the cap the jet's own coefficients are tested
+    with pytest.raises(expr.ExponentError, match="must not depend on t"):
+        expr.eval_jet_any_order("2^(t^7 + 1)", 0.0, 9)
+    assert expr.eval_jet("2^(t - t)", 0.5, 0).value == 1.0
+
+
+def test_exponent_takes_its_value_from_the_value_path_on_both():
+    # 4^1.5 is 8.0 by numpy's pow and 8 - 2e-15 by exp(1.5 log 4): each
+    # path taking its own would let values give t^8 where jets refuse
+    # a non-integer power of t < 0
+    want = (-1.5) ** 8
+    assert expr.eval_values("t^(4^1.5)", -1.5) == want
+    assert expr.eval_jet("t^(4^1.5)", -1.5, 2).value == want
+    # so a constant exponent's derivatives are never taken (none at 0 here)
+    np.testing.assert_array_equal(expr.eval_jet("t^sqrt(0)", 0.5, 3).coeffs,
+                                  [1.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("src", ["log(t)", "sqrt(t)", "log(log(t))"])
+def test_overflowing_derivative_refused(src):
+    # at t = 1e-300 the second derivatives are infinite; Horner's rule would
+    # multiply them by 0 and leave a NaN jet, with no error from log(log(t))
+    with np.errstate(divide="ignore", over="ignore"):
+        for order in range(2, jets.ORDER_CAP + 1):
+            with pytest.raises(DomainError, match="derivative overflow"):
+                expr.eval_jet(src, 1e-300, order)
+        assert np.isfinite(expr.eval_jet("log(t)", 1e-300, 1).coeffs).all()
+
+
+# -- values and jets on random trees ----------------------------------------
+
+_LEAVES = st.one_of(st.just(Var()),
+                    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]).map(Num))
+
+
+def _branches(sub):
+    exponents = st.one_of(
+        st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.5, 2.0, 3.0]).map(Num), sub)
+    return st.one_of(
+        st.builds(Neg, sub),
+        st.builds(Call, st.sampled_from(sorted(expr.FUNCTIONS)), sub),
+        st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+        st.builds(BinOp, st.just("^"), sub, exponents))
+
+
+TREES = st.recursive(_LEAVES, _branches, max_leaves=8)
+_POINTS = st.one_of(st.sampled_from([0.0, 1.0, -1.0, np.pi / 2]),
+                    st.floats(-3.0, 3.0))
+SAMPLES = st.one_of(_POINTS, st.lists(_POINTS, min_size=1, max_size=4)
+                    .map(np.array))
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except DomainError as exc:
+        return exc
+
+
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
+@given(TREES, SAMPLES)
+def test_values_and_jets_share_every_rule(e, t):
+    with np.errstate(all="ignore"):
+        values = _outcome(lambda: expr.eval_values(e, t))
+        jet = _outcome(lambda: expr.eval_jet(e, t, 0))
+        if isinstance(values, Exception) or isinstance(jet, Exception):
+            assert type(values) is type(jet), (to_source(e), t, values, jet)
+        elif "^" not in to_source(e):
+            # the same float operations; ^ rounds differently (numpy's pow
+            # against products or exp(p log x)), and a tree as ill-conditioned
+            # as sin(27^27) turns that last bit into any difference at all
+            np.testing.assert_array_equal(jet.value, values)
+        if isinstance(values, Exception):
+            for order in range(1, jets.ORDER_CAP + 1):
+                assert isinstance(_outcome(lambda: expr.eval_jet(e, t, order)),
+                                  Exception), (to_source(e), t, order)
