@@ -33,9 +33,8 @@ from .legendre import (DegenerateCurvatureError, curvature_of,
                        legendre_from_expressions, parallel_curve,
                        reconstruct_from_curvature, verify_legendre)
 from .quadrature import uniform_grid
-from .revolution import (_invariant_columns, frontal_front_status,
-                         parallel_commutation_check, revolution_evolutes,
-                         revolve)
+from .revolution import (frontal_front_status, parallel_commutation_check,
+                         revolution_evolutes, revolve)
 from .singular import (InconsistentInputError, _default_tol,
                        constant_gauss_cusp, constant_mean_cusp,
                        curve_cusp_by_curvature, curve_cusp_by_derivatives,
@@ -324,8 +323,8 @@ def build_parser() -> _Parser:
     ph = sub.add_parser("check",
                         help="integrability, contact, and round-trip suite")
     _add_profile_source(ph)
-    # check reads the invariants on the profile grid and revolves nothing;
-    # --theta stays accepted so check takes the same flags as revolve
+    # check reads only the revolutes' invariants, which do not depend on
+    # theta; --theta stays accepted so check takes the same flags as revolve
     ph.add_argument("--theta", type=_int_within(8), default=128, dest="n_theta",
                     help="ignored by check; accepted (>= 8) for flag "
                          "compatibility with revolve")
@@ -345,6 +344,16 @@ def _curvature_roundtrip(ns, c, grid):
                 np.atleast_1d(getattr(pair, name).value)
                 - expr.eval_values(getattr(ns, name), grid))))
             for name in ("ell", "beta")}
+
+
+def _axis_report(surf, tol):
+    """The integrability and front blocks of a revolute's JSON report."""
+    rep = integrability_residual(surf.invariants)
+    front = frontal_front_status(surf.profile, axis=surf.axis, tol=tol)
+    return {"integrability": {"max_residual": rep.max_residual,
+                              "residuals": rep.residuals},
+            "front": {"is_front": front.is_front,
+                      "failures": len(front.failures)}}
 
 
 def _meta(ns, **extra):
@@ -371,14 +380,9 @@ def _run_revolve(ns):
     grid = _parse_grid(ns.grid)
     c = _profile(ns, grid)
     surf = revolve(c, axis=ns.axis, n_theta=ns.n_theta)
-    rep = integrability_residual(_invariant_columns(c, ns.axis))
-    front = frontal_front_status(c, axis=ns.axis, tol=_tol(ns, c.exact))
     payload = _meta(ns, axis=ns.axis, n_theta=ns.n_theta,
-                    integrability={"max_residual": rep.max_residual,
-                                   "residuals": rep.residuals},
-                    front={"is_front": front.is_front,
-                           "failures": len(front.failures)},
-                    frame=surf.validate())
+                    frame=surf.validate(),
+                    **_axis_report(surf, _tol(ns, c.exact)))
     _write(ns, curve=c, surface=surf, payload=payload)
     return 0
 
@@ -386,7 +390,7 @@ def _run_revolve(ns):
 def _run_invariants(ns):
     grid = _parse_grid(ns.grid)
     c = _profile(ns, grid)
-    records = export.invariants_records(_invariant_columns(c, ns.axis),
+    records = export.invariants_records(revolve(c, ns.axis).invariants,
                                         tol=_tol(ns, c.exact))
     payload = _meta(ns, axis=ns.axis, records=records)
     _write(ns, payload=payload)
@@ -523,13 +527,10 @@ def _run_check(ns):
     payload = _meta(ns, legendre=leg)
     ok = leg["passed"]
     for axis in ("z", "x"):
-        rep = integrability_residual(_invariant_columns(c, axis))
-        front = frontal_front_status(c, axis=axis, tol=tol)
-        payload[f"integrability_{axis}"] = {
-            "max_residual": rep.max_residual, "residuals": rep.residuals}
-        payload[f"front_{axis}"] = {"is_front": front.is_front,
-                                    "failures": len(front.failures)}
-        ok = ok and rep.max_residual <= 1e-8
+        report = _axis_report(revolve(c, axis), tol)
+        payload.update({f"{key}_{axis}": block
+                        for key, block in report.items()})
+        ok = ok and report["integrability"]["max_residual"] <= 1e-8
     if ns.ell is not None and ns.beta is not None:
         roundtrip = _curvature_roundtrip(ns, c, grid)
         payload["curvature_roundtrip"] = roundtrip

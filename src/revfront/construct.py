@@ -139,6 +139,8 @@ def _lattice(grid, t0, order):
     t0 snaps to the nearest fine lattice node (offset t0 - node); None
     anchors at the left end of the grid.
     """
+    if order < 0:
+        raise ValueError(f"jet order must be at least 0, got {order}")
     fg = FineGrid(grid)
     if t0 is None:
         return fg, order + 2, 0, 0.0

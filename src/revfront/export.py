@@ -52,8 +52,7 @@ def _obj_blocks(surface: RevolutionSurface):
                % tuple(block.ravel().tolist()))
 
     # J is independent of theta for a revolute; the row average decides
-    inv = surface.invariants
-    J = inv.a1[:, 0] * inv.b2[:, 0] - inv.a2[:, 0] * inv.b1[:, 0]
+    J = curvature_of(surface.invariants).J[:, 0]
     jtol = 1e-12 * (1.0 + float(np.max(np.abs(J))))
     flip = 0.5 * (J[:-1] + J[1:]) < -jtol
     j = np.arange(ntheta)
@@ -82,7 +81,7 @@ def invariants_records(invariants: BasicInvariants, tol: float = 1e-8):
     """Per-profile-node invariant summary: {node, J, K, H, status}.
 
     Reads column 0 of the invariants; a revolute's invariants do not
-    depend on theta, so the (n_t, 1) columns are enough.
+    depend on theta and are held as (n_t, 1) columns.
     """
     C = curvature_of(invariants)
     records = []

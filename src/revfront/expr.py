@@ -286,6 +286,8 @@ def eval_jet(e: Expr | str, t, order: int = 5) -> Jet:
 
 def eval_jet_any_order(e: Expr | str, t, order: int) -> Jet:
     """Internal variant without the order cap (series machinery needs it)."""
+    if order < 0:
+        raise ValueError(f"jet order must be at least 0, got {order}")
     if isinstance(e, str):
         e = parse(e)
     var = jets.variable(t, order)

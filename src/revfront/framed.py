@@ -71,6 +71,9 @@ class BasicInvariants:
     cross holds the mixed derivatives needed by the integrability check
     (a1_v, a2_u, ..., g2_u) when they are known analytically; without it
     the check falls back to finite differences on the invariant grids.
+    A revolute's invariants depend on u alone: revolve gives them as
+    (n_t, 1) columns with v = [0.0], always with cross, and curvature_of
+    and the checks broadcast them like any other grid.
     """
     u: np.ndarray
     v: np.ndarray

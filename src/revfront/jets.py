@@ -278,9 +278,13 @@ def exp(g: Jet) -> Jet:
 
 def log(g: Jet) -> Jet:
     x = g.value
-    return _apply(g, [log_value(x)] + [
-        (-1.0) ** (m - 1) * math.factorial(m - 1) / x ** m
-        for m in range(1, g.order + 1)])
+    value = log_value(x)
+    # an infinite derivative (x near 0) makes the Horner value NaN, which
+    # _apply refuses as an overflow, so numpy need not warn on the way
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _apply(g, [value] + [
+            (-1.0) ** (m - 1) * math.factorial(m - 1) / x ** m
+            for m in range(1, g.order + 1)])
 
 
 def sqrt(g: Jet) -> Jet:
@@ -289,10 +293,12 @@ def sqrt(g: Jet) -> Jet:
     if g.order >= 1 and np.any(x == 0):
         raise DomainError("sqrt derivative at zero")
     coef = 0.5
-    for m in range(1, g.order + 1):
-        dvals.append(coef * x ** (0.5 - m))
-        coef *= 0.5 - m
-    return _apply(g, dvals)
+    # as in log, _apply refuses an infinite derivative without a warning
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for m in range(1, g.order + 1):
+            dvals.append(coef * x ** (0.5 - m))
+            coef *= 0.5 - m
+        return _apply(g, dvals)
 
 
 def sinh(g: Jet) -> Jet:

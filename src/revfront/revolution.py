@@ -11,7 +11,9 @@ radius r, height h, normal (n_r, n_h), turning density k and speed beta,
 which obey r' = -beta n_h, h' = beta n_r, n_r' = -k n_h, n_h' = k n_r.
 About z, (r, h, n_r, n_h, k) = (x, z, a, b, ell).  About x, (r, h, n_r,
 n_h) = (z, x, -b, -a) and ell reverses sign, k = -ell.  The invariants
-depend on t alone.
+depend on t alone, so a revolute holds them as (n_t, 1) columns at the
+meridian theta = 0, and revolution_curvature returns its FSCurvature
+fields as 1-D arrays over t.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .framed import BasicInvariants, FramedSurfaceGrid, curvature_of
-from .legendre import LegendreCurve, curvature_pair_of, plane_evolute
+from .framed import (BasicInvariants, FramedSurfaceGrid, FSCurvature,
+                     curvature_of, parallel_surface)
+from .legendre import (LegendreCurve, NormalJet, curvature_pair_of,
+                       parallel_curve, plane_evolute)
 
 VALID_AXES = ("z", "x")
 _INVARIANTS = ("a1", "b1", "a2", "b2", "e1", "f1", "g1", "e2", "f2", "g2")
@@ -57,7 +61,10 @@ class RevolutionSurface:
     or sin theta, so the fields are built when read: rings(i0, i1) gives
     the positions of a block of rings, validate() checks the frame one
     block of rings at a time, and grid is the whole FramedSurfaceGrid,
-    each field built on first read and kept.
+    each field built on first read and kept.  invariants holds the ten
+    invariants and their cross derivatives as (n_t, 1) columns: the
+    meridian theta = 0, with v = [0.0], since every meridian has the same
+    values.
     """
     axis: str
     profile: LegendreCurve
@@ -138,17 +145,6 @@ for _name in _FIELDS:
 
 
 @dataclass
-class RevolutionCurvature:
-    """Curvature densities of the revolved surface, as functions of t alone."""
-    t: np.ndarray
-    J: np.ndarray
-    K: np.ndarray
-    H: np.ndarray
-    det_bg: np.ndarray
-    det_fg: np.ndarray
-
-
-@dataclass
 class FrontStatus:
     is_front: bool
     failures: list
@@ -172,28 +168,6 @@ def _t_derivatives(n_r, n_h, k, beta):
     return -beta * n_h, beta * n_r, -k * n_h, k * n_r
 
 
-def _invariant_columns(c: LegendreCurve, axis: str) -> BasicInvariants:
-    """The ten invariants and their cross derivatives as (n_t, 1) columns.
-
-    The column is the meridian theta = 0, and every meridian has the same
-    values.
-    """
-    t, r, h, n_r, n_h, k, beta = _adapted(c, axis)
-    r_t, _, n_r_t, n_h_t = _t_derivatives(n_r, n_h, k, beta)
-    zero = np.zeros((t.size, 1))
-    return BasicInvariants(
-        u=t, v=np.zeros(1),
-        a1=zero, b1=-beta[:, None], a2=-r[:, None], b2=zero,
-        e1=zero, f1=-k[:, None], g1=zero,
-        e2=-n_r[:, None], f2=zero, g2=n_h[:, None],
-        cross={"a1_v": zero, "a2_u": -r_t[:, None],
-               "b1_v": zero, "b2_u": zero,
-               "e1_v": zero, "e2_u": -n_r_t[:, None],
-               "f1_v": zero, "f2_u": zero,
-               "g1_v": zero, "g2_u": n_h_t[:, None]},
-    )
-
-
 def revolve(c: LegendreCurve, axis: str = "z", n_theta: int = 128) -> RevolutionSurface:
     """Rotate the profile about the chosen axis.
 
@@ -201,8 +175,8 @@ def revolve(c: LegendreCurve, axis: str = "z", n_theta: int = 128) -> Revolution
     meshing utilities re-add the seam.  The surface keeps the axis-adapted
     profile columns and builds its grid fields, exact partials and mixed
     partials included, when they are read (see RevolutionSurface).  The
-    invariants carry exact derivative grids for the integrability check;
-    they are read-only views of one column each.
+    invariants are (n_t, 1) columns in closed form, with the exact cross
+    derivatives the integrability check reads.
     """
     t, r, h, n_r, n_h, k, beta = _adapted(c, axis)
     if n_theta < 8:
@@ -213,24 +187,30 @@ def revolve(c: LegendreCurve, axis: str = "z", n_theta: int = 128) -> Revolution
     columns = {"t": t, "r": r, "h": h, "n_r": n_r, "n_h": n_h,
                "r_t": r_t, "h_t": h_t, "n_r_t": n_r_t, "n_h_t": n_h_t,
                "one": ones, "minus_one": -ones, "zero": np.zeros(t.size)}
-
-    cols = _invariant_columns(c, axis)
-    def sweep(col):
-        return np.broadcast_to(col, (t.size, n_theta))
-
+    zero = np.zeros((t.size, 1))
     inv = BasicInvariants(
-        u=t, v=theta, **{f: sweep(getattr(cols, f)) for f in _INVARIANTS},
-        cross={key: sweep(col) for key, col in cols.cross.items()},
+        u=t, v=np.zeros(1),
+        a1=zero, b1=-beta[:, None], a2=-r[:, None], b2=zero,
+        e1=zero, f1=-k[:, None], g1=zero,
+        e2=-n_r[:, None], f2=zero, g2=n_h[:, None],
+        cross={"a1_v": zero, "a2_u": -r_t[:, None],
+               "b1_v": zero, "b2_u": zero,
+               "e1_v": zero, "e2_u": -n_r_t[:, None],
+               "f1_v": zero, "f2_u": zero,
+               "g1_v": zero, "g2_u": n_h_t[:, None]},
     )
     return RevolutionSurface(axis=axis, profile=c, theta=theta,
                              invariants=inv, columns=columns)
 
 
-def revolution_curvature(c: LegendreCurve, axis: str = "z") -> RevolutionCurvature:
-    """J, K, H of the revolved surface along the profile parameter."""
-    C = curvature_of(_invariant_columns(c, axis))
-    return RevolutionCurvature(t=C.u, J=C.J[:, 0], K=C.K[:, 0], H=C.H[:, 0],
-                               det_bg=C.det_bg[:, 0], det_fg=C.det_fg[:, 0])
+def revolution_curvature(c: LegendreCurve, axis: str = "z") -> FSCurvature:
+    """J, K, H and the other determinants of the revolved surface.
+
+    Each determinant is the 1-D array over the profile parameter u = t.
+    """
+    C = vars(curvature_of(revolve(c, axis).invariants))
+    return FSCurvature(**{key: val if key in ("u", "v") else val[:, 0]
+                          for key, val in C.items()})
 
 
 def frontal_front_status(c: LegendreCurve, axis: str = "z",
@@ -391,8 +371,6 @@ def _extend_isolated_zeros(t, values, good, tol=1e-6):
 def revolution_evolutes(c: LegendreCurve, n_theta: int = 128,
                         tol: float = 1e-8) -> EvoluteBundle:
     """Both evolutes of the z-axis revolute of the profile."""
-    from .legendre import NormalJet
-
     t, x, z, a, b, ell, beta = _adapted(c, "z")
     diagnostics = {}
     first = None
@@ -449,9 +427,6 @@ def parallel_commutation_check(c: LegendreCurve, lam: float, axis: str = "z",
     normal, so the profile offset that matches a surface offset of lam is
     -lam there.
     """
-    from .legendre import parallel_curve
-    from .framed import parallel_surface
-
     surf = revolve(c, axis=axis, n_theta=16)
     grid_a, inv_a = parallel_surface(surf.grid, lam, surf.invariants)
     profile_lam = _AXES[axis][1] * lam
@@ -459,8 +434,7 @@ def parallel_commutation_check(c: LegendreCurve, lam: float, axis: str = "z",
     grid_b, inv_b = surf_b.grid, surf_b.invariants
 
     res = {}
-    for name in ("x", "n", "s", "x_u", "x_v", "n_u", "n_v", "s_u", "s_v",
-                 "x_uv", "n_uv", "s_uv"):
+    for name in _FIELDS:
         pa, pb = getattr(grid_a, name), getattr(grid_b, name)
         res[name] = float(np.max(np.abs(pa - pb)))
     for name in _INVARIANTS:

@@ -328,3 +328,23 @@ def test_unevaluable_expression_raises_one_class(bad, lo, hi):
         assert type(ei.value) is ConstructionError, name
         assert "cannot be evaluated on the grid" in str(ei.value), name
         assert bad in ei.value.info["source"], name
+
+
+@pytest.mark.parametrize("order", [-1, -3])
+def test_negative_jet_order_rejected(order):
+    # -1 used to build order-1 jets silently, -3 to fail deep in numpy
+    g = uniform_grid(0.3, 1.2, 40)
+    builds = {
+        "jk": lambda: profile_from_JK("-cos(t)", "cos(t)", 1.0, g,
+                                      order=order),
+        "gauss": lambda: profile_from_gauss_ratio(GaussRatioProblem(
+            alpha="-1", beta="cot(t)", t0=0.5, x0=1.0), g, order=order),
+        "mean": lambda: profile_from_mean_ratio(MeanRatioProblem(
+            alpha="0", beta="t", c1=0.2, c2=0.3, t0=0.5), g, order=order),
+        "J phi": lambda: profile_from_J_phi("-t", "1", x0=1.0, grid=g,
+                                            order=order),
+        "H phi": lambda: profile_from_H_phi("0.5", "0", g, order=order),
+    }
+    for name, build in builds.items():
+        with pytest.raises(ValueError, match=f"order .*got {order}"):
+            build()

@@ -4,6 +4,8 @@ The oracle for values and derivatives is sympy; the syntax tests pin the
 error type and the reported byte offset.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -236,6 +238,23 @@ def test_exponent_takes_its_value_from_the_value_path_on_both():
     # so a constant exponent's derivatives are never taken (none at 0 here)
     np.testing.assert_array_equal(expr.eval_jet("t^sqrt(0)", 0.5, 3).coeffs,
                                   [1.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("order", [-1, -3])
+def test_any_order_jet_rejects_negative_order(order):
+    with pytest.raises(ValueError, match=f"order .*got {order}"):
+        expr.eval_jet_any_order("t", 0.5, order)
+
+
+@pytest.mark.parametrize("src, t", [
+    ("log(t)", 1e-300), ("sqrt(t)", 1e-300),
+    ("log(t)", np.array([0.5, 1e-300]))])
+def test_overflowing_derivative_refused_without_a_warning(src, t):
+    # no errstate here: numpy must not warn before the refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="derivative overflow"):
+            expr.eval_jet(src, t, 5)
 
 
 @pytest.mark.parametrize("src", ["log(t)", "sqrt(t)", "log(log(t))"])

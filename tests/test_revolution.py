@@ -66,12 +66,16 @@ def test_closed_form_invariants_match_frame_projections():
         c = random_profile(rng, g)
         surf = revolve(c, axis=axis, n_theta=12)
         proj = basic_invariants_of(surf.grid)
+        # the (n_t, 1) columns hold at every theta
         for f in INV_FIELDS:
-            np.testing.assert_allclose(getattr(surf.invariants, f),
-                                       getattr(proj, f), atol=1e-12,
-                                       err_msg=f"{axis}:{f}")
+            want = getattr(proj, f)
+            np.testing.assert_allclose(
+                np.broadcast_to(getattr(surf.invariants, f), want.shape),
+                want, atol=1e-12, err_msg=f"{axis}:{f}")
         for key, val in surf.invariants.cross.items():
-            np.testing.assert_allclose(val, proj.cross[key], atol=1e-12,
+            want = proj.cross[key]
+            np.testing.assert_allclose(np.broadcast_to(val, want.shape),
+                                       want, atol=1e-12,
                                        err_msg=f"{axis}:{key}")
 
 
