@@ -13,6 +13,7 @@ positions held in memory exceed one block.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .revolution import RevolutionSurface
 
 _OBJ_RINGS = 64
 _CSV_ROW = ",".join(["%.17g"] * 7) + "\r\n"
+_json_str = json.encoder.encode_basestring_ascii
 
 
 def write_curve_csv(c: LegendreCurve, path) -> None:
@@ -107,9 +109,73 @@ def classification_record(label, t0: float):
             "criterion_values": diag, "thresholds": thresholds}
 
 
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_parts(value, indent: str, out: list) -> None:
+    """Append the indent-2 JSON text of value to out, in the order and
+    spelling of json.dumps(sort_keys=True, indent=2)."""
+    if isinstance(value, str):
+        out.append(_json_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_json_float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _json_parts(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError("JSON keys must be str, not %s"
+                                % type(key).__name__)
+            out.append(sep + _json_str(key) + ": ")
+            _json_parts(value[key], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % type(value).__name__)
+
+
 def json_text(payload) -> str:
-    """payload holds plain values only: str-keyed dicts, lists, numbers."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """payload holds plain values only: str-keyed dicts, lists, tuples,
+    str, int, float, bool and None; anything else raises TypeError.
+
+    The text is json.dumps(payload, sort_keys=True, indent=2) plus a
+    newline, written directly: json.dumps falls back to its pure-Python
+    encoder whenever it indents.
+    """
+    out = []
+    _json_parts(payload, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def write_json(payload, path) -> None:

@@ -1,11 +1,15 @@
-"""The CSV and OBJ writers against a per-number reference formatter.
+"""The CSV, OBJ and JSON writers against reference formatters.
 
 The reference formats one number per "%.17g" call, writes one OBJ line
 per vertex and per triangle, and writes the CSV through csv.writer.  The
 block writers must give the same bytes on every profile, axis and size.
+The JSON writer must give the text of json.dumps(sort_keys=True,
+indent=2) on every payload of plain values and refuse everything else.
 """
 
 import csv
+import json
+import math
 
 import numpy as np
 import pytest
@@ -131,3 +135,35 @@ def test_writers_keep_signed_zeros(tmp_path):
     assert_same_bytes(c, "x", 8, tmp_path)
     text = (tmp_path / "block.csv").read_text()
     assert ",-0," in text and ",0," in text
+
+
+NO_SHRINK = [ph for ph in Phase if ph is not Phase.shrink]
+JSON_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e-310, math.nan, math.inf, -math.inf, 1e300, 0.1]))
+JSON_TEXT = st.text(st.one_of(st.characters(), st.sampled_from(
+    list('\x00\x1f\x7f"\\/\b\f\n\r\t\u2028\ufeff\u00e9\U0001f600'))))
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(),
+                        JSON_FLOATS, JSON_TEXT)
+JSON_PAYLOADS = st.recursive(
+    JSON_LEAVES,
+    lambda sub: st.one_of(st.lists(sub, max_size=4),
+                          st.lists(sub, max_size=4).map(tuple),
+                          st.dictionaries(JSON_TEXT, sub, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None, phases=NO_SHRINK)
+@given(JSON_PAYLOADS)
+def test_json_text_matches_json_dumps(payload):
+    assert export.json_text(payload) == \
+        json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("payload", [
+    np.array([1.0, 2.0]), np.int64(3), {"a": [np.int64(1)]}, {1: 2.0},
+    {"a": {2.5: "x"}}, [{None: 1}], {"a": {1, 2}}, (object(),)])
+def test_json_text_refuses_other_types(payload):
+    with pytest.raises(TypeError):
+        export.json_text(payload)
