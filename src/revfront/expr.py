@@ -323,15 +323,25 @@ def _eval(e: Expr, t, var):
         arg = _eval(e.arg, t, var)
         return jet_fn(arg) if jet else value_fn(arg, t)
     if isinstance(e, BinOp):
+        if e.op in _RING:
+            return _RING[e.op](_operand(e.left, e.right, t, var),
+                               _operand(e.right, e.left, t, var))
         left = _eval(e.left, t, var)
         if e.op == "^":
             p = _exponent(e.right, t, var)
             return left ** p if jet else _power(left, p, t)
         right = _eval(e.right, t, var)
-        if e.op in _RING:
-            return _RING[e.op](left, right)
         return left / right if jet else jets.quotient(left, right, t)
     raise TypeError("not an expression node: %r" % (e,))
+
+
+def _operand(e: Expr, other: Expr, t, var):
+    """An operand e of + - * beside the operand other.  In jet mode a
+    literal beside a non-literal enters as a float: a jet scales by it or
+    shifts its value, with the bits of a constant jet's product or sum."""
+    if isinstance(e, Num) and isinstance(var, Jet) and not isinstance(other, Num):
+        return e.value
+    return _eval(e, t, var)
 
 
 def _exponent(e: Expr, t, var) -> float:

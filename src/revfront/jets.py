@@ -86,13 +86,12 @@ class Jet:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            return other
-        return constant(other, self.order, self.t)
-
     def __add__(self, other):
-        other = self._coerce(other)
+        if not isinstance(other, Jet):
+            # as adding a constant jet: c to the value, 0.0 to the rest
+            out = self.coeffs + 0.0
+            out[0] = self.coeffs[0] + other
+            return Jet(self.t, out)
         n = min(self.order, other.order)
         return Jet(self.t, self.coeffs[: n + 1] + other.coeffs[: n + 1])
 
@@ -103,7 +102,12 @@ class Jet:
         return Jet(self.t, -self.coeffs)
 
     def __sub__(self, other):
-        return self.__add__(-self._coerce(other))
+        if not isinstance(other, Jet):
+            # as adding -constant: -0.0 leaves every other coefficient be
+            out = self.coeffs.copy()
+            out[0] = self.coeffs[0] - other
+            return Jet(self.t, out)
+        return self.__add__(-other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
