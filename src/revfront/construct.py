@@ -693,7 +693,7 @@ def profile_from_mean_ratio(p: MeanRatioProblem, grid,
     beta_j = _jet(p.beta, g, io, "beta")
     eta_j = (2.0 * (alpha_j * beta_j)).antiderivative(
         fg.at_coarse(eta_s)).truncated(io)
-    ce, se = jets.cos(eta_j), jets.sin(eta_j)
+    se, ce = jets.sin_cos(eta_j)
     F_j = (-(beta_j * ce)).antiderivative(fg.at_coarse(F_s)).truncated(io)
     G_j = (-(beta_j * se)).antiderivative(fg.at_coarse(G_s)).truncated(io)
     x_j = jets.sqrt(F_j * F_j + G_j * G_j)
@@ -768,7 +768,7 @@ def profile_from_H_phi(H: str, phi: str, grid, c_a: float = 0.0,
 
     H_j = _jet(H, g, io, "H")
     phi_j = _jet(phi, g, io, "phi")
-    a_j, b_j = jets.cos(phi_j), jets.sin(phi_j)
+    b_j, a_j = jets.sin_cos(phi_j)
     A_j = (2.0 * (H_j * b_j)).antiderivative(fg.at_coarse(A_s)).truncated(io)
     x_j = -(A_j / a_j)
     dphi_j = phi_j.differentiated()

@@ -9,7 +9,28 @@ ORDER_CAP; the arithmetic itself works at any order.
 The product sums each coefficient left to right, a[0]*b[k] first: array
 bases by shift-and-add over coefficient rows, scalar bases in a loop on
 Python floats.  Both give the bits of the plain double loop, so reruns,
-and rewrites that keep the order, are bit-identical.
+and rewrites that keep the order, are bit-identical.  The quotient loop
+runs on Python floats for a scalar base too, with the same bits.
+
+The elementary functions use Taylor recurrences (Griewank and Walther,
+Evaluating Derivatives, 2nd ed., ch. 13).  Coefficient 0 of f(g) is the
+value algebra's numpy function of g's value, so an order-0 jet has the
+bits of expr.eval_values.  Every other coefficient solves a linear ODE
+that f satisfies along g, one order at a time; with dg_j = j * g_j:
+
+  exp        a' = a g'                k a_k = sum_{j=1..k} dg_j a_{k-j}
+  sin, cos   s' = c g', c' = -s g'    one recurrence for the pair
+  sinh, cosh s' = c g', c' = s g'     one recurrence for the pair
+  log, atan  a' w = g', w = g or 1 + g^2
+             a_k = (g_k - sum_{j=1..k-1} j a_j w_{k-j} / k) / w_0
+  sqrt       a^2 = g                  a_k = (g_k - sum_{j=1..k-1} a_j a_{k-j}) / (2 a_0)
+
+tan and cot divide the pair once.  Like the product, each recurrence is
+one loop over coefficient rows, Python floats for a scalar base.  The
+coefficients above 0 never hold -0.0: they get + 0.0, as adding a
+constant jet gives them.  A node where g is finite and a coefficient
+above 0 is not raises DomainError("derivative overflow at t=..."),
+without a numpy warning.
 """
 
 from __future__ import annotations
@@ -136,16 +157,19 @@ class Jet:
     def __truediv__(self, other):
         if not isinstance(other, Jet):
             return Jet(self.t, self.coeffs / float(other))
-        num, den = self, other
-        n = min(num.order, den.order)
-        a, b = num.coeffs, den.coeffs
-        out = np.empty((n + 1,) + self.t.shape)
-        out[0] = quotient(a[0], b[0], self.t)
+        n = min(self.order, other.order)
+        q0 = quotient(self.coeffs[0], other.coeffs[0], self.t)
+        # a zero denominator passes quotient only beside a NaN numerator;
+        # numpy rows then give inf/NaN where Python floats would raise
+        if self.t.ndim == 0 and other.coeffs[0] != 0:
+            a, b, out = self.coeffs.tolist(), other.coeffs.tolist(), [float(q0)]
+        else:
+            a, b, out = self.coeffs, other.coeffs, [q0]
         for k in range(1, n + 1):
-            s = a[k].astype(float, copy=True)
+            s = a[k]
             for j in range(1, k + 1):
                 s = s - b[j] * out[k - j]
-            out[k] = s / b[0]
+            out.append(s / b[0])
         return Jet(self.t, out)
 
     def __rtruediv__(self, other):
@@ -232,97 +256,141 @@ def constant(c, order: int, like_t=0.0) -> Jet:
     return Jet(t, coeffs)
 
 
-# -- composition with elementary functions ---------------------------------
+# -- elementary functions by Taylor recurrences (see the module docstring) --
 
-def _compose(g: Jet, dvals) -> Jet:
-    """Jet of f(g) from the derivative values of f at g's base value, by
-    Horner's rule in g - g(t): each step adds f^(m)/m! to coefficient 0,
-    and 0.0 to the others (turning -0.0 into 0.0, as adding a jet does)."""
+def _rows(j: Jet):
+    """Coefficient rows to loop over: Python floats for a scalar base,
+    which are faster than numpy scalars and never warn, else numpy rows."""
+    return j.coeffs.tolist() if j.t.ndim == 0 else j.coeffs
+
+
+def _head(g: Jet, value):
+    """Coefficient 0 in the form of g's rows."""
+    return float(value) if g.t.ndim == 0 else value
+
+
+def _conv(x, y, lo: int, hi: int, k: int):
+    """x[lo] * y[k-lo] + ... + x[hi] * y[k-hi], summed left to right."""
+    s = x[lo] * y[k - lo]
+    for j in range(lo + 1, hi + 1):
+        s = s + x[j] * y[k - j]
+    return s
+
+
+def _finish(g: Jet, rows) -> Jet:
+    """The jet of a function of g from its rows.  Coefficients above 0
+    get + 0.0, so they never hold -0.0, as adding a jet leaves them.  A
+    node where g is finite and a coefficient above 0 is not overflowed:
+    DomainError("derivative overflow")."""
+    c = np.array(rows, dtype=float)
+    c[1:] += 0.0
+    if not np.isfinite(c[1:]).all():
+        _refuse(np.isfinite(g.coeffs).all(axis=0)
+                & ~np.isfinite(c[1:]).all(axis=0), g.t, "derivative overflow")
+    return Jet(g.t, c)
+
+
+def _pair(g: Jet, f0, h0, sign: float):
+    """Jets of f and h with f' = h g' and h' = sign * f g'."""
     n = g.order
-    h = Jet(g.t, np.concatenate([np.zeros((1,) + g.t.shape), g.coeffs[1:]]))
-    result = constant(dvals[n] / math.factorial(n), n, g.t)
-    for m in range(n - 1, -1, -1):
-        result = result * h
-        result.coeffs[1:] += 0.0
-        result.coeffs[0] += dvals[m] / math.factorial(m)
-    return result
+    r = _rows(g)
+    f, h = [_head(g, f0)], [_head(g, h0)]
+    with np.errstate(all="ignore"):
+        dg = [None] + [k * r[k] for k in range(1, n + 1)]
+        for k in range(1, n + 1):
+            f.append(_conv(dg, h, 1, k, k) / k)
+            h.append(sign * _conv(dg, f, 1, k, k) / k)
+    return _finish(g, f), _finish(g, h)
 
 
-def _apply(g: Jet, dvals) -> Jet:
-    """f(g) from f's derivatives at g's value, to g's order or one period;
-    refuses one that overflows (log near 0): _compose would give NaN."""
-    result = _compose(g, [dvals[m % len(dvals)] for m in range(g.order + 1)])
-    if np.isnan(result.value).any():
-        _refuse(np.isnan(result.value) & ~np.isnan(dvals[0]), g.t,
-                "derivative overflow")
-    return result
+def _quotient_ode(g: Jet, w: Jet, a0) -> Jet:
+    """Jet of a with a(g0) = a0 and a' w = g'."""
+    n = g.order
+    r, wr = _rows(g), _rows(w)
+    a = [_head(g, a0)]
+    with np.errstate(all="ignore"):
+        da = [None]
+        for k in range(1, n + 1):
+            s = r[k]
+            if k > 1:
+                s = s - _conv(da, wr, 1, k - 1, k) / k
+            a.append(s / wr[0])
+            da.append(k * a[k])
+    return _finish(g, a)
+
+
+def sin_cos(g: Jet) -> tuple[Jet, Jet]:
+    """(sin g, cos g) from one recurrence."""
+    x = g.value
+    return _pair(g, np.sin(x), np.cos(x), -1.0)
+
+
+def sinh_cosh(g: Jet) -> tuple[Jet, Jet]:
+    """(sinh g, cosh g) from one recurrence."""
+    x = g.value
+    return _pair(g, np.sinh(x), np.cosh(x), 1.0)
 
 
 def sin(g: Jet) -> Jet:
-    x = g.value
-    return _apply(g, [np.sin(x), np.cos(x), -np.sin(x), -np.cos(x)])
+    return sin_cos(g)[0]
 
 
 def cos(g: Jet) -> Jet:
-    x = g.value
-    return _apply(g, [np.cos(x), -np.sin(x), -np.cos(x), np.sin(x)])
+    return sin_cos(g)[1]
 
 
 def tan(g: Jet) -> Jet:
-    return sin(g) / cos(g)
+    s, c = sin_cos(g)
+    return s / c
 
 
 def cot(g: Jet) -> Jet:
-    return cos(g) / sin(g)
+    s, c = sin_cos(g)
+    return c / s
+
+
+def sinh(g: Jet) -> Jet:
+    return sinh_cosh(g)[0]
+
+
+def cosh(g: Jet) -> Jet:
+    return sinh_cosh(g)[1]
 
 
 def exp(g: Jet) -> Jet:
-    return _apply(g, [np.exp(g.value)])
+    n = g.order
+    r = _rows(g)
+    a = [_head(g, np.exp(g.value))]
+    with np.errstate(all="ignore"):
+        dg = [None] + [k * r[k] for k in range(1, n + 1)]
+        for k in range(1, n + 1):
+            a.append(_conv(dg, a, 1, k, k) / k)
+    return _finish(g, a)
 
 
 def log(g: Jet) -> Jet:
-    x = g.value
-    value = log_value(x)
-    # an infinite derivative (x near 0) makes the Horner value NaN, which
-    # _apply refuses as an overflow, so numpy need not warn on the way
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _apply(g, [value] + [
-            (-1.0) ** (m - 1) * math.factorial(m - 1) / x ** m
-            for m in range(1, g.order + 1)])
+    return _quotient_ode(g, g, log_value(g.value))
+
+
+def atan(g: Jet) -> Jet:
+    return _quotient_ode(g, 1.0 + g * g, np.arctan(g.value))
 
 
 def sqrt(g: Jet) -> Jet:
     x = g.value
-    dvals = [sqrt_value(x)]
+    a0 = sqrt_value(x)
     if g.order >= 1 and np.any(x == 0):
         raise DomainError("sqrt derivative at zero")
-    coef = 0.5
-    # as in log, _apply refuses an infinite derivative without a warning
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for m in range(1, g.order + 1):
-            dvals.append(coef * x ** (0.5 - m))
-            coef *= 0.5 - m
-        return _apply(g, dvals)
-
-
-def sinh(g: Jet) -> Jet:
-    x = g.value
-    return _apply(g, [np.sinh(x), np.cosh(x)])
-
-
-def cosh(g: Jet) -> Jet:
-    x = g.value
-    return _apply(g, [np.cosh(x), np.sinh(x)])
-
-
-def atan(g: Jet) -> Jet:
-    x = g.value
-    dvals = [np.arctan(x)]
-    if g.order >= 1:
-        w = 1.0 / (1.0 + variable(x, g.order - 1) ** 2)
-        for m in range(1, g.order + 1):
-            dvals.append(math.factorial(m - 1) * w.coeffs[m - 1])
-    return _apply(g, dvals)
+    r = _rows(g)
+    a = [_head(g, a0)]
+    with np.errstate(all="ignore"):
+        two_a0 = 2.0 * a[0]
+        for k in range(1, g.order + 1):
+            s = r[k]
+            if k > 1:
+                s = s - _conv(a, a, 1, k - 1, k)
+            a.append(s / two_a0)
+    return _finish(g, a)
 
 
 def jet_div_reduced(num: Jet, den: Jet, tol: float = 1e-9) -> Jet:

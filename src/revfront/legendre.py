@@ -191,8 +191,7 @@ def reconstruct_from_curvature(ell_src, beta_src, grid,
     ell_j = evaluated("ell", expr.eval_jet, ell_src, g, order)
     beta_j = evaluated("beta", expr.eval_jet, beta_src, g, order)
     theta_j = ell_j.antiderivative(fg.at_coarse(theta_s)).truncated(order)
-    a_j = jets.cos(theta_j)
-    b_j = jets.sin(theta_j)
+    b_j, a_j = jets.sin_cos(theta_j)
     x_j = (-(beta_j * b_j)).antiderivative(fg.at_coarse(x_s)).truncated(order)
     z_j = (beta_j * a_j).antiderivative(fg.at_coarse(z_s)).truncated(order)
     pair = CurvaturePair(g, ell_j, beta_j, exact=True)

@@ -60,21 +60,21 @@ GOLDEN = {
         "json": "fde3f5927f15905fd575b58ffe4cff6396146d56cac7e4e6eed0c8afd313b3eb",
     }),
     "evolute": (0, {
-        "csv": "4ea5637c0281d5100412f6d2890fdffe7f27c6477503477e2fd84ddbe6904117",
-        "obj": "60e8739fe5e750977a5e0996d520614551f2e1ce5f497d5dd1548ac6f8bf1093",
+        "csv": "c8cb7019dbf4ec30acabbfdc0f89a78d3dc6daa8f07dc140e1917b4f75158228",
+        "obj": "19cb5693a844644ffbf6113028dbc351ff1370b46614f9f42742a45df15558f4",
         "json": "29995b1de17d71e2cc3c9a237ab19c9145281cd5a68744bbf9e1c62d41fcde1a",
     }),
     "invariants-x-ell": (0, {
         "json": "887c57372326b71c26fe0172e484e098fc6f3f0598e5072c9f3406c572d4026a",
     }),
     "invariants-x-xzab": (0, {
-        "json": "2f5db079ffb1b1bcda9f76db64a1245d7618f34a96b6c9f3d1e886c1b99670a3",
+        "json": "336c7cf7a96b17385817298bf6989bdac24e4ecf3f36152d5ba6c432f10694b6",
     }),
     "invariants-z-ell": (0, {
         "json": "7fda7ad6c8bab4543974282e569d5df3e6303e0546c8e2427edc3d48a8cbbbbf",
     }),
     "invariants-z-xzab": (0, {
-        "json": "a2234b6ef212c6eaa72cdbc21580841c2436312d4b700144d26e32a70384843d",
+        "json": "db7924af03bf523762f80f518687abc5564f197275abcee1bca82a17512555b7",
     }),
     "parallel-x": (0, {
         "csv": "e0a0acf24590fce5bd50a365630a9051e2111d5c24a14b4c48cd70d59fc1e58a",
@@ -92,7 +92,7 @@ GOLDEN = {
         "json": "e332c53911317484a2091d58fce871cbebdfe3876693100c382f89c79ca4d832",
     }),
     "revolve-x-xzab": (0, {
-        "csv": "72cc1e80fe6e341331fe2a34a62ff4b88d50c0cc4fafea05729dc27a04781124",
+        "csv": "9d653d0e43fde02903cf6a5ca7b2a53d76452214bbdba012be49807d01cd50de",
         "obj": "6a1cd475b0fc7f93e6c56c2554932d11d47ec2beba67fb4d641a21d1d559843b",
         "json": "a70b9f47a8d551a82e15acd88c207cf7a272e7aaf40297688b1eddceaa9a1fcd",
     }),
@@ -102,7 +102,7 @@ GOLDEN = {
         "json": "534751d1e4ee58b6f323ae0ffeeadd3722d110d41d65538886a87bfcb65e139f",
     }),
     "revolve-z-xzab": (0, {
-        "csv": "72cc1e80fe6e341331fe2a34a62ff4b88d50c0cc4fafea05729dc27a04781124",
+        "csv": "9d653d0e43fde02903cf6a5ca7b2a53d76452214bbdba012be49807d01cd50de",
         "obj": "ec3b7f642108a81a12f316bcf5d3810f5ea0678e74abad5a4206b34e2c998642",
         "json": "fdc099ab1c89f4f74e818c2d76d090565f5602f8296af5474701e86ad2feba85",
     }),

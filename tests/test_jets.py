@@ -51,10 +51,18 @@ def test_elementary_functions_match_sympy(name):
     # inner function keeps log/sqrt domains positive on the sample points
     inner = 0.3 * t**2 + 0.5 * t + 1.2
     f = getattr(sp, name)(inner)
-    for t0 in (0.25, 1.1, 2.0):
-        v = jets.variable(t0, 5)
+    points = (0.25, 1.1, 2.0)
+    want = np.column_stack([sympy_jet(f, t0) for t0 in points])
+    for order in range(6):
+        # each point as a scalar base, then all three as one array base
+        for i, t0 in enumerate(points):
+            v = jets.variable(t0, order)
+            got = getattr(jets, name)(0.3 * v**2 + 0.5 * v + 1.2)
+            np.testing.assert_allclose(got.coeffs, want[:order + 1, i],
+                                       rtol=1e-10, atol=1e-12)
+        v = jets.variable(np.array(points), order)
         got = getattr(jets, name)(0.3 * v**2 + 0.5 * v + 1.2)
-        np.testing.assert_allclose(got.coeffs, sympy_jet(f, t0),
+        np.testing.assert_allclose(got.coeffs, want[:order + 1],
                                    rtol=1e-10, atol=1e-12)
 
 
