@@ -11,7 +11,7 @@ cli).
 
 from .jets import Jet, DomainError, ORDER_CAP
 from .expr import parse, to_source, eval_jet, eval_values, ExprSyntaxError
-from .quadrature import FineGrid, QuadratureError, uniform_grid
+from .quadrature import FineGrid, uniform_grid
 from .legendre import (CurvaturePair, CurveJet, LegendreCurve, NormalJet,
                        congruence_align, curvature_of, curvature_pair_of,
                        legendre_from_expressions, legendre_from_samples,

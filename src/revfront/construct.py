@@ -343,17 +343,20 @@ def _j_tail(fg, io, i0, x0, z0, J, J_s, sin_s, cos_s, angle, why=""):
 
 def _assemble(fg, io, z_s, x_j, a_j, b_j, ell_j, beta_j, report):
     """The curve with z chained from its lattice values z_s; fills the
-    report's contact and norm residuals."""
+    report's contact and norm residuals from the internal-order jets,
+    then cuts every jet to the order the caller asked for (io - 2)."""
     g = fg.grid
     z_j = (beta_j * a_j).antiderivative(fg.at_coarse(z_s)).truncated(io)
-    pair = CurvaturePair(g, ell_j, beta_j, exact=True)
-    curve = LegendreCurve(CurveJet(g, x_j, z_j), NormalJet(g, a_j, b_j),
-                          exact=True, curvature=pair,
-                          flags={"construction": report})
-    rep = verify_legendre(curve)
+    rep = verify_legendre(LegendreCurve(CurveJet(g, x_j, z_j),
+                                        NormalJet(g, a_j, b_j)))
     report.contact_residual = rep.max_contact_residual
     report.norm_residual = rep.max_norm_residual
-    return curve
+    x_j, z_j, a_j, b_j, ell_j, beta_j = (
+        j.truncated(io - 2) for j in (x_j, z_j, a_j, b_j, ell_j, beta_j))
+    return LegendreCurve(CurveJet(g, x_j, z_j), NormalJet(g, a_j, b_j),
+                         exact=True,
+                         curvature=CurvaturePair(g, ell_j, beta_j, exact=True),
+                         flags={"construction": report})
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,12 @@ from .jets import DomainError
 
 class ConstructionError(RuntimeError):
     """Prescribed data cannot be realized on the grid, an expression that
-    cannot be evaluated there among them.  QuadratureError names it too."""
+    cannot be evaluated there among them."""
 
     def __init__(self, message, **info):
         super().__init__(message)
         self.info = info
 
-
-QuadratureError = ConstructionError
 
 
 def evaluated(what, evaluate, src, *args):

@@ -16,7 +16,7 @@ from revfront.construct import (ConstructionError, GaussRatioProblem,
                                 profile_from_mean_ratio)
 from revfront.legendre import (curvature_pair_of, legendre_from_expressions,
                                reconstruct_from_curvature, verify_legendre)
-from revfront.quadrature import FineGrid, QuadratureError, uniform_grid
+from revfront.quadrature import FineGrid, uniform_grid
 from revfront.revolution import revolution_curvature
 
 PI = np.pi
@@ -320,7 +320,6 @@ def _entry_points(bad):
                                          ("log(t)", 0.0, 1.0)])
 def test_unevaluable_expression_raises_one_class(bad, lo, hi):
     # 1/t has a pole at the grid node 0; log(t) leaves its domain there
-    assert QuadratureError is ConstructionError
     g = uniform_grid(lo, hi, 21)
     for name, build in _entry_points(bad).items():
         with pytest.raises(Exception) as ei:
@@ -348,3 +347,32 @@ def test_negative_jet_order_rejected(order):
     for name, build in builds.items():
         with pytest.raises(ValueError, match=f"order .*got {order}"):
             build()
+
+
+@pytest.mark.parametrize("order", range(6))
+def test_every_builder_returns_the_order_asked_for(order):
+    # the constructions used to return curve and normal jets of order + 2
+    # and curvature jets of order + 1
+    g = uniform_grid(0.3, 0.9, 40)
+    builds = {
+        "jk": lambda: profile_from_JK("-cos(t)", "cos(t)", 1.0, g,
+                                      order=order),
+        "gauss": lambda: profile_from_gauss_ratio(GaussRatioProblem(
+            alpha="-1", beta="cot(t)", t0=0.5, x0=1.0), g, order=order),
+        "mean": lambda: profile_from_mean_ratio(MeanRatioProblem(
+            alpha="0", beta="t", c1=0.2, c2=0.3, t0=0.5), g, order=order),
+        "J phi": lambda: profile_from_J_phi("-t", repr(PI / 2), x0=1.0,
+                                            grid=g, order=order),
+        "H phi": lambda: profile_from_H_phi("0.5", "0", g, c_a=-1.0,
+                                            order=order),
+        "reconstruct": lambda: reconstruct_from_curvature(
+            "1+0.3*sin(t)", "1.2+0.2*cos(t)", g, order=order),
+        "expressions": lambda: legendre_from_expressions(
+            "sin(t)", "cos(t)", "cos(t)", "-sin(t)", g, order=order),
+    }
+    for name, build in builds.items():
+        c = build()
+        jets = [c.curve.x, c.curve.z, c.normal.a, c.normal.b]
+        if c.curvature is not None:
+            jets += [c.curvature.ell, c.curvature.beta]
+        assert [j.order for j in jets] == [order] * len(jets), name
