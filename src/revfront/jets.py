@@ -269,10 +269,10 @@ def _head(g: Jet, value):
     return float(value) if g.t.ndim == 0 else value
 
 
-def _conv(x, y, lo: int, hi: int, k: int):
-    """x[lo] * y[k-lo] + ... + x[hi] * y[k-hi], summed left to right."""
-    s = x[lo] * y[k - lo]
-    for j in range(lo + 1, hi + 1):
+def _conv(x, y, hi: int, k: int):
+    """x[1] * y[k-1] + ... + x[hi] * y[k-hi], summed left to right."""
+    s = x[1] * y[k - 1]
+    for j in range(2, hi + 1):
         s = s + x[j] * y[k - j]
     return s
 
@@ -298,8 +298,8 @@ def _pair(g: Jet, f0, h0, sign: float):
     with np.errstate(all="ignore"):
         dg = [None] + [k * r[k] for k in range(1, n + 1)]
         for k in range(1, n + 1):
-            f.append(_conv(dg, h, 1, k, k) / k)
-            h.append(sign * _conv(dg, f, 1, k, k) / k)
+            f.append(_conv(dg, h, k, k) / k)
+            h.append(sign * _conv(dg, f, k, k) / k)
     return _finish(g, f), _finish(g, h)
 
 
@@ -313,7 +313,7 @@ def _quotient_ode(g: Jet, w: Jet, a0) -> Jet:
         for k in range(1, n + 1):
             s = r[k]
             if k > 1:
-                s = s - _conv(da, wr, 1, k - 1, k) / k
+                s = s - _conv(da, wr, k - 1, k) / k
             a.append(s / wr[0])
             da.append(k * a[k])
     return _finish(g, a)
@@ -364,7 +364,7 @@ def exp(g: Jet) -> Jet:
     with np.errstate(all="ignore"):
         dg = [None] + [k * r[k] for k in range(1, n + 1)]
         for k in range(1, n + 1):
-            a.append(_conv(dg, a, 1, k, k) / k)
+            a.append(_conv(dg, a, k, k) / k)
     return _finish(g, a)
 
 
@@ -388,7 +388,7 @@ def sqrt(g: Jet) -> Jet:
         for k in range(1, g.order + 1):
             s = r[k]
             if k > 1:
-                s = s - _conv(a, a, 1, k - 1, k)
+                s = s - _conv(a, a, k - 1, k)
             a.append(s / two_a0)
     return _finish(g, a)
 
