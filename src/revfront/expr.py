@@ -339,7 +339,8 @@ def _operand(e: Expr, other: Expr, t, var):
     """An operand e of + - * beside the operand other.  In jet mode a
     literal beside a non-literal enters as a float: a jet scales by it or
     shifts its value, with the bits of a constant jet's product or sum."""
-    if isinstance(e, Num) and isinstance(var, Jet) and not isinstance(other, Num):
+    if (isinstance(e, Num) and isinstance(var, Jet)
+            and not isinstance(other, Num)):
         return e.value
     return _eval(e, t, var)
 

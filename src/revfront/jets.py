@@ -18,12 +18,13 @@ value algebra's numpy function of g's value, so an order-0 jet has the
 bits of expr.eval_values.  Every other coefficient solves a linear ODE
 that f satisfies along g, one order at a time; with dg_j = j * g_j:
 
-  exp        a' = a g'                k a_k = sum_{j=1..k} dg_j a_{k-j}
-  sin, cos   s' = c g', c' = -s g'    one recurrence for the pair
-  sinh, cosh s' = c g', c' = s g'     one recurrence for the pair
+  exp        a' = a g'           k a_k = sum_{j=1..k} dg_j a_{k-j}
+  sin, cos   s' = c g', c' = -s g'  (one recurrence for the pair)
+  sinh, cosh s' = c g', c' = s g'   (one recurrence for the pair)
   log, atan  a' w = g', w = g or 1 + g^2
              a_k = (g_k - sum_{j=1..k-1} j a_j w_{k-j} / k) / w_0
-  sqrt       a^2 = g                  a_k = (g_k - sum_{j=1..k-1} a_j a_{k-j}) / (2 a_0)
+  sqrt       a^2 = g
+             a_k = (g_k - sum_{j=1..k-1} a_j a_{k-j}) / (2 a_0)
 
 tan and cot divide the pair once.  Like the product, each recurrence is
 one loop over coefficient rows, Python floats for a scalar base.  The
@@ -162,7 +163,8 @@ class Jet:
         # a zero denominator passes quotient only beside a NaN numerator;
         # numpy rows then give inf/NaN where Python floats would raise
         if self.t.ndim == 0 and other.coeffs[0] != 0:
-            a, b, out = self.coeffs.tolist(), other.coeffs.tolist(), [float(q0)]
+            a, b = self.coeffs.tolist(), other.coeffs.tolist()
+            out = [float(q0)]
         else:
             a, b, out = self.coeffs, other.coeffs, [q0]
         for k in range(1, n + 1):

@@ -8,9 +8,10 @@ the character loop of the tokenizer.  The rewrites must give the same
 bits and raise the same errors with the same messages and offsets.  The
 Taylor recurrences of the elementary functions change the rounding, so
 they are held within a stated bound of the earlier composition by
-Horner's rule, one constant jet per step, from closed-form derivatives.  Bits are compared with tobytes, so signed zeros and infinities
-count, after every NaN is set to one NaN: which operand's NaN a sum of
-two NaNs keeps is not a property of the formula.  numpy keeps the first
+Horner's rule, one constant jet per step, from closed-form derivatives.
+Bits are compared with tobytes, so signed zeros and infinities count,
+after every NaN is set to one NaN: which operand's NaN a sum of two NaNs
+keeps is not a property of the formula.  numpy keeps the first
 operand's in the vector body of a loop and the second's in its scalar
 tail, so even the reference product gives the same node a NaN of another
 sign when that node moves from the body to the tail of the array.
@@ -255,8 +256,8 @@ def reference_dvals(name, x, n):
         cycle = periodic[name]()
         return [cycle[m % len(cycle)] for m in range(n + 1)]
     if name == "log":
-        return [np.log(x)] + [(-1.0) ** (m - 1) * math.factorial(m - 1) / x ** m
-                              for m in range(1, n + 1)]
+        return [np.log(x)] + [(-1.0) ** (m - 1) * math.factorial(m - 1)
+                              / x ** m for m in range(1, n + 1)]
     if name == "sqrt":
         out, c = [np.sqrt(x)], 0.5
         for m in range(1, n + 1):
@@ -264,8 +265,9 @@ def reference_dvals(name, x, n):
             c *= 0.5 - m
         return out
     # atan^(m)(x) = (-1)^(m-1) (m-1)! Im (x - i)^(-m), from partial fractions
-    return [np.arctan(x)] + [(-1.0) ** (m - 1) * math.factorial(m - 1)
-                             * np.imag((x - 1j) ** (-m)) for m in range(1, n + 1)]
+    return [np.arctan(x)] + [
+        (-1.0) ** (m - 1) * math.factorial(m - 1) * np.imag((x - 1j) ** (-m))
+        for m in range(1, n + 1)]
 
 
 # |recurrence - Horner| <= bound * S_k, with S_k Horner's rule on |f^(m)|
@@ -325,9 +327,8 @@ def test_recurrence_overflow_refused_without_a_warning(name, x):
         g = Jet(t, c)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(jets.DomainError,
-                               match=r"derivative overflow at t=array\(\[%g\.?\]\)"
-                               % x):
+            name_t = r"derivative overflow at t=array\(\[%g\.?\]\)" % x
+            with pytest.raises(jets.DomainError, match=name_t):
                 getattr(jets, name)(g)
 
 
