@@ -14,9 +14,9 @@ from .expr import parse, to_source, eval_jet, eval_values, ExprSyntaxError
 from .quadrature import FineGrid, uniform_grid
 from .legendre import (CurvaturePair, CurveJet, LegendreCurve, NormalJet,
                        congruence_align, curvature_of, curvature_pair_of,
-                       legendre_from_expressions, legendre_from_samples,
-                       parallel_curve, plane_evolute,
-                       reconstruct_from_curvature, verify_legendre)
+                       legendre_from_expressions, parallel_curve,
+                       plane_evolute, reconstruct_from_curvature,
+                       verify_legendre)
 from .framed import (FramedSurfaceGrid, basic_invariants_of, curvature_of
                      as framed_curvature_of, focal_radii, immersion_status,
                      integrability_residual, parallel_surface,

@@ -17,6 +17,7 @@ command line override the file.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict
 
@@ -35,7 +36,7 @@ from .legendre import (DegenerateCurvatureError, curvature_of,
 from .quadrature import uniform_grid
 from .revolution import (frontal_front_status, parallel_commutation_check,
                          revolution_evolutes, revolve)
-from .singular import (InconsistentInputError, _default_tol,
+from .singular import (EXACT_TOL, InconsistentInputError,
                        constant_gauss_cusp, constant_mean_cusp,
                        curve_cusp_by_curvature, curve_cusp_by_derivatives,
                        ord_of, revolution_singularity_classify)
@@ -132,8 +133,8 @@ def _add_common(p, out_required=True, grid_required=True):
                    help="uniform parameter grid")
     p.add_argument("--order", type=_int_within(0, ORDER_CAP), default=5,
                    help="jet order (0..%d)" % ORDER_CAP)
-    p.add_argument("--tol", type=float, default=None,
-                   help="zero-test tolerance (default 1e-8, 1e-4 sampled)")
+    p.add_argument("--tol", type=_nonnegative_finite, default=EXACT_TOL,
+                   help="zero-test tolerance (default 1e-8)")
     p.add_argument("--out", required=out_required, metavar="BASE",
                    help="output path prefix (BASE.csv/.obj/.json)")
 
@@ -152,6 +153,18 @@ def _int_within(lo, hi=None):
                 else f"must be between {lo} and {hi}")
         return n
     return parse
+
+
+def _nonnegative_finite(text):
+    """argparse type of --tol: a finite float, at least 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise argparse.ArgumentTypeError("must be finite and at least 0")
+    return tol
 
 
 def _add_theta(p):
@@ -332,11 +345,6 @@ def build_parser() -> _Parser:
     return p
 
 
-def _tol(ns, exact=True):
-    """--tol, else the default zero-test tolerance for exact or sampled data."""
-    return _default_tol(exact) if ns.tol is None else ns.tol
-
-
 def _curvature_roundtrip(ns, c, grid):
     """Sup distance of the profile's (ell, beta) from --ell and --beta."""
     pair = curvature_of(c)
@@ -382,7 +390,7 @@ def _run_revolve(ns):
     surf = revolve(c, axis=ns.axis, n_theta=ns.n_theta)
     payload = _meta(ns, axis=ns.axis, n_theta=ns.n_theta,
                     frame=surf.validate(),
-                    **_axis_report(surf, _tol(ns, c.exact)))
+                    **_axis_report(surf, ns.tol))
     _write(ns, curve=c, surface=surf, payload=payload)
     return 0
 
@@ -391,7 +399,7 @@ def _run_invariants(ns):
     grid = _parse_grid(ns.grid)
     c = _profile(ns, grid)
     records = export.invariants_records(revolve(c, ns.axis).invariants,
-                                        tol=_tol(ns, c.exact))
+                                        tol=ns.tol)
     payload = _meta(ns, axis=ns.axis, records=records)
     _write(ns, payload=payload)
     return 0
@@ -407,16 +415,15 @@ def _run_classify(ns):
             raise CliError("--family mean needs --alpha and --beta")
         lab = constant_mean_cusp(expr.eval_jet(ns.alpha, ns.t0),
                                  expr.eval_jet(ns.beta, ns.t0),
-                                 tol=_tol(ns))
+                                 tol=ns.tol)
         payload = _meta(ns, family="mean",
                         record=export.classification_record(lab, ns.t0))
     elif ns.family == "gauss":
         if ns.a is None or ns.beta is None:
             raise CliError("--family gauss needs --a and --beta "
                            "(expressions for cos(phi) and beta)")
-        tol = _tol(ns)
-        m = ord_of(expr.eval_jet(ns.a, ns.t0), tol=tol)
-        n = ord_of(expr.eval_jet(ns.beta, ns.t0), tol=tol)
+        m = ord_of(expr.eval_jet(ns.a, ns.t0), tol=ns.tol)
+        n = ord_of(expr.eval_jet(ns.beta, ns.t0), tol=ns.tol)
         lab = constant_gauss_cusp(m, n)
         payload = _meta(ns, family="gauss", orders=[m, n],
                         record=export.classification_record(lab, ns.t0))
@@ -493,7 +500,7 @@ def _run_construct(ns):
 def _run_evolute(ns):
     grid = _parse_grid(ns.grid)
     c = _profile(ns, grid)
-    bundle = revolution_evolutes(c, n_theta=ns.n_theta, tol=_tol(ns, c.exact))
+    bundle = revolution_evolutes(c, n_theta=ns.n_theta, tol=ns.tol)
     payload = _meta(ns, diagnostics=bundle.diagnostics)
     if bundle.axis_flags is not None:
         payload["axis_flagged_nodes"] = [
@@ -522,12 +529,11 @@ def _run_parallel(ns):
 def _run_check(ns):
     grid = _parse_grid(ns.grid)
     c = _profile(ns, grid)
-    tol = _tol(ns, c.exact)
     leg = _legendre_report(c)
     payload = _meta(ns, legendre=leg)
     ok = leg["passed"]
     for axis in ("z", "x"):
-        report = _axis_report(revolve(c, axis), tol)
+        report = _axis_report(revolve(c, axis), ns.tol)
         payload.update({f"{key}_{axis}": block
                         for key, block in report.items()})
         ok = ok and report["integrability"]["max_residual"] <= 1e-8

@@ -314,14 +314,12 @@ def _rk4_path(s, f_node, f_mid, i0, x0, S0):
     return x, S
 
 
-def _j_tail(fg, io, i0, x0, z0, J, J_s, sin_s, cos_s, angle, why=""):
-    """Axis distance, beta and z from prescribed J and the normal angle.
+def _j_lattice(fg, i0, x0, z0, J_s, sin_s, cos_s, why=""):
+    """Squared axis distance and z on the lattice from prescribed J and
+    the normal angle phi.
 
-    On the lattice x^2 = x0^2 + 2*int(J sin phi) must stay positive,
-    beta = -J/x and z = z0 + int(beta cos phi); the x and beta jets follow
-    from the same relations.  angle = (source, name, to_sin) names the
-    second prescribed expression, whose jet to_sin turns into the sin phi
-    jet.  Returns (angle jet, sin phi jet, x_j, beta_j, z on the lattice).
+    x^2 = x0^2 + 2*int(J sin phi) must stay positive; beta = -J/x and
+    z = z0 + int(beta cos phi).  Returns (x^2, z) on the lattice.
     """
     s = fg.s
     x2_s = x0 * x0 + 2.0 * fg.cumulative_from(J_s * sin_s, i0, 0.0)
@@ -331,14 +329,15 @@ def _j_tail(fg, io, i0, x0, z0, J, J_s, sin_s, cos_s, angle, why=""):
         raise ConstructionError(
             f"squared axis distance becomes non-positive at t={tb:.6g}{why}",
             t=float(tb))
-    z_s = fg.cumulative_from(-J_s / np.sqrt(x2_s) * cos_s, i0, z0)
-    J_j = _jet(J, fg.grid, io, "J")
-    src, name, to_sin = angle
-    angle_j = _jet(src, fg.grid, io, name)
-    b_j = to_sin(angle_j)
+    return x2_s, fg.cumulative_from(-J_s / np.sqrt(x2_s) * cos_s, i0, z0)
+
+
+def _j_jets(fg, io, x2_s, J_j, b_j):
+    """The x and beta jets from the J and sin phi jets by the relations of
+    _j_lattice, x^2 chained from its lattice values x2_s."""
     rad_j = (2.0 * (J_j * b_j)).antiderivative(fg.at_coarse(x2_s)).truncated(io)
     x_j = jets.sqrt(rad_j)
-    return angle_j, b_j, x_j, -(J_j / x_j), z_s
+    return x_j, -(J_j / x_j)
 
 
 def _assemble(fg, io, z_s, x_j, a_j, b_j, ell_j, beta_j, report):
@@ -354,8 +353,7 @@ def _assemble(fg, io, z_s, x_j, a_j, b_j, ell_j, beta_j, report):
     x_j, z_j, a_j, b_j, ell_j, beta_j = (
         j.truncated(io - 2) for j in (x_j, z_j, a_j, b_j, ell_j, beta_j))
     return LegendreCurve(CurveJet(g, x_j, z_j), NormalJet(g, a_j, b_j),
-                         exact=True,
-                         curvature=CurvaturePair(g, ell_j, beta_j, exact=True),
+                         curvature=CurvaturePair(g, ell_j, beta_j),
                          flags={"construction": report})
 
 
@@ -645,12 +643,12 @@ def profile_from_JK(J: str, K: str, x0: float, grid, t0: float | None = None,
     S_s = sin0 - fg.cumulative_from(K_s, i0, 0.0)
     sigma, flips, Sc, C_s = _lattice_angle(s, S_s, s[i0] + offset, cos_sign)
 
-    def sin_jet(K_j):
-        return (-K_j).antiderivative(fg.at_coarse(S_s)).truncated(io)
-
-    _, b_j, x_j, beta_j, z_s = _j_tail(
-        fg, io, i0, x0, z0, J, J_s, Sc, C_s, (K, "K", sin_jet),
-        "; x0 anchor incompatible with prescribed (J, K)")
+    x2_s, z_s = _j_lattice(fg, i0, x0, z0, J_s, Sc, C_s,
+                           "; x0 anchor incompatible with prescribed (J, K)")
+    J_j = _jet(J, g, io, "J")
+    b_j = (-_jet(K, g, io, "K")).antiderivative(
+        fg.at_coarse(S_s)).truncated(io)
+    x_j, beta_j = _j_jets(fg, io, x2_s, J_j, b_j)
     notes = {}
     a_j, ell_j, flagged = _angle_jets(b_j, sigma[fg.coarse_index], notes)
     report = ConstructionReport("jk_quadrature",
@@ -731,14 +729,17 @@ def profile_from_J_phi(J: str, phi: str, x0: float, grid,
     g, s = fg.grid, fg.s
     J_s = _values(J, s, "J")
     phi_s = _values(phi, s, "phi")
-    phi_j, b_j, x_j, beta_j, z_s = _j_tail(
-        fg, io, i0, x0, z0, J, J_s, np.sin(phi_s), np.cos(phi_s),
-        (phi, "phi", jets.sin))
+    x2_s, z_s = _j_lattice(fg, i0, x0, z0, J_s, np.sin(phi_s),
+                           np.cos(phi_s))
+    J_j = _jet(J, g, io, "J")
+    phi_j = _jet(phi, g, io, "phi")
+    b_j, a_j = jets.sin_cos(phi_j)
+    x_j, beta_j = _j_jets(fg, io, x2_s, J_j, b_j)
     report = ConstructionReport("j_phi_quadrature",
                                 float(g[0]) if t0 is None else t0,
                                 float(offset))
-    return _assemble(fg, io, z_s, x_j, jets.cos(phi_j), b_j,
-                     phi_j.differentiated(), beta_j, report)
+    return _assemble(fg, io, z_s, x_j, a_j, b_j, phi_j.differentiated(),
+                     beta_j, report)
 
 
 def profile_from_H_phi(H: str, phi: str, grid, c_a: float = 0.0,

@@ -37,7 +37,6 @@ class FramedSurfaceGrid:
     x_uv: np.ndarray | None = None
     n_uv: np.ndarray | None = None
     s_uv: np.ndarray | None = None
-    exact: bool = True
 
     @property
     def t_frame(self) -> np.ndarray:
@@ -228,7 +227,7 @@ def parallel_surface(S: FramedSurfaceGrid, lam: float,
         x_u=S.x_u + lam * S.n_u, x_v=S.x_v + lam * S.n_v,
         n_u=S.n_u, n_v=S.n_v, s_u=S.s_u, s_v=S.s_v,
         x_uv=None if S.x_uv is None else S.x_uv + lam * S.n_uv,
-        n_uv=S.n_uv, s_uv=S.s_uv, exact=S.exact,
+        n_uv=S.n_uv, s_uv=S.s_uv,
     )
     cross = None
     if I.cross is not None:

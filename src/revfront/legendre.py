@@ -51,14 +51,12 @@ class CurvaturePair:
     t: np.ndarray
     ell: Jet
     beta: Jet
-    exact: bool = True
 
 
 @dataclass
 class LegendreCurve:
     curve: CurveJet
     normal: NormalJet
-    exact: bool = True
     curvature: CurvaturePair | None = None
     flags: dict = field(default_factory=dict)
 
@@ -87,64 +85,7 @@ def legendre_from_expressions(x_src, z_src, a_src, b_src, grid,
     grid = np.asarray(grid, dtype=float)
     xj, zj, aj, bj = (evaluated(n, expr.eval_jet, s, grid, order)
                       for n, s in zip("xzab", (x_src, z_src, a_src, b_src)))
-    return LegendreCurve(CurveJet(grid, xj, zj), NormalJet(grid, aj, bj),
-                         exact=True)
-
-
-def legendre_from_samples(t, x, z, a, b) -> LegendreCurve:
-    """Build a curve from sampled values only.
-
-    Jets come from seventh-order-accurate central finite differences
-    (Fornberg weights, shifted stencils at the ends) and are kept to order
-    3; the result is flagged as non-exact and classification routines relax
-    their zero tolerances accordingly.
-    """
-    t = np.asarray(t, dtype=float)
-    if t.size < 7:
-        raise ValueError("sampled curves need at least 7 nodes")
-    cj = CurveJet(t, _fd_jet(t, x), _fd_jet(t, z))
-    nj = NormalJet(t, _fd_jet(t, a), _fd_jet(t, b))
-    return LegendreCurve(cj, nj, exact=False)
-
-
-def fd_weights(stencil, t0: float, m: int) -> np.ndarray:
-    """Finite-difference weights for the m-th derivative at t0 (Fornberg)."""
-    x = np.asarray(stencil, dtype=float)
-    n = x.size
-    c = np.zeros((n, m + 1))
-    c[0, 0] = 1.0
-    c1, c4 = 1.0, x[0] - t0
-    for i in range(1, n):
-        mn = min(i, m)
-        c2, c5 = 1.0, c4
-        c4 = x[i] - t0
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, m]
-
-
-def _fd_jet(t: np.ndarray, values, order: int = 3) -> Jet:
-    v = np.asarray(values, dtype=float)
-    n = t.size
-    coeffs = np.zeros((order + 1, n))
-    coeffs[0] = v
-    fact = [1.0, 1.0, 2.0, 6.0, 24.0, 120.0]
-    for i in range(n):
-        lo = min(max(i - 3, 0), n - 7)
-        window = slice(lo, lo + 7)
-        for m in range(1, order + 1):
-            w = fd_weights(t[window], t[i], m)
-            coeffs[m, i] = w @ v[window] / fact[m]
-    return Jet(t, coeffs)
+    return LegendreCurve(CurveJet(grid, xj, zj), NormalJet(grid, aj, bj))
 
 
 def verify_legendre(c: LegendreCurve, tol: float = 1e-8) -> LegendreReport:
@@ -165,7 +106,7 @@ def curvature_of(c: LegendreCurve) -> CurvaturePair:
     xd = c.curve.x.differentiated()
     zd = c.curve.z.differentiated()
     beta = zd * a - xd * b
-    return CurvaturePair(c.t, ell, beta, exact=c.exact)
+    return CurvaturePair(c.t, ell, beta)
 
 
 def reconstruct_from_curvature(ell_src, beta_src, grid,
@@ -194,9 +135,9 @@ def reconstruct_from_curvature(ell_src, beta_src, grid,
     b_j, a_j = jets.sin_cos(theta_j)
     x_j = (-(beta_j * b_j)).antiderivative(fg.at_coarse(x_s)).truncated(order)
     z_j = (beta_j * a_j).antiderivative(fg.at_coarse(z_s)).truncated(order)
-    pair = CurvaturePair(g, ell_j, beta_j, exact=True)
+    pair = CurvaturePair(g, ell_j, beta_j)
     return LegendreCurve(CurveJet(g, x_j, z_j), NormalJet(g, a_j, b_j),
-                         exact=True, curvature=pair)
+                         curvature=pair)
 
 
 def curvature_pair_of(c: LegendreCurve) -> CurvaturePair:
@@ -211,9 +152,8 @@ def parallel_curve(c: LegendreCurve, lam: float) -> LegendreCurve:
     pair = None
     if c.curvature is not None:
         pair = CurvaturePair(c.t, c.curvature.ell,
-                             c.curvature.beta + lam * c.curvature.ell,
-                             exact=c.curvature.exact)
-    return LegendreCurve(cj, c.normal, exact=c.exact, curvature=pair)
+                             c.curvature.beta + lam * c.curvature.ell)
+    return LegendreCurve(cj, c.normal, curvature=pair)
 
 
 def plane_evolute(c: LegendreCurve, tol: float = 1e-8) -> CurveJet:

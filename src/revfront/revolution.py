@@ -122,7 +122,6 @@ class _RevolvedGrid(FramedSurfaceGrid):
     def __init__(self, surface: RevolutionSurface, i0: int, i1: int):
         self.u = surface.columns["t"][i0:i1]
         self.v = surface.theta
-        self.exact = surface.profile.exact
         self._rings = (surface, i0, i1)
 
 
@@ -381,7 +380,7 @@ def revolution_evolutes(c: LegendreCurve, n_theta: int = 128,
         # the evolute's tangent is along nu, so its unit normal is the
         # rotated profile normal mu = (-b, a)
         mu = NormalJet(c.normal.t, -c.normal.b, c.normal.a)
-        first = LegendreCurve(ev, mu, exact=c.exact)
+        first = LegendreCurve(ev, mu)
         first_surface = revolve(first, axis="z", n_theta=n_theta)
     else:
         i = int(np.argmin(np.abs(ell)))

@@ -8,8 +8,8 @@ constructions and the lift to surfaces of revolution.
 
 Zero tests are relative: a quantity counts as zero when its magnitude is
 at most tol * max(1, scale) with scale the largest derivative magnitude
-entering the criterion.  Expression-backed jets default to tol = 1e-8,
-sampled-data jets to 1e-4.
+entering the criterion.  Every zero test defaults to tol = EXACT_TOL
+(1e-8).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ LABELS = ("regular", "cusp_3_2", "cusp_5_2", "cusp_4_3", "cusp_5_3",
           "cone_type", "axis_degenerate", "unresolved")
 
 EXACT_TOL = 1e-8
-SAMPLED_TOL = 1e-4
 
 
 class InconsistentInputError(ValueError):
@@ -87,26 +86,18 @@ def _node_index(c, t0: float) -> int:
     return int(np.argmin(np.abs(np.asarray(c.t) - t0)))
 
 
-def _default_tol(exact: bool) -> float:
-    return EXACT_TOL if exact else SAMPLED_TOL
-
-
-def cusp_classify_derivatives(curve, t0: float, tol: float | None = None,
-                              exact: bool = True) -> CuspLabel:
+def cusp_classify_derivatives(curve, t0: float,
+                              tol: float = EXACT_TOL) -> CuspLabel:
     """Classify a singular curve point from jets of the parametrization.
 
     curve is a LegendreCurve or a CurveJet; the node nearest t0 is used.
     Returns regular when the velocity does not vanish; otherwise tests,
     in order, the 3/2, 5/2, 4/3 and 5/3 determinant criteria, and falls
-    back to unresolved when none is certified.
+    back to unresolved when none is certified.  Zero tests follow the
+    module rule with scale the largest magnitude of the derivatives of
+    orders 1 to 5, and its square for the determinants.
     """
-    if isinstance(curve, LegendreCurve):
-        cj = curve.curve
-        exact = curve.exact
-    else:
-        cj = curve
-    if tol is None:
-        tol = _default_tol(exact)
+    cj = curve.curve if isinstance(curve, LegendreCurve) else curve
     i = _node_index(cj, t0)
     dx = _derivs(cj.x, 5, i)
     dz = _derivs(cj.z, 5, i)
@@ -214,16 +205,14 @@ def _curvature_label(db, dl, tol, t0):
 
 
 def curve_cusp_by_derivatives(c: LegendreCurve, t0: float,
-                              tol: float | None = None) -> CuspLabel:
+                              tol: float = EXACT_TOL) -> CuspLabel:
     return cusp_classify_derivatives(c, t0, tol)
 
 
 def curve_cusp_by_curvature(c: LegendreCurve, t0: float,
-                            tol: float | None = None) -> CuspLabel:
+                            tol: float = EXACT_TOL) -> CuspLabel:
     """Curvature-criterion label at the node nearest t0."""
     pair = curvature_pair_of(c)
-    if tol is None:
-        tol = _default_tol(c.exact and pair.exact)
     i = _node_index(c, t0)
     out = _curvature_label(_derivs(pair.beta, 2, i), _derivs(pair.ell, 2, i),
                            tol, float(c.t[i]))
@@ -304,7 +293,7 @@ def constant_mean_cusp(alpha: Jet, beta: Jet,
 
 
 def revolution_singularity_classify(c: LegendreCurve, t0: float,
-                                    tol: float | None = None) -> CuspLabel:
+                                    tol: float = EXACT_TOL) -> CuspLabel:
     """Singularity label of the z-axis revolute at (t0, any angle).
 
     Away from the axis the profile's cusp label lifts to the matching
@@ -312,8 +301,6 @@ def revolution_singularity_classify(c: LegendreCurve, t0: float,
     degenerate normal form (+-t^(k+1), t) when x vanishes to finite
     order against a moving z, or unresolved.
     """
-    if tol is None:
-        tol = _default_tol(c.exact)
     i = _node_index(c, t0)
     xj = c.curve.x.at(i)
     x0 = float(xj.value)

@@ -192,7 +192,7 @@ def test_curvature_transforms():
             u=S.u, v=S.v, x=r * S.x, n=S.n, s=S.s,
             x_u=r * S.x_u, x_v=r * S.x_v,
             n_u=S.n_u, n_v=S.n_v, s_u=S.s_u, s_v=S.s_v,
-            x_uv=r * S.x_uv, n_uv=S.n_uv, s_uv=S.s_uv, exact=S.exact)
+            x_uv=r * S.x_uv, n_uv=S.n_uv, s_uv=S.s_uv)
         C = surface_curvature(basic_invariants_of(scaled))
         rule = similar_surface(C0, r)
         assert np.max(np.abs(C.J - rule.J)) <= 1e-8

@@ -106,6 +106,19 @@ def test_parse_errors_exit_one(argv, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+def test_bad_tolerance_exits_one(tol, capsys):
+    code = run(["classify", "--family", "auto", "--t0", str(PI / 2), *PS,
+                "--grid", PS_GRID, "--tol", tol])
+    assert code == 1
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_zero_tolerance_accepted(capsys):
+    assert run(["classify", "--family", "auto", "--t0", str(PI / 2), *PS,
+                "--grid", PS_GRID, "--tol", "0"]) == 0
+
+
 def test_numerical_error_writes_diagnostic(tmp_path):
     base = str(tmp_path / "bad")
     code = run(["curve", "from-curvature", "--ell", "1/t", "--beta", "1",

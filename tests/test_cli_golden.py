@@ -2,12 +2,14 @@
 
 One small run per command and variant: revolve about both axes for a
 curvature-pair profile and an (x, z, a, b) profile, invariants about both
-axes, check, parallel about both axes, evolute and construct gauss.  Each
-run writes BASE.csv, BASE.obj and BASE.json as the command does; the
-sha256 of every file written, and the exit code, are compared with the
-values recorded before the revolution invariants were reduced to one
-(n_t, 1) form.  Any byte change in an artifact fails here; a deliberate
-change must update the hash and say why.
+axes, check, parallel about both axes, evolute, construct gauss, and
+classify in each of its four families.  Each run writes BASE.csv, BASE.obj
+and BASE.json as the command does; the sha256 of every file written, and
+the exit code, are compared with the values recorded before the
+revolution invariants were reduced to one (n_t, 1) form (the classify
+runs: before the sampled-data profile and its 1e-4 tolerance were
+deleted).  Any byte change in an artifact fails here; a deliberate change
+must update the hash and say why.
 """
 
 import hashlib
@@ -44,10 +46,30 @@ RUNS = {
     "construct-gauss": ["construct", "gauss", "--alpha", "-1",
                         "--beta", "cot(t)", "--t0", "1.5707963",
                         "--grid", "0.2:2.94:64", *THETA],
+    "classify-auto": ["classify", "--family", "auto", "--t0", "1.5707963",
+                      *XZAB],
+    "classify-revolution": ["classify", "--family", "revolution",
+                            "--t0", "1.5707963", *XZAB],
+    "classify-mean": ["classify", "--t0", "3.14159265", "--alpha", "t",
+                      "--beta", "sin(t)", "--family", "mean"],
+    "classify-gauss": ["classify", "--family", "gauss", "--t0", "0",
+                       "--a", "t", "--beta", "t"],
 }
 
 # run -> (exit code, {extension: sha256 of BASE.extension})
 GOLDEN = {
+    "classify-auto": (0, {
+        "json": "771ebfd6767e0a170861d7783e51bd3e151eea00d63c6c739c7fbb2a91c24af8",
+    }),
+    "classify-gauss": (0, {
+        "json": "5d5ead69e148be64b62c21dad58a5d00c0a743fcad0197dbf8d531df8de2fbc1",
+    }),
+    "classify-mean": (0, {
+        "json": "d0c28cadd7d16f695b8f9bcc5d91d6bd7848ac883da25a216256855ad1fb61b3",
+    }),
+    "classify-revolution": (0, {
+        "json": "150640d77d595de2a396355c12f9b708d93ff668c19c1baf96bf4573efd71a15",
+    }),
     "check-ell": (0, {
         "json": "cd22468ff2c3d80742ecdd4926a4abe1c67db48c888d95ea1296f4415cd71e05",
     }),
@@ -109,10 +131,10 @@ GOLDEN = {
 }
 
 
-def artifacts(name, directory):
+def artifacts(name, directory, extra=()):
     """Exit code of the run and the sha256 of each file it wrote."""
     base = str(directory / name)
-    code = run([*RUNS[name], "--out", base])
+    code = run([*RUNS[name], *extra, "--out", base])
     hashes = {}
     for ext in ("csv", "obj", "json"):
         try:
@@ -126,3 +148,9 @@ def artifacts(name, directory):
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_cli_artifact_bytes(name, tmp_path):
     assert artifacts(name, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_default_tolerance_is_1e_8(name, tmp_path):
+    """Every command has the one default zero-test tolerance."""
+    assert artifacts(name, tmp_path, ["--tol", "1e-8"]) == GOLDEN[name]

@@ -15,10 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from revfront import export
-from revfront.legendre import (curvature_pair_of, legendre_from_samples,
-                               reconstruct_from_curvature)
+from revfront.jets import Jet
+from revfront.legendre import (CurveJet, LegendreCurve, NormalJet,
+                               curvature_pair_of, reconstruct_from_curvature)
 from revfront.quadrature import uniform_grid
 from revfront.revolution import revolve
 
@@ -80,19 +82,26 @@ def assert_same_bytes(c, axis, n_theta, tmp_path):
     return surf, obj
 
 
-def sampled_profile(t, x, z, phi):
-    return legendre_from_samples(t, x, z, np.cos(phi), np.sin(phi))
+def jet_profile(t, rows):
+    """The profile whose x, z, a and b are the order-3 jets with the four
+    given (4, n) coefficient arrays, taken as they are."""
+    x, z, a, b = (Jet(t, r) for r in rows)
+    return LegendreCurve(CurveJet(t, x, z), NormalJet(t, a, b))
 
 
 @st.composite
-def sampled_profiles(draw):
+def jet_profiles(draw):
     n = draw(st.integers(7, 150))
     value = st.floats(-20.0, 20.0, allow_nan=False)   # includes -0.0 and 0.0
     steps = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
-    x, z, phi = (draw(st.lists(value, min_size=n, max_size=n))
+    x, z, phi = (np.array(draw(st.lists(value, min_size=n, max_size=n)))
                  for _ in range(3))
-    return sampled_profile(np.cumsum(steps), np.array(x), np.array(z),
-                           np.array(phi))
+    # rows 1-3 as a sparse array over a drawn fill value: drawn densely,
+    # all 16n floats exceed hypothesis's entropy bound well below n = 150
+    slopes = draw(arrays(np.float64, (4, 3, n), elements=value))
+    return jet_profile(np.cumsum(steps),
+                       [np.vstack([v, d]) for v, d in
+                        zip((x, z, np.cos(phi), np.sin(phi)), slopes)])
 
 
 # no shrink phase: shrinking 150-node profiles through the per-number
@@ -100,7 +109,7 @@ def sampled_profiles(draw):
 @settings(max_examples=40, deadline=None,
           phases=[ph for ph in Phase if ph is not Phase.shrink],
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(c=sampled_profiles(), axis=st.sampled_from(["z", "x"]),
+@given(c=jet_profiles(), axis=st.sampled_from(["z", "x"]),
        n_theta=st.integers(8, 12))
 def test_writers_match_reference_on_random_profiles(c, axis, n_theta,
                                                     tmp_path):
@@ -130,7 +139,8 @@ def test_writers_keep_signed_zeros(tmp_path):
     t = np.arange(1.0, n + 1.0)
     x = np.where(np.arange(n) % 2, -0.0, 0.0)
     z = np.array([0.0, -0.0] * 4 + [1.0])
-    c = sampled_profile(t, x, z, np.zeros(n))
+    c = jet_profile(t, [np.vstack([v, np.zeros((3, n))])
+                        for v in (x, z, np.ones(n), np.zeros(n))])
     assert_same_bytes(c, "z", 8, tmp_path)
     assert_same_bytes(c, "x", 8, tmp_path)
     text = (tmp_path / "block.csv").read_text()

@@ -9,11 +9,9 @@ import pytest
 import sympy as sp
 
 from revfront.legendre import (DegenerateCurvatureError, congruence_align,
-                               curvature_of, fd_weights,
-                               legendre_from_expressions,
-                               legendre_from_samples, parallel_curve,
-                               plane_evolute, reconstruct_from_curvature,
-                               verify_legendre)
+                               curvature_of, legendre_from_expressions,
+                               parallel_curve, plane_evolute,
+                               reconstruct_from_curvature, verify_legendre)
 from revfront.quadrature import uniform_grid
 
 
@@ -141,26 +139,3 @@ def test_evolute_of_line_is_degenerate():
     c = legendre_from_expressions("t", "0", "0", "1", g)
     with pytest.raises(DegenerateCurvatureError):
         plane_evolute(c)
-
-
-def test_sampled_curve_jets_and_flag():
-    g = uniform_grid(0.0, 3.0, 121)
-    c = legendre_from_samples(g, np.cos(g), np.sin(g), np.cos(g), np.sin(g))
-    assert not c.exact
-    pair = curvature_of(c)
-    np.testing.assert_allclose(pair.ell.value, 1.0, atol=1e-6)
-    np.testing.assert_allclose(pair.beta.value, 1.0, atol=1e-6)
-    with pytest.raises(ValueError):
-        legendre_from_samples(g[:5], np.cos(g[:5]), np.sin(g[:5]),
-                              np.cos(g[:5]), np.sin(g[:5]))
-
-
-def test_fd_weights_classical_stencils():
-    np.testing.assert_allclose(fd_weights([-1.0, 0.0, 1.0], 0.0, 1),
-                               [-0.5, 0.0, 0.5], atol=1e-15)
-    np.testing.assert_allclose(fd_weights([-1.0, 0.0, 1.0], 0.0, 2),
-                               [1.0, -2.0, 1.0], atol=1e-15)
-    # 5-point first derivative
-    np.testing.assert_allclose(
-        fd_weights([-2.0, -1.0, 0.0, 1.0, 2.0], 0.0, 1),
-        [1 / 12, -8 / 12, 0.0, 8 / 12, -1 / 12], atol=1e-14)

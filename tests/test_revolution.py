@@ -301,8 +301,7 @@ def eager_grid(c, axis, n_theta):
         x_u=meridian(r_t, h_t), x_v=turned(r),
         n_u=meridian(n_r_t, n_h_t), n_v=turned(n_r),
         s_u=np.zeros_like(X), s_v=lift(outer(ones, ct), outer(ones, st), zero),
-        x_uv=turned(r_t), n_uv=turned(n_r_t), s_uv=np.zeros_like(X),
-        exact=c.exact)
+        x_uv=turned(r_t), n_uv=turned(n_r_t), s_uv=np.zeros_like(X))
 
 
 def assert_same_bytes(got, want, what):
@@ -326,7 +325,6 @@ def test_fields_on_read_match_eager_grid(n_t, axis):
     surf = revolve(c, axis=axis, n_theta=24)
     for name in GRID_FIELDS:
         assert_same_bytes(getattr(surf.grid, name), getattr(want, name), name)
-    assert surf.grid.exact == want.exact
     step = export._OBJ_RINGS
     for i0, i1 in ([(i, i + step) for i in range(0, n_t, step)]
                    + [(0, n_t), (0, n_t + 10), (5, 70), (n_t - 1, n_t)]):

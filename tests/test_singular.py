@@ -5,10 +5,9 @@ import pytest
 
 from revfront import expr
 from revfront.legendre import (legendre_from_expressions,
-                               legendre_from_samples,
                                reconstruct_from_curvature)
 from revfront.quadrature import uniform_grid
-from revfront.singular import (EXACT_TOL, LABELS, SAMPLED_TOL, CuspLabel,
+from revfront.singular import (EXACT_TOL, LABELS, CuspLabel,
                                constant_gauss_cusp, constant_mean_cusp,
                                curve_cusp_by_curvature,
                                curve_cusp_by_derivatives,
@@ -141,19 +140,6 @@ def test_off_node_singularity_reads_regular():
     out = curve_cusp_by_derivatives(c, PI / 2)
     assert out.label == "regular"
     assert abs(out.diagnostics["t0"] - PI / 2) > 1e-4
-
-
-def test_sampled_curve_relaxes_tolerance():
-    g = uniform_grid(0.2, PI - 0.2, 161)
-    exact = pseudo_sphere(g)
-    c = legendre_from_samples(g, exact.curve.x.value, exact.curve.z.value,
-                              exact.normal.a.value, exact.normal.b.value)
-    assert c.exact is False
-    out = curve_cusp_by_derivatives(c, PI / 2)
-    assert out.label == "cusp_3_2"
-    assert out.diagnostics["tol"] == SAMPLED_TOL
-    kout = curve_cusp_by_curvature(c, PI / 2)
-    assert kout.label == "cusp_3_2"
 
 
 # ---------------------------------------------------------------------------
