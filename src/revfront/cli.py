@@ -133,8 +133,6 @@ def _add_common(p, out_required=True, grid_required=True):
                    help="uniform parameter grid")
     p.add_argument("--order", type=_int_within(0, ORDER_CAP), default=5,
                    help="jet order (0..%d)" % ORDER_CAP)
-    p.add_argument("--tol", type=_nonnegative_finite, default=EXACT_TOL,
-                   help="zero-test tolerance (default 1e-8)")
     p.add_argument("--out", required=out_required, metavar="BASE",
                    help="output path prefix (BASE.csv/.obj/.json)")
 
@@ -165,6 +163,12 @@ def _nonnegative_finite(text):
     if not (math.isfinite(tol) and tol >= 0.0):
         raise argparse.ArgumentTypeError("must be finite and at least 0")
     return tol
+
+
+def _add_tol(p):
+    """--tol, on the commands whose zero tests read it."""
+    p.add_argument("--tol", type=_nonnegative_finite, default=EXACT_TOL,
+                   help="zero-test tolerance (default 1e-8)")
 
 
 def _add_theta(p):
@@ -251,12 +255,14 @@ def build_parser() -> _Parser:
     pr.add_argument("--axis", choices=("x", "z"), default="z")
     _add_profile_source(pr)
     _add_theta(pr)
+    _add_tol(pr)
     _add_common(pr)
 
     pi = sub.add_parser("invariants",
                         help="per-node J, K, H and immersion status")
     pi.add_argument("--axis", choices=("x", "z"), default="z")
     _add_profile_source(pi)
+    _add_tol(pi)
     _add_common(pi, out_required=False)
 
     pl = sub.add_parser("classify", help="label a singular point")
@@ -267,6 +273,7 @@ def build_parser() -> _Parser:
     pl.add_argument("--alpha", type=_expression,
                     help="curvature ratio (gauss/mean families)")
     _add_profile_source(pl)
+    _add_tol(pl)
     _add_common(pl, out_required=False, grid_required=False)
 
     pk = sub.add_parser("construct",
@@ -324,6 +331,7 @@ def build_parser() -> _Parser:
     pe = sub.add_parser("evolute", help="evolutes of a revolved profile")
     _add_profile_source(pe)
     _add_theta(pe)
+    _add_tol(pe)
     _add_common(pe)
 
     pp = sub.add_parser("parallel", help="offset profile and its revolute")
@@ -341,6 +349,7 @@ def build_parser() -> _Parser:
     ph.add_argument("--theta", type=_int_within(8), default=128, dest="n_theta",
                     help="ignored by check; accepted (>= 8) for flag "
                          "compatibility with revolve")
+    _add_tol(ph)
     _add_common(ph, out_required=False)
     return p
 

@@ -5,9 +5,11 @@ JSON keys are sorted, CSV rows end in CRLF per RFC 4180, and OBJ files
 carry no comments or timestamps, so a rerun with the same inputs is
 byte-identical.  The CSV and OBJ writers format whole blocks of rows with
 one ``%`` operation; the OBJ writer works through the mesh in blocks of
-``_OBJ_RINGS`` rings.  Each block of vertices is built from the profile
-columns by ``RevolutionSurface.rings``, so neither the text nor the
-positions held in memory exceed one block.
+``_OBJ_RINGS`` rings, each distinct number formatted once per ring block.
+``RevolutionSurface.ring_table`` gives a block's distinct coordinates (h,
+and r times each distinct cos theta_j or sin theta_j) with the order that
+gathers them into vertices, so neither the text nor the numbers held in
+memory exceed one block.
 """
 
 from __future__ import annotations
@@ -48,9 +50,13 @@ def _obj_blocks(surface: RevolutionSurface):
     """
     nt, ntheta = surface.profile.t.size, surface.theta.size
     for i in range(0, nt, _OBJ_RINGS):
-        rings = surface.rings(i, i + _OBJ_RINGS)
-        block = np.concatenate([rings, rings[:, :1]], axis=1)   # seam duplicate
-        yield (("v %.17g %.17g %.17g\n" * (block.size // 3))
+        values, order = surface.ring_table(i, i + _OBJ_RINGS)
+        order = np.concatenate([order, order[:3]])          # seam duplicate
+        words = np.array(("%.17g " * values.size
+                          % tuple(values.ravel().tolist())).split(),
+                         dtype=object).reshape(values.shape)
+        block = words[:, order]
+        yield (("v %s %s %s\n" * (block.size // 3))
                % tuple(block.ravel().tolist()))
 
     # J is independent of theta for a revolute; the row average decides
@@ -67,11 +73,6 @@ def _obj_blocks(surface: RevolutionSurface):
         tri = np.stack([q0, np.where(f, q3, q1), q2,
                         q0, q2, np.where(f, q1, q3)], axis=-1)
         yield ("f %d %d %d\n" * (tri.size // 3)) % tuple(tri.ravel().tolist())
-
-
-def surface_obj_lines(surface: RevolutionSurface):
-    """The lines of the OBJ file that write_surface_obj writes."""
-    return "".join(_obj_blocks(surface)).splitlines()
 
 
 def write_surface_obj(surface: RevolutionSurface, path) -> None:

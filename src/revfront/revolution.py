@@ -49,7 +49,8 @@ _FIELDS = {
     "x_uv": ("turned", "r_t"), "n_uv": ("turned", "n_r_t"), "s_uv": ("zero",),
 }
 
-# Rings per block when validate() builds the frame fields.
+# Rings per block when validate() and parallel_commutation_check build
+# the frame fields.
 _RINGS = 64
 
 
@@ -58,13 +59,13 @@ class RevolutionSurface:
     """A revolved profile, held as its axis-adapted columns and theta.
 
     Every grid field is an outer product of profile columns with cos theta
-    or sin theta, so the fields are built when read: rings(i0, i1) gives
-    the positions of a block of rings, validate() checks the frame one
-    block of rings at a time, and grid is the whole FramedSurfaceGrid,
-    each field built on first read and kept.  invariants holds the ten
-    invariants and their cross derivatives as (n_t, 1) columns: the
-    meridian theta = 0, with v = [0.0], since every meridian has the same
-    values.
+    or sin theta, so the fields are built when read: ring_table(i0, i1)
+    gives the positions of a block of rings, each distinct number once,
+    validate() checks the frame one block of rings at a time, and grid is
+    the whole FramedSurfaceGrid, each field built on first read and kept.
+    invariants holds the ten invariants and their cross derivatives as
+    (n_t, 1) columns: the meridian theta = 0, with v = [0.0], since every
+    meridian has the same values.
     """
     axis: str
     profile: LegendreCurve
@@ -89,9 +90,29 @@ class RevolutionSurface:
                 comps = (-outer(f, st), outer(f, ct), zero)
         return np.stack([comps[k] for k in _AXES[self.axis][0]], axis=-1)
 
-    def rings(self, i0: int, i1: int) -> np.ndarray:
-        """Positions of the rings i0:i1, shape (rings, n_theta, 3)."""
-        return self._field("x", i0, i1)
+    def ring_table(self, i0: int, i1: int):
+        """Positions of the rings i0:i1 as a value table and a gather order.
+
+        Each coordinate of a position is h or r times one of the cos theta_j
+        and sin theta_j.  values, shape (rings, m + 1), holds r * mult for
+        each of the m distinct multipliers (distinct as bits, so 0.0 and
+        -0.0 stay apart), then h.  values[:, order] is the positions,
+        shape (rings, 3 * n_theta), bit for bit as field x gives them.
+        """
+        n = self.theta.size
+        cs = np.concatenate([np.cos(self.theta), np.sin(self.theta)])
+        bits, inverse = np.unique(cs.view(np.int64), return_inverse=True)
+        mult = bits.view(np.float64)
+        r, h = self.columns["r"][i0:i1], self.columns["h"][i0:i1]
+        values = np.column_stack([np.multiply.outer(r, mult), h])
+        comps = (inverse[:n], inverse[n:], np.full(n, mult.size))
+        order = np.stack([comps[k] for k in _AXES[self.axis][0]], axis=-1)
+        return values, order.ravel()
+
+    def _blocks(self):
+        """The grid as _RevolvedGrid blocks of _RINGS rings each."""
+        for i in range(0, self.columns["t"].size, _RINGS):
+            yield _RevolvedGrid(self, i, i + _RINGS)
 
     @cached_property
     def grid(self) -> FramedSurfaceGrid:
@@ -103,9 +124,7 @@ class RevolutionSurface:
         Each residual is the max over the blocks, so the dict is the one
         the whole grid gives.
         """
-        n_t = self.columns["t"].size
-        blocks = [_RevolvedGrid(self, i, i + _RINGS).validate(tol)
-                  for i in range(0, n_t, _RINGS)]
+        blocks = [block.validate(tol) for block in self._blocks()]
         res = {key: float(np.max([b[key] for b in blocks]))
                for key in blocks[0] if key != "passed"}
         res["passed"] = all(b["passed"] for b in blocks)
@@ -424,18 +443,21 @@ def parallel_commutation_check(c: LegendreCurve, lam: float, axis: str = "z",
     partials, and all ten invariants with their derivative grids.  About
     the x-axis the surface normal points opposite to the revolved profile
     normal, so the profile offset that matches a surface offset of lam is
-    -lam there.
+    -lam there.  The grids are compared one block of rings at a time;
+    parallel_surface is pointwise, so each residual is the max over the
+    blocks, the value the whole grids give.
     """
-    surf = revolve(c, axis=axis, n_theta=16)
-    grid_a, inv_a = parallel_surface(surf.grid, lam, surf.invariants)
+    surf_a = revolve(c, axis=axis, n_theta=16)
     profile_lam = _AXES[axis][1] * lam
     surf_b = revolve(parallel_curve(c, profile_lam), axis=axis, n_theta=16)
-    grid_b, inv_b = surf_b.grid, surf_b.invariants
-
-    res = {}
-    for name in _FIELDS:
-        pa, pb = getattr(grid_a, name), getattr(grid_b, name)
-        res[name] = float(np.max(np.abs(pa - pb)))
+    blocks = []
+    for block_a, grid_b in zip(surf_a._blocks(), surf_b._blocks()):
+        grid_a, inv_a = parallel_surface(block_a, lam, surf_a.invariants)
+        blocks.append([np.max(np.abs(getattr(grid_a, name)
+                                     - getattr(grid_b, name)))
+                       for name in _FIELDS])
+    res = dict(zip(_FIELDS, np.max(blocks, axis=0).tolist()))
+    inv_b = surf_b.invariants
     for name in _INVARIANTS:
         res[name] = float(np.max(np.abs(getattr(inv_a, name) - getattr(inv_b, name))))
     for key in inv_a.cross:

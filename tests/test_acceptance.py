@@ -274,10 +274,11 @@ def test_quadratic_factorization():
             assert np.max(np.abs(left - right)) <= 1e-10
 
 
-def test_mesh_structure():
+def test_mesh_structure(tmp_path):
     g = uniform_grid(0.2, PI - 0.2, 161)
     surf = revolve(pseudo_sphere(g), axis="z", n_theta=64)
-    lines = export.surface_obj_lines(surf)
+    export.write_surface_obj(surf, tmp_path / "mesh.obj")
+    lines = (tmp_path / "mesh.obj").read_text().splitlines()
     verts = [tuple(float(w) for w in ln.split()[1:])
              for ln in lines if ln.startswith("v ")]
     faces = [ln for ln in lines if ln.startswith("f ")]

@@ -114,6 +114,20 @@ def test_bad_tolerance_exits_one(tol, capsys):
     assert "--tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "gauss", "--alpha", "-1", "--beta", "cot(t)",
+     "--t0", "1.5707963", "--grid", "0.2:2.94:64"],
+    ["parallel", "--lambda", "0.4", *PS, "--grid", PS_GRID],
+    ["curve", "from-curvature", "--ell", "1", "--beta", "1",
+     "--grid", "0:1:33"],
+])
+def test_tolerance_refused_where_unread(argv, tmp_path, capsys):
+    # these commands make no zero test, so --tol is an unknown flag there
+    assert run([*argv, "--tol", "1", "--out", str(tmp_path / "x")]) == 1
+    assert "--tol" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_zero_tolerance_accepted(capsys):
     assert run(["classify", "--family", "auto", "--t0", str(PI / 2), *PS,
                 "--grid", PS_GRID, "--tol", "0"]) == 0

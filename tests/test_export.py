@@ -74,7 +74,6 @@ def assert_same_bytes(c, axis, n_theta, tmp_path):
     export.write_surface_obj(surf, tmp_path / "block.obj")
     obj = (tmp_path / "block.obj").read_bytes()
     assert obj == reference_obj(surf)
-    assert export.surface_obj_lines(surf) == obj.decode().splitlines()
     export.write_curve_csv(c, tmp_path / "block.csv")
     reference_csv(c, tmp_path / "reference.csv")
     assert ((tmp_path / "block.csv").read_bytes() ==
@@ -104,15 +103,35 @@ def jet_profiles(draw):
                         zip((x, z, np.cos(phi), np.sin(phi)), slopes)])
 
 
+# theta grids whose cos and sin tables repeat values in many slots, so the
+# writer's table of distinct multipliers is much shorter than 2 * n_theta
+THETA_GRIDS = st.sampled_from([9, 16, 64, 100, 128])
+
+
 # no shrink phase: shrinking 150-node profiles through the per-number
 # reference took about five minutes before a failure was reported
 @settings(max_examples=40, deadline=None,
           phases=[ph for ph in Phase if ph is not Phase.shrink],
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(c=jet_profiles(), axis=st.sampled_from(["z", "x"]),
-       n_theta=st.integers(8, 12))
+       n_theta=st.one_of(st.integers(8, 12), THETA_GRIDS))
 def test_writers_match_reference_on_random_profiles(c, axis, n_theta,
                                                     tmp_path):
+    assert_same_bytes(c, axis, n_theta, tmp_path)
+
+
+@pytest.mark.parametrize("axis", ["z", "x"])
+@pytest.mark.parametrize("n_theta", [9, 16, 64, 100, 128])
+def test_writers_match_reference_on_theta_grids(n_theta, axis, tmp_path):
+    # each grid of THETA_GRIDS on each axis, whatever the draws above reach
+    rng = np.random.default_rng(n_theta)
+    n = 40
+    x, z = rng.uniform(-20.0, 20.0, (2, n))
+    x[::7], z[3::7] = 0.0, -0.0
+    phi = rng.uniform(-np.pi, np.pi, n)
+    c = jet_profile(np.arange(1.0, n + 1.0),
+                    [np.vstack([v, rng.uniform(-20.0, 20.0, (3, n))])
+                     for v in (x, z, np.cos(phi), np.sin(phi))])
     assert_same_bytes(c, axis, n_theta, tmp_path)
 
 
@@ -135,14 +154,16 @@ def test_writers_match_reference_across_block_edges(n_t, axis, tmp_path):
 
 
 def test_writers_keep_signed_zeros(tmp_path):
+    # radii of +0.0, -0.0 and a negative value about either axis
     n = 9
     t = np.arange(1.0, n + 1.0)
-    x = np.where(np.arange(n) % 2, -0.0, 0.0)
-    z = np.array([0.0, -0.0] * 4 + [1.0])
+    x = np.array([0.0, -0.0] * 4 + [-1.5])
+    z = np.array([-0.0, 0.0] * 4 + [-1.0])
     c = jet_profile(t, [np.vstack([v, np.zeros((3, n))])
                         for v in (x, z, np.ones(n), np.zeros(n))])
-    assert_same_bytes(c, "z", 8, tmp_path)
-    assert_same_bytes(c, "x", 8, tmp_path)
+    for n_theta in (8, 128):
+        assert_same_bytes(c, "z", n_theta, tmp_path)
+        assert_same_bytes(c, "x", n_theta, tmp_path)
     text = (tmp_path / "block.csv").read_text()
     assert ",-0," in text and ",0," in text
 

@@ -310,6 +310,17 @@ def assert_same_bytes(got, want, what):
     assert got.tobytes() == want.tobytes(), what
 
 
+def positions(surf, i0, i1):
+    """The positions of rings i0:i1 gathered from ring_table."""
+    values, order = surf.ring_table(i0, i1)
+    return values[:, order]
+
+
+def ring_rows(x):
+    """A block of field x as one row of 3 * n_theta numbers per ring."""
+    return x.reshape(x.shape[0], 3 * x.shape[1])
+
+
 def assert_same_dict(got, want):
     assert list(got) == list(want)
     for key in want:
@@ -328,7 +339,8 @@ def test_fields_on_read_match_eager_grid(n_t, axis):
     step = export._OBJ_RINGS
     for i0, i1 in ([(i, i + step) for i in range(0, n_t, step)]
                    + [(0, n_t), (0, n_t + 10), (5, 70), (n_t - 1, n_t)]):
-        assert_same_bytes(surf.rings(i0, i1), want.x[i0:i1], (i0, i1))
+        assert_same_bytes(positions(surf, i0, i1), ring_rows(want.x[i0:i1]),
+                          (i0, i1))
     assert_same_dict(surf.validate(), want.validate())
     assert_same_dict(surf.validate(tol=1e-18), want.validate(tol=1e-18))
 
@@ -341,7 +353,7 @@ def test_validate_by_blocks_matches_eager_grid_on_random_profiles():
         want = eager_grid(c, axis, 16)
         surf = revolve(c, axis=axis, n_theta=16)
         assert_same_dict(surf.validate(), want.validate())
-        assert_same_bytes(surf.rings(0, 200), want.x, axis)
+        assert_same_bytes(positions(surf, 0, 200), ring_rows(want.x), axis)
 
 
 def test_validate_by_blocks_keeps_nan():
@@ -400,9 +412,24 @@ def test_rings_and_validate_stay_below_one_full_field():
     try:
         surf = revolve(c, n_theta=n_theta)
         for i in range(0, n_t, export._OBJ_RINGS):
-            surf.rings(i, i + export._OBJ_RINGS)
+            surf.ring_table(i, i + export._OBJ_RINGS)
         assert surf.validate()["passed"]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < full_field, peak
+
+
+def test_commutation_check_stays_below_three_full_fields():
+    # the check compares the two surfaces one block of rings at a time; on
+    # whole grids it held every field of both sides, about 31 full fields
+    n_t = 2000
+    c = pseudo_sphere(np.linspace(0.3, 2.8, n_t))
+    full_field = n_t * 16 * 3 * 8
+    tracemalloc.start()
+    try:
+        assert parallel_commutation_check(c, 0.4).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * full_field, peak
