@@ -153,6 +153,18 @@ def test_writers_match_reference_across_block_edges(n_t, axis, tmp_path):
     assert second == {1, 17}
 
 
+@pytest.mark.parametrize("axis", ["z", "x"])
+def test_face_indices_cross_digit_widths_inside_a_block(axis, tmp_path):
+    # 800 x 129 vertices: ids pass 10**4 in rings 64-127 and 10**5 in
+    # rings 768-799, inside one block of rings each; beta = t - 1 flips rows
+    c = reconstruct_from_curvature("1", "t - 1", uniform_grid(0.0, 2.0, 800),
+                                   x0=0.5)
+    _, obj = assert_same_bytes(c, axis, 128, tmp_path)
+    widths = {len(i) for ln in obj.decode().splitlines() if ln[0] == "f"
+              for i in ln.split()[1:]}
+    assert widths == {1, 2, 3, 4, 5, 6}
+
+
 def test_writers_keep_signed_zeros(tmp_path):
     # radii of +0.0, -0.0 and a negative value about either axis
     n = 9
@@ -169,6 +181,45 @@ def test_writers_keep_signed_zeros(tmp_path):
 
 
 NO_SHRINK = [ph for ph in Phase if ph is not Phase.shrink]
+
+
+def _ties(k, n):
+    """An exact tie of %.17g in [10**k, 10**(k + 1)), picked by n: an odd
+    multiple of 2**(k - 17), whose 18 significant digits end in 5."""
+    scale = 2.0 ** (k - 17)
+    lo = math.ceil(10.0 ** k / scale) | 1
+    hi = min(10.0 ** (k + 1) / scale, 2.0 ** 53)
+    return (lo + 2 * (n % int((hi - lo) // 2))) * scale
+
+
+def _near_power(k, up, ulps):
+    x = 10.0 ** k
+    for _ in range(ulps):
+        x = math.nextafter(x, math.inf if up else -math.inf)
+    return x
+
+
+FMT17_FLOATS = st.one_of(
+    st.floats(),                                  # nan, inf, subnormals
+    st.integers(0, 2 ** 64 - 1).map(
+        lambda b: float(np.uint64(b).view(np.float64))),
+    st.builds(_near_power, st.integers(-7, 18), st.booleans(),
+              st.integers(0, 4)),
+    st.sampled_from([1234567890123456.75, 1234567890123456.25]),
+    st.builds(_ties, st.integers(-4, 15), st.integers(0, 2 ** 52)),
+    st.integers(-2 ** 60, 2 ** 60).map(float),
+).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@settings(max_examples=400, deadline=None, phases=NO_SHRINK)
+@given(st.lists(FMT17_FLOATS, min_size=1, max_size=40))
+def test_fmt17_matches_percent_format(xs):
+    cells = export._fmt17(np.array(xs))
+    assert cells.shape == (len(xs), export._CELL)
+    assert [bytes(c).replace(b"\0", b"").decode() for c in cells] == \
+        ["%.17g" % x for x in xs]
+
+
 JSON_FLOATS = st.one_of(
     st.floats(),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,

@@ -420,6 +420,21 @@ def test_rings_and_validate_stay_below_one_full_field():
     assert peak < full_field, peak
 
 
+def test_obj_writer_stays_below_four_mib(tmp_path):
+    # the writer holds one block of rings at a time, as number and index
+    # cells and their text; a whole-mesh index table (516 000 ids) or the
+    # whole text would not fit
+    c = pseudo_sphere(np.linspace(0.3, 2.8, 4000))
+    surf = revolve(c, n_theta=128)
+    tracemalloc.start()
+    try:
+        export.write_surface_obj(surf, tmp_path / "mesh.obj")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20, peak
+
+
 def test_commutation_check_stays_below_three_full_fields():
     # the check compares the two surfaces one block of rings at a time; on
     # whole grids it held every field of both sides, about 31 full fields
