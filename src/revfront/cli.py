@@ -62,6 +62,9 @@ def _parse_grid(spec: str) -> np.ndarray:
         t_min, t_max, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise CliError(f"bad grid spec {spec!r}: {exc}") from None
+    if not math.isfinite(t_max - t_min):
+        raise CliError(
+            f"--grid needs a finite min, max and span, got {spec!r}")
     if not t_min < t_max:
         raise CliError(f"grid needs min < max, got {spec!r}")
     if count < 16:
@@ -153,15 +156,23 @@ def _int_within(lo, hi=None):
     return parse
 
 
-def _nonnegative_finite(text):
-    """argparse type of --tol: a finite float, at least 0."""
+def _finite(text):
+    """argparse type of the float flags: a finite float."""
     try:
-        tol = float(text)
+        x = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid float value: {text!r}") from None
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise argparse.ArgumentTypeError("must be finite and at least 0")
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return x
+
+
+def _nonnegative_finite(text):
+    """argparse type of --tol: a finite float, at least 0."""
+    tol = _finite(text)
+    if tol < 0.0:
+        raise argparse.ArgumentTypeError("must be at least 0")
     return tol
 
 
@@ -185,11 +196,11 @@ def _add_profile_source(p):
                    help="normal turning density; implies --beta")
     p.add_argument("--beta", type=_expression,
                    help="tangential speed density; implies --ell")
-    p.add_argument("--theta0", type=float, default=0.0,
+    p.add_argument("--theta0", type=_finite, default=0.0,
                    help="initial normal angle for --ell/--beta")
-    p.add_argument("--x0", type=float, default=0.0,
+    p.add_argument("--x0", type=_finite, default=0.0,
                    help="initial x for --ell/--beta")
-    p.add_argument("--z0", type=float, default=0.0,
+    p.add_argument("--z0", type=_finite, default=0.0,
                    help="initial z for --ell/--beta")
 
 
@@ -246,9 +257,9 @@ def build_parser() -> _Parser:
                           help="integrate a curvature pair to a curve")
     cfc.add_argument("--ell", type=_expression, required=True)
     cfc.add_argument("--beta", type=_expression, required=True)
-    cfc.add_argument("--theta0", type=float, default=0.0)
-    cfc.add_argument("--x0", type=float, default=0.0)
-    cfc.add_argument("--z0", type=float, default=0.0)
+    cfc.add_argument("--theta0", type=_finite, default=0.0)
+    cfc.add_argument("--x0", type=_finite, default=0.0)
+    cfc.add_argument("--z0", type=_finite, default=0.0)
     _add_common(cfc)
 
     pr = sub.add_parser("revolve", help="revolve a profile into a mesh")
@@ -266,7 +277,7 @@ def build_parser() -> _Parser:
     _add_common(pi, out_required=False)
 
     pl = sub.add_parser("classify", help="label a singular point")
-    pl.add_argument("--t0", type=float, required=True)
+    pl.add_argument("--t0", type=_finite, required=True)
     pl.add_argument("--family",
                     choices=("auto", "gauss", "mean", "revolution"),
                     default="auto")
@@ -283,46 +294,46 @@ def build_parser() -> _Parser:
     kg = ksub.add_parser("gauss", help="area ratio K = alpha*J")
     kg.add_argument("--alpha", type=_expression, required=True)
     kg.add_argument("--beta", type=_expression, required=True)
-    kg.add_argument("--t0", type=float, required=True)
-    kg.add_argument("--x0", type=float, default=1.0)
-    kg.add_argument("--sin0", type=float, default=None,
+    kg.add_argument("--t0", type=_finite, required=True)
+    kg.add_argument("--x0", type=_finite, default=1.0)
+    kg.add_argument("--sin0", type=_finite, default=None,
                     help="sin(phi) at t0; default 0, or the in-band unit "
                          "value when beta(t0) = 0")
-    kg.add_argument("--cos-sign", type=float, default=1.0, dest="cos_sign")
-    kg.add_argument("--z0", type=float, default=0.0)
+    kg.add_argument("--cos-sign", type=_finite, default=1.0, dest="cos_sign")
+    kg.add_argument("--z0", type=_finite, default=0.0)
     kg.add_argument("--method", choices=("auto", "rk4", "frobenius"),
                     default="auto")
 
     kj = ksub.add_parser("gauss-jk", help="prescribed densities J and K")
     kj.add_argument("--J", type=_expression, required=True)
     kj.add_argument("--K", type=_expression, required=True)
-    kj.add_argument("--x0", type=float, required=True)
-    kj.add_argument("--t0", type=float, default=None)
-    kj.add_argument("--sin0", type=float, default=0.0)
-    kj.add_argument("--cos-sign", type=float, default=1.0, dest="cos_sign")
-    kj.add_argument("--z0", type=float, default=0.0)
+    kj.add_argument("--x0", type=_finite, required=True)
+    kj.add_argument("--t0", type=_finite, default=None)
+    kj.add_argument("--sin0", type=_finite, default=0.0)
+    kj.add_argument("--cos-sign", type=_finite, default=1.0, dest="cos_sign")
+    kj.add_argument("--z0", type=_finite, default=0.0)
 
     km = ksub.add_parser("mean", help="mean ratio H = alpha*J")
     km.add_argument("--alpha", type=_expression, required=True)
     km.add_argument("--beta", type=_expression, required=True)
-    km.add_argument("--c1", type=float, required=True)
-    km.add_argument("--c2", type=float, required=True)
-    km.add_argument("--t0", type=float, default=None)
-    km.add_argument("--z0", type=float, default=0.0)
+    km.add_argument("--c1", type=_finite, required=True)
+    km.add_argument("--c2", type=_finite, required=True)
+    km.add_argument("--t0", type=_finite, default=None)
+    km.add_argument("--z0", type=_finite, default=0.0)
 
     kp = ksub.add_parser("j-phi", help="prescribed J and normal angle")
     kp.add_argument("--J", type=_expression, required=True)
     kp.add_argument("--phi", type=_expression, required=True)
-    kp.add_argument("--x0", type=float, default=1.0)
-    kp.add_argument("--t0", type=float, default=None)
-    kp.add_argument("--z0", type=float, default=0.0)
+    kp.add_argument("--x0", type=_finite, default=1.0)
+    kp.add_argument("--t0", type=_finite, default=None)
+    kp.add_argument("--z0", type=_finite, default=0.0)
 
     kh = ksub.add_parser("h-phi", help="prescribed H and normal angle")
     kh.add_argument("--H", type=_expression, required=True)
     kh.add_argument("--phi", type=_expression, required=True)
-    kh.add_argument("--ca", type=float, default=0.0)
-    kh.add_argument("--t0", type=float, default=None)
-    kh.add_argument("--z0", type=float, default=0.0)
+    kh.add_argument("--ca", type=_finite, default=0.0)
+    kh.add_argument("--t0", type=_finite, default=None)
+    kh.add_argument("--z0", type=_finite, default=0.0)
 
     for leaf in (kg, kj, km, kp, kh):
         _add_theta(leaf)
@@ -335,7 +346,7 @@ def build_parser() -> _Parser:
     _add_common(pe)
 
     pp = sub.add_parser("parallel", help="offset profile and its revolute")
-    pp.add_argument("--lambda", type=float, required=True, dest="lam")
+    pp.add_argument("--lambda", type=_finite, required=True, dest="lam")
     pp.add_argument("--axis", choices=("x", "z"), default="z")
     _add_profile_source(pp)
     _add_theta(pp)

@@ -7,18 +7,21 @@ byte-identical.
 
 The CSV and OBJ writers build their text as NUL-padded uint8 matrices, one
 row per line, and drop the NULs as they write each matrix.  ``_fmt17``
-gives every float a cell of ``_CELL`` bytes.  Finite |x| in [1e-4, 1e17),
-where %.17g writes fixed notation, is converted in numpy, exactly: an
-error-free product gives |x| * 10**(16 - k) as hi + lo, and rounding it
-half to even gives the 17 digits (README, "Numerical notes").  Zeros,
-smaller and larger magnitudes, inf and nan go through Python's %.17g into
-the same cells.  The OBJ writer works through the mesh in blocks of
-``_OBJ_RINGS`` rings.  ``RevolutionSurface.ring_table`` gives a block's
-distinct coordinates (h, and r times each distinct cos theta_j or sin
-theta_j) with the order that gathers their cells into vertex lines; a face
-block formats each vertex index it uses once and gathers those cells into
-triangles.  So every distinct number of a block is formatted once, and
-neither the text nor the numbers held in memory exceed one block.
+gives every float a cell of ``_CELL`` bytes, grouped by decimal exponent,
+with the index that puts the cells back in the order of the values.
+Zeros and finite |x| in [1e-24, 1e17) are converted in numpy, exactly: two
+error-free products give |x| * 10**(16 - k) as an integer plus a small
+remainder, and rounding it half to even gives the 17 digits (README,
+"Numerical notes"), written four at a time from a table.  Only tinier and
+larger magnitudes, inf and nan go through Python's %.17g into the same
+cells.  The OBJ writer works through the mesh in blocks of ``_OBJ_RINGS``
+rings.  ``RevolutionSurface.ring_table`` gives a block's distinct
+coordinate magnitudes (|h|, and |r| times each distinct |cos theta_j| or
+|sin theta_j|) with the order that gathers them into vertex lines and the
+sign of each coordinate; a face block formats each vertex index it uses
+once and gathers those cells into triangles.  So every distinct magnitude
+of a block is formatted once, and neither the text nor the numbers held in
+memory exceed one block.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .revolution import RevolutionSurface
 
 _OBJ_RINGS = 64
 _CELL = 24                    # len("-2.2250738585072014e-308"), the longest
-_POW10 = np.array([float(10 ** p) for p in range(23)])   # exact doubles
+_TINY = 1e-24                 # the kernel's smallest magnitude (p <= 41)
 _SPLIT = 134217729.0          # 2**27 + 1: Veltkamp's split into halves
 _json_str = json.encoder.encode_basestring_ascii
 
@@ -46,117 +49,213 @@ def _split(x):
     return hi, x - hi
 
 
-_POW10_HI, _POW10_LO = _split(_POW10)
+# 10**p = P + Q for p <= 41: P the nearest double and Q the rest, 0 up to
+# p = 22 and a double above (10**p - P has at most 39 significant bits);
+# rows P, its Veltkamp halves, Q, its halves
+_POW10 = np.array([[float(10 ** p), float(10 ** p - int(float(10 ** p)))]
+                   for p in range(42)]).T
+_POW10 = np.vstack([_POW10[0], *_split(_POW10[0]),
+                    _POW10[1], *_split(_POW10[1])])
 
 
-def _scaled(a, p):
-    """hi, lo with hi = fl(a * 10**p) and hi + lo = a * 10**p exactly, for
-    0 <= p <= 22 (Dekker's TwoProduct; 10**p is a double there)."""
-    hi = a * _POW10[p]
-    ah, al = _split(a)
-    bh, bl = _POW10_HI[p], _POW10_LO[p]
+def _digit_words():
+    """The text of 0000 .. 9999 as uint32 words of four ASCII digits: rows
+    0-9999 as they are, rows 10000-19999 with trailing zeros as NUL, rows
+    20000-29999 with leading zeros as NUL (0 is four NULs in both)."""
+    i = np.arange(10000, dtype=np.int16)
+    digits = i[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10
+    digits = digits.astype(np.uint8)
+    zero = digits == 0
+    trailing = np.logical_and.accumulate(zero[:, ::-1], axis=1)[:, ::-1]
+    leading = np.logical_and.accumulate(zero, axis=1)
+    text = digits + np.uint8(ord("0"))
+    table = np.concatenate([text, text * ~trailing, text * ~leading])
+    return table.view(np.uint32).ravel()
+
+
+_DIGITS = _digit_words()
+_STRIP, _LEAD = 10000, 20000
+
+
+def _product(a, a_halves, b, b_halves):
+    """hi, lo with hi = fl(a * b) and hi + lo = a * b exactly (Dekker's
+    TwoProduct)."""
+    ah, al = a_halves
+    bh, bl = b_halves
+    hi = a * b
     return hi, al * bl - (((hi - ah * bh) - al * bh) - ah * bl)
 
 
-def _at_least(hi, lo, c):
-    """hi + lo >= c, exactly, for a double c."""
-    return (hi > c) | ((hi == c) & (lo >= 0))
+def _scaled(a, p):
+    """D, e: D the integer nearest y = a * 10**p (ties to even), as int64,
+    and e a double with the sign of y - D, 0 only where y = D.
+
+    For a in [1e-24, 1e17) and 0 <= p <= 41 with y < 1e18; D is exact
+    where y >= 2**53.  y is hi + s + t exactly: hi = fl(a * P) is an even
+    integer there, and t, nonzero only where Q is, is below 2**-44.
+    """
+    halves = _split(a)
+    P = np.take(_POW10[:3], p, axis=1)
+    hi, s = _product(a, halves, P[0], P[1:])
+    t = np.zeros_like(s)
+    # where 10**p is not a double, a * Q = g + g_lo joins s: Knuth's
+    # TwoSum gives lo + g = s + t exactly, and t + g_lo is exact too
+    big = np.flatnonzero(p > 22)
+    q = np.take(_POW10[3:], p[big], axis=1)
+    g, g_lo = _product(a[big], (halves[0][big], halves[1][big]), q[0], q[1:])
+    lo = s[big]
+    s[big] = sb = lo + g
+    z = sb - lo
+    t[big] = ((lo - (sb - z)) + (g - z)) + g_lo
+    m = np.rint(s)
+    D = hi.astype(np.int64) + m.astype(np.int64)
+    f = s - m                                 # y - D = f + t, |f| <= 1/2
+    # rint rounds half to even, and hi is even; only t can move y - D
+    # to or past a half: (f -+ 1/2) is exact wherever it is near 0
+    fb, tb, odd = f[big], t[big], D[big] % 2 == 1
+    up, down = (fb - 0.5) + tb, (fb + 0.5) + tb
+    step = (((up > 0) | ((up == 0) & odd)).astype(np.int64)
+            - ((down < 0) | ((down == 0) & odd)))
+    D[big] += step
+    f[big] -= step
+    return D, f + t
 
 
-def _fmt17(values) -> np.ndarray:
-    """"%.17g" % v of each value as a NUL-padded (n, _CELL) uint8 matrix.
+def _at_least(D, e, c: int):
+    """y >= c, exactly, for an integer c and D, e = _scaled(...) of y."""
+    return (D > c) | ((D == c) & (e >= 0))
 
-    Finite |v| in [1e-4, 1e17) is written in fixed notation from D, the
-    integer nearest |v| * 10**(16 - k) (ties to even), k = floor(log10
-    |v|), with the fraction's trailing zeros left out.  Everything else
-    (zeros, smaller or larger magnitudes, inf and nan) goes through
-    Python's formatter.
+
+def _items(mat, start: int, width: int):
+    """Columns start:start + width of a uint8 matrix as one item per row,
+    so that a copy moves whole items rather than bytes."""
+    return mat[:, start:start + width].view("V%d" % width)[:, 0]
+
+
+def _fmt17(values):
+    """"%.17g" % v of each value as cells grouped by decimal exponent.
+
+    Returns cells, a NUL-padded (n, _CELL) uint8 matrix, and at, with
+    cells[at[i]] the text of the i-th value in C order.  Column 0 holds the
+    sign.  Finite |v| in [1e-24, 1e17) is written from D, the integer
+    nearest |v| * 10**(16 - k) (ties to even), k = floor(log10 |v|): fixed
+    notation for k >= -4, with the fraction's trailing zeros left out, and
+    exponent notation below.  Each k is one block of rows, laid out by
+    slices.  Zeros are "0" and "-0"; everything else (tinier or larger
+    magnitudes, inf and nan) goes through Python's formatter.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
     n = v.size
-    out = np.zeros((n, _CELL), np.uint8)
     a = np.abs(v)
-    fast = (a >= 1e-4) & (a < 1e17)
+    fast = (a >= _TINY) & (a < 1e17)
     a = np.where(fast, a, 1.0)
-    k = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
-    hi, lo = _scaled(a, 16 - k)
-    # log10 may be one off next to a power of ten; the exact product
-    # decides, so that 1e16 <= hi + lo < 1e17
-    step = _at_least(hi, lo, 1e17).astype(np.int64) - ~_at_least(hi, lo, 1e16)
+    k = np.clip(np.floor(np.log10(a)), -25, 16).astype(np.int64)
+    D, e = _scaled(a, 16 - k)
+    # log10 may be one off next to a power of ten; the exact value decides,
+    # so that 1e16 <= |v| * 10**(16 - k) < 1e17
+    step = (_at_least(D, e, 10 ** 17).astype(np.int64)
+            - ~_at_least(D, e, 10 ** 16))
     off = np.flatnonzero(step)
-    k[off] += step[off]
-    hi[off], lo[off] = _scaled(a[off], 16 - k[off])
-    # hi >= 2**53 is an even integer, so rounding lo half to even rounds
-    # hi + lo half to even
-    D = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    if off.size:                        # only next to a power of ten
+        k[off] += step[off]
+        D[off] = _scaled(a[off], 16 - k[off])[0]
     carry = D == 10 ** 17
     D[carry] = 10 ** 16
     k += carry
-    # column 0 holds the sign and digit j goes to column 1 + j, one column
-    # further right if it is fractional (j > k); for k < 0 the digits
-    # start at column 2 - k, over the tail of "0.000" in columns 1-5
-    flat = out.reshape(-1)
-    cell = np.arange(0, n * _CELL, _CELL)
-    flat[cell[v < 0]] = ord("-")
-    out[np.flatnonzero(k < 0), 1:6] = np.frombuffer(b"0.000", np.uint8)
-    at = cell + 17 + np.maximum(-k, 0)      # column of digit 16, unshifted
-    strip = np.ones(n, bool)                # digits j .. 16 are stripped
-    for j in range(16, -1, -1):
-        q = D // 10
-        d = (D - 10 * q).astype(np.uint8)
-        D = q
-        frac = j > k
-        strip &= d == 0
-        strip &= frac
-        d += ord("0")
-        d[strip] = 0
-        flat[at + frac] = d
-        at -= 1
-    # the point after digit k >= 0, unless the whole fraction was stripped
-    # (k = 16 has none: the column after the point's stays NUL)
-    at = cell + 2 + k
-    flat[at[(k >= 0) & (flat[at + 1] != 0)]] = ord(".")
-    slow = np.flatnonzero(~fast)
-    text = ("%-24.17g" * slow.size % tuple(v[slow].tolist())).encode()
-    cells = np.frombuffer(text, np.uint8).reshape(-1, _CELL)
-    out[slow] = np.where(cells == ord(" "), 0, cells)
-    return out
+    # one block of rows per key: k, then 17 for zeros and 18 for the rest
+    key = np.where(fast, k, np.where(v == 0, 17, 18)).astype(np.int8)
+    order = np.argsort(key, kind="stable")
+    at = np.empty(n, np.intp)
+    at[order] = np.arange(n)
+    key, D, v = key[order], D[order], v[order]
+    # the 17 digits of D as five words of four (the first holds one), the
+    # last from the stripped table; a word stripped to NULs strips the
+    # word before it too
+    hi8 = D // 10 ** 8
+    lo8 = D - hi8 * 10 ** 8
+    hi4, mid4 = hi8 // 10 ** 4, lo8 // 10 ** 4
+    first = hi4 // 10 ** 4
+    words = [first, hi4 - first * 10 ** 4, hi8 - hi4 * 10 ** 4, mid4,
+             lo8 - mid4 * 10 ** 4 + _STRIP]
+    text = np.empty((n, 5), np.uint32)
+    for j, word in enumerate(words):
+        text[:, j] = _DIGITS[word]
+    z = np.flatnonzero(words[4] == _STRIP)
+    for j in (3, 2, 1):
+        text[z, j] = _DIGITS[words[j][z] + _STRIP]
+        z = z[words[j][z] == 0]
+    digits = text.view(np.uint8)[:, 3:]
+    out = np.zeros((n, _CELL), np.uint8)
+    out[np.signbit(v), 0] = ord("-")
+    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]][:n])
+    for i, j in zip(start, np.r_[start[1:], n]):
+        k, cells, d = int(key[i]), out[i:j], digits[i:j]
+        if k == 17:
+            cells[:, 1] = ord("0")
+        elif k == 18:
+            py = "%-23.17g" * (j - i) % tuple(np.abs(v[i:j]).tolist())
+            py = np.frombuffer(py.encode(), np.uint8).reshape(j - i, -1)
+            cells[:, 1:] = np.where(py == ord(" "), 0, py)
+            cells[np.isnan(v[i:j]), 0] = 0      # "nan", whatever its sign
+        elif k >= 0:
+            # digits 0..k are whole: a stripped zero among them is put back
+            np.maximum(d[:, :k + 1], ord("0"), out=cells[:, 1:k + 2])
+            if k < 16:
+                cells[:, k + 2] = (d[:, k + 1] != 0) * ord(".")
+                _items(cells, k + 3, 16 - k)[:] = _items(d, k + 1, 16 - k)
+        elif k >= -4:
+            for c, byte in enumerate(b"0.000"[:1 - k], 1):
+                cells[:, c] = byte
+            _items(cells, 2 - k, 17)[:] = _items(d, 0, 17)
+        else:
+            cells[:, 1] = d[:, 0]
+            cells[:, 2] = (d[:, 1] != 0) * ord(".")
+            _items(cells, 3, 16)[:] = _items(d, 1, 16)
+            for c, byte in enumerate(b"e-%02d" % -k, 19):
+                cells[:, c] = byte
+    return out, at
 
 
-def _lines(cells, head: bytes, sep: bytes, end: bytes) -> np.ndarray:
-    """Each row of a (rows, m, w) uint8 cell matrix as one line, head, the
-    m cells joined by sep, then end, as a NUL-padded uint8 matrix.
+def _lines(cells, index, head: bytes, sep: bytes, end: bytes) -> np.ndarray:
+    """Line i as head, the rows index[i] of the (n, w) uint8 matrix cells
+    joined by sep, then end: a NUL-padded uint8 matrix, one row per line.
 
-    Its text drops the NULs: bytes.translate(None, b"\\0") pays per byte
-    and bytes.replace(b"\\0", b"") per NUL, and a float cell holds about
-    five NULs where an index cell rarely holds any.
+    Each cell is copied once, into an item that carries its separator in
+    front and room for end behind, and one np.take of whole items lays out
+    the lines; head and end then overwrite the first and last bytes.  The
+    text drops the NULs with bytes.translate(None, b"\\0"), which pays per
+    byte; bytes.replace(b"\\0", b"") pays per NUL, and there are several
+    in every line.
     """
-    rows, m, w = cells.shape
-    parts = [head] + [sep] * (m - 1) + [end]
-    mat = np.empty((rows, m * w + sum(map(len, parts))), np.uint8)
-    at = 0
-    for j, part in enumerate(parts):
-        mat[:, at:at + len(part)] = np.frombuffer(part, np.uint8)
-        at += len(part)
-        if j < m:
-            mat[:, at:at + w] = cells[:, j]
-            at += w
+    n, w = cells.shape
+    lead = max(len(head), len(sep))
+    size = lead + w + len(end)
+    items = np.zeros((n, size), np.uint8)
+    items[:, lead - len(sep):lead] = np.frombuffer(sep, np.uint8)
+    _items(items, lead, w)[:] = _items(cells, 0, w)
+    mat = np.take(items.view("V%d" % size).ravel(), index)
+    mat = mat.view(np.uint8).reshape(len(index), index.shape[1] * size)
+    # byte by byte: a fill of one column is much cheaper than of several
+    for j, byte in enumerate(head.rjust(lead, b"\0")):
+        mat[:, j] = byte
+    for j, byte in enumerate(end, mat.shape[1] - len(end)):
+        mat[:, j] = byte
     return mat
 
 
 def _int_cells(first: int, last: int) -> np.ndarray:
     """The decimal digits of first..last (first >= 1) as a NUL-padded
-    (last - first + 1, w) uint8 matrix, w the width of last."""
-    ids = np.arange(first, last + 1)
+    (last - first + 1, w) uint8 matrix, w the width of last: one lookup
+    per four digits, leading zeros from the table that makes them NUL."""
     w = len(str(last))
-    out = np.empty((ids.size, w), np.uint8)
-    rest = ids
-    for j in range(w - 1, -1, -1):
-        q = rest // 10
-        out[:, j] = rest - 10 * q + ord("0")
-        rest = q
-    out[ids[:, None] < 10 ** np.arange(w - 1, -1, -1)] = 0
-    return out
+    words = -(-w // 4)
+    text = np.empty((last - first + 1, words), np.uint32)
+    rest = np.arange(first, last + 1)
+    for j in range(words - 1, 0, -1):
+        rest, word = np.divmod(rest, 10000)
+        text[:, j] = _DIGITS[word + (rest == 0) * _LEAD]
+    text[:, 0] = _DIGITS[rest + _LEAD]
+    return text.view(np.uint8)[:, 4 * words - w:]
 
 
 def write_curve_csv(c: LegendreCurve, path) -> None:
@@ -165,11 +264,24 @@ def write_curve_csv(c: LegendreCurve, path) -> None:
     table = np.column_stack([c.t, c.curve.x.value, c.curve.z.value,
                              c.normal.a.value, c.normal.b.value,
                              pair.ell.value, pair.beta.value])
-    cells = _fmt17(table).reshape(table.shape + (_CELL,))
+    cells, at = _fmt17(table)
     with open(path, "wb") as fh:
         fh.write(b"t,x,z,a,b,ell,beta\r\n")
-        fh.write(_lines(cells, b"", b",", b"\r\n").tobytes()
-                 .translate(None, b"\0"))
+        fh.write(_lines(cells, at.reshape(table.shape), b"", b",", b"\r\n")
+                 .tobytes().translate(None, b"\0"))
+
+
+def _vertex_lines(surface: RevolutionSurface, i0: int, i1: int):
+    """The v lines of rings i0:i1, each ring with its first vertex again at
+    theta = 2 pi, as a NUL-padded uint8 matrix."""
+    values, order, neg = surface.ring_table(i0, i1)
+    seam = np.r_[0:order.size, 0:3]
+    cells, at = _fmt17(values)
+    index = at.reshape(values.shape)[:, order[seam]] + len(at) * neg[:, seam]
+    # each cell again with its sign, for the negative coordinates
+    cells = np.concatenate([cells, cells])
+    cells[len(at):, 0] = ord("-")
+    return _lines(cells, index.reshape(-1, 3), b"v ", b" ", b"\n")
 
 
 def _obj_blocks(surface: RevolutionSurface):
@@ -183,11 +295,7 @@ def _obj_blocks(surface: RevolutionSurface):
     """
     nt, ntheta = surface.profile.t.size, surface.theta.size
     for i in range(0, nt, _OBJ_RINGS):
-        values, order = surface.ring_table(i, i + _OBJ_RINGS)
-        order = np.concatenate([order, order[:3]])          # seam duplicate
-        cells = _fmt17(values).reshape(values.shape + (_CELL,))
-        vertices = np.take(cells, order, axis=1).reshape(-1, 3, _CELL)
-        yield _lines(vertices, b"v ", b" ", b"\n").tobytes().translate(
+        yield _vertex_lines(surface, i, i + _OBJ_RINGS).tobytes().translate(
             None, b"\0")
 
     # J is independent of theta for a revolute; the row average decides
@@ -206,8 +314,8 @@ def _obj_blocks(surface: RevolutionSurface):
         # the ids of rings i .. i + len(f), each formatted once
         first = i * (ntheta + 1) + 1
         ids = _int_cells(first, first + (len(f) + 1) * (ntheta + 1) - 1)
-        faces = np.take(ids, tri.reshape(-1, 3), axis=0)
-        yield _lines(faces, b"f ", b" ", b"\n").tobytes().replace(b"\0", b"")
+        yield _lines(ids, tri.reshape(-1, 3), b"f ", b" ", b"\n"
+                     ).tobytes().translate(None, b"\0")
 
 
 def write_surface_obj(surface: RevolutionSurface, path) -> None:

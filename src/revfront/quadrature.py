@@ -12,6 +12,8 @@ simple stride.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import expr
@@ -101,6 +103,8 @@ class FineGrid:
 def uniform_grid(t_min: float, t_max: float, count: int) -> np.ndarray:
     if count < 2:
         raise ValueError("grid needs at least 2 nodes")
+    if not math.isfinite(t_max - t_min):
+        raise ValueError("grid min, max and span must be finite")
     if not t_max > t_min:
         raise ValueError("grid max must exceed min")
     return np.linspace(t_min, t_max, count)

@@ -60,9 +60,10 @@ class RevolutionSurface:
 
     Every grid field is an outer product of profile columns with cos theta
     or sin theta, so the fields are built when read: ring_table(i0, i1)
-    gives the positions of a block of rings, each distinct number once,
-    validate() checks the frame one block of rings at a time, and grid is
-    the whole FramedSurfaceGrid, each field built on first read and kept.
+    gives the positions of a block of rings, each distinct magnitude once
+    plus a sign per coordinate, validate() checks the frame one block of
+    rings at a time, and grid is the whole FramedSurfaceGrid, each field
+    built on first read and kept.
     invariants holds the ten invariants and their cross derivatives as
     (n_t, 1) columns: the meridian theta = 0, with v = [0.0], since every
     meridian has the same values.
@@ -91,23 +92,46 @@ class RevolutionSurface:
         return np.stack([comps[k] for k in _AXES[self.axis][0]], axis=-1)
 
     def ring_table(self, i0: int, i1: int):
-        """Positions of the rings i0:i1 as a value table and a gather order.
+        """Positions of the rings i0:i1 as magnitudes, a gather order and
+        signs.
 
         Each coordinate of a position is h or r times one of the cos theta_j
-        and sin theta_j.  values, shape (rings, m + 1), holds r * mult for
-        each of the m distinct multipliers (distinct as bits, so 0.0 and
-        -0.0 stay apart), then h.  values[:, order] is the positions,
-        shape (rings, 3 * n_theta), bit for bit as field x gives them.
+        and sin theta_j.  values, shape (rings, m + 1), holds |r| * mult for
+        each of the m distinct multiplier magnitudes mult (distinct as bits),
+        then |h|.  values[:, order], shape (rings, 3 * n_theta), is the
+        magnitude of each coordinate and neg, of the same shape, its sign:
+        sign(r) XOR sign(multiplier), or sign(h).  IEEE multiplication
+        rounds |r| * |m| as it rounds r * m, so the coordinates are
+        values[:, order] negated where neg, bit for bit as field x gives
+        them, 0.0 and -0.0 included.  neg is False where the coordinate is
+        NaN, which "%.17g" prints without a sign.
         """
+        mult, order, is_h, sign = self._ring_slots
+        r, h = self.columns["r"][i0:i1], self.columns["h"][i0:i1]
+        values = np.column_stack([np.multiply.outer(np.abs(r), mult),
+                                  np.abs(h)])
+        neg = np.column_stack([np.signbit(r), np.signbit(h)])[:, is_h] ^ sign
+        neg &= ~np.isnan(values)[:, order]
+        return values, order, neg
+
+    @cached_property
+    def _ring_slots(self):
+        """What ring_table reads from theta: the distinct magnitudes mult of
+        the cos theta_j and sin theta_j, and per slot 3j + c, component c
+        of vertex j, its column of values, whether it is h, and the sign of
+        its multiplier."""
         n = self.theta.size
         cs = np.concatenate([np.cos(self.theta), np.sin(self.theta)])
-        bits, inverse = np.unique(cs.view(np.int64), return_inverse=True)
-        mult = bits.view(np.float64)
-        r, h = self.columns["r"][i0:i1], self.columns["h"][i0:i1]
-        values = np.column_stack([np.multiply.outer(r, mult), h])
-        comps = (inverse[:n], inverse[n:], np.full(n, mult.size))
-        order = np.stack([comps[k] for k in _AXES[self.axis][0]], axis=-1)
-        return values, order.ravel()
+        bits, inverse = np.unique(np.abs(cs).view(np.int64),
+                                  return_inverse=True)
+        # the components (r cos theta_j, r sin theta_j, h) in the axis's
+        # order in space
+        slot = np.arange(3 * n).reshape(3, n)[list(_AXES[self.axis][0])]
+        slot = slot.T.ravel()
+        order = np.concatenate([inverse, [bits.size] * n])[slot]
+        is_h = (slot >= 2 * n).astype(np.intp)
+        sign = np.concatenate([np.signbit(cs), np.zeros(n, bool)])[slot]
+        return bits.view(np.float64), order, is_h, sign
 
     def _blocks(self):
         """The grid as _RevolvedGrid blocks of _RINGS rings each."""

@@ -1,12 +1,13 @@
 """End-to-end command line runs: exit codes, artifacts, determinism."""
 
+import argparse
 import csv
 import json
 
 import numpy as np
 import pytest
 
-from revfront.cli import run
+from revfront.cli import build_parser, run
 
 PI = float(np.pi)
 
@@ -112,6 +113,78 @@ def test_bad_tolerance_exits_one(tol, capsys):
                 "--grid", PS_GRID, "--tol", tol])
     assert code == 1
     assert "--tol" in capsys.readouterr().err
+
+
+# each family of float flags, on a command line that runs without them
+FLOAT_FLAGS = {
+    "profile": (["revolve", "--ell", "1", "--beta", "1", "--grid", "0:1:33"],
+                ["--theta0", "--x0", "--z0"]),
+    "curve": (["curve", "from-curvature", "--ell", "1", "--beta", "1",
+               "--grid", "0:1:33"], ["--theta0", "--x0", "--z0"]),
+    "classify": (["classify", "--family", "auto", "--t0", str(PI / 2), *PS,
+                  "--grid", PS_GRID], ["--t0"]),
+    "construct": (["construct", "gauss", "--alpha", "-1", "--beta", "cot(t)",
+                   "--t0", "1.5707963", "--grid", "0.2:2.94:64"],
+                  ["--t0", "--x0", "--sin0", "--cos-sign", "--z0"]),
+    "construct-jk": (["construct", "gauss-jk", "--J", "1", "--K", "1",
+                      "--x0", "1", "--grid", "0:1:33"],
+                     ["--x0", "--t0", "--sin0", "--cos-sign", "--z0"]),
+    "construct-mean": (["construct", "mean", "--alpha", "1", "--beta", "1",
+                        "--c1", "1", "--c2", "0", "--grid", "0:1:33"],
+                       ["--c1", "--c2", "--t0", "--z0"]),
+    "construct-phi": (["construct", "j-phi", "--J", "1", "--phi", "t",
+                       "--grid", "0:1:33"], ["--x0", "--t0", "--z0"]),
+    "construct-h": (["construct", "h-phi", "--H", "1", "--phi", "t",
+                     "--grid", "0:1:33"], ["--ca", "--t0", "--z0"]),
+    "parallel": (["parallel", "--lambda", "0.4", *PS, "--grid", PS_GRID],
+                 ["--lambda"]),
+}
+
+
+@pytest.mark.parametrize("family,flag,value", [
+    (family, flag, value) for family, (_, flags) in FLOAT_FLAGS.items()
+    for flag in flags for value in ("nan", "inf", "-inf")])
+def test_non_finite_float_flag_exits_one(family, flag, value, tmp_path,
+                                         capsys):
+    argv = FLOAT_FLAGS[family][0]
+    out = [] if family == "classify" else ["--out", str(tmp_path / "x")]
+    assert run([*argv, *out, flag, value]) == 1
+    assert flag in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_every_float_flag_refuses_non_finite_values():
+    # 43 float flags (28 add_argument calls; the three of the profile
+    # source serve six commands) and --tol on five commands
+    def actions(parser):
+        for action in parser._actions:
+            yield action
+            if isinstance(action.choices, dict):        # subcommands
+                for sub in action.choices.values():
+                    yield from actions(sub)
+
+    floats = 0
+    for action in actions(build_parser()):
+        try:
+            value = action.type("0.5")
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            continue
+        if isinstance(value, float):
+            floats += 1
+            for bad in ("nan", "inf", "-inf"):
+                with pytest.raises(argparse.ArgumentTypeError):
+                    action.type(bad)
+    assert floats == 48
+
+
+@pytest.mark.parametrize("grid", ["-inf:1:100", "0:inf:100", "-inf:inf:100",
+                                  "-1e308:1e308:100"])
+def test_non_finite_grid_exits_one(grid, tmp_path, capsys):
+    # the last span overflows to inf though both bounds are finite
+    assert run(["revolve", "--ell", "1", "--beta", "1", "--grid", grid,
+                "--out", str(tmp_path / "x")]) == 1
+    assert "--grid" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -180,12 +180,33 @@ def test_writers_keep_signed_zeros(tmp_path):
     assert ",-0," in text and ",0," in text
 
 
+@pytest.mark.parametrize("axis", ["z", "x"])
+def test_writers_keep_non_finite_values(axis, tmp_path):
+    # inf, -inf and nan of either sign bit in r and in h, about either
+    # axis; an infinite radius times cos theta_j = 0 is nan as well.
+    # "%.17g" prints every nan as "nan", never "-nan"
+    n = 10
+    t = np.arange(1.0, n + 1.0)
+    x = np.array([math.inf, -math.inf, math.nan, -math.nan, 1.5, -2.0,
+                  0.0, 3.0, -0.5, 1e-30])
+    z = np.array([1.0, -0.0, 2.0, -1.0, math.nan, -math.nan, math.inf,
+                  -math.inf, 0.25, -3.0])
+    c = jet_profile(t, [np.vstack([v, np.zeros((3, n))])
+                        for v in (x, z, np.ones(n), np.zeros(n))])
+    with np.errstate(invalid="ignore"):     # inf * 0 and inf - inf
+        _, obj = assert_same_bytes(c, axis, 8, tmp_path)
+    csv_text = (tmp_path / "block.csv").read_bytes()
+    for text in (obj, csv_text):
+        assert b"nan" in text and b"-inf" in text and b"-nan" not in text
+
+
 NO_SHRINK = [ph for ph in Phase if ph is not Phase.shrink]
 
 
 def _ties(k, n):
     """An exact tie of %.17g in [10**k, 10**(k + 1)), picked by n: an odd
-    multiple of 2**(k - 17), whose 18 significant digits end in 5."""
+    multiple of 2**(k - 17), whose 18 significant digits end in 5.  Ties
+    exist down to k = -8 (2**-25 and 3 * 2**-25)."""
     scale = 2.0 ** (k - 17)
     lo = math.ceil(10.0 ** k / scale) | 1
     hi = min(10.0 ** (k + 1) / scale, 2.0 ** 53)
@@ -199,25 +220,60 @@ def _near_power(k, up, ulps):
     return x
 
 
+# 2- and 3-digit exponents either side of the kernel's range, zeros,
+# subnormals and the ends of the doubles
+EDGE_FLOATS = [0.0, 1e-4, 9.9999999999999991e-5, 1e-5, 1e-9, 1e-10, 1e-24,
+               9.9999999999999992e-25, 1e-25, 1e-99, 1e-100, 1e-308,
+               2.2250738585072014e-308, 5e-324, 1e16, 1e17, 1e22, 1e100,
+               1.7976931348623157e308, math.inf, math.nan]
+
 FMT17_FLOATS = st.one_of(
     st.floats(),                                  # nan, inf, subnormals
     st.integers(0, 2 ** 64 - 1).map(
         lambda b: float(np.uint64(b).view(np.float64))),
-    st.builds(_near_power, st.integers(-7, 18), st.booleans(),
+    st.builds(_near_power, st.integers(-26, 18), st.booleans(),
               st.integers(0, 4)),
     st.sampled_from([1234567890123456.75, 1234567890123456.25]),
-    st.builds(_ties, st.integers(-4, 15), st.integers(0, 2 ** 52)),
+    st.builds(_ties, st.integers(-8, 15), st.integers(0, 2 ** 52)),
     st.integers(-2 ** 60, 2 ** 60).map(float),
+    st.floats(1e-26, 1e-4),                       # exponent notation
+    st.sampled_from(EDGE_FLOATS),
 ).flatmap(lambda x: st.sampled_from([x, -x]))
+
+# every decade from 1e-26 to 1e18 and its neighbours up to 4 ulps away,
+# every tie at k = -8 .. -5 (exponent notation, p = 21 .. 24: past 22 the
+# second error-free product decides), as 3 * 2**-24, which is
+# 1.7881393432617188e-07 from ...187.5, and the edges above; each with
+# either sign
+EVERY_DECADE = [s * x for s in (1.0, -1.0) for x in
+                [_near_power(k, up, u) for k in range(-26, 19)
+                 for up in (False, True) for u in range(5)]
+                + [m * 2.0 ** (k - 17) for k in range(-8, -4)
+                   for m in range(1, 2 ** 20, 2)
+                   if 10.0 ** k <= m * 2.0 ** (k - 17) < 10.0 ** (k + 1)]
+                + EDGE_FLOATS]
 
 
 @settings(max_examples=400, deadline=None, phases=NO_SHRINK)
 @given(st.lists(FMT17_FLOATS, min_size=1, max_size=40))
+@example(EVERY_DECADE)
+@example([])
 def test_fmt17_matches_percent_format(xs):
-    cells = export._fmt17(np.array(xs))
+    cells, at = export._fmt17(np.array(xs))
     assert cells.shape == (len(xs), export._CELL)
-    assert [bytes(c).replace(b"\0", b"").decode() for c in cells] == \
+    assert sorted(at) == list(range(len(xs)))
+    assert [bytes(c).replace(b"\0", b"").decode() for c in cells[at]] == \
         ["%.17g" % x for x in xs]
+
+
+def test_fmt17_powers_of_ten_split_exactly():
+    # 10**p = P + Q with both doubles, each the sum of its two halves, for
+    # every p the kernel uses; Q is 0 where 10**p is a double
+    for p in range(export._POW10.shape[1]):
+        P, P_hi, P_lo, Q, Q_hi, Q_lo = export._POW10[:, p].tolist()
+        assert int(P) + int(Q) == 10 ** p
+        assert (P_hi + P_lo, Q_hi + Q_lo) == (P, Q)
+        assert (Q == 0) == (p <= 22)
 
 
 JSON_FLOATS = st.one_of(

@@ -1,5 +1,7 @@
 """Cumulative quadrature on refined lattices, checked against scipy.quad."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -13,6 +15,14 @@ def test_uniform_grid_endpoints_and_count():
     assert g[0] == 0.2 and g[-1] == 2.94
     steps = np.diff(g)
     np.testing.assert_allclose(steps, steps[0], rtol=1e-12)
+
+
+@pytest.mark.parametrize("t_min,t_max", [
+    (-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0), (0.0, math.nan),
+    (-1e308, 1e308)])
+def test_uniform_grid_refuses_non_finite_bounds_or_span(t_min, t_max):
+    with pytest.raises(ValueError, match="finite"):
+        uniform_grid(t_min, t_max, 17)
 
 
 def test_cumulative_matches_scipy():

@@ -311,9 +311,10 @@ def assert_same_bytes(got, want, what):
 
 
 def positions(surf, i0, i1):
-    """The positions of rings i0:i1 gathered from ring_table."""
-    values, order = surf.ring_table(i0, i1)
-    return values[:, order]
+    """The positions of rings i0:i1 gathered from ring_table, signed."""
+    values, order, neg = surf.ring_table(i0, i1)
+    magnitudes = values[:, order]
+    return np.where(neg, -magnitudes, magnitudes)
 
 
 def ring_rows(x):
