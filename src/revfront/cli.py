@@ -176,6 +176,20 @@ def _nonnegative_finite(text):
     return tol
 
 
+def _unit_interval(text):
+    """argparse type of --sin0: a finite float in [-1, 1]."""
+    x = _finite(text)
+    if not -1.0 <= x <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [-1, 1], got {text!r}")
+    return x
+
+
+def _add_cos_sign(p):
+    """--cos-sign, the sign of cos(phi) at t0: 1 or -1, kept a float."""
+    p.add_argument("--cos-sign", type=_finite, choices=(1.0, -1.0),
+                   default=1.0, dest="cos_sign", metavar="{1,-1}")
+
+
 def _add_tol(p):
     """--tol, on the commands whose zero tests read it."""
     p.add_argument("--tol", type=_nonnegative_finite, default=EXACT_TOL,
@@ -296,10 +310,10 @@ def build_parser() -> _Parser:
     kg.add_argument("--beta", type=_expression, required=True)
     kg.add_argument("--t0", type=_finite, required=True)
     kg.add_argument("--x0", type=_finite, default=1.0)
-    kg.add_argument("--sin0", type=_finite, default=None,
+    kg.add_argument("--sin0", type=_unit_interval, default=None,
                     help="sin(phi) at t0; default 0, or the in-band unit "
                          "value when beta(t0) = 0")
-    kg.add_argument("--cos-sign", type=_finite, default=1.0, dest="cos_sign")
+    _add_cos_sign(kg)
     kg.add_argument("--z0", type=_finite, default=0.0)
     kg.add_argument("--method", choices=("auto", "rk4", "frobenius"),
                     default="auto")
@@ -309,8 +323,8 @@ def build_parser() -> _Parser:
     kj.add_argument("--K", type=_expression, required=True)
     kj.add_argument("--x0", type=_finite, required=True)
     kj.add_argument("--t0", type=_finite, default=None)
-    kj.add_argument("--sin0", type=_finite, default=0.0)
-    kj.add_argument("--cos-sign", type=_finite, default=1.0, dest="cos_sign")
+    kj.add_argument("--sin0", type=_unit_interval, default=0.0)
+    _add_cos_sign(kj)
     kj.add_argument("--z0", type=_finite, default=0.0)
 
     km = ksub.add_parser("mean", help="mean ratio H = alpha*J")

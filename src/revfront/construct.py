@@ -43,8 +43,8 @@ class GaussRatioProblem:
 
     x0 is the value x(t0) at an ordinary point, or the leading series
     coefficient at a singular point of alpha; sin_phi0 seeds sin(phi) at
-    t0 (ignored, and reported, when the series determines it); cos_sign
-    picks the initial branch of cos(phi).
+    t0 (ignored, and reported, when the series determines it); cos_sign,
+    1 or -1, picks the initial branch of cos(phi).
     """
     alpha: str
     beta: str
@@ -54,6 +54,9 @@ class GaussRatioProblem:
     cos_sign: float = 1.0
     z0: float = 0.0
     method: str = "auto"   # auto | rk4 | frobenius
+
+    def __post_init__(self):
+        _check_cos_sign(self.cos_sign)
 
 
 @dataclass
@@ -84,6 +87,11 @@ class ConstructionReport:
     contact_residual: float = 0.0
     norm_residual: float = 0.0
     notes: dict = field(default_factory=dict)
+
+
+def _check_cos_sign(cos_sign):
+    if cos_sign not in (1.0, -1.0):
+        raise ValueError(f"cos_sign must be 1 or -1, got {cos_sign!r}")
 
 
 def _values(src, t, what):
@@ -632,8 +640,10 @@ def profile_from_JK(J: str, K: str, x0: float, grid, t0: float | None = None,
     squared axis distance the anchored antiderivative of 2*J*sin phi
     (value x0^2 at t0, x0 > 0 required), and beta = -J/x.  t0 snaps to the
     nearest fine lattice node and the anchor values apply there; the
-    offset is recorded in the construction report.
+    offset is recorded in the construction report; cos_sign, 1 or -1, is
+    the sign of cos phi there.
     """
+    _check_cos_sign(cos_sign)
     if x0 <= 0:
         raise ConstructionError(f"x0 must be positive, got {x0}")
     fg, io, i0, offset = _lattice(grid, t0, order)

@@ -12,8 +12,7 @@ pole of / or of a negative integer power, |den| < jets.DIV_TOL * (1 +
 <= 0; and, as ExponentError, for an exponent of ^ that is not one finite
 constant (equal on all samples, derivatives up to max(jet order,
 jets.ORDER_CAP) zero, at most jets.EXPONENT_CAP if an integer).  Jets
-also refuse sqrt at 0 and an overflowing derivative.  Pretty-printing
-emits source that reparses to a structurally identical tree.
+also refuse sqrt at 0 and an overflowing derivative.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from . import jets
 from .jets import DomainError, Jet
 
 __all__ = [
-    "parse", "eval_jet", "eval_values", "to_source",
+    "parse", "eval_jet", "eval_values",
     "Expr", "Num", "Var", "Neg", "BinOp", "Call",
     "ExprSyntaxError", "UnknownIdentifierError", "DomainError",
     "ExponentError",
@@ -229,49 +228,6 @@ def parse(src: str) -> Expr:
     """Parse source text into an expression tree.  Trees are immutable,
     so repeats share a cached one; syntax errors are never cached."""
     return _Parser(src).parse()
-
-
-# -- printer ----------------------------------------------------------------
-
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
-
-
-def _level(e: Expr) -> int:
-    if isinstance(e, BinOp):
-        if e.op in "+-":
-            return _LEVEL_ADD
-        if e.op in "*/":
-            return _LEVEL_MUL
-        return _LEVEL_POW
-    if isinstance(e, Neg):
-        return _LEVEL_NEG
-    return _LEVEL_ATOM
-
-
-def to_source(e: Expr) -> str:
-    """Render a tree as source; reparsing gives a structurally equal tree."""
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return "t"
-    if isinstance(e, Call):
-        return "%s(%s)" % (e.func, to_source(e.arg))
-    if isinstance(e, Neg):
-        inner = to_source(e.operand)
-        if _level(e.operand) < _LEVEL_NEG:
-            inner = "(%s)" % inner
-        return "-%s" % inner
-    if isinstance(e, BinOp):
-        lvl = _level(e)
-        left = to_source(e.left)
-        if _level(e.left) < lvl:
-            left = "(%s)" % left
-        right = to_source(e.right)
-        if _level(e.right) <= lvl:
-            right = "(%s)" % right
-        return "%s %s %s" % (left, e.op, right) if e.op in "+-*/" else \
-            "%s%s%s" % (left, e.op, right)
-    raise TypeError("not an expression node: %r" % (e,))
 
 
 # -- evaluation -------------------------------------------------------------

@@ -31,19 +31,12 @@ class CurveJet:
     x: Jet
     z: Jet
 
-    def points(self) -> np.ndarray:
-        """(N, 2) array of curve points."""
-        return np.stack([self.x.value, self.z.value], axis=-1)
-
 
 @dataclass
 class NormalJet:
     t: np.ndarray
     a: Jet
     b: Jet
-
-    def vectors(self) -> np.ndarray:
-        return np.stack([self.a.value, self.b.value], axis=-1)
 
 
 @dataclass
@@ -70,13 +63,6 @@ class LegendreReport:
     max_contact_residual: float
     max_norm_residual: float
     passed: bool
-
-
-@dataclass
-class Alignment:
-    angle: float
-    translation: np.ndarray
-    residual: float
 
 
 def legendre_from_expressions(x_src, z_src, a_src, b_src, grid,
@@ -169,25 +155,3 @@ def plane_evolute(c: LegendreCurve, tol: float = 1e-8) -> CurveJet:
     r = pair.beta / pair.ell
     return CurveJet(c.t, c.curve.x - r * c.normal.a,
                     c.curve.z - r * c.normal.b)
-
-
-def congruence_align(c1: LegendreCurve, c2: LegendreCurve) -> Alignment:
-    """Best rigid motion taking c1 onto c2.
-
-    The rotation angle is fixed by the normals at the middle sample, the
-    translation is the least-squares optimum for that rotation, and the
-    residual is the largest remaining pointwise distance.
-    """
-    if c1.t.shape != c2.t.shape:
-        raise ValueError("curves must share a grid")
-    mid = c1.t.size // 2
-    n1, n2 = c1.normal.vectors(), c2.normal.vectors()
-    ang = (np.arctan2(n2[mid, 1], n2[mid, 0])
-           - np.arctan2(n1[mid, 1], n1[mid, 0]))
-    rot = np.array([[np.cos(ang), -np.sin(ang)],
-                    [np.sin(ang), np.cos(ang)]])
-    p1, p2 = c1.curve.points(), c2.curve.points()
-    moved = p1 @ rot.T
-    shift = np.mean(p2 - moved, axis=0)
-    residual = float(np.max(np.linalg.norm(moved + shift - p2, axis=1)))
-    return Alignment(float(ang), shift, residual)

@@ -277,36 +277,6 @@ def frontal_front_status(c: LegendreCurve, axis: str = "z",
 
 
 @dataclass
-class CongruenceReport:
-    congruent: bool
-    reason: str
-    residual: float
-
-
-def xz_congruence_check(c: LegendreCurve, tol: float = 1e-8) -> CongruenceReport:
-    """Test whether revolving about the two axes gives congruent surfaces.
-
-    Requires a straight profile with normal along (1, -1)/sqrt(2) (up to
-    sign) and x - z constant, so that swapping the axes is realized by the
-    reflection through the plane x = z composed with a translation.
-    """
-    t, x, z, a, b, ell, beta = _adapted(c, "z")
-    scale_l = tol * (1.0 + np.max(np.abs(ell)))
-    r_ell = float(np.max(np.abs(ell)))
-    if r_ell > scale_l:
-        return CongruenceReport(False, "profile normal turns (ell != 0)", r_ell)
-    r_ab = float(np.max(np.abs(a + b)))
-    if r_ab > tol:
-        return CongruenceReport(False, "normal not along (1, -1) direction", r_ab)
-    diff = x - z
-    r_d = float(np.max(np.abs(diff - diff[0])))
-    if r_d > tol * (1.0 + np.max(np.abs(diff))):
-        return CongruenceReport(False, "x - z not constant along profile", r_d)
-    return CongruenceReport(True, "axes swap realized by reflection x <-> z",
-                            max(r_ell, r_ab, r_d))
-
-
-@dataclass
 class ConeTypeReport:
     is_cone_type: bool
     values: dict
@@ -329,42 +299,6 @@ def cone_type_check(c: LegendreCurve, t0: float, axis: str = "z",
           and abs(vals["beta"]) > tol and abs(vals["a"]) > tol
           and abs(vals["b"]) > tol)
     return ConeTypeReport(is_cone_type=bool(ok), values=vals)
-
-
-@dataclass
-class FlatReport:
-    label: str
-    details: dict
-
-
-def flat_classification(c: LegendreCurve, axis: str = "z",
-                        tol: float = 1e-8) -> FlatReport:
-    """Classify profiles that sweep out flat revolved surfaces.
-
-    Requires ell identically zero (straight-line profile normal); the
-    result is then a point, circle, line, cylinder, plane, or cone
-    depending on which of beta, the axis distance, and the normal
-    components vanish identically.
-    """
-    t, r, h, n_r, n_h, k, beta = _adapted(c, axis)
-    def max_abs(arr):
-        return float(np.max(np.abs(arr)))
-    details = {"max_ell": max_abs(k), "max_beta": max_abs(beta),
-               "max_axis_distance": max_abs(r),
-               "max_a": max_abs(c.normal.a.value),
-               "max_b": max_abs(c.normal.b.value)}
-    if details["max_ell"] > tol:
-        return FlatReport("not_flat", details)
-    if details["max_beta"] <= tol:
-        label = "point" if details["max_axis_distance"] <= tol else "circle"
-        return FlatReport(label, details)
-    if details["max_axis_distance"] <= tol:
-        return FlatReport("line", details)
-    if max_abs(n_h) <= tol:
-        return FlatReport("cylinder", details)
-    if max_abs(n_r) <= tol:
-        return FlatReport("plane", details)
-    return FlatReport("cone", details)
 
 
 @dataclass

@@ -44,14 +44,6 @@ class CuspLabel:
             raise ValueError(f"unknown label {self.label!r}")
 
 
-@dataclass
-class GaussFrontStatus:
-    status: str          # front | frontal_not_front | inconsistent
-    ord_a: int
-    ord_beta: int
-    diagnostics: dict = field(default_factory=dict)
-
-
 def _derivs(j: Jet, upto: int, node: int = 0):
     """Derivatives 0..min(upto, order) at one node, from one column read."""
     top = min(upto, j.order)
@@ -168,10 +160,7 @@ def cusp_classify_curvature(ell: Jet, beta: Jet, tol: float = EXACT_TOL,
         4/3  iff  beta' = 0, beta'' * ell != 0
         5/3  iff  beta' = ell = 0, beta'' * ell' != 0
     """
-    return _curvature_label(_derivs(beta, 2), _derivs(ell, 2), tol, t0)
-
-
-def _curvature_label(db, dl, tol, t0):
+    db, dl = _derivs(beta, 2), _derivs(ell, 2)
     if len(db) < 3 or len(dl) < 3:
         return CuspLabel("unresolved", {"note": "jet order too low", "tol": tol})
     b0, b1, b2 = db
@@ -214,38 +203,10 @@ def curve_cusp_by_curvature(c: LegendreCurve, t0: float,
     """Curvature-criterion label at the node nearest t0."""
     pair = curvature_pair_of(c)
     i = _node_index(c, t0)
-    out = _curvature_label(_derivs(pair.beta, 2, i), _derivs(pair.ell, 2, i),
-                           tol, float(c.t[i]))
+    out = cusp_classify_curvature(pair.ell.at(i), pair.beta.at(i), tol,
+                                  float(c.t[i]))
     out.diagnostics["node"] = i
     return out
-
-
-def gauss_front_status(a: Jet, beta: Jet, alpha0: float, x0: float,
-                       cap: int = 5, tol: float = EXACT_TOL) -> GaussFrontStatus:
-    """Front-versus-frontal decision for a constant-ratio profile point.
-
-    At a singular point of a profile built with K = alpha*J, the
-    vanishing orders of a = cos(phi) and beta decide the matter: equal
-    orders give a front, a lower order of a gives a frontal that is not
-    a front, and a higher order contradicts the defining relation.
-    """
-    if abs(x0) <= tol * max(1.0, abs(x0)):
-        raise ValueError("gauss_front_status needs x(t0) != 0")
-    if abs(alpha0) <= tol * max(1.0, abs(alpha0)):
-        raise ValueError("gauss_front_status needs alpha(t0) != 0")
-    n_beta = ord_of(beta, cap, tol)
-    if n_beta == 0:
-        raise ValueError("gauss_front_status expects a singular point "
-                         "(beta(t0) = 0)")
-    m_a = ord_of(a, cap, tol)
-    diag = {"ord_a": m_a, "ord_beta": n_beta, "cap": cap, "tol": tol,
-            "saturated": (m_a > min(cap, a.order)
-                          or n_beta > min(cap, beta.order))}
-    if m_a == n_beta:
-        return GaussFrontStatus("front", m_a, n_beta, diag)
-    if m_a < n_beta:
-        return GaussFrontStatus("frontal_not_front", m_a, n_beta, diag)
-    return GaussFrontStatus("inconsistent", m_a, n_beta, diag)
 
 
 def constant_gauss_cusp(ord_a: int, ord_beta: int) -> CuspLabel:

@@ -1,0 +1,82 @@
+"""Test oracles that the package itself never calls.
+
+congruence_align measures how far two Legendre curves are from being
+rigid motions of each other; to_source prints an expression tree back
+to source that reparses to a structurally equal tree.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from revfront.expr import BinOp, Call, Neg, Num, Var
+
+
+@dataclass
+class Alignment:
+    angle: float
+    translation: np.ndarray
+    residual: float
+
+
+def congruence_align(c1, c2) -> Alignment:
+    """Best rigid motion taking c1 onto c2.
+
+    The rotation angle is fixed by the normals at the middle sample, the
+    translation is the least-squares optimum for that rotation, and the
+    residual is the largest remaining pointwise distance.
+    """
+    if c1.t.shape != c2.t.shape:
+        raise ValueError("curves must share a grid")
+    mid = c1.t.size // 2
+    n1, n2 = ([c.normal.a.value[mid], c.normal.b.value[mid]] for c in (c1, c2))
+    ang = np.arctan2(n2[1], n2[0]) - np.arctan2(n1[1], n1[0])
+    rot = np.array([[np.cos(ang), -np.sin(ang)],
+                    [np.sin(ang), np.cos(ang)]])
+    p1, p2 = (np.stack([c.curve.x.value, c.curve.z.value], axis=-1)
+              for c in (c1, c2))
+    moved = p1 @ rot.T
+    shift = np.mean(p2 - moved, axis=0)
+    residual = float(np.max(np.linalg.norm(moved + shift - p2, axis=1)))
+    return Alignment(float(ang), shift, residual)
+
+
+_LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
+
+
+def _level(e) -> int:
+    if isinstance(e, BinOp):
+        if e.op in "+-":
+            return _LEVEL_ADD
+        if e.op in "*/":
+            return _LEVEL_MUL
+        return _LEVEL_POW
+    if isinstance(e, Neg):
+        return _LEVEL_NEG
+    return _LEVEL_ATOM
+
+
+def to_source(e) -> str:
+    """Render a tree as source; reparsing gives a structurally equal tree."""
+    if isinstance(e, Num):
+        return repr(e.value)
+    if isinstance(e, Var):
+        return "t"
+    if isinstance(e, Call):
+        return "%s(%s)" % (e.func, to_source(e.arg))
+    if isinstance(e, Neg):
+        inner = to_source(e.operand)
+        if _level(e.operand) < _LEVEL_NEG:
+            inner = "(%s)" % inner
+        return "-%s" % inner
+    if isinstance(e, BinOp):
+        lvl = _level(e)
+        left = to_source(e.left)
+        if _level(e.left) < lvl:
+            left = "(%s)" % left
+        right = to_source(e.right)
+        if _level(e.right) <= lvl:
+            right = "(%s)" % right
+        return "%s %s %s" % (left, e.op, right) if e.op in "+-*/" else \
+            "%s%s%s" % (left, e.op, right)
+    raise TypeError("not an expression node: %r" % (e,))

@@ -153,9 +153,33 @@ def test_non_finite_float_flag_exits_one(family, flag, value, tmp_path,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("family,flag,value", [
+    ("construct", "--cos-sign", "7"), ("construct", "--cos-sign", "0.5"),
+    ("construct", "--cos-sign", "0"), ("construct-jk", "--cos-sign", "3"),
+    ("construct", "--sin0", "2"), ("construct", "--sin0", "-1.5"),
+    ("construct-jk", "--sin0", "1.5")])
+def test_out_of_range_float_flag_exits_one(family, flag, value, tmp_path,
+                                           capsys):
+    # --cos-sign is 1 or -1, --sin0 is within [-1, 1]
+    argv = FLOAT_FLAGS[family][0]
+    assert run([*argv, "--out", str(tmp_path / "x"), flag, value]) == 1
+    assert flag in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("family", ["construct", "construct-jk"])
+@pytest.mark.parametrize("flag,value", [("--sin0", "-1"), ("--sin0", "1"),
+                                        ("--cos-sign", "-1")])
+def test_unit_bounds_accepted(family, flag, value):
+    argv = FLOAT_FLAGS[family][0]
+    ns = build_parser().parse_args([*argv, "--out", "x", f"{flag}={value}"])
+    got = getattr(ns, flag[2:].replace("-", "_"))
+    assert type(got) is float and got == float(value)
+
+
 def test_every_float_flag_refuses_non_finite_values():
-    # 43 float flags (28 add_argument calls; the three of the profile
-    # source serve six commands) and --tol on five commands
+    # 43 float flags (27 add_argument calls; the three of the profile
+    # source serve six commands, --cos-sign two) and --tol on five commands
     def actions(parser):
         for action in parser._actions:
             yield action

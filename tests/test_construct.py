@@ -216,6 +216,16 @@ def test_jk_rejects_x0_nonpositive(build):
         build("1", 0.0, g)
 
 
+@pytest.mark.parametrize("cos_sign", [7.0, 0.5, 0.0, -2.0])
+def test_cos_sign_must_be_one_or_minus_one(cos_sign):
+    g = uniform_grid(0.0, 1.0, 51)
+    with pytest.raises(ValueError, match="cos_sign must be 1 or -1"):
+        GaussRatioProblem(alpha="-1", beta="1", t0=0.5, x0=1.0,
+                          cos_sign=cos_sign)
+    with pytest.raises(ValueError, match="cos_sign must be 1 or -1"):
+        profile_from_JK("1", "0", x0=1.0, grid=g, cos_sign=cos_sign)
+
+
 def test_mean_flat_catenoid_profile():
     g = uniform_grid(0.0, 2.0, 200)
     p = MeanRatioProblem(alpha="0", beta="t", c1=0.2, c2=0.3)

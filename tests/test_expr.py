@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 from revfront import expr, jets
 from revfront.expr import (BinOp, Call, ExprSyntaxError, Neg, Num,
-                           UnknownIdentifierError, Var, parse, to_source)
+                           UnknownIdentifierError, Var, parse)
 from revfront.jets import DomainError
+
+from oracles import to_source
 
 NO_SHRINK = [ph for ph in Phase if ph is not Phase.shrink]
 

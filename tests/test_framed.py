@@ -6,14 +6,14 @@ defects, and the curvature ratios can be checked against classical
 surface theory computed by an independent route (shape operator).
 """
 
+from dataclasses import replace
+
 import numpy as np
-import pytest
 import sympy as sp
 
 from revfront.framed import (FramedSurfaceGrid, basic_invariants_of,
-                             curvature_of, focal_radii, immersion_status,
-                             integrability_residual, parallel_surface,
-                             similar_surface)
+                             curvature_of, immersion_status,
+                             integrability_residual, parallel_surface)
 
 R0, r0 = 2.0, 0.7
 
@@ -24,7 +24,7 @@ def _lamb(exprs, u, v):
                                     for f in fns], axis=-1)
 
 
-def torus_grid(nu=18, nv=23, with_uv=True):
+def torus_grid(nu=18, nv=23):
     u, v = sp.symbols("u v")
     x = sp.Matrix([(R0 + r0 * sp.cos(u)) * sp.cos(v),
                    (R0 + r0 * sp.cos(u)) * sp.sin(v),
@@ -39,8 +39,7 @@ def torus_grid(nu=18, nv=23, with_uv=True):
         fields[name] = _lamb(vec, u, v)(U, V)
         fields[name + "_u"] = _lamb(vec.diff(u), u, v)(U, V)
         fields[name + "_v"] = _lamb(vec.diff(v), u, v)(U, V)
-        if with_uv:
-            fields[name + "_uv"] = _lamb(vec.diff(u, v), u, v)(U, V)
+        fields[name + "_uv"] = _lamb(vec.diff(u, v), u, v)(U, V)
     return FramedSurfaceGrid(u=uu, v=vv, **fields), (u, v, x, n)
 
 
@@ -73,23 +72,38 @@ def test_torus_frame_validates_and_is_integrable():
     val = S.validate()
     assert val["passed"]
     rep = integrability_residual(basic_invariants_of(S))
-    assert not rep.fd_derivatives
     assert rep.max_residual < 1e-10
     assert set(rep.residuals) == {"mixed_s", "mixed_t", "mixed_n",
                                   "frame_s", "frame_t", "frame_g"}
 
 
-def test_integrability_fd_fallback_without_mixed_partials():
-    # without stored mixed partials the defects are discretization-limited;
-    # check the fallback engages and converges under refinement
-    res = []
-    for n in (20, 40, 80):
-        S, _ = torus_grid(nu=n, nv=n + 5, with_uv=False)
-        rep = integrability_residual(basic_invariants_of(S))
-        assert rep.fd_derivatives
-        res.append(rep.max_residual)
-    assert res[0] / res[1] > 1.8
-    assert res[1] / res[2] > 1.8
+# Each entry of I.cross enters one defect with weight +-1.  On the torus
+# b1 = f1 = g1 = 0 and e1 = 1, so a node of a2 enters mixed_n alone, with
+# weight -e1 = -1 (f2 enters mixed_n with weight b1 = 0, and frame_g too).
+SEEDED_DEFECTS = (
+    ("a1_v", "mixed_s"), ("a2_u", "mixed_s"),
+    ("b1_v", "mixed_t"), ("b2_u", "mixed_t"),
+    ("e1_v", "frame_s"), ("e2_u", "frame_s"),
+    ("f1_v", "frame_t"), ("f2_u", "frame_t"),
+    ("g1_v", "frame_g"), ("g2_u", "frame_g"),
+    ("a2", "mixed_n"),
+)
+
+
+def test_integrability_sees_each_seeded_defect():
+    S, _ = torus_grid()
+    I = basic_invariants_of(S)
+    delta = 1e-3
+    for name, defect in SEEDED_DEFECTS:
+        if name in I.cross:
+            bad = replace(I, cross={**I.cross, name: I.cross[name] + delta})
+        else:
+            grid = getattr(I, name).copy()
+            grid[5, 7] += delta
+            bad = replace(I, **{name: grid})
+        res = integrability_residual(bad).residuals
+        assert abs(res[defect] - delta) < 1e-10, (name, res)
+        assert all(r < 1e-10 for k, r in res.items() if k != defect), (name, res)
 
 
 def test_torus_curvature_ratios_match_shape_operator():
@@ -124,54 +138,3 @@ def test_parallel_surface_dual_path():
                                    atol=1e-11)
         np.testing.assert_allclose(C2.H, C.H - C.K * lam, atol=1e-11)
         np.testing.assert_allclose(C2.K, C.K, atol=1e-13)
-
-
-def test_similar_surface_dual_path():
-    S, _ = torus_grid()
-    C = curvature_of(basic_invariants_of(S))
-    r = 1.7
-    scaled = FramedSurfaceGrid(
-        u=S.u, v=S.v, x=r * S.x, n=S.n, s=S.s,
-        x_u=r * S.x_u, x_v=r * S.x_v, n_u=S.n_u, n_v=S.n_v,
-        s_u=S.s_u, s_v=S.s_v, x_uv=r * S.x_uv, n_uv=S.n_uv, s_uv=S.s_uv)
-    C_direct = curvature_of(basic_invariants_of(scaled))
-    C_rule = similar_surface(C, r)
-    np.testing.assert_allclose(C_rule.J, C_direct.J, atol=1e-11)
-    np.testing.assert_allclose(C_rule.H, C_direct.H, atol=1e-11)
-    np.testing.assert_allclose(C_rule.K, C_direct.K, atol=1e-13)
-    with pytest.raises(ValueError):
-        similar_surface(C, 0.0)
-
-
-def test_focal_radii_satisfy_quadratic_on_torus():
-    S, _ = torus_grid()
-    C = curvature_of(basic_invariants_of(S))
-    node = (4, 9)
-    fr = focal_radii(C, node)
-    assert len(fr.roots) == 2
-    for lam in fr.roots:
-        q = (C.K[node] * lam**2 - 2 * C.H[node] * lam + C.J[node])
-        assert abs(q) < 1e-9
-
-
-def sphere_grid():
-    u, v = sp.symbols("u v")
-    x = sp.Matrix([sp.cos(u) * sp.cos(v), sp.cos(u) * sp.sin(v), sp.sin(u)])
-    s = sp.Matrix([-sp.sin(u) * sp.cos(v), -sp.sin(u) * sp.sin(v), sp.cos(u)])
-    uu = np.linspace(-0.9, 0.9, 11)
-    vv = np.linspace(0.0, 1.5, 13)
-    U, V = np.meshgrid(uu, vv, indexing="ij")
-    f = {}
-    for name, vec in (("x", x), ("n", x), ("s", s)):
-        f[name] = _lamb(vec, u, v)(U, V)
-        f[name + "_u"] = _lamb(vec.diff(u), u, v)(U, V)
-        f[name + "_v"] = _lamb(vec.diff(v), u, v)(U, V)
-        f[name + "_uv"] = _lamb(vec.diff(u, v), u, v)(U, V)
-    return FramedSurfaceGrid(u=uu, v=vv, **f)
-
-
-def test_unit_sphere_focal_point_is_double():
-    C = curvature_of(basic_invariants_of(sphere_grid()))
-    fr = focal_radii(C, (5, 6))
-    assert list(fr.multiplicities) == [2]
-    np.testing.assert_allclose(fr.roots[0], -1.0, atol=1e-10)

@@ -17,11 +17,10 @@ from revfront.framed import parallel_surface
 from revfront.legendre import (curvature_pair_of, legendre_from_expressions,
                                parallel_curve, reconstruct_from_curvature)
 from revfront.quadrature import uniform_grid
-from revfront.revolution import (cone_type_check, flat_classification,
-                                 frontal_front_status,
+from revfront.revolution import (cone_type_check, frontal_front_status,
                                  parallel_commutation_check,
                                  revolution_curvature, revolution_evolutes,
-                                 revolve, xz_congruence_check)
+                                 revolve)
 
 INV_FIELDS = ("a1", "b1", "a2", "b2", "e1", "f1", "g1", "e2", "f2", "g2")
 GRID_FIELDS = ("u", "v", "x", "n", "s", "x_u", "x_v", "n_u", "n_v", "s_u",
@@ -53,7 +52,6 @@ def test_revolve_validates_and_rejects_bad_args():
                  lambda: revolution_curvature(c, axis="y"),
                  lambda: frontal_front_status(c, axis="y"),
                  lambda: cone_type_check(c, 1.0, axis="y"),
-                 lambda: flat_classification(c, axis="y"),
                  lambda: parallel_commutation_check(c, 0.1, axis="y")):
         with pytest.raises(ValueError, match="axis"):
             call()
@@ -165,18 +163,6 @@ def test_front_status_pairs():
     assert any(f["t"] == 0.0 for f in st.failures)
 
 
-def test_xz_congruence_only_for_diagonal_lines():
-    g = uniform_grid(0.0, 1.0, 21)
-    s = 0.7071067811865476
-    line = legendre_from_expressions("t+1", "t", f"{s}", f"{-s}", g)
-    rep = xz_congruence_check(line)
-    assert rep.congruent
-    circle = legendre_from_expressions("cos(t)", "sin(t)", "cos(t)", "sin(t)", g)
-    rep2 = xz_congruence_check(circle)
-    assert not rep2.congruent
-    assert "ell" in rep2.reason
-
-
 def test_cone_type_point():
     g = uniform_grid(-1.0, 1.0, 41)
     s = 0.7071067811865476
@@ -189,26 +175,6 @@ def test_cone_type_point():
         assert abs(rep.values["beta"]) > 1.0
         off = cone_type_check(cone, 0.5, axis=axis)
         assert not off.is_cone_type, axis
-
-
-def test_flat_classification_cases():
-    g = uniform_grid(0.0, 1.0, 21)
-    s = 0.7071067811865476
-    cases = [
-        (("1", "t", "1", "0"), "cylinder"),
-        (("t+1", "1", "0", "1"), "plane"),
-        (("t", "t", f"{s}", f"{-s}"), "cone"),
-        (("2", "3", "1", "0"), "circle"),
-        (("0", "0", "1", "0"), "point"),
-        (("0", "t", "1", "0"), "line"),
-        (("cos(t)", "sin(t)", "cos(t)", "sin(t)"), "not_flat"),
-    ]
-    for (x, z, a, b), want in cases:
-        c = legendre_from_expressions(x, z, a, b, g)
-        assert flat_classification(c, axis="z").label == want, (x, z, a, b)
-        # the mirrored profile about x sweeps out the same surface
-        m = legendre_from_expressions(z, x, b, a, g)
-        assert flat_classification(m, axis="x").label == want, (z, x, b, a)
 
 
 def test_evolute_bundle_pseudo_sphere():

@@ -1,4 +1,4 @@
-"""Cusp classification, front status, and the constant-ratio order tables."""
+"""Cusp classification and the constant-ratio order tables."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,8 @@ from revfront.singular import (EXACT_TOL, LABELS, CuspLabel,
                                constant_gauss_cusp, constant_mean_cusp,
                                curve_cusp_by_curvature,
                                curve_cusp_by_derivatives,
-                               cusp_classify_curvature, gauss_front_status,
-                               ord_of, revolution_singularity_classify)
+                               cusp_classify_curvature, ord_of,
+                               revolution_singularity_classify)
 
 PI = float(np.pi)
 
@@ -143,34 +143,7 @@ def test_off_node_singularity_reads_regular():
 
 
 # ---------------------------------------------------------------------------
-# front status and the constant-ratio tables
-
-
-def test_gauss_front_status_cases():
-    front = gauss_front_status(jet_at("t"), jet_at("t"), alpha0=-1.0, x0=1.0)
-    assert front.status == "front"
-    assert (front.ord_a, front.ord_beta) == (1, 1)
-
-    nf = gauss_front_status(jet_at("t"), jet_at("t^2"), alpha0=-1.0, x0=1.0)
-    assert nf.status == "frontal_not_front"
-
-    bad = gauss_front_status(jet_at("t^2"), jet_at("t"), alpha0=-1.0, x0=1.0)
-    assert bad.status == "inconsistent"
-
-    sat = gauss_front_status(jet_at("t"), jet_at("0"), alpha0=-1.0, x0=1.0)
-    assert sat.diagnostics["saturated"] is True
-    low = gauss_front_status(jet_at("t", order=3), jet_at("0", order=3),
-                             alpha0=-1.0, x0=1.0)
-    assert low.ord_beta == 4 and low.diagnostics["saturated"] is True
-
-
-def test_gauss_front_status_rejects_bad_input():
-    with pytest.raises(ValueError):
-        gauss_front_status(jet_at("t"), jet_at("t"), alpha0=-1.0, x0=0.0)
-    with pytest.raises(ValueError):
-        gauss_front_status(jet_at("t"), jet_at("t"), alpha0=0.0, x0=1.0)
-    with pytest.raises(ValueError):
-        gauss_front_status(jet_at("t"), jet_at("1+t"), alpha0=-1.0, x0=1.0)
+# the constant-ratio tables
 
 
 def test_constant_gauss_table():
