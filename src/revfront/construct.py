@@ -56,7 +56,7 @@ class GaussRatioProblem:
     method: str = "auto"   # auto | rk4 | frobenius
 
     def __post_init__(self):
-        _check_cos_sign(self.cos_sign)
+        _check_seeds(self.x0, self.sin_phi0, self.cos_sign)
 
 
 @dataclass
@@ -89,7 +89,12 @@ class ConstructionReport:
     notes: dict = field(default_factory=dict)
 
 
-def _check_cos_sign(cos_sign):
+def _check_seeds(x0, sin0=0.0, cos_sign=1.0):
+    """ValueError unless x0 is finite, sin phi in [-1, 1], cos_sign +-1."""
+    if not math.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0!r}")
+    if not -1.0 <= sin0 <= 1.0:
+        raise ValueError(f"sin phi seed must lie in [-1, 1], got {sin0!r}")
     if cos_sign not in (1.0, -1.0):
         raise ValueError(f"cos_sign must be 1 or -1, got {cos_sign!r}")
 
@@ -643,7 +648,7 @@ def profile_from_JK(J: str, K: str, x0: float, grid, t0: float | None = None,
     offset is recorded in the construction report; cos_sign, 1 or -1, is
     the sign of cos phi there.
     """
-    _check_cos_sign(cos_sign)
+    _check_seeds(x0, sin0, cos_sign)
     if x0 <= 0:
         raise ConstructionError(f"x0 must be positive, got {x0}")
     fg, io, i0, offset = _lattice(grid, t0, order)
@@ -733,6 +738,7 @@ def profile_from_J_phi(J: str, phi: str, x0: float, grid,
 
     The anchor applies at the fine lattice node nearest t0.
     """
+    _check_seeds(x0)
     if x0 <= 0:
         raise ConstructionError(f"x0 must be positive, got {x0}")
     fg, io, i0, offset = _lattice(grid, t0, order)

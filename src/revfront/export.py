@@ -26,6 +26,7 @@ memory exceed one block.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -363,49 +364,62 @@ def _json_float(x: float) -> str:
     return float.__repr__(x)
 
 
+# JSON text of a leaf, by exact type; subclasses take their base's
+_JSON_LEAVES = {str: _json_str, float: _json_float, int: int.__repr__,
+                bool: lambda v: "true" if v else "false",
+                type(None): lambda v: "null"}
+
+
+@functools.lru_cache(maxsize=256)
+def _json_layout(keys: tuple, indent: str):
+    """Sorted keys, the text before each value and the values' indent."""
+    for key in keys:
+        if not isinstance(key, str):
+            raise TypeError("JSON keys must be str, not %s"
+                            % type(key).__name__)
+    inner = indent + "  "
+    keys = sorted(keys)
+    heads = [",\n" + inner + _json_str(key) + ": " for key in keys]
+    heads[0] = "{" + heads[0][1:]
+    return tuple(keys), tuple(heads), inner
+
+
 def _json_parts(value, indent: str, out: list) -> None:
     """Append the indent-2 JSON text of value to out, in the order and
     spelling of json.dumps(sort_keys=True, indent=2)."""
-    if isinstance(value, str):
-        out.append(_json_str(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_json_float(value))
-    elif isinstance(value, (list, tuple)):
+    kind = type(value)
+    if kind not in _JSON_LEAVES and kind not in (dict, list, tuple):
+        kind = next((base for base in (str, int, float, list, tuple, dict)
+                     if isinstance(value, base)), None)
+    if kind in _JSON_LEAVES:
+        out.append(_JSON_LEAVES[kind](value))
+        return
+    if kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        keys, heads, inner = _json_layout(tuple(value), indent)
+        items = [value[key] for key in keys]
+        close = "}"
+    elif kind is list or kind is tuple:
         if not value:
             out.append("[]")
             return
         inner = indent + "  "
-        sep = "[\n" + inner
-        for item in value:
-            out.append(sep)
-            _json_parts(item, inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + indent + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        sep = "{\n" + inner
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError("JSON keys must be str, not %s"
-                                % type(key).__name__)
-            out.append(sep + _json_str(key) + ": ")
-            _json_parts(value[key], inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + indent + "}")
+        items, heads = value, [",\n" + inner] * len(value)
+        heads[0] = "[\n" + inner
+        close = "]"
     else:
         raise TypeError("Object of type %s is not JSON serializable"
                         % type(value).__name__)
+    for head, item in zip(heads, items):
+        leaf = _JSON_LEAVES.get(type(item))
+        if leaf is None:
+            out.append(head)
+            _json_parts(item, inner, out)
+        else:
+            out.append(head + leaf(item))
+    out.append("\n" + indent + close)
 
 
 def json_text(payload) -> str:

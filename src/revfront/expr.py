@@ -3,7 +3,8 @@
 The grammar covers numeric literals, the parameter t, +, -, *, /, ^ (all
 binary operators left-associative), unary minus, parentheses, and calls of
 sin, cos, tan, cot, exp, log, sqrt, sinh, cosh, atan.  Precedence from
-tightest to loosest: ^, unary minus, * /, + -.
+tightest to loosest: ^, unary minus, * /, + -.  Source text is ASCII: any
+other character is a syntax error at its offset, so offsets are bytes.
 
 One tree walk evaluates an expression to its values at samples t or to
 its Taylor jets (see jets.Jet), and both raise DomainError alike: at a
@@ -18,6 +19,7 @@ also refuse sqrt at 0 and an overflowing derivative.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -102,31 +104,18 @@ class Call(Expr):
 
 # -- tokenizer --------------------------------------------------------------
 
-# One match per token: whitespace, then an operator, number, identifier or
-# any other character (an error).  \s, \w, \d test as str.isspace, isalnum
-# or "_", isdecimal.  Numbers take every isdigit character and names start
-# isalpha or "_": non-ASCII text lists the other word characters.
-_TOKEN = (r"(\s*)(?:([-+*/^()])"                  # operator
-          r"|([%(d)s.]+(?:[eE][+-]?[%(d)s]+)?)"    # number
-          r"|([^\W\d%(w)s]\w*)"                    # identifier
-          r"|(\S))")                               # anything else
-_ASCII_TOKEN = re.compile(_TOKEN % {"d": r"\d", "w": ""})
-
-
-@functools.cache
-def _unicode_token():
-    odd = [c for c in map(chr, range(0x110000))
-           if c.isalnum() and not (c.isalpha() or c.isdecimal())]
-    return re.compile(_TOKEN % {
-        "d": r"\d" + "".join(c for c in odd if c.isdigit()),
-        "w": "".join(odd)})
+# One match per token: ASCII whitespace (as str.isspace), then an operator,
+# number, identifier or any other character, ASCII or not: an error.
+_TOKEN = re.compile(r"([\t-\r\x1c-\x1f ]*)(?:([-+*/^()])"   # operator
+                    r"|([0-9.]+(?:[eE][+-]?[0-9]+)?)"         # number
+                    r"|([A-Za-z_][A-Za-z0-9_]*)"               # identifier
+                    r"|([^\t-\r\x1c-\x1f ]))")                # anything else
 
 
 def _tokenize(src: str):
     tokens = []
     i = 0
-    scan = _ASCII_TOKEN if src.isascii() else _unicode_token()
-    for space, op, number, name, other in scan.findall(src):
+    for space, op, number, name, other in _TOKEN.findall(src):
         i += len(space)
         if op:
             tokens.append((op, op, i))
@@ -146,88 +135,78 @@ def _tokenize(src: str):
 
 # -- parser -----------------------------------------------------------------
 
-class _Parser:
-    def __init__(self, src: str):
-        self.tokens = _tokenize(src)
-        self.pos = 0
+# Binding powers; "neg" is unary minus, and an open parenthesis or call
+# ("(" or a function name) is 0.  ")" and the end apply all down to 1.
+_BINDS = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+_END = ("", "", "", "", "")     # the match after the last: no group matched
 
-    def peek(self):
-        return self.tokens[self.pos]
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ExprSyntaxError(
-                "expected %r, found %s" % (kind, tok[0]), tok[2])
-        return self.advance()
-
-    def parse(self) -> Expr:
-        e = self.additive()
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise ExprSyntaxError("unexpected trailing %r" % tok[0], tok[2])
-        return e
-
-    def additive(self) -> Expr:
-        e = self.multiplicative()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            e = BinOp(op, e, self.multiplicative())
-        return e
-
-    def multiplicative(self) -> Expr:
-        e = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            e = BinOp(op, e, self.unary())
-        return e
-
-    def unary(self) -> Expr:
-        if self.peek()[0] == "-":
-            self.advance()
-            return Neg(self.unary())
-        e = self.atom()
-        while self.peek()[0] == "^":
-            self.advance()
-            e = BinOp("^", e, self.atom())
-        return e
-
-    def atom(self) -> Expr:
-        tok = self.peek()
-        kind, value, offset = tok
-        if kind == "num":
-            self.advance()
-            return Num(float(value))
-        if kind == "ident":
-            self.advance()
-            if self.peek()[0] == "(":
-                if value not in FUNCTIONS:
-                    raise UnknownIdentifierError(value, offset)
-                self.advance()
-                arg = self.additive()
-                self.expect(")")
-                return Call(value, arg)
-            if value == "t":
-                return Var()
-            raise UnknownIdentifierError(value, offset)
-        if kind == "(":
-            self.advance()
-            e = self.additive()
-            self.expect(")")
-            return e
-        raise ExprSyntaxError("unexpected %s" % kind, offset)
+def _error(src: str, i: int, message):
+    """The error at token i of src, once tokenizing all of src raised none:
+    message % the token's kind at its offset, or an unknown identifier."""
+    kind, value, offset = _tokenize(src)[i]
+    if message is None:
+        return UnknownIdentifierError(value, offset)
+    return ExprSyntaxError(message % kind, offset)
 
 
 @functools.lru_cache(maxsize=256)
 def parse(src: str) -> Expr:
     """Parse source text into an expression tree.  Trees are immutable,
-    so repeats share a cached one; syntax errors are never cached."""
-    return _Parser(src).parse()
+    so repeats share a cached one; syntax errors are never cached.  One
+    operator-precedence loop over the token regex's matches: unary minus
+    starts any operand but an exponent, so -t^2 is -(t^2) and 2^-t is
+    refused (write 2^(-t))."""
+    tokens = _TOKEN.findall(src)
+    tokens.append(_END)
+    out, ops = [], []
+    operand = True              # an operand is due, else an operator
+    i = 0
+    while True:
+        _, op, number, name, _ = tokens[i]
+        i += 1
+        if operand:
+            if number:
+                try:
+                    out.append(Num(float(number)))
+                except ValueError:
+                    raise _error(src, i - 1, None) from None
+                operand = False
+            elif name and tokens[i][1] == "(" and name in FUNCTIONS:
+                ops.append(name)
+                i += 1
+            elif name == "t" and tokens[i][1] != "(":
+                out.append(Var())
+                operand = False
+            elif op == "(":
+                ops.append("(")
+            elif op == "-" and not (ops and ops[-1] == "^"):
+                ops.append("neg")
+            else:
+                raise _error(src, i - 1, None if name else "unexpected %s")
+            continue
+        # apply the pending operators that bind at least as tightly
+        power = _BINDS.get(op, 1)
+        while ops and _BINDS.get(ops[-1], 0) >= power:
+            top = ops.pop()
+            if top == "neg":
+                out[-1] = Neg(out[-1])
+            else:
+                right = out.pop()
+                out[-1] = BinOp(top, out[-1], right)
+        if op in _BINDS:
+            ops.append(op)
+            operand = True
+        elif op == ")" and ops:
+            opener = ops.pop()
+            if opener != "(":
+                out[-1] = Call(opener, out[-1])
+        elif ops:
+            raise _error(src, i - 1, "expected ')', found %s")
+        elif tokens[i - 1] is _END:
+            return out[0]
+        else:
+            raise _error(src, i - 1, "unexpected trailing %r")
 
 
 # -- evaluation -------------------------------------------------------------
@@ -265,40 +244,35 @@ def _eval(e: Expr, t, var):
     """e at the samples t: its values if var is t, its jet if var is the
     jet of t.  Every rule is written once for both; they differ only in
     constants, FUNCTIONS and the final / and ** of each algebra."""
-    jet = isinstance(var, Jet)
-    if isinstance(e, Var):
-        return var
+    jet = var is not t
+    if isinstance(e, BinOp):
+        op, left, right = e.op, e.left, e.right
+        if op in _RING:
+            # in jet mode a literal beside a non-literal enters as a float, with
+            # the bits of a constant jet's product or sum
+            lnum, rnum = isinstance(left, Num), isinstance(right, Num)
+            return _RING[op](
+                left.value if jet and lnum and not rnum else _eval(left, t, var),
+                right.value if jet and rnum and not lnum else _eval(right, t, var))
+        left = _eval(left, t, var)
+        if op == "^":
+            p = _exponent(right, t, var)
+            return left ** p if jet else _power(left, p, t)
+        right = _eval(right, t, var)
+        return left / right if jet else jets.quotient(left, right, t)
     if isinstance(e, Num):
         if jet:
             return jets.constant(e.value, var.order, t)
         return np.full(t.shape, e.value) if t.shape else np.float64(e.value)
+    if isinstance(e, Var):
+        return var
     if isinstance(e, Neg):
         return -_eval(e.operand, t, var)
     if isinstance(e, Call):
         jet_fn, value_fn = FUNCTIONS[e.func]
         arg = _eval(e.arg, t, var)
         return jet_fn(arg) if jet else value_fn(arg, t)
-    if isinstance(e, BinOp):
-        if e.op in _RING:
-            return _RING[e.op](_operand(e.left, e.right, t, var),
-                               _operand(e.right, e.left, t, var))
-        left = _eval(e.left, t, var)
-        if e.op == "^":
-            p = _exponent(e.right, t, var)
-            return left ** p if jet else _power(left, p, t)
-        right = _eval(e.right, t, var)
-        return left / right if jet else jets.quotient(left, right, t)
     raise TypeError("not an expression node: %r" % (e,))
-
-
-def _operand(e: Expr, other: Expr, t, var):
-    """An operand e of + - * beside the operand other.  In jet mode a
-    literal beside a non-literal enters as a float: a jet scales by it or
-    shifts its value, with the bits of a constant jet's product or sum."""
-    if (isinstance(e, Num) and isinstance(var, Jet)
-            and not isinstance(other, Num)):
-        return e.value
-    return _eval(e, t, var)
 
 
 def _exponent(e: Expr, t, var) -> float:
@@ -306,18 +280,21 @@ def _exponent(e: Expr, t, var) -> float:
     docstring.  Both modes take its value from the value algebra, so they
     round it alike (4^1.5), and test its derivatives: one sample cannot
     show by its value that e depends on t (t^2 at 0)."""
-    flat = np.ravel(_eval(e, t, t))
-    if not np.isfinite(flat).all():
-        wild = flat[~np.isfinite(flat)]
-        raise ExponentError("exponent %r is not finite" % float(wild[0]))
-    if flat.size != 1 and not (flat.size and np.all(flat == flat[0])):
-        raise ExponentError("exponent must be a single constant")
-    if _mentions_t(e):
-        if not (isinstance(var, Jet) and var.order >= jets.ORDER_CAP):
-            var = jets.variable(t, jets.ORDER_CAP)
-        if np.any(_eval(e, t, var).coeffs[1:]):
-            raise ExponentError("exponent must not depend on t")
-    p = float(flat[0])
+    if isinstance(e, Num) and t.size and math.isfinite(e.value):
+        p = e.value                 # finite, equal on all samples, free of t
+    else:
+        flat = np.ravel(_eval(e, t, t))
+        if not np.isfinite(flat).all():
+            wild = flat[~np.isfinite(flat)]
+            raise ExponentError("exponent %r is not finite" % float(wild[0]))
+        if flat.size != 1 and not (flat.size and np.all(flat == flat[0])):
+            raise ExponentError("exponent must be a single constant")
+        if _mentions_t(e):
+            if not (isinstance(var, Jet) and var.order >= jets.ORDER_CAP):
+                var = jets.variable(t, jets.ORDER_CAP)
+            if np.any(_eval(e, t, var).coeffs[1:]):
+                raise ExponentError("exponent must not depend on t")
+        p = float(flat[0])
     if p == int(p) and abs(p) > jets.EXPONENT_CAP:
         raise ExponentError("integer exponent %.17g exceeds %d in magnitude"
                             % (p, jets.EXPONENT_CAP))

@@ -6,11 +6,13 @@ numpy array, in which case every coefficient is an array of the same shape
 and all operations act elementwise.  Public evaluation caps the order at
 ORDER_CAP; the arithmetic itself works at any order.
 
-The product sums each coefficient left to right, a[0]*b[k] first: array
-bases by shift-and-add over coefficient rows, scalar bases in a loop on
-Python floats.  Both give the bits of the plain double loop, so reruns,
-and rewrites that keep the order, are bit-identical.  The quotient loop
-runs on Python floats for a scalar base too, with the same bits.
+A scalar-base jet keeps its coefficients as a list of Python floats (its
+rows), and its arithmetic and recurrences run on them; coeffs builds the
+array on the first read, which from then on holds the coefficients.  The
+product sums each coefficient left to right, a[0]*b[k] first: array bases
+by shift-and-add over coefficient rows, scalar bases in a loop on floats.
+Both give the bits of the plain double loop, so reruns, and rewrites that
+keep the order, are bit-identical, as is the quotient loop on floats.
 
 The elementary functions use Taylor recurrences (Griewank and Walther,
 Evaluating Derivatives, 2nd ed., ch. 13).  Coefficient 0 of f(g) is the
@@ -58,7 +60,7 @@ def _as_array(x):
 
 
 class Jet:
-    __slots__ = ("t", "coeffs")
+    __slots__ = ("t", "_rows", "_coeffs")
 
     def __init__(self, t, coeffs):
         self.t = _as_array(t)
@@ -66,30 +68,48 @@ class Jet:
         if c.shape[1:] != self.t.shape:
             c = np.broadcast_to(c.reshape(c.shape + (1,) * self.t.ndim),
                                 c.shape[:1] + self.t.shape).copy()
-        self.coeffs = c
+        self._coeffs = c
+        self._rows = c if self.t.ndim else None
+
+    @property
+    def coeffs(self):
+        """The (order + 1,) + t.shape array.  A scalar base builds it on the
+        first read; from then on it holds the coefficients (writes count)."""
+        if self._coeffs is None:
+            self._coeffs = np.array(self._rows)
+            self._rows = None
+        return self._coeffs
+
+    @property
+    def rows(self):
+        """Python floats for a scalar base (fast, never warn), else coeffs."""
+        r = self._rows
+        return self._coeffs.tolist() if r is None else r
 
     @property
     def order(self) -> int:
-        return self.coeffs.shape[0] - 1
+        return len(self._coeffs if self._rows is None else self._rows) - 1
 
     @property
     def value(self):
-        return self.coeffs[0]
+        return self.rows[0]
 
     def derivative(self, i: int):
         """i-th derivative value, i.e. i! * c_i.  Zero beyond the stored order."""
         if i > self.order:
             return np.zeros_like(self.coeffs[0])
-        return math.factorial(i) * self.coeffs[i]
+        return math.factorial(i) * self.rows[i]
 
     def at(self, idx) -> "Jet":
         """Scalar-base jet at one node of an array-based jet."""
-        return Jet(self.t[idx], self.coeffs[(slice(None),) + np.index_exp[idx]])
+        t = _as_array(self.t[idx])
+        c = self.coeffs[(slice(None),) + np.index_exp[idx]]
+        return _jet(t, c if t.ndim else c.tolist())
 
     def truncated(self, order: int) -> "Jet":
         if order >= self.order:
             return self
-        return Jet(self.t, self.coeffs[: order + 1])
+        return _jet(self.t, self.rows[: order + 1])
 
     def differentiated(self) -> "Jet":
         """Jet of the derivative function; order drops by one."""
@@ -106,51 +126,63 @@ class Jet:
         head = np.broadcast_to(_as_array(value), self.t.shape)[None]
         return Jet(self.t, np.concatenate([head, self.coeffs / k]))
 
-    # -- arithmetic ---------------------------------------------------------
+    # -- arithmetic: numpy rows for an array base, Python floats for a scalar
 
     def __add__(self, other):
+        a = self.rows
         if not isinstance(other, Jet):
             # as adding a constant jet: c to the value, 0.0 to the rest
-            out = self.coeffs + 0.0
-            out[0] = self.coeffs[0] + other
-            return Jet(self.t, out)
-        n = min(self.order, other.order)
-        return Jet(self.t, self.coeffs[: n + 1] + other.coeffs[: n + 1])
+            if not self.t.ndim:
+                return _jet(self.t, [a[0] + float(other)]
+                            + [x + 0.0 for x in a[1:]])
+            out = a + 0.0
+            out[0] = a[0] + other
+            return _jet(self.t, out)
+        if not self.t.ndim:
+            return _jet(self.t, [x + y for x, y in zip(a, other.rows)])
+        n = min(len(a), len(other.rows))
+        return _jet(self.t, a[:n] + other.rows[:n])
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return Jet(self.t, -self.coeffs)
+        a = self.rows
+        return _jet(self.t, -a if self.t.ndim else [-x for x in a])
 
     def __sub__(self, other):
         if not isinstance(other, Jet):
             # as adding -constant: -0.0 leaves every other coefficient be
-            out = self.coeffs.copy()
-            out[0] = self.coeffs[0] - other
-            return Jet(self.t, out)
+            a = self.rows
+            if not self.t.ndim:
+                return _jet(self.t, [a[0] - float(other)] + a[1:])
+            out = a.copy()
+            out[0] = a[0] - other
+            return _jet(self.t, out)
         return self.__add__(-other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
+        a = self.rows
         if not isinstance(other, Jet):
-            return Jet(self.t, self.coeffs * float(other))
-        n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
+            s = float(other)
+            return _jet(self.t, a * s if self.t.ndim else [x * s for x in a])
+        b = other.rows
+        n = min(len(a), len(b)) - 1
         if self.t.ndim:
             out = a[0] * b[:n + 1]
             for i in range(1, n + 1):
                 out[i:] += a[i] * b[:n + 1 - i]
-            return Jet(self.t, out)
-        a, b, out = a.tolist(), b.tolist(), []
+            return _jet(self.t, out)
+        out = []
         for k in range(n + 1):
             s = a[0] * b[k]
             for i in range(1, k + 1):
                 s = s + a[i] * b[k - i]
             out.append(s)
-        return Jet(self.t, out)
+        return _jet(self.t, out)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -158,21 +190,18 @@ class Jet:
     def __truediv__(self, other):
         if not isinstance(other, Jet):
             return Jet(self.t, self.coeffs / float(other))
-        n = min(self.order, other.order)
-        q0 = quotient(self.coeffs[0], other.coeffs[0], self.t)
-        # a zero denominator passes quotient only beside a NaN numerator;
-        # numpy rows then give inf/NaN where Python floats would raise
-        if self.t.ndim == 0 and other.coeffs[0] != 0:
-            a, b = self.coeffs.tolist(), other.coeffs.tolist()
-            out = [float(q0)]
-        else:
-            a, b, out = self.coeffs, other.coeffs, [q0]
+        a, b = self.rows, other.rows
+        n = min(len(a), len(b)) - 1
+        if not self.t.ndim and b[0] == 0:
+            # 0 passes quotient only beside a NaN: numpy NaNs, floats raise
+            a, b = self.coeffs, other.coeffs
+        out = [quotient(a[0], b[0], self.t)]
         for k in range(1, n + 1):
             s = a[k]
             for j in range(1, k + 1):
                 s = s - b[j] * out[k - j]
             out.append(s / b[0])
-        return Jet(self.t, out)
+        return Jet(self.t, out) if type(a) is not list else _jet(self.t, out)
 
     def __rtruediv__(self, other):
         return constant(other, self.order, self.t).__truediv__(self)
@@ -206,11 +235,19 @@ class Jet:
         return "Jet(t=%r, coeffs=%r)" % (self.t, self.coeffs)
 
 
+def _jet(t, rows) -> Jet:
+    """Jet at the base t (an array) from rows kept as they are: a list of
+    Python floats for a scalar base, else the coeffs array itself."""
+    j = object.__new__(Jet)
+    j.t, j._rows, j._coeffs = t, rows, (rows if t.ndim else None)
+    return j
+
+
 # -- domain rules, shared with the value algebra of expr --------------------
 
 def _refuse(bad, t, what):
     """Raise DomainError naming the first samples of t where bad holds."""
-    if np.any(bad):
+    if bad is not False and np.any(bad):
         t_bad = np.atleast_1d(np.broadcast_to(t, np.shape(bad)))[np.atleast_1d(bad)]
         raise DomainError("%s at t=%r" % (what, t_bad.ravel()[:4]))
 
@@ -218,7 +255,7 @@ def _refuse(bad, t, what):
 def quotient(num, den, t):
     """num / den of values at the samples t; DomainError at a pole, where
     |den| < DIV_TOL * (1 + |num|)."""
-    _refuse(np.abs(den) < DIV_TOL * (1.0 + np.abs(num)), t,
+    _refuse(abs(den) < DIV_TOL * (1.0 + abs(num)), t,
             "division by (near-)zero")
     return num / den
 
@@ -247,24 +284,20 @@ def variable(t, order: int) -> Jet:
     """Jet of the identity function at base point t."""
     j = constant(t, order, t)
     if order >= 1:
-        j.coeffs[1] = 1.0
+        j.rows[1] = 1.0
     return j
 
 
 def constant(c, order: int, like_t=0.0) -> Jet:
     t = _as_array(like_t)
+    if not t.ndim:
+        return _jet(t, [float(c)] + [0.0] * order)
     coeffs = np.zeros((order + 1,) + t.shape)
     coeffs[0] = c
-    return Jet(t, coeffs)
+    return _jet(t, coeffs)
 
 
 # -- elementary functions by Taylor recurrences (see the module docstring) --
-
-def _rows(j: Jet):
-    """Coefficient rows to loop over: Python floats for a scalar base,
-    which are faster than numpy scalars and never warn, else numpy rows."""
-    return j.coeffs.tolist() if j.t.ndim == 0 else j.coeffs
-
 
 def _head(g: Jet, value):
     """Coefficient 0 in the form of g's rows."""
@@ -284,18 +317,24 @@ def _finish(g: Jet, rows) -> Jet:
     get + 0.0, so they never hold -0.0, as adding a jet leaves them.  A
     node where g is finite and a coefficient above 0 is not overflowed:
     DomainError("derivative overflow")."""
+    if not g.t.ndim:
+        c = rows[:1] + [x + 0.0 for x in rows[1:]]
+        if not all(map(math.isfinite, c[1:])) and all(
+                map(math.isfinite, g.rows)):
+            _refuse(True, g.t, "derivative overflow")
+        return _jet(g.t, c)
     c = np.array(rows, dtype=float)
     c[1:] += 0.0
     if not np.isfinite(c[1:]).all():
         _refuse(np.isfinite(g.coeffs).all(axis=0)
                 & ~np.isfinite(c[1:]).all(axis=0), g.t, "derivative overflow")
-    return Jet(g.t, c)
+    return _jet(g.t, c)
 
 
 def _pair(g: Jet, f0, h0, sign: float):
     """Jets of f and h with f' = h g' and h' = sign * f g'."""
     n = g.order
-    r = _rows(g)
+    r = g.rows
     f, h = [_head(g, f0)], [_head(g, h0)]
     with np.errstate(all="ignore"):
         dg = [None] + [k * r[k] for k in range(1, n + 1)]
@@ -308,7 +347,7 @@ def _pair(g: Jet, f0, h0, sign: float):
 def _quotient_ode(g: Jet, w: Jet, a0) -> Jet:
     """Jet of a with a(g0) = a0 and a' w = g'."""
     n = g.order
-    r, wr = _rows(g), _rows(w)
+    r, wr = g.rows, w.rows
     a = [_head(g, a0)]
     with np.errstate(all="ignore"):
         da = [None]
@@ -361,7 +400,7 @@ def cosh(g: Jet) -> Jet:
 
 def exp(g: Jet) -> Jet:
     n = g.order
-    r = _rows(g)
+    r = g.rows
     a = [_head(g, np.exp(g.value))]
     with np.errstate(all="ignore"):
         dg = [None] + [k * r[k] for k in range(1, n + 1)]
@@ -383,7 +422,7 @@ def sqrt(g: Jet) -> Jet:
     a0 = sqrt_value(x)
     if g.order >= 1 and np.any(x == 0):
         raise DomainError("sqrt derivative at zero")
-    r = _rows(g)
+    r = g.rows
     a = [_head(g, a0)]
     with np.errstate(all="ignore"):
         two_a0 = 2.0 * a[0]

@@ -47,7 +47,10 @@ class CuspLabel:
 def _derivs(j: Jet, upto: int, node: int = 0):
     """Derivatives 0..min(upto, order) at one node, from one column read."""
     top = min(upto, j.order)
-    column = j.coeffs[:top + 1].reshape(top + 1, -1)[:, node].tolist()
+    if not j.t.ndim:
+        column = j.rows[:top + 1]
+    else:
+        column = j.coeffs[:top + 1].reshape(top + 1, -1)[:, node].tolist()
     return [math.factorial(k) * c for k, c in enumerate(column)]
 
 
@@ -75,7 +78,7 @@ def ord_of(f: Jet, cap: int = 5, tol: float = EXACT_TOL) -> int:
 
 
 def _node_index(c, t0: float) -> int:
-    return int(np.argmin(np.abs(np.asarray(c.t) - t0)))
+    return int(np.abs(np.asarray(c.t) - t0).argmin())
 
 
 def cusp_classify_derivatives(curve, t0: float,

@@ -2,14 +2,17 @@
 
 congruence_align measures how far two Legendre curves are from being
 rigid motions of each other; to_source prints an expression tree back
-to source that reparses to a structurally equal tree.
+to source that reparses to a structurally equal tree; RecursiveParser is
+the five-level recursive descent that expr.parse replaced, kept to pin
+the trees, errors, messages and offsets of the operator-precedence loop.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from revfront.expr import BinOp, Call, Neg, Num, Var
+from revfront.expr import (FUNCTIONS, BinOp, Call, ExprSyntaxError, Neg, Num,
+                           UnknownIdentifierError, Var, _tokenize)
 
 
 @dataclass
@@ -80,3 +83,82 @@ def to_source(e) -> str:
         return "%s %s %s" % (left, e.op, right) if e.op in "+-*/" else \
             "%s%s%s" % (left, e.op, right)
     raise TypeError("not an expression node: %r" % (e,))
+
+
+class RecursiveParser:
+    """Recursive descent over expr's tokens: additive, multiplicative,
+    unary, atom; ^ takes atoms on both sides, left-associative."""
+
+    def __init__(self, src: str):
+        self.tokens = _tokenize(src)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str):
+        tok = self.peek()
+        if tok[0] != kind:
+            raise ExprSyntaxError(
+                "expected %r, found %s" % (kind, tok[0]), tok[2])
+        return self.advance()
+
+    def parse(self):
+        e = self.additive()
+        tok = self.peek()
+        if tok[0] != "eof":
+            raise ExprSyntaxError("unexpected trailing %r" % tok[0], tok[2])
+        return e
+
+    def additive(self):
+        e = self.multiplicative()
+        while self.peek()[0] in ("+", "-"):
+            op = self.advance()[0]
+            e = BinOp(op, e, self.multiplicative())
+        return e
+
+    def multiplicative(self):
+        e = self.unary()
+        while self.peek()[0] in ("*", "/"):
+            op = self.advance()[0]
+            e = BinOp(op, e, self.unary())
+        return e
+
+    def unary(self):
+        if self.peek()[0] == "-":
+            self.advance()
+            return Neg(self.unary())
+        e = self.atom()
+        while self.peek()[0] == "^":
+            self.advance()
+            e = BinOp("^", e, self.atom())
+        return e
+
+    def atom(self):
+        kind, value, offset = self.peek()
+        if kind == "num":
+            self.advance()
+            return Num(float(value))
+        if kind == "ident":
+            self.advance()
+            if self.peek()[0] == "(":
+                if value not in FUNCTIONS:
+                    raise UnknownIdentifierError(value, offset)
+                self.advance()
+                arg = self.additive()
+                self.expect(")")
+                return Call(value, arg)
+            if value == "t":
+                return Var()
+            raise UnknownIdentifierError(value, offset)
+        if kind == "(":
+            self.advance()
+            e = self.additive()
+            self.expect(")")
+            return e
+        raise ExprSyntaxError("unexpected %s" % kind, offset)

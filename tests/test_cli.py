@@ -107,6 +107,16 @@ def test_parse_errors_exit_one(argv, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ell", ["\u0663*t", "\uff54", "t\u00b72"])
+def test_non_ascii_expression_exits_one(ell, tmp_path, capsys):
+    # the grammar is ASCII: an Arabic-Indic three, a fullwidth t and a
+    # middle dot are no digit, name or operator
+    argv = ["curve", "from-curvature", "--ell", ell, "--beta", "1",
+            "--grid", "0:1:33", "--out", str(tmp_path / "x")]
+    assert run(argv) == 1
+    assert "unexpected character" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
 def test_bad_tolerance_exits_one(tol, capsys):
     code = run(["classify", "--family", "auto", "--t0", str(PI / 2), *PS,

@@ -226,6 +226,33 @@ def test_cos_sign_must_be_one_or_minus_one(cos_sign):
         profile_from_JK("1", "0", x0=1.0, grid=g, cos_sign=cos_sign)
 
 
+@pytest.mark.parametrize("sin0", [2.0, -1.0000001, np.nan, np.inf])
+def test_sin_phi_seed_must_lie_in_the_unit_interval(sin0):
+    # before, 2.0 failed later as a ConstructionError (exit 2) and NaN
+    # gave an all-NaN profile with no error
+    g = uniform_grid(0.0, 1.0, 51)
+    with pytest.raises(ValueError, match=r"sin phi seed must lie in \[-1, 1\]"):
+        GaussRatioProblem(alpha="-1", beta="1", t0=0.5, x0=1.0,
+                          sin_phi0=sin0, method="rk4")
+    with pytest.raises(ValueError, match=r"sin phi seed must lie in \[-1, 1\]"):
+        profile_from_JK("1", "0", x0=1.0, grid=g, sin0=sin0)
+    # the ends of the interval are seeds like any other
+    for end in (-1.0, 1.0):
+        assert GaussRatioProblem(alpha="-1", beta="1", t0=0.5, x0=1.0,
+                                 sin_phi0=end).sin_phi0 == end
+
+
+@pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
+def test_x0_seed_must_be_finite(x0):
+    g = uniform_grid(0.0, 1.0, 51)
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        GaussRatioProblem(alpha="-1", beta="1", t0=0.5, x0=x0)
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        profile_from_JK("1", "0", x0=x0, grid=g)
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        profile_from_J_phi("1", "t", x0=x0, grid=g)
+
+
 def test_mean_flat_catenoid_profile():
     g = uniform_grid(0.0, 2.0, 200)
     p = MeanRatioProblem(alpha="0", beta="t", c1=0.2, c2=0.3)

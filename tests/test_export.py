@@ -305,3 +305,51 @@ def test_json_text_matches_json_dumps(payload):
 def test_json_text_refuses_other_types(payload):
     with pytest.raises(TypeError):
         export.json_text(payload)
+
+
+def _dumps(payload):
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_json_layouts_serve_other_orders_and_indents():
+    # a cached layout is keyed by the keys in insertion order and the
+    # indent: the same keys in another order, or one level deeper, are
+    # laid out afresh and still sorted and indented as json.dumps does
+    first = {"b": 1.5, "a": [1, 2], "c": None}
+    again = {"c": None, "a": [1, 2], "b": 1.5}
+    deeper = {"outer": first, "list": [again, {"a": 0, "b": 0, "c": 0}]}
+    for payload in (first, again, deeper, first, deeper):
+        assert export.json_text(payload) == _dumps(payload)
+
+
+class ChildInt(int):
+    pass
+
+
+def test_json_leaves_by_type_keep_subclass_spelling():
+    # np.float64 is a float and spells as one; bool beside int stays
+    # true/false, not 1/0; an int subclass spells as its int
+    payload = {"x": np.float64(0.1), "y": [np.float64(-0.0), np.float64(1e300)],
+               "flag": True, "off": False, "n": 1, "big": 2 ** 70,
+               "sub": ChildInt(7), "nan": np.float64("nan")}
+    assert export.json_text(payload) == _dumps(payload)
+    assert '"flag": true' in export.json_text(payload)
+    assert export.json_text([True, 1, False, 0]) == _dumps([True, 1, False, 0])
+
+
+def test_json_non_str_key_raises_after_a_str_layout_is_cached():
+    export.json_text({"a": 1})
+    with pytest.raises(TypeError, match="keys must be str"):
+        export.json_text({1: 1})
+    with pytest.raises(TypeError):
+        export.json_text({"a": {"b": 1, 2.5: 0}})
+    assert export.json_text({"a": 1}) == _dumps({"a": 1})
+
+
+def test_json_layout_cache_stays_bounded():
+    export._json_layout.cache_clear()
+    for i in range(5000):
+        payload = {"k%d" % i: i, "v": [i]}
+        assert export.json_text(payload) == _dumps(payload)
+    info = export._json_layout.cache_info()
+    assert info.currsize <= info.maxsize == 256

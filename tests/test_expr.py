@@ -12,12 +12,12 @@ import sympy as sp
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from revfront import expr, jets
+from revfront import export, expr, jets, singular
 from revfront.expr import (BinOp, Call, ExprSyntaxError, Neg, Num,
                            UnknownIdentifierError, Var, parse)
 from revfront.jets import DomainError
 
-from oracles import to_source
+from oracles import RecursiveParser, to_source
 
 NO_SHRINK = [ph for ph in Phase if ph is not Phase.shrink]
 
@@ -94,6 +94,22 @@ def test_syntax_error_offsets():
         parse("(t))(")
     with pytest.raises(ExprSyntaxError):
         parse("")
+
+
+@pytest.mark.parametrize("src, offset", [
+    ("\u0663*t", 0),       # an Arabic-Indic three was 3 before
+    ("\uff54", 0),         # a fullwidth t
+    ("t\u00b72", 1),       # a middle dot between t and 2
+    ("1 + \u2003t", 4),    # an em space
+])
+def test_non_ascii_characters_are_refused(src, offset):
+    with pytest.raises(ExprSyntaxError, match="unexpected character") as ei:
+        parse(src)
+    assert ei.value.offset == offset
+    # every character before the offending one is ASCII, so the offset is
+    # the byte offset that the message names
+    assert len(src[:offset].encode()) == offset
+    assert "(byte offset %d)" % offset in str(ei.value)
 
 
 def test_unknown_identifier():
@@ -317,3 +333,85 @@ def test_values_and_jets_share_every_rule(e, t):
             for order in range(1, jets.ORDER_CAP + 1):
                 assert isinstance(_outcome(lambda: expr.eval_jet(e, t, order)),
                                   Exception), (to_source(e), t, order)
+
+
+# -- the parser against the recursive descent it replaced ---------------------
+
+# the last three are tokenizer errors, which win over any parser error
+PARSER_TOKENS = st.sampled_from(["t", "2", "1e-3", "sin", "foo", "(", ")",
+                                 "+", "-", "*", "/", "^", " ",
+                                 "1.2.3", "#", "\u0663"])
+
+
+def _parsed(parser, src):
+    try:
+        return parser(src)
+    except (ExprSyntaxError, UnknownIdentifierError) as exc:
+        return (type(exc), str(exc), exc.offset)
+
+
+@settings(max_examples=1500, deadline=None, phases=NO_SHRINK)
+@given(st.one_of(st.lists(PARSER_TOKENS, max_size=16).map("".join),
+                 TREES.map(to_source)))
+def test_parser_matches_recursive_descent(src):
+    # an equal tree, or the same error class, message and offset
+    assert _parsed(parse, src) == \
+        _parsed(lambda s: RecursiveParser(s).parse(), src), src
+
+
+# -- scalar bases (Python floats) against array bases (numpy rows) ----------
+
+def _bits(a):
+    """Bytes of a float array with every NaN made the same: which
+    operand's NaN a sum of two NaNs keeps is not a property of the
+    formula (see test_jet_passes)."""
+    a = np.array(a, dtype=float)
+    a[np.isnan(a)] = np.nan
+    return a.tobytes()
+
+
+@settings(max_examples=1000, deadline=None, phases=NO_SHRINK)
+@given(TREES, st.floats(-3.0, 3.0), st.integers(0, jets.ORDER_CAP))
+def test_scalar_jet_is_a_column_of_the_array_jet(e, t0, order):
+    with np.errstate(all="ignore"):
+        scalar = _outcome(lambda: expr.eval_jet(e, t0, order))
+        array = _outcome(lambda: expr.eval_jet(e, np.array([t0, t0]), order))
+    if isinstance(scalar, Exception) or isinstance(array, Exception):
+        assert type(scalar) is type(array), (to_source(e), t0, scalar, array)
+    else:
+        assert _bits(scalar.coeffs) == _bits(array.coeffs[:, 0]), \
+            (to_source(e), t0)
+        assert all(type(c) is float for c in scalar.rows)
+
+
+def _record(label):
+    return export.json_text(export.classification_record(label, 0.0))
+
+
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
+@given(TREES, TREES, st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
+       st.integers(0, 2), st.sampled_from([2, 5]))
+def test_node_labels_read_through_at_match_scalar_jets(
+        ell_e, beta_e, ts, node, order):
+    # the labellers read a node of an array jet through Jet.at(i), and a
+    # scalar jet at that node, as they read the node's column of the
+    # array: the same derivative bits, orders, labels and diagnostics
+    t = np.array(ts)
+    i = node % t.size
+    with np.errstate(all="ignore"):
+        arrays = _outcome(lambda: (expr.eval_jet(ell_e, t, order),
+                                   expr.eval_jet(beta_e, t, order)))
+        if isinstance(arrays, Exception):
+            return
+        column = [jets.Jet(t[i:i + 1], j.coeffs[:, i:i + 1]) for j in arrays]
+        for ell, beta in ([j.at(i) for j in arrays],
+                          [expr.eval_jet(e, float(t[i]), order)
+                           for e in (ell_e, beta_e)]):
+            for got, want in ((ell, column[0]), (beta, column[1])):
+                assert _bits(singular._derivs(got, 5)) == \
+                    _bits(singular._derivs(want, 5))
+                assert singular.ord_of(got) == singular.ord_of(want)
+            assert _record(singular.cusp_classify_curvature(ell, beta)) == \
+                _record(singular.cusp_classify_curvature(*column))
+            assert _record(singular.constant_mean_cusp(ell, beta)) == \
+                _record(singular.constant_mean_cusp(*column))

@@ -4,8 +4,9 @@ replace.
 Each reference below is the earlier implementation, kept here as the
 oracle: the double-loop jet product and the quotient loop on numpy
 coefficients, the per-derivative reads of a node jet in singular, and
-the character loop of the tokenizer.  The rewrites must give the same
-bits and raise the same errors with the same messages and offsets.  The
+the character loop of the tokenizer, narrowed to ASCII as the grammar
+is.  The rewrites must give the same bits and raise the same errors
+with the same messages and offsets.  The
 Taylor recurrences of the elementary functions change the rounding, so
 they are held within a stated bound of the earlier composition by
 Horner's rule, one constant jet per step, from closed-form derivatives.
@@ -133,29 +134,39 @@ def reference_classify_derivatives(cj, t0, tol):
 _OPS = set("+-*/^()")
 
 
+def _ascii(test):
+    """str.isspace, isdigit, isalpha or isalnum, true of ASCII only: the
+    grammar takes no other character."""
+    return lambda ch: ch.isascii() and test(ch)
+
+
+_space, _digit, _alpha, _alnum = map(_ascii, (str.isspace, str.isdigit,
+                                              str.isalpha, str.isalnum))
+
+
 def reference_tokenize(src):
     tokens = []
     i, n = 0, len(src)
     while i < n:
         ch = src[i]
-        if ch.isspace():
+        if _space(ch):
             i += 1
             continue
         if ch in _OPS:
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit() or ch == ".":
+        if _digit(ch) or ch == ".":
             j = i
-            while j < n and (src[j].isdigit() or src[j] == "."):
+            while j < n and (_digit(src[j]) or src[j] == "."):
                 j += 1
             if j < n and src[j] in "eE":
                 k = j + 1
                 if k < n and src[k] in "+-":
                     k += 1
-                if k < n and src[k].isdigit():
+                if k < n and _digit(src[k]):
                     j = k
-                    while j < n and src[j].isdigit():
+                    while j < n and _digit(src[j]):
                         j += 1
             text = src[i:j]
             try:
@@ -165,9 +176,9 @@ def reference_tokenize(src):
             tokens.append(("num", value, i))
             i = j
             continue
-        if ch.isalpha() or ch == "_":
+        if _alpha(ch) or ch == "_":
             j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
+            while j < n and (_alnum(src[j]) or src[j] == "_"):
                 j += 1
             tokens.append(("ident", src[i:j], i))
             i = j
