@@ -187,7 +187,9 @@ def _unit_interval(text):
 def _add_cos_sign(p):
     """--cos-sign, the sign of cos(phi) at t0: 1 or -1, kept a float."""
     p.add_argument("--cos-sign", type=_finite, choices=(1.0, -1.0),
-                   default=1.0, dest="cos_sign", metavar="{1,-1}")
+                   default=1.0, dest="cos_sign", metavar="{1,-1}",
+                   help="sign of cos(phi) at t0; where |sin(phi)| = 1 at "
+                        "t0 it holds for t <= t0 and flips after t0")
 
 
 def _add_tol(p):

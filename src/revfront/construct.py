@@ -13,6 +13,8 @@ Each returns a LegendreCurve with jets chained analytically from the
 defining relations; the numerical content is lattice quadrature (16 fine
 steps per grid step) plus, for the gauss ratio, RK4 on the first-order
 system or a Frobenius series at a regular singular point of the ratio.
+Any finite, strictly increasing grid will do: RK4, the quadrature, the
+flip locator and the series region all read the lattice's own steps.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ FLIP_TOL = 1e-8          # fitted |sin phi| extremum within this of 1 -> branch 
 SIN_EXCESS_TOL = 1e-9    # |sin phi| beyond 1 + this -> inconsistent data
 FLAG_TOL = 1e-12         # 1 - sin^2 below this at a node -> jets flagged
 SAFE_COS = 1e-3          # |cos phi| above this -> plain jet division for ell
-UNIFORM_RTOL = 1e-6      # step spread above this * step -> non-uniform lattice
 COS_TOL = 1e-8           # |cos phi| within this (relative) of 0 -> (H, phi) rejects
 
 
@@ -44,7 +45,8 @@ class GaussRatioProblem:
     x0 is the value x(t0) at an ordinary point, or the leading series
     coefficient at a singular point of alpha; sin_phi0 seeds sin(phi) at
     t0 (ignored, and reported, when the series determines it); cos_sign,
-    1 or -1, picks the initial branch of cos(phi).
+    1 or -1, picks the initial branch of cos(phi).  When |sin phi| = 1 at
+    t0, a touch, cos_sign holds for t <= t0 and the other sign after t0.
     """
     alpha: str
     beta: str
@@ -147,7 +149,8 @@ def _div_reduced(num, den, tol, width):
 
 
 def _lattice(grid, t0, order):
-    """Fine lattice, internal jet order, anchor node and anchor offset.
+    """Fine lattice, internal jet order, anchor node, anchor parameter and
+    anchor offset.
 
     t0 snaps to the nearest fine lattice node (offset t0 - node); None
     anchors at the left end of the grid.
@@ -155,41 +158,26 @@ def _lattice(grid, t0, order):
     if order < 0:
         raise ValueError(f"jet order must be at least 0, got {order}")
     fg = FineGrid(grid)
-    if t0 is None:
-        return fg, order + 2, 0, 0.0
     lo, hi = fg.grid[0], fg.grid[-1]
+    if t0 is None:
+        return fg, order + 2, 0, float(lo), 0.0
     span = hi - lo
-    if t0 < lo - 1e-12 * span or t0 > hi + 1e-12 * span:
+    if not lo - 1e-12 * span <= t0 <= hi + 1e-12 * span:   # NaN fails too
         raise ConstructionError(f"t0={t0} lies outside the grid [{lo}, {hi}]")
     i0 = fg.nearest_fine_index(t0)
-    return fg, order + 2, i0, t0 - fg.s[i0]
+    return fg, order + 2, i0, t0, t0 - fg.s[i0]
 
 
-def _uniform_step(s, what):
-    """The fixed step s[1] - s[0] of a lattice with equal intervals.
-
-    The Frobenius series region and the flip locator advance by this one
-    step, so a lattice whose step varies raises ValueError naming what
-    needs the constant spacing, instead of giving a wrong profile.
-    """
-    h = s[1] - s[0]
-    steps = np.diff(s)
-    lo, hi = steps.min(), steps.max()
-    if hi - lo > UNIFORM_RTOL * abs(h):
-        raise ValueError(
-            f"non-uniform grid: the fine step varies from {lo:.6g} to "
-            f"{hi:.6g}, but {what} needs equal grid intervals")
-    return h
-
-
-def _lattice_angle(s, S, anchor_pos, cos_sign):
+def _lattice_angle(s, steps, S, i0, anchor, cos_sign):
     """Branch signs, flips, clipped sin(phi) and cos(phi) on the lattice.
 
-    The sign of cos(phi) starts as cos_sign at the anchor and flips at each
-    parameter where |sin phi| reaches 1; touch points between samples are
-    located by a parabolic fit through the local maximum of |S|, which
-    needs a uniform lattice wherever a flip is found.  Returns
-    (sigma, flips, clipped S, sigma*sqrt(1 - S^2)).
+    cos(phi) has sign cos_sign at the anchor, nearest lattice sample i0,
+    and flips where |sin phi| reaches 1: at the vertex of the parabola
+    through a local maximum of |S| and its neighbours, spaced by the
+    lattice's steps (steps[k] = s[k+1] - s[k]).  A flip fitted on sample
+    i0 counts as lying at the anchor, so cos_sign holds up to it however
+    the fit rounds; flips are reported as fitted.  Returns (sigma, flips,
+    clipped S, sigma*sqrt(1 - S^2)).
     """
     absS = np.abs(S)
     excess = float(np.max(absS)) - 1.0
@@ -197,21 +185,26 @@ def _lattice_angle(s, S, anchor_pos, cos_sign):
         raise ConstructionError(
             f"|sin phi| exceeds 1 by {excess:.3e}; prescribed data inconsistent",
             max_sin=float(np.max(absS)))
-    y0, y1, y2 = absS[:-2], absS[1:-1], absS[2:]   # around samples 1..n-2
+    y0, y1, y2 = absS[:-2], absS[1:-1], absS[2:]
+    j = np.flatnonzero((y1 >= y0) & (y1 >= y2))   # local maxima at j + 1
+    y0, y1, y2, h0, h1 = y0[j], y1[j], y2[j], steps[j], steps[j + 1]
+    q = (h1 - h0) / (h0 + h1)    # 0 on equal steps: the symmetric fit
     curv = y0 - 2.0 * y1 + y2
-    delta = np.zeros_like(curv)
-    np.divide(0.5 * (y0 - y2), curv, out=delta, where=curv < 0.0)
-    peak = y1 - 0.25 * (y0 - y2) * delta
+    num = (y0 - y2) * (1.0 + q * q) + 2.0 * q * curv
+    den = curv + q * (y0 - y2)
+    delta = np.zeros_like(den)   # vertex offset in units of (h0 + h1)/2
+    np.divide(0.5 * num, den, out=delta, where=den < 0.0)
+    peak = y1 - 0.25 * num * delta / (1.0 - q * q)
     at = []
-    for j in np.flatnonzero((y1 >= y0) & (y1 >= y2) & (peak >= 1.0 - FLIP_TOL)):
-        if not at or j > at[-1] + 1:   # else the twin sample of the same touch
-            at.append(j)
-    at = np.array(at, dtype=int)
-    flips = (s[at + 1] + delta[at] * _uniform_step(s, "the flip locator")
-             if at.size else np.zeros(0))
+    for k in np.flatnonzero(peak >= 1.0 - FLIP_TOL):
+        if not at or j[k] > j[at[-1]] + 1:   # else the twin of the same touch
+            at.append(k)
+    centre = j[at] + 1
+    flips = s[centre] + delta[at] * (h0[at] + h1[at]) / 2
+    marks = np.where(centre == i0, anchor, flips)
     # sign at position p: cos_sign * (-1)^(number of flips between anchor and p)
-    n_before = np.searchsorted(flips, s, side="left")
-    n_anchor = int(np.searchsorted(flips, anchor_pos, side="left"))
+    n_before = np.searchsorted(marks, s, side="left")
+    n_anchor = int(np.searchsorted(marks, anchor, side="left"))
     sigma = np.where((n_before - n_anchor) % 2 == 0, cos_sign, -cos_sign)
     Sc = np.clip(S, -1.0, 1.0)
     return (sigma, [float(f) for f in flips], Sc,
@@ -384,13 +377,15 @@ def _alpha_has_pole(alpha_src, t0):
     return not np.isfinite(v)
 
 
-def _frobenius_data(p, fg, order_n=12):
+def _frobenius_data(p, fg, i0, order_n=12):
     """Series solution x = sum c_k s^(k+r) of the profile ODE about t0.
 
     The coefficient functions are the locally analytic combinations
     p(s) = -s*beta'/beta (jet division) and q(s) = alpha*beta^2*s^2
     (least-squares polynomial fit on Chebyshev nodes, since alpha itself
-    is singular at t0).  Returns (r, coeffs, delta, notes).
+    is singular at t0).  The series region spans at least four of the
+    larger fine step beside the anchor node i0 on each side it covers.
+    Returns (r, coeffs, delta, notes).
     """
     t0 = p.t0
     hi = order_n + 2
@@ -406,14 +401,10 @@ def _frobenius_data(p, fg, order_n=12):
 
     lo, hi_t = fg.grid[0], fg.grid[-1]
     span = hi_t - lo
-    step = _uniform_step(fg.s, "the Frobenius series region")
+    step = float(np.max(fg.fine_step[max(i0 - 1, 0):i0 + 1]))
     left, right = t0 - lo, hi_t - t0
     two_sided = left > 4 * step and right > 4 * step
-    if two_sided:
-        delta_fit = 0.6 * min(left, right)
-    else:
-        delta_fit = 0.6 * max(left, right)
-    delta_fit = min(delta_fit, 0.5 * span)
+    delta_fit = min(0.6 * (min if two_sided else max)(left, right), 0.5 * span)
     m = 64
     k = np.arange(m)
     cheb = np.cos(np.pi * k / (m - 1))
@@ -541,12 +532,12 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
     are; a pole of alpha at t0 is handled by a Frobenius series whose
     leading coefficient is x0 and which determines sin_phi0 itself.
     """
-    fg, io, i0, offset = _lattice(grid, p.t0, order)
+    fg, io, i0, t0, offset = _lattice(grid, p.t0, order)
     g, s = fg.grid, fg.s
     if p.method not in ("auto", "rk4", "frobenius"):
         raise ConstructionError(f"unknown method {p.method!r}")
     use_series = (p.method == "frobenius" or
-                  (p.method == "auto" and _alpha_has_pole(p.alpha, p.t0)))
+                  (p.method == "auto" and _alpha_has_pole(p.alpha, t0)))
 
     beta_s = _values(p.beta, s, "beta")
     mid = 0.5 * (s[:-1] + s[1:])
@@ -561,7 +552,7 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
         x0c, S0c = p.x0, p.sin_phi0
         if offset != 0.0:
             # carry the initial data from the true t0 to the snapped node
-            ts = np.array([p.t0, 0.5 * (p.t0 + s[i0]), s[i0]])
+            ts = np.array([t0, 0.5 * (t0 + s[i0]), s[i0]])
             bv = _values(p.beta, ts, "beta")
             av = _values(ab, ts, "alpha*beta")
             x0c, S0c = _rk4_step(p.x0, p.sin_phi0, bv[0], av[0], bv[1], av[1],
@@ -569,22 +560,22 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
         x_s, S_s = _rk4_path(s, (beta_s, ab_s), (beta_m, ab_m), i0, x0c, S0c)
         method = "gauss_rk4"
     else:
-        r, c, delta, notes = _frobenius_data(p, fg)
-        in_series = np.abs(s - p.t0) <= delta
+        r, c, delta, notes = _frobenius_data(p, fg, i0)
+        in_series = np.abs(s - t0) <= delta
         if not in_series.any():
             raise ConstructionError("series radius smaller than lattice step")
         idx = np.flatnonzero(in_series)
         iL, iR = int(idx[0]), int(idx[-1])
         x_s = np.empty_like(s)
         S_s = np.empty_like(s)
-        xs, dxs = _series_eval(c, r, s[idx] - p.t0)
+        xs, dxs = _series_eval(c, r, s[idx] - t0)
         x_s[idx] = xs
         with np.errstate(divide="ignore", invalid="ignore"):
             S_s[idx] = -dxs / beta_s[idx]
         if not np.all(np.isfinite(S_s[idx])):
             raise ConstructionError(
                 "sin phi = -x'/beta is not finite inside the series region "
-                "(beta vanishes without matching zero of x')", t0=p.t0)
+                "(beta vanishes without matching zero of x')", t0=t0)
         # RK4 from the hand-off nodes outward; alpha*beta is evaluated only
         # there, away from the pole
         for lo, hi, a in ((0, iL + 1, iL), (iR, s.size, 0)):
@@ -598,9 +589,10 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
         notes["sin_phi0_ignored"] = True
         notes["series_sin_phi0"] = float(S_s[i0])
         notes["ode_residual_excludes_series_nodes"] = True
-        in_c = np.abs(g - p.t0) <= delta
+        in_c = np.abs(g - t0) <= delta
 
-    sigma, flips, Sc, C_s = _lattice_angle(s, S_s, s[i0] + offset, p.cos_sign)
+    sigma, flips, Sc, C_s = _lattice_angle(s, fg.fine_step, S_s, i0, t0,
+                                           p.cos_sign)
     z_s = fg.cumulative_from(beta_s * C_s, i0, p.z0)
 
     beta_j = _jet(p.beta, g, io, "beta")
@@ -615,7 +607,7 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
                             fg.at_coarse(Sc), io)
     if in_c.any():   # series nodes: x from the series, sin phi = -x'/beta
         nodes = np.flatnonzero(in_c)
-        xs_j = _series_jets(c, r, g[nodes], g[nodes] - p.t0, io)
+        xs_j = _series_jets(c, r, g[nodes], g[nodes] - t0, io)
         x_j.coeffs[:, nodes] = xs_j.coeffs
         b_j.coeffs[:, nodes] = _div_reduced(
             -xs_j.differentiated(), beta_j.at(nodes).truncated(io - 1), 1e-9,
@@ -626,7 +618,7 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
              - beta_j.derivative(1) * x_j.derivative(1)
              + (ab_j * beta_j * beta_j * x_j).value)
     ode_res = float(np.max(np.abs(resid[~in_c]))) if (~in_c).any() else None
-    report = ConstructionReport(method, p.t0, float(offset), flips=flips,
+    report = ConstructionReport(method, t0, float(offset), flips=flips,
                                 flagged_nodes=flagged, ode_residual=ode_res,
                                 notes=notes)
     return _assemble(fg, io, z_s, x_j, a_j, b_j, ell_j, beta_j, report)
@@ -646,17 +638,19 @@ def profile_from_JK(J: str, K: str, x0: float, grid, t0: float | None = None,
     (value x0^2 at t0, x0 > 0 required), and beta = -J/x.  t0 snaps to the
     nearest fine lattice node and the anchor values apply there; the
     offset is recorded in the construction report; cos_sign, 1 or -1, is
-    the sign of cos phi there.
+    the sign of cos phi there.  When |sin0| = 1, a touch at t0, cos_sign
+    holds for t <= t0 and the other sign after t0.
     """
     _check_seeds(x0, sin0, cos_sign)
     if x0 <= 0:
         raise ConstructionError(f"x0 must be positive, got {x0}")
-    fg, io, i0, offset = _lattice(grid, t0, order)
+    fg, io, i0, t0, offset = _lattice(grid, t0, order)
     g, s = fg.grid, fg.s
     J_s = _values(J, s, "J")
     K_s = _values(K, s, "K")
     S_s = sin0 - fg.cumulative_from(K_s, i0, 0.0)
-    sigma, flips, Sc, C_s = _lattice_angle(s, S_s, s[i0] + offset, cos_sign)
+    sigma, flips, Sc, C_s = _lattice_angle(s, fg.fine_step, S_s, i0, t0,
+                                           cos_sign)
 
     x2_s, z_s = _j_lattice(fg, i0, x0, z0, J_s, Sc, C_s,
                            "; x0 anchor incompatible with prescribed (J, K)")
@@ -666,9 +660,8 @@ def profile_from_JK(J: str, K: str, x0: float, grid, t0: float | None = None,
     x_j, beta_j = _j_jets(fg, io, x2_s, J_j, b_j)
     notes = {}
     a_j, ell_j, flagged = _angle_jets(b_j, sigma[fg.coarse_index], notes)
-    report = ConstructionReport("jk_quadrature",
-                                float(g[0]) if t0 is None else t0,
-                                float(offset), flips=flips,
+    report = ConstructionReport("jk_quadrature", t0, float(offset),
+                                flips=flips,
                                 flagged_nodes=flagged, notes=notes)
     return _assemble(fg, io, z_s, x_j, a_j, b_j, ell_j, beta_j, report)
 
@@ -687,7 +680,7 @@ def profile_from_mean_ratio(p: MeanRatioProblem, grid,
     angle comes from (F, G, eta) without any branch ambiguity.  The
     anchor applies at the fine lattice node nearest t0.
     """
-    fg, io, i0, offset = _lattice(grid, p.t0, order)
+    fg, io, i0, t0, offset = _lattice(grid, p.t0, order)
     g, s = fg.grid, fg.s
     alpha_s = _values(p.alpha, s, "alpha")
     beta_s = _values(p.beta, s, "beta")
@@ -721,7 +714,7 @@ def profile_from_mean_ratio(p: MeanRatioProblem, grid,
         np.atleast_1d((x_j * ell_j + beta_j * a_j).value) / 2.0
         + np.atleast_1d((alpha_j * beta_j * x_j).value))))
     report = ConstructionReport(
-        "mean_ratio", float(g[0]) if p.t0 is None else p.t0, float(offset),
+        "mean_ratio", t0, float(offset),
         notes={"mean_identity_residual": ratio_resid,
                "x_min": float(np.min(x_s))})
     return _assemble(fg, io, z_s, x_j, a_j, b_j, ell_j, beta_j, report)
@@ -741,7 +734,7 @@ def profile_from_J_phi(J: str, phi: str, x0: float, grid,
     _check_seeds(x0)
     if x0 <= 0:
         raise ConstructionError(f"x0 must be positive, got {x0}")
-    fg, io, i0, offset = _lattice(grid, t0, order)
+    fg, io, i0, t0, offset = _lattice(grid, t0, order)
     g, s = fg.grid, fg.s
     J_s = _values(J, s, "J")
     phi_s = _values(phi, s, "phi")
@@ -751,9 +744,7 @@ def profile_from_J_phi(J: str, phi: str, x0: float, grid,
     phi_j = _jet(phi, g, io, "phi")
     b_j, a_j = jets.sin_cos(phi_j)
     x_j, beta_j = _j_jets(fg, io, x2_s, J_j, b_j)
-    report = ConstructionReport("j_phi_quadrature",
-                                float(g[0]) if t0 is None else t0,
-                                float(offset))
+    report = ConstructionReport("j_phi_quadrature", t0, float(offset))
     return _assemble(fg, io, z_s, x_j, a_j, b_j, phi_j.differentiated(),
                      beta_j, report)
 
@@ -767,7 +758,7 @@ def profile_from_H_phi(H: str, phi: str, grid, c_a: float = 0.0,
     antiderivative of 2*H*sin(phi) and thereby scales the axis distance.
     The anchor applies at the fine lattice node nearest t0.
     """
-    fg, io, i0, offset = _lattice(grid, t0, order)
+    fg, io, i0, t0, offset = _lattice(grid, t0, order)
     g, s = fg.grid, fg.s
     H_s = _values(H, s, "H")
     phi_fine = _jet(phi, s, 1, "phi")
@@ -794,7 +785,5 @@ def profile_from_H_phi(H: str, phi: str, grid, c_a: float = 0.0,
     dphi_j = phi_j.differentiated()
     beta_j = (2.0 * H_j - dphi_j * x_j) / a_j.truncated(io - 1)
 
-    report = ConstructionReport("h_phi_quadrature",
-                                float(g[0]) if t0 is None else t0,
-                                float(offset))
+    report = ConstructionReport("h_phi_quadrature", t0, float(offset))
     return _assemble(fg, io, z_s, x_j, a_j, b_j, dphi_j, beta_j, report)

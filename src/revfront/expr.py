@@ -308,7 +308,9 @@ def _mentions_t(e: Expr) -> bool:
 
 def _power(x, p: float, t):
     """x ** p on values, with the rules of Jet.__pow__: t^(-k) has the
-    pole test of 1/t^k, a non-integer power needs a positive base."""
+    pole test of 1/t^k, a non-integer power needs a positive base.  A
+    scalar x rounds as an array base (numpy's power, not the C pow)."""
+    x = np.asarray(x)
     if p == int(p):
         if p < 0:
             jets.quotient(1.0, x ** -int(p), t)

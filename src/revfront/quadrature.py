@@ -47,8 +47,8 @@ class FineGrid:
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("grid must be a 1-d array with at least 2 nodes")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be strictly increasing")
+        if not np.all(np.diff(grid) > 0) or not np.all(np.isfinite(grid)):
+            raise ValueError("grid must be finite and strictly increasing")
         if refine < 2 or refine % 2:
             raise ValueError("refine must be an even integer >= 2")
         self.grid = grid

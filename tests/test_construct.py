@@ -69,7 +69,7 @@ def test_gauss_rk4_off_lattice_anchor():
     np.testing.assert_allclose(pair.ell.value, -1.0, atol=1e-8)
 
 
-def test_fixed_step_paths_reject_non_uniform_grid():
+def test_non_uniform_grids_keep_uniform_accuracy():
     # 150 + 50 nodes split at t = 1: RK4 on s[1] - s[0] used to return
     # max |x - sin t| = 9.6e-2 here; RK4 now steps by each interval's own h
     g = np.concatenate([np.linspace(0.4, 1.0, 150),
@@ -89,37 +89,57 @@ def test_fixed_step_paths_reject_non_uniform_grid():
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(c.normal.b.value[ig], u.normal.b.value[iu],
                                rtol=0, atol=1e-12)
-    # Frobenius hand-off
+    # the Frobenius series region, sized from the fine steps at t0 = 0
     g = np.concatenate([np.linspace(0.0, 0.2, 41),
                         np.linspace(0.2, 0.45, 21)[1:]])
     p = GaussRatioProblem(alpha="-2/t^2", beta="1", t0=0.0, x0=1.0)
-    with pytest.raises(ValueError, match="non-uniform grid"):
-        profile_from_gauss_ratio(p, g)
-    # the flip locator: the J-K quadrature itself takes any grid, but the
-    # pseudo-sphere's flip at pi/2 is located with the fixed step
+    c = profile_from_gauss_ratio(p, g)
+    assert report_of(c).method == "gauss_frobenius"
+    assert np.max(np.abs(c.curve.x.value - g ** 2)) <= 1e-12
+    # the flip locator: the pseudo-sphere's flip at pi/2 lies in the
+    # second block of steps, three times longer than the first
     g = np.concatenate([np.linspace(0.2, 1.0, 100),
                         np.linspace(1.0, PI - 0.2, 301)[1:]])
-    with pytest.raises(ValueError, match="non-uniform grid"):
-        profile_from_JK("-cos(t)", "cos(t)", x0=np.sin(0.2), grid=g,
+    c = profile_from_JK("-cos(t)", "cos(t)", x0=np.sin(0.2), grid=g,
                         t0=0.2, sin0=-np.sin(0.2))
-    c = profile_from_JK("-cos(t)", "cos(t)", x0=np.sin(0.2), grid=g[g < 1.4],
-                        t0=0.2, sin0=-np.sin(0.2))
-    np.testing.assert_allclose(c.curve.x.value, np.sin(c.t), atol=1e-10)
+    assert np.max(np.abs(c.curve.x.value - np.sin(g))) <= 1e-10
+    flips = report_of(c).flips
+    assert len(flips) == 1 and abs(flips[0] - PI / 2) <= 1e-10
+    np.testing.assert_allclose(c.normal.a.value, np.cos(g), atol=1e-7)
 
 
-def test_non_uniform_rejection_names_the_fixed_step():
-    g = np.concatenate([np.linspace(0.0, 0.2, 41),
-                        np.linspace(0.2, 0.45, 21)[1:]])
-    p = GaussRatioProblem(alpha="-2/t^2", beta="1", t0=0.0, x0=1.0)
-    with pytest.raises(ValueError, match="non-uniform grid: .* but the "
-                       "Frobenius series region needs equal grid intervals"):
-        profile_from_gauss_ratio(p, g)
-    g = np.concatenate([np.linspace(0.2, 1.0, 100),
-                        np.linspace(1.0, PI - 0.2, 301)[1:]])
-    with pytest.raises(ValueError, match="non-uniform grid: .* but the "
-                       "flip locator needs equal grid intervals"):
-        profile_from_JK("-cos(t)", "cos(t)", x0=np.sin(0.2), grid=g,
-                        t0=0.2, sin0=-np.sin(0.2))
+TOUCH_GRIDS = {
+    # node 200 lies one ulp below pi/2
+    "uniform": uniform_grid(0.2, PI - 0.2, 401),
+    # pi/2 is the break between a coarse and a fine block
+    "split": np.concatenate([np.linspace(0.2, PI / 2, 61),
+                             np.linspace(PI / 2, PI - 0.2, 301)[1:]]),
+}
+TOUCH_BUILDS = {
+    "gauss": lambda g, cos_sign: profile_from_gauss_ratio(GaussRatioProblem(
+        alpha="-1", beta="cot(t)", t0=PI / 2, x0=1.0, sin_phi0=-1.0,
+        cos_sign=cos_sign), g),
+    "jk": lambda g, cos_sign: profile_from_JK(
+        "-cos(t)", "cos(t)", x0=1.0, grid=g, t0=PI / 2, sin0=-1.0,
+        cos_sign=cos_sign),
+}
+
+
+@pytest.mark.parametrize("grid", TOUCH_GRIDS.values(), ids=TOUCH_GRIDS.keys())
+@pytest.mark.parametrize("build", TOUCH_BUILDS.values(),
+                         ids=TOUCH_BUILDS.keys())
+@pytest.mark.parametrize("cos_sign", [1.0, -1.0])
+def test_cos_sign_holds_up_to_a_touch_at_the_anchor(grid, build, cos_sign):
+    # |sin phi(t0)| = 1: the flip is fitted a rounding error to either
+    # side of t0, which used to decide whether the profile came out
+    # mirrored in z; cos_sign now holds for t <= t0 and flips after it
+    assert np.min(np.abs(grid - PI / 2)) <= 1e-15
+    c = build(grid, cos_sign)
+    np.testing.assert_allclose(c.curve.x.value, np.sin(grid), atol=1e-9)
+    np.testing.assert_allclose(c.normal.a.value, cos_sign * np.cos(grid),
+                               atol=1e-6)
+    flips = report_of(c).flips
+    assert len(flips) == 1 and abs(flips[0] - PI / 2) <= 1e-9
 
 
 def test_gauss_sin_band_violation():
@@ -364,6 +384,47 @@ def test_unevaluable_expression_raises_one_class(bad, lo, hi):
         assert type(ei.value) is ConstructionError, name
         assert "cannot be evaluated on the grid" in str(ei.value), name
         assert bad in ei.value.info["source"], name
+
+
+# every entry point that builds the fine lattice; t0 is the anchor where
+# the construction takes one
+LATTICE_BUILDS = {
+    "fine grid": lambda g, t0: FineGrid(g),
+    "reconstruct": lambda g, t0: reconstruct_from_curvature("1", "1", g),
+    "gauss": lambda g, t0: profile_from_gauss_ratio(GaussRatioProblem(
+        alpha="-1", beta="1", t0=t0, x0=1.0), g),
+    "JK": lambda g, t0: profile_from_JK("1", "0", x0=1.0, grid=g, t0=t0),
+    "mean": lambda g, t0: profile_from_mean_ratio(MeanRatioProblem(
+        alpha="0", beta="t", c1=0.2, c2=0.3, t0=t0), g),
+    "J phi": lambda g, t0: profile_from_J_phi("-t", "1", x0=1.0, grid=g,
+                                              t0=t0),
+    "H phi": lambda g, t0: profile_from_H_phi("0.5", "0", g, c_a=-1.0,
+                                              t0=t0),
+}
+
+
+@pytest.mark.parametrize("grid", [[0.0, np.nan, 0.5, 1.0], [0.0, 0.5, np.inf],
+                                  [-np.inf, 0.0, 1.0], [0.0, 1.0, np.nan]])
+def test_non_finite_grid_node_rejected(grid):
+    # np.diff(grid) <= 0 is False for NaN: these grids used to pass, and
+    # one NaN node gave NaN profiles without an error
+    for name, build in LATTICE_BUILDS.items():
+        with pytest.raises(ValueError,
+                           match="grid must be finite and strictly "
+                                 "increasing"):
+            build(grid, 0.5)
+
+
+@pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf, 1.5])
+def test_anchor_outside_the_grid_rejected(t0):
+    # every comparison with NaN is False: t0 = nan used to pass the range
+    # test and give NaN profiles, reported as t0: NaN
+    g = uniform_grid(0.0, 1.0, 41)
+    for name, build in LATTICE_BUILDS.items():
+        if name in ("fine grid", "reconstruct"):
+            continue
+        with pytest.raises(ConstructionError, match="lies outside the grid"):
+            build(g, t0)
 
 
 @pytest.mark.parametrize("order", [-1, -3])

@@ -5,7 +5,9 @@ Horner series jet of one node, jet_div_reduced of one column, the while
 loop of the flip locator, and RK4 one step at a time.  The array passes
 must give the same bits and raise the same errors, except the RK4 scan:
 it multiplies the step matrices in another order, so it agrees with the
-loop to rounding (1e-12 relative).
+loop to rounding (1e-12 relative).  The flip locator reads a step per
+sample; on equal steps it also gives the bits of the fixed-step fit it
+replaced.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from revfront import construct, jets
 from revfront.construct import (ConstructionError, _div_reduced,
                                 _lattice_angle, _padded, _rk4_path,
-                                _rk4_step, _series_jets, _uniform_step)
+                                _rk4_step, _series_jets)
 from revfront.jets import DomainError, Jet, jet_div_reduced
 
 NO_SHRINK = [ph for ph in Phase if ph is not Phase.shrink]
@@ -125,7 +127,36 @@ def test_div_reduced_raises_first_pole_in_index_order():
     assert "0.74" in str(got.value)   # t of column 4
 
 
-def reference_flips(s, S):
+def reference_flips(s, h, S):
+    """Flips and their centre samples, fitted one local maximum of |S| at
+    a time through samples spaced by the steps h[i] = s[i+1] - s[i]."""
+    absS = np.abs(S)
+    flips, centres = [], []
+    i = 1
+    while i < len(S) - 1:
+        if absS[i] >= absS[i - 1] and absS[i] >= absS[i + 1]:
+            y0, y1, y2 = absS[i - 1], absS[i], absS[i + 1]
+            h0, h1 = h[i - 1], h[i]
+            q = (h1 - h0) / (h0 + h1)
+            curv = y0 - 2.0 * y1 + y2
+            num = (y0 - y2) * (1.0 + q * q) + 2.0 * q * curv
+            den = curv + q * (y0 - y2)
+            if den < 0.0:
+                delta = 0.5 * num / den
+                peak = y1 - 0.25 * num * delta / (1.0 - q * q)
+            else:
+                delta, peak = 0.0, y1
+            if peak >= 1.0 - construct.FLIP_TOL:
+                flips.append(s[i] + delta * (h0 + h1) / 2)
+                centres.append(i)
+                i += 2
+                continue
+        i += 1
+    return np.asarray(flips), centres
+
+
+def fixed_step_flips(s, h, S):
+    """The flips of the fixed-step locator: one step h for every sample."""
     absS = np.abs(S)
     flips = []
     i = 1
@@ -139,7 +170,6 @@ def reference_flips(s, S):
             else:
                 delta, peak = 0.0, y1
             if peak >= 1.0 - construct.FLIP_TOL:
-                h = _uniform_step(s, "the flip locator")
                 flips.append(s[i] + delta * h)
                 i += 2
                 continue
@@ -151,10 +181,14 @@ def reference_flips(s, S):
 # plateaus come from repeats of the same value
 NEAR_ONE = [1.0, -1.0, 1.0 + 5e-10, 1.0 - 5e-9, -(1.0 - 2e-9), 0.99999,
             1.0 - 1e-8, 0.999, 0.5, 0.0, -0.0, -0.7]
+STEPS = [0.01, 1.0 / 64.0, 0.037]
 
 
 @st.composite
-def sin_sequences(draw):
+def sin_sequences(draw, kinds=("uniform", "runs", "random")):
+    """(s, steps, S, kind): samples S of sin phi on a lattice s whose steps
+    are equal, piecewise equal in runs of 16 as FineGrid makes them, or
+    each drawn alone."""
     values = st.one_of(st.sampled_from(NEAR_ONE),
                        st.floats(-1.0, 1.0, allow_subnormal=False))
     runs = draw(st.lists(st.tuples(values, st.integers(1, 3)),
@@ -162,35 +196,74 @@ def sin_sequences(draw):
     S = np.array([v for v, k in runs for _ in range(k)])
     if S.size < 2:
         S = np.append(S, 0.25)
-    h = draw(st.sampled_from([0.01, 1.0 / 64.0, 0.037]))
-    s = draw(st.floats(-2.0, 2.0)) + h * np.arange(S.size)
-    return s, S
+    n = S.size - 1
+    kind = draw(st.sampled_from(kinds))
+    if kind == "uniform":
+        steps = np.full(n, draw(st.sampled_from(STEPS)))
+    elif kind == "runs":
+        per_run = draw(st.lists(st.sampled_from(STEPS), min_size=n // 16 + 1,
+                                max_size=n // 16 + 1))
+        steps = np.repeat(per_run, 16)[:n]
+    else:
+        steps = np.array(draw(st.lists(st.floats(1e-3, 0.1), min_size=n,
+                                       max_size=n)))
+    s = draw(st.floats(-2.0, 2.0)) + np.append(0.0, np.cumsum(steps))
+    return s, steps, S, kind
+
+
+def want_sigma(s, flips, centres, i0, anchor, cos_sign):
+    """cos_sign, flipped once per flip between the anchor and each sample;
+    a flip centred on the anchor's sample i0 lies at the anchor."""
+    marks = np.array([anchor if c == i0 else f
+                      for f, c in zip(flips, centres)])
+    n_before = np.searchsorted(marks, s, side="left")
+    n_anchor = int(np.searchsorted(marks, anchor, side="left"))
+    return np.where((n_before - n_anchor) % 2 == 0, cos_sign, -cos_sign)
 
 
 @settings(max_examples=400, deadline=None, phases=NO_SHRINK)
-@given(data=sin_sequences(), anchor=st.floats(0.0, 1.0),
-       cos_sign=st.sampled_from([1.0, -1.0]))
-def test_flip_scan_matches_while_loop(data, anchor, cos_sign):
-    s, S = data
-    want = reference_flips(s, S)
-    pos = s[0] + anchor * (s[-1] - s[0])
-    sigma, flips, Sc, C = _lattice_angle(s, S, pos, cos_sign)
+@given(data=sin_sequences(), at=st.floats(0.0, 1.0),
+       nudge=st.floats(-0.5, 0.5), cos_sign=st.sampled_from([1.0, -1.0]))
+def test_flip_scan_matches_while_loop(data, at, nudge, cos_sign):
+    s, steps, S, kind = data
+    want, centres = reference_flips(s, steps, S)
+    i0 = round(at * (s.size - 1))
+    anchor = s[i0] + nudge * steps[min(i0, s.size - 2)]
+    sigma, flips, Sc, C = _lattice_angle(s, steps, S, i0, anchor, cos_sign)
     assert np.asarray(flips).tobytes() == want.tobytes()
-    n_before = np.searchsorted(want, s, side="left")
-    n_anchor = int(np.searchsorted(want, pos, side="left"))
-    want_sigma = np.where((n_before - n_anchor) % 2 == 0, cos_sign, -cos_sign)
-    assert sigma.tobytes() == want_sigma.tobytes()
+    assert sigma.tobytes() == want_sigma(s, want, centres, i0, anchor,
+                                         cos_sign).tobytes()
+    if kind == "uniform":
+        assert want.tobytes() == fixed_step_flips(s, steps[0], S).tobytes()
 
 
 def test_flip_scan_twins_and_adjacent_touches():
     s = np.arange(9) * 0.125
+    steps = np.full(8, 0.125)
     # a twin pair (1, 1) gives one flip; a touch two samples later counts
     S = np.array([0.2, 1.0, 1.0, 0.3, 1.0, 0.3, 1.0, 1.0, 1.0])
-    flips = _lattice_angle(s, S, 0.0, 1.0)[1]
-    assert flips == list(reference_flips(s, S))
+    flips = _lattice_angle(s, steps, S, 0, 0.0, 1.0)[1]
+    assert flips == list(reference_flips(s, steps, S)[0])
     assert flips == [0.1875, 0.5, 0.8125]
     with pytest.raises(ConstructionError, match="exceeds 1"):
-        _lattice_angle(s, S * 1.01, 0.0, 1.0)
+        _lattice_angle(s, steps, S * 1.01, 0, 0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None, phases=NO_SHRINK)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 400),
+       graded=st.booleans(), start=st.floats(-1.0, 1.0),
+       where=st.floats(0.0, 1.0))
+def test_flip_on_a_graded_lattice_finds_the_touch(seed, n, graded, start,
+                                                  where):
+    # |cos(t - c)| touches 1 at c; the fit through unequal steps, even with
+    # neighbouring steps 200 times apart, puts the flip within 1e-9 of c
+    h = np.random.default_rng(seed).uniform(1e-5, 2e-3, n)
+    if graded:   # runs of 16 equal steps, as FineGrid refines a grid
+        h = np.repeat(h[:n // 16 + 1], 16)[:n]
+    s = start + np.append(0.0, np.cumsum(h))
+    c = s[1] + where * (s[-2] - s[1])   # nearest an interior sample
+    flips = _lattice_angle(s, h, np.cos(s - c), 0, s[0], 1.0)[1]
+    assert len(flips) == 1 and abs(flips[0] - c) <= 1e-9
 
 
 def reference_rk4_path(s, f_node, f_mid, i0, x0, S0):

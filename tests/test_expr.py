@@ -384,6 +384,19 @@ def test_scalar_jet_is_a_column_of_the_array_jet(e, t0, order):
         assert all(type(c) is float for c in scalar.rows)
 
 
+def test_power_of_a_scalar_rounds_as_the_array_power():
+    # np.float64(2.0) ** log(2) takes the C library's pow, an array base
+    # numpy's ufunc power, one ulp apart; the exponent 2.0^log(2.0) is
+    # evaluated on the value path, so the scalar jet used to differ from
+    # column 0 of the array jet in its last bit
+    src, t0 = "2.0^0.5^(2.0^log(2.0))", -2.00001
+    scalar = expr.eval_jet(src, t0)
+    array = expr.eval_jet(src, np.array([t0, t0]))
+    assert _bits(scalar.coeffs) == _bits(array.coeffs[:, 0])
+    v = expr.eval_values("t^0.5", 0.25)
+    assert type(v) is np.float64 and v == 0.5
+
+
 def _record(label):
     return export.json_text(export.classification_record(label, 0.0))
 
