@@ -45,7 +45,7 @@ class GaussRatioProblem:
     x0 is the value x(t0) at an ordinary point, or the leading series
     coefficient at a singular point of alpha; sin_phi0 seeds sin(phi) at
     t0 (ignored, and reported, when the series determines it); cos_sign,
-    1 or -1, picks the initial branch of cos(phi).  When |sin phi| = 1 at
+    1 or -1, picks the initial branch of cos(phi).  When sin phi = +-1 at
     t0, a touch, cos_sign holds for t <= t0 and the other sign after t0.
     """
     alpha: str
@@ -168,16 +168,17 @@ def _lattice(grid, t0, order):
     return fg, order + 2, i0, t0, t0 - fg.s[i0]
 
 
-def _lattice_angle(s, steps, S, i0, anchor, cos_sign):
+def _lattice_angle(s, steps, S, i0, anchor, cos_sign, touch):
     """Branch signs, flips, clipped sin(phi) and cos(phi) on the lattice.
 
     cos(phi) has sign cos_sign at the anchor, nearest lattice sample i0,
     and flips where |sin phi| reaches 1: at the vertex of the parabola
     through a local maximum of |S| and its neighbours, spaced by the
-    lattice's steps (steps[k] = s[k+1] - s[k]).  A flip fitted on sample
-    i0 counts as lying at the anchor, so cos_sign holds up to it however
-    the fit rounds; flips are reported as fitted.  Returns (sigma, flips,
-    clipped S, sigma*sqrt(1 - S^2)).
+    lattice's steps (steps[k] = s[k+1] - s[k]).  touch says the seed has
+    |sin phi| = 1 at the anchor; then a flip fitted on sample i0 or a
+    neighbour counts as lying at the anchor, so cos_sign holds up to it
+    however the fit rounds.  Flips are reported as fitted.  Returns
+    (sigma, flips, clipped S, sigma*sqrt(1 - S^2)).
     """
     absS = np.abs(S)
     excess = float(np.max(absS)) - 1.0
@@ -201,7 +202,7 @@ def _lattice_angle(s, steps, S, i0, anchor, cos_sign):
             at.append(k)
     centre = j[at] + 1
     flips = s[centre] + delta[at] * (h0[at] + h1[at]) / 2
-    marks = np.where(centre == i0, anchor, flips)
+    marks = np.where(touch & (np.abs(centre - i0) <= 1), anchor, flips)
     # sign at position p: cos_sign * (-1)^(number of flips between anchor and p)
     n_before = np.searchsorted(marks, s, side="left")
     n_anchor = int(np.searchsorted(marks, anchor, side="left"))
@@ -404,7 +405,11 @@ def _frobenius_data(p, fg, i0, order_n=12):
     step = float(np.max(fg.fine_step[max(i0 - 1, 0):i0 + 1]))
     left, right = t0 - lo, hi_t - t0
     two_sided = left > 4 * step and right > 4 * step
-    delta_fit = min(0.6 * (min if two_sided else max)(left, right), 0.5 * span)
+    if two_sided:
+        delta_fit = 0.6 * min(left, right)
+    else:
+        delta_fit = 0.6 * max(left, right)
+    delta_fit = min(delta_fit, 0.5 * span)
     m = 64
     k = np.arange(m)
     cheb = np.cos(np.pi * k / (m - 1))
@@ -591,8 +596,9 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
         notes["ode_residual_excludes_series_nodes"] = True
         in_c = np.abs(g - t0) <= delta
 
+    touch = abs(S_s[i0] if use_series else p.sin_phi0) == 1.0
     sigma, flips, Sc, C_s = _lattice_angle(s, fg.fine_step, S_s, i0, t0,
-                                           p.cos_sign)
+                                           p.cos_sign, touch)
     z_s = fg.cumulative_from(beta_s * C_s, i0, p.z0)
 
     beta_j = _jet(p.beta, g, io, "beta")
@@ -650,7 +656,7 @@ def profile_from_JK(J: str, K: str, x0: float, grid, t0: float | None = None,
     K_s = _values(K, s, "K")
     S_s = sin0 - fg.cumulative_from(K_s, i0, 0.0)
     sigma, flips, Sc, C_s = _lattice_angle(s, fg.fine_step, S_s, i0, t0,
-                                           cos_sign)
+                                           cos_sign, abs(sin0) == 1.0)
 
     x2_s, z_s = _j_lattice(fg, i0, x0, z0, J_s, Sc, C_s,
                            "; x0 anchor incompatible with prescribed (J, K)")

@@ -115,13 +115,13 @@ TOUCH_GRIDS = {
     "split": np.concatenate([np.linspace(0.2, PI / 2, 61),
                              np.linspace(PI / 2, PI - 0.2, 301)[1:]]),
 }
-TOUCH_BUILDS = {
-    "gauss": lambda g, cos_sign: profile_from_gauss_ratio(GaussRatioProblem(
-        alpha="-1", beta="cot(t)", t0=PI / 2, x0=1.0, sin_phi0=-1.0,
-        cos_sign=cos_sign), g),
-    "jk": lambda g, cos_sign: profile_from_JK(
-        "-cos(t)", "cos(t)", x0=1.0, grid=g, t0=PI / 2, sin0=-1.0,
-        cos_sign=cos_sign),
+TOUCH_BUILDS = {   # the pseudo-sphere x = sin t seeded at t0
+    "gauss": lambda g, cos_sign, t0=PI / 2: profile_from_gauss_ratio(
+        GaussRatioProblem(alpha="-1", beta="cot(t)", t0=t0, x0=np.sin(t0),
+                          sin_phi0=-np.sin(t0), cos_sign=cos_sign), g),
+    "jk": lambda g, cos_sign, t0=PI / 2: profile_from_JK(
+        "-cos(t)", "cos(t)", x0=np.sin(t0), grid=g, t0=t0,
+        sin0=-np.sin(t0), cos_sign=cos_sign),
 }
 
 
@@ -140,6 +140,21 @@ def test_cos_sign_holds_up_to_a_touch_at_the_anchor(grid, build, cos_sign):
                                atol=1e-6)
     flips = report_of(c).flips
     assert len(flips) == 1 and abs(flips[0] - PI / 2) <= 1e-9
+
+
+def test_flip_near_an_anchor_that_is_no_touch_stays_fitted():
+    # t0 a third of a fine step right of the touch at pi/2, whose sample
+    # is still the anchor's: |sin phi(t0)| < 1, so the flip stays at pi/2,
+    # left of t0, and cos phi = cos t on both sides.  (The gauss path
+    # carries its seed from t0 to the lattice; J-K applies it at the node.)
+    g = TOUCH_GRIDS["uniform"]
+    t0 = PI / 2 + 0.35 * (g[1] - g[0]) / 16
+    c = TOUCH_BUILDS["gauss"](g, -1.0, t0)
+    assert report_of(c).anchor_offset > 0.0
+    flips = report_of(c).flips
+    assert len(flips) == 1 and abs(flips[0] - PI / 2) <= 1e-9
+    np.testing.assert_allclose(c.curve.x.value, np.sin(g), atol=1e-9)
+    np.testing.assert_allclose(c.normal.a.value, np.cos(g), atol=1e-6)
 
 
 def test_gauss_sin_band_violation():

@@ -211,10 +211,11 @@ def sin_sequences(draw, kinds=("uniform", "runs", "random")):
     return s, steps, S, kind
 
 
-def want_sigma(s, flips, centres, i0, anchor, cos_sign):
+def want_sigma(s, flips, centres, i0, anchor, cos_sign, touch):
     """cos_sign, flipped once per flip between the anchor and each sample;
-    a flip centred on the anchor's sample i0 lies at the anchor."""
-    marks = np.array([anchor if c == i0 else f
+    at a touch, a flip centred on the anchor's sample i0 or a neighbour
+    lies at the anchor."""
+    marks = np.array([anchor if touch and abs(c - i0) <= 1 else f
                       for f, c in zip(flips, centres)])
     n_before = np.searchsorted(marks, s, side="left")
     n_anchor = int(np.searchsorted(marks, anchor, side="left"))
@@ -223,16 +224,22 @@ def want_sigma(s, flips, centres, i0, anchor, cos_sign):
 
 @settings(max_examples=400, deadline=None, phases=NO_SHRINK)
 @given(data=sin_sequences(), at=st.floats(0.0, 1.0),
-       nudge=st.floats(-0.5, 0.5), cos_sign=st.sampled_from([1.0, -1.0]))
-def test_flip_scan_matches_while_loop(data, at, nudge, cos_sign):
+       nudge=st.floats(-0.5, 0.5), cos_sign=st.sampled_from([1.0, -1.0]),
+       touch=st.booleans())
+def test_flip_scan_matches_while_loop(data, at, nudge, cos_sign, touch):
     s, steps, S, kind = data
     want, centres = reference_flips(s, steps, S)
     i0 = round(at * (s.size - 1))
     anchor = s[i0] + nudge * steps[min(i0, s.size - 2)]
-    sigma, flips, Sc, C = _lattice_angle(s, steps, S, i0, anchor, cos_sign)
+    sigma, flips, Sc, C = _lattice_angle(s, steps, S, i0, anchor, cos_sign,
+                                         touch)
     assert np.asarray(flips).tobytes() == want.tobytes()
     assert sigma.tobytes() == want_sigma(s, want, centres, i0, anchor,
-                                         cos_sign).tobytes()
+                                         cos_sign, touch).tobytes()
+    if not touch:   # every flip where it is fitted
+        parity = (np.searchsorted(want, s, side="left")
+                  - np.searchsorted(want, anchor, side="left")) % 2
+        assert np.all(sigma == np.where(parity == 0, cos_sign, -cos_sign))
     if kind == "uniform":
         assert want.tobytes() == fixed_step_flips(s, steps[0], S).tobytes()
 
@@ -242,11 +249,11 @@ def test_flip_scan_twins_and_adjacent_touches():
     steps = np.full(8, 0.125)
     # a twin pair (1, 1) gives one flip; a touch two samples later counts
     S = np.array([0.2, 1.0, 1.0, 0.3, 1.0, 0.3, 1.0, 1.0, 1.0])
-    flips = _lattice_angle(s, steps, S, 0, 0.0, 1.0)[1]
+    flips = _lattice_angle(s, steps, S, 0, 0.0, 1.0, False)[1]
     assert flips == list(reference_flips(s, steps, S)[0])
     assert flips == [0.1875, 0.5, 0.8125]
     with pytest.raises(ConstructionError, match="exceeds 1"):
-        _lattice_angle(s, steps, S * 1.01, 0, 0.0, 1.0)
+        _lattice_angle(s, steps, S * 1.01, 0, 0.0, 1.0, False)
 
 
 @settings(max_examples=200, deadline=None, phases=NO_SHRINK)
@@ -262,7 +269,7 @@ def test_flip_on_a_graded_lattice_finds_the_touch(seed, n, graded, start,
         h = np.repeat(h[:n // 16 + 1], 16)[:n]
     s = start + np.append(0.0, np.cumsum(h))
     c = s[1] + where * (s[-2] - s[1])   # nearest an interior sample
-    flips = _lattice_angle(s, h, np.cos(s - c), 0, s[0], 1.0)[1]
+    flips = _lattice_angle(s, h, np.cos(s - c), 0, s[0], 1.0, False)[1]
     assert len(flips) == 1 and abs(flips[0] - c) <= 1e-9
 
 

@@ -1,7 +1,8 @@
 """The README's examples run as written.
 
-Each ```python block runs as a script, and each `revfront ...` command of
-a ```sh block runs through cli.run, both in a fresh directory.  A command
+Each ```python block runs as a script and states its results as asserts,
+so a result that changes fails here; each `revfront ...` command of a
+```sh block runs through cli.run; both in a fresh directory.  A command
 continues over lines that end in a backslash; other shell lines (pip,
 pytest) are not examples of this package and are skipped.
 """
@@ -29,6 +30,7 @@ def test_readme_has_examples():
 @pytest.mark.parametrize("source", PYTHON,
                          ids=[f"python{i}" for i in range(len(PYTHON))])
 def test_python_example_runs(source, tmp_path, monkeypatch):
+    assert "\nassert " in source and "print(" not in source
     monkeypatch.chdir(tmp_path)
     exec(compile(source, "README.md", "exec"), {"__name__": "__readme__"})
 
