@@ -11,8 +11,10 @@ z-axis revolute realizes prescribed curvature relations:
 
 Each returns a LegendreCurve with jets chained analytically from the
 defining relations; the numerical content is lattice quadrature (16 fine
-steps per grid step) plus, for the gauss ratio, RK4 on the first-order
-system or a Frobenius series at a regular singular point of the ratio.
+steps per grid step) plus, for the gauss ratio, RK4 sweeps of the
+first-order system outward from seeded lattice nodes: the anchor node,
+or every node within the radius of a Frobenius series at a regular
+singular point of the ratio.
 Any finite, strictly increasing grid will do: RK4, the quadrature, the
 flip locator and the series region all read the lattice's own steps.
 """
@@ -59,6 +61,9 @@ class GaussRatioProblem:
 
     def __post_init__(self):
         _check_seeds(self.x0, self.sin_phi0, self.cos_sign)
+        if self.method not in ("auto", "rk4", "frobenius"):
+            raise ValueError("method must be auto, rk4 or frobenius, "
+                             f"got {self.method!r}")
 
 
 @dataclass
@@ -296,28 +301,27 @@ def _prefix_products(m):
         d *= 2
 
 
-def _rk4_path(s, f_node, f_mid, i0, x0, S0):
-    """Integrate x' = -beta(t)*S, S' = (alpha*beta)(t)*x over the lattice.
+def _rk4_path(s, f_node, f_mid, x0, S0):
+    """Integrate x' = -beta(t)*S, S' = (alpha*beta)(t)*x along the lattice
+    s from (x0, S0) at s[0].
 
     f_node and f_mid hold (beta, alpha*beta) at the nodes and interval
-    midpoints.  Returns arrays over the whole lattice, integrating from
-    index i0 toward both ends with each interval's own step.  The system
-    is linear, so an RK4 step is a 2x2 matrix (the step applied to the
-    unit vectors) and each sweep is a prefix product of those matrices.
+    midpoints, in the order of s.  Each interval takes its own step, so a
+    reversed lattice (negative steps) integrates toward smaller t.  The
+    system is linear, so an RK4 step is a 2x2 matrix (the step applied to
+    the unit vectors) and the sweep is a prefix product of those matrices.
+    Returns (x, S) at every node of s.
     """
+    (b, a), (b_mid, a_mid) = f_node, f_mid
+    coeffs = (b[:-1], a[:-1], b_mid, a_mid, b[1:], a[1:], np.diff(s))
+    m = np.empty((2, 2, s.size - 1))
+    m[0, 0], m[1, 0] = _rk4_step(1.0, 0.0, *coeffs)
+    m[0, 1], m[1, 1] = _rk4_step(0.0, 1.0, *coeffs)
+    _prefix_products(m)
     x = np.empty(s.size)
     S = np.empty(s.size)
-    x[i0], S[i0] = x0, S0
-    # forward from i0, then the backward sweep as a forward one over the
-    # reversed lattice (its steps come out negative)
-    for r, j in ((np.s_[:], i0), (np.s_[::-1], s.size - 1 - i0)):
-        t, b, a, b_mid, a_mid = (v[r][j:] for v in (s, *f_node, *f_mid))
-        coeffs = (b[:-1], a[:-1], b_mid, a_mid, b[1:], a[1:], np.diff(t))
-        m = np.empty((2, 2, t.size - 1))
-        m[0, 0], m[1, 0] = _rk4_step(1.0, 0.0, *coeffs)
-        m[0, 1], m[1, 1] = _rk4_step(0.0, 1.0, *coeffs)
-        _prefix_products(m)
-        x[r][j + 1:], S[r][j + 1:] = m[:, 0] * x0 + m[:, 1] * S0
+    x[0], S[0] = x0, S0
+    x[1:], S[1:] = m[:, 0] * x0 + m[:, 1] * S0
     return x, S
 
 
@@ -497,19 +501,6 @@ def _frobenius_data(p, fg, i0, order_n=12):
     return r, c, delta, notes
 
 
-def _series_eval(c, r, s):
-    powers = s[:, None] ** (np.arange(c.size)[None, :] + r)
-    x = powers @ c
-    expo = np.arange(c.size) + r
-    with np.errstate(divide="ignore", invalid="ignore"):
-        base = np.where(s[:, None] != 0.0, s[:, None], 1.0)
-        dpow = expo[None, :] * base ** (expo[None, :] - 1.0)
-        dpow = np.where(s[:, None] == 0.0,
-                        np.where(expo[None, :] == 1.0, 1.0, 0.0), dpow)
-    dx = dpow @ c
-    return x, dx
-
-
 def _series_jets(c, r, t, s, order):
     """Jets of the series at the nodes t, offsets s from the expansion
     point; the columns where s == 0 hold the coefficients exactly."""
@@ -536,11 +527,14 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
     (sin phi)' = alpha*beta*x, which is regular wherever alpha and beta
     are; a pole of alpha at t0 is handled by a Frobenius series whose
     leading coefficient is x0 and which determines sin_phi0 itself.
+
+    Both methods seed lattice nodes, then sweep RK4 from the outermost
+    seeded nodes to the ends.  RK4 seeds the anchor node, carried there
+    from an off-lattice t0 by a partial step; the series seeds every node
+    within its radius of t0.
     """
     fg, io, i0, t0, offset = _lattice(grid, p.t0, order)
     g, s = fg.grid, fg.s
-    if p.method not in ("auto", "rk4", "frobenius"):
-        raise ConstructionError(f"unknown method {p.method!r}")
     use_series = (p.method == "frobenius" or
                   (p.method == "auto" and _alpha_has_pole(p.alpha, t0)))
 
@@ -548,67 +542,62 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
     mid = 0.5 * (s[:-1] + s[1:])
     beta_m = _values(p.beta, mid, "beta")
     ab = f"({p.alpha})*({p.beta})"
-    notes = {}
-    in_c = np.zeros(g.size, dtype=bool)   # coarse nodes inside the series
+    x_s, S_s = np.empty((2, s.size))
 
     if not use_series:
-        ab_s = _values(ab, s, "alpha*beta")
-        ab_m = _values(ab, mid, "alpha*beta")
-        x0c, S0c = p.x0, p.sin_phi0
+        method, notes, radius, sin_t0 = "gauss_rk4", {}, -np.inf, p.sin_phi0
+        iL = iR = i0
+        x_s[i0], S_s[i0] = p.x0, p.sin_phi0
         if offset != 0.0:
             # carry the initial data from the true t0 to the snapped node
             ts = np.array([t0, 0.5 * (t0 + s[i0]), s[i0]])
             bv = _values(p.beta, ts, "beta")
             av = _values(ab, ts, "alpha*beta")
-            x0c, S0c = _rk4_step(p.x0, p.sin_phi0, bv[0], av[0], bv[1], av[1],
-                                 bv[2], av[2], -offset)
-        x_s, S_s = _rk4_path(s, (beta_s, ab_s), (beta_m, ab_m), i0, x0c, S0c)
-        method = "gauss_rk4"
+            x_s[i0], S_s[i0] = _rk4_step(p.x0, p.sin_phi0, bv[0], av[0],
+                                         bv[1], av[1], bv[2], av[2], -offset)
     else:
-        r, c, delta, notes = _frobenius_data(p, fg, i0)
-        in_series = np.abs(s - t0) <= delta
-        if not in_series.any():
-            raise ConstructionError("series radius smaller than lattice step")
-        idx = np.flatnonzero(in_series)
-        iL, iR = int(idx[0]), int(idx[-1])
-        x_s = np.empty_like(s)
-        S_s = np.empty_like(s)
-        xs, dxs = _series_eval(c, r, s[idx] - t0)
-        x_s[idx] = xs
+        method = "gauss_frobenius"
+        r, c, radius, notes = _frobenius_data(p, fg, i0)
+        seeded = np.flatnonzero(np.abs(s - t0) <= radius)   # holds i0
+        iL, iR = int(seeded[0]), int(seeded[-1])
+        near = np.s_[iL:iR + 1]
+        xs_j = _series_jets(c, r, s[near], s[near] - t0, 1)
+        x_s[near] = xs_j.value
         with np.errstate(divide="ignore", invalid="ignore"):
-            S_s[idx] = -dxs / beta_s[idx]
-        if not np.all(np.isfinite(S_s[idx])):
+            S_s[near] = -xs_j.derivative(1) / beta_s[near]
+        if not np.all(np.isfinite(S_s[near])):
             raise ConstructionError(
                 "sin phi = -x'/beta is not finite inside the series region "
                 "(beta vanishes without matching zero of x')", t0=t0)
-        # RK4 from the hand-off nodes outward; alpha*beta is evaluated only
-        # there, away from the pole
-        for lo, hi, a in ((0, iL + 1, iL), (iR, s.size, 0)):
-            if hi - lo > 1:
-                ab_s = _values(ab, s[lo:hi], "alpha*beta")
-                ab_m = _values(ab, mid[lo:hi - 1], "alpha*beta")
-                x_s[lo:hi], S_s[lo:hi] = _rk4_path(
-                    s[lo:hi], (beta_s[lo:hi], ab_s), (beta_m[lo:hi - 1], ab_m),
-                    a, x_s[lo + a], S_s[lo + a])
-        method = "gauss_frobenius"
-        notes["sin_phi0_ignored"] = True
-        notes["series_sin_phi0"] = float(S_s[i0])
-        notes["ode_residual_excludes_series_nodes"] = True
-        in_c = np.abs(g - t0) <= delta
+        sin_t0 = S_s[i0]
+        notes.update(sin_phi0_ignored=True, series_sin_phi0=float(sin_t0),
+                     ode_residual_excludes_series_nodes=True)
 
-    touch = abs(S_s[i0] if use_series else p.sin_phi0) == 1.0
+    # sweep from the seeded nodes to both ends, the left one over the
+    # reversed lattice; alpha*beta is evaluated only here, away from a
+    # pole at t0
+    for nodes, mids, way in ((np.s_[:iL + 1], np.s_[:iL], np.s_[::-1]),
+                             (np.s_[iR:], np.s_[iR:], np.s_[:])):
+        t = s[nodes]
+        if t.size > 1:
+            f_node = (beta_s[nodes][way], _values(ab, t, "alpha*beta")[way])
+            f_mid = (beta_m[mids][way],
+                     _values(ab, mid[mids], "alpha*beta")[way])
+            x, S = x_s[nodes][way], S_s[nodes][way]
+            x[:], S[:] = _rk4_path(t[way], f_node, f_mid, x[0], S[0])
+
     sigma, flips, Sc, C_s = _lattice_angle(s, fg.fine_step, S_s, i0, t0,
-                                           p.cos_sign, touch)
+                                           p.cos_sign, abs(sin_t0) == 1.0)
     z_s = fg.cumulative_from(beta_s * C_s, i0, p.z0)
 
     beta_j = _jet(p.beta, g, io, "beta")
-    if not use_series:
-        ab_j = _jet(ab, g, io, "alpha*beta")
-    else:   # alpha has its pole among the series nodes; zeros stand in there
-        ab_co = np.zeros((io + 1, g.size))
-        if (~in_c).any():
-            ab_co[:, ~in_c] = _jet(ab, g[~in_c], io, "alpha*beta").coeffs
-        ab_j = Jet(g, ab_co)
+    # coarse nodes inside the series radius (none for RK4); alpha may have
+    # its pole among them, so zeros stand in for alpha*beta there
+    in_c = np.abs(g - t0) <= radius
+    ab_co = np.zeros((io + 1, g.size))
+    if (~in_c).any():
+        ab_co[:, ~in_c] = _jet(ab, g[~in_c], io, "alpha*beta").coeffs
+    ab_j = Jet(g, ab_co)
     x_j, b_j = _system_jets(beta_j, ab_j, fg.at_coarse(x_s),
                             fg.at_coarse(Sc), io)
     if in_c.any():   # series nodes: x from the series, sin phi = -x'/beta

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import expr, jets
 from .jets import Jet
-from .quadrature import FineGrid, evaluated
+from .quadrature import FineGrid, checked_grid, evaluated
 
 
 class DegenerateCurvatureError(ValueError):
@@ -67,8 +67,9 @@ class LegendreReport:
 
 def legendre_from_expressions(x_src, z_src, a_src, b_src, grid,
                               order: int = 5) -> LegendreCurve:
-    """Build a curve from four closed-form expressions of t."""
-    grid = np.asarray(grid, dtype=float)
+    """Build a curve from four closed-form expressions of t on a finite,
+    strictly increasing grid; one node will do."""
+    grid = checked_grid(grid, 1)
     xj, zj, aj, bj = (evaluated(n, expr.eval_jet, s, grid, order)
                       for n, s in zip("xzab", (x_src, z_src, a_src, b_src)))
     return LegendreCurve(CurveJet(grid, xj, zj), NormalJet(grid, aj, bj))

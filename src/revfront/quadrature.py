@@ -40,15 +40,23 @@ def evaluated(what, evaluate, src, *args):
             source=str(src)) from exc
 
 
+def checked_grid(grid, min_nodes: int = 2) -> np.ndarray:
+    """grid as a float array; ValueError unless it is 1-d with at least
+    min_nodes nodes, finite and strictly increasing."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < min_nodes:
+        raise ValueError("grid must be a 1-d array with at least "
+                         f"{min_nodes} node{'s' * (min_nodes != 1)}")
+    if not np.all(np.diff(grid) > 0) or not np.all(np.isfinite(grid)):
+        raise ValueError("grid must be finite and strictly increasing")
+    return grid
+
+
 class FineGrid:
     """A strictly increasing grid plus its refined integration lattice."""
 
     def __init__(self, grid, refine: int = 16):
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 2:
-            raise ValueError("grid must be a 1-d array with at least 2 nodes")
-        if not np.all(np.diff(grid) > 0) or not np.all(np.isfinite(grid)):
-            raise ValueError("grid must be finite and strictly increasing")
+        grid = checked_grid(grid)
         if refine < 2 or refine % 2:
             raise ValueError("refine must be an even integer >= 2")
         self.grid = grid

@@ -69,6 +69,27 @@ def test_gauss_rk4_off_lattice_anchor():
     np.testing.assert_allclose(pair.ell.value, -1.0, atol=1e-8)
 
 
+@pytest.mark.parametrize("where", ["left end", "right end", "off lattice"])
+def test_gauss_rk4_pseudo_sphere_seeded_anywhere(where):
+    # a seed at either end leaves one sweep empty; an off-lattice seed is
+    # carried to its node, and both sweeps start there
+    R = 1.3
+    g = uniform_grid(0.2, PI - 0.2, 161)
+    t0 = {"left end": g[0], "right end": g[-1],
+          "off lattice": 2.2001234}[where]
+    p = GaussRatioProblem(alpha=repr(-1.0 / R**2), beta=f"{R!r}*cot(t)",
+                          t0=t0, x0=R * np.sin(t0), sin_phi0=-np.sin(t0))
+    c = profile_from_gauss_ratio(p, g)
+    np.testing.assert_allclose(c.curve.x.value, R * np.sin(g), rtol=0,
+                               atol=1e-12)
+    np.testing.assert_allclose(c.normal.b.value, -np.sin(g), rtol=0,
+                               atol=1e-12)
+    rep = report_of(c)
+    assert rep.method == "gauss_rk4"
+    assert (rep.anchor_offset != 0.0) == (where == "off lattice")
+    np.testing.assert_allclose(rep.flips, [PI / 2], atol=1e-9)
+
+
 def test_non_uniform_grids_keep_uniform_accuracy():
     # 150 + 50 nodes split at t = 1: RK4 on s[1] - s[0] used to return
     # max |x - sin t| = 9.6e-2 here; RK4 now steps by each interval's own h
@@ -259,6 +280,17 @@ def test_cos_sign_must_be_one_or_minus_one(cos_sign):
                           cos_sign=cos_sign)
     with pytest.raises(ValueError, match="cos_sign must be 1 or -1"):
         profile_from_JK("1", "0", x0=1.0, grid=g, cos_sign=cos_sign)
+
+
+@pytest.mark.parametrize("method", ["RK4", "series", "", None])
+def test_gauss_method_must_be_known(method):
+    # before, an unknown method was refused only when the profile was built
+    with pytest.raises(ValueError,
+                       match="method must be auto, rk4 or frobenius"):
+        GaussRatioProblem(alpha="-1", beta="1", t0=0.5, x0=1.0, method=method)
+    for known in ("auto", "rk4", "frobenius"):
+        assert GaussRatioProblem(alpha="-1", beta="1", t0=0.5, x0=1.0,
+                                 method=known).method == known
 
 
 @pytest.mark.parametrize("sin0", [2.0, -1.0000001, np.nan, np.inf])

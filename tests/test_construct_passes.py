@@ -273,36 +273,37 @@ def test_flip_on_a_graded_lattice_finds_the_touch(seed, n, graded, start,
     assert len(flips) == 1 and abs(flips[0] - c) <= 1e-9
 
 
-def reference_rk4_path(s, f_node, f_mid, i0, x0, S0):
+def reference_rk4_path(s, f_node, f_mid, x0, S0):
     """RK4 one node at a time in Python floats, each interval with its own
-    step, from i0 toward both ends."""
-    n = s.size
-    x = np.empty(n)
-    S = np.empty(n)
-    x[i0], S[i0] = x0, S0
+    step, from s[0] along s."""
+    x = np.empty(s.size)
+    S = np.empty(s.size)
+    x[0], S[0] = x0, S0
     sl = s.tolist()
     bn, an = (v.tolist() for v in f_node)
     bm, am = (v.tolist() for v in f_mid)
     xc, Sc = float(x0), float(S0)
-    for i in range(i0, n - 1):
+    for i in range(s.size - 1):
         xc, Sc = _rk4_step(xc, Sc, bn[i], an[i], bm[i], am[i],
                            bn[i + 1], an[i + 1], sl[i + 1] - sl[i])
         x[i + 1], S[i + 1] = xc, Sc
-    xc, Sc = float(x0), float(S0)
-    for i in range(i0, 0, -1):
-        xc, Sc = _rk4_step(xc, Sc, bn[i], an[i], bm[i - 1], am[i - 1],
-                           bn[i - 1], an[i - 1], sl[i - 1] - sl[i])
-        x[i - 1], S[i - 1] = xc, Sc
     return x, S
 
 
 def assert_rk4_close(s, f_node, f_mid, i0, x0=0.7, S0=-0.2):
-    got = _rk4_path(s, f_node, f_mid, i0, x0, S0)
-    want = reference_rk4_path(s, f_node, f_mid, i0, x0, S0)
-    scale = max(np.max(np.abs(want[0])), np.max(np.abs(want[1])))
-    for g, w in zip(got, want):
-        assert np.max(np.abs(g - w)) <= 1e-12 * scale
-    assert got[0][i0] == x0 and got[1][i0] == S0
+    """Both sweeps from node i0: forward over s[i0:], and backward over the
+    reversed s[:i0 + 1], whose steps are negative."""
+    for nodes, mids, way in ((np.s_[i0:], np.s_[i0:], np.s_[:]),
+                             (np.s_[:i0 + 1], np.s_[:i0], np.s_[::-1])):
+        args = (s[nodes][way], tuple(v[nodes][way] for v in f_node),
+                tuple(v[mids][way] for v in f_mid), x0, S0)
+        got = _rk4_path(*args)
+        want = reference_rk4_path(*args)
+        scale = max(np.max(np.abs(want[0])), np.max(np.abs(want[1])))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-12 * scale
+        assert got[0][0] == x0 and got[1][0] == S0
 
 
 @pytest.mark.parametrize("n", [2, 3, 15, 8195])

@@ -141,3 +141,18 @@ def test_evolute_of_line_is_degenerate():
     c = legendre_from_expressions("t", "0", "0", "1", g)
     with pytest.raises(DegenerateCurvatureError):
         plane_evolute(c)
+
+
+INCREASING = "grid must be finite and strictly increasing"
+ONE_D = "grid must be a 1-d array with at least 1 node$"
+
+
+@pytest.mark.parametrize("grid, message", [
+    ([0.0, np.nan, 1.0], INCREASING), ([1.0, 0.0, 0.5], INCREASING),
+    ([[0.0, 0.5], [1.0, 1.5]], ONE_D), ([], ONE_D)])
+def test_expression_curve_checks_its_grid(grid, message):
+    # before, the NaN grid gave a NaN x row without an error, and the
+    # decreasing and 2-d grids were accepted; one node is a grid here
+    with pytest.raises(ValueError, match=message):
+        legendre_from_expressions("t", "1", "0", "1", grid)
+    assert legendre_from_expressions("t", "1", "0", "1", [0.5]).t.size == 1
