@@ -17,6 +17,7 @@ command line override the file.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import asdict
@@ -603,8 +604,15 @@ def _numerical_failure(ns, exc):
     return 2
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of every run in this process: parse_args leaves it as
+    it was, so it is built once."""
+    return build_parser()
+
+
 def run(argv) -> int:
-    parser = build_parser()
+    parser = _parser()
     ns = None
     try:
         try:

@@ -14,11 +14,20 @@ pole of / or of a negative integer power, |den| < jets.DIV_TOL * (1 +
 constant (equal on all samples, derivatives up to max(jet order,
 jets.ORDER_CAP) zero, at most jets.EXPONENT_CAP if an integer).  Jets
 also refuse sqrt at 0 and an overflowing derivative.
+
+Source text is evaluated through a template of its shape: the token
+sequence with each numeric literal masked.  Each shape is parsed once
+into a tree whose literals are Slots, numbered in source order, and the
+walk reads each slot from this source's own literals.  The 256 most
+recent shapes and the 256 most recent sources are kept; only shapes that
+parse are, and values and jets never are.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import math
 import operator
 import re
@@ -100,6 +109,13 @@ class BinOp(Expr):
 class Call(Expr):
     func: str
     arg: Expr
+
+
+@dataclass(frozen=True)
+class Slot(Expr):
+    """The literal of a template tree that the evaluated source supplies:
+    its index-th numeric literal, counted from the left."""
+    index: int
 
 
 # -- tokenizer --------------------------------------------------------------
@@ -209,6 +225,50 @@ def parse(src: str) -> Expr:
             raise _error(src, i - 1, "unexpected trailing %r")
 
 
+# -- templates of shapes ------------------------------------------------------
+
+_SHAPES_KEPT = 256
+_SHAPES = collections.OrderedDict()     # shape -> template, most recent last
+
+
+@functools.lru_cache(maxsize=256)
+def _shaped(src: str):
+    """(template, literals) of source text.  The shape is the token
+    sequence, "" for a literal: tokens, not their joined text, so that
+    "s in(t)" is not "sin(t)".  A new shape's template comes from
+    parse(src), so a shape that does not parse raises parse's error and
+    is not kept; so does a literal that float() refuses (1.2.3)."""
+    tokens = _TOKEN.findall(src)
+    try:
+        literals = tuple([float(number)
+                          for _, _, number, _, _ in tokens if number])
+    except ValueError:
+        return parse(src), ()
+    shape = tuple(op or name or other for _, op, _, name, other in tokens)
+    template = _SHAPES.pop(shape, None)
+    if template is None:
+        template = _slotted(parse(src), itertools.count())
+    _SHAPES[shape] = template
+    if len(_SHAPES) > _SHAPES_KEPT:
+        _SHAPES.popitem(last=False)
+    return template, literals
+
+
+def _slotted(e: Expr, slots) -> Expr:
+    """e with its literals as Slots in the order of their tokens: a
+    left-to-right walk meets them in source order."""
+    if isinstance(e, Num):
+        return Slot(next(slots))
+    if isinstance(e, BinOp):
+        left = _slotted(e.left, slots)
+        return BinOp(e.op, left, _slotted(e.right, slots))
+    if isinstance(e, Neg):
+        return Neg(_slotted(e.operand, slots))
+    if isinstance(e, Call):
+        return Call(e.func, _slotted(e.arg, slots))
+    return e
+
+
 # -- evaluation -------------------------------------------------------------
 
 def eval_jet(e: Expr | str, t, order: int = 5) -> Jet:
@@ -223,67 +283,80 @@ def eval_jet_any_order(e: Expr | str, t, order: int) -> Jet:
     """Internal variant without the order cap (series machinery needs it)."""
     if order < 0:
         raise ValueError(f"jet order must be at least 0, got {order}")
-    if isinstance(e, str):
-        e = parse(e)
+    e, literals = _shaped(e) if isinstance(e, str) else (e, ())
     var = jets.variable(t, order)
-    return _eval(e, var.t, var)
+    return _eval(e, var.t, var, literals)
 
 
 def eval_values(e: Expr | str, t):
     """Evaluate an expression's values at the samples t (scalar or array)."""
-    if isinstance(e, str):
-        e = parse(e)
+    e, literals = _shaped(e) if isinstance(e, str) else (e, ())
     t = np.asarray(t, dtype=float)
-    return _eval(e, t, t)
+    return _eval(e, t, t, literals)
 
 
 _RING = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-def _eval(e: Expr, t, var):
+def _literal(e: Expr, literals):
+    """The value of a literal (a Num, or a Slot read from literals), else
+    None."""
+    if isinstance(e, Slot):
+        return literals[e.index]
+    if isinstance(e, Num):
+        return e.value
+    return None
+
+
+def _eval(e: Expr, t, var, literals=()):
     """e at the samples t: its values if var is t, its jet if var is the
-    jet of t.  Every rule is written once for both; they differ only in
-    constants, FUNCTIONS and the final / and ** of each algebra."""
+    jet of t; a Slot of e reads literals.  Every rule is written once for
+    both; they differ only in constants, FUNCTIONS and the final / and **
+    of each algebra."""
     jet = var is not t
     if isinstance(e, BinOp):
         op, left, right = e.op, e.left, e.right
         if op in _RING:
             # in jet mode a literal beside a non-literal enters as a float, with
             # the bits of a constant jet's product or sum
-            lnum, rnum = isinstance(left, Num), isinstance(right, Num)
+            lv = _literal(left, literals) if jet else None
+            rv = _literal(right, literals) if jet else None
             return _RING[op](
-                left.value if jet and lnum and not rnum else _eval(left, t, var),
-                right.value if jet and rnum and not lnum else _eval(right, t, var))
-        left = _eval(left, t, var)
+                lv if rv is None and lv is not None
+                else _eval(left, t, var, literals),
+                rv if lv is None and rv is not None
+                else _eval(right, t, var, literals))
+        left = _eval(left, t, var, literals)
         if op == "^":
-            p = _exponent(right, t, var)
+            p = _exponent(right, t, var, literals)
             return left ** p if jet else _power(left, p, t)
-        right = _eval(right, t, var)
+        right = _eval(right, t, var, literals)
         return left / right if jet else jets.quotient(left, right, t)
-    if isinstance(e, Num):
+    value = _literal(e, literals)
+    if value is not None:
         if jet:
-            return jets.constant(e.value, var.order, t)
-        return np.full(t.shape, e.value) if t.shape else np.float64(e.value)
+            return jets.constant(value, var.order, t)
+        return np.full(t.shape, value) if t.shape else np.float64(value)
     if isinstance(e, Var):
         return var
     if isinstance(e, Neg):
-        return -_eval(e.operand, t, var)
+        return -_eval(e.operand, t, var, literals)
     if isinstance(e, Call):
         jet_fn, value_fn = FUNCTIONS[e.func]
-        arg = _eval(e.arg, t, var)
+        arg = _eval(e.arg, t, var, literals)
         return jet_fn(arg) if jet else value_fn(arg, t)
     raise TypeError("not an expression node: %r" % (e,))
 
 
-def _exponent(e: Expr, t, var) -> float:
+def _exponent(e: Expr, t, var, literals) -> float:
     """The exponent e of ^ as one float, under the rules of the module
     docstring.  Both modes take its value from the value algebra, so they
     round it alike (4^1.5), and test its derivatives: one sample cannot
     show by its value that e depends on t (t^2 at 0)."""
-    if isinstance(e, Num) and t.size and math.isfinite(e.value):
-        p = e.value                 # finite, equal on all samples, free of t
-    else:
-        flat = np.ravel(_eval(e, t, t))
+    p = _literal(e, literals)
+    if p is None or not t.size or not math.isfinite(p):
+        # else p is finite, equal on all samples, free of t
+        flat = np.ravel(_eval(e, t, t, literals))
         if not np.isfinite(flat).all():
             wild = flat[~np.isfinite(flat)]
             raise ExponentError("exponent %r is not finite" % float(wild[0]))
@@ -292,7 +365,7 @@ def _exponent(e: Expr, t, var) -> float:
         if _mentions_t(e):
             if not (isinstance(var, Jet) and var.order >= jets.ORDER_CAP):
                 var = jets.variable(t, jets.ORDER_CAP)
-            if np.any(_eval(e, t, var).coeffs[1:]):
+            if np.any(_eval(e, t, var, literals).coeffs[1:]):
                 raise ExponentError("exponent must not depend on t")
         p = float(flat[0])
     if p == int(p) and abs(p) > jets.EXPONENT_CAP:

@@ -123,8 +123,10 @@ class Jet:
         """Jet of an antiderivative with the given value; order grows by one."""
         k = np.arange(1, self.order + 2, dtype=float)
         k = k.reshape((-1,) + (1,) * self.t.ndim)
-        head = np.broadcast_to(_as_array(value), self.t.shape)[None]
-        return Jet(self.t, np.concatenate([head, self.coeffs / k]))
+        out = np.empty((self.order + 2,) + self.t.shape)
+        out[0] = value
+        np.divide(self.coeffs, k, out=out[1:])
+        return Jet(self.t, out)
 
     # -- arithmetic: numpy rows for an array base, Python floats for a scalar
 

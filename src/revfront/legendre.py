@@ -69,7 +69,7 @@ def legendre_from_expressions(x_src, z_src, a_src, b_src, grid,
                               order: int = 5) -> LegendreCurve:
     """Build a curve from four closed-form expressions of t on a finite,
     strictly increasing grid; one node will do."""
-    grid = checked_grid(grid, 1)
+    grid, _ = checked_grid(grid, 1)
     xj, zj, aj, bj = (evaluated(n, expr.eval_jet, s, grid, order)
                       for n, s in zip("xzab", (x_src, z_src, a_src, b_src)))
     return LegendreCurve(CurveJet(grid, xj, zj), NormalJet(grid, aj, bj))
@@ -112,16 +112,16 @@ def reconstruct_from_curvature(ell_src, beta_src, grid,
     ell_s = fg.eval_expr(ell_src)
     beta_s = fg.eval_expr(beta_src)
     theta_s = fg.cumulative(ell_s, theta0)
-    x_s = fg.cumulative(-beta_s * np.sin(theta_s), x0)
-    z_s = fg.cumulative(beta_s * np.cos(theta_s), z0)
+    x_c, z_c = fg.at_coarse(fg.cumulative(
+        [-beta_s * np.sin(theta_s), beta_s * np.cos(theta_s)], [x0, z0]))
 
     g = fg.grid
     ell_j = evaluated("ell", expr.eval_jet, ell_src, g, order)
     beta_j = evaluated("beta", expr.eval_jet, beta_src, g, order)
     theta_j = ell_j.antiderivative(fg.at_coarse(theta_s)).truncated(order)
     b_j, a_j = jets.sin_cos(theta_j)
-    x_j = (-(beta_j * b_j)).antiderivative(fg.at_coarse(x_s)).truncated(order)
-    z_j = (beta_j * a_j).antiderivative(fg.at_coarse(z_s)).truncated(order)
+    x_j = (-(beta_j * b_j)).antiderivative(x_c).truncated(order)
+    z_j = (beta_j * a_j).antiderivative(z_c).truncated(order)
     pair = CurvaturePair(g, ell_j, beta_j)
     return LegendreCurve(CurveJet(g, x_j, z_j), NormalJet(g, a_j, b_j),
                          curvature=pair)

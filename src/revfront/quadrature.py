@@ -40,23 +40,25 @@ def evaluated(what, evaluate, src, *args):
             source=str(src)) from exc
 
 
-def checked_grid(grid, min_nodes: int = 2) -> np.ndarray:
-    """grid as a float array; ValueError unless it is 1-d with at least
-    min_nodes nodes, finite and strictly increasing."""
+def checked_grid(grid, min_nodes: int = 2):
+    """(grid as a float array, its steps np.diff(grid)); ValueError unless
+    the grid is 1-d with at least min_nodes nodes, finite and strictly
+    increasing."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < min_nodes:
         raise ValueError("grid must be a 1-d array with at least "
                          f"{min_nodes} node{'s' * (min_nodes != 1)}")
-    if not np.all(np.diff(grid) > 0) or not np.all(np.isfinite(grid)):
+    steps = np.diff(grid)
+    if not np.all(steps > 0) or not np.all(np.isfinite(grid)):
         raise ValueError("grid must be finite and strictly increasing")
-    return grid
+    return grid, steps
 
 
 class FineGrid:
     """A strictly increasing grid plus its refined integration lattice."""
 
     def __init__(self, grid, refine: int = 16):
-        grid = checked_grid(grid)
+        grid, steps = checked_grid(grid)
         if refine < 2 or refine % 2:
             raise ValueError("refine must be an even integer >= 2")
         self.grid = grid
@@ -64,10 +66,15 @@ class FineGrid:
         n_int = grid.size - 1
         # fine nodes: refine equal sub-intervals per grid interval
         frac = np.arange(refine) / refine
-        blocks = grid[:-1, None] + np.diff(grid)[:, None] * frac[None, :]
+        blocks = grid[:-1, None] + steps[:, None] * frac[None, :]
         self.s = np.append(blocks.ravel(), grid[-1])
         self.coarse_index = np.arange(0, n_int * refine + 1, refine)
-        self.fine_step = np.repeat(np.diff(grid) / refine, refine)
+        self.fine_step = np.repeat(steps / refine, refine)
+        # Simpson weights of the panel pairs [2k, 2k+2]; refine is even, so
+        # no pair straddles a grid node and the step is one within a pair
+        pair_step = self.fine_step[0::2]
+        self._third = pair_step / 3.0
+        self._twelfth = pair_step / 12.0
 
     def eval_expr(self, e):
         """Values of an expression at all fine nodes; ConstructionError
@@ -75,25 +82,25 @@ class FineGrid:
         return np.asarray(evaluated("integrand", expr.eval_values, e, self.s),
                           dtype=float)
 
-    def cumulative(self, values, init: float = 0.0) -> np.ndarray:
-        """Antiderivative at all fine nodes, anchored at the first node.
+    def cumulative(self, values, init=0.0) -> np.ndarray:
+        """Antiderivative at all fine nodes along the last axis of values,
+        one row per leading index, anchored at the first node at init (a
+        number, or one per row).
 
         Even fine nodes by composite Simpson over panel pairs, odd nodes by
         the local half-panel formula (exact for quadratics, local error only).
         """
         v = np.asarray(values, dtype=float)
-        if v.shape != self.s.shape:
+        if v.shape[-1:] != self.s.shape:
             raise ValueError("values must be sampled on the fine lattice")
-        d = self.fine_step
+        init = np.asarray(init, dtype=float)[..., None]
+        v0, v1, v2 = v[..., 0:-1:2], v[..., 1::2], v[..., 2::2]
         out = np.empty_like(v)
-        out[0] = init
-        # paired panels [2k, 2k+2]; refine is even so panels never straddle
-        # a grid interval boundary and d is constant within each panel
-        dpan = d[0::2]
-        panel = (dpan / 3.0) * (v[0:-1:2] + 4.0 * v[1::2] + v[2::2])
-        out[2::2] = init + np.cumsum(panel)
-        half = (d[0::2] / 12.0) * (5.0 * v[0:-1:2] + 8.0 * v[1::2] - v[2::2])
-        out[1::2] = out[0:-1:2] + half
+        out[..., :1] = init
+        panel = self._third * (v0 + 4.0 * v1 + v2)
+        out[..., 2::2] = init + np.cumsum(panel, axis=-1)
+        half = self._twelfth * (5.0 * v0 + 8.0 * v1 - v2)
+        out[..., 1::2] = out[..., 0:-1:2] + half
         return out
 
     def cumulative_from(self, values, anchor_index: int, anchor_value: float):

@@ -78,6 +78,10 @@ def ord_of(f: Jet, cap: int = 5, tol: float = EXACT_TOL) -> int:
 
 
 def _node_index(c, t0: float) -> int:
+    """The node nearest t0; ValueError for a t0 that is not finite, which
+    has no nearest node (argmin would give node 0)."""
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0!r}")
     return int(np.abs(np.asarray(c.t) - t0).argmin())
 
 

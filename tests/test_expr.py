@@ -4,6 +4,7 @@ The oracle for values and derivatives is sympy; the syntax tests pin the
 error type and the reported byte offset.
 """
 
+import itertools
 import warnings
 
 import numpy as np
@@ -428,3 +429,120 @@ def test_node_labels_read_through_at_match_scalar_jets(
                 _record(singular.cusp_classify_curvature(*column))
             assert _record(singular.constant_mean_cusp(ell, beta)) == \
                 _record(singular.constant_mean_cusp(*column))
+
+
+# -- source text through the shape cache ------------------------------------
+
+def _forget_shapes():
+    expr._shaped.cache_clear()
+    expr._SHAPES.clear()
+
+
+def _text_and_tree(src, t, orders=range(jets.ORDER_CAP + 1)):
+    """Values and jets of src evaluated as text (through its template) and
+    as parse(src): each an array's bits, or an error's class and message."""
+    def outcome(evaluate):
+        try:
+            with np.errstate(all="ignore"):
+                return _bits(evaluate())
+        except (ValueError, ArithmeticError) as exc:
+            return type(exc), str(exc)
+
+    def results(e):
+        return ([outcome(lambda: expr.eval_values(e, t))]
+                + [outcome(lambda: expr.eval_jet(e, t, k).coeffs)
+                   for k in orders])
+
+    try:
+        tree = parse(src)
+    except (ExprSyntaxError, UnknownIdentifierError) as exc:
+        want = (type(exc), str(exc))
+        return [outcome(lambda: expr.eval_values(src, t)),
+                outcome(lambda: expr.eval_jet(src, t, 0))], [want, want]
+    return results(src), results(tree)
+
+
+def _relit(e, literals):
+    """e with each literal replaced by the next of literals (>= 0, so the
+    source keeps its tokens)."""
+    if isinstance(e, Num):
+        return Num(next(literals))
+    if isinstance(e, BinOp):
+        left = _relit(e.left, literals)
+        return BinOp(e.op, left, _relit(e.right, literals))
+    if isinstance(e, Neg):
+        return Neg(_relit(e.operand, literals))
+    if isinstance(e, Call):
+        return Call(e.func, _relit(e.arg, literals))
+    return e
+
+
+# a literal times a tree, where jet mode folds the literal in as a float:
+# 0.0 * g keeps the sign of each coefficient's zero only if it folds
+_FOLDED = TREES.map(lambda e: BinOp("*", Num(0.0), e))
+_OTHER_LITERALS = st.lists(st.sampled_from([0.0, 0.25, 2.0, 3.0, 2.5, 1e300]),
+                           min_size=8, max_size=8)
+
+
+@settings(max_examples=200, deadline=None, phases=NO_SHRINK)
+@given(st.one_of(TREES, _FOLDED), _OTHER_LITERALS, SAMPLES)
+def test_text_evaluates_as_its_parsed_tree(e, other, t):
+    # a sibling of the same shape but other literals is evaluated first, so
+    # the text is evaluated through a template that another source made
+    src = to_source(e)
+    with np.errstate(all="ignore"):
+        sibling = to_source(_relit(e, iter(other)))
+        for evaluate in (expr.eval_values, expr.eval_jet):
+            _outcome(lambda: evaluate(sibling, t))
+    got, want = _text_and_tree(src, t)
+    assert got == want, (src, sibling, t)
+
+
+@pytest.mark.parametrize("pair", [
+    ("t^2", "t^2.5"),             # an integer or a non-integer exponent
+    ("t^3", "t^1e999"),           # a finite or a non-finite exponent
+    ("3*sin(t)", "0*sin(t)"),     # jet mode folds a literal as a float
+    ("(-1)*t", "(-0.0)*t"),       # a negated literal is no literal
+])
+@pytest.mark.parametrize("t", [-1.0, np.array([-1.0, 0.5, 2.0])])
+def test_same_shape_sources_keep_their_own_literals(pair, t):
+    for first, second in (pair, pair[::-1]):
+        _forget_shapes()
+        for src in (first, second):
+            got, want = _text_and_tree(src, t)
+            assert got == want, (first, second, src)
+        assert len(expr._SHAPES) == 1
+
+
+def test_shapes_are_token_sequences_and_never_errors():
+    _forget_shapes()
+    expr.eval_values("sin(t)", 0.5)
+    expr.eval_jet("1.5*t", 0.5)
+    kept = list(expr._SHAPES)
+    # the text of s in(t) joins to sin(t); its tokens do not
+    with pytest.raises(UnknownIdentifierError) as ei:
+        expr.eval_values("s in(t)", 0.5)
+    assert ei.value.offset == 0
+    # 1.2.3*t has the tokens of 1.5*t, but one float() refuses
+    for evaluate in (expr.eval_values, expr.eval_jet):
+        with pytest.raises(ExprSyntaxError, match="bad numeric literal"):
+            evaluate("1.2.3*t", 0.5)
+    # the same shape fails at each source's own offset
+    for src, offset in (("1 + * t", 4), ("1  +  *  t", 6)):
+        with pytest.raises(ExprSyntaxError) as ei:
+            expr.eval_jet(src, 0.5)
+        assert ei.value.offset == offset
+    assert list(expr._SHAPES) == kept
+
+
+def test_shape_cache_is_bounded():
+    _forget_shapes()
+    sources = ["%s(%s(%s(%s(%s(%s(%s(%s(t))))))))" % calls
+               for calls in itertools.product(("sin", "cos", "atan"), repeat=8)]
+    for src in sources[:5000]:
+        expr.eval_values(src, 0.5)
+    assert len(expr._SHAPES) == 256
+    assert expr._shaped.cache_info().currsize == 256
+    assert all(isinstance(v, expr.Expr) for v in expr._SHAPES.values())
+    # the most recent are kept
+    assert expr._shaped(sources[4999])[0] is list(expr._SHAPES.values())[-1]

@@ -104,6 +104,16 @@ def test_truncate_differentiate_antidifferentiate():
     assert f.truncated(9).order == 5
 
 
+@pytest.mark.parametrize("t", [0.4, np.array([0.4, -1.3, 2.0])])
+def test_antiderivative_divides_each_coefficient_by_its_new_index(t):
+    f = jets.sin(jets.variable(t, 5)) * 3.0
+    value = np.cos(t) if np.ndim(t) else 0.25
+    k = np.arange(1, 7, dtype=float).reshape((-1,) + (1,) * np.ndim(t))
+    want = np.concatenate([np.broadcast_to(value, np.shape(t))[None],
+                           f.coeffs / k])
+    assert f.antiderivative(value).coeffs.tobytes() == want.tobytes()
+
+
 def test_derivative_beyond_order_is_zero():
     v = jets.variable(1.0, 3)
     assert (v**2).derivative(7) == 0.0

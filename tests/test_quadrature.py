@@ -36,6 +36,32 @@ def test_cumulative_matches_scipy():
         assert abs(got[i] - want) < 1e-10
 
 
+def _cumulative_reference(fg, v, init):
+    """One row, with the panel weights taken from fine_step on each call."""
+    d = fg.fine_step
+    out = np.empty_like(v)
+    out[0] = init
+    panel = (d[0::2] / 3.0) * (v[0:-1:2] + 4.0 * v[1::2] + v[2::2])
+    out[2::2] = init + np.cumsum(panel)
+    half = (d[0::2] / 12.0) * (5.0 * v[0:-1:2] + 8.0 * v[1::2] - v[2::2])
+    out[1::2] = out[0:-1:2] + half
+    return out
+
+
+def test_cumulative_of_stacked_rows_is_each_row_alone():
+    fg = FineGrid([-0.3, 0.0, 0.05, 0.4, 1.1], refine=6)
+    rows = np.stack([fg.eval_expr(src) for src in
+                     ("exp(-t^2/2)*cos(3*t)", "1/(t + 2)", "t^3 - t")])
+    inits = [0.5, -2.0, 1e-3]
+    got = fg.cumulative(rows, inits)
+    for row, init, out in zip(rows, inits, got):
+        want = _cumulative_reference(fg, row, init)
+        assert out.tobytes() == want.tobytes()
+        assert fg.cumulative(row, init).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="fine lattice"):
+        fg.cumulative(rows[:, 1:])
+
+
 def test_cumulative_from_anchor():
     g = uniform_grid(0.0, 1.0, 33)
     fg = FineGrid(g, refine=8)

@@ -11,7 +11,8 @@ from revfront.singular import (EXACT_TOL, LABELS, CuspLabel,
                                constant_gauss_cusp, constant_mean_cusp,
                                curve_cusp_by_curvature,
                                curve_cusp_by_derivatives,
-                               cusp_classify_curvature, ord_of,
+                               cusp_classify_curvature,
+                               cusp_classify_derivatives, ord_of,
                                revolution_singularity_classify)
 
 PI = float(np.pi)
@@ -140,6 +141,19 @@ def test_off_node_singularity_reads_regular():
     out = curve_cusp_by_derivatives(c, PI / 2)
     assert out.label == "regular"
     assert abs(out.diagnostics["t0"] - PI / 2) > 1e-4
+
+
+@pytest.mark.parametrize("t0", [float("nan"), float("inf"), -float("inf")])
+def test_node_labellers_refuse_a_t0_that_is_not_finite(t0):
+    # |t - t0| has no least entry at such a t0 and argmin gave node 0,
+    # which was labelled as if it had been asked for
+    c = reconstruct_from_curvature("1.0", "2*sin(t)",
+                                   uniform_grid(-0.5, 0.5, 33), 0.0, 1.0, 0.0)
+    assert curve_cusp_by_curvature(c, 0.0).diagnostics["node"] == 16
+    for label in (cusp_classify_derivatives, curve_cusp_by_derivatives,
+                  curve_cusp_by_curvature, revolution_singularity_classify):
+        with pytest.raises(ValueError, match="t0 must be finite"):
+            label(c, t0)
 
 
 # ---------------------------------------------------------------------------
