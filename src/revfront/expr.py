@@ -15,12 +15,13 @@ constant (equal on all samples, derivatives up to max(jet order,
 jets.ORDER_CAP) zero, at most jets.EXPONENT_CAP if an integer).  Jets
 also refuse sqrt at 0 and an overflowing derivative.
 
-Source text is evaluated through a template of its shape: the token
-sequence with each numeric literal masked.  Each shape is parsed once
-into a tree whose literals are Slots, numbered in source order, and the
-walk reads each slot from this source's own literals.  The 256 most
-recent shapes and the 256 most recent sources are kept; only shapes that
-parse are, and values and jets never are.
+Source text is evaluated through a template of its shape: the text
+between its numeric literals, which fixes the token sequence with each
+literal masked.  Each shape is parsed once into a tree whose literals
+are Slots, numbered in source order, and the walk reads each slot from
+this source's own literals.  The 256 most recent shapes and the 256 most
+recent sources are kept; only shapes that parse are, and values and jets
+never are.
 """
 
 from __future__ import annotations
@@ -122,10 +123,12 @@ class Slot(Expr):
 
 # One match per token: ASCII whitespace (as str.isspace), then an operator,
 # number, identifier or any other character, ASCII or not: an error.
+_NUMBER = r"([0-9.]+(?:[eE][+-]?[0-9]+)?)"
 _TOKEN = re.compile(r"([\t-\r\x1c-\x1f ]*)(?:([-+*/^()])"   # operator
-                    r"|([0-9.]+(?:[eE][+-]?[0-9]+)?)"         # number
+                    r"|" + _NUMBER +                          # number
                     r"|([A-Za-z_][A-Za-z0-9_]*)"               # identifier
                     r"|([^\t-\r\x1c-\x1f ]))")                # anything else
+_LITERAL = re.compile(_NUMBER)
 
 
 def _tokenize(src: str):
@@ -233,26 +236,20 @@ _SHAPES = collections.OrderedDict()     # shape -> template, most recent last
 
 @functools.lru_cache(maxsize=_KEPT)
 def _shaped(src: str):
-    """(template, literals) of source text.  The shape is the token
-    sequence, "" for a literal: tokens, not their joined text, so that
-    "s in(t)" is not "sin(t)".  A new shape's template comes from
-    parse(src), so a shape that does not parse raises parse's error and
-    is not kept; so does a literal that float() refuses (1.2.3)."""
-    # one match at a time: a findall list of every token's five groups, on
-    # every call, lifted the classify bench's peak RSS by about 1 MiB
-    shape, numbers = [], []
-    for m in _TOKEN.finditer(src):
-        kind = m.lastindex      # operator 2, number 3, identifier 4, other 5
-        if kind == 3:
-            numbers.append(m.group(3))
-            shape.append("")
-        else:
-            shape.append(m.group(kind))
+    """(template, literals) of source text.  The shape is the text between
+    the numeric literals, whitespace included, and only a source that
+    parses makes a template.  In such a source a literal has an operator,
+    a parenthesis, whitespace or an end on each side, so any source with
+    its shape has its tokens, each literal a slot: "s in(t)" is not
+    "sin(t)" and "*t" is not "2*t", while "t+1" and "t + 1" are two
+    shapes of one template.  A source whose literal float() refuses
+    (1.2.3) raises parse's error."""
+    parts = _LITERAL.split(src)
     try:
-        literals = tuple([float(number) for number in numbers])
+        literals = tuple([float(number) for number in parts[1::2]])
     except ValueError:
         return parse(src), ()
-    shape = tuple(shape)
+    shape = tuple(parts[0::2])
     template = _SHAPES.pop(shape, None)
     if template is None:
         template = _slotted(parse(src), itertools.count())

@@ -5,6 +5,7 @@ error type and the reported byte offset.
 """
 
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -462,40 +463,30 @@ def _text_and_tree(src, t, orders=range(jets.ORDER_CAP + 1)):
     return results(src), results(tree)
 
 
-def _relit(e, literals):
-    """e with each literal replaced by the next of literals (>= 0, so the
-    source keeps its tokens)."""
-    if isinstance(e, Num):
-        return Num(next(literals))
-    if isinstance(e, BinOp):
-        left = _relit(e.left, literals)
-        return BinOp(e.op, left, _relit(e.right, literals))
-    if isinstance(e, Neg):
-        return Neg(_relit(e.operand, literals))
-    if isinstance(e, Call):
-        return Call(e.func, _relit(e.arg, literals))
-    return e
-
-
 # a literal times a tree, where jet mode folds the literal in as a float:
 # 0.0 * g keeps the sign of each coefficient's zero only if it folds
 _FOLDED = TREES.map(lambda e: BinOp("*", Num(0.0), e))
-_OTHER_LITERALS = st.lists(st.sampled_from([0.0, 0.25, 2.0, 3.0, 2.5, 1e300]),
-                           min_size=8, max_size=8)
+# texts in place of a source's literals, some of them no literal that
+# float() takes; the text between the literals stays
+_NUMBER = re.compile(r"([0-9.]+(?:[eE][+-]?[0-9]+)?)")
+_LITERAL_TEXTS = st.lists(st.sampled_from(["0", "0.0", "2", "2.5", ".5", "00",
+                                           "1e300", "1e999", "1.2.3", "."]),
+                          min_size=1, max_size=8)
 
 
 @settings(max_examples=200, deadline=None, phases=NO_SHRINK)
-@given(st.one_of(TREES, _FOLDED), _OTHER_LITERALS, SAMPLES)
-def test_text_evaluates_as_its_parsed_tree(e, other, t):
-    # a sibling of the same shape but other literals is evaluated first, so
-    # the text is evaluated through a template that another source made
+@given(st.one_of(TREES, _FOLDED), _LITERAL_TEXTS, SAMPLES, st.booleans())
+def test_text_evaluates_as_its_parsed_tree(e, texts, t, sibling_first):
+    # the sibling has the shape of the tree's source, so whichever comes
+    # second is evaluated through the template that the first one made
     src = to_source(e)
-    with np.errstate(all="ignore"):
-        sibling = to_source(_relit(e, iter(other)))
-        for evaluate in (expr.eval_values, expr.eval_jet):
-            _outcome(lambda: evaluate(sibling, t))
-    got, want = _text_and_tree(src, t)
-    assert got == want, (src, sibling, t)
+    pieces = _NUMBER.split(src)
+    pieces[1::2] = itertools.islice(itertools.cycle(texts), len(pieces) // 2)
+    sibling = "".join(pieces)
+    order = (sibling, src) if sibling_first else (src, sibling)
+    for text in order:
+        got, want = _text_and_tree(text, t)
+        assert got == want, (order, text, t)
 
 
 @pytest.mark.parametrize("pair", [
@@ -514,14 +505,18 @@ def test_same_shape_sources_keep_their_own_literals(pair, t):
         assert len(expr._SHAPES) == 1
 
 
-def test_shapes_are_token_sequences_and_never_errors():
+def test_shapes_keep_token_boundaries_and_never_errors():
     _forget_shapes()
-    expr.eval_values("sin(t)", 0.5)
-    expr.eval_jet("1.5*t", 0.5)
+    for src in ("sin(t)", "1.5*t", "2*t"):
+        expr.eval_values(src, 0.5)
     kept = list(expr._SHAPES)
     # the text of s in(t) joins to sin(t); its tokens do not
     with pytest.raises(UnknownIdentifierError) as ei:
         expr.eval_values("s in(t)", 0.5)
+    assert ei.value.offset == 0
+    # *t is the text of 2*t with the literal left out
+    with pytest.raises(ExprSyntaxError, match="unexpected") as ei:
+        expr.eval_jet("*t", 0.5)
     assert ei.value.offset == 0
     # 1.2.3*t has the tokens of 1.5*t, but one float() refuses
     for evaluate in (expr.eval_values, expr.eval_jet):
