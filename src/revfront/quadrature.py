@@ -69,12 +69,12 @@ class FineGrid:
         blocks = grid[:-1, None] + steps[:, None] * frac[None, :]
         self.s = np.append(blocks.ravel(), grid[-1])
         self.coarse_index = np.arange(0, n_int * refine + 1, refine)
-        self.fine_step = np.repeat(steps / refine, refine)
-        # Simpson weights of the panel pairs [2k, 2k+2]; refine is even, so
-        # no pair straddles a grid node and the step is one within a pair
-        pair_step = self.fine_step[0::2]
-        self._third = pair_step / 3.0
-        self._twelfth = pair_step / 12.0
+        step = steps / refine
+        self.fine_step = np.repeat(step, refine)
+        # Simpson weights of the panel pairs [2k, 2k+2], one column per grid
+        # interval: refine is even, so no pair straddles a grid node
+        self._third = (step / 3.0)[:, None]
+        self._twelfth = (step / 12.0)[:, None]
 
     def eval_expr(self, e):
         """Values of an expression at all fine nodes; ConstructionError
@@ -94,13 +94,18 @@ class FineGrid:
         if v.shape[-1:] != self.s.shape:
             raise ValueError("values must be sampled on the fine lattice")
         init = np.asarray(init, dtype=float)[..., None]
-        v0, v1, v2 = v[..., 0:-1:2], v[..., 1::2], v[..., 2::2]
+        rows = v.shape[:-1]
+        # the panel pairs of each grid interval in a row, beside its weights
+        by_interval = rows + (self.grid.size - 1, self.refine // 2)
+        v0 = v[..., 0:-1:2].reshape(by_interval)
+        v1 = v[..., 1::2].reshape(by_interval)
+        v2 = v[..., 2::2].reshape(by_interval)
         out = np.empty_like(v)
         out[..., :1] = init
         panel = self._third * (v0 + 4.0 * v1 + v2)
-        out[..., 2::2] = init + np.cumsum(panel, axis=-1)
+        out[..., 2::2] = init + np.cumsum(panel.reshape(rows + (-1,)), axis=-1)
         half = self._twelfth * (5.0 * v0 + 8.0 * v1 - v2)
-        out[..., 1::2] = out[..., 0:-1:2] + half
+        out[..., 1::2] = out[..., 0:-1:2] + half.reshape(rows + (-1,))
         return out
 
     def cumulative_from(self, values, anchor_index: int, anchor_value: float):
