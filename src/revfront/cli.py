@@ -262,7 +262,10 @@ def _write(ns, curve=None, surface=None, payload=None):
             sys.stdout.write(export.json_text(payload))
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every run in this process, built once: parse_args
+    leaves a parser as it was."""
     p = _Parser(prog="revfront",
                 description="Legendre profiles, surfaces of revolution, "
                             "and their singularities")
@@ -604,15 +607,8 @@ def _numerical_failure(ns, exc):
     return 2
 
 
-@functools.cache
-def _parser() -> _Parser:
-    """The parser of every run in this process: parse_args leaves it as
-    it was, so it is built once."""
-    return build_parser()
-
-
 def run(argv) -> int:
-    parser = _parser()
+    parser = build_parser()
     ns = None
     try:
         try:
