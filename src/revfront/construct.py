@@ -12,9 +12,10 @@ z-axis revolute realizes prescribed curvature relations:
 Each returns a LegendreCurve with jets chained analytically from the
 defining relations; the numerical content is lattice quadrature (16 fine
 steps per grid step) plus, for the gauss ratio, RK4 sweeps of the
-first-order system outward from seeded lattice nodes: the anchor node,
-or every node within the radius of a Frobenius series at a regular
-singular point of the ratio.
+first-order system outward from seeded lattice nodes: the node nearest
+the anchor, or every node within the radius of a Frobenius series at a
+regular singular point of the ratio.  Every construction holds its
+prescribed values at t0 itself (FineGrid.cumulative_from).
 Any finite, strictly increasing grid will do: RK4, the quadrature, the
 flip locator and the series region all read the lattice's own steps.
 """
@@ -31,7 +32,7 @@ from . import jets
 from .jets import DIV_TOL, DomainError, Jet, jet_div_reduced
 from .legendre import (CurveJet, CurvaturePair, LegendreCurve, NormalJet,
                        verify_legendre)
-from .quadrature import ConstructionError, FineGrid, evaluated
+from .quadrature import ConstructionError, FineGrid, evaluated, nearest_node
 
 FLIP_TOL = 1e-8          # fitted |sin phi| extremum within this of 1 -> branch flip
 SIN_EXCESS_TOL = 1e-9    # |sin phi| beyond 1 + this -> inconsistent data
@@ -87,7 +88,6 @@ class ConstructionReport:
     contact and norm residuals.  dataclasses.asdict gives the JSON form."""
     method: str
     t0: float
-    anchor_offset: float
     flips: list = field(default_factory=list)
     flagged_nodes: list = field(default_factory=list)
     ode_residual: float | None = None
@@ -154,23 +154,19 @@ def _div_reduced(num, den, tol, width):
 
 
 def _lattice(grid, t0, order):
-    """Fine lattice, internal jet order, anchor node, anchor parameter and
-    anchor offset.
-
-    t0 snaps to the nearest fine lattice node (offset t0 - node); None
-    anchors at the left end of the grid.
+    """Fine lattice, internal jet order, the fine node nearest the anchor
+    and the anchor parameter, which None puts at the left end of the grid.
     """
     if order < 0:
         raise ValueError(f"jet order must be at least 0, got {order}")
     fg = FineGrid(grid)
     lo, hi = fg.grid[0], fg.grid[-1]
     if t0 is None:
-        return fg, order + 2, 0, float(lo), 0.0
+        return fg, order + 2, 0, float(lo)
     span = hi - lo
     if not lo - 1e-12 * span <= t0 <= hi + 1e-12 * span:   # NaN fails too
         raise ConstructionError(f"t0={t0} lies outside the grid [{lo}, {hi}]")
-    i0 = fg.nearest_fine_index(t0)
-    return fg, order + 2, i0, t0, t0 - fg.s[i0]
+    return fg, order + 2, nearest_node(fg.s, t0), t0
 
 
 def _lattice_angle(s, steps, S, i0, anchor, cos_sign, touch):
@@ -325,7 +321,7 @@ def _rk4_path(s, f_node, f_mid, x0, S0):
     return x, S
 
 
-def _j_lattice(fg, i0, x0, z0, J_s, sin_s, cos_s, why=""):
+def _j_lattice(fg, t0, x0, z0, J_s, sin_s, cos_s, why=""):
     """Squared axis distance and z on the lattice from prescribed J and
     the normal angle phi.
 
@@ -333,14 +329,14 @@ def _j_lattice(fg, i0, x0, z0, J_s, sin_s, cos_s, why=""):
     z = z0 + int(beta cos phi).  Returns (x^2, z) on the lattice.
     """
     s = fg.s
-    x2_s = x0 * x0 + 2.0 * fg.cumulative_from(J_s * sin_s, i0, 0.0)
+    x2_s = x0 * x0 + 2.0 * fg.cumulative_from(J_s * sin_s, t0, 0.0)
     bad = x2_s <= 0.0
     if bad.any():
         tb = s[bad][0]
         raise ConstructionError(
             f"squared axis distance becomes non-positive at t={tb:.6g}{why}",
             t=float(tb))
-    return x2_s, fg.cumulative_from(-J_s / np.sqrt(x2_s) * cos_s, i0, z0)
+    return x2_s, fg.cumulative_from(-J_s / np.sqrt(x2_s) * cos_s, t0, z0)
 
 
 def _j_jets(fg, io, x2_s, J_j, b_j):
@@ -529,11 +525,11 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
     leading coefficient is x0 and which determines sin_phi0 itself.
 
     Both methods seed lattice nodes, then sweep RK4 from the outermost
-    seeded nodes to the ends.  RK4 seeds the anchor node, carried there
+    seeded nodes to the ends.  RK4 seeds the node nearest t0, carried there
     from an off-lattice t0 by a partial step; the series seeds every node
     within its radius of t0.
     """
-    fg, io, i0, t0, offset = _lattice(grid, p.t0, order)
+    fg, io, i0, t0 = _lattice(grid, p.t0, order)
     g, s = fg.grid, fg.s
     use_series = (p.method == "frobenius" or
                   (p.method == "auto" and _alpha_has_pole(p.alpha, t0)))
@@ -548,13 +544,11 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
         method, notes, radius, sin_t0 = "gauss_rk4", {}, -np.inf, p.sin_phi0
         iL = iR = i0
         x_s[i0], S_s[i0] = p.x0, p.sin_phi0
-        if offset != 0.0:
-            # carry the initial data from the true t0 to the snapped node
+        if s[i0] != t0:   # carry the seed from t0 to its node
             ts = np.array([t0, 0.5 * (t0 + s[i0]), s[i0]])
-            bv = _values(p.beta, ts, "beta")
-            av = _values(ab, ts, "alpha*beta")
-            x_s[i0], S_s[i0] = _rk4_step(p.x0, p.sin_phi0, bv[0], av[0],
-                                         bv[1], av[1], bv[2], av[2], -offset)
+            bv, av = _values(p.beta, ts, "beta"), _values(ab, ts, "alpha*beta")
+            x_s[i0], S_s[i0] = _rk4_step(p.x0, p.sin_phi0, bv[0], av[0], bv[1],
+                                         av[1], bv[2], av[2], s[i0] - t0)
     else:
         method = "gauss_frobenius"
         r, c, radius, notes = _frobenius_data(p, fg, i0)
@@ -588,7 +582,7 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
 
     sigma, flips, Sc, C_s = _lattice_angle(s, fg.fine_step, S_s, i0, t0,
                                            p.cos_sign, abs(sin_t0) == 1.0)
-    z_s = fg.cumulative_from(beta_s * C_s, i0, p.z0)
+    z_s = fg.cumulative_from(beta_s * C_s, t0, p.z0)
 
     beta_j = _jet(p.beta, g, io, "beta")
     # coarse nodes inside the series radius (none for RK4); alpha may have
@@ -613,7 +607,7 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
              - beta_j.derivative(1) * x_j.derivative(1)
              + (ab_j * beta_j * beta_j * x_j).value)
     ode_res = float(np.max(np.abs(resid[~in_c]))) if (~in_c).any() else None
-    report = ConstructionReport(method, t0, float(offset), flips=flips,
+    report = ConstructionReport(method, t0, flips=flips,
                                 flagged_nodes=flagged, ode_residual=ode_res,
                                 notes=notes)
     return _assemble(fg, io, z_s, x_j, a_j, b_j, ell_j, beta_j, report)
@@ -630,24 +624,22 @@ def profile_from_JK(J: str, K: str, x0: float, grid, t0: float | None = None,
 
     sin phi is the anchored antiderivative of -K (value sin0 at t0), the
     squared axis distance the anchored antiderivative of 2*J*sin phi
-    (value x0^2 at t0, x0 > 0 required), and beta = -J/x.  t0 snaps to the
-    nearest fine lattice node and the anchor values apply there; the
-    offset is recorded in the construction report; cos_sign, 1 or -1, is
-    the sign of cos phi there.  When |sin0| = 1, a touch at t0, cos_sign
-    holds for t <= t0 and the other sign after t0.
+    (value x0^2 at t0, x0 > 0 required), and beta = -J/x; cos_sign, 1 or
+    -1, is the sign of cos phi at t0.  When |sin0| = 1, a touch at t0,
+    cos_sign holds for t <= t0 and the other sign after t0.
     """
     _check_seeds(x0, sin0, cos_sign)
     if x0 <= 0:
         raise ConstructionError(f"x0 must be positive, got {x0}")
-    fg, io, i0, t0, offset = _lattice(grid, t0, order)
+    fg, io, i0, t0 = _lattice(grid, t0, order)
     g, s = fg.grid, fg.s
     J_s = _values(J, s, "J")
     K_s = _values(K, s, "K")
-    S_s = sin0 - fg.cumulative_from(K_s, i0, 0.0)
+    S_s = sin0 - fg.cumulative_from(K_s, t0, 0.0)
     sigma, flips, Sc, C_s = _lattice_angle(s, fg.fine_step, S_s, i0, t0,
                                            cos_sign, abs(sin0) == 1.0)
 
-    x2_s, z_s = _j_lattice(fg, i0, x0, z0, J_s, Sc, C_s,
+    x2_s, z_s = _j_lattice(fg, t0, x0, z0, J_s, Sc, C_s,
                            "; x0 anchor incompatible with prescribed (J, K)")
     J_j = _jet(J, g, io, "J")
     b_j = (-_jet(K, g, io, "K")).antiderivative(
@@ -655,8 +647,7 @@ def profile_from_JK(J: str, K: str, x0: float, grid, t0: float | None = None,
     x_j, beta_j = _j_jets(fg, io, x2_s, J_j, b_j)
     notes = {}
     a_j, ell_j, flagged = _angle_jets(b_j, sigma[fg.coarse_index], notes)
-    report = ConstructionReport("jk_quadrature", t0, float(offset),
-                                flips=flips,
+    report = ConstructionReport("jk_quadrature", t0, flips=flips,
                                 flagged_nodes=flagged, notes=notes)
     return _assemble(fg, io, z_s, x_j, a_j, b_j, ell_j, beta_j, report)
 
@@ -672,16 +663,15 @@ def profile_from_mean_ratio(p: MeanRatioProblem, grid,
     Everything is explicit quadrature: eta = 2*int(alpha*beta), F and G
     are c1, c2 minus the antiderivatives of beta*cos(eta) and
     beta*sin(eta), the axis distance is sqrt(F^2+G^2), and the normal
-    angle comes from (F, G, eta) without any branch ambiguity.  The
-    anchor applies at the fine lattice node nearest t0.
+    angle comes from (F, G, eta) without any branch ambiguity.
     """
-    fg, io, i0, t0, offset = _lattice(grid, p.t0, order)
+    fg, io, _, t0 = _lattice(grid, p.t0, order)
     g, s = fg.grid, fg.s
     alpha_s = _values(p.alpha, s, "alpha")
     beta_s = _values(p.beta, s, "beta")
-    eta_s = 2.0 * fg.cumulative_from(alpha_s * beta_s, i0, 0.0)
-    F_s = p.c1 - fg.cumulative_from(beta_s * np.cos(eta_s), i0, 0.0)
-    G_s = p.c2 - fg.cumulative_from(beta_s * np.sin(eta_s), i0, 0.0)
+    eta_s = 2.0 * fg.cumulative_from(alpha_s * beta_s, t0, 0.0)
+    F_s = p.c1 - fg.cumulative_from(beta_s * np.cos(eta_s), t0, 0.0)
+    G_s = p.c2 - fg.cumulative_from(beta_s * np.sin(eta_s), t0, 0.0)
     x_s = np.hypot(F_s, G_s)
     scale = 1.0 + float(np.max(x_s))
     if np.min(x_s) <= 1e-12 * scale:
@@ -691,7 +681,7 @@ def profile_from_mean_ratio(p: MeanRatioProblem, grid,
             "constants (c1, c2) incompatible with beta on this grid",
             t=float(tb))
     cos_s = (F_s * np.sin(eta_s) - G_s * np.cos(eta_s)) / x_s
-    z_s = fg.cumulative_from(beta_s * cos_s, i0, p.z0)
+    z_s = fg.cumulative_from(beta_s * cos_s, t0, p.z0)
 
     alpha_j = _jet(p.alpha, g, io, "alpha")
     beta_j = _jet(p.beta, g, io, "beta")
@@ -709,7 +699,7 @@ def profile_from_mean_ratio(p: MeanRatioProblem, grid,
         np.atleast_1d((x_j * ell_j + beta_j * a_j).value) / 2.0
         + np.atleast_1d((alpha_j * beta_j * x_j).value))))
     report = ConstructionReport(
-        "mean_ratio", t0, float(offset),
+        "mean_ratio", t0,
         notes={"mean_identity_residual": ratio_resid,
                "x_min": float(np.min(x_s))})
     return _assemble(fg, io, z_s, x_j, a_j, b_j, ell_j, beta_j, report)
@@ -722,24 +712,21 @@ def profile_from_mean_ratio(p: MeanRatioProblem, grid,
 def profile_from_J_phi(J: str, phi: str, x0: float, grid,
                        t0: float | None = None, z0: float = 0.0,
                        order: int = 5) -> LegendreCurve:
-    """Profile with prescribed J and normal angle phi; x(t0) = x0 > 0.
-
-    The anchor applies at the fine lattice node nearest t0.
-    """
+    """Profile with prescribed J and normal angle phi; x(t0) = x0 > 0."""
     _check_seeds(x0)
     if x0 <= 0:
         raise ConstructionError(f"x0 must be positive, got {x0}")
-    fg, io, i0, t0, offset = _lattice(grid, t0, order)
+    fg, io, _, t0 = _lattice(grid, t0, order)
     g, s = fg.grid, fg.s
     J_s = _values(J, s, "J")
     phi_s = _values(phi, s, "phi")
-    x2_s, z_s = _j_lattice(fg, i0, x0, z0, J_s, np.sin(phi_s),
+    x2_s, z_s = _j_lattice(fg, t0, x0, z0, J_s, np.sin(phi_s),
                            np.cos(phi_s))
     J_j = _jet(J, g, io, "J")
     phi_j = _jet(phi, g, io, "phi")
     b_j, a_j = jets.sin_cos(phi_j)
     x_j, beta_j = _j_jets(fg, io, x2_s, J_j, b_j)
-    report = ConstructionReport("j_phi_quadrature", t0, float(offset))
+    report = ConstructionReport("j_phi_quadrature", t0)
     return _assemble(fg, io, z_s, x_j, a_j, b_j, phi_j.differentiated(),
                      beta_j, report)
 
@@ -751,9 +738,8 @@ def profile_from_H_phi(H: str, phi: str, grid, c_a: float = 0.0,
 
     Requires cos(phi) bounded away from zero on the grid; c_a shifts the
     antiderivative of 2*H*sin(phi) and thereby scales the axis distance.
-    The anchor applies at the fine lattice node nearest t0.
     """
-    fg, io, i0, t0, offset = _lattice(grid, t0, order)
+    fg, io, _, t0 = _lattice(grid, t0, order)
     g, s = fg.grid, fg.s
     H_s = _values(H, s, "H")
     phi_fine = _jet(phi, s, 1, "phi")
@@ -768,9 +754,9 @@ def profile_from_H_phi(H: str, phi: str, grid, c_a: float = 0.0,
         raise ConstructionError(
             f"cos(phi) vanishes near t={tb:.6g}; the (H, phi) formulas "
             "require a nonvanishing horizontal normal component", t=float(tb))
-    A_s = c_a + fg.cumulative_from(2.0 * H_s * np.sin(phi_s), i0, 0.0)
+    A_s = c_a + fg.cumulative_from(2.0 * H_s * np.sin(phi_s), t0, 0.0)
     x_s = -A_s / cos_s
-    z_s = fg.cumulative_from(2.0 * H_s - dphi_s * x_s, i0, z0)
+    z_s = fg.cumulative_from(2.0 * H_s - dphi_s * x_s, t0, z0)
 
     H_j = _jet(H, g, io, "H")
     phi_j = _jet(phi, g, io, "phi")
@@ -780,5 +766,5 @@ def profile_from_H_phi(H: str, phi: str, grid, c_a: float = 0.0,
     dphi_j = phi_j.differentiated()
     beta_j = (2.0 * H_j - dphi_j * x_j) / a_j.truncated(io - 1)
 
-    report = ConstructionReport("h_phi_quadrature", t0, float(offset))
+    report = ConstructionReport("h_phi_quadrature", t0)
     return _assemble(fg, io, z_s, x_j, a_j, b_j, dphi_j, beta_j, report)

@@ -108,16 +108,35 @@ class FineGrid:
         out[..., 1::2] = out[..., 0:-1:2] + half.reshape(rows + (-1,))
         return out
 
-    def cumulative_from(self, values, anchor_index: int, anchor_value: float):
-        """Antiderivative equal to anchor_value at fine node anchor_index."""
+    def cumulative_from(self, values, t0: float, value: float):
+        """Antiderivative equal to value at t0.  At fine node i it is
+        cumulative(values) shifted by value minus its entry i, bit for bit;
+        elsewhere the piece from the node nearest t0 to t0 integrates the
+        parabola through that node and its neighbours (the end triple at a
+        lattice end), so quadratics come out exact."""
         base = self.cumulative(values, 0.0)
-        return base - base[anchor_index] + anchor_value
+        s, v = self.s, np.asarray(values, dtype=float)
+        i = nearest_node(s, t0)
+        j = min(max(i, 1), s.size - 2)
+        a, b, c = s[j - 1:j + 2]
+        d_ab = (v[j] - v[j - 1]) / (b - a)
+        d_abc = ((v[j + 1] - v[j]) / (c - b) - d_ab) / (c - a)
+        # v[j] + d_ab*(t - b) + d_abc*(t - b)*(t - a) over [s[i], t0]
+        u0, u1 = s[i] - b, t0 - b
+        sq, cube = (u1 * u1 - u0 * u0) / 2.0, (u1 ** 3 - u0 ** 3) / 3.0
+        piece = v[j] * (u1 - u0) + d_ab * sq + d_abc * (cube + (b - a) * sq)
+        return base - (base[i] + piece) + value
 
     def at_coarse(self, fine_values):
         return np.asarray(fine_values)[..., self.coarse_index]
 
-    def nearest_fine_index(self, t: float) -> int:
-        return int(np.argmin(np.abs(self.s - t)))
+
+def nearest_node(nodes, t0: float) -> int:
+    """Index of the node nearest t0; ValueError for a t0 that is not
+    finite, which has no nearest node (argmin would give node 0)."""
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0!r}")
+    return int(np.abs(np.asarray(nodes) - t0).argmin())
 
 
 def uniform_grid(t_min: float, t_max: float, count: int) -> np.ndarray:

@@ -27,6 +27,7 @@ from .framed import (BasicInvariants, FramedSurfaceGrid, FSCurvature,
                      curvature_of, parallel_surface)
 from .legendre import (LegendreCurve, NormalJet, curvature_pair_of,
                        parallel_curve, plane_evolute)
+from .quadrature import nearest_node
 
 VALID_AXES = ("z", "x")
 _INVARIANTS = ("a1", "b1", "a2", "b2", "e1", "f1", "g1", "e2", "f2", "g2")
@@ -291,7 +292,7 @@ def cone_type_check(c: LegendreCurve, t0: float, axis: str = "z",
     components stay away from zero.
     """
     t, r, h, n_r, n_h, k, beta = _adapted(c, axis)
-    i = int(np.argmin(np.abs(t - t0)))
+    i = nearest_node(t, t0)
     vals = {"t": float(t[i]), "axis_distance": float(r[i]),
             "beta": float(beta[i]), "a": float(c.normal.a.value[i]),
             "b": float(c.normal.b.value[i])}

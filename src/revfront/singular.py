@@ -21,6 +21,7 @@ import numpy as np
 
 from .jets import Jet
 from .legendre import LegendreCurve, curvature_pair_of
+from .quadrature import nearest_node
 from .revolution import cone_type_check
 
 LABELS = ("regular", "cusp_3_2", "cusp_5_2", "cusp_4_3", "cusp_5_3",
@@ -77,14 +78,6 @@ def ord_of(f: Jet, cap: int = 5, tol: float = EXACT_TOL) -> int:
     return len(d)
 
 
-def _node_index(c, t0: float) -> int:
-    """The node nearest t0; ValueError for a t0 that is not finite, which
-    has no nearest node (argmin would give node 0)."""
-    if not math.isfinite(t0):
-        raise ValueError(f"t0 must be finite, got {t0!r}")
-    return int(np.abs(np.asarray(c.t) - t0).argmin())
-
-
 def cusp_classify_derivatives(curve, t0: float,
                               tol: float = EXACT_TOL) -> CuspLabel:
     """Classify a singular curve point from jets of the parametrization.
@@ -97,7 +90,7 @@ def cusp_classify_derivatives(curve, t0: float,
     orders 1 to 5, and its square for the determinants.
     """
     cj = curve.curve if isinstance(curve, LegendreCurve) else curve
-    i = _node_index(cj, t0)
+    i = nearest_node(cj.t, t0)
     dx = _derivs(cj.x, 5, i)
     dz = _derivs(cj.z, 5, i)
     top = min(len(dx), len(dz)) - 1
@@ -209,7 +202,7 @@ def curve_cusp_by_curvature(c: LegendreCurve, t0: float,
                             tol: float = EXACT_TOL) -> CuspLabel:
     """Curvature-criterion label at the node nearest t0."""
     pair = curvature_pair_of(c)
-    i = _node_index(c, t0)
+    i = nearest_node(c.t, t0)
     out = cusp_classify_curvature(pair.ell.at(i), pair.beta.at(i), tol,
                                   float(c.t[i]))
     out.diagnostics["node"] = i
@@ -269,7 +262,7 @@ def revolution_singularity_classify(c: LegendreCurve, t0: float,
     degenerate normal form (+-t^(k+1), t) when x vanishes to finite
     order against a moving z, or unresolved.
     """
-    i = _node_index(c, t0)
+    i = nearest_node(c.t, t0)
     xj = c.curve.x.at(i)
     x0 = float(xj.value)
     scale = max(1.0, abs(x0))

@@ -16,7 +16,7 @@ from revfront.construct import (ConstructionError, GaussRatioProblem,
                                 profile_from_mean_ratio)
 from revfront.legendre import (curvature_pair_of, legendre_from_expressions,
                                reconstruct_from_curvature, verify_legendre)
-from revfront.quadrature import FineGrid, uniform_grid
+from revfront.quadrature import FineGrid, nearest_node, uniform_grid
 from revfront.revolution import revolution_curvature
 
 PI = np.pi
@@ -24,6 +24,19 @@ PI = np.pi
 
 def report_of(c):
     return c.flags["construction"]
+
+
+def value_at(jet, t0):
+    """The jet's value at t0, by its Taylor series at the nearest node."""
+    i = nearest_node(jet.t, t0)
+    return np.polyval(jet.coeffs[::-1, i], t0 - jet.t[i])
+
+
+def pseudo_sphere_z(t, t0, z0=0.0):
+    """z of the pseudo-sphere x = sin t, z' = cos(t)^2 / sin(t), z(t0) = z0."""
+    def f(u):
+        return np.cos(u) + np.log(np.tan(u / 2))
+    return z0 + f(t) - f(t0)
 
 
 def test_gauss_rk4_pseudo_sphere():
@@ -41,7 +54,9 @@ def test_gauss_rk4_pseudo_sphere():
     np.testing.assert_allclose(rep.flips, [PI / 2], atol=1e-9)
     assert rep.flagged_nodes == []
     assert rep.ode_residual < 1e-10
-    assert rep.anchor_offset == 0.0
+    assert c.curve.z.value[0] == p.z0
+    np.testing.assert_allclose(c.curve.z.value, pseudo_sphere_z(g, 0.2),
+                               rtol=0, atol=1e-9)
 
 
 def test_gauss_rk4_harmonic_oscillator():
@@ -60,11 +75,11 @@ def test_gauss_rk4_off_lattice_anchor():
     g = uniform_grid(0.2, PI - 0.2, 161)
     p = GaussRatioProblem(alpha="-1", beta="cot(t)", t0=0.7001234,
                           x0=np.sin(0.7001234), sin_phi0=-np.sin(0.7001234))
+    assert p.t0 not in FineGrid(g).s
     c = profile_from_gauss_ratio(p, g)
-    rep = report_of(c)
-    assert rep.anchor_offset != 0.0
-    assert abs(rep.anchor_offset) <= (g[1] - g[0]) / 32 + 1e-12
     np.testing.assert_allclose(c.curve.x.value, np.sin(g), atol=1e-12)
+    np.testing.assert_allclose(c.curve.z.value, pseudo_sphere_z(g, p.t0),
+                               rtol=0, atol=1e-9)
     pair = curvature_pair_of(c)
     np.testing.assert_allclose(pair.ell.value, -1.0, atol=1e-8)
 
@@ -72,7 +87,7 @@ def test_gauss_rk4_off_lattice_anchor():
 @pytest.mark.parametrize("where", ["left end", "right end", "off lattice"])
 def test_gauss_rk4_pseudo_sphere_seeded_anywhere(where):
     # a seed at either end leaves one sweep empty; an off-lattice seed is
-    # carried to its node, and both sweeps start there
+    # carried to its node, and both sweeps start there; z holds z0 at t0
     R = 1.3
     g = uniform_grid(0.2, PI - 0.2, 161)
     t0 = {"left end": g[0], "right end": g[-1],
@@ -84,9 +99,11 @@ def test_gauss_rk4_pseudo_sphere_seeded_anywhere(where):
                                atol=1e-12)
     np.testing.assert_allclose(c.normal.b.value, -np.sin(g), rtol=0,
                                atol=1e-12)
+    assert (t0 not in FineGrid(g).s) == (where == "off lattice")
+    np.testing.assert_allclose(value_at(c.curve.z, t0), 0.0, rtol=0,
+                               atol=1e-12)
     rep = report_of(c)
     assert rep.method == "gauss_rk4"
-    assert (rep.anchor_offset != 0.0) == (where == "off lattice")
     np.testing.assert_allclose(rep.flips, [PI / 2], atol=1e-9)
 
 
@@ -166,16 +183,17 @@ def test_cos_sign_holds_up_to_a_touch_at_the_anchor(grid, build, cos_sign):
 def test_flip_near_an_anchor_that_is_no_touch_stays_fitted():
     # t0 a third of a fine step right of the touch at pi/2, whose sample
     # is still the anchor's: |sin phi(t0)| < 1, so the flip stays at pi/2,
-    # left of t0, and cos phi = cos t on both sides.  (The gauss path
-    # carries its seed from t0 to the lattice; J-K applies it at the node.)
+    # left of t0, and cos phi = cos t on both sides.  Both paths hold
+    # their seed at t0 itself, off the lattice.
     g = TOUCH_GRIDS["uniform"]
     t0 = PI / 2 + 0.35 * (g[1] - g[0]) / 16
-    c = TOUCH_BUILDS["gauss"](g, -1.0, t0)
-    assert report_of(c).anchor_offset > 0.0
-    flips = report_of(c).flips
-    assert len(flips) == 1 and abs(flips[0] - PI / 2) <= 1e-9
-    np.testing.assert_allclose(c.curve.x.value, np.sin(g), atol=1e-9)
-    np.testing.assert_allclose(c.normal.a.value, np.cos(g), atol=1e-6)
+    assert t0 not in FineGrid(g).s
+    for name, build in TOUCH_BUILDS.items():
+        c = build(g, -1.0, t0)
+        flips = report_of(c).flips
+        assert len(flips) == 1 and abs(flips[0] - PI / 2) <= 1e-9, name
+        np.testing.assert_allclose(c.curve.x.value, np.sin(g), atol=1e-9)
+        np.testing.assert_allclose(c.normal.a.value, np.cos(g), atol=1e-6)
 
 
 def test_gauss_sin_band_violation():
@@ -387,14 +405,88 @@ def test_h_phi_rejects_vanishing_cosine():
         profile_from_H_phi("1", "t", g)
 
 
+# ---------------------------------------------------------------------------
+# Anchors off the lattice: every construction holds its values at t0 itself
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("t0", [0.7, 1.0, 1.0001, 1.3])
+def test_jk_anchor_off_the_lattice(t0):
+    # consistent pseudo-sphere data; held at the nearest fine node instead,
+    # sin phi peaked below 1, so no flip and max |a - cos t| = 1.96, or
+    # above 1, and t0 = 1.0001 was refused as inconsistent
+    g = uniform_grid(0.2, 2.94, 400)
+    assert t0 not in FineGrid(g).s
+    c = profile_from_JK("-cos(t)", "cos(t)", x0=np.sin(t0), grid=g, t0=t0,
+                        sin0=-np.sin(t0))
+    np.testing.assert_allclose(c.curve.x.value, np.sin(g), rtol=0,
+                               atol=1e-10)
+    np.testing.assert_allclose(c.normal.a.value, np.cos(g), rtol=0,
+                               atol=1e-10)
+    flips = report_of(c).flips
+    assert len(flips) == 1 and abs(flips[0] - PI / 2) <= 1e-9
+
+
+def test_mean_anchor_off_the_lattice():
+    # F = c1 - (t^2 - t0^2)/2 and G = c2; 1.1e-6 off when held at the node
+    g = uniform_grid(-1.0, 1.0, 201)
+    t0 = 0.0071
+    assert t0 not in FineGrid(g).s
+    c = profile_from_mean_ratio(MeanRatioProblem(alpha="0", beta="t", c1=0.2,
+                                                 c2=0.3, t0=t0), g)
+    np.testing.assert_allclose(c.curve.x.value,
+                               np.hypot(0.3, 0.2 - (g * g - t0 * t0) / 2),
+                               rtol=0, atol=1e-12)
+
+
+def test_j_phi_anchor_off_the_lattice():
+    # x^2 = x0^2 - 0.7*(t^2 - t0^2); 1.4e-6 off when held at the node
+    g = uniform_grid(0.0, 0.9, 201)
+    t0 = 0.3001
+    assert t0 not in FineGrid(g).s
+    c = profile_from_J_phi("-0.7*t", "1.5707963267948966", x0=1.2, grid=g,
+                           t0=t0)
+    np.testing.assert_allclose(c.curve.x.value,
+                               np.sqrt(1.44 - 0.7 * (g * g - t0 * t0)),
+                               rtol=0, atol=1e-12)
+
+
+def test_h_phi_anchor_off_the_lattice():
+    # A = -x cos(phi) = c_a + int_t0^t 2 H sin(phi); for H = cos t and
+    # phi = 0.3 sin t that is c_a + (cos(0.3 sin t0) - cos(0.3 sin t))/0.15.
+    # A(t0) - c_a was 2.9e-5 when held at the node
+    g = uniform_grid(0.0, 1.2, 121)
+    t0, c_a = 0.30017, -1.0
+    assert t0 not in FineGrid(g).s
+    c = profile_from_H_phi("cos(t)", "0.3*sin(t)", g, c_a=c_a, t0=t0)
+    A = -c.curve.x.value * c.normal.a.value
+    want = c_a + (np.cos(0.3 * np.sin(t0)) - np.cos(0.3 * np.sin(g))) / 0.15
+    np.testing.assert_allclose(A, want, rtol=0, atol=1e-12)
+    A_t0 = -value_at(c.curve.x, t0) * value_at(c.normal.a, t0)
+    assert abs(A_t0 - c_a) <= 1e-12
+
+
+def test_gauss_z_anchor_off_the_lattice():
+    # x and sin phi were carried to t0 by a partial RK4 step, but z was
+    # held at the nearest node: z(t0) - z0 was 2.9e-4
+    g = uniform_grid(0.0, 2.0, 161)
+    t0, z0 = 0.5003, 0.25
+    assert t0 not in FineGrid(g).s
+    p = GaussRatioProblem(alpha="1", beta="1", t0=t0, x0=0.4, sin_phi0=0.2,
+                          z0=z0)
+    c = profile_from_gauss_ratio(p, g)
+    want = 0.4 * np.cos(g - t0) - 0.2 * np.sin(g - t0)
+    np.testing.assert_allclose(c.curve.x.value, want, rtol=0, atol=1e-12)
+    assert abs(value_at(c.curve.z, t0) - z0) <= 1e-12
+
+
 def test_construction_report_shape():
     g = uniform_grid(0.0, 1.0, 51)
     c = profile_from_H_phi("1/2", "0", g, c_a=-1.0)
     rep = report_of(c)
     d = asdict(rep)
-    for key in ("method", "t0", "anchor_offset", "flips", "flagged_nodes",
-                "ode_residual", "contact_residual", "norm_residual", "notes"):
-        assert key in d, key
+    assert list(d) == ["method", "t0", "flips", "flagged_nodes",
+                       "ode_residual", "contact_residual", "norm_residual",
+                       "notes"]
     assert d["contact_residual"] <= 1e-10
     assert c.curvature is not None
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from revfront.quadrature import ConstructionError, FineGrid, uniform_grid
+from revfront.quadrature import (ConstructionError, FineGrid, nearest_node,
+                                 uniform_grid)
 
 
 def test_uniform_grid_endpoints_and_count():
@@ -66,18 +67,44 @@ def test_cumulative_from_anchor():
     g = uniform_grid(0.0, 1.0, 33)
     fg = FineGrid(g, refine=8)
     vals = fg.eval_expr("cos(t)")
-    k = fg.nearest_fine_index(0.5)
-    out = fg.cumulative_from(vals, k, 10.0)
-    t_anchor = fg.s[k]
-    want = 10.0 + np.sin(fg.s) - np.sin(t_anchor)
-    np.testing.assert_allclose(out, want, atol=1e-12)
+    for t0 in (0.5, 0.5001):
+        out = fg.cumulative_from(vals, t0, 10.0)
+        want = 10.0 + np.sin(fg.s) - np.sin(t0)
+        np.testing.assert_allclose(out, want, atol=1e-12)
+    # at a fine node, the plain shift of the cumulative integral, bit for bit
+    base = fg.cumulative(vals)
+    for k in (0, 101, fg.s.size - 1):
+        out = fg.cumulative_from(vals, fg.s[k], 10.0)
+        assert out.tobytes() == (base - base[k] + 10.0).tobytes()
 
 
-def test_nearest_fine_index():
+@pytest.mark.parametrize("t0", [0.0011, 0.37, 0.4991, 0.5004, 0.9993])
+def test_cumulative_from_is_exact_for_quadratics_off_the_lattice(t0):
+    # steps of 1/64 left of 0.5 and 1/16 right of it: the parabola from the
+    # nearest node to t0 sees unequal neighbours beside 0.5, and the end
+    # triple at either end of the lattice
+    g = np.concatenate([np.linspace(0.0, 0.5, 33),
+                        np.linspace(0.5, 1.0, 9)[1:]])
+    fg = FineGrid(g, refine=4)
+    assert t0 not in fg.s
+    vals = 3.0 * fg.s ** 2 - 2.0 * fg.s + 1.0
+
+    def F(t):
+        return t ** 3 - t ** 2 + t
+    out = fg.cumulative_from(vals, t0, -0.25)
+    np.testing.assert_allclose(out, -0.25 + F(fg.s) - F(t0), rtol=0,
+                               atol=4e-16)
+
+
+def test_nearest_node():
     g = uniform_grid(0.0, 1.0, 17)
     fg = FineGrid(g, refine=4)
-    k = fg.nearest_fine_index(0.50001)
+    k = nearest_node(fg.s, 0.50001)
     assert abs(fg.s[k] - 0.50001) <= np.max(fg.fine_step) / 2 + 1e-15
+    assert nearest_node(g, -3.0) == 0 and nearest_node(g, 3.0) == 16
+    for t0 in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="t0 must be finite"):
+            nearest_node(g, t0)
 
 
 def test_coarse_index_roundtrip():

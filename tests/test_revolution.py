@@ -177,6 +177,15 @@ def test_cone_type_point():
         assert not off.is_cone_type, axis
 
 
+@pytest.mark.parametrize("t0", [float("nan"), float("inf"), -float("inf")])
+def test_cone_type_check_refuses_a_t0_that_is_not_finite(t0):
+    # argmin gave node 0 here, and the check reported on t = -1
+    cone = legendre_from_expressions("t", "t", "0.7", "-0.7",
+                                     uniform_grid(-1.0, 1.0, 41))
+    with pytest.raises(ValueError, match="t0 must be finite"):
+        cone_type_check(cone, t0)
+
+
 def test_evolute_bundle_pseudo_sphere():
     # grid places a node exactly at pi/2 where the axis formula degenerates
     g = uniform_grid(0.2, np.pi - 0.2, 161)
