@@ -14,8 +14,10 @@ defining relations; the numerical content is lattice quadrature (16 fine
 steps per grid step) plus, for the gauss ratio, RK4 sweeps of the
 first-order system outward from seeded lattice nodes: the node nearest
 the anchor, or every node within the radius of a Frobenius series at a
-regular singular point of the ratio.  Every construction holds its
-prescribed values at t0 itself (FineGrid.cumulative_from).
+regular singular point of the ratio, with coefficients computed from
+the Laurent jets of alpha and beta at t0 (expr.eval_laurent), not
+fitted.  Every construction holds its prescribed values at t0 itself
+(FineGrid.cumulative_from).
 Any finite, strictly increasing grid will do: RK4, the quadrature, the
 flip locator and the series region all read the lattice's own steps.
 """
@@ -32,13 +34,15 @@ from . import jets
 from .jets import DIV_TOL, DomainError, Jet, jet_div_reduced
 from .legendre import (CurveJet, CurvaturePair, LegendreCurve, NormalJet,
                        verify_legendre)
-from .quadrature import ConstructionError, FineGrid, evaluated, nearest_node
+from .quadrature import (ConstructionError, FineGrid, check_finite, evaluated,
+                         nearest_node)
 
 FLIP_TOL = 1e-8          # fitted |sin phi| extremum within this of 1 -> branch flip
 SIN_EXCESS_TOL = 1e-9    # |sin phi| beyond 1 + this -> inconsistent data
 FLAG_TOL = 1e-12         # 1 - sin^2 below this at a node -> jets flagged
 SAFE_COS = 1e-3          # |cos phi| above this -> plain jet division for ell
 COS_TOL = 1e-8           # |cos phi| within this (relative) of 0 -> (H, phi) rejects
+SERIES_ORDER = 12        # Frobenius coefficients c_0..c_12; data to twice that
 
 
 @dataclass
@@ -61,7 +65,7 @@ class GaussRatioProblem:
     method: str = "auto"   # auto | rk4 | frobenius
 
     def __post_init__(self):
-        _check_seeds(self.x0, self.sin_phi0, self.cos_sign)
+        _check_seeds(self.x0, self.sin_phi0, self.cos_sign, self.z0)
         if self.method not in ("auto", "rk4", "frobenius"):
             raise ValueError("method must be auto, rk4 or frobenius, "
                              f"got {self.method!r}")
@@ -81,6 +85,9 @@ class MeanRatioProblem:
     t0: float | None = None
     z0: float = 0.0
 
+    def __post_init__(self):
+        check_finite(c1=self.c1, c2=self.c2, z0=self.z0)
+
 
 @dataclass
 class ConstructionReport:
@@ -96,10 +103,9 @@ class ConstructionReport:
     notes: dict = field(default_factory=dict)
 
 
-def _check_seeds(x0, sin0=0.0, cos_sign=1.0):
-    """ValueError unless x0 is finite, sin phi in [-1, 1], cos_sign +-1."""
-    if not math.isfinite(x0):
-        raise ValueError(f"x0 must be finite, got {x0!r}")
+def _check_seeds(x0, sin0=0.0, cos_sign=1.0, z0=0.0):
+    """ValueError unless x0, z0 finite, sin phi in [-1, 1], cos_sign +-1."""
+    check_finite(x0=x0, z0=z0)
     if not -1.0 <= sin0 <= 1.0:
         raise ValueError(f"sin phi seed must lie in [-1, 1], got {sin0!r}")
     if cos_sign not in (1.0, -1.0):
@@ -112,15 +118,6 @@ def _values(src, t, what):
 
 def _jet(src, t, order, what):
     return evaluated(what, expr.eval_jet_any_order, src, t, order)
-
-
-def _padded(coeffs, n):
-    """The first n entries of coeffs, padded with zeros to length n."""
-    coeffs = np.ravel(coeffs)
-    out = np.zeros(n)
-    take = min(n, coeffs.size)
-    out[:take] = coeffs[:take]
-    return out
 
 
 def _div_reduced(num, den, tol, width):
@@ -368,82 +365,46 @@ def _assemble(fg, io, z_s, x_j, a_j, b_j, ell_j, beta_j, report):
 # Gauss ratio: K = alpha * J
 # ---------------------------------------------------------------------------
 
-def _alpha_has_pole(alpha_src, t0):
+def _alpha_expansion(p):
+    """alpha about t0 as a jets.Laurent; None if RK4 is forced or if, under
+    auto, an exponent depends on t: no pole, and RK4 rejects alpha*beta."""
+    if p.method == "rk4":
+        return None
     try:
-        v = expr.eval_values(alpha_src, np.array([t0]))[0]
-    except expr.ExponentError:
-        return False    # not a pole; the RK4 path rejects alpha*beta
-    except DomainError:
-        return True
-    return not np.isfinite(v)
+        return expr.eval_laurent(p.alpha, p.t0, 2 * SERIES_ORDER)
+    except DomainError as exc:
+        if p.method == "auto" and isinstance(exc, expr.ExponentError):
+            return None
+        raise ConstructionError(
+            f"alpha cannot be expanded at t0={p.t0}: {exc}", t0=p.t0) from exc
 
 
-def _frobenius_data(p, fg, i0, order_n=12):
-    """Series solution x = sum c_k s^(k+r) of the profile ODE about t0.
+def _frobenius_data(p, alpha, fg, i0):
+    """Series solution x = sum c_k s^(k+r), s = t - t0, of the profile ODE
+    s^2 x'' + s P x' + Q x = 0 about t0 (the Frobenius method).
 
-    The coefficient functions are the locally analytic combinations
-    p(s) = -s*beta'/beta (jet division) and q(s) = alpha*beta^2*s^2
-    (least-squares polynomial fit on Chebyshev nodes, since alpha itself
-    is singular at t0).  The series region spans at least four of the
-    larger fine step beside the anchor node i0 on each side it covers.
-    Returns (r, coeffs, delta, notes).
+    P = -s*beta'/beta and Q = alpha*beta^2*s^2, from the Laurent jets of
+    alpha and beta at t0, are exact Taylor jets of order SERIES_ORDER once
+    v(P) >= 0 and v(Q) >= 0 certify a regular singular point.  The series
+    region spans at least four of the larger fine step beside the anchor
+    node i0 on each side it covers.  Returns (r, coeffs, delta, notes).
     """
     t0 = p.t0
-    hi = order_n + 2
-    beta_j = _jet(p.beta, t0, hi, "beta")
-    iota = jets.variable(t0, hi) - t0
-    try:
-        p_jet = jet_div_reduced(-(iota * beta_j.differentiated().truncated(hi)),
-                                beta_j, tol=1e-10)
-    except DomainError as exc:
-        raise ConstructionError(
-            f"beta'/beta is not meromorphic enough at t0={t0}: {exc}") from exc
-    p_co = _padded(p_jet.coeffs, order_n + 1)
+    beta = evaluated("beta", expr.eval_laurent, p.beta, t0, 2 * SERIES_ORDER)
+    b = jets.Laurent(beta.jet)      # beta = s^v b, so s beta'/beta = v + s b'/b
+    q = alpha * beta * beta
+    P = -(jets.Laurent(b.jet.differentiated(), 1) / b + beta.v)
+    Q = jets.Laurent(q.jet, q.v + 2)
+    for name, f, most in (("beta'/beta", P, 1), ("alpha*beta^2", Q, 2)):
+        if f.valuation() < 0:
+            raise ConstructionError(
+                f"{name} has a pole of order {most - f.valuation()} at "
+                f"t0={t0}, more than {most}: not a regular singular point",
+                t0=t0)
+    p_co, q_co = (f.taylor().rows[:SERIES_ORDER + 1] for f in (P, Q))
+    order_n = min(len(p_co), len(q_co)) - 1
 
-    lo, hi_t = fg.grid[0], fg.grid[-1]
-    span = hi_t - lo
-    step = float(np.max(fg.fine_step[max(i0 - 1, 0):i0 + 1]))
-    left, right = t0 - lo, hi_t - t0
-    two_sided = left > 4 * step and right > 4 * step
-    if two_sided:
-        delta_fit = 0.6 * min(left, right)
-    else:
-        delta_fit = 0.6 * max(left, right)
-    delta_fit = min(delta_fit, 0.5 * span)
-    m = 64
-    k = np.arange(m)
-    cheb = np.cos(np.pi * k / (m - 1))
-    if two_sided:
-        s_nodes = delta_fit * cheb
-    elif right >= left:
-        s_nodes = delta_fit * 0.5 * (cheb + 1.0)
-    else:
-        s_nodes = -delta_fit * 0.5 * (cheb + 1.0)
-    s_nodes = s_nodes[np.abs(s_nodes) > 1e-8 * delta_fit]
-    tn = t0 + s_nodes
-    ab2 = f"({p.alpha})*({p.beta})^2"
-    w = _values(ab2, tn, "alpha*beta^2") * s_nodes ** 2
-    if not np.all(np.isfinite(w)):
-        raise ConstructionError(
-            "alpha*beta^2*(t-t0)^2 is not finite near t0; t0 is not a regular "
-            "singular point", t0=t0)
-    q_poly = np.polynomial.polynomial.polyfit(s_nodes, w, order_n)
-
-    # boundedness heuristic on a shrinking sequence (analyticity cannot be
-    # certified numerically; recorded as a heuristic)
-    shrink = delta_fit * 4.0 ** (-np.arange(1, 9, dtype=float))
-    if not two_sided and left > right:
-        shrink = -shrink
-    try:
-        wv = _values(ab2, t0 + shrink, "alpha*beta^2")
-        wv = wv * shrink ** 2
-        analytic_ok = bool(np.all(np.isfinite(wv)) and
-                           np.max(np.abs(wv[-4:])) <=
-                           100.0 * (1.0 + np.max(np.abs(wv[:4]))))
-    except ConstructionError:
-        analytic_ok = False
-
-    p0, q0 = p_co[0], q_poly[0]
+    p0, q0 = p_co[0], q_co[0]
     disc = (p0 - 1.0) ** 2 - 4.0 * q0
     if disc < 0:
         raise ConstructionError(
@@ -461,8 +422,6 @@ def _frobenius_data(p, fg, i0, order_n=12):
             "at t0 and jets cannot represent it", t0=t0)
     r = float(r_int)
 
-    q_co = _padded(q_poly, order_n + 1)
-
     def F(rho):
         return rho * (rho - 1.0) + p0 * rho + q0
 
@@ -479,7 +438,12 @@ def _frobenius_data(p, fg, i0, order_n=12):
             acc += (p_co[j] * (n - j + r) + q_co[j]) * c[n - j]
         c[n] = -acc / Fn
 
-    delta = 0.9 * delta_fit
+    lo, hi = fg.grid[0], fg.grid[-1]
+    step = float(np.max(fg.fine_step[max(i0 - 1, 0):i0 + 1]))
+    left, right = t0 - lo, hi - t0
+    two_sided = left > 4 * step and right > 4 * step
+    room = min(0.6 * (min if two_sided else max)(left, right), 0.5 * (hi - lo))
+    delta = 0.9 * room
     while delta > 4 * step:
         terms = np.abs(c) * delta ** np.arange(order_n + 1)
         if terms[-1] < 1e-12 * max(terms.sum(), 1e-300):
@@ -487,13 +451,11 @@ def _frobenius_data(p, fg, i0, order_n=12):
         delta *= 0.8
     else:
         raise ConstructionError(
-            "Frobenius series does not settle inside the fit radius; "
-            "refine the grid near t0 or move t0", t0=t0, delta_fit=delta_fit)
+            "Frobenius series does not settle inside its start radius; "
+            "refine the grid near t0 or move t0", t0=t0, room=room)
 
     notes = {"indicial_root": float(r), "series_order": order_n,
-             "series_radius": float(delta),
-             "analyticity_heuristic_passed": analytic_ok,
-             "two_sided": bool(two_sided)}
+             "series_radius": float(delta), "two_sided": bool(two_sided)}
     return r, c, delta, notes
 
 
@@ -531,8 +493,9 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
     """
     fg, io, i0, t0 = _lattice(grid, p.t0, order)
     g, s = fg.grid, fg.s
-    use_series = (p.method == "frobenius" or
-                  (p.method == "auto" and _alpha_has_pole(p.alpha, t0)))
+    alpha = _alpha_expansion(p)
+    use_series = alpha is not None and (p.method == "frobenius"
+                                        or alpha.v < 0)
 
     beta_s = _values(p.beta, s, "beta")
     mid = 0.5 * (s[:-1] + s[1:])
@@ -551,7 +514,7 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
                                          av[1], bv[2], av[2], s[i0] - t0)
     else:
         method = "gauss_frobenius"
-        r, c, radius, notes = _frobenius_data(p, fg, i0)
+        r, c, radius, notes = _frobenius_data(p, alpha, fg, i0)
         seeded = np.flatnonzero(np.abs(s - t0) <= radius)   # holds i0
         iL, iR = int(seeded[0]), int(seeded[-1])
         near = np.s_[iL:iR + 1]
@@ -628,7 +591,7 @@ def profile_from_JK(J: str, K: str, x0: float, grid, t0: float | None = None,
     -1, is the sign of cos phi at t0.  When |sin0| = 1, a touch at t0,
     cos_sign holds for t <= t0 and the other sign after t0.
     """
-    _check_seeds(x0, sin0, cos_sign)
+    _check_seeds(x0, sin0, cos_sign, z0)
     if x0 <= 0:
         raise ConstructionError(f"x0 must be positive, got {x0}")
     fg, io, i0, t0 = _lattice(grid, t0, order)
@@ -713,7 +676,7 @@ def profile_from_J_phi(J: str, phi: str, x0: float, grid,
                        t0: float | None = None, z0: float = 0.0,
                        order: int = 5) -> LegendreCurve:
     """Profile with prescribed J and normal angle phi; x(t0) = x0 > 0."""
-    _check_seeds(x0)
+    _check_seeds(x0, z0=z0)
     if x0 <= 0:
         raise ConstructionError(f"x0 must be positive, got {x0}")
     fg, io, _, t0 = _lattice(grid, t0, order)
@@ -739,6 +702,7 @@ def profile_from_H_phi(H: str, phi: str, grid, c_a: float = 0.0,
     Requires cos(phi) bounded away from zero on the grid; c_a shifts the
     antiderivative of 2*H*sin(phi) and thereby scales the axis distance.
     """
+    check_finite(c_a=c_a, z0=z0)
     fg, io, _, t0 = _lattice(grid, t0, order)
     g, s = fg.grid, fg.s
     H_s = _values(H, s, "H")

@@ -6,14 +6,16 @@ sin, cos, tan, cot, exp, log, sqrt, sinh, cosh, atan.  Precedence from
 tightest to loosest: ^, unary minus, * /, + -.  Source text is ASCII: any
 other character is a syntax error at its offset, so offsets are bytes.
 
-One tree walk evaluates an expression to its values at samples t or to
-its Taylor jets (see jets.Jet), and both raise DomainError alike: at a
-pole of / or of a negative integer power, |den| < jets.DIV_TOL * (1 +
-|num|); for log of x <= 0, sqrt of x < 0, a non-integer power of a base
-<= 0; and, as ExponentError, for an exponent of ^ that is not one finite
-constant (equal on all samples, derivatives up to max(jet order,
-jets.ORDER_CAP) zero, at most jets.EXPONENT_CAP if an integer).  Jets
-also refuse sqrt at 0 and an overflowing derivative.
+One tree walk evaluates an expression to its values at samples t, to
+its Taylor jets (see jets.Jet), or to its Laurent jet about one point
+(eval_laurent, see jets.Laurent).  Values and jets raise DomainError
+alike: at a pole of / or of a negative integer power, |den| <
+jets.DIV_TOL * (1 + |num|); for log of x <= 0, sqrt of x < 0, a
+non-integer power of a base <= 0; and, as ExponentError, for an
+exponent of ^ that is not one finite constant (equal on all samples,
+derivatives up to max(jet order, jets.ORDER_CAP) zero, at most
+jets.EXPONENT_CAP if an integer).  Jets also refuse sqrt at 0 and an
+overflowing derivative; a Laurent jet passes a pole at its point.
 
 Source text is evaluated through a template of its shape: the text
 between its numeric literals, which fixes the token sequence with each
@@ -293,6 +295,14 @@ def eval_jet_any_order(e: Expr | str, t, order: int) -> Jet:
     return _eval(e, var.t, var, literals)
 
 
+def eval_laurent(e: Expr | str, t0: float, order: int) -> jets.Laurent:
+    """The expression about the scalar t0 as a jets.Laurent, its variable
+    of the given order: a pole at t0 is a valuation, not a DomainError."""
+    e, literals = _shaped(e) if isinstance(e, str) else (e, ())
+    var = jets.Laurent(jets.variable(float(t0), order))
+    return _eval(e, var.jet.t, var, literals)
+
+
 def eval_values(e: Expr | str, t):
     """Evaluate an expression's values at the samples t (scalar or array)."""
     e, literals = _shaped(e) if isinstance(e, str) else (e, ())
@@ -315,9 +325,10 @@ def _literal(e: Expr, literals):
 
 def _eval(e: Expr, t, var, literals=()):
     """e at the samples t: its values if var is t, its jet if var is the
-    jet of t; a Slot of e reads literals.  Every rule is written once for
-    both; they differ only in constants, FUNCTIONS and the final / and **
-    of each algebra."""
+    jet of t, its jets.Laurent if var is the Laurent jet of t; a Slot of
+    e reads literals.  Every rule is written once for all three; they
+    differ only in constants, FUNCTIONS (which take the Taylor form of a
+    Laurent argument) and the final / and ** of each algebra."""
     jet = var is not t
     if isinstance(e, BinOp):
         op, left, right = e.op, e.left, e.right
@@ -340,6 +351,8 @@ def _eval(e: Expr, t, var, literals=()):
     value = _literal(e, literals)
     if value is not None:
         if jet:
+            if type(var) is not Jet:
+                return jets.Laurent(jets.constant(value, var.jet.order, t))
             return jets.constant(value, var.order, t)
         return np.full(t.shape, value) if t.shape else np.float64(value)
     if isinstance(e, Var):
@@ -349,7 +362,10 @@ def _eval(e: Expr, t, var, literals=()):
     if isinstance(e, Call):
         jet_fn, value_fn = FUNCTIONS[e.func]
         arg = _eval(e.arg, t, var, literals)
-        return jet_fn(arg) if jet else value_fn(arg, t)
+        if not jet:
+            return value_fn(arg, t)
+        return jet_fn(arg) if type(var) is Jet else jets.Laurent(
+            jet_fn(arg.taylor()))
     raise TypeError("not an expression node: %r" % (e,))
 
 

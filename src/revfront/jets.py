@@ -34,6 +34,9 @@ coefficients above 0 never hold -0.0: they get + 0.0, as adding a
 constant jet gives them.  A node where g is finite and a coefficient
 above 0 is not raises DomainError("derivative overflow at t=..."),
 without a numpy warning.
+
+A Laurent jet adds an integer valuation to a scalar-base jet, so that
+a quotient passes a pole (Knuth, TAOCP vol. 2, 4.7); see Laurent.
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ EXPONENT_CAP = 1024
 
 # |denominator| below DIV_TOL * (1 + |numerator|) counts as a pole.
 DIV_TOL = 1e-13
+
+# A divisor's leading Laurent coefficients that vanish at this tolerance
+# (see _vanishing) move into its valuation.
+VANISH_TOL = 1e-10
 
 
 class DomainError(ArithmeticError):
@@ -436,8 +443,89 @@ def sqrt(g: Jet) -> Jet:
     return _finish(g, a)
 
 
+def _vanishing(rows, tol: float = VANISH_TOL) -> int:
+    """How many leading coefficients are at most tol * max(1, largest
+    magnitude), the largest taken as 1 when one is NaN."""
+    tol *= max(1.0, float(np.max(np.abs(rows))))
+    return next((k for k, c in enumerate(rows) if not abs(c) <= tol),
+                len(rows))
+
+
+class Laurent:
+    """f = s^v (c_0 + c_1 s + ...) about a scalar base t0, s = t - t0: jet
+    holds the c_k, v is an integer, f is known up to s^(v + jet.order).
+    * adds valuations, + and - align them, / strips its divisor's
+    vanishing leading coefficients into v where Jet division meets a
+    pole.  Where none is stripped, v stays 0 and each operation is the
+    Jet one, bit for bit."""
+    __slots__ = ("jet", "v")
+
+    def __init__(self, jet: Jet, v: int = 0):
+        self.jet, self.v = jet, v
+
+    def valuation(self) -> int:
+        """The order of the zero of f at t0, or minus that of its pole."""
+        return self.v + _vanishing(self.jet.rows)
+
+    def taylor(self) -> Jet:
+        """f as a Taylor jet; DomainError at a pole."""
+        v, r = self.v, self.jet.rows
+        if v < 0 and min(_vanishing(r), len(r) - 1) < -v:
+            _refuse(True, self.jet.t, "no Taylor jet at a pole")
+        return _jet(self.jet.t, r[-v:] if v < 0 else [0.0] * v + r)
+
+    def _coerce(self, c) -> "Laurent":
+        """c, or the constant c known as far as f is."""
+        if isinstance(c, Laurent):
+            return c
+        top = max(self.v + self.jet.order, 0)
+        return Laurent(constant(c, top, self.jet.t))
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        v = min(self.v, other.v)
+        a, b = (_jet(f.jet.t, [0.0] * (f.v - v) + f.jet.rows)
+                for f in (self, other))
+        return Laurent(a + b, v)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Laurent(-self.jet, self.v)
+
+    def __sub__(self, other):
+        return self + -self._coerce(other)    # as Jet.__sub__: -0.0 above c_0
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, Laurent):
+            return Laurent(self.jet * other.jet, self.v + other.v)
+        return Laurent(self.jet * other, self.v)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        d = other.jet.rows
+        k = _vanishing(d)
+        if k == len(d):
+            _refuse(True, self.jet.t, "division by (near-)zero")
+        den = _jet(self.jet.t, d[k:])
+        return Laurent(self.jet / den, self.v - other.v - k)
+
+    def __pow__(self, p):
+        if float(p) != int(p):
+            return Laurent(self.taylor() ** p)
+        if p < 0:
+            one = constant(1.0, self.jet.order, self.jet.t)
+            return Laurent(one) / self ** -p
+        return Laurent(self.jet ** p, self.v * int(p))
+
+
 def jet_div_reduced(num: Jet, den: Jet, tol: float = 1e-9) -> Jet:
-    """Divide scalar-base jets after stripping common leading (near-)zeros.
+    """Divide scalar-base jets after stripping the leading coefficients
+    that vanish in both (see _vanishing).
 
     Handles removable singularities such as l = (alpha*beta*x)/cos(phi) at a
     point where both factors vanish to the same order.  Output order drops by
@@ -445,11 +533,6 @@ def jet_div_reduced(num: Jet, den: Jet, tol: float = 1e-9) -> Jet:
     """
     if num.t.shape != () or den.t.shape != ():
         raise ValueError("reduced division works on scalar-base jets")
-    sn = max(1.0, float(np.max(np.abs(num.coeffs))))
-    sd = max(1.0, float(np.max(np.abs(den.coeffs))))
-    k = 0
     n = min(num.order, den.order)
-    while (k < n and abs(num.coeffs[k]) <= tol * sn
-           and abs(den.coeffs[k]) <= tol * sd):
-        k += 1
+    k = min(_vanishing(num.rows, tol), _vanishing(den.rows, tol), n)
     return Jet(num.t, num.coeffs[k: n + 1]) / Jet(den.t, den.coeffs[k: n + 1])

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import expr, jets
 from .jets import Jet
-from .quadrature import FineGrid, checked_grid, evaluated
+from .quadrature import FineGrid, check_finite, checked_grid, evaluated
 
 
 class DegenerateCurvatureError(ValueError):
@@ -108,6 +108,7 @@ def reconstruct_from_curvature(ell_src, beta_src, grid,
     order zero is chained analytically from the structure equations, so the
     output satisfies the contact condition to rounding.
     """
+    check_finite(theta0=theta0, x0=x0, z0=z0)
     fg = FineGrid(grid)
     ell_s = fg.eval_expr(ell_src)
     beta_s = fg.eval_expr(beta_src)

@@ -131,11 +131,17 @@ class FineGrid:
         return np.asarray(fine_values)[..., self.coarse_index]
 
 
+def check_finite(**values):
+    """ValueError naming the first of the values that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def nearest_node(nodes, t0: float) -> int:
     """Index of the node nearest t0; ValueError for a t0 that is not
     finite, which has no nearest node (argmin would give node 0)."""
-    if not math.isfinite(t0):
-        raise ValueError(f"t0 must be finite, got {t0!r}")
+    check_finite(t0=t0)
     return int(np.abs(np.asarray(nodes) - t0).argmin())
 
 

@@ -9,7 +9,7 @@ constructions and the lift to surfaces of revolution.
 Zero tests are relative: a quantity counts as zero when its magnitude is
 at most tol * max(1, scale) with scale the largest derivative magnitude
 entering the criterion.  Every zero test defaults to tol = EXACT_TOL
-(1e-8).
+(1e-8); a tol that is NaN, infinite or negative raises ValueError.
 """
 
 from __future__ import annotations
@@ -45,6 +45,12 @@ class CuspLabel:
             raise ValueError(f"unknown label {self.label!r}")
 
 
+def _check_tol(tol):
+    """ValueError unless tol is finite and non-negative."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+
+
 def _derivs(j: Jet, upto: int, node: int = 0):
     """Derivatives 0..min(upto, order) at one node, from one column read."""
     top = min(upto, j.order)
@@ -70,6 +76,9 @@ def ord_of(f: Jet, cap: int = 5, tol: float = EXACT_TOL) -> int:
     returned, meaning "order at least top + 1": no derivative above the
     jet's own order is tested.
     """
+    _check_tol(tol)
+    if not cap >= 0:
+        raise ValueError(f"cap must be non-negative, got {cap!r}")
     d = _derivs(f, cap)
     thr = tol * max(1.0, max(abs(v) for v in d))
     for k, v in enumerate(d):
@@ -89,6 +98,7 @@ def cusp_classify_derivatives(curve, t0: float,
     module rule with scale the largest magnitude of the derivatives of
     orders 1 to 5, and its square for the determinants.
     """
+    _check_tol(tol)
     cj = curve.curve if isinstance(curve, LegendreCurve) else curve
     i = nearest_node(cj.t, t0)
     dx = _derivs(cj.x, 5, i)
@@ -160,6 +170,7 @@ def cusp_classify_curvature(ell: Jet, beta: Jet, tol: float = EXACT_TOL,
         4/3  iff  beta' = 0, beta'' * ell != 0
         5/3  iff  beta' = ell = 0, beta'' * ell' != 0
     """
+    _check_tol(tol)
     db, dl = _derivs(beta, 2), _derivs(ell, 2)
     if len(db) < 3 or len(dl) < 3:
         return CuspLabel("unresolved", {"note": "jet order too low", "tol": tol})
@@ -232,6 +243,7 @@ def constant_mean_cusp(alpha: Jet, beta: Jet,
     alpha admits no cusp of any of the four types; otherwise only 5/2
     and 5/3 can occur, decided by (beta', beta'', alpha').
     """
+    _check_tol(tol)
     da = _derivs(alpha, min(5, alpha.order))
     db = _derivs(beta, 2)
     scale = max(1.0, max(abs(v) for v in da), max(abs(v) for v in db))
@@ -262,6 +274,7 @@ def revolution_singularity_classify(c: LegendreCurve, t0: float,
     degenerate normal form (+-t^(k+1), t) when x vanishes to finite
     order against a moving z, or unresolved.
     """
+    _check_tol(tol)
     i = nearest_node(c.t, t0)
     xj = c.curve.x.at(i)
     x0 = float(xj.value)

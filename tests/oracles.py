@@ -4,12 +4,14 @@ congruence_align measures how far two Legendre curves are from being
 rigid motions of each other; to_source prints an expression tree back
 to source that reparses to a structurally equal tree; RecursiveParser is
 the five-level recursive descent that expr.parse replaced, kept to pin
-the trees, errors, messages and offsets of the operator-precedence loop.
+the trees, errors, messages and offsets of the operator-precedence loop;
+laurent_coefficients expands an expression about a point with sympy.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import sympy as sp
 
 from revfront.expr import (FUNCTIONS, BinOp, Call, ExprSyntaxError, Neg, Num,
                            UnknownIdentifierError, Var, _tokenize)
@@ -162,3 +164,16 @@ class RecursiveParser:
             self.expect(")")
             return e
         raise ExprSyntaxError("unexpected %s" % kind, offset)
+
+
+def laurent_coefficients(src, t0, count):
+    """(v, [c_0, ..., c_{count-1}]) with f(t0 + s) = s^v (c_0 + c_1 s + ...)
+    and c_0 != 0, from sympy's series of the expression src.  t0 is a
+    sympy number, exact: sin(pi) is 0 here, not 1.2e-16."""
+    s = sp.Symbol("s")
+    f = sp.sympify(src.replace("^", "**"), locals={"t": s + t0})
+    series = sp.expand(sp.series(f, s, 0, count).removeO())
+    terms = dict(reversed(term.as_coeff_exponent(s))
+                 for term in sp.Add.make_args(series))
+    v = int(min(terms))
+    return v, [float(terms.get(v + k, 0)) for k in range(count)]

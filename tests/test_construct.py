@@ -4,13 +4,17 @@ Every fixture has a closed-form solution; the asserts pin both the
 profile and the identity the construction is supposed to enforce.
 """
 
+import importlib.util
+import math
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from revfront.construct import (ConstructionError, GaussRatioProblem,
-                                MeanRatioProblem, profile_from_H_phi,
+                                MeanRatioProblem, _alpha_expansion,
+                                _frobenius_data, profile_from_H_phi,
                                 profile_from_J_phi, profile_from_JK,
                                 profile_from_gauss_ratio,
                                 profile_from_mean_ratio)
@@ -18,6 +22,7 @@ from revfront.legendre import (curvature_pair_of, legendre_from_expressions,
                                reconstruct_from_curvature, verify_legendre)
 from revfront.quadrature import FineGrid, nearest_node, uniform_grid
 from revfront.revolution import revolution_curvature
+from revfront.singular import revolution_singularity_classify
 
 PI = np.pi
 
@@ -233,6 +238,92 @@ def test_gauss_frobenius_rejects_non_integer_root():
     assert "indicial" in str(ei.value)
 
 
+# alpha and beta at t0 = 0 that the series refuses, with a word of the
+# reason; the first two were refused as a non-integer indicial root
+SERIES_REFUSALS = [
+    ("-1/t^3", "1", "pole of order 3"),
+    ("log(t)", "1", "alpha cannot be expanded"),
+    ("1/t^2", "1", "indicial roots complex"),
+    ("-2/t^2", "t^2", "not finite"),
+]
+
+
+@pytest.mark.parametrize("alpha, beta, reason", SERIES_REFUSALS)
+def test_gauss_frobenius_refusals_name_their_reason(alpha, beta, reason):
+    p = GaussRatioProblem(alpha=alpha, beta=beta, t0=0.0, x0=1.0)
+    with pytest.raises(ConstructionError, match=reason):
+        profile_from_gauss_ratio(p, uniform_grid(0.0, 0.4, 81))
+
+
+@pytest.mark.parametrize("grid", [uniform_grid(0.0, 0.4, 121),
+                                  uniform_grid(-0.4, 0.4, 121)])
+def test_gauss_frobenius_exact_series_with_nonzero_terms(grid):
+    # alpha = -(t^2+4t+2)/t^2, beta = 1: x = 0.5 t^2 e^t, so c_k = 0.5/k!;
+    # with fitted coefficients the one-sided jets at t0 were off by 7.3e-11
+    # (x) and 1.3e-8 (sin phi)
+    p = GaussRatioProblem(alpha="-(t^2+4*t+2)/t^2", beta="1", t0=0.0,
+                          x0=0.5)
+    fg = FineGrid(grid)
+    r, c, _, notes = _frobenius_data(p, _alpha_expansion(p), fg,
+                                     nearest_node(fg.s, 0.0))
+    assert r == 2.0 and notes["series_order"] == 12
+    want = 0.5 / np.array([math.factorial(k) for k in range(13)])
+    np.testing.assert_allclose(c, want, rtol=1e-13, atol=0)
+    prof = profile_from_gauss_ratio(p, grid)
+    assert report_of(prof).method == "gauss_frobenius"
+    i = nearest_node(grid, 0.0)
+    x = [0.0, 0.0] + [0.5 / math.factorial(k) for k in range(4)]
+    # sin phi = -x' = -sum 0.5 (k+2)/k! t^(k+1)
+    b = [0.0] + [-0.5 * (k + 2) / math.factorial(k) for k in range(5)]
+    np.testing.assert_allclose(prof.curve.x.coeffs[:, i], x, rtol=0,
+                               atol=1e-13)
+    np.testing.assert_allclose(prof.normal.b.coeffs[:, i], b, rtol=0,
+                               atol=1e-12)
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_frobenius_requests_are_exact_series():
+    # alpha = -2/(k t)^2, beta = k: x = x0 t^2 exactly, so c_1.. are 0 and
+    # sin phi = -2 x0 t / k; the fit gave |c_k| up to 0.16 and jets off by
+    # 3.3e-7.  Seeds 1-40 of the benchmark's solve pass 0.
+    workloads = _bench_workloads()
+    for seed in range(1, 41):
+        for spec in workloads.solve_pass(seed, 0):
+            if spec["kind"] != "gauss_frobenius":
+                continue
+            k, x0, t0 = float(spec["beta"]), spec["x0"], spec["t0"]
+            g = np.linspace(*spec["grid"][:2], spec["grid"][2])
+            p = GaussRatioProblem(alpha=spec["alpha"], beta=spec["beta"],
+                                  t0=t0, x0=x0, method="frobenius")
+            fg = FineGrid(g)
+            _, c, _, _ = _frobenius_data(p, _alpha_expansion(p), fg,
+                                         nearest_node(fg.s, t0))
+            assert c[0] == x0 and np.max(np.abs(c[1:])) <= 1e-12, seed
+            prof = profile_from_gauss_ratio(p, g)
+            rep = report_of(prof)
+            assert rep.method == spec["expect"]["method"]
+            label = revolution_singularity_classify(prof, t0).label
+            assert label == spec["expect"]["label"]
+            i = np.abs(g - t0) <= rep.notes["series_radius"]
+            s = g[i]
+            zero = np.zeros_like(s)
+            exact = {"x": [x0 * s * s, 2 * x0 * s, x0 + zero],
+                     "b": [-2 * x0 * s / k, -2 * x0 / k + zero]}
+            for name, jet in (("x", prof.curve.x), ("b", prof.normal.b)):
+                want = np.zeros((jet.order + 1, s.size))
+                want[:len(exact[name])] = exact[name]
+                err = np.abs(jet.coeffs[:, i] - want) / np.fmax(1.0,
+                                                               np.abs(want))
+                assert np.max(err) <= 1e-12, (seed, name)
+
+
 def test_gauss_forced_rk4_at_pole_fails():
     g = uniform_grid(0.0, 0.4, 81)
     p = GaussRatioProblem(alpha="-2/t^2", beta="1", t0=0.0, x0=1.0,
@@ -336,6 +427,43 @@ def test_x0_seed_must_be_finite(x0):
         profile_from_JK("1", "0", x0=x0, grid=g)
     with pytest.raises(ValueError, match="x0 must be finite"):
         profile_from_J_phi("1", "t", x0=x0, grid=g)
+
+
+# every seed of the five constructions and of reconstruct_from_curvature,
+# each built with that one field set to the bad value
+SEEDED = {
+    "gauss z0": lambda v: GaussRatioProblem(alpha="-1", beta="1", t0=0.5,
+                                            x0=1.0, z0=v),
+    "jk z0": lambda v: profile_from_JK("1", "0", x0=1.0, z0=v,
+                                       grid=uniform_grid(0.0, 1.0, 51)),
+    "mean c1": lambda v: MeanRatioProblem(alpha="0", beta="t", c1=v, c2=0.3),
+    "mean c2": lambda v: MeanRatioProblem(alpha="0", beta="t", c1=0.2, c2=v),
+    "mean z0": lambda v: MeanRatioProblem(alpha="0", beta="t", c1=0.2,
+                                          c2=0.3, z0=v),
+    "j_phi z0": lambda v: profile_from_J_phi("1", "t", x0=1.0, z0=v,
+                                             grid=uniform_grid(0.0, 1.0, 51)),
+    "h_phi c_a": lambda v: profile_from_H_phi(
+        "cos(t)", "0.2*sin(t)", uniform_grid(0.0, 1.2, 41), c_a=v),
+    "h_phi z0": lambda v: profile_from_H_phi(
+        "cos(t)", "0.2*sin(t)", uniform_grid(0.0, 1.2, 41), c_a=-1.2, z0=v),
+    "reconstruct theta0": lambda v: reconstruct_from_curvature(
+        "1", "1", uniform_grid(0.0, 1.0, 33), theta0=v),
+    "reconstruct x0": lambda v: reconstruct_from_curvature(
+        "1", "1", uniform_grid(0.0, 1.0, 33), x0=v),
+    "reconstruct z0": lambda v: reconstruct_from_curvature(
+        "1", "1", uniform_grid(0.0, 1.0, 33), z0=v),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("case", SEEDED)
+def test_seeds_must_be_finite(case, bad):
+    # before, a NaN z0 gave a curve whose z was all NaN, which
+    # verify_legendre passed, and c_a = nan and x0 = inf were taken too
+    field = case.split()[1]
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        SEEDED[case](bad)
+    SEEDED[case](0.5)
 
 
 def test_mean_flat_catenoid_profile():

@@ -7,11 +7,12 @@ error type and the reported byte offset.
 import itertools
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from revfront import export, expr, jets, singular
@@ -19,7 +20,7 @@ from revfront.expr import (BinOp, Call, ExprSyntaxError, Neg, Num,
                            UnknownIdentifierError, Var, parse)
 from revfront.jets import DomainError
 
-from oracles import RecursiveParser, to_source
+from oracles import RecursiveParser, laurent_coefficients, to_source
 
 NO_SHRINK = [ph for ph in Phase if ph is not Phase.shrink]
 
@@ -384,6 +385,53 @@ def test_scalar_jet_is_a_column_of_the_array_jet(e, t0, order):
         assert _bits(scalar.coeffs) == _bits(array.coeffs[:, 0]), \
             (to_source(e), t0)
         assert all(type(c) is float for c in scalar.rows)
+
+
+@settings(max_examples=1000, deadline=None, phases=NO_SHRINK)
+@given(TREES, st.floats(-3.0, 3.0), st.integers(0, 8))
+# literals beside -t, whose coefficients above 1 are -0.0
+@example(BinOp("-", Neg(Var()), Num(2.0)), 0.5, 3)
+@example(BinOp("-", Num(2.0), Neg(Var())), 0.5, 3)
+@example(BinOp("+", Num(2.0), Neg(Var())), 0.5, 3)
+@example(BinOp("*", Num(2.0), Neg(Var())), 0.5, 3)
+@example(BinOp("^", BinOp("-", Neg(Var()), Num(1.0)), Num(-2.0)), 0.5, 3)
+def test_valuation_walk_is_the_jet_walk_where_nothing_is_stripped(e, t0,
+                                                                   order):
+    stripped = []
+
+    def recording(rows, tol=jets.VANISH_TOL):
+        stripped.append(vanishing(rows, tol))
+        return stripped[-1]
+
+    vanishing = jets._vanishing
+    with np.errstate(all="ignore"):
+        with mock.patch.object(jets, "_vanishing", recording):
+            laurent = _outcome(
+                lambda: expr.eval_laurent(e, t0, order).taylor())
+        if any(stripped):
+            return
+        jet = _outcome(lambda: expr.eval_jet_any_order(e, t0, order))
+    if isinstance(laurent, Exception) or isinstance(jet, Exception):
+        assert type(laurent) is type(jet), (to_source(e), t0, laurent, jet)
+    else:
+        assert _bits(laurent.coeffs) == _bits(jet.coeffs), (to_source(e), t0)
+
+
+@pytest.mark.parametrize("src, t0", [
+    ("-2/(1.3*t)^2", 0), ("-(t^2+4*t+2)/t^2", 0), ("1/t", 0),
+    # sin(t)^2 is 1.5e-32 - 2.4e-16 s + ... at the float pi, not s^2
+    ("1/sin(t)^2", sp.pi)])
+def test_laurent_coefficients_match_sympy(src, t0):
+    v, want = laurent_coefficients(src, t0, 10)
+    f = expr.eval_laurent(src, float(t0), 14)
+    assert f.valuation() == v
+    got = f.jet.rows[v - f.v:][:10]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
+    if v >= 0:
+        assert f.taylor().rows[v:v + 10] == got
+    else:
+        with pytest.raises(DomainError, match="no Taylor jet at a pole"):
+            f.taylor()
 
 
 def test_power_of_a_scalar_rounds_as_the_array_power():

@@ -156,6 +156,31 @@ def test_node_labellers_refuse_a_t0_that_is_not_finite(t0):
             label(c, t0)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_labellers_refuse_a_tol_that_is_no_tolerance(tol):
+    # a 3/2-cusp at 0 used to come out unresolved with tol = NaN and
+    # regular with tol = -1
+    c = reconstruct_from_curvature("1", "t", uniform_grid(-0.5, 0.5, 33))
+    assert cusp_classify_derivatives(c, 0.0).label == "cusp_3_2"
+    x, ell, beta = (j.at(16) for j in (c.curve.x, c.curvature.ell,
+                                       c.curvature.beta))
+    for label in (lambda: ord_of(x, tol=tol),
+                  lambda: cusp_classify_derivatives(c, 0.0, tol),
+                  lambda: cusp_classify_curvature(ell, beta, tol),
+                  lambda: constant_mean_cusp(ell, beta, tol),
+                  lambda: revolution_singularity_classify(c, 0.0, tol)):
+        with pytest.raises(ValueError, match="tol must be finite and "
+                                             "non-negative"):
+            label()
+
+
+def test_ord_of_refuses_a_negative_cap():
+    # cap = -1 used to raise "max() arg is an empty sequence"
+    with pytest.raises(ValueError, match="cap must be non-negative"):
+        ord_of(jet_at("t"), cap=-1)
+    assert ord_of(jet_at("t"), cap=0) == 1
+
+
 # ---------------------------------------------------------------------------
 # the constant-ratio tables
 
