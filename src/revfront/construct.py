@@ -14,10 +14,9 @@ defining relations; the numerical content is lattice quadrature (16 fine
 steps per grid step) plus, for the gauss ratio, RK4 sweeps of the
 first-order system outward from seeded lattice nodes: the node nearest
 the anchor, or every node within the radius of a Frobenius series at a
-regular singular point of the ratio, with coefficients computed from
-the Laurent jets of alpha and beta at t0 (expr.eval_laurent), not
-fitted.  Every construction holds its prescribed values at t0 itself
-(FineGrid.cumulative_from).
+regular singular point of the ratio, its coefficients computed from the
+Laurent jets of alpha and beta at t0 (expr.eval_laurent).  Every construction
+holds its prescribed values at t0 itself (FineGrid.cumulative_from).
 Any finite, strictly increasing grid will do: RK4, the quadrature, the
 flip locator and the series region all read the lattice's own steps.
 """
@@ -366,14 +365,14 @@ def _assemble(fg, io, z_s, x_j, a_j, b_j, ell_j, beta_j, report):
 # ---------------------------------------------------------------------------
 
 def _alpha_expansion(p):
-    """alpha about t0 as a jets.Laurent; None if RK4 is forced or if, under
-    auto, an exponent depends on t: no pole, and RK4 rejects alpha*beta."""
+    """alpha about t0 as a jets.Laurent, or None for RK4: if it is forced,
+    or under auto if alpha has no Laurent jet at t0 (log(t) at 0)."""
     if p.method == "rk4":
         return None
     try:
         return expr.eval_laurent(p.alpha, p.t0, 2 * SERIES_ORDER)
     except DomainError as exc:
-        if p.method == "auto" and isinstance(exc, expr.ExponentError):
+        if p.method == "auto":
             return None
         raise ConstructionError(
             f"alpha cannot be expanded at t0={p.t0}: {exc}", t0=p.t0) from exc
@@ -391,10 +390,11 @@ def _frobenius_data(p, alpha, fg, i0):
     """
     t0 = p.t0
     beta = evaluated("beta", expr.eval_laurent, p.beta, t0, 2 * SERIES_ORDER)
-    b = jets.Laurent(beta.jet)      # beta = s^v b, so s beta'/beta = v + s b'/b
+    b = jets.Laurent(beta.jet)    # beta = s^m b: s beta'/beta = m + s b'/b
     q = alpha * beta * beta
-    P = -(jets.Laurent(b.jet.differentiated(), 1) / b + beta.v)
-    Q = jets.Laurent(q.jet, q.v + 2)
+    m = jets.Laurent(jets.constant(beta.shift, 2 * SERIES_ORDER, t0))
+    P = -(jets.Laurent(b.jet.differentiated(), 1) / b + m)
+    Q = jets.Laurent(q.jet, q.shift + 2)
     for name, f, most in (("beta'/beta", P, 1), ("alpha*beta^2", Q, 2)):
         if f.valuation() < 0:
             raise ConstructionError(
@@ -495,7 +495,7 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
     g, s = fg.grid, fg.s
     alpha = _alpha_expansion(p)
     use_series = alpha is not None and (p.method == "frobenius"
-                                        or alpha.v < 0)
+                                        or alpha.valuation() < 0)
 
     beta_s = _values(p.beta, s, "beta")
     mid = 0.5 * (s[:-1] + s[1:])

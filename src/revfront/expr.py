@@ -333,10 +333,13 @@ def _eval(e: Expr, t, var, literals=()):
     if isinstance(e, BinOp):
         op, left, right = e.op, e.left, e.right
         if op in _RING:
-            # in jet mode a literal beside a non-literal enters as a float, with
-            # the bits of a constant jet's product or sum
-            lv = _literal(left, literals) if jet else None
-            rv = _literal(right, literals) if jet else None
+            # in jet mode a literal beside a non-literal enters as a float; a
+            # sum has a constant jet's bits, so a Laurent jet adds a Laurent
+            # constant instead, but a product keeps -0.0 where a constant
+            # jet's product makes 0.0, so both fold a product's literal
+            fold = jet and (op == "*" or type(var) is Jet)
+            lv = _literal(left, literals) if fold else None
+            rv = _literal(right, literals) if fold else None
             return _RING[op](
                 lv if rv is None and lv is not None
                 else _eval(left, t, var, literals),

@@ -35,8 +35,8 @@ constant jet gives them.  A node where g is finite and a coefficient
 above 0 is not raises DomainError("derivative overflow at t=..."),
 without a numpy warning.
 
-A Laurent jet adds an integer valuation to a scalar-base jet, so that
-a quotient passes a pole (Knuth, TAOCP vol. 2, 4.7); see Laurent.
+A Laurent jet is a scalar-base jet times an integer power of t - t0, so
+that a quotient passes a pole (Knuth, TAOCP vol. 2, 4.7); see Laurent.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ EXPONENT_CAP = 1024
 
 # |denominator| below DIV_TOL * (1 + |numerator|) counts as a pole.
 DIV_TOL = 1e-13
-
-# A divisor's leading Laurent coefficients that vanish at this tolerance
-# (see _vanishing) move into its valuation.
-VANISH_TOL = 1e-10
 
 
 class DomainError(ArithmeticError):
@@ -443,76 +439,65 @@ def sqrt(g: Jet) -> Jet:
     return _finish(g, a)
 
 
-def _vanishing(rows, tol: float = VANISH_TOL) -> int:
-    """How many leading coefficients are at most tol * max(1, largest
-    magnitude), the largest taken as 1 when one is NaN."""
-    tol *= max(1.0, float(np.max(np.abs(rows))))
+def _vanishing(rows, tol: float) -> int:
+    """How many leading coefficients are at most tol in magnitude."""
     return next((k for k, c in enumerate(rows) if not abs(c) <= tol),
                 len(rows))
 
 
 class Laurent:
-    """f = s^v (c_0 + c_1 s + ...) about a scalar base t0, s = t - t0: jet
-    holds the c_k, v is an integer, f is known up to s^(v + jet.order).
-    * adds valuations, + and - align them, / strips its divisor's
-    vanishing leading coefficients into v where Jet division meets a
-    pole.  Where none is stripped, v stays 0 and each operation is the
-    Jet one, bit for bit."""
-    __slots__ = ("jet", "v")
+    """f = s^shift (c_0 + c_1 s + ...) about a scalar base t0, s = t - t0:
+    jet holds the c_k, shift is an integer, f is known up to
+    s^(shift + jet.order).  * adds shifts, + and - align them, / moves its
+    divisor's vanishing leading coefficients into the shift where Jet
+    division meets a pole.  A coefficient vanishes as a value does in
+    quotient: at most DIV_TOL * (1 + |c_0 of the numerator|), so the growth
+    of the higher coefficients sets no scale.  Where none is stripped, the
+    shift stays 0 and each operation is the Jet one, bit for bit."""
+    __slots__ = ("jet", "shift")
 
-    def __init__(self, jet: Jet, v: int = 0):
-        self.jet, self.v = jet, v
+    def __init__(self, jet: Jet, shift: int = 0):
+        self.jet, self.shift = jet, shift
 
     def valuation(self) -> int:
         """The order of the zero of f at t0, or minus that of its pole."""
-        return self.v + _vanishing(self.jet.rows)
+        return self.shift + _vanishing(self.jet.rows, DIV_TOL)
 
     def taylor(self) -> Jet:
         """f as a Taylor jet; DomainError at a pole."""
-        v, r = self.v, self.jet.rows
-        if v < 0 and min(_vanishing(r), len(r) - 1) < -v:
+        v, r = self.shift, self.jet.rows
+        if v < 0 and min(_vanishing(r, DIV_TOL), len(r) - 1) < -v:
             _refuse(True, self.jet.t, "no Taylor jet at a pole")
         return _jet(self.jet.t, r[-v:] if v < 0 else [0.0] * v + r)
 
-    def _coerce(self, c) -> "Laurent":
-        """c, or the constant c known as far as f is."""
-        if isinstance(c, Laurent):
-            return c
-        top = max(self.v + self.jet.order, 0)
-        return Laurent(constant(c, top, self.jet.t))
-
     def __add__(self, other):
-        other = self._coerce(other)
-        v = min(self.v, other.v)
-        a, b = (_jet(f.jet.t, [0.0] * (f.v - v) + f.jet.rows)
+        v = min(self.shift, other.shift)
+        a, b = (_jet(f.jet.t, [0.0] * (f.shift - v) + f.jet.rows)
                 for f in (self, other))
         return Laurent(a + b, v)
 
-    __radd__ = __add__
-
     def __neg__(self):
-        return Laurent(-self.jet, self.v)
+        return Laurent(-self.jet, self.shift)
 
     def __sub__(self, other):
-        return self + -self._coerce(other)    # as Jet.__sub__: -0.0 above c_0
-
-    def __rsub__(self, other):
-        return -self + other
+        return self + -other    # as Jet.__sub__ of a float: -0.0 above c_0
 
     def __mul__(self, other):
+        """f * g, or f * a float, which keeps the -0.0 coefficients that a
+        product with a constant jet would turn into 0.0."""
         if isinstance(other, Laurent):
-            return Laurent(self.jet * other.jet, self.v + other.v)
-        return Laurent(self.jet * other, self.v)
+            return Laurent(self.jet * other.jet, self.shift + other.shift)
+        return Laurent(self.jet * other, self.shift)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         d = other.jet.rows
-        k = _vanishing(d)
+        k = _vanishing(d, DIV_TOL * (1.0 + abs(self.jet.rows[0])))
         if k == len(d):
             _refuse(True, self.jet.t, "division by (near-)zero")
         den = _jet(self.jet.t, d[k:])
-        return Laurent(self.jet / den, self.v - other.v - k)
+        return Laurent(self.jet / den, self.shift - other.shift - k)
 
     def __pow__(self, p):
         if float(p) != int(p):
@@ -520,12 +505,13 @@ class Laurent:
         if p < 0:
             one = constant(1.0, self.jet.order, self.jet.t)
             return Laurent(one) / self ** -p
-        return Laurent(self.jet ** p, self.v * int(p))
+        return Laurent(self.jet ** p, self.shift * int(p))
 
 
 def jet_div_reduced(num: Jet, den: Jet, tol: float = 1e-9) -> Jet:
     """Divide scalar-base jets after stripping the leading coefficients
-    that vanish in both (see _vanishing).
+    that vanish in both: at most tol times the largest magnitude of their
+    jet, taken as 1 below 1 or at a NaN.
 
     Handles removable singularities such as l = (alpha*beta*x)/cos(phi) at a
     point where both factors vanish to the same order.  Output order drops by
@@ -534,5 +520,6 @@ def jet_div_reduced(num: Jet, den: Jet, tol: float = 1e-9) -> Jet:
     if num.t.shape != () or den.t.shape != ():
         raise ValueError("reduced division works on scalar-base jets")
     n = min(num.order, den.order)
-    k = min(_vanishing(num.rows, tol), _vanishing(den.rows, tol), n)
+    k = min(n, *(_vanishing(r, tol * max(1.0, float(np.max(np.abs(r)))))
+                 for r in (num.rows, den.rows)))
     return Jet(num.t, num.coeffs[k: n + 1]) / Jet(den.t, den.coeffs[k: n + 1])

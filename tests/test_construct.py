@@ -238,21 +238,63 @@ def test_gauss_frobenius_rejects_non_integer_root():
     assert "indicial" in str(ei.value)
 
 
-# alpha and beta at t0 = 0 that the series refuses, with a word of the
-# reason; the first two were refused as a non-integer indicial root
+# alpha and beta at t0 = 0 that are refused, with a word of the reason;
+# -1/t^3 and log(t) were refused as a non-integer indicial root.  Under
+# auto, log(t) has no Laurent jet and goes to RK4, which refuses its value
 SERIES_REFUSALS = [
-    ("-1/t^3", "1", "pole of order 3"),
-    ("log(t)", "1", "alpha cannot be expanded"),
-    ("1/t^2", "1", "indicial roots complex"),
-    ("-2/t^2", "t^2", "not finite"),
+    ("-1/t^3", "1", "auto", "pole of order 3"),
+    ("log(t)", "1", "frobenius", "alpha cannot be expanded"),
+    ("log(t)", "1", "auto", "log of a non-positive value"),
+    ("1/t^2", "1", "auto", "indicial roots complex"),
+    ("-2/t^2", "t^2", "auto", "not finite"),
 ]
 
 
-@pytest.mark.parametrize("alpha, beta, reason", SERIES_REFUSALS)
-def test_gauss_frobenius_refusals_name_their_reason(alpha, beta, reason):
-    p = GaussRatioProblem(alpha=alpha, beta=beta, t0=0.0, x0=1.0)
+@pytest.mark.parametrize("alpha, beta, method, reason", SERIES_REFUSALS)
+def test_gauss_frobenius_refusals_name_their_reason(alpha, beta, method,
+                                                    reason):
+    p = GaussRatioProblem(alpha=alpha, beta=beta, t0=0.0, x0=1.0,
+                          method=method)
     with pytest.raises(ConstructionError, match=reason):
         profile_from_gauss_ratio(p, uniform_grid(0.0, 0.4, 81))
+
+
+# alphas analytic at t0 whose Taylor coefficients grow fast, or that have
+# no jet there: auto keeps the seeds and runs RK4
+@pytest.mark.parametrize("alpha, t0, n", [
+    ("1/exp(27*t)", 0.0, 81), ("1/sqrt(t+0.25)", 0.0, 81),
+    ("sqrt((t-0.2013)^2)", 0.2013, 41)])
+def test_gauss_auto_keeps_rk4_where_alpha_has_no_pole(alpha, t0, n):
+    p = GaussRatioProblem(alpha=alpha, beta="1", t0=t0, x0=1.0,
+                          sin_phi0=0.1)
+    c = profile_from_gauss_ratio(p, uniform_grid(0.0, 0.4, n))
+    assert c.flags["construction"].method == "gauss_rk4"
+    if t0 == 0.0:
+        assert c.curve.x.value[0] == 1.0
+        assert c.normal.b.value[0] == 0.1
+
+
+@pytest.mark.parametrize("alpha", ["sin(t-0.2)/(t-0.2)", "t/t"])
+def test_gauss_auto_refuses_a_removable_singularity_at_t0(alpha):
+    # alpha's valuation is 0: RK4 takes it and meets the 0/0 at t0 instead
+    # of a series that would replace the seeds x0 and sin_phi0
+    p = GaussRatioProblem(alpha=alpha, beta="1", t0=0.2, x0=1.0,
+                          sin_phi0=0.1)
+    with pytest.raises(ConstructionError, match="division by"):
+        profile_from_gauss_ratio(p, uniform_grid(0.0, 0.4, 41))
+
+
+@pytest.mark.parametrize("alpha, beta, c1", [
+    ("-2/(t^2*exp(30*t))", "1", -15.0), ("-2/t^2", "exp(30*t)", 45.0)])
+def test_gauss_frobenius_data_with_fast_growing_coefficients(alpha, beta, c1):
+    # Q = alpha*beta^2*s^2 = -2 + q1 s + ..., P = -s*beta'/beta = p1 s + ...:
+    # the indicial roots are 2 and -1 however large the higher coefficients
+    # grow, and c_1 = -(2 p1 + q1)/4 with (p1, q1) = (0, 60), (-30, -120)
+    p = GaussRatioProblem(alpha=alpha, beta=beta, t0=0.0, x0=1.0)
+    fg = FineGrid(uniform_grid(0.0, 0.4, 81))
+    r, c, _, _ = _frobenius_data(p, _alpha_expansion(p), fg, 0)
+    assert r == 2.0 and c[0] == 1.0
+    assert c[1] == pytest.approx(c1, rel=1e-13)
 
 
 @pytest.mark.parametrize("grid", [uniform_grid(0.0, 0.4, 121),
