@@ -541,7 +541,14 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
             f_mid = (beta_m[mids][way],
                      _values(ab, mid[mids], "alpha*beta")[way])
             x, S = x_s[nodes][way], S_s[nodes][way]
-            x[:], S[:] = _rk4_path(t[way], f_node, f_mid, x[0], S[0])
+            with np.errstate(over="ignore", invalid="ignore"):
+                x[:], S[:] = _rk4_path(t[way], f_node, f_mid, x[0], S[0])
+    bad = np.flatnonzero(~(np.isfinite(x_s) & np.isfinite(S_s)))
+    if bad.size:   # both sweeps run outward: name the node nearest t0
+        tb = float(s[bad[np.argmin(np.abs(s[bad] - t0))]])
+        raise ConstructionError(
+            f"the RK4 sweep overflows: x or sin phi is not finite at "
+            f"t={tb:.6g}", t=tb)
 
     sigma, flips, Sc, C_s = _lattice_angle(s, fg.fine_step, S_s, i0, t0,
                                            p.cos_sign, abs(sin_t0) == 1.0)

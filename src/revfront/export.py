@@ -5,8 +5,9 @@ them, JSON keys are sorted, CSV rows end in CRLF per RFC 4180, and OBJ
 files carry no comments or timestamps, so a rerun with the same inputs is
 byte-identical.
 
-The CSV and OBJ writers build their text as NUL-padded uint8 matrices, one
-row per line, and drop the NULs as they write each matrix.  ``_fmt17``
+The CSV writer and OBJ vertex lines build their text as NUL-padded uint8
+matrices, one row per line, and drop the NULs as they write each matrix
+(``_lines``); face lines mostly need no padding (below).  ``_fmt17``
 gives every float a cell of ``_CELL`` bytes, grouped by decimal exponent,
 with the index that puts the cells back in the order of the values.
 Zeros and finite |x| in [1e-24, 1e17) are converted in numpy, exactly: two
@@ -18,10 +19,18 @@ cells.  The OBJ writer works through the mesh in blocks of ``_OBJ_RINGS``
 rings.  ``RevolutionSurface.ring_table`` gives a block's distinct
 coordinate magnitudes (|h|, and |r| times each distinct |cos theta_j| or
 |sin theta_j|) with the order that gathers them into vertex lines and the
-sign of each coordinate; a face block formats each vertex index it uses
-once and gathers those cells into triangles.  So every distinct magnitude
-of a block is formatted once, and neither the text nor the numbers held in
-memory exceed one block.
+sign of each coordinate.  So every distinct magnitude of a block is
+formatted once, and neither the text nor the numbers held in memory exceed
+one block.
+
+Face text has a fixed layout.  Where every vertex id of a face block has
+the same decimal width w, each ring row is a table of the ids of ring r,
+then of ring r + 1, then b"f \\n", and ``_face_layout`` gives the byte of
+that table for every byte of the row's 2 * n_theta face lines, one layout
+per winding.  A block is then one np.take per run of rows that share a
+winding, with no NULs to drop.  Only a block whose ids straddle a power of
+ten (block 0, and one block per power crossed) pads its narrower ids with
+NULs and drops them from its text.
 """
 
 from __future__ import annotations
@@ -285,14 +294,33 @@ def _vertex_lines(surface: RevolutionSurface, i0: int, i1: int):
     return _lines(cells, index.reshape(-1, 3), b"v ", b" ", b"\n")
 
 
+def _face_layout(ntheta: int, w: int) -> np.ndarray:
+    """Where each byte of a ring row's face lines comes from, for ids of w
+    digits: a (2, 2 * n_theta * (3w + 5)) index into the row's table, the
+    ids of ring r, then of ring r + 1, then b"f \\n"; row 0 in parameter
+    order, row 1 with the flipped winding."""
+    ring = (ntheta + 1) * w
+    f = 2 * ring
+    q0 = np.arange(ntheta) * w
+    q1, q3 = q0 + ring, q0 + w
+    q2 = q1 + w
+    tri = np.array([[q0, q1, q2, q0, q2, q3],
+                    [q0, q3, q2, q0, q2, q1]])
+    # (winding, j, triangle, corner): the id's w digits, then " " or "\n"
+    ids = np.empty((2, ntheta, 2, 3, w + 1), np.intp)
+    ids[..., :w] = tri.reshape(2, 2, 3, ntheta).transpose(0, 3, 1, 2)[
+        ..., None] + np.arange(w)
+    ids[..., w] = f + 1
+    ids[..., 2, w] = f + 2
+    head = np.broadcast_to([f, f + 1], (2, ntheta, 2, 2))
+    return np.concatenate([head, ids.reshape(2, ntheta, 2, -1)],
+                          axis=-1).reshape(2, -1)
+
+
 def _obj_blocks(surface: RevolutionSurface):
     """OBJ text for a revolved mesh: all vertex blocks, then all face blocks.
 
-    The theta seam is duplicated (the first ring is copied verbatim), so
-    the vertex count is n_t * (n_theta + 1).  Quads are split into two
-    triangles wound counterclockwise as seen from the +n side; where the
-    area density J is negative the winding is flipped to keep that
-    convention, and quads with J below threshold keep parameter order.
+    Yields bytes and uint8 arrays, each a run of whole lines.
     """
     nt, ntheta = surface.profile.t.size, surface.theta.size
     for i in range(0, nt, _OBJ_RINGS):
@@ -303,23 +331,44 @@ def _obj_blocks(surface: RevolutionSurface):
     J = curvature_of(surface.invariants).J[:, 0]
     jtol = 1e-12 * (1.0 + float(np.max(np.abs(J))))
     flip = 0.5 * (J[:-1] + J[1:]) < -jtol
-    j = np.arange(ntheta)
+    layouts = {}
     for i in range(0, nt - 1, _OBJ_RINGS):
-        f = flip[i:i + _OBJ_RINGS, None]
-        q0 = np.arange(len(f))[:, None] * (ntheta + 1) + j
-        q1 = q0 + ntheta + 1
-        q2 = q1 + 1
-        q3 = q0 + 1
-        tri = np.stack([q0, np.where(f, q3, q1), q2,
-                        q0, q2, np.where(f, q1, q3)], axis=-1)
-        # the ids of rings i .. i + len(f), each formatted once
+        f = flip[i:i + _OBJ_RINGS]
+        m = len(f)
+        # the ids of rings i .. i + m, each formatted once; where they
+        # straddle a power of ten, the narrower ones are NUL-padded in front
         first = i * (ntheta + 1) + 1
-        ids = _int_cells(first, first + (len(f) + 1) * (ntheta + 1) - 1)
-        yield _lines(ids, tri.reshape(-1, 3), b"f ", b" ", b"\n"
-                     ).tobytes().translate(None, b"\0")
+        ids = _int_cells(first, first + (m + 1) * (ntheta + 1) - 1)
+        w = ids.shape[1]
+        padded = len(str(first)) < w
+        if w not in layouts:
+            layouts[w] = _face_layout(ntheta, w)
+        ring = (ntheta + 1) * w
+        ids = ids.reshape(m + 1, ring)
+        rows = np.empty((m, 2 * ring + 3), np.uint8)
+        rows[:, :ring] = ids[:-1]
+        rows[:, ring:-3] = ids[1:]
+        rows[:, -3:] = np.frombuffer(b"f \n", np.uint8)
+        cut = np.flatnonzero(f[1:] != f[:-1]) + 1
+        for a, b in zip(np.r_[0, cut], np.r_[cut, m]):
+            text = np.take(rows[a:b], layouts[w][int(f[a])], axis=1)
+            yield text.tobytes().translate(None, b"\0") if padded else text
 
 
 def write_surface_obj(surface: RevolutionSurface, path) -> None:
+    """The mesh of a revolved surface as OBJ text: one "v x y z" line per
+    vertex, ring by ring, then one "f a b c" line per triangle, with
+    1-based vertex ids, floats as "%.17g" gives them and no comments.
+
+    The theta seam is duplicated (each ring's first vertex again at
+    theta = 2 pi), so there are n_t * (n_theta + 1) vertices.  Each quad
+    (i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1) splits into two
+    triangles that share the diagonal from (i, j) to (i + 1, j + 1),
+    listed in parameter order, counterclockwise as seen from the +n side
+    where the area density J is positive.  A row of quads whose mean J is
+    below -1e-12 (1 + max |J|) takes the flipped winding, so that the
+    convention holds there too.
+    """
     with open(path, "wb") as fh:
         fh.writelines(_obj_blocks(surface))
 

@@ -276,6 +276,17 @@ def test_jet_order_checked_at_parse_time(argv, order, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_rk4_overflow_exits_two(tmp_path):
+    base = str(tmp_path / "overflow")
+    code = run(["construct", "gauss", "--alpha", "1", "--beta", "exp(30*t)",
+                "--t0", "0", "--x0", "1", "--sin0", "0.1",
+                "--grid", "0:0.4:81", "--out", base])
+    assert code == 2
+    diag = read_json(base + ".json")
+    assert diag["error"] == "ConstructionError"
+    assert "RK4 sweep overflows" in diag["message"]
+
+
 def test_numerical_error_stdout(capsys):
     code = run(["invariants", "--ell", "1/t", "--beta", "1",
                 "--grid", "-1:1:101"])

@@ -6,6 +6,7 @@ profile and the identity the construction is supposed to enforce.
 
 import importlib.util
 import math
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -207,6 +208,19 @@ def test_gauss_sin_band_violation():
     with pytest.raises(ConstructionError) as ei:
         profile_from_gauss_ratio(p, g)
     assert "sin" in str(ei.value)
+
+
+def test_gauss_rk4_overflow_is_a_construction_error():
+    # beta = exp(30 t) drives the sweep past the doubles from t = 0.359:
+    # a ConstructionError that says so, with no numpy warning, rather than
+    # a DomainError from jets built on the overflowed lattice
+    p = GaussRatioProblem(alpha="1", beta="exp(30*t)", t0=0.0, x0=1.0,
+                          sin_phi0=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConstructionError,
+                           match="RK4 sweep overflows.*t=0.359375"):
+            profile_from_gauss_ratio(p, uniform_grid(0.0, 0.4, 81))
 
 
 def test_gauss_frobenius_euler_equation():

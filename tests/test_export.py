@@ -123,16 +123,18 @@ def test_writers_match_reference_on_random_profiles(c, axis, n_theta,
 @pytest.mark.parametrize("axis", ["z", "x"])
 @pytest.mark.parametrize("n_theta", [9, 16, 64, 100, 128])
 def test_writers_match_reference_on_theta_grids(n_theta, axis, tmp_path):
-    # each grid of THETA_GRIDS on each axis, whatever the draws above reach
+    # each grid of THETA_GRIDS on each axis, whatever the draws above reach;
+    # then one ring, which has no row of faces, and two rings, which have one
     rng = np.random.default_rng(n_theta)
-    n = 40
-    x, z = rng.uniform(-20.0, 20.0, (2, n))
-    x[::7], z[3::7] = 0.0, -0.0
-    phi = rng.uniform(-np.pi, np.pi, n)
-    c = jet_profile(np.arange(1.0, n + 1.0),
-                    [np.vstack([v, rng.uniform(-20.0, 20.0, (3, n))])
-                     for v in (x, z, np.cos(phi), np.sin(phi))])
-    assert_same_bytes(c, axis, n_theta, tmp_path)
+    for n in (40, 1, 2):
+        x, z = rng.uniform(-20.0, 20.0, (2, n))
+        x[::7], z[3::7] = 0.0, -0.0
+        phi = rng.uniform(-np.pi, np.pi, n)
+        c = jet_profile(np.arange(1.0, n + 1.0),
+                        [np.vstack([v, rng.uniform(-20.0, 20.0, (3, n))])
+                         for v in (x, z, np.cos(phi), np.sin(phi))])
+        _, obj = assert_same_bytes(c, axis, n_theta, tmp_path)
+        assert obj.count(b"f ") == 2 * n_theta * (n - 1)
 
 
 @pytest.mark.parametrize("axis", ["z", "x"])
@@ -156,13 +158,22 @@ def test_writers_match_reference_across_block_edges(n_t, axis, tmp_path):
 @pytest.mark.parametrize("axis", ["z", "x"])
 def test_face_indices_cross_digit_widths_inside_a_block(axis, tmp_path):
     # 800 x 129 vertices: ids pass 10**4 in rings 64-127 and 10**5 in
-    # rings 768-799, inside one block of rings each; beta = t - 1 flips rows
-    c = reconstruct_from_curvature("1", "t - 1", uniform_grid(0.0, 2.0, 800),
-                                   x0=0.5)
-    _, obj = assert_same_bytes(c, axis, 128, tmp_path)
-    widths = {len(i) for ln in obj.decode().splitlines() if ln[0] == "f"
-              for i in ln.split()[1:]}
-    assert widths == {1, 2, 3, 4, 5, 6}
+    # rings 768-799, inside one block of rings each; beta = t - 1 flips
+    # rows.  1000 x 129: rings 896-959 have 6-digit ids only, and J changes
+    # sign between rings 899 and 900, so that block holds both windings
+    for n_t, beta, mixed in ((800, "t - 1", None), (1000, "t - 1.8", 896)):
+        c = reconstruct_from_curvature(
+            "1", beta, uniform_grid(0.0, 2.0, n_t), x0=0.5)
+        surf, obj = assert_same_bytes(c, axis, 128, tmp_path)
+        widths = {len(i) for ln in obj.decode().splitlines() if ln[0] == "f"
+                  for i in ln.split()[1:]}
+        assert widths == {1, 2, 3, 4, 5, 6}
+        if mixed is not None:
+            inv = surf.invariants
+            J = (inv.a1 * inv.b2 - inv.a2 * inv.b1)[mixed:mixed + 65, 0]
+            assert J.min() < -1e-3 and J.max() > 1e-3
+            ids = (mixed * 129 + 1, (mixed + 65) * 129)
+            assert [len(str(i)) for i in ids] == [6, 6]
 
 
 def test_writers_keep_signed_zeros(tmp_path):
