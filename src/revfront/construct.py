@@ -259,16 +259,25 @@ def _angle_jets(b_j, sigma, notes):
 def _system_jets(beta_j, ab_j, x_vals, S_vals, order):
     """Jets of (x, sin phi) from x' = -beta*sinphi, (sin phi)' = (alpha beta) x.
 
-    Picard iteration in the jet algebra; each pass fixes one more
-    coefficient, so order+1 passes suffice.
+    The Taylor recurrence of the system: k x_k = -sum_{i<k} beta_i S_{k-1-i}
+    and k S_k = sum_{i<k} (alpha beta)_i x_{k-1-i}.  Each sum runs left to
+    right and is negated and divided as Jet.__mul__ and antiderivative
+    would, so the jets have the bits of the jet algebra's fixed point (of
+    order+1 Picard passes), up to the sign of a NaN.
     """
-    x_j = jets.constant(x_vals, order, beta_j.t)
-    s_j = jets.constant(S_vals, order, beta_j.t)
-    for _ in range(order + 1):
-        x_new = (-(beta_j * s_j)).antiderivative(x_vals).truncated(order)
-        s_new = (ab_j * x_j).antiderivative(S_vals).truncated(order)
-        x_j, s_j = x_new, s_new
-    return x_j, s_j
+    b, ab = beta_j.coeffs, ab_j.coeffs
+    x = np.empty((order + 1,) + beta_j.t.shape)
+    S = np.empty_like(x)
+    x[0], S[0] = x_vals, S_vals
+    for k in range(1, order + 1):
+        dx = b[0] * S[k - 1]
+        dS = ab[0] * x[k - 1]
+        for i in range(1, k):
+            dx += b[i] * S[k - 1 - i]
+            dS += ab[i] * x[k - 1 - i]
+        np.divide(-dx, k, out=x[k])
+        np.divide(dS, k, out=S[k])
+    return Jet(beta_j.t, x), Jet(beta_j.t, S)
 
 
 def _rk4_step(xc, Sc, b0, a0, b1, a1, b2, a2, h):
@@ -285,12 +294,18 @@ def _rk4_step(xc, Sc, b0, a0, b1, a1, b2, a2, h):
 
 
 def _prefix_products(m):
-    """Products M_k ... M_1 M_0 of the 2x2 matrices m[:, :, k], in place,
-    by Hillis-Steele doubling: log2(n) array passes."""
+    """Products M_k ... M_1 M_0 of the 2x2 matrices m[:, :, k] by
+    Hillis-Steele doubling, log2(n) array passes between m and one more
+    buffer; returns the buffer that holds them (m is overwritten)."""
+    src, dst = m, np.empty_like(m)
     d = 1
     while d < m.shape[-1]:
-        m[..., d:] = np.einsum("ijk,jlk->ilk", m[..., d:], m[..., :-d])
+        np.einsum("ijk,jlk->ilk", src[..., d:], src[..., :-d],
+                  out=dst[..., d:])
+        dst[..., :d] = src[..., :d]
+        src, dst = dst, src
         d *= 2
+    return src
 
 
 def _rk4_path(s, f_node, f_mid, x0, S0):
@@ -309,7 +324,7 @@ def _rk4_path(s, f_node, f_mid, x0, S0):
     m = np.empty((2, 2, s.size - 1))
     m[0, 0], m[1, 0] = _rk4_step(1.0, 0.0, *coeffs)
     m[0, 1], m[1, 1] = _rk4_step(0.0, 1.0, *coeffs)
-    _prefix_products(m)
+    m = _prefix_products(m)
     x = np.empty(s.size)
     S = np.empty(s.size)
     x[0], S[0] = x0, S0
@@ -501,6 +516,14 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
     mid = 0.5 * (s[:-1] + s[1:])
     beta_m = _values(p.beta, mid, "beta")
     ab = f"({p.alpha})*({p.beta})"
+
+    def ab_values(t, beta_t):
+        """alpha*beta at t as alpha's values times beta's, beta_t: the bits
+        of the text ab, which a failure of alpha names."""
+        return evaluated("alpha*beta",
+                         lambda _, t: expr.eval_values(p.alpha, t) * beta_t,
+                         ab, t)
+
     x_s, S_s = np.empty((2, s.size))
 
     if not use_series:
@@ -509,7 +532,8 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
         x_s[i0], S_s[i0] = p.x0, p.sin_phi0
         if s[i0] != t0:   # carry the seed from t0 to its node
             ts = np.array([t0, 0.5 * (t0 + s[i0]), s[i0]])
-            bv, av = _values(p.beta, ts, "beta"), _values(ab, ts, "alpha*beta")
+            bv = _values(p.beta, ts, "beta")
+            av = ab_values(ts, bv)
             x_s[i0], S_s[i0] = _rk4_step(p.x0, p.sin_phi0, bv[0], av[0], bv[1],
                                          av[1], bv[2], av[2], s[i0] - t0)
     else:
@@ -537,9 +561,9 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
                              (np.s_[iR:], np.s_[iR:], np.s_[:])):
         t = s[nodes]
         if t.size > 1:
-            f_node = (beta_s[nodes][way], _values(ab, t, "alpha*beta")[way])
-            f_mid = (beta_m[mids][way],
-                     _values(ab, mid[mids], "alpha*beta")[way])
+            b, b_mid = beta_s[nodes], beta_m[mids]
+            f_node = (b[way], ab_values(t, b)[way])
+            f_mid = (b_mid[way], ab_values(mid[mids], b_mid)[way])
             x, S = x_s[nodes][way], S_s[nodes][way]
             with np.errstate(over="ignore", invalid="ignore"):
                 x[:], S[:] = _rk4_path(t[way], f_node, f_mid, x[0], S[0])
@@ -575,7 +599,7 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
 
     resid = (beta_j.value * x_j.derivative(2)
              - beta_j.derivative(1) * x_j.derivative(1)
-             + (ab_j * beta_j * beta_j * x_j).value)
+             + ab_j.value * beta_j.value * beta_j.value * x_j.value)
     ode_res = float(np.max(np.abs(resid[~in_c]))) if (~in_c).any() else None
     report = ConstructionReport(method, t0, flips=flips,
                                 flagged_nodes=flagged, ode_residual=ode_res,

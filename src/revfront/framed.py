@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadrature import check_finite, check_tol
+
+
 def _dot(p, q):
     return np.einsum("...k,...k->...", p, q)
 
@@ -48,6 +51,7 @@ class FramedSurfaceGrid:
 
     def validate(self, tol: float = 1e-8) -> dict:
         """Frame orthonormality and tangency residual maxima."""
+        check_tol(tol)
         res = {
             "unit_n": float(np.max(np.abs(_dot(self.n, self.n) - 1.0))),
             "unit_s": float(np.max(np.abs(_dot(self.s, self.s) - 1.0))),
@@ -170,6 +174,7 @@ def curvature_of(I: BasicInvariants) -> FSCurvature:
 
 def immersion_status(C: FSCurvature, node: tuple, tol: float = 1e-8) -> ImmersionStatus:
     """Strongest non-degeneracy certificate at one grid node."""
+    check_tol(tol)
     i, j = node
     vals = [C.J[i, j], C.K[i, j], C.H[i, j], C.det_ag[i, j], C.det_bg[i, j],
             C.det_eg[i, j], C.det_fg[i, j], C.det_ae[i, j]]
@@ -192,6 +197,7 @@ def immersion_status(C: FSCurvature, node: tuple, tol: float = 1e-8) -> Immersio
 def parallel_surface(S: FramedSurfaceGrid, lam: float,
                      I: BasicInvariants | None = None):
     """Offset surface x + lam*n with its transformed invariants."""
+    check_finite(lam=lam)
     if I is None:
         I = basic_invariants_of(S)
     grid = FramedSurfaceGrid(

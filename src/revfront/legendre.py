@@ -17,7 +17,8 @@ import numpy as np
 
 from . import expr, jets
 from .jets import Jet
-from .quadrature import FineGrid, check_finite, checked_grid, evaluated
+from .quadrature import (FineGrid, check_finite, check_tol, checked_grid,
+                         evaluated)
 
 
 class DegenerateCurvatureError(ValueError):
@@ -77,6 +78,7 @@ def legendre_from_expressions(x_src, z_src, a_src, b_src, grid,
 
 def verify_legendre(c: LegendreCurve, tol: float = 1e-8) -> LegendreReport:
     """Check the contact condition gamma'.nu = 0 and |nu| = 1 on the grid."""
+    check_tol(tol)
     xd = c.curve.x.derivative(1)
     zd = c.curve.z.derivative(1)
     a, b = c.normal.a.value, c.normal.b.value
@@ -135,6 +137,7 @@ def curvature_pair_of(c: LegendreCurve) -> CurvaturePair:
 
 def parallel_curve(c: LegendreCurve, lam: float) -> LegendreCurve:
     """Offset curve gamma + lam*nu with the same normal field."""
+    check_finite(lam=lam)
     cj = CurveJet(c.t, c.curve.x + lam * c.normal.a,
                   c.curve.z + lam * c.normal.b)
     pair = None
@@ -146,6 +149,7 @@ def parallel_curve(c: LegendreCurve, lam: float) -> LegendreCurve:
 
 def plane_evolute(c: LegendreCurve, tol: float = 1e-8) -> CurveJet:
     """Evolute gamma - (beta/ell)*nu; needs ell bounded away from zero."""
+    check_tol(tol)
     pair = curvature_pair_of(c)
     ell_v = pair.ell.value
     threshold = tol * (1.0 + float(np.max(np.abs(ell_v))))

@@ -138,6 +138,13 @@ def check_finite(**values):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def check_tol(tol):
+    """ValueError unless the zero-test tolerance tol is finite and
+    non-negative."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+
+
 def nearest_node(nodes, t0: float) -> int:
     """Index of the node nearest t0; ValueError for a t0 that is not
     finite, which has no nearest node (argmin would give node 0)."""

@@ -27,7 +27,7 @@ from .framed import (BasicInvariants, FramedSurfaceGrid, FSCurvature,
                      curvature_of, parallel_surface)
 from .legendre import (LegendreCurve, NormalJet, curvature_pair_of,
                        parallel_curve, plane_evolute)
-from .quadrature import nearest_node
+from .quadrature import check_finite, check_tol, nearest_node
 
 VALID_AXES = ("z", "x")
 _INVARIANTS = ("a1", "b1", "a2", "b2", "e1", "f1", "g1", "e2", "f2", "g2")
@@ -264,6 +264,7 @@ def frontal_front_status(c: LegendreCurve, axis: str = "z",
     (ell, a) about the z-axis and (ell, b) about the x-axis.  Nodes where
     both vanish are returned with the offending values in those names.
     """
+    check_tol(tol)
     t, r, h, n_r, n_h, k, beta = _adapted(c, axis)
     _, sign, name = _AXES[axis]
     scale_l = tol * (1.0 + np.max(np.abs(k)))
@@ -291,6 +292,7 @@ def cone_type_check(c: LegendreCurve, t0: float, axis: str = "z",
     distance to the axis vanishes there while beta and both normal
     components stay away from zero.
     """
+    check_tol(tol)
     t, r, h, n_r, n_h, k, beta = _adapted(c, axis)
     i = nearest_node(t, t0)
     vals = {"t": float(t[i]), "axis_distance": float(r[i]),
@@ -348,6 +350,7 @@ def _extend_isolated_zeros(t, values, good, tol=1e-6):
 def revolution_evolutes(c: LegendreCurve, n_theta: int = 128,
                         tol: float = 1e-8) -> EvoluteBundle:
     """Both evolutes of the z-axis revolute of the profile."""
+    check_tol(tol)
     t, x, z, a, b, ell, beta = _adapted(c, "z")
     diagnostics = {}
     first = None
@@ -406,6 +409,8 @@ def parallel_commutation_check(c: LegendreCurve, lam: float, axis: str = "z",
     parallel_surface is pointwise, so each residual is the max over the
     blocks, the value the whole grids give.
     """
+    check_finite(lam=lam)
+    check_tol(tol)
     surf_a = revolve(c, axis=axis, n_theta=16)
     profile_lam = _AXES[axis][1] * lam
     surf_b = revolve(parallel_curve(c, profile_lam), axis=axis, n_theta=16)

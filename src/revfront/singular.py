@@ -21,7 +21,7 @@ import numpy as np
 
 from .jets import Jet
 from .legendre import LegendreCurve, curvature_pair_of
-from .quadrature import nearest_node
+from .quadrature import check_tol, nearest_node
 from .revolution import cone_type_check
 
 LABELS = ("regular", "cusp_3_2", "cusp_5_2", "cusp_4_3", "cusp_5_3",
@@ -43,12 +43,6 @@ class CuspLabel:
     def __post_init__(self):
         if self.label not in LABELS:
             raise ValueError(f"unknown label {self.label!r}")
-
-
-def _check_tol(tol):
-    """ValueError unless tol is finite and non-negative."""
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
 
 
 def _derivs(j: Jet, upto: int, node: int = 0):
@@ -76,7 +70,7 @@ def ord_of(f: Jet, cap: int = 5, tol: float = EXACT_TOL) -> int:
     returned, meaning "order at least top + 1": no derivative above the
     jet's own order is tested.
     """
-    _check_tol(tol)
+    check_tol(tol)
     if not cap >= 0:
         raise ValueError(f"cap must be non-negative, got {cap!r}")
     d = _derivs(f, cap)
@@ -98,7 +92,7 @@ def cusp_classify_derivatives(curve, t0: float,
     module rule with scale the largest magnitude of the derivatives of
     orders 1 to 5, and its square for the determinants.
     """
-    _check_tol(tol)
+    check_tol(tol)
     cj = curve.curve if isinstance(curve, LegendreCurve) else curve
     i = nearest_node(cj.t, t0)
     dx = _derivs(cj.x, 5, i)
@@ -170,7 +164,7 @@ def cusp_classify_curvature(ell: Jet, beta: Jet, tol: float = EXACT_TOL,
         4/3  iff  beta' = 0, beta'' * ell != 0
         5/3  iff  beta' = ell = 0, beta'' * ell' != 0
     """
-    _check_tol(tol)
+    check_tol(tol)
     db, dl = _derivs(beta, 2), _derivs(ell, 2)
     if len(db) < 3 or len(dl) < 3:
         return CuspLabel("unresolved", {"note": "jet order too low", "tol": tol})
@@ -243,7 +237,7 @@ def constant_mean_cusp(alpha: Jet, beta: Jet,
     alpha admits no cusp of any of the four types; otherwise only 5/2
     and 5/3 can occur, decided by (beta', beta'', alpha').
     """
-    _check_tol(tol)
+    check_tol(tol)
     da = _derivs(alpha, min(5, alpha.order))
     db = _derivs(beta, 2)
     scale = max(1.0, max(abs(v) for v in da), max(abs(v) for v in db))
@@ -274,7 +268,7 @@ def revolution_singularity_classify(c: LegendreCurve, t0: float,
     degenerate normal form (+-t^(k+1), t) when x vanishes to finite
     order against a moving z, or unresolved.
     """
-    _check_tol(tol)
+    check_tol(tol)
     i = nearest_node(c.t, t0)
     xj = c.curve.x.at(i)
     x0 = float(xj.value)

@@ -3,13 +3,15 @@
 One small run per command and variant: revolve about both axes for a
 curvature-pair profile and an (x, z, a, b) profile, invariants about both
 axes, check, parallel about both axes, evolute, construct gauss, and
-classify in each of its four families.  Each run writes BASE.csv, BASE.obj
-and BASE.json as the command does; the sha256 of every file written, and
-the exit code, are compared with the values recorded before the
-revolution invariants were reduced to one (n_t, 1) form (the classify
-runs: before the sampled-data profile and its 1e-4 tolerance were
-deleted).  Any byte change in an artifact fails here; a deliberate change
-must update the hash and say why.
+classify in each of its four families; construct gauss also at a pole
+of alpha (Frobenius) and failing on alpha*beta.  Each run writes
+BASE.csv, BASE.obj and BASE.json as the command does; the sha256 of
+every file written, and the exit code, are compared with the values
+recorded before the revolution invariants were reduced to one (n_t, 1)
+form (the classify runs: before the sampled-data profile and its 1e-4
+tolerance were deleted; the two extra gauss runs: before alpha*beta was
+taken from beta's lattice values).  Any byte change in an artifact fails
+here; a deliberate change must update the hash and say why.
 """
 
 import hashlib
@@ -46,6 +48,15 @@ RUNS = {
     "construct-gauss": ["construct", "gauss", "--alpha", "-1",
                         "--beta", "cot(t)", "--t0", "1.5707963",
                         "--grid", "0.2:2.94:64", *THETA],
+    # a pole of alpha at t0: the Frobenius series seeds the sweep
+    "construct-gauss-frobenius": ["construct", "gauss", "--alpha", "-2/t^2",
+                                  "--beta", "1", "--t0", "0", "--x0", "1",
+                                  "--grid", "0:0.45:64", *THETA],
+    # alpha's pole at t = 0.3 lies in the left sweep, away from t0
+    "construct-gauss-alpha-beta-pole": ["construct", "gauss", "--alpha",
+                                        "1/(t-0.3)", "--beta", "1", "--t0",
+                                        "0.6", "--x0", "1", "--grid",
+                                        "0:1:21", "--theta", "8"],
     "classify-auto": ["classify", "--family", "auto", "--t0", "1.5707963",
                       *XZAB],
     "classify-revolution": ["classify", "--family", "revolution",
@@ -85,6 +96,16 @@ GOLDEN = {
         "csv": "4094f9e28f527f99e9515c1be2e389be29c712d217758cb1f07260b96d4349e0",
         "obj": "000f2301d574a798769b8445c3f1abd9f4ee6082ab3784b277281be9d97963b9",
         "json": "33577397a4157fcf1264381a37786f00d7f5f3ff490e9b0d2a0f3c47e5dda455",
+    }),
+    # indicial root 2, series radius 0.2025
+    "construct-gauss-frobenius": (0, {
+        "csv": "39ee144de823ff562bfae96910b003d3e99eb9ba43a091baaea81fd094e6fb03",
+        "obj": "a29c706a9ee2c15c06fba621208c2bbd5f44caadb6fe2531b0cf006d3e73e294",
+        "json": "40e6ef6f136df4fc503784cca5bfb658fd9f8bc9dd2a05474202f8f2b9b99538",
+    }),
+    # the error names the text (alpha)*(beta): "source": "(1/(t-0.3))*(1)"
+    "construct-gauss-alpha-beta-pole": (2, {
+        "json": "127aa288e2e7c2136ed686a14b08fccfc83fbbfebd073481f2502da6f91033d1",
     }),
     "evolute": (0, {
         "csv": "c8cb7019dbf4ec30acabbfdc0f89a78d3dc6daa8f07dc140e1917b4f75158228",

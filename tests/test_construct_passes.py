@@ -2,10 +2,12 @@
 
 Each reference below is the earlier loop, kept here as the oracle: the
 Horner series jet of one node, jet_div_reduced of one column, the while
-loop of the flip locator, and RK4 one step at a time.  The array passes
+loop of the flip locator, RK4 one step at a time, the Picard iteration
+of the system jets and the in-place doubling scan.  The array passes
 must give the same bits and raise the same errors, except the RK4 scan:
 it multiplies the step matrices in another order, so it agrees with the
-loop to rounding (1e-12 relative).  The flip locator reads a step per
+loop to rounding (1e-12 relative); and the system jets may give a NaN
+another sign (see bits_nan_as_one).  The flip locator reads a step per
 sample; on equal steps it also gives the bits of the fixed-step fit it
 replaced.
 """
@@ -17,8 +19,8 @@ from hypothesis import strategies as st
 
 from revfront import construct, jets
 from revfront.construct import (ConstructionError, _div_reduced,
-                                _lattice_angle, _rk4_path, _rk4_step,
-                                _series_jets)
+                                _lattice_angle, _prefix_products, _rk4_path,
+                                _rk4_step, _series_jets, _system_jets)
 from revfront.jets import DomainError, Jet, jet_div_reduced
 
 NO_SHRINK = [ph for ph in Phase if ph is not Phase.shrink]
@@ -344,3 +346,92 @@ def test_rk4_scan_matches_loop_on_random_lattices(system, anchor, x0, S0):
     s, f_node, f_mid = system
     assume(max(abs(x0), abs(S0)) >= 0.1)
     assert_rk4_close(s, f_node, f_mid, round(anchor * (s.size - 1)), x0, S0)
+
+
+def reference_system_jets(beta_j, ab_j, x_vals, S_vals, order):
+    """Picard iteration in the jet algebra; each pass fixes one more
+    coefficient, so order+1 passes suffice."""
+    x_j = jets.constant(x_vals, order, beta_j.t)
+    s_j = jets.constant(S_vals, order, beta_j.t)
+    for _ in range(order + 1):
+        x_new = (-(beta_j * s_j)).antiderivative(x_vals).truncated(order)
+        s_new = (ab_j * x_j).antiderivative(S_vals).truncated(order)
+        x_j, s_j = x_new, s_new
+    return x_j, s_j
+
+
+def reference_prefix_products(m):
+    """The doubling scan in place, one fresh product per pass."""
+    d = 1
+    while d < m.shape[-1]:
+        m[..., d:] = np.einsum("ijk,jlk->ilk", m[..., d:], m[..., :-d])
+        d *= 2
+
+
+# the errstate of the RK4 sweep; in the system jets of a construction
+# the data are finite, and the recurrence runs a subset of the Picard
+# loop's operations, so it warns only where the loop would
+QUIET = {"over": "ignore", "invalid": "ignore"}
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e300,
+                    -1e300, 1e-300, -1e-300])
+
+
+def coefficients(seed, shape, special):
+    """Normal samples on a random scale, a share special of them replaced
+    by signed zeros, infinities, NaNs and 1e+-300."""
+    rng = np.random.default_rng(seed)
+    out = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    swap = rng.uniform(size=shape) < special
+    out[swap] = rng.choice(SPECIAL, size=int(swap.sum()))
+    return out
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def bits_nan_as_one(a):
+    """bits(a) with every NaN read as np.nan.  IEEE 754 leaves the sign
+    and payload of a NaN result open, and where both operands are NaN
+    numpy picks one by the loop and lane that hold the element: the
+    Picard loop adds its rows as one flat array and multiplies them with
+    a broadcast row, the recurrence works row by row, so the two can give
+    opposite NaN signs from the same operands."""
+    return bits(np.where(np.isnan(a), np.nan, a))
+
+
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
+@given(order=st.integers(0, 8), n=st.integers(1, 300),
+       seed=st.integers(0, 2**32 - 1),
+       special=st.sampled_from([0.0, 0.02, 0.3]))
+def test_system_jets_match_picard_loop(order, n, seed, special):
+    t = np.linspace(0.0, 1.0, n)
+    co = coefficients(seed, (2 * order + 4, n), special)
+    beta_j, ab_j = Jet(t, co[:order + 1]), Jet(t, co[order + 1:-2])
+    x_vals, S_vals = co[-2], co[-1]
+    with np.errstate(**QUIET):
+        got = _system_jets(beta_j, ab_j, x_vals, S_vals, order)
+        want = reference_system_jets(beta_j, ab_j, x_vals, S_vals, order)
+        for g, w in zip(got, want):
+            assert g.order == w.order == order
+            assert np.array_equal(bits_nan_as_one(g.coeffs),
+                                  bits_nan_as_one(w.coeffs))
+        # the ODE residual reads the product's value from the values
+        x_j = got[0]
+        value = ab_j.value * beta_j.value * beta_j.value * x_j.value
+        assert np.array_equal(
+            bits_nan_as_one(value),
+            bits_nan_as_one((ab_j * beta_j * beta_j * x_j).value))
+
+
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
+@given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+       special=st.sampled_from([0.0, 0.02, 0.3]))
+def test_prefix_products_match_in_place_scan(n, seed, special):
+    m = coefficients(seed, (2, 2, n), special)
+    want = m.copy()
+    with np.errstate(**QUIET):
+        got = _prefix_products(m.copy())
+        reference_prefix_products(want)
+    assert got.shape == want.shape
+    assert np.array_equal(bits(got), bits(want))

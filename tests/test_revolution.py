@@ -12,10 +12,12 @@ import pytest
 
 from revfront import export
 from revfront.framed import (FramedSurfaceGrid, basic_invariants_of,
-                             curvature_of, integrability_residual)
+                             curvature_of, immersion_status,
+                             integrability_residual)
 from revfront.framed import parallel_surface
 from revfront.legendre import (curvature_pair_of, legendre_from_expressions,
-                               parallel_curve, reconstruct_from_curvature)
+                               parallel_curve, plane_evolute,
+                               reconstruct_from_curvature, verify_legendre)
 from revfront.quadrature import uniform_grid
 from revfront.revolution import (cone_type_check, frontal_front_status,
                                  parallel_commutation_check,
@@ -184,6 +186,54 @@ def test_cone_type_check_refuses_a_t0_that_is_not_finite(t0):
                                      uniform_grid(-1.0, 1.0, 41))
     with pytest.raises(ValueError, match="t0 must be finite"):
         cone_type_check(cone, t0)
+
+
+# every public zero test that takes a tol, called on a profile and a tol
+TOL_USERS = {
+    "verify_legendre": lambda c, tol: verify_legendre(c, tol),
+    "plane_evolute": lambda c, tol: plane_evolute(c, tol),
+    "frontal_front_status": lambda c, tol: frontal_front_status(c, "z", tol),
+    "cone_type_check": lambda c, tol: cone_type_check(c, 0.6, "z", tol),
+    "revolution_evolutes": lambda c, tol: revolution_evolutes(c, 8, tol),
+    "parallel_commutation_check":
+        lambda c, tol: parallel_commutation_check(c, 0.1, "z", tol),
+    "RevolutionSurface.validate":
+        lambda c, tol: revolve(c, n_theta=8).validate(tol),
+    "FramedSurfaceGrid.validate":
+        lambda c, tol: revolve(c, n_theta=8).grid.validate(tol),
+    "immersion_status": lambda c, tol: immersion_status(
+        curvature_of(revolve(c, n_theta=8).invariants), (0, 0), tol),
+    "invariants_records": lambda c, tol: export.invariants_records(
+        revolve(c, n_theta=8).invariants, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("name", sorted(TOL_USERS))
+def test_zero_tests_refuse_a_tol_that_is_no_tolerance(name, tol):
+    # with tol = NaN every comparison is false: revolution_evolutes called
+    # both evolutes unavailable, invariants_records labelled J = -2
+    # degenerate, plane_evolute skipped its ell = 0 refusal
+    c = reconstruct_from_curvature("1", "1", uniform_grid(0.2, 1, 21), x0=2)
+    TOL_USERS[name](c, 1e-8)
+    with pytest.raises(ValueError, match="tol must be finite and "
+                                         "non-negative"):
+        TOL_USERS[name](c, tol)
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
+def test_offsets_refuse_a_lam_that_is_not_finite(lam):
+    # parallel_curve and parallel_surface returned all-NaN geometry, and
+    # parallel_commutation_check reported passed=False
+    c = reconstruct_from_curvature("1", "1", uniform_grid(0.2, 1, 21), x0=2)
+    surf = revolve(c, n_theta=8)
+    for offset in (lambda lam: parallel_curve(c, lam),
+                   lambda lam: parallel_surface(surf.grid, lam,
+                                                surf.invariants),
+                   lambda lam: parallel_commutation_check(c, lam)):
+        offset(0.1)
+        with pytest.raises(ValueError, match="lam must be finite"):
+            offset(lam)
 
 
 def test_evolute_bundle_pseudo_sphere():
