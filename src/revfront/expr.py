@@ -17,6 +17,12 @@ derivatives up to max(jet order, jets.ORDER_CAP) zero, at most
 jets.EXPONENT_CAP if an integer).  Jets also refuse sqrt at 0 and an
 overflowing derivative; a Laurent jet passes a pole at its point.
 
+In jet evaluation a literal operand of +, - or * beside a non-literal
+enters as a float, and a minus sign on a numeric literal makes a literal
+(-2*t, t-(-0.5)).  A sum has the bits of the constant jet the literal
+replaces; a product's exact-zero coefficients take the sign of the
+literal times 0.0.
+
 Source text is evaluated through a template of its shape: the text
 between its numeric literals, which fixes the token sequence with each
 literal masked.  Each shape is parsed once into a tree whose literals
@@ -323,6 +329,15 @@ def _literal(e: Expr, literals):
     return None
 
 
+def _signed_literal(e: Expr, literals):
+    """The value of a literal or of a minus sign on one (Neg of a Num or a
+    Slot), else None."""
+    if isinstance(e, Neg):
+        value = _literal(e.operand, literals)
+        return None if value is None else -value
+    return _literal(e, literals)
+
+
 def _eval(e: Expr, t, var, literals=()):
     """e at the samples t: its values if var is t, its jet if var is the
     jet of t, its jets.Laurent if var is the Laurent jet of t; a Slot of
@@ -333,18 +348,30 @@ def _eval(e: Expr, t, var, literals=()):
     if isinstance(e, BinOp):
         op, left, right = e.op, e.left, e.right
         if op in _RING:
-            # in jet mode a literal beside a non-literal enters as a float; a
-            # sum has a constant jet's bits, so a Laurent jet adds a Laurent
-            # constant instead, but a product keeps -0.0 where a constant
-            # jet's product makes 0.0, so both fold a product's literal
+            # in jet mode a literal beside a non-literal enters as a float,
+            # and a minus sign on a literal makes a literal (-c).  A sum is
+            # +-X plus or minus |c|, which has a constant jet's bits, so a
+            # Laurent jet adds a Laurent constant instead; a product keeps
+            # -0.0 where a constant jet's product makes 0.0, and either
+            # algebra folds a product's literal
             fold = jet and (op == "*" or type(var) is Jet)
-            lv = _literal(left, literals) if fold else None
-            rv = _literal(right, literals) if fold else None
-            return _RING[op](
-                lv if rv is None and lv is not None
-                else _eval(left, t, var, literals),
-                rv if lv is None and rv is not None
-                else _eval(right, t, var, literals))
+            lv = _signed_literal(left, literals) if fold else None
+            rv = _signed_literal(right, literals) if fold else None
+            if (lv is None) == (rv is None):
+                return _RING[op](_eval(left, t, var, literals),
+                                 _eval(right, t, var, literals))
+            x = _eval(left if lv is None else right, t, var, literals)
+            c = rv if lv is None else lv
+            if op == "*":
+                return x * c
+            if op == "-":
+                if lv is None:
+                    c = -c          # X - c is X + (-c)
+                else:
+                    x = -x          # c - X is -X + c
+            # adding -|c| subtracts |c|: the other coefficients stay as
+            # they are, as they do beside a constant jet's -0.0
+            return x - -c if math.copysign(1.0, c) < 0 else x + c
         left = _eval(left, t, var, literals)
         if op == "^":
             p = _exponent(right, t, var, literals)

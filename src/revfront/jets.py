@@ -11,8 +11,11 @@ rows), and its arithmetic and recurrences run on them; coeffs builds the
 array on the first read, which from then on holds the coefficients.  The
 product sums each coefficient left to right, a[0]*b[k] first: array bases
 by shift-and-add over coefficient rows, scalar bases in a loop on floats.
-Both give the bits of the plain double loop, so reruns, and rewrites that
-keep the order, are bit-identical, as is the quotient loop on floats.
+Both give the bits of the plain double loop up to the sign of a NaN: where
+both operands of a sum or product are NaN, numpy keeps the NaN that its
+loop layout (SIMD body or tail, flat or broadcast) picks, not the one the
+operands' order names.  So reruns, and rewrites that keep the order, are
+bit-identical, as is the quotient loop on floats.
 
 The elementary functions use Taylor recurrences (Griewank and Walther,
 Evaluating Derivatives, 2nd ed., ch. 13).  Coefficient 0 of f(g) is the
@@ -105,6 +108,9 @@ class Jet:
 
     def at(self, idx) -> "Jet":
         """Scalar-base jet at one node of an array-based jet."""
+        if self.t.ndim == 1 and (type(idx) is int
+                                 or isinstance(idx, np.integer)):
+            return _jet(_as_array(self.t[idx]), self.coeffs[:, idx].tolist())
         t = _as_array(self.t[idx])
         c = self.coeffs[(slice(None),) + np.index_exp[idx]]
         return _jet(t, c if t.ndim else c.tolist())

@@ -148,8 +148,12 @@ def check_tol(tol):
 def nearest_node(nodes, t0: float) -> int:
     """Index of the node nearest t0; ValueError for a t0 that is not
     finite, which has no nearest node (argmin would give node 0)."""
-    check_finite(t0=t0)
-    return int(np.abs(np.asarray(nodes) - t0).argmin())
+    if not math.isfinite(t0):
+        check_finite(t0=t0)
+    d = np.asarray(nodes) - t0
+    if not d.ndim:
+        return 0                # a 0-d base is its own nearest node
+    return int(np.abs(d, out=d).argmin())
 
 
 def uniform_grid(t_min: float, t_max: float, count: int) -> np.ndarray:

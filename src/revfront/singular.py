@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import Jet
+from .jets import ORDER_CAP, Jet
 from .legendre import LegendreCurve, curvature_pair_of
 from .quadrature import check_tol, nearest_node
 from .revolution import cone_type_check
@@ -45,14 +45,21 @@ class CuspLabel:
             raise ValueError(f"unknown label {self.label!r}")
 
 
+_FACTORIALS = [math.factorial(k) for k in range(ORDER_CAP + 1)]
+
+
 def _derivs(j: Jet, upto: int, node: int = 0):
     """Derivatives 0..min(upto, order) at one node, from one column read."""
     top = min(upto, j.order)
     if not j.t.ndim:
         column = j.rows[:top + 1]
+    elif j.t.ndim == 1:
+        column = j.coeffs[:top + 1, node].tolist()
     else:
         column = j.coeffs[:top + 1].reshape(top + 1, -1)[:, node].tolist()
-    return [math.factorial(k) * c for k, c in enumerate(column)]
+    factorials = _FACTORIALS if top <= ORDER_CAP else [
+        math.factorial(k) for k in range(top + 1)]
+    return [f * c for f, c in zip(factorials, column)]
 
 
 def _amax(u, v):

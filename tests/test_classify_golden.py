@@ -11,6 +11,15 @@ here; a deliberate change must update the hash and say why.  pair-cusp_3_2
 and sweep-cusp_5_2 were updated when the elementary jets moved to Taylor
 recurrences: the derivative thresholds, scaled by the largest derivative,
 moved by at most 8.1e-16 relative; no label or other value changed.
+
+The three "-bench" cases write their negative numbers as the classify
+bench does, (-1.1)+(-0.05)*(t-(-0.2)), so a minus sign stands on each
+literal.  Their hashes were recorded when such a literal began to enter
+a jet product as a float.  Before that, two of their records differed
+in the sign of one exact zero each, and nowhere else: ell'' in
+pair-cusp_4_3-bench and alpha's fourth derivative in mean-cusp_5_2-bench
+were 0.0, and are -0.0, the sign of (-0.05) * 0.0 and (-0.07) * 0.0.
+revolution-cusp_3_2-bench has the same bytes on both sides.
 """
 
 import hashlib
@@ -61,24 +70,36 @@ REVOLUTION = {
 }
 
 
-def _profile(ell, beta, half, nodes):
-    grid = uniform_grid(T0 - half, T0 + half, nodes)
+# negative numbers as the classify bench writes them: (-1.2)*..., with
+# the point t0 = -0.2 written (t-(-0.2))
+BT0 = -0.2
+BS = "(t-(-0.2))"
+BENCH_PAIR = ("(-1.1)+(-0.05)*%s" % BS, "0.9*%s^2" % BS)
+BENCH_MEAN = ("(-0.4)+(-0.8)*%s+(-0.07)*sin(%s)" % (BS, BS),
+              "1.3*sin(%s)+0.8*%s^2" % (BS, BS))
+BENCH_REVOLUTION = ("1.5+(-0.7)*%s^2" % BS, "1.2*%s^3" % BS,
+                    "(-3.6)*%s/sqrt(12.96*%s^2+1.96)" % (BS, BS),
+                    "(-1.4)/sqrt(12.96*%s^2+1.96)" % BS)
+
+
+def _profile(ell, beta, t0, half, nodes):
+    grid = uniform_grid(t0 - half, t0 + half, nodes)
     return legendre.reconstruct_from_curvature(ell, beta, grid, theta0=0.2,
                                                x0=1.5, z0=-0.3)
 
 
-def pair_text(variant):
-    c = _profile(*PAIRS[variant], 0.4, 33)
-    d = singular.curve_cusp_by_derivatives(c, T0)
-    k = singular.curve_cusp_by_curvature(c, T0)
+def pair_text(inputs, t0=T0):
+    c = _profile(*inputs, t0, 0.4, 33)
+    d = singular.curve_cusp_by_derivatives(c, t0)
+    k = singular.curve_cusp_by_curvature(c, t0)
     return [d.label, k.label], export.json_text(
-        {"derivative": export.classification_record(d, T0),
-         "curvature": export.classification_record(k, T0),
+        {"derivative": export.classification_record(d, t0),
+         "curvature": export.classification_record(k, t0),
          "agree": d.label == k.label})
 
 
-def sweep_text(variant):
-    c = _profile(*PAIRS[variant], 1.0, 257)
+def sweep_text(inputs, t0=T0):
+    c = _profile(*inputs, t0, 1.0, 257)
     labels, records = [], []
     for ti in np.asarray(c.t).tolist():
         d = singular.curve_cusp_by_derivatives(c, ti)
@@ -89,36 +110,43 @@ def sweep_text(variant):
     return labels, export.json_text({"nodes": records})
 
 
-def gauss_text(orders):
-    a, beta = GAUSS[orders]
-    m = singular.ord_of(expr.eval_jet(a, T0))
-    n = singular.ord_of(expr.eval_jet(beta, T0))
+def gauss_text(inputs, t0=T0):
+    a, beta = inputs
+    m = singular.ord_of(expr.eval_jet(a, t0))
+    n = singular.ord_of(expr.eval_jet(beta, t0))
     lab = singular.constant_gauss_cusp(m, n)
     return [lab.label], export.json_text(
-        {"orders": [m, n], "record": export.classification_record(lab, T0)})
+        {"orders": [m, n], "record": export.classification_record(lab, t0)})
 
 
-def mean_text(variant):
-    lab = singular.constant_mean_cusp(expr.eval_jet(MEAN_ALPHA, T0),
-                                      expr.eval_jet(MEAN_BETA[variant], T0))
+def mean_text(inputs, t0=T0):
+    alpha, beta = inputs
+    lab = singular.constant_mean_cusp(expr.eval_jet(alpha, t0),
+                                      expr.eval_jet(beta, t0))
     return [lab.label], export.json_text(
-        {"record": export.classification_record(lab, T0)})
+        {"record": export.classification_record(lab, t0)})
 
 
-def revolution_text(variant):
-    grid = uniform_grid(T0 - 0.4, T0 + 0.4, 33)
-    c = legendre.legendre_from_expressions(*REVOLUTION[variant], grid)
-    lab = singular.revolution_singularity_classify(c, T0)
+def revolution_text(inputs, t0=T0):
+    grid = uniform_grid(t0 - 0.4, t0 + 0.4, 33)
+    c = legendre.legendre_from_expressions(*inputs, grid)
+    lab = singular.revolution_singularity_classify(c, t0)
     return [lab.label], export.json_text(
-        {"record": export.classification_record(lab, T0)})
+        {"record": export.classification_record(lab, t0)})
 
 
-CASES = {
-    "pair-" + v: (pair_text, v) for v in PAIRS}
-CASES["sweep-cusp_5_2"] = (sweep_text, "cusp_5_2")
-CASES.update({"gauss-%d%d" % o: (gauss_text, o) for o in GAUSS})
-CASES.update({"mean-" + v: (mean_text, v) for v in MEAN_BETA})
-CASES.update({"revolution-" + v: (revolution_text, v) for v in REVOLUTION})
+# case -> (build, variant, inputs, t0)
+CASES = {"pair-" + v: (pair_text, v, PAIRS[v], T0) for v in PAIRS}
+CASES["sweep-cusp_5_2"] = (sweep_text, "cusp_5_2", PAIRS["cusp_5_2"], T0)
+CASES.update({"gauss-%d%d" % o: (gauss_text, o, GAUSS[o], T0) for o in GAUSS})
+CASES.update({"mean-" + v: (mean_text, v, (MEAN_ALPHA, MEAN_BETA[v]), T0)
+              for v in MEAN_BETA})
+CASES.update({"revolution-" + v: (revolution_text, v, REVOLUTION[v], T0)
+              for v in REVOLUTION})
+CASES["pair-cusp_4_3-bench"] = (pair_text, "cusp_4_3", BENCH_PAIR, BT0)
+CASES["mean-cusp_5_2-bench"] = (mean_text, "cusp_5_2", BENCH_MEAN, BT0)
+CASES["revolution-cusp_3_2-bench"] = (revolution_text, "cusp_3_2",
+                                      BENCH_REVOLUTION, BT0)
 
 GOLDEN = {
     "gauss-11": "cdbaa971bcdc3e3cd121ddfa793bc270b8f3d0d83b992fe0b6fcebf2243b2afe",
@@ -134,21 +162,24 @@ GOLDEN = {
     "revolution-cusp_3_2": "1faf92efa1dfccbb794495aaa1a26c7d20bf326dfda33010158e5ce7a4abb4f8",
     "revolution-cusp_4_3": "09d4928e3ff56c44539eff90e1364331f68cddb484b4a6bd8798fa742d0b14ca",
     "sweep-cusp_5_2": "acabffd03a1270d1d8b1e327fa82a430b1e8c72264ba1c99ce153796754122e8",
+    "pair-cusp_4_3-bench": "21da7b62340fdcd5c3b45e9f41e09a27d17d32cc114b97c1556b039c1eb5ac91",
+    "mean-cusp_5_2-bench": "75470dcff340a1e00f2a0d0e26b0e7900c444884cb6ae6a17eda0776fb745dfd",
+    "revolution-cusp_3_2-bench": "054560bb2ecb3fd03cab8645fc5b71e4e17b4dfc8ea1ccc38c6727b55e9ea32c",
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_classification_record_bytes(case):
-    build, variant = CASES[case]
-    labels, text = build(variant)
+    build, _, inputs, t0 = CASES[case]
+    labels, text = build(inputs, t0)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == GOLDEN[case], (case, labels, text[:400])
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_fixture_has_the_intended_label(case):
-    build, variant = CASES[case]
-    labels, _ = build(variant)
+    build, variant, inputs, t0 = CASES[case]
+    labels, _ = build(inputs, t0)
     if case.startswith("sweep"):
         want = ["regular"] * 128 + [variant] + ["regular"] * 128
         assert [d for d, _ in labels] == want

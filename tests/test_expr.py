@@ -454,6 +454,81 @@ def test_power_of_a_scalar_rounds_as_the_array_power():
     assert type(v) is np.float64 and v == 0.5
 
 
+# -- a minus sign on a literal makes a literal --------------------------------
+
+# magnitudes c of a literal
+_MAGNITUDES = st.one_of(st.sampled_from([0.0, 0.5, 2.0, 1e300, np.inf]),
+                        st.floats(0.0, 10.0))
+# trees that are no literal, nor a minus sign on one
+_OPERANDS = TREES.filter(lambda e: not isinstance(
+    e.operand if isinstance(e, Neg) else e, Num))
+
+
+def _jet_bytes(evaluate):
+    """The coefficients' bytes (and a Laurent jet's shift), or the class
+    of the DomainError raised."""
+    try:
+        with np.errstate(all="ignore"):
+            f = evaluate()
+    except DomainError as exc:
+        return type(exc)
+    if isinstance(f, jets.Laurent):
+        return f.jet.coeffs.tobytes(), f.shift
+    return f.coeffs.tobytes()
+
+
+def _as_tree_and_text(e):
+    """e, and its source text, whose literals are Slots, where that text
+    parses back to e: inf has no literal, and t^-2.0 is refused."""
+    src = to_source(e)
+    try:
+        return [e, src] if parse(src) == e else [e]
+    except (ExprSyntaxError, UnknownIdentifierError):
+        return [e]
+
+
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
+@given(_OPERANDS, _MAGNITUDES, SAMPLES, st.integers(0, jets.ORDER_CAP))
+def test_sums_with_a_negated_literal_keep_the_constant_jet_bits(e, c, t,
+                                                                order):
+    # the four forms against the constant jet -c that they used to add
+    minus_c = Neg(Num(c))
+    forms = {
+        BinOp("+", e, minus_c): lambda x, k: x + -k,
+        BinOp("+", minus_c, e): lambda x, k: -k + x,
+        BinOp("-", e, minus_c): lambda x, k: x - -k,
+        BinOp("-", minus_c, e): lambda x, k: -k - x,
+    }
+    for form, written_out in forms.items():
+        want = _jet_bytes(lambda: written_out(expr.eval_jet(e, t, order),
+                                              jets.constant(c, order, t)))
+        for f in _as_tree_and_text(form):
+            assert _jet_bytes(lambda: expr.eval_jet(f, t, order)) == want, \
+                (to_source(form), t, order)
+
+
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
+@given(_OPERANDS, _MAGNITUDES, SAMPLES, st.integers(0, jets.ORDER_CAP))
+@example(Var(), 1.0, -1.0, 3)
+def test_products_take_a_negated_literal_as_a_float(e, c, t, order):
+    # Taylor at t, Laurent about t's first sample: the operand's jet times
+    # the float -c, so each exact zero takes the sign of (-c) * 0.0
+    t0 = float(np.ravel(t)[0])
+    for evaluate, at in ((expr.eval_jet, t), (expr.eval_laurent, t0)):
+        want = _jet_bytes(lambda: evaluate(e, at, order) * -c)
+        for form in (BinOp("*", Neg(Num(c)), e), BinOp("*", e, Neg(Num(c)))):
+            for f in _as_tree_and_text(form):
+                assert _jet_bytes(lambda: evaluate(f, at, order)) == want, \
+                    (evaluate.__name__, to_source(form), at, order)
+
+
+def test_negated_literal_product_signs_every_zero():
+    # each exact zero is -2.0 * 0.0, on either side of 0.5: a constant
+    # jet's product would take the sign of its -0.0 times t - 0.5 there
+    j = expr.eval_jet("(-2)*(t-0.5)^2", np.array([0.25, 0.75]))
+    assert (j.coeffs[3:] == 0.0).all() and np.signbit(j.coeffs[3:]).all()
+
+
 def _record(label):
     return export.json_text(export.classification_record(label, 0.0))
 
@@ -548,7 +623,7 @@ def test_text_evaluates_as_its_parsed_tree(e, texts, t, sibling_first):
     ("t^2", "t^2.5"),             # an integer or a non-integer exponent
     ("t^3", "t^1e999"),           # a finite or a non-finite exponent
     ("3*sin(t)", "0*sin(t)"),     # jet mode folds a literal as a float
-    ("(-1)*t", "(-0.0)*t"),       # a negated literal is no literal
+    ("(-1)*t", "(-0.0)*t"),       # a minus sign on a literal makes one
 ])
 @pytest.mark.parametrize("t", [-1.0, np.array([-1.0, 0.5, 2.0])])
 def test_same_shape_sources_keep_their_own_literals(pair, t):

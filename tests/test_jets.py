@@ -91,6 +91,19 @@ def test_array_base_jets_and_at():
     np.testing.assert_allclose(one.coeffs, jets.sin(jets.variable(0.9, 4)).coeffs)
 
 
+@pytest.mark.parametrize("i", [0, 2, -1])
+def test_at_an_int_reads_the_column(i):
+    # an int and a numpy integer read one node's column, bit for bit
+    ts = np.array([-0.5, 0.0, 1.25])
+    j = jets.sin(jets.variable(ts, 5)) * -2.0
+    column = j.coeffs[:, i]
+    for idx in (i, np.int64(i)):
+        one = j.at(idx)
+        assert one.t.shape == () and one.t == ts[i]
+        assert all(type(c) is float for c in one.rows)
+        assert one.coeffs.tobytes() == column.tobytes()
+
+
 def test_truncate_differentiate_antidifferentiate():
     v = jets.variable(0.4, 5)
     f = jets.sin(v) * v

@@ -105,6 +105,15 @@ def test_nearest_node():
     for t0 in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="t0 must be finite"):
             nearest_node(g, t0)
+    # a tie goes to the lower index
+    assert nearest_node([0.0, 1.0, 2.0, 3.0], 1.5) == 1
+    assert nearest_node(np.array([0, 2, 4]), 3.0) == 1
+    # lists and integer arrays give the index of the plain formula
+    for nodes in ([0.0, 1.0, 2.0, 3.0], [3, 1, 4, 1, 5], np.array([0, 2, 4]),
+                  np.array([7, -3, 2], dtype=np.int32), g):
+        for t0 in (-3.0, 0.0, 0.5, 1.0, 1.5, 2.9, 3, 10.0):
+            want = int(np.abs(np.asarray(nodes) - t0).argmin())
+            assert nearest_node(nodes, t0) == want, (nodes, t0)
 
 
 def test_coarse_index_roundtrip():
