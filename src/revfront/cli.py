@@ -20,7 +20,6 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -445,6 +444,18 @@ def _run_invariants(ns):
     return 0
 
 
+def _t0_jets(ns, *sources):
+    """Taylor jets of the sources at --t0 of the --order, read from their
+    Laurent jets: a removable singularity at t0, such as (exp(t)-1)/t,
+    has a jet, of the lower order its division leaves, and a pole raises
+    DomainError.  Returns the jets, and the payload entry recording the
+    orders read when one is below --order (else no entry)."""
+    jet_list = [expr.eval_laurent(src, ns.t0, ns.order).taylor()
+                for src in sources]
+    orders = [j.order for j in jet_list]
+    return jet_list, {"jet_orders": orders} if min(orders) < ns.order else {}
+
+
 def _run_classify(ns):
     if ns.family in ("auto", "revolution"):
         if ns.grid is None:
@@ -453,19 +464,20 @@ def _run_classify(ns):
     if ns.family == "mean":
         if ns.alpha is None or ns.beta is None:
             raise CliError("--family mean needs --alpha and --beta")
-        lab = constant_mean_cusp(expr.eval_jet(ns.alpha, ns.t0),
-                                 expr.eval_jet(ns.beta, ns.t0),
-                                 tol=ns.tol)
-        payload = _meta(ns, family="mean",
+        (ja, jb), read = _t0_jets(ns, ns.alpha, ns.beta)
+        lab = constant_mean_cusp(ja, jb, tol=ns.tol)
+        payload = _meta(ns, family="mean", **read,
                         record=export.classification_record(lab, ns.t0))
     elif ns.family == "gauss":
         if ns.a is None or ns.beta is None:
             raise CliError("--family gauss needs --a and --beta "
                            "(expressions for cos(phi) and beta)")
-        m = ord_of(expr.eval_jet(ns.a, ns.t0), tol=ns.tol)
-        n = ord_of(expr.eval_jet(ns.beta, ns.t0), tol=ns.tol)
-        lab = constant_gauss_cusp(m, n)
-        payload = _meta(ns, family="gauss", orders=[m, n],
+        (ja, jb), read = _t0_jets(ns, ns.a, ns.beta)
+        m = ord_of(ja, tol=ns.tol)
+        n = ord_of(jb, tol=ns.tol)
+        # ord_of tests derivatives up to its cap of 5 and the jet's order
+        lab = constant_gauss_cusp(m, n, top=min(5, ja.order, jb.order))
+        payload = _meta(ns, family="gauss", orders=[m, n], **read,
                         record=export.classification_record(lab, ns.t0))
     elif ns.family == "revolution":
         c = _profile(ns, grid)
@@ -531,7 +543,7 @@ def _run_construct(ns):
                                z0=ns.z0, order=ns.order)
     surf = revolve(c, axis="z", n_theta=ns.n_theta)
     report = c.flags["construction"]
-    payload = _meta(ns, report=asdict(report),
+    payload = _meta(ns, report=report.as_dict(),
                     legendre=_legendre_report(c))
     _write(ns, curve=c, surface=surf, payload=payload)
     return 0

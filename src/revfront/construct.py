@@ -24,7 +24,6 @@ flip locator and the series region all read the lattice's own steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +43,6 @@ COS_TOL = 1e-8           # |cos phi| within this (relative) of 0 -> (H, phi) rej
 SERIES_ORDER = 12        # Frobenius coefficients c_0..c_12; data to twice that
 
 
-@dataclass
 class GaussRatioProblem:
     """Data for the K = alpha*J construction.
 
@@ -53,53 +51,55 @@ class GaussRatioProblem:
     t0 (ignored, and reported, when the series determines it); cos_sign,
     1 or -1, picks the initial branch of cos(phi).  When sin phi = +-1 at
     t0, a touch, cos_sign holds for t <= t0 and the other sign after t0.
+    method is auto, rk4 or frobenius.
     """
-    alpha: str
-    beta: str
-    t0: float
-    x0: float
-    sin_phi0: float = 0.0
-    cos_sign: float = 1.0
-    z0: float = 0.0
-    method: str = "auto"   # auto | rk4 | frobenius
 
-    def __post_init__(self):
-        _check_seeds(self.x0, self.sin_phi0, self.cos_sign, self.z0)
-        if self.method not in ("auto", "rk4", "frobenius"):
+    def __init__(self, alpha: str, beta: str, t0: float, x0: float,
+                 sin_phi0: float = 0.0, cos_sign: float = 1.0,
+                 z0: float = 0.0, method: str = "auto"):
+        _check_seeds(x0, sin_phi0, cos_sign, z0)
+        if method not in ("auto", "rk4", "frobenius"):
             raise ValueError("method must be auto, rk4 or frobenius, "
-                             f"got {self.method!r}")
+                             f"got {method!r}")
+        self.alpha, self.beta, self.t0, self.x0 = alpha, beta, t0, x0
+        self.sin_phi0, self.cos_sign, self.z0 = sin_phi0, cos_sign, z0
+        self.method = method
 
 
-@dataclass
 class MeanRatioProblem:
     """Data for the H = alpha*J construction.
 
     c1 and c2 are the values of the two antiderivative combinations at the
     anchor; t0 defaults to the left end of the grid.
     """
-    alpha: str
-    beta: str
-    c1: float
-    c2: float
-    t0: float | None = None
-    z0: float = 0.0
 
-    def __post_init__(self):
-        check_finite(c1=self.c1, c2=self.c2, z0=self.z0)
+    def __init__(self, alpha: str, beta: str, c1: float, c2: float,
+                 t0: float | None = None, z0: float = 0.0):
+        check_finite(c1=c1, c2=c2, z0=z0)
+        self.alpha, self.beta, self.c1, self.c2 = alpha, beta, c1, c2
+        self.t0, self.z0 = t0, z0
 
 
-@dataclass
 class ConstructionReport:
     """Decisions and residuals of one construction; _assemble fills the
-    contact and norm residuals.  dataclasses.asdict gives the JSON form."""
-    method: str
-    t0: float
-    flips: list = field(default_factory=list)
-    flagged_nodes: list = field(default_factory=list)
-    ode_residual: float | None = None
-    contact_residual: float = 0.0
-    norm_residual: float = 0.0
-    notes: dict = field(default_factory=dict)
+    contact and norm residuals.  as_dict gives the JSON form."""
+
+    def __init__(self, method: str, t0: float, flips: list | None = None,
+                 flagged_nodes: list | None = None,
+                 ode_residual: float | None = None,
+                 contact_residual: float = 0.0, norm_residual: float = 0.0,
+                 notes: dict | None = None):
+        self.method, self.t0 = method, t0
+        self.flips = [] if flips is None else flips
+        self.flagged_nodes = [] if flagged_nodes is None else flagged_nodes
+        self.ode_residual = ode_residual
+        self.contact_residual = contact_residual
+        self.norm_residual = norm_residual
+        self.notes = {} if notes is None else notes
+
+    def as_dict(self) -> dict:
+        """Every field by name, in the order of __init__."""
+        return dict(vars(self))
 
 
 def _check_seeds(x0, sin0=0.0, cos_sign=1.0, z0=0.0):

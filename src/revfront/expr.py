@@ -40,7 +40,6 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,44 +86,64 @@ class ExponentError(DomainError):
     """The exponent of ^ breaks a rule of the module docstring."""
 
 
-@dataclass(frozen=True)
 class Expr:
-    pass
+    """A node of an expression tree.  Nodes are immutable, and equal and
+    hashed alike when their classes and fields are: Num(0.0) == Num(-0.0).
+    A node's fields are its __dict__, in the order of its __init__, which
+    sets them past the refusing __setattr__."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(vars(self).values()) == tuple(vars(other).values())
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % field for field in vars(self).items()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
 
 
-@dataclass(frozen=True)
 class Num(Expr):
-    value: float
+    def __init__(self, value: float):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
     pass
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    operand: Expr
+    def __init__(self, operand: Expr):
+        object.__setattr__(self, "operand", operand)
 
 
-@dataclass(frozen=True)
 class BinOp(Expr):
-    op: str
-    left: Expr
-    right: Expr
+    def __init__(self, op: str, left: Expr, right: Expr):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    func: str
-    arg: Expr
+    def __init__(self, func: str, arg: Expr):
+        object.__setattr__(self, "func", func)
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class Slot(Expr):
     """The literal of a template tree that the evaluated source supplies:
     its index-th numeric literal, counted from the left."""
-    index: int
+
+    def __init__(self, index: int):
+        object.__setattr__(self, "index", index)
 
 
 # -- tokenizer --------------------------------------------------------------

@@ -9,8 +9,6 @@ six integrability conditions tie their derivatives together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .quadrature import check_finite, check_tol
@@ -20,22 +18,16 @@ def _dot(p, q):
     return np.einsum("...k,...k->...", p, q)
 
 
-@dataclass
 class FramedSurfaceGrid:
-    u: np.ndarray
-    v: np.ndarray
-    x: np.ndarray
-    n: np.ndarray
-    s: np.ndarray
-    x_u: np.ndarray
-    x_v: np.ndarray
-    n_u: np.ndarray
-    n_v: np.ndarray
-    s_u: np.ndarray
-    s_v: np.ndarray
-    x_uv: np.ndarray
-    n_uv: np.ndarray
-    s_uv: np.ndarray
+    """The parameters u and v of the grid, and on it the position x, the
+    frame (n, s) and their partials as arrays of 3-vectors."""
+
+    def __init__(self, u, v, x, n, s, x_u, x_v, n_u, n_v, s_u, s_v,
+                 x_uv, n_uv, s_uv):
+        self.u, self.v, self.x, self.n, self.s = u, v, x, n, s
+        self.x_u, self.x_v, self.n_u, self.n_v = x_u, x_v, n_u, n_v
+        self.s_u, self.s_v = s_u, s_v
+        self.x_uv, self.n_uv, self.s_uv = x_uv, n_uv, s_uv
 
     @property
     def t_frame(self) -> np.ndarray:
@@ -63,7 +55,6 @@ class FramedSurfaceGrid:
         return res
 
 
-@dataclass
 class BasicInvariants:
     """The ten invariant functions on the (u, v) grid.
 
@@ -73,42 +64,33 @@ class BasicInvariants:
     (n_t, 1) columns with v = [0.0], and curvature_of and the checks
     broadcast them like any other grid.
     """
-    u: np.ndarray
-    v: np.ndarray
-    a1: np.ndarray
-    b1: np.ndarray
-    a2: np.ndarray
-    b2: np.ndarray
-    e1: np.ndarray
-    f1: np.ndarray
-    g1: np.ndarray
-    e2: np.ndarray
-    f2: np.ndarray
-    g2: np.ndarray
-    cross: dict
+
+    def __init__(self, u, v, a1, b1, a2, b2, e1, f1, g1, e2, f2, g2,
+                 cross: dict):
+        self.u, self.v = u, v
+        self.a1, self.b1, self.a2, self.b2 = a1, b1, a2, b2
+        self.e1, self.f1, self.g1 = e1, f1, g1
+        self.e2, self.f2, self.g2 = e2, f2, g2
+        self.cross = cross
 
 
-@dataclass
 class FSCurvature:
     """Curvature densities and the remaining concomitant determinants."""
-    u: np.ndarray
-    v: np.ndarray
-    J: np.ndarray
-    K: np.ndarray
-    H: np.ndarray
-    det_ag: np.ndarray
-    det_bg: np.ndarray
-    det_eg: np.ndarray
-    det_fg: np.ndarray
-    det_ae: np.ndarray
+
+    def __init__(self, u, v, J, K, H, det_ag, det_bg, det_eg, det_fg,
+                 det_ae):
+        self.u, self.v, self.J, self.K, self.H = u, v, J, K, H
+        self.det_ag, self.det_bg, self.det_eg = det_ag, det_bg, det_eg
+        self.det_fg, self.det_ae = det_fg, det_ae
 
 
-@dataclass
 class ImmersionStatus:
-    regular: bool
-    legendre_immersion: bool
-    framed_immersion: bool
-    label: str
+    def __init__(self, regular: bool, legendre_immersion: bool,
+                 framed_immersion: bool, label: str):
+        self.regular = regular
+        self.legendre_immersion = legendre_immersion
+        self.framed_immersion = framed_immersion
+        self.label = label
 
 
 def basic_invariants_of(S: FramedSurfaceGrid) -> BasicInvariants:
@@ -135,10 +117,9 @@ def basic_invariants_of(S: FramedSurfaceGrid) -> BasicInvariants:
     )
 
 
-@dataclass
 class IntegrabilityReport:
-    residuals: dict
-    max_residual: float
+    def __init__(self, residuals: dict, max_residual: float):
+        self.residuals, self.max_residual = residuals, max_residual
 
 
 def integrability_residual(I: BasicInvariants) -> IntegrabilityReport:

@@ -11,8 +11,6 @@ classification can reach fifth derivatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import expr, jets
@@ -25,45 +23,41 @@ class DegenerateCurvatureError(ValueError):
     """A precondition on (ell, beta) fails at some grid node."""
 
 
-@dataclass
 class CurveJet:
     """Jets of the two coordinate functions of a plane curve over a grid."""
-    t: np.ndarray
-    x: Jet
-    z: Jet
+
+    def __init__(self, t: np.ndarray, x: Jet, z: Jet):
+        self.t, self.x, self.z = t, x, z
 
 
-@dataclass
 class NormalJet:
-    t: np.ndarray
-    a: Jet
-    b: Jet
+    def __init__(self, t: np.ndarray, a: Jet, b: Jet):
+        self.t, self.a, self.b = t, a, b
 
 
-@dataclass
 class CurvaturePair:
-    t: np.ndarray
-    ell: Jet
-    beta: Jet
+    def __init__(self, t: np.ndarray, ell: Jet, beta: Jet):
+        self.t, self.ell, self.beta = t, ell, beta
 
 
-@dataclass
 class LegendreCurve:
-    curve: CurveJet
-    normal: NormalJet
-    curvature: CurvaturePair | None = None
-    flags: dict = field(default_factory=dict)
+    def __init__(self, curve: CurveJet, normal: NormalJet,
+                 curvature: CurvaturePair | None = None,
+                 flags: dict | None = None):
+        self.curve, self.normal, self.curvature = curve, normal, curvature
+        self.flags = {} if flags is None else flags
 
     @property
     def t(self) -> np.ndarray:
         return self.curve.t
 
 
-@dataclass
 class LegendreReport:
-    max_contact_residual: float
-    max_norm_residual: float
-    passed: bool
+    def __init__(self, max_contact_residual: float, max_norm_residual: float,
+                 passed: bool):
+        self.max_contact_residual = max_contact_residual
+        self.max_norm_residual = max_norm_residual
+        self.passed = passed
 
 
 def legendre_from_expressions(x_src, z_src, a_src, b_src, grid,

@@ -18,7 +18,6 @@ fields as 1-D arrays over t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -55,7 +54,6 @@ _FIELDS = {
 _RINGS = 64
 
 
-@dataclass
 class RevolutionSurface:
     """A revolved profile, held as its axis-adapted columns and theta.
 
@@ -69,11 +67,11 @@ class RevolutionSurface:
     (n_t, 1) columns: the meridian theta = 0, with v = [0.0], since every
     meridian has the same values.
     """
-    axis: str
-    profile: LegendreCurve
-    theta: np.ndarray
-    invariants: BasicInvariants
-    columns: dict = field(repr=False)
+
+    def __init__(self, axis: str, profile: LegendreCurve, theta: np.ndarray,
+                 invariants: BasicInvariants, columns: dict):
+        self.axis, self.profile, self.theta = axis, profile, theta
+        self.invariants, self.columns = invariants, columns
 
     def _field(self, name: str, i0: int, i1: int) -> np.ndarray:
         """Rows i0:i1 of the grid field name, shape (rows, n_theta, 3)."""
@@ -187,10 +185,9 @@ for _name in _FIELDS:
     setattr(_RevolvedGrid, _name, _OnRead(_name))
 
 
-@dataclass
 class FrontStatus:
-    is_front: bool
-    failures: list
+    def __init__(self, is_front: bool, failures: list):
+        self.is_front, self.failures = is_front, failures
 
 
 def _adapted(c: LegendreCurve, axis: str):
@@ -278,10 +275,9 @@ def frontal_front_status(c: LegendreCurve, axis: str = "z",
     return FrontStatus(is_front=not failures, failures=failures)
 
 
-@dataclass
 class ConeTypeReport:
-    is_cone_type: bool
-    values: dict
+    def __init__(self, is_cone_type: bool, values: dict):
+        self.is_cone_type, self.values = is_cone_type, values
 
 
 def cone_type_check(c: LegendreCurve, t0: float, axis: str = "z",
@@ -304,7 +300,6 @@ def cone_type_check(c: LegendreCurve, t0: float, axis: str = "z",
     return ConeTypeReport(is_cone_type=bool(ok), values=vals)
 
 
-@dataclass
 class EvoluteBundle:
     """The two focal loci of the z-axis revolved surface.
 
@@ -316,11 +311,14 @@ class EvoluteBundle:
     both sides agree); axis_flags marks nodes that stay undefined.
     Unavailable pieces are None with the reason in diagnostics.
     """
-    first_profile: LegendreCurve | None
-    first_surface: "RevolutionSurface | None"
-    axis_curve: np.ndarray | None
-    axis_flags: np.ndarray | None
-    diagnostics: dict
+
+    def __init__(self, first_profile: LegendreCurve | None,
+                 first_surface: RevolutionSurface | None,
+                 axis_curve: np.ndarray | None, axis_flags: np.ndarray | None,
+                 diagnostics: dict):
+        self.first_profile, self.first_surface = first_profile, first_surface
+        self.axis_curve, self.axis_flags = axis_curve, axis_flags
+        self.diagnostics = diagnostics
 
 
 def _extend_isolated_zeros(t, values, good, tol=1e-6):
@@ -390,10 +388,9 @@ def revolution_evolutes(c: LegendreCurve, n_theta: int = 128,
                          diagnostics=diagnostics)
 
 
-@dataclass
 class CommutationReport:
-    max_residuals: dict
-    passed: bool
+    def __init__(self, max_residuals: dict, passed: bool):
+        self.max_residuals, self.passed = max_residuals, passed
 
 
 def parallel_commutation_check(c: LegendreCurve, lam: float, axis: str = "z",

@@ -15,7 +15,6 @@ entering the criterion.  Every zero test defaults to tol = EXACT_TOL
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,14 +34,12 @@ class InconsistentInputError(ValueError):
     profile of the family can have."""
 
 
-@dataclass
 class CuspLabel:
-    label: str
-    diagnostics: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.label not in LABELS:
-            raise ValueError(f"unknown label {self.label!r}")
+    def __init__(self, label: str, diagnostics: dict | None = None):
+        if label not in LABELS:
+            raise ValueError(f"unknown label {label!r}")
+        self.label = label
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
 
 _FACTORIALS = [math.factorial(k) for k in range(ORDER_CAP + 1)]
@@ -75,7 +72,8 @@ def ord_of(f: Jet, cap: int = 5, tol: float = EXACT_TOL) -> int:
     first non-vanishing derivative.  When every derivative up to
     top = min(cap, jet order) vanishes the saturated value top + 1 is
     returned, meaning "order at least top + 1": no derivative above the
-    jet's own order is tested.
+    jet's own order is tested.  constant_gauss_cusp takes top to tell a
+    saturated order from an exact one.
     """
     check_tol(tol)
     if not cap >= 0:
@@ -221,17 +219,24 @@ def curve_cusp_by_curvature(c: LegendreCurve, t0: float,
     return out
 
 
-def constant_gauss_cusp(ord_a: int, ord_beta: int) -> CuspLabel:
+def constant_gauss_cusp(ord_a: int, ord_beta: int,
+                        top: int = 5) -> CuspLabel:
     """Cusp label of a constant-ratio (gauss) profile from zero orders.
 
     ord_a and ord_beta are the vanishing orders of a = cos(phi) and beta
     at the singular point.  Only three resolvable patterns exist and a
-    5/2-cusp is impossible for this family.
+    5/2-cusp is impossible for this family.  top is the highest
+    derivative that ord_of tested for both, its cap of 5 for jets of
+    order 5 and up: an order above top is saturated, a lower bound only,
+    and labels unresolved.  ord_a > ord_beta still contradicts the
+    family, as ord_beta is then at most top and exact.
     """
     if ord_a > ord_beta:
         raise InconsistentInputError(
             f"orders ({ord_a}, {ord_beta}) violate ord(a) <= ord(beta)")
     diag = {"orders": (ord_a, ord_beta), "note": "5/2 impossible"}
+    if ord_beta > top:
+        return CuspLabel("unresolved", diag)
     table = {(1, 1): "cusp_3_2", (2, 2): "cusp_4_3", (1, 2): "cusp_5_3"}
     return CuspLabel(table.get((ord_a, ord_beta), "unresolved"), diag)
 
@@ -251,7 +256,7 @@ def constant_mean_cusp(alpha: Jet, beta: Jet,
     thr = tol * scale
     thr2 = tol * max(1.0, scale * scale)
     diag = {"tol": tol, "threshold": thr, "alpha_jet": da, "beta_jet": db[:3]}
-    if len(db) < 3:
+    if len(db) < 3 or len(da) < 2:
         diag["note"] = "jet order too low"
         return CuspLabel("unresolved", diag)
     if all(abs(v) <= thr for v in da[1:]):

@@ -444,6 +444,56 @@ def test_classify_gauss_family(capsys):
     assert payload["record"]["label"] == "cusp_3_2"
 
 
+def _classify(argv, capsys):
+    code = run(["classify", "--t0", "0", *argv])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_classify_constant_families_read_the_order(capsys):
+    # before, both families read order-5 jets whatever --order said
+    code, payload = _classify(["--family", "mean", "--alpha", "1+t",
+                               "--beta", "t^2", "--order", "1"], capsys)
+    assert code == 0
+    assert payload["record"]["criterion_values"]["alpha_jet"] == [1.0, 1.0]
+    assert payload["record"]["label"] == "unresolved"
+    assert "jet_orders" not in payload
+    # at order 1, t^2 reads as "order at least 2": no cusp_4_3 from it
+    gauss = ["--family", "gauss", "--a", "t^2", "--beta", "t^2"]
+    for order, label in (("1", "unresolved"), ("2", "cusp_4_3")):
+        code, payload = _classify([*gauss, "--order", order], capsys)
+        assert code == 0
+        assert payload["orders"] == [2, 2]
+        assert payload["record"]["label"] == label
+
+
+@pytest.mark.parametrize("argv, label, orders", [
+    (["--family", "mean", "--alpha", "(exp(t)-1)/t", "--beta", "t^2"],
+     "cusp_5_3", [3, 5]),
+    (["--family", "mean", "--alpha", "1+t/2+t^2/6", "--beta", "t^2"],
+     "cusp_5_3", None),
+    (["--family", "gauss", "--a", "(1-cos(t))/t", "--beta", "t"],
+     "cusp_3_2", [3, 5]),
+])
+def test_classify_constant_families_at_removable_singularity(argv, label,
+                                                             orders, capsys):
+    # before, (exp(t)-1)/t at t0 = 0 exited 2 on its division by zero; its
+    # Laurent jet's division leaves an order-3 Taylor jet, recorded
+    code, payload = _classify(argv, capsys)
+    assert code == 0
+    assert payload["record"]["label"] == label
+    assert payload.get("jet_orders") == orders
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "mean", "--alpha", "1/t", "--beta", "t^2"],
+    ["--family", "gauss", "--a", "t", "--beta", "1/t"],
+])
+def test_classify_constant_families_refuse_a_pole(argv, capsys):
+    code, payload = _classify(argv, capsys)
+    assert code == 2
+    assert payload["error"] == "DomainError"
+
+
 def test_evolute_flags_axis_nodes(tmp_path):
     base = str(tmp_path / "evo")
     code = run(["evolute", *PS, "--grid", PS_GRID, "--theta", "16",

@@ -7,7 +7,6 @@ profile and the identity the construction is supposed to enforce.
 import importlib.util
 import math
 import warnings
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -667,7 +666,7 @@ def test_construction_report_shape():
     g = uniform_grid(0.0, 1.0, 51)
     c = profile_from_H_phi("1/2", "0", g, c_a=-1.0)
     rep = report_of(c)
-    d = asdict(rep)
+    d = rep.as_dict()
     assert list(d) == ["method", "t0", "flips", "flagged_nodes",
                        "ode_residual", "contact_residual", "norm_residual",
                        "notes"]

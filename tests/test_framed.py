@@ -6,14 +6,14 @@ defects, and the curvature ratios can be checked against classical
 surface theory computed by an independent route (shape operator).
 """
 
-from dataclasses import replace
 
 import numpy as np
 import sympy as sp
 
-from revfront.framed import (FramedSurfaceGrid, basic_invariants_of,
-                             curvature_of, immersion_status,
-                             integrability_residual, parallel_surface)
+from revfront.framed import (BasicInvariants, FramedSurfaceGrid,
+                             basic_invariants_of, curvature_of,
+                             immersion_status, integrability_residual,
+                             parallel_surface)
 
 R0, r0 = 2.0, 0.7
 
@@ -96,11 +96,12 @@ def test_integrability_sees_each_seeded_defect():
     delta = 1e-3
     for name, defect in SEEDED_DEFECTS:
         if name in I.cross:
-            bad = replace(I, cross={**I.cross, name: I.cross[name] + delta})
+            bad = BasicInvariants(**{**vars(I), "cross": {
+                **I.cross, name: I.cross[name] + delta}})
         else:
             grid = getattr(I, name).copy()
             grid[5, 7] += delta
-            bad = replace(I, **{name: grid})
+            bad = BasicInvariants(**{**vars(I), name: grid})
         res = integrability_residual(bad).residuals
         assert abs(res[defect] - delta) < 1e-10, (name, res)
         assert all(r < 1e-10 for k, r in res.items() if k != defect), (name, res)

@@ -196,6 +196,32 @@ def test_constant_gauss_table():
         constant_gauss_cusp(3, 2)
 
 
+def test_constant_gauss_saturated_orders_are_unresolved():
+    # ord_of reads "at least top + 1" when every tested derivative
+    # vanishes; before top, t^3 and t^3 at order 1 read (2, 2), cusp_4_3,
+    # and t^5 and t^5 at order 0 read (1, 1), cusp_3_2
+    for src, order, orders in (("t^3", 1, (2, 2)), ("t^5", 0, (1, 1))):
+        m, n = (ord_of(jet_at(src, order=order)) for _ in range(2))
+        assert (m, n) == orders
+        out = constant_gauss_cusp(m, n, top=order)
+        assert out.label == "unresolved"
+        assert out.diagnostics == {"orders": orders, "note": "5/2 impossible"}
+    # exact orders keep their table entries, and ord(a) > ord(beta) still
+    # contradicts the family: ord(beta) is then exact
+    assert constant_gauss_cusp(2, 2, top=2).label == "cusp_4_3"
+    assert constant_gauss_cusp(1, 2, top=2).label == "cusp_5_3"
+    assert constant_gauss_cusp(1, 2, top=1).label == "unresolved"
+    with pytest.raises(ValueError, match=r"orders \(2, 1\) violate"):
+        constant_gauss_cusp(2, 1, top=1)
+
+
+def test_constant_mean_needs_alpha_prime():
+    # an order-0 alpha jet cannot show that alpha is constant
+    out = constant_mean_cusp(jet_at("1+t", order=0), jet_at("t^2"))
+    assert out.label == "unresolved"
+    assert out.diagnostics["note"] == "jet order too low"
+
+
 def test_constant_mean_cases():
     out = constant_mean_cusp(jet_at("t", PI), jet_at("sin(t)", PI))
     assert out.label == "cusp_5_2"
