@@ -19,6 +19,7 @@ Laurent jets of alpha and beta at t0 (expr.eval_laurent).  Every construction
 holds its prescribed values at t0 itself (FineGrid.cumulative_from).
 Any finite, strictly increasing grid will do: RK4, the quadrature, the
 flip locator and the series region all read the lattice's own steps.
+Each touch, where |sin phi| = 1, is expanded once (_angle_jets).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import expr
 from . import jets
-from .jets import DIV_TOL, DomainError, Jet, jet_div_reduced
+from .jets import DIV_TOL, DomainError, Jet, Laurent
 from .legendre import (CurveJet, CurvaturePair, LegendreCurve, NormalJet,
                        verify_legendre)
 from .quadrature import (ConstructionError, FineGrid, check_finite, evaluated,
@@ -37,8 +38,6 @@ from .quadrature import (ConstructionError, FineGrid, check_finite, evaluated,
 
 FLIP_TOL = 1e-8          # fitted |sin phi| extremum within this of 1 -> branch flip
 SIN_EXCESS_TOL = 1e-9    # |sin phi| beyond 1 + this -> inconsistent data
-FLAG_TOL = 1e-12         # 1 - sin^2 below this at a node -> jets flagged
-SAFE_COS = 1e-3          # |cos phi| above this -> plain jet division for ell
 COS_TOL = 1e-8           # |cos phi| within this (relative) of 0 -> (H, phi) rejects
 SERIES_ORDER = 12        # Frobenius coefficients c_0..c_12; data to twice that
 
@@ -119,33 +118,16 @@ def _jet(src, t, order, what):
     return evaluated(what, expr.eval_jet_any_order, src, t, order)
 
 
-def _div_reduced(num, den, tol, width):
-    """jet_div_reduced column by column over array-based jets.
-
-    Each column strips the leading coefficients that are (near-)zero in
-    both num and den, with the tolerances of jet_div_reduced; the columns
-    of one strip count share one jet division.  Returns the quotient
-    coefficients zero-padded (or cut) to width rows.  A pole raises the
-    DomainError of the first failing column.
-    """
-    n = min(num.order, den.order)
-    sn = np.fmax(np.max(np.abs(num.coeffs), axis=0), 1.0)
-    sd = np.fmax(np.max(np.abs(den.coeffs), axis=0), 1.0)
-    small = ((np.abs(num.coeffs[:n]) <= tol * sn) &
-             (np.abs(den.coeffs[:n]) <= tol * sd))
-    strip = np.logical_and.accumulate(small, axis=0).sum(axis=0)
-    every = np.arange(strip.size)
-    bad = (np.abs(den.coeffs[strip, every]) <
-           DIV_TOL * (1.0 + np.abs(num.coeffs[strip, every])))
-    if bad.any():
-        i = int(np.argmax(bad))
-        jet_div_reduced(num.at(i), den.at(i), tol=tol)   # raises
-    out = np.zeros((width, strip.size))
-    for k in np.unique(strip):
-        cols = np.flatnonzero(strip == k)
-        q = (Jet(num.t[cols], num.coeffs[k:n + 1, cols]) /
-             Jet(den.t[cols], den.coeffs[k:n + 1, cols]))
-        out[:n + 1 - k, cols] = q.coeffs[:width]
+def _laurent_quotient(num, den):
+    """num / den of array-based jets, column by column as jets.Laurent
+    divides: the Jet quotient unless den's value vanishes, else a Taylor
+    jet zero-padded (DomainError names the first pole)."""
+    out = np.zeros((min(num.order, den.order) + 1, num.t.size))
+    zero = np.abs(den.value) < DIV_TOL * (1.0 + np.abs(num.value))
+    out[:, ~zero] = (num.at(~zero) / den.at(~zero)).coeffs
+    for i in np.flatnonzero(zero):
+        q = (Laurent(num.at(i)) / Laurent(den.at(i))).taylor().rows
+        out[:len(q), i] = q
     return out
 
 
@@ -209,51 +191,78 @@ def _lattice_angle(s, steps, S, i0, anchor, cos_sign, touch):
             sigma * np.sqrt(np.maximum(1.0 - Sc * Sc, 0.0)))
 
 
-def _angle_jets(b_j, sigma, notes):
-    """cos(phi) and ell jets from the sin(phi) jet b_j and branch signs sigma.
+def _settled(c, delta, floor):
+    """The radius at which the series sum c_k s^k settles: delta, times 0.8
+    as often as needed for its last term to fall below 1e-12 of the sum of
+    its terms' magnitudes; None once the radius reaches floor."""
+    while delta > floor:
+        terms = np.abs(c) * delta ** np.arange(c.size)
+        if terms[-1] < 1e-12 * max(terms.sum(), 1e-300):
+            return delta
+        delta *= 0.8
+    return None
 
-    cos phi = sigma*sqrt(1 - sin^2).  Columns where 1 - sin^2 falls below
-    FLAG_TOL cannot support the square root jet: they are flagged and get a
-    constant clamped radicand.  ell = (sin phi)'/cos phi, by reduced
-    division where |cos phi| <= SAFE_COS.  A flagged column carries no
-    usable derivative data, so both jets there are replaced by the Taylor
-    shift of the nearest unflagged column (ties go to the lower index),
-    accurate to the jet order since the functions are smooth in t; the
-    rebuilt nodes go into notes.  Returns (a_j, ell_j, flagged nodes).
+
+def _angle_jets(fg, b_j, sigma, C_s, flips, expand, notes):
+    """cos(phi) and ell jets from the sin(phi) jets b_j at the coarse nodes
+    and the signs sigma on the lattice: sigma*sqrt(1 - sin^2) and
+    (sin phi)'/cos phi node by node, except near a touch t* (README).  t*
+    is the zero of (sin phi)' by Newton on the jets of the node nearest a
+    flip or grid end, where |sin phi| reaches 1 - FLIP_TOL.  Near it the
+    jets are the Taylor shift of one expansion, from the sin phi jet
+    expand(t*, n, at) (at(j): jet j at t*), and C_s, which z integrates,
+    takes its values.  Returns (a_j, ell_j, the nodes near a touch).
     """
-    rad = 1.0 - b_j * b_j
-    flagged = np.flatnonzero(np.atleast_1d(rad.value) < FLAG_TOL)
-    clamped = rad.coeffs.copy()
-    clamped[0, flagged] = FLAG_TOL
-    clamped[1:, flagged] = 0.0
-    sq = jets.sqrt(Jet(rad.t, clamped))
-    a_j = Jet(sq.t, sq.coeffs * sigma)
-    num = b_j.differentiated()
-    den = a_j.truncated(num.order)
-    unsafe = np.flatnonzero(~(np.abs(np.atleast_1d(a_j.value)) > SAFE_COS))
-    patched = den.coeffs.copy()
-    patched[0, unsafe] = 1.0
-    ell_co = (num / Jet(den.t, patched)).coeffs
-    ell_co[:, unsafe] = _div_reduced(num.at(unsafe), den.at(unsafe), 1e-7,
-                                     ell_co.shape[0])
-    outs = [a_j.coeffs.copy(), ell_co]
-    t = b_j.t
-    healthy = np.setdiff1d(np.arange(t.size), flagged)
-    for i in flagged if healthy.size else ():
-        donor = healthy[np.argmin(np.abs(healthy - i))]
-        h = float(t[i] - t[donor])
-        for co in outs:
-            top = co.shape[0] - 1
-            src = co[:, donor]
-            for m in range(top + 1):
-                acc = 0.0
-                for k in range(top, m - 1, -1):
-                    acc = acc * h + math.comb(k, m) * src[k]
-                co[m, i] = acc
-    flagged = [int(i) for i in flagged]
-    if flagged and healthy.size:
-        notes["flagged_jets_rebuilt"] = flagged
-    return Jet(t, outs[0]), Jet(t, outs[1]), flagged
+    g, s, io = fg.grid, fg.s, b_j.order
+    a_co, ell_co = np.empty((io + 1, g.size)), np.empty((io, g.size))
+    served = np.zeros(g.size, dtype=bool)
+    h, span = float(np.max(np.diff(g))), float(g[-1] - g[0])
+    stars = []
+    for f in sorted(flips + [g[0], g[-1]]):
+        i = nearest_node(g, f)
+        poly = b_j.coeffs[::-1, i]               # sin phi in t - t_i
+        ts, d1, d2 = f, np.polyder(poly), np.polyder(poly, 2)
+        with np.errstate(all="ignore"):          # no zero: NaN, f stays
+            for _ in range(6):
+                ts -= np.polyval(d1, ts - g[i]) / np.polyval(d2, ts - g[i])
+        ts = float(ts if abs(ts - f) <= h else f)
+        if (abs(np.polyval(poly, ts - g[i])) >= 1.0 - FLIP_TOL  # a touch,
+                and (not stars or ts - stars[-1][0] > h)):   # not its twin
+            stars.append((ts, i))
+    for ts, i in stars:
+        S = expand(ts, 2 * io,
+                   lambda j: np.polyval(j.coeffs[::-1, i], ts - g[i]))
+        S0, S1 = S.rows[:2]
+        S = Jet(ts, [math.copysign(1.0, S0), 0.0] + S.rows[2:])
+        g2 = Laurent(1.0 - S * S, -2).taylor()    # / (t - t*)^2
+        room = min([abs(o - ts) / 2 for o, _ in stars if o != ts] + [span])
+        side = 1.0 if ts + room / 4 <= s[-1] else -1.0   # sigma after t*:
+        sign = side * sigma[nearest_node(s, ts + side * room / 4)]
+        a = Laurent(sign * jets.sqrt(g2), 1).taylor()
+        ell = (Laurent(S.differentiated()) / Laurent(a)).taylor()
+        w = min(_settled(c.coeffs, room, h) or 0.0 for c in (a, ell))
+        if not w:
+            raise ConstructionError(
+                f"the expansion at the touch t={ts:.6g} does not settle "
+                "beyond a grid step: no simple touch", t=ts)
+        near = np.flatnonzero(np.abs(g - ts) <= w)
+        fine = np.abs(s - ts) <= w
+        C_s[fine] = np.polyval(a.coeffs[::-1], s[fine] - ts)
+        for out, c in ((a_co, a), (ell_co, ell)):    # the Taylor shift
+            out[:, near] = [np.polyval(np.polyder(c.coeffs[::-1], m),
+                                       g[near] - ts) / math.factorial(m)
+                            for m in range(len(out))]
+        served[near] = True
+        notes.setdefault("touches", []).append(
+            {"t": ts, "radius": float(w), "nodes": near.tolist(),
+             "dropped_radicand": abs(1.0 - S0 * S0), "dropped_slope": abs(S1)})
+    b = b_j.at(~served)
+    sq = evaluated("cos phi", lambda _, r: jets.sqrt(r), "sqrt(1-sin(phi)^2)",
+                   1.0 - b * b)
+    a_co[:, ~served] = sq.coeffs * sigma[fg.coarse_index][~served]
+    num = b.differentiated()
+    ell_co[:, ~served] = (num / Jet(b.t, a_co[:io, ~served])).coeffs
+    return Jet(g, a_co), Jet(g, ell_co), np.flatnonzero(served).tolist()
 
 
 def _system_jets(beta_j, ab_j, x_vals, S_vals, order):
@@ -275,8 +284,8 @@ def _system_jets(beta_j, ab_j, x_vals, S_vals, order):
         for i in range(1, k):
             dx += b[i] * S[k - 1 - i]
             dS += ab[i] * x[k - 1 - i]
-        np.divide(-dx, k, out=x[k])
-        np.divide(dS, k, out=S[k])
+        x[k] = -dx / k
+        S[k] = dS / k
     return Jet(beta_j.t, x), Jet(beta_j.t, S)
 
 
@@ -458,13 +467,8 @@ def _frobenius_data(p, alpha, fg, i0):
     left, right = t0 - lo, hi - t0
     two_sided = left > 4 * step and right > 4 * step
     room = min(0.6 * (min if two_sided else max)(left, right), 0.5 * (hi - lo))
-    delta = 0.9 * room
-    while delta > 4 * step:
-        terms = np.abs(c) * delta ** np.arange(order_n + 1)
-        if terms[-1] < 1e-12 * max(terms.sum(), 1e-300):
-            break
-        delta *= 0.8
-    else:
+    delta = _settled(c, 0.9 * room, 4 * step)
+    if delta is None:
         raise ConstructionError(
             "Frobenius series does not settle inside its start radius; "
             "refine the grid near t0 or move t0", t0=t0, room=room)
@@ -576,7 +580,6 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
 
     sigma, flips, Sc, C_s = _lattice_angle(s, fg.fine_step, S_s, i0, t0,
                                            p.cos_sign, abs(sin_t0) == 1.0)
-    z_s = fg.cumulative_from(beta_s * C_s, t0, p.z0)
 
     beta_j = _jet(p.beta, g, io, "beta")
     # coarse nodes inside the series radius (none for RK4); alpha may have
@@ -592,10 +595,17 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
         nodes = np.flatnonzero(in_c)
         xs_j = _series_jets(c, r, g[nodes], g[nodes] - t0, io)
         x_j.coeffs[:, nodes] = xs_j.coeffs
-        b_j.coeffs[:, nodes] = _div_reduced(
-            -xs_j.differentiated(), beta_j.at(nodes).truncated(io - 1), 1e-9,
-            io + 1)
-    a_j, ell_j, flagged = _angle_jets(b_j, sigma[fg.coarse_index], notes)
+        b_j.coeffs[:, nodes] = 0.0
+        b_j.coeffs[:io, nodes] = _laurent_quotient(
+            -xs_j.differentiated(), beta_j.at(nodes).truncated(io - 1))
+
+    def expand(ts, n, at):   # the system's recurrence from x and sin phi
+        return _system_jets(_jet(p.beta, ts, n, "beta"), _jet(
+            ab, ts, n, "alpha*beta"), at(x_j), at(b_j), n)[1]
+
+    a_j, ell_j, flagged = _angle_jets(fg, b_j, sigma, C_s, flips, expand,
+                                      notes)
+    z_s = fg.cumulative_from(beta_s * C_s, t0, p.z0)
 
     resid = (beta_j.value * x_j.derivative(2)
              - beta_j.derivative(1) * x_j.derivative(1)
@@ -632,15 +642,18 @@ def profile_from_JK(J: str, K: str, x0: float, grid, t0: float | None = None,
     S_s = sin0 - fg.cumulative_from(K_s, t0, 0.0)
     sigma, flips, Sc, C_s = _lattice_angle(s, fg.fine_step, S_s, i0, t0,
                                            cos_sign, abs(sin0) == 1.0)
-
-    x2_s, z_s = _j_lattice(fg, t0, x0, z0, J_s, Sc, C_s,
-                           "; x0 anchor incompatible with prescribed (J, K)")
-    J_j = _jet(J, g, io, "J")
     b_j = (-_jet(K, g, io, "K")).antiderivative(
         fg.at_coarse(S_s)).truncated(io)
-    x_j, beta_j = _j_jets(fg, io, x2_s, J_j, b_j)
+
+    def expand(ts, n, at):   # the antiderivative of -K through sin phi
+        return (-_jet(K, ts, n - 1, "K")).antiderivative(at(b_j))
+
     notes = {}
-    a_j, ell_j, flagged = _angle_jets(b_j, sigma[fg.coarse_index], notes)
+    a_j, ell_j, flagged = _angle_jets(fg, b_j, sigma, C_s, flips, expand,
+                                      notes)
+    x2_s, z_s = _j_lattice(fg, t0, x0, z0, J_s, Sc, C_s,
+                           "; x0 anchor incompatible with prescribed (J, K)")
+    x_j, beta_j = _j_jets(fg, io, x2_s, _jet(J, g, io, "J"), b_j)
     report = ConstructionReport("jk_quadrature", t0, flips=flips,
                                 flagged_nodes=flagged, notes=notes)
     return _assemble(fg, io, z_s, x_j, a_j, b_j, ell_j, beta_j, report)

@@ -454,12 +454,13 @@ def _vanishing(rows, tol: float) -> int:
 class Laurent:
     """f = s^shift (c_0 + c_1 s + ...) about a scalar base t0, s = t - t0:
     jet holds the c_k, shift is an integer, f is known up to
-    s^(shift + jet.order).  * adds shifts, + and - align them, / moves its
-    divisor's vanishing leading coefficients into the shift where Jet
-    division meets a pole.  A coefficient vanishes as a value does in
-    quotient: at most DIV_TOL * (1 + |c_0 of the numerator|), so the growth
-    of the higher coefficients sets no scale.  Where none is stripped, the
-    shift stays 0 and each operation is the Jet one, bit for bit."""
+    s^(shift + jet.order).  * adds shifts, + and - align them, / moves the
+    divisor's k vanishing leading coefficients, and up to k of the
+    numerator's (at most DIV_TOL, as in valuation), into the shift.  A
+    divisor's coefficient vanishes as a value does in quotient: at most
+    DIV_TOL * (1 + |c_0 of the numerator|), so the growth of the higher
+    coefficients sets no scale.  Where none is stripped, the shift stays 0
+    and each operation is the Jet one, bit for bit."""
     __slots__ = ("jet", "shift")
 
     def __init__(self, jet: Jet, shift: int = 0):
@@ -498,12 +499,13 @@ class Laurent:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        d = other.jet.rows
-        k = _vanishing(d, DIV_TOL * (1.0 + abs(self.jet.rows[0])))
+        a, d, t = self.jet.rows, other.jet.rows, self.jet.t
+        k = _vanishing(d, DIV_TOL * (1.0 + abs(a[0])))
         if k == len(d):
-            _refuse(True, self.jet.t, "division by (near-)zero")
-        den = _jet(self.jet.t, d[k:])
-        return Laurent(self.jet / den, self.shift - other.shift - k)
+            _refuse(True, t, "division by (near-)zero")
+        j = min(k, _vanishing(a, DIV_TOL), len(a) - 1)
+        return Laurent(_jet(t, a[j:]) / _jet(t, d[k:]),
+                       self.shift + j - other.shift - k)
 
     def __pow__(self, p):
         if float(p) != int(p):
@@ -513,19 +515,3 @@ class Laurent:
             return Laurent(one) / self ** -p
         return Laurent(self.jet ** p, self.shift * int(p))
 
-
-def jet_div_reduced(num: Jet, den: Jet, tol: float = 1e-9) -> Jet:
-    """Divide scalar-base jets after stripping the leading coefficients
-    that vanish in both: at most tol times the largest magnitude of their
-    jet, taken as 1 below 1 or at a NaN.
-
-    Handles removable singularities such as l = (alpha*beta*x)/cos(phi) at a
-    point where both factors vanish to the same order.  Output order drops by
-    the number of stripped coefficients.
-    """
-    if num.t.shape != () or den.t.shape != ():
-        raise ValueError("reduced division works on scalar-base jets")
-    n = min(num.order, den.order)
-    k = min(n, *(_vanishing(r, tol * max(1.0, float(np.max(np.abs(r)))))
-                 for r in (num.rows, den.rows)))
-    return Jet(num.t, num.coeffs[k: n + 1]) / Jet(den.t, den.coeffs[k: n + 1])

@@ -91,11 +91,13 @@ GOLDEN = {
         "json": "9c50861b20d954ca84660abc04751123d9ae91b191b7e88a50c679d002c0cae0",
     }),
     # z holds z0 at t0 = 1.5707963 itself, not at its nearest fine node
-    # (z moves by up to 1.7e-10), and the report has no anchor_offset
+    # (z moves by up to 1.7e-10), and the report has no anchor_offset.
+    # The touch at pi/2 is expanded once: nodes 19 to 44 read its Taylor
+    # shift (a moves by up to 1e-13, ell by 1.6e-12)
     "construct-gauss": (0, {
-        "csv": "4094f9e28f527f99e9515c1be2e389be29c712d217758cb1f07260b96d4349e0",
-        "obj": "000f2301d574a798769b8445c3f1abd9f4ee6082ab3784b277281be9d97963b9",
-        "json": "33577397a4157fcf1264381a37786f00d7f5f3ff490e9b0d2a0f3c47e5dda455",
+        "csv": "68762bdd5f57c73531d316927cd6b6e29f3e0bfe50e23bebdf847ebf8cdafeea",
+        "obj": "cba738839c67582e9596677ca7d1dda2cd6905d2b1e60b458fb4ee03fd4033cb",
+        "json": "7ac490c068669eaf3321578833343be4ff4dd0b4f64a6863821318f05638b8bc",
     }),
     # indicial root 2, series radius 0.2025
     "construct-gauss-frobenius": (0, {

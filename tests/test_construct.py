@@ -57,7 +57,13 @@ def test_gauss_rk4_pseudo_sphere():
     rep = report_of(c)
     assert rep.method == "gauss_rk4"
     np.testing.assert_allclose(rep.flips, [PI / 2], atol=1e-9)
-    assert rep.flagged_nodes == []
+    # the touch's expansion serves the nodes within its radius
+    (touch,) = rep.notes["touches"]
+    assert abs(touch["t"] - PI / 2) <= 1e-15
+    assert 0.3 < touch["radius"] < 1.0
+    assert rep.flagged_nodes == touch["nodes"] == list(
+        np.flatnonzero(np.abs(g - touch["t"]) <= touch["radius"]))
+    assert max(touch["dropped_radicand"], touch["dropped_slope"]) <= 1e-12
     assert rep.ode_residual < 1e-10
     assert c.curve.z.value[0] == p.z0
     np.testing.assert_allclose(c.curve.z.value, pseudo_sphere_z(g, 0.2),
@@ -672,6 +678,17 @@ def test_construction_report_shape():
                        "notes"]
     assert d["contact_residual"] <= 1e-10
     assert c.curvature is not None
+    # a touch adds one record per located t* to the notes; none, no key
+    assert "touches" not in d["notes"]
+    for build in TOUCH_BUILDS.values():
+        rep = report_of(build(uniform_grid(0.2, PI - 0.2, 61), 1.0))
+        (touch,) = rep.as_dict()["notes"]["touches"]
+        assert list(touch) == ["t", "radius", "nodes", "dropped_radicand",
+                               "dropped_slope"]
+        assert rep.flagged_nodes == touch["nodes"]
+        assert all(type(i) is int for i in touch["nodes"])
+        assert all(type(touch[k]) is float for k in
+                   ("t", "radius", "dropped_radicand", "dropped_slope"))
 
 
 def _entry_points(bad):

@@ -1,8 +1,8 @@
 """The array passes of construct.py against the per-node loops they replace.
 
 Each reference below is the earlier loop, kept here as the oracle: the
-Horner series jet of one node, jet_div_reduced of one column, the while
-loop of the flip locator, RK4 one step at a time, the Picard iteration
+Horner series jet of one node, the Laurent quotient of one column, the
+while loop of the flip locator, RK4 one step at a time, the Picard iteration
 of the system jets and the in-place doubling scan.  The array passes
 must give the same bits and raise the same errors, except the RK4 scan:
 it multiplies the step matrices in another order, so it agrees with the
@@ -18,10 +18,11 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from revfront import construct, jets
-from revfront.construct import (ConstructionError, _div_reduced,
-                                _lattice_angle, _prefix_products, _rk4_path,
-                                _rk4_step, _series_jets, _system_jets)
-from revfront.jets import DomainError, Jet, jet_div_reduced
+from revfront.construct import (ConstructionError, _lattice_angle,
+                                _laurent_quotient, _prefix_products,
+                                _rk4_path, _rk4_step, _series_jets,
+                                _system_jets)
+from revfront.jets import DomainError, Jet, Laurent
 
 NO_SHRINK = [ph for ph in Phase if ph is not Phase.shrink]
 
@@ -61,71 +62,63 @@ def test_series_jets_match_per_node_horner(r, order):
     assert got.coeffs.tobytes() == want.tobytes()
 
 
-def reference_div_reduced(num, den, tol, width):
-    out = np.zeros((width, num.t.size))
+def reference_laurent_quotient(num, den):
+    """Each column's Laurent quotient as a Taylor jet, zero-padded."""
+    out = np.zeros((min(num.order, den.order) + 1, num.t.size))
     for i in range(num.t.size):
-        q = jet_div_reduced(num.at(i), den.at(i), tol=tol).coeffs[:width]
-        out[:q.size, i] = q
+        q = (Laurent(num.at(i)) / Laurent(den.at(i))).taylor().rows
+        out[:len(q), i] = q
     return out
 
 
-def mixed_columns(rng, n, strips, tol):
-    """num and den jets of order n whose column j strips strips[j]
-    leading coefficients (values at most tol*0.5 in both); two places
-    after the strip both are that small once more."""
-    m = len(strips)
+def removable_columns(rng, n, zeros):
+    """num and den jets of order n whose column j has zeros[j] leading
+    coefficients that are exactly 0 in both; the next one of den is
+    large, and the one after may be tiny in both (not stripped)."""
+    m = len(zeros)
     num = rng.normal(size=(n + 1, m))
     den = rng.normal(size=(n + 1, m)) + 2.0
-    for j, k in enumerate(strips):
-        num[:k, j] = rng.uniform(-0.5, 0.5, size=k) * tol
-        den[:k, j] = rng.uniform(-0.5, 0.5, size=k) * tol
-        if k < n:   # stop stripping here: keep this coefficient large
+    for j, k in enumerate(zeros):
+        num[:k, j] = den[:k, j] = 0.0
+        if k < n:
             den[k, j] = 1.5 + rng.uniform()
-        if k + 2 <= n:   # small again after the strip: not stripped
-            num[k + 2, j] = den[k + 2, j] = 0.25 * tol
+        if k + 2 <= n:
+            num[k + 2, j] = den[k + 2, j] = 1e-15
     t = np.linspace(0.1, 0.9, m)
     return Jet(t, num), Jet(t, den)
 
 
-@pytest.mark.parametrize("tol", [1e-7, 1e-9])
-@pytest.mark.parametrize("extra", [0, 1])
-def test_div_reduced_matches_per_column_loop(tol, extra):
+def test_laurent_quotient_matches_per_column_loop():
+    # columns with a nonvanishing divisor take the plain Jet quotient,
+    # bit for bit; the others the Laurent one, of lower order
     rng = np.random.default_rng(7)
     n = 6
-    strips = [0, 2, 1, 0, 3, 2, 6, 0, 1]
-    num, den = mixed_columns(rng, n, strips, tol)
-    got = _div_reduced(num, den, tol, n + 1 + extra)
-    want = reference_div_reduced(num, den, tol, n + 1 + extra)
-    assert got.tobytes() == want.tobytes()
-    # no columns at all
+    num, den = removable_columns(rng, n, [0, 2, 1, 0, 3, 2, 0, 1])
+    got = _laurent_quotient(num, den)
+    assert got.tobytes() == reference_laurent_quotient(num, den).tobytes()
+    plain = (num.at(0) / den.at(0)).coeffs
+    assert got[:, 0].tobytes() == plain.tobytes()
+    assert not got[n - 1:, 1].any() and got[n - 2, 1] != 0.0
     empty = np.array([], dtype=int)
-    assert _div_reduced(num.at(empty), den.at(empty), tol, n + 1).shape == \
-        (n + 1, 0)
+    assert _laurent_quotient(num.at(empty), den.at(empty)).shape == (n + 1, 0)
 
 
-def test_div_reduced_raises_first_pole_in_index_order():
+def test_laurent_quotient_raises_first_pole_in_index_order():
     rng = np.random.default_rng(3)
     n = 5
-    num, den = mixed_columns(rng, n, [1, 0, 2, 0, 1, 0], 1e-9)
-    # columns 3 and 5 have a pole after stripping: den vanishes, num not;
-    # column 4 has one only after stripping its first coefficient
+    num, den = removable_columns(rng, n, [1, 0, 2, 0, 1, 0])
+    # columns 3 and 5 have a pole: den vanishes, num not; column 4 has
+    # one only behind its stripped first coefficient
     den.coeffs[0, 3] = 0.0
     den.coeffs[0, 5] = 1e-15
     den.coeffs[1, 4] = 0.0
     num.coeffs[1, 4] = 3.0
-    with pytest.raises(DomainError) as want:
-        reference_div_reduced(num, den, 1e-9, n + 1)
     with pytest.raises(DomainError) as got:
-        _div_reduced(num, den, 1e-9, n + 1)
-    assert str(got.value) == str(want.value)
+        _laurent_quotient(num, den)
     assert "0.58" in str(got.value)   # t of column 3
-    # the pole behind the strip of column 4 is the first one without column 3
     den.coeffs[0, 3] = 1.0
-    with pytest.raises(DomainError) as want:
-        reference_div_reduced(num, den, 1e-9, n + 1)
     with pytest.raises(DomainError) as got:
-        _div_reduced(num, den, 1e-9, n + 1)
-    assert str(got.value) == str(want.value)
+        _laurent_quotient(num, den)
     assert "0.74" in str(got.value)   # t of column 4
 
 

@@ -100,15 +100,16 @@ def test_pseudo_sphere_flip_on_a_random_grid(seed, R, lo, gauss):
     rep = on_g.flags["construction"]
     assert max(rep.contact_residual, rep.norm_residual) <= 1e-8
     np.testing.assert_allclose(on_g.curve.x.value, R * np.sin(g), atol=1e-9)
-    np.testing.assert_allclose(on_g.normal.a.value, np.cos(g), atol=1e-6)
+    np.testing.assert_allclose(on_g.normal.a.value, np.cos(g), atol=1e-10)
     # the parabola's error is third order in the fine step
     h = np.max(np.diff(g)) / 16
     assert len(rep.flips) == 1 and abs(rep.flips[0] - PI / 2) <= h ** 3
     assert_integrable(on_g)
-    # cos phi = sqrt(1 - sin^2) turns an error e of sin phi near the touch
-    # into one of sqrt(2 e) in a, and z integrates a
+    # a is expanded at the touch (3.6e-11 over 300 seeds); z is the
+    # quadrature of beta cos phi, beta = R cot t, and moves with the grid
+    # by up to 1.6e-8
     assert_shared_nodes_agree(build(u), on_g, iu, ig,
-                              [1e-9, 1e-6, 1e-6, 1e-9])
+                              [1e-9, 1e-7, 1e-10, 1e-9])
 
 
 @settings(max_examples=25, deadline=None, phases=NO_SHRINK)

@@ -7,7 +7,7 @@ import pytest
 import sympy as sp
 
 from revfront import jets
-from revfront.jets import DomainError, Jet, jet_div_reduced
+from revfront.jets import DomainError, Jet, Laurent
 
 
 def sympy_jet(fn_expr, t0, order=5):
@@ -149,21 +149,29 @@ def test_log_sqrt_domain_errors():
         jets.sqrt(jets.variable(0.0, 2))   # derivative blows up
 
 
-def test_jet_div_reduced_removable_singularity():
-    v = jets.variable(0.0, 5)
-    q = jet_div_reduced(jets.sin(v), v)
+def test_laurent_removable_singularity():
+    # the divisor's vanishing leading coefficient takes the numerator's
+    # with it, so the quotient of order-5 jets has order 4
+    v = Laurent(jets.variable(0.0, 5))
+    q = (Laurent(jets.sin(v.jet)) / v).taylor()
     # sin t / t = 1 - t^2/6 + t^4/120
-    np.testing.assert_allclose(q.coeffs[:4], [1.0, 0.0, -1 / 6, 0.0],
+    assert q.order == 4
+    np.testing.assert_allclose(q.coeffs, [1.0, 0.0, -1 / 6, 0.0, 1 / 120],
                                atol=1e-14)
-    r = jet_div_reduced(1 - jets.cos(v), v * v)
+    r = (Laurent(1 - jets.cos(v.jet)) / (v * v)).taylor()
+    assert r.order == 3
     np.testing.assert_allclose(r.value, 0.5, atol=1e-14)
     np.testing.assert_allclose(r.derivative(2), -1 / 12, atol=1e-13)
 
 
-def test_jet_div_reduced_true_pole_raises():
-    v = jets.variable(0.0, 4)
-    with pytest.raises(DomainError):
-        jet_div_reduced(jets.constant(1.0, 4), v)
+def test_laurent_true_pole_raises():
+    v = Laurent(jets.variable(0.0, 4))
+    q = Laurent(jets.constant(1.0, 4)) / v
+    assert (q.shift, q.valuation()) == (-1, -1)
+    with pytest.raises(DomainError, match="pole"):
+        q.taylor()
+    with pytest.raises(DomainError, match="near-"):
+        Laurent(jets.constant(1.0, 4)) / Laurent(jets.constant(0.0, 4))
 
 
 def test_scalar_coercion_both_sides():
