@@ -103,6 +103,30 @@ def test_laurent_quotient_matches_per_column_loop():
     assert _laurent_quotient(num.at(empty), den.at(empty)).shape == (n + 1, 0)
 
 
+@pytest.mark.parametrize("tol", [1e-7, 1e-9])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_div_reduced_matches_per_column_loop(tol, extra):
+    # the reduced division strips exact zeros only: leading coefficients
+    # of size tol, far above DIV_TOL, keep the plain Jet quotient; a
+    # numerator of extra orders more is cut to the divisor's order
+    rng = np.random.default_rng(7)
+    n = 6
+    zeros = [0, 2, 1, 0, 3, 2, 0, 1, 0]
+    num, den = removable_columns(rng, n, zeros)
+    small = [3, 6, 8]
+    for j, k in zip(small, [1, 2, 3]):
+        num.coeffs[:k, j] = rng.uniform(-0.5, 0.5, size=k) * tol
+        den.coeffs[:k, j] = rng.uniform(-0.5, 0.5, size=k) * tol
+    num = Jet(num.t, np.vstack([num.coeffs,
+                                rng.normal(size=(extra, len(zeros)))]))
+    got = _laurent_quotient(num, den)
+    assert got.shape == (n + 1, len(zeros))
+    assert got.tobytes() == reference_laurent_quotient(num, den).tobytes()
+    for j in small:
+        plain = (num.at(j) / den.at(j)).coeffs
+        assert got[:, j].tobytes() == plain.tobytes()
+
+
 def test_laurent_quotient_raises_first_pole_in_index_order():
     rng = np.random.default_rng(3)
     n = 5
