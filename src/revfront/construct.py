@@ -131,6 +131,14 @@ def _laurent_quotient(num, den):
     return out
 
 
+def _shift(rows, d, order):
+    """Taylor coefficients 0..order at the offsets d (a scalar or an array)
+    of the polynomial sum rows[k] (t - c)^k: its m-th derivative at d / m!."""
+    p = np.asarray(rows)[::-1]
+    return np.array([np.polyval(np.polyder(p, m), d) / math.factorial(m)
+                     for m in range(order + 1)])
+
+
 def _lattice(grid, t0, order):
     """Fine lattice, internal jet order, the fine node nearest the anchor
     and the anchor parameter, which None puts at the left end of the grid.
@@ -206,12 +214,13 @@ def _settled(c, delta, floor):
 def _angle_jets(fg, b_j, sigma, C_s, flips, expand, notes):
     """cos(phi) and ell jets from the sin(phi) jets b_j at the coarse nodes
     and the signs sigma on the lattice: sigma*sqrt(1 - sin^2) and
-    (sin phi)'/cos phi node by node, except near a touch t* (README).  t*
-    is the zero of (sin phi)' by Newton on the jets of the node nearest a
-    flip or grid end, where |sin phi| reaches 1 - FLIP_TOL.  Near it the
-    jets are the Taylor shift of one expansion, from the sin phi jet
-    expand(t*, n, at) (at(j): jet j at t*), and C_s, which z integrates,
-    takes its values.  Returns (a_j, ell_j, the nodes near a touch).
+    (sin phi)'/cos phi node by node, except near a touch t* (README), the
+    zero of (sin phi)' by Newton on the jets of the node nearest a flip or
+    grid end (for an end, within a grid step or ConstructionError), where
+    |sin phi| reaches 1 - FLIP_TOL.  Near it the jets are the Taylor shift
+    of one expansion, from the sin phi jet expand(t*, n, at) (at(j): jet j
+    at t*), and C_s, which z integrates, takes its values.  Returns (a_j,
+    ell_j, the nodes near a touch).
     """
     g, s, io = fg.grid, fg.s, b_j.order
     a_co, ell_co = np.empty((io + 1, g.size)), np.empty((io, g.size))
@@ -219,19 +228,25 @@ def _angle_jets(fg, b_j, sigma, C_s, flips, expand, notes):
     h, span = float(np.max(np.diff(g))), float(g[-1] - g[0])
     stars = []
     for f in sorted(flips + [g[0], g[-1]]):
-        i = nearest_node(g, f)
-        poly = b_j.coeffs[::-1, i]               # sin phi in t - t_i
-        ts, d1, d2 = f, np.polyder(poly), np.polyder(poly, 2)
-        with np.errstate(all="ignore"):          # no zero: NaN, f stays
+        i, ts = nearest_node(g, f), f
+        col = b_j.coeffs[:, i]                   # sin phi in t - t_i
+        with np.errstate(all="ignore"):          # no zero: NaN
             for _ in range(6):
-                ts -= np.polyval(d1, ts - g[i]) / np.polyval(d2, ts - g[i])
-        ts = float(ts if abs(ts - f) <= h else f)
-        if (abs(np.polyval(poly, ts - g[i])) >= 1.0 - FLIP_TOL  # a touch,
+                _, d1, d2 = _shift(col, ts - g[i], 2)
+                ts -= d1 / (2.0 * d2)
+        found = abs(ts - f) <= h
+        ts = float(ts if found else f)
+        S0, S1 = _shift(col, ts - g[i], 1)
+        if (abs(S0) >= 1.0 - FLIP_TOL                        # a touch,
                 and (not stars or ts - stars[-1][0] > h)):   # not its twin
+            if not found and f in (g[0], g[-1]):
+                raise ConstructionError(
+                    f"|sin phi| reaches 1 at the grid end t={ts:.6g}, but "
+                    f"(sin phi)' = {S1:.3g}: cos phi = 0, ell unbounded", t=ts)
             stars.append((ts, i))
     for ts, i in stars:
         S = expand(ts, 2 * io,
-                   lambda j: np.polyval(j.coeffs[::-1, i], ts - g[i]))
+                   lambda j: _shift(j.coeffs[:, i], ts - g[i], 0)[0])
         S0, S1 = S.rows[:2]
         S = Jet(ts, [math.copysign(1.0, S0), 0.0] + S.rows[2:])
         g2 = Laurent(1.0 - S * S, -2).taylor()    # / (t - t*)^2
@@ -247,11 +262,9 @@ def _angle_jets(fg, b_j, sigma, C_s, flips, expand, notes):
                 "beyond a grid step: no simple touch", t=ts)
         near = np.flatnonzero(np.abs(g - ts) <= w)
         fine = np.abs(s - ts) <= w
-        C_s[fine] = np.polyval(a.coeffs[::-1], s[fine] - ts)
-        for out, c in ((a_co, a), (ell_co, ell)):    # the Taylor shift
-            out[:, near] = [np.polyval(np.polyder(c.coeffs[::-1], m),
-                                       g[near] - ts) / math.factorial(m)
-                            for m in range(len(out))]
+        C_s[fine] = _shift(a.coeffs, s[fine] - ts, 0)[0]
+        for out, c in ((a_co, a), (ell_co, ell)):
+            out[:, near] = _shift(c.coeffs, g[near] - ts, len(out) - 1)
         served[near] = True
         notes.setdefault("touches", []).append(
             {"t": ts, "radius": float(w), "nodes": near.tolist(),
@@ -410,7 +423,8 @@ def _frobenius_data(p, alpha, fg, i0):
     alpha and beta at t0, are exact Taylor jets of order SERIES_ORDER once
     v(P) >= 0 and v(Q) >= 0 certify a regular singular point.  The series
     region spans at least four of the larger fine step beside the anchor
-    node i0 on each side it covers.  Returns (r, coeffs, delta, notes).
+    node i0 on each side it covers.  Returns (r, coeffs, delta, notes,
+    beta's Laurent jet at t0).
     """
     t0 = p.t0
     beta = evaluated("beta", expr.eval_laurent, p.beta, t0, 2 * SERIES_ORDER)
@@ -446,14 +460,12 @@ def _frobenius_data(p, alpha, fg, i0):
             "at t0 and jets cannot represent it", t0=t0)
     r = float(r_int)
 
-    def F(rho):
-        return rho * (rho - 1.0) + p0 * rho + q0
-
     c = np.zeros(order_n + 1)
     c[0] = p.x0
     for n in range(1, order_n + 1):
-        Fn = F(n + r)
-        if abs(Fn) < 1e-9 * (1.0 + (n + r) ** 2):
+        rho = n + r
+        Fn = rho * (rho - 1.0) + p0 * rho + q0   # the indicial polynomial
+        if abs(Fn) < 1e-9 * (1.0 + rho ** 2):
             raise ConstructionError(
                 f"indicial resonance at order {n} (roots differ by an "
                 "integer); logarithmic solution not representable", t0=t0)
@@ -475,24 +487,7 @@ def _frobenius_data(p, alpha, fg, i0):
 
     notes = {"indicial_root": float(r), "series_order": order_n,
              "series_radius": float(delta), "two_sided": bool(two_sided)}
-    return r, c, delta, notes
-
-
-def _series_jets(c, r, t, s, order):
-    """Jets of the series at the nodes t, offsets s from the expansion
-    point; the columns where s == 0 hold the coefficients exactly."""
-    iota = jets.variable(t, order) - (t - s)
-    poly = jets.constant(0.0, order, t)
-    for k in range(c.size - 1, -1, -1):
-        poly = poly * iota + c[k]
-    ri = int(round(r))
-    for _ in range(ri):
-        poly = poly * iota
-    exact = np.zeros(order + 1)
-    m = max(min(c.size, order + 1 - ri), 0)
-    exact[ri:ri + m] = c[:m]
-    poly.coeffs[:, s == 0.0] = exact[:, None]
-    return poly
+    return r, c, delta, notes, beta
 
 
 def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
@@ -542,14 +537,18 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
                                          av[1], bv[2], av[2], s[i0] - t0)
     else:
         method = "gauss_frobenius"
-        r, c, radius, notes = _frobenius_data(p, alpha, fg, i0)
+        r, c, radius, notes, beta0 = _frobenius_data(p, alpha, fg, i0)
+        rows = np.append(np.zeros(int(r)), c)   # x in powers of t - t0
         seeded = np.flatnonzero(np.abs(s - t0) <= radius)   # holds i0
         iL, iR = int(seeded[0]), int(seeded[-1])
         near = np.s_[iL:iR + 1]
-        xs_j = _series_jets(c, r, s[near], s[near] - t0, 1)
-        x_s[near] = xs_j.value
+        x_s[near], dx = _shift(rows, s[near] - t0, 1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            S_s[near] = -xs_j.derivative(1) / beta_s[near]
+            S_s[near] = -dx / beta_s[near]
+        if s[i0] == t0 and abs(beta_s[i0]) < DIV_TOL * (1 + abs(dx[i0 - iL])):
+            # beta vanishes at t0: divide as at the coarse nodes (README)
+            q = -Laurent(Jet(t0, rows).differentiated()) / beta0
+            S_s[i0] = q.taylor().value if q.valuation() >= 0 else np.nan
         if not np.all(np.isfinite(S_s[near])):
             raise ConstructionError(
                 "sin phi = -x'/beta is not finite inside the series region "
@@ -593,9 +592,9 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
                             fg.at_coarse(Sc), io)
     if in_c.any():   # series nodes: x from the series, sin phi = -x'/beta
         nodes = np.flatnonzero(in_c)
-        xs_j = _series_jets(c, r, g[nodes], g[nodes] - t0, io)
-        x_j.coeffs[:, nodes] = xs_j.coeffs
+        x_j.coeffs[:, nodes] = _shift(rows, g[nodes] - t0, io)
         b_j.coeffs[:, nodes] = 0.0
+        xs_j = x_j.at(nodes)
         b_j.coeffs[:io, nodes] = _laurent_quotient(
             -xs_j.differentiated(), beta_j.at(nodes).truncated(io - 1))
 

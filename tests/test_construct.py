@@ -4,14 +4,18 @@ Every fixture has a closed-form solution; the asserts pin both the
 profile and the identity the construction is supposed to enforce.
 """
 
+import csv
 import importlib.util
+import json
 import math
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 
+from revfront.cli import run
 from revfront.construct import (ConstructionError, GaussRatioProblem,
                                 MeanRatioProblem, _alpha_expansion,
                                 _frobenius_data, profile_from_H_phi,
@@ -265,7 +269,10 @@ SERIES_REFUSALS = [
     ("log(t)", "1", "frobenius", "alpha cannot be expanded"),
     ("log(t)", "1", "auto", "log of a non-positive value"),
     ("1/t^2", "1", "auto", "indicial roots complex"),
-    ("-2/t^2", "t^2", "auto", "not finite"),
+    # beta = t^2 vanishes at t0, and so does x' = 3t^2: sin phi = -3
+    ("-2/t^2", "t^2", "auto", "exceeds 1"),
+    # beta = t vanishes at t0 to a higher order than x' = 1: a pole
+    ("1/t^4", "t", "auto", "not finite"),
 ]
 
 
@@ -276,6 +283,41 @@ def test_gauss_frobenius_refusals_name_their_reason(alpha, beta, method,
                           method=method)
     with pytest.raises(ConstructionError, match=reason):
         profile_from_gauss_ratio(p, uniform_grid(0.0, 0.4, 81))
+
+
+@pytest.mark.parametrize("beta, sin0", [("t", -0.6), ("t^2", -0.9)])
+def test_gauss_frobenius_divides_at_a_vanishing_beta(beta, sin0):
+    # sin phi = -x'/beta at t0 = 0, where both vanish, is the Laurent
+    # quotient of the series' x' over beta, as at the coarse nodes
+    g = uniform_grid(0.0, 0.5, 33)
+    c = profile_from_gauss_ratio(
+        GaussRatioProblem(alpha="-2/t^2", beta=beta, t0=0.0, x0=0.3), g)
+    rep = report_of(c)
+    assert rep.method == "gauss_frobenius"
+    assert rep.notes["series_sin_phi0"] == pytest.approx(sin0, abs=1e-15)
+    assert c.normal.b.value[0] == rep.notes["series_sin_phi0"]
+    if beta == "t":   # x = 0.3 sqrt(2) t I_1(sqrt(2) t), sin phi = -0.6 I_0
+        w = math.sqrt(2.0) * g
+        np.testing.assert_allclose(c.normal.b.value, -0.6 * special.i0(w),
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(c.curve.x.value,
+                                   0.3 * math.sqrt(2.0) * g * special.i1(w),
+                                   rtol=0, atol=1e-13)
+
+
+def test_gauss_frobenius_beta_rounding_to_zero_at_t0(tmp_path):
+    # sin(pi) is 1.2e-16, which the value rule of a division reads as 0,
+    # and x'(pi) = 0: plain division gave sin phi(t0) = -0.0, against
+    # 0.6 from the same data at the coarse node
+    pi = repr(math.pi)
+    base = str(tmp_path / "sin")
+    assert run(["construct", "gauss", "--alpha", f"-2/(t-{pi})^2",
+                "--beta", "sin(t)", "--t0", pi, "--x0", "0.3",
+                "--grid", f"{pi}:{math.pi + 0.4!r}:33", "--out", base]) == 0
+    notes = json.loads(Path(base + ".json").read_text())["report"]["notes"]
+    with open(base + ".csv") as fh:
+        b0 = float(next(csv.DictReader(fh))["b"])
+    assert notes["series_sin_phi0"] == b0 == pytest.approx(0.6, abs=1e-15)
 
 
 # alphas analytic at t0 whose Taylor coefficients grow fast, or that have
@@ -311,7 +353,7 @@ def test_gauss_frobenius_data_with_fast_growing_coefficients(alpha, beta, c1):
     # grow, and c_1 = -(2 p1 + q1)/4 with (p1, q1) = (0, 60), (-30, -120)
     p = GaussRatioProblem(alpha=alpha, beta=beta, t0=0.0, x0=1.0)
     fg = FineGrid(uniform_grid(0.0, 0.4, 81))
-    r, c, _, _ = _frobenius_data(p, _alpha_expansion(p), fg, 0)
+    r, c, *_ = _frobenius_data(p, _alpha_expansion(p), fg, 0)
     assert r == 2.0 and c[0] == 1.0
     assert c[1] == pytest.approx(c1, rel=1e-13)
 
@@ -325,8 +367,8 @@ def test_gauss_frobenius_exact_series_with_nonzero_terms(grid):
     p = GaussRatioProblem(alpha="-(t^2+4*t+2)/t^2", beta="1", t0=0.0,
                           x0=0.5)
     fg = FineGrid(grid)
-    r, c, _, notes = _frobenius_data(p, _alpha_expansion(p), fg,
-                                     nearest_node(fg.s, 0.0))
+    r, c, _, notes, _ = _frobenius_data(p, _alpha_expansion(p), fg,
+                                        nearest_node(fg.s, 0.0))
     assert r == 2.0 and notes["series_order"] == 12
     want = 0.5 / np.array([math.factorial(k) for k in range(13)])
     np.testing.assert_allclose(c, want, rtol=1e-13, atol=0)
@@ -364,8 +406,8 @@ def test_bench_frobenius_requests_are_exact_series():
             p = GaussRatioProblem(alpha=spec["alpha"], beta=spec["beta"],
                                   t0=t0, x0=x0, method="frobenius")
             fg = FineGrid(g)
-            _, c, _, _ = _frobenius_data(p, _alpha_expansion(p), fg,
-                                         nearest_node(fg.s, t0))
+            _, c, *_ = _frobenius_data(p, _alpha_expansion(p), fg,
+                                       nearest_node(fg.s, t0))
             assert c[0] == x0 and np.max(np.abs(c[1:])) <= 1e-12, seed
             prof = profile_from_gauss_ratio(p, g)
             rep = report_of(prof)

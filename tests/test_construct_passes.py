@@ -4,13 +4,19 @@ Each reference below is the earlier loop, kept here as the oracle: the
 Horner series jet of one node, the Laurent quotient of one column, the
 while loop of the flip locator, RK4 one step at a time, the Picard iteration
 of the system jets and the in-place doubling scan.  The array passes
-must give the same bits and raise the same errors, except the RK4 scan:
-it multiplies the step matrices in another order, so it agrees with the
-loop to rounding (1e-12 relative); and the system jets may give a NaN
+must give the same bits and raise the same errors, except two.  The
+Taylor shift, which reads every expansion off its centre (the Frobenius
+series and the touches alike), is held bit for bit to its own definition
+and to the Horner jets within rounding (1e-14 of the largest
+coefficient), with the value at the centre exact.  The RK4 scan
+multiplies the step matrices in another order, so it agrees with the
+loop to rounding (1e-12 relative).  The system jets may give a NaN
 another sign (see bits_nan_as_one).  The flip locator reads a step per
 sample; on equal steps it also gives the bits of the fixed-step fit it
 replaced.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -20,8 +26,7 @@ from hypothesis import strategies as st
 from revfront import construct, jets
 from revfront.construct import (ConstructionError, _lattice_angle,
                                 _laurent_quotient, _prefix_products,
-                                _rk4_path, _rk4_step, _series_jets,
-                                _system_jets)
+                                _rk4_path, _rk4_step, _shift, _system_jets)
 from revfront.jets import DomainError, Jet, Laurent
 
 NO_SHRINK = [ph for ph in Phase if ph is not Phase.shrink]
@@ -45,21 +50,42 @@ def reference_series_node_jet(c, r, s_i, t_i, order):
     return out
 
 
+def test_shift_is_its_definition():
+    # coefficient m at d is the m-th derivative of the polynomial at d / m!
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=11)
+    p = rows[::-1]
+    for d, order in ((0.3, 6), (np.linspace(-0.5, 0.5, 17), 12)):
+        want = np.array([np.polyval(np.polyder(p, m), d) / math.factorial(m)
+                         for m in range(order + 1)])
+        got = _shift(rows, d, order)
+        assert got.shape == want.shape == (order + 1,) + np.shape(d)
+        assert got.tobytes() == want.tobytes()
+    assert not _shift(rows, 0.2, 12)[11:].any()   # beyond the degree
+
+
 @pytest.mark.parametrize("r, order", [(0.0, 7), (1.0, 4), (2.0, 7),
                                       (3.0, 9), (9.0, 7)])
 def test_series_jets_match_per_node_horner(r, order):
+    # the series x = sum c_k s^(k+r) at the nodes, as the Frobenius nodes
+    # read it, against Horner's rule in the jet algebra node by node
     rng = np.random.default_rng(int(r) * 10 + order)
     c = rng.normal(size=13)
     t0 = 0.3
-    # node 17 sits exactly at t0, so its column takes the exact branch
+    # node 17 sits exactly at t0, where the reference holds the
+    # coefficients exactly
     t = t0 + (np.arange(40) - 17) * (1.0 / 64.0)
     s = t - t0
     assert (s == 0.0).sum() == 1
-    got = _series_jets(c, r, t, s, order)
+    got = _shift(np.append(np.zeros(int(r)), c), s, order)
     want = np.stack([reference_series_node_jet(c, r, float(s[i]), float(t[i]),
                                                order).coeffs
                      for i in range(t.size)], axis=1)
-    assert got.coeffs.tobytes() == want.tobytes()
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(c))
+    centre = got[:, 17]
+    assert centre[0] == want[0, 17]           # the value, exactly
+    assert np.all(centre[want[:, 17] == 0.0] == 0.0)   # zeros stay zero
 
 
 def reference_laurent_quotient(num, den):

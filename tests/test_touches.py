@@ -9,11 +9,14 @@ result to the closed forms on grids of up to 4001 nodes, with t* on a
 node and between two.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from revfront.cli import run
 from revfront.construct import (ConstructionError, GaussRatioProblem,
                                 profile_from_JK, profile_from_gauss_ratio)
 from revfront.quadrature import uniform_grid
@@ -80,6 +83,25 @@ def test_touches_at_the_grid_ends(lo, hi, n):
     touches = c.flags["construction"].notes["touches"]
     ends = [t for t in (lo, hi) if abs(t) == PI / 2]
     assert [t["t"] for t in touches] == pytest.approx(ends, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [16, 33])
+def test_a_grid_end_with_a_nonzero_slope_is_refused(n):
+    # sin phi = -t reaches -1 at the right end with (sin phi)' = -1: cos phi
+    # vanishes there and ell is unbounded, which no flip of the branch
+    # makes a touch; the end node read a = 0.052 and ell = -11.7, then a
+    # bare DomainError
+    with pytest.raises(ConstructionError, match=r"grid end t=1\b.*= -1\b"):
+        profile_from_JK("-1", "1", x0=1.0, grid=uniform_grid(0.0, 1.0, n))
+
+
+def test_a_grid_end_with_a_nonzero_slope_exits_two(tmp_path):
+    base = str(tmp_path / "end")
+    assert run(["construct", "gauss-jk", "--J", "-1", "--K", "1", "--x0", "1",
+                "--grid", "0:1:33", "--out", base]) == 2
+    diag = json.loads((tmp_path / "end.json").read_text())
+    assert diag["error"] == "ConstructionError"
+    assert "grid end t=1" in diag["message"]
 
 
 def test_a_touch_that_is_not_simple_is_refused():
