@@ -135,8 +135,11 @@ def _shift(rows, d, order):
     """Taylor coefficients 0..order at the offsets d (a scalar or an array)
     of the polynomial sum rows[k] (t - c)^k: its m-th derivative at d / m!."""
     p = np.asarray(rows)[::-1]
-    return np.array([np.polyval(np.polyder(p, m), d) / math.factorial(m)
-                     for m in range(order + 1)])
+    out = [np.polyval(p, d)]
+    for m in range(1, order + 1):
+        p = np.polyder(p)
+        out.append(np.polyval(p, d) / math.factorial(m))
+    return np.array(out)
 
 
 def _lattice(grid, t0, order):

@@ -24,6 +24,7 @@ import numpy as np
 
 from .framed import (BasicInvariants, FramedSurfaceGrid, FSCurvature,
                      curvature_of, parallel_surface)
+from .jets import DomainError, Laurent
 from .legendre import (LegendreCurve, NormalJet, curvature_pair_of,
                        parallel_curve, plane_evolute)
 from .quadrature import check_finite, check_tol, nearest_node
@@ -166,23 +167,12 @@ class _RevolvedGrid(FramedSurfaceGrid):
         self.v = surface.theta
         self._rings = (surface, i0, i1)
 
-
-class _OnRead:
-    """A _RevolvedGrid field, built on first read."""
-
-    def __init__(self, name):
-        self.name = name
-
-    def __get__(self, grid, owner=None):
-        if grid is None:
-            return self
-        surface, i0, i1 = grid._rings
-        value = grid.__dict__[self.name] = surface._field(self.name, i0, i1)
+    def __getattr__(self, name):
+        if name not in _FIELDS:
+            raise AttributeError(name)
+        surface, i0, i1 = self._rings
+        value = self.__dict__[name] = surface._field(name, i0, i1)
         return value
-
-
-for _name in _FIELDS:
-    setattr(_RevolvedGrid, _name, _OnRead(_name))
 
 
 class FrontStatus:
@@ -306,9 +296,9 @@ class EvoluteBundle:
     first_profile is the planar evolute of the profile, promoted to a
     Legendre curve with the rotated normal, and first_surface its
     revolution (needs ell nonzero on the whole grid).  axis_curve is the
-    locus on the rotation axis (needs the radial normal component a
-    nonzero, with isolated zeros patched by one-sided extrapolation when
-    both sides agree); axis_flags marks nodes that stay undefined.
+    locus on the rotation axis, z - x b / a: where a vanishes it is the
+    Laurent quotient of the node's jets, and axis_flags marks the nodes
+    where that quotient has a pole.
     Unavailable pieces are None with the reason in diagnostics.
     """
 
@@ -321,33 +311,15 @@ class EvoluteBundle:
         self.diagnostics = diagnostics
 
 
-def _extend_isolated_zeros(t, values, good, tol=1e-6):
-    """Fill flagged nodes by cubic extrapolation from each side.
-
-    A node is filled only when both one-sided fits exist and agree within
-    tol relative to the local scale; otherwise it stays flagged.
-    """
-    vals = values.copy()
-    flags = ~good
-    scale = 1.0 + np.max(np.abs(values[good])) if good.any() else 1.0
-    for i in np.flatnonzero(flags):
-        left = [j for j in range(i - 1, -1, -1) if good[j]][:4]
-        right = [j for j in range(i + 1, t.size) if good[j]][:4]
-        est = []
-        for side in (left, right):
-            if len(side) == 4:
-                idx = np.array(side)
-                poly = np.polynomial.polynomial.polyfit(t[idx], values[idx], 3)
-                est.append(np.polynomial.polynomial.polyval(t[i], poly))
-        if len(est) == 2 and abs(est[0] - est[1]) <= tol * scale:
-            vals[i] = 0.5 * (est[0] + est[1])
-            flags[i] = False
-    return vals, flags
-
-
 def revolution_evolutes(c: LegendreCurve, n_theta: int = 128,
                         tol: float = 1e-8) -> EvoluteBundle:
-    """Both evolutes of the z-axis revolute of the profile."""
+    """Both evolutes of the z-axis revolute of the profile.
+
+    The axis locus is z - x b / a.  Where a vanishes, |a| <= tol (1 +
+    max|a|), x b / a is the Laurent quotient of the node's jets, with a's
+    value, and x b's where the same rule calls it zero, counted as zero.
+    A node where that quotient has a pole is flagged and holds 0.0.
+    """
     check_tol(tol)
     t, x, z, a, b, ell, beta = _adapted(c, "z")
     diagnostics = {}
@@ -371,9 +343,21 @@ def revolution_evolutes(c: LegendreCurve, n_theta: int = 128,
     axis_curve = None
     axis_flags = None
     if good.any():
-        raw = z - x * b / np.where(good, a, 1.0)
-        raw = np.where(good, raw, 0.0)
-        axis_vals, axis_flags = _extend_isolated_zeros(t, raw, good, tol=1e-6)
+        axis_vals = z - x * b / np.where(good, a, 1.0)
+        axis_flags = ~good
+        thr_xb = tol * (1.0 + float(np.max(np.abs(x * b))))
+        for i in np.flatnonzero(axis_flags):
+            num = c.curve.x.at(i) * c.normal.b.at(i)
+            if abs(num.value) <= thr_xb:
+                num = num - num.value
+            den = c.normal.a.at(i)
+            try:
+                q = (Laurent(num) / Laurent(den - den.value)).taylor()
+            except DomainError:
+                continue    # a pole: the node stays flagged
+            axis_vals[i] = z[i] - q.value
+            axis_flags[i] = False
+        axis_vals[axis_flags] = 0.0
         axis_curve = np.zeros((t.size, 3))
         axis_curve[:, 2] = axis_vals
         if axis_flags.any():

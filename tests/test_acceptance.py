@@ -161,6 +161,26 @@ def test_evolute_fixtures():
     assert abs(axis[79, 2] + axis[81, 2]) <= 1e-9
 
 
+def test_axis_locus_where_the_profile_meets_the_axis():
+    # the sphere's poles and the paraboloid z = r^2's vertex: the normal
+    # meets the axis at the centre 0.5 and at the focal point 1/2
+    sphere = legendre_from_expressions("sin(t)", "0.5+cos(t)", "sin(t)",
+                                       "cos(t)", uniform_grid(0.0, PI, 161))
+    bundle = revolution_evolutes(sphere, n_theta=24)
+    assert not bundle.axis_flags.any()
+    assert "axis" not in bundle.diagnostics
+    assert np.max(np.abs(bundle.axis_curve[:, 2] - 0.5)) <= 1e-14
+
+    g = uniform_grid(0.0, 1.0, 101)
+    paraboloid = legendre_from_expressions("t", "t^2", "-2*t/sqrt(1+4*t^2)",
+                                           "1/sqrt(1+4*t^2)", g)
+    bundle = revolution_evolutes(paraboloid, n_theta=24)
+    assert not bundle.axis_flags.any()
+    assert abs(bundle.axis_curve[0, 2] - 0.5) <= 1e-14
+    assert np.max(np.abs(bundle.axis_curve[:, 2] - (g * g + 0.5))) <= 1e-14
+    assert np.max(np.abs(bundle.axis_curve[:, :2])) == 0.0
+
+
 def test_parallel_commutation():
     rng = np.random.default_rng(2024)
     g = uniform_grid(0.0, 1.5, 41)

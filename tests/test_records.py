@@ -95,7 +95,7 @@ def test_every_record_is_listed():
     too; BUILDS holds each with a fresh default."""
     classes = {cls for m in MODULES for cls in vars(m).values()
                if isinstance(cls, type) and cls.__module__ == m.__name__}
-    internal = (Exception, revolution._RevolvedGrid, revolution._OnRead)
+    internal = (Exception, revolution._RevolvedGrid)
     assert set(RECORDS) <= classes
     assert {cls for cls in classes if "__init__" in vars(cls)
             and not issubclass(cls, internal)} <= set(RECORDS)

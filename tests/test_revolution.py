@@ -253,7 +253,73 @@ def test_evolute_bundle_pseudo_sphere():
     ref = np.log(np.tan(g / 2)) + 1 / np.cos(g)
     ok = np.abs(np.cos(g)) > 2e-2
     np.testing.assert_allclose(bundle.axis_curve[ok, 2], ref[ok], atol=1e-9)
-    assert "axis" in bundle.diagnostics
+    # x b = -1 there over a simple zero of a = cos t: a pole
+    assert bundle.axis_curve[80, 2] == 0.0
+    assert bundle.diagnostics["axis"] == "axis evolute undefined at t in [1.5708]"
+
+
+def sphere(centre, radius, grid):
+    return legendre_from_expressions(f"{radius!r}*sin(t)",
+                                     f"{centre!r}+{radius!r}*cos(t)",
+                                     "sin(t)", "cos(t)", grid)
+
+
+def paraboloid(k, grid):
+    """x = t, z = k t^2: focal point 1/(2k) above the vertex t = 0."""
+    w = f"sqrt(1+{4 * k * k!r}*t^2)"
+    return legendre_from_expressions("t", f"{k!r}*t^2", f"-{2 * k!r}*t/{w}",
+                                      f"1/{w}", grid)
+
+
+# the zero of a at a grid end, and 3e-10 off a node (node 20 here)
+AT_END, OFF_NODE = (0.0, 1.0), (-1.0 + 3e-10, 1.0 + 3e-10)
+
+
+@pytest.mark.parametrize("pad", [0.0, 3e-10])
+def test_axis_locus_of_a_sphere_is_its_centre(pad):
+    # the normal passes through the centre, also at the poles, where
+    # x b / a = r sin t cos t / sin t is removable
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        centre, radius = rng.uniform(-2.0, 2.0), rng.uniform(0.5, 2.0)
+        g = uniform_grid(-pad, np.pi + pad, 41)
+        bundle = revolution_evolutes(sphere(centre, radius, g), n_theta=8)
+        assert not bundle.axis_flags.any()
+        assert "axis" not in bundle.diagnostics
+        assert np.max(np.abs(bundle.axis_curve[:, 2] - centre)) <= 1e-14
+
+
+@pytest.mark.parametrize("ends", [AT_END, OFF_NODE])
+@pytest.mark.parametrize("k", [0.3, 1.0, 2.5])
+def test_axis_locus_of_a_paraboloid(k, ends):
+    g = uniform_grid(*ends, 41)
+    bundle = revolution_evolutes(paraboloid(k, g), n_theta=8)
+    assert not bundle.axis_flags.any()
+    want = k * g * g + 1.0 / (2.0 * k)
+    assert np.max(np.abs(bundle.axis_curve[:, 2] - want)) <= 1e-14
+    vertex = np.argmin(np.abs(g))
+    assert abs(bundle.axis_curve[vertex, 2] - 1.0 / (2.0 * k)) <= 1e-14
+
+
+# each profile with a grid on which a vanishes at some node
+VANISHING_A = {
+    "sphere": (lambda g: sphere(0.5, 1.0, g), (0.0, np.pi)),
+    "paraboloid": (lambda g: paraboloid(1.0, g), AT_END),
+    "pseudo-sphere": (pseudo_sphere, (0.2, np.pi - 0.2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VANISHING_A))
+def test_axis_locus_keeps_the_direct_formula_where_a_does_not_vanish(name):
+    profile, ends = VANISHING_A[name]
+    c = profile(uniform_grid(*ends, 161))
+    x, z = c.curve.x.value, c.curve.z.value
+    a, b = c.normal.a.value, c.normal.b.value
+    direct = np.abs(a) > 1e-8 * (1.0 + np.max(np.abs(a)))
+    assert not direct.all()
+    axis = revolution_evolutes(c, n_theta=8).axis_curve[:, 2]
+    want = z[direct] - x[direct] * b[direct] / a[direct]
+    assert np.array_equal(axis[direct], want)
 
 
 def test_evolute_bundle_degenerate_turning():
