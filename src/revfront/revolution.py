@@ -22,9 +22,10 @@ from functools import cached_property
 
 import numpy as np
 
+from .construct import _shift
 from .framed import (BasicInvariants, FramedSurfaceGrid, FSCurvature,
                      curvature_of, parallel_surface)
-from .jets import DomainError, Laurent
+from .jets import DomainError, Jet, Laurent
 from .legendre import (LegendreCurve, NormalJet, curvature_pair_of,
                        parallel_curve, plane_evolute)
 from .quadrature import check_finite, check_tol, nearest_node
@@ -297,8 +298,8 @@ class EvoluteBundle:
     Legendre curve with the rotated normal, and first_surface its
     revolution (needs ell nonzero on the whole grid).  axis_curve is the
     locus on the rotation axis, z - x b / a: where a vanishes it is the
-    Laurent quotient of the node's jets, and axis_flags marks the nodes
-    where that quotient has a pole.
+    Laurent quotient read at the zero of a (revolution_evolutes), and
+    axis_flags marks the nodes where that quotient has a pole.
     Unavailable pieces are None with the reason in diagnostics.
     """
 
@@ -311,20 +312,38 @@ class EvoluteBundle:
         self.diagnostics = diagnostics
 
 
+def _quotient_at_zero(num, den, h, thr):
+    """num / den at the node of these scalar-base jets, where den's value
+    counts as zero: both re-expanded at the zero d of den that Newton finds
+    from the node (the node itself if none lies within h), divided by the
+    jets.Laurent rule with num's value there counted as zero when at most
+    thr, and the quotient shifted back to the node.  DomainError at a pole."""
+    d = 0.0
+    with np.errstate(all="ignore"):    # no zero: NaN
+        for _ in range(6):
+            d -= np.divide(*_shift(den.rows, d, 1))
+    d = float(d) if abs(d) <= h else 0.0
+    n, m = (_shift(j.rows, d, j.order) for j in (num, den))
+    n[0], m[0] = (0.0 if abs(n[0]) <= thr else n[0]), 0.0
+    q = Laurent(Jet(den.t + d, n)) / Laurent(Jet(den.t + d, m))
+    return _shift(q.taylor().rows, -d, 0)[0]
+
+
 def revolution_evolutes(c: LegendreCurve, n_theta: int = 128,
                         tol: float = 1e-8) -> EvoluteBundle:
     """Both evolutes of the z-axis revolute of the profile.
 
     The axis locus is z - x b / a.  Where a vanishes, |a| <= tol (1 +
-    max|a|), x b / a is the Laurent quotient of the node's jets, with a's
-    value, and x b's where the same rule calls it zero, counted as zero.
-    A node where that quotient has a pole is flagged and holds 0.0.
+    max|a|), x b / a is the Laurent quotient read at the zero of a's jet
+    and shifted back to the node, with x b's value there counted as zero
+    when |x b| <= tol (1 + max|x b|) (_quotient_at_zero).  Order-0 jets
+    take their first derivatives from the structure equations.  A node
+    where that quotient has a pole is flagged and holds 0.0.
     """
     check_tol(tol)
     t, x, z, a, b, ell, beta = _adapted(c, "z")
     diagnostics = {}
-    first = None
-    first_surface = None
+    first = first_surface = None
     thr_l = tol * (1.0 + float(np.max(np.abs(ell))))
     if np.all(np.abs(ell) > thr_l):
         ev = plane_evolute(c, tol=tol)
@@ -340,22 +359,24 @@ def revolution_evolutes(c: LegendreCurve, n_theta: int = 128,
 
     thr_r = tol * (1.0 + float(np.max(np.abs(a))))
     good = np.abs(a) > thr_r
-    axis_curve = None
-    axis_flags = None
+    axis_curve = axis_flags = None
     if good.any():
         axis_vals = z - x * b / np.where(good, a, 1.0)
         axis_flags = ~good
+        jx, ja, jb = c.curve.x, c.normal.a, c.normal.b
+        if min(j.order for j in (jx, ja, jb)) == 0:
+            # values only: x', a', b' from the structure equations
+            x_t, _, a_t, b_t = _t_derivatives(a, b, ell, beta)
+            jx, ja, jb = (Jet(t, [v, v_t]) for v, v_t in
+                          zip((x, a, b), (x_t, a_t, b_t)))
         thr_xb = tol * (1.0 + float(np.max(np.abs(x * b))))
+        h = float(np.max(np.diff(t)))
         for i in np.flatnonzero(axis_flags):
-            num = c.curve.x.at(i) * c.normal.b.at(i)
-            if abs(num.value) <= thr_xb:
-                num = num - num.value
-            den = c.normal.a.at(i)
             try:
-                q = (Laurent(num) / Laurent(den - den.value)).taylor()
+                q = _quotient_at_zero(jx.at(i) * jb.at(i), ja.at(i), h, thr_xb)
             except DomainError:
                 continue    # a pole: the node stays flagged
-            axis_vals[i] = z[i] - q.value
+            axis_vals[i] = z[i] - q
             axis_flags[i] = False
         axis_vals[axis_flags] = 0.0
         axis_curve = np.zeros((t.size, 3))

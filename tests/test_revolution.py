@@ -271,8 +271,10 @@ def paraboloid(k, grid):
                                       f"1/{w}", grid)
 
 
-# the zero of a at a grid end, and 3e-10 off a node (node 20 here)
+# the zero of a at a grid end, and 3e-10 and 2.2e-8 off a node (node 20
+# here); at 2.2e-8 the tol rule calls a zero at node 20 but not x b
 AT_END, OFF_NODE = (0.0, 1.0), (-1.0 + 3e-10, 1.0 + 3e-10)
+FURTHER_OFF = (-1.0 + 2.2e-8, 1.0 + 2.2e-8)
 
 
 @pytest.mark.parametrize("pad", [0.0, 3e-10])
@@ -289,8 +291,8 @@ def test_axis_locus_of_a_sphere_is_its_centre(pad):
         assert np.max(np.abs(bundle.axis_curve[:, 2] - centre)) <= 1e-14
 
 
-@pytest.mark.parametrize("ends", [AT_END, OFF_NODE])
-@pytest.mark.parametrize("k", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("ends", [AT_END, OFF_NODE, FURTHER_OFF])
+@pytest.mark.parametrize("k", [0.05, 0.3, 1.0, 2.5])
 def test_axis_locus_of_a_paraboloid(k, ends):
     g = uniform_grid(*ends, 41)
     bundle = revolution_evolutes(paraboloid(k, g), n_theta=8)
@@ -299,6 +301,44 @@ def test_axis_locus_of_a_paraboloid(k, ends):
     assert np.max(np.abs(bundle.axis_curve[:, 2] - want)) <= 1e-14
     vertex = np.argmin(np.abs(g))
     assert abs(bundle.axis_curve[vertex, 2] - 1.0 / (2.0 * k)) <= 1e-14
+
+
+@pytest.mark.parametrize("e, pad", [(1.0, 3e-10), (1.0, 8e-9), (0.01, 3e-10),
+                                    (0.01, 2.2e-8), (0.01, 4e-7)])
+def test_axis_locus_off_a_node_where_the_quotient_has_a_slope(e, pad):
+    # x = t, z = e t^2 + t^3: x b / a = -1/(2e + 3t), whose slope is 3/(4e^2)
+    # at the zero t = 0 of a, pad off node 20 and inside the tol band there
+    g = uniform_grid(-0.5 + pad, 0.5 + pad, 41)
+    w = f"sqrt(1+({2 * e!r}*t+3*t^2)^2)"
+    c = legendre_from_expressions("t", f"{e!r}*t^2+t^3",
+                                  f"-({2 * e!r}*t+3*t^2)/{w}", f"1/{w}", g)
+    a = c.normal.a.value
+    assert abs(a[20]) <= 1e-8 * (1.0 + np.max(np.abs(a)))   # read at the zero
+    bundle = revolution_evolutes(c, n_theta=8)
+    assert not bundle.axis_flags.any()
+    want = e * g * g + g ** 3 + 1.0 / (2.0 * e + 3.0 * g)
+    err = np.abs(bundle.axis_curve[:, 2] - want)
+    assert np.all(err <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+
+def test_axis_locus_from_jets_of_order_zero():
+    # theta = t^2/2 - t + pi/2 + 3/8: a = cos theta vanishes at nodes 10
+    # (t = 0.5, where x0 puts the profile on the axis) and 30 (t = 1.5,
+    # off it: a pole); ell = t - 1 vanishes at node 20, so there is no
+    # first evolute, which needs jets of order 1
+    g = uniform_grid(0.0, 2.0, 41)
+    theta0 = np.pi / 2 + 0.375
+    x0 = -reconstruct_from_curvature("t-1", "1", g, theta0=theta0).curve.x.value[10]
+    axis = {}
+    for order in (0, 5):
+        c = reconstruct_from_curvature("t-1", "1", g, theta0=theta0, x0=x0,
+                                       order=order)
+        bundle = revolution_evolutes(c, n_theta=8)
+        assert np.flatnonzero(bundle.axis_flags).tolist() == [30]
+        axis[order] = bundle.axis_curve[:, 2]
+    # at node 10, x b / a = (x b)' / a' = (-beta b^2) / (-ell b) = -2
+    assert abs(axis[0][10] - (c.curve.z.value[10] + 2.0)) <= 1e-14
+    assert np.max(np.abs(axis[0] - axis[5])) <= 1e-14
 
 
 # each profile with a grid on which a vanishes at some node
