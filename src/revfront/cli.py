@@ -220,7 +220,8 @@ def _add_profile_source(p):
                    help="initial z for --ell/--beta")
 
 
-def _profile(ns, grid):
+def _profile(ns):
+    grid = _parse_grid(ns.grid)
     has_xz = any(getattr(ns, f) is not None for f in ("x", "z", "a", "b"))
     has_lb = ns.ell is not None or ns.beta is not None
     if has_xz and has_lb:
@@ -230,6 +231,9 @@ def _profile(ns, grid):
         if missing:
             raise CliError("profile needs all of --x --z --a --b (missing: "
                            + " ".join("--" + m for m in missing) + ")")
+        if ns.order < 1:
+            raise CliError("--x/--z/--a/--b profiles need --order 1 or more: "
+                           "ell and beta read their first derivatives")
         return legendre_from_expressions(ns.x, ns.z, ns.a, ns.b, grid,
                                          ns.order)
     if has_lb:
@@ -384,12 +388,16 @@ def build_parser() -> _Parser:
     return p
 
 
-def _curvature_roundtrip(ns, c, grid):
-    """Sup distance of the profile's (ell, beta) from --ell and --beta."""
+def _curvature_roundtrip(ns, c):
+    """Sup distance of the profile's (ell, beta) from --ell and --beta,
+    read from the profile's first derivatives: CliError at --order 0."""
+    if ns.order < 1:
+        raise CliError(f"{ns.command} reads ell and beta back from the "
+                       "profile's first derivatives: give --order 1 or more")
     pair = curvature_of(c)
     return {f"{name}_sup": float(np.max(np.abs(
                 np.atleast_1d(getattr(pair, name).value)
-                - expr.eval_values(getattr(ns, name), grid))))
+                - expr.eval_values(getattr(ns, name), c.t))))
             for name in ("ell", "beta")}
 
 
@@ -418,14 +426,13 @@ def _run_curve(ns):
     c = reconstruct_from_curvature(ns.ell, ns.beta, grid, theta0=ns.theta0,
                                    x0=ns.x0, z0=ns.z0, order=ns.order)
     payload = _meta(ns, legendre=_legendre_report(c),
-                    curvature_roundtrip=_curvature_roundtrip(ns, c, grid))
+                    curvature_roundtrip=_curvature_roundtrip(ns, c))
     _write(ns, curve=c, payload=payload)
     return 0
 
 
 def _run_revolve(ns):
-    grid = _parse_grid(ns.grid)
-    c = _profile(ns, grid)
+    c = _profile(ns)
     surf = revolve(c, axis=ns.axis, n_theta=ns.n_theta)
     payload = _meta(ns, axis=ns.axis, n_theta=ns.n_theta,
                     frame=surf.validate(),
@@ -435,8 +442,7 @@ def _run_revolve(ns):
 
 
 def _run_invariants(ns):
-    grid = _parse_grid(ns.grid)
-    c = _profile(ns, grid)
+    c = _profile(ns)
     records = export.invariants_records(revolve(c, ns.axis).invariants,
                                         tol=ns.tol)
     payload = _meta(ns, axis=ns.axis, records=records)
@@ -457,10 +463,8 @@ def _t0_jets(ns, *sources):
 
 
 def _run_classify(ns):
-    if ns.family in ("auto", "revolution"):
-        if ns.grid is None:
-            raise CliError(f"--family {ns.family} needs --grid")
-        grid = _parse_grid(ns.grid)
+    if ns.family in ("auto", "revolution") and ns.grid is None:
+        raise CliError(f"--family {ns.family} needs --grid")
     if ns.family == "mean":
         if ns.alpha is None or ns.beta is None:
             raise CliError("--family mean needs --alpha and --beta")
@@ -480,12 +484,12 @@ def _run_classify(ns):
         payload = _meta(ns, family="gauss", orders=[m, n], **read,
                         record=export.classification_record(lab, ns.t0))
     elif ns.family == "revolution":
-        c = _profile(ns, grid)
+        c = _profile(ns)
         lab = revolution_singularity_classify(c, ns.t0, tol=ns.tol)
         payload = _meta(ns, family="revolution",
                         record=export.classification_record(lab, ns.t0))
     else:
-        c = _profile(ns, grid)
+        c = _profile(ns)
         d = curve_cusp_by_derivatives(c, ns.t0, tol=ns.tol)
         k = curve_cusp_by_curvature(c, ns.t0, tol=ns.tol)
         payload = _meta(ns, family="auto",
@@ -550,8 +554,7 @@ def _run_construct(ns):
 
 
 def _run_evolute(ns):
-    grid = _parse_grid(ns.grid)
-    c = _profile(ns, grid)
+    c = _profile(ns)
     bundle = revolution_evolutes(c, n_theta=ns.n_theta, tol=ns.tol)
     payload = _meta(ns, diagnostics=bundle.diagnostics)
     if bundle.axis_flags is not None:
@@ -565,8 +568,7 @@ def _run_evolute(ns):
 
 
 def _run_parallel(ns):
-    grid = _parse_grid(ns.grid)
-    c = _profile(ns, grid)
+    c = _profile(ns)
     pc = parallel_curve(c, ns.lam)
     surf = revolve(pc, axis=ns.axis, n_theta=ns.n_theta)
     comm = parallel_commutation_check(c, ns.lam, axis=ns.axis)
@@ -579,8 +581,7 @@ def _run_parallel(ns):
 
 
 def _run_check(ns):
-    grid = _parse_grid(ns.grid)
-    c = _profile(ns, grid)
+    c = _profile(ns)
     leg = _legendre_report(c)
     payload = _meta(ns, legendre=leg)
     ok = leg["passed"]
@@ -590,7 +591,7 @@ def _run_check(ns):
                         for key, block in report.items()})
         ok = ok and report["integrability"]["max_residual"] <= 1e-8
     if ns.ell is not None and ns.beta is not None:
-        roundtrip = _curvature_roundtrip(ns, c, grid)
+        roundtrip = _curvature_roundtrip(ns, c)
         payload["curvature_roundtrip"] = roundtrip
         ok = ok and all(sup <= 1e-7 for sup in roundtrip.values())
     payload["passed"] = bool(ok)

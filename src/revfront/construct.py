@@ -131,17 +131,6 @@ def _laurent_quotient(num, den):
     return out
 
 
-def _shift(rows, d, order):
-    """Taylor coefficients 0..order at the offsets d (a scalar or an array)
-    of the polynomial sum rows[k] (t - c)^k: its m-th derivative at d / m!."""
-    p = np.asarray(rows)[::-1]
-    out = [np.polyval(p, d)]
-    for m in range(1, order + 1):
-        p = np.polyder(p)
-        out.append(np.polyval(p, d) / math.factorial(m))
-    return np.array(out)
-
-
 def _lattice(grid, t0, order):
     """Fine lattice, internal jet order, the fine node nearest the anchor
     and the anchor parameter, which None puts at the left end of the grid.
@@ -218,8 +207,8 @@ def _angle_jets(fg, b_j, sigma, C_s, flips, expand, notes):
     """cos(phi) and ell jets from the sin(phi) jets b_j at the coarse nodes
     and the signs sigma on the lattice: sigma*sqrt(1 - sin^2) and
     (sin phi)'/cos phi node by node, except near a touch t* (README), the
-    zero of (sin phi)' by Newton on the jets of the node nearest a flip or
-    grid end (for an end, within a grid step or ConstructionError), where
+    zero of (sin phi)' by jets.newton on the jets of the node nearest a flip
+    or grid end (for an end, within a grid step or ConstructionError), where
     |sin phi| reaches 1 - FLIP_TOL.  Near it the jets are the Taylor shift
     of one expansion, from the sin phi jet expand(t*, n, at) (at(j): jet j
     at t*), and C_s, which z integrates, takes its values.  Returns (a_j,
@@ -230,16 +219,12 @@ def _angle_jets(fg, b_j, sigma, C_s, flips, expand, notes):
     served = np.zeros(g.size, dtype=bool)
     h, span = float(np.max(np.diff(g))), float(g[-1] - g[0])
     stars = []
+    db = b_j.differentiated()                    # (sin phi)' in t - t_i
     for f in sorted(flips + [g[0], g[-1]]):
-        i, ts = nearest_node(g, f), f
-        col = b_j.coeffs[:, i]                   # sin phi in t - t_i
-        with np.errstate(all="ignore"):          # no zero: NaN
-            for _ in range(6):
-                _, d1, d2 = _shift(col, ts - g[i], 2)
-                ts -= d1 / (2.0 * d2)
-        found = abs(ts - f) <= h
-        ts = float(ts if found else f)
-        S0, S1 = _shift(col, ts - g[i], 1)
+        i = nearest_node(g, f)
+        zero = jets.newton(db.coeffs[:, i], g[i], f, h)
+        found, ts = zero is not None, float(f if zero is None else zero)
+        S0, S1 = jets.shift(b_j.coeffs[:, i], ts - g[i], 1)
         if (abs(S0) >= 1.0 - FLIP_TOL                        # a touch,
                 and (not stars or ts - stars[-1][0] > h)):   # not its twin
             if not found and f in (g[0], g[-1]):
@@ -249,7 +234,7 @@ def _angle_jets(fg, b_j, sigma, C_s, flips, expand, notes):
             stars.append((ts, i))
     for ts, i in stars:
         S = expand(ts, 2 * io,
-                   lambda j: _shift(j.coeffs[:, i], ts - g[i], 0)[0])
+                   lambda j: jets.shift(j.coeffs[:, i], ts - g[i], 0)[0])
         S0, S1 = S.rows[:2]
         S = Jet(ts, [math.copysign(1.0, S0), 0.0] + S.rows[2:])
         g2 = Laurent(1.0 - S * S, -2).taylor()    # / (t - t*)^2
@@ -265,9 +250,9 @@ def _angle_jets(fg, b_j, sigma, C_s, flips, expand, notes):
                 "beyond a grid step: no simple touch", t=ts)
         near = np.flatnonzero(np.abs(g - ts) <= w)
         fine = np.abs(s - ts) <= w
-        C_s[fine] = _shift(a.coeffs, s[fine] - ts, 0)[0]
+        C_s[fine] = jets.shift(a.coeffs, s[fine] - ts, 0)[0]
         for out, c in ((a_co, a), (ell_co, ell)):
-            out[:, near] = _shift(c.coeffs, g[near] - ts, len(out) - 1)
+            out[:, near] = jets.shift(c.coeffs, g[near] - ts, len(out) - 1)
         served[near] = True
         notes.setdefault("touches", []).append(
             {"t": ts, "radius": float(w), "nodes": near.tolist(),
@@ -276,8 +261,7 @@ def _angle_jets(fg, b_j, sigma, C_s, flips, expand, notes):
     sq = evaluated("cos phi", lambda _, r: jets.sqrt(r), "sqrt(1-sin(phi)^2)",
                    1.0 - b * b)
     a_co[:, ~served] = sq.coeffs * sigma[fg.coarse_index][~served]
-    num = b.differentiated()
-    ell_co[:, ~served] = (num / Jet(b.t, a_co[:io, ~served])).coeffs
+    ell_co[:, ~served] = (db.at(~served) / Jet(b.t, a_co[:io, ~served])).coeffs
     return Jet(g, a_co), Jet(g, ell_co), np.flatnonzero(served).tolist()
 
 
@@ -342,7 +326,7 @@ def _rk4_path(s, f_node, f_mid, x0, S0):
     reversed lattice (negative steps) integrates toward smaller t.  The
     system is linear, so an RK4 step is a 2x2 matrix (the step applied to
     the unit vectors) and the sweep is a prefix product of those matrices.
-    Returns (x, S) at every node of s.
+    Returns the rows x and S at every node of s.
     """
     (b, a), (b_mid, a_mid) = f_node, f_mid
     coeffs = (b[:-1], a[:-1], b_mid, a_mid, b[1:], a[1:], np.diff(s))
@@ -350,11 +334,10 @@ def _rk4_path(s, f_node, f_mid, x0, S0):
     m[0, 0], m[1, 0] = _rk4_step(1.0, 0.0, *coeffs)
     m[0, 1], m[1, 1] = _rk4_step(0.0, 1.0, *coeffs)
     m = _prefix_products(m)
-    x = np.empty(s.size)
-    S = np.empty(s.size)
-    x[0], S[0] = x0, S0
-    x[1:], S[1:] = m[:, 0] * x0 + m[:, 1] * S0
-    return x, S
+    xS = np.empty((2, s.size))
+    xS[:, 0] = x0, S0
+    xS[:, 1:] = m[:, 0] * x0 + m[:, 1] * S0
+    return xS
 
 
 def _j_lattice(fg, t0, x0, z0, J_s, sin_s, cos_s, why=""):
@@ -545,7 +528,7 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
         seeded = np.flatnonzero(np.abs(s - t0) <= radius)   # holds i0
         iL, iR = int(seeded[0]), int(seeded[-1])
         near = np.s_[iL:iR + 1]
-        x_s[near], dx = _shift(rows, s[near] - t0, 1)
+        x_s[near], dx = jets.shift(rows, s[near] - t0, 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             S_s[near] = -dx / beta_s[near]
         if s[i0] == t0 and abs(beta_s[i0]) < DIV_TOL * (1 + abs(dx[i0 - iL])):
@@ -595,7 +578,7 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
                             fg.at_coarse(Sc), io)
     if in_c.any():   # series nodes: x from the series, sin phi = -x'/beta
         nodes = np.flatnonzero(in_c)
-        x_j.coeffs[:, nodes] = _shift(rows, g[nodes] - t0, io)
+        x_j.coeffs[:, nodes] = jets.shift(rows, g[nodes] - t0, io)
         b_j.coeffs[:, nodes] = 0.0
         xs_j = x_j.at(nodes)
         b_j.coeffs[:io, nodes] = _laurent_quotient(

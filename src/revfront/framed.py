@@ -164,14 +164,8 @@ def immersion_status(C: FSCurvature, node: tuple, tol: float = 1e-8) -> Immersio
     regular = abs(vals[0]) > thr
     legendre = any(abs(v) > thr for v in vals[:3])
     framed = any(abs(v) > thr for v in vals)
-    if regular:
-        label = "regular"
-    elif legendre:
-        label = "legendre_immersion"
-    elif framed:
-        label = "framed_immersion"
-    else:
-        label = "degenerate"
+    label = ("regular" if regular else "legendre_immersion" if legendre
+             else "framed_immersion" if framed else "degenerate")
     return ImmersionStatus(regular, legendre, framed, label)
 
 
@@ -189,10 +183,9 @@ def parallel_surface(S: FramedSurfaceGrid, lam: float,
         x_uv=S.x_uv + lam * S.n_uv, n_uv=S.n_uv, s_uv=S.s_uv,
     )
     cross = dict(I.cross)
-    cross["a1_v"] = I.cross["a1_v"] + lam * I.cross["e1_v"]
-    cross["a2_u"] = I.cross["a2_u"] + lam * I.cross["e2_u"]
-    cross["b1_v"] = I.cross["b1_v"] + lam * I.cross["f1_v"]
-    cross["b2_u"] = I.cross["b2_u"] + lam * I.cross["f2_u"]
+    for x, n in (("a1_v", "e1_v"), ("a2_u", "e2_u"), ("b1_v", "f1_v"),
+                 ("b2_u", "f2_u")):
+        cross[x] = I.cross[x] + lam * I.cross[n]
     inv = BasicInvariants(
         u=I.u, v=I.v,
         a1=I.a1 + lam * I.e1, b1=I.b1 + lam * I.f1,

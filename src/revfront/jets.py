@@ -40,6 +40,8 @@ without a numpy warning.
 
 A Laurent jet is a scalar-base jet times an integer power of t - t0, so
 that a quotient passes a pole (Knuth, TAOCP vol. 2, 4.7); see Laurent.
+A jet's rows are also a polynomial in t - t0: shift re-expands it at an
+offset, and newton takes six Newton steps towards a zero of it.
 """
 
 from __future__ import annotations
@@ -443,6 +445,30 @@ def sqrt(g: Jet) -> Jet:
                 s = s - _conv(a, a, k - 1, k)
             a.append(s / two_a0)
     return _finish(g, a)
+
+
+def shift(rows, d, order):
+    """Taylor coefficients 0..order at the offsets d (a scalar or an array)
+    of the polynomial sum rows[k] (t - c)^k: its m-th derivative at d / m!."""
+    p = np.asarray(rows)[::-1]
+    out = [np.polyval(p, d)]
+    for m in range(1, order + 1):
+        p = np.polyder(p)
+        out.append(np.polyval(p, d) / math.factorial(m))
+    return np.array(out)
+
+
+def newton(rows, base, t, h):
+    """Six Newton steps from t on the polynomial sum rows[k] (s - base)^k,
+    its derivative built once.  The last iterate as a float, or None when
+    it lies more than h from t or is NaN, as a step off a zero derivative
+    leaves it (without a warning)."""
+    p = np.asarray(rows)[::-1]
+    dp, s = np.polyder(p), t
+    with np.errstate(all="ignore"):
+        for _ in range(6):
+            s -= np.polyval(p, s - base) / np.polyval(dp, s - base)
+    return float(s) if abs(s - t) <= h else None
 
 
 def _vanishing(rows, tol: float) -> int:

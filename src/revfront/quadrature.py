@@ -29,7 +29,6 @@ class ConstructionError(RuntimeError):
         self.info = info
 
 
-
 def evaluated(what, evaluate, src, *args):
     """evaluate(src, *args), a DomainError raised as ConstructionError."""
     try:

@@ -22,10 +22,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .construct import _shift
 from .framed import (BasicInvariants, FramedSurfaceGrid, FSCurvature,
                      curvature_of, parallel_surface)
-from .jets import DomainError, Jet, Laurent
+from .jets import DomainError, Jet, Laurent, newton, shift
 from .legendre import (LegendreCurve, NormalJet, curvature_pair_of,
                        parallel_curve, plane_evolute)
 from .quadrature import check_finite, check_tol, nearest_node
@@ -296,10 +295,10 @@ class EvoluteBundle:
 
     first_profile is the planar evolute of the profile, promoted to a
     Legendre curve with the rotated normal, and first_surface its
-    revolution (needs ell nonzero on the whole grid).  axis_curve is the
-    locus on the rotation axis, z - x b / a: where a vanishes it is the
-    Laurent quotient read at the zero of a (revolution_evolutes), and
-    axis_flags marks the nodes where that quotient has a pole.
+    revolution (needs ell nonzero on the grid and jets of order >= 1).
+    axis_curve is the locus on the rotation axis, z - x b / a: where a
+    vanishes it is the Laurent quotient read at the zero of a
+    (revolution_evolutes); axis_flags marks where it has a pole.
     Unavailable pieces are None with the reason in diagnostics.
     """
 
@@ -314,19 +313,15 @@ class EvoluteBundle:
 
 def _quotient_at_zero(num, den, h, thr):
     """num / den at the node of these scalar-base jets, where den's value
-    counts as zero: both re-expanded at the zero d of den that Newton finds
-    from the node (the node itself if none lies within h), divided by the
+    counts as zero: both re-expanded (jets.shift) at the zero d of den that
+    jets.newton finds from the node (else the node itself), divided by the
     jets.Laurent rule with num's value there counted as zero when at most
     thr, and the quotient shifted back to the node.  DomainError at a pole."""
-    d = 0.0
-    with np.errstate(all="ignore"):    # no zero: NaN
-        for _ in range(6):
-            d -= np.divide(*_shift(den.rows, d, 1))
-    d = float(d) if abs(d) <= h else 0.0
-    n, m = (_shift(j.rows, d, j.order) for j in (num, den))
+    d = newton(den.rows, 0.0, 0.0, h) or 0.0   # None -> 0.0; no -0.0 arises
+    n, m = (shift(j.rows, d, j.order) for j in (num, den))
     n[0], m[0] = (0.0 if abs(n[0]) <= thr else n[0]), 0.0
     q = Laurent(Jet(den.t + d, n)) / Laurent(Jet(den.t + d, m))
-    return _shift(q.taylor().rows, -d, 0)[0]
+    return shift(q.taylor().rows, -d, 0)[0]
 
 
 def revolution_evolutes(c: LegendreCurve, n_theta: int = 128,
@@ -345,17 +340,20 @@ def revolution_evolutes(c: LegendreCurve, n_theta: int = 128,
     diagnostics = {}
     first = first_surface = None
     thr_l = tol * (1.0 + float(np.max(np.abs(ell))))
-    if np.all(np.abs(ell) > thr_l):
-        ev = plane_evolute(c, tol=tol)
+    ev = plane_evolute(c, tol=tol) if np.all(np.abs(ell) > thr_l) else None
+    if ev is None:
+        i = int(np.argmin(np.abs(ell)))
+        diagnostics["first"] = (f"profile turning density vanishes near "
+                                f"t={t[i]:.6g}; first evolute unavailable")
+    elif min(ev.x.order, ev.z.order) < 1:
+        diagnostics["first"] = ("evolute jets of order 0, its revolute needs "
+                                "their derivatives; first evolute unavailable")
+    else:
         # the evolute's tangent is along nu, so its unit normal is the
         # rotated profile normal mu = (-b, a)
         mu = NormalJet(c.normal.t, -c.normal.b, c.normal.a)
         first = LegendreCurve(ev, mu)
         first_surface = revolve(first, axis="z", n_theta=n_theta)
-    else:
-        i = int(np.argmin(np.abs(ell)))
-        diagnostics["first"] = (f"profile turning density vanishes near "
-                                f"t={t[i]:.6g}; first evolute unavailable")
 
     thr_r = tol * (1.0 + float(np.max(np.abs(a))))
     good = np.abs(a) > thr_r

@@ -103,13 +103,13 @@ def cusp_classify_derivatives(curve, t0: float,
     dx = _derivs(cj.x, 5, i)
     dz = _derivs(cj.z, 5, i)
     top = min(len(dx), len(dz)) - 1
-    scale = max(1.0, max(_amax(dx[k], dz[k]) for k in range(1, top + 1)))
+    scale = max(1.0, max(map(_amax, dx[1:], dz[1:]), default=1.0))
     thr = tol * scale
     thr2 = tol * max(1.0, scale * scale)
     diag = {"t0": float(cj.t[i]), "node": i, "tol": tol,
             "threshold": thr, "det_threshold": thr2, "criterion": "derivative"}
 
-    if _amax(dx[1], dz[1]) > thr:
+    if top and _amax(dx[1], dz[1]) > thr:
         return CuspLabel("regular", diag)
     if top < 3:
         diag["note"] = "jet order too low for any cusp test"

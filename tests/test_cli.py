@@ -276,6 +276,75 @@ def test_jet_order_checked_at_parse_time(argv, order, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+# Jets of order 0 hold values only: a command whose profile needs first
+# derivatives (ell and beta from --x/--z/--a/--b, the curvature round
+# trip) exits 1 naming --order 1; the others run.
+ORDER0_CIRCLE = [*CIRCLE, "--grid", "0:3:41", "--order", "0"]
+ORDER0_PAIR = ["--ell", "1", "--beta", "1", "--x0", "1",
+               "--grid", "0:3.141592653589793:41", "--order", "0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["revolve", *ORDER0_CIRCLE],
+    ["invariants", *ORDER0_CIRCLE],
+    ["parallel", "--lambda", "0.1", *ORDER0_CIRCLE],
+    ["check", *ORDER0_CIRCLE],
+    ["check", *ORDER0_PAIR],
+    ["evolute", *ORDER0_CIRCLE],
+    ["classify", "--t0", "1", *ORDER0_CIRCLE],
+    ["classify", "--family", "revolution", "--t0", "1", *ORDER0_CIRCLE],
+    ["curve", "from-curvature", *ORDER0_PAIR],
+], ids=["revolve", "invariants", "parallel", "check", "check-ell-beta",
+        "evolute", "classify-auto", "classify-revolution", "curve"])
+def test_order_zero_without_derivatives_exits_one(argv, tmp_path, capsys):
+    # before, each stopped on "cannot differentiate an order-0 jet" or
+    # "max() arg is an empty sequence" and exited 2
+    assert run([*argv, "--out", str(tmp_path / "o")]) == 1
+    assert "--order 1 or more" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_evolute_of_order_zero_jets_keeps_the_axis_locus(tmp_path):
+    # the unit circle about the origin: both evolutes are its centre.
+    # Order-0 jets cannot revolve the first; the axis locus needs values
+    # only, and at pi/2, where a = cos t vanishes, the structure equations
+    base = str(tmp_path / "evo")
+    assert run(["evolute", *ORDER0_PAIR, "--out", base]) == 0
+    payload = read_json(base + ".json")
+    assert list(payload["diagnostics"]) == ["first"]
+    assert "order 0" in payload["diagnostics"]["first"]
+    assert payload["axis_flagged_nodes"] == []
+    np.testing.assert_allclose(payload["axis_curve"], np.zeros((41, 3)),
+                               atol=1e-9)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["evo.json"]
+
+
+def test_evolute_of_order_one_expressions_keeps_the_axis_locus(tmp_path):
+    # ell and beta of order-1 expressions are of order 0, and so is the
+    # evolute: the axis locus z - x b / a matches the order-5 run
+    base = str(tmp_path / "evo")
+    circle = [*CIRCLE, "--grid", "0:3:41"]
+    assert run(["evolute", *circle, "--order", "1", "--out", base]) == 0
+    payload = read_json(base + ".json")
+    assert "order 0" in payload["diagnostics"]["first"]
+    assert run(["evolute", *circle, "--out", base + "5"]) == 0
+    want = read_json(base + "5.json")
+    assert "first" not in want["diagnostics"]
+    assert payload["axis_flagged_nodes"] == want["axis_flagged_nodes"]
+    np.testing.assert_allclose(payload["axis_curve"], want["axis_curve"],
+                               atol=1e-9)
+
+
+def test_classify_of_order_zero_jets_is_unresolved(capsys):
+    # x and z of order 0 give the derivative criterion no first
+    # derivative; the curvature pair of order 0 gives it no beta'
+    code, payload = _classify(["--t0", "1", *ORDER0_PAIR], capsys)
+    assert code == 0
+    for key in ("derivative", "curvature"):
+        assert payload[key]["label"] == "unresolved"
+        assert "jet order too low" in payload[key]["criterion_values"]["note"]
+
+
 def test_rk4_overflow_exits_two(tmp_path):
     base = str(tmp_path / "overflow")
     code = run(["construct", "gauss", "--alpha", "1", "--beta", "exp(30*t)",

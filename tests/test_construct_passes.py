@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from revfront import construct, jets
 from revfront.construct import (ConstructionError, _lattice_angle,
                                 _laurent_quotient, _prefix_products,
-                                _rk4_path, _rk4_step, _shift, _system_jets)
+                                _rk4_path, _rk4_step, _system_jets)
 from revfront.jets import DomainError, Jet, Laurent
 
 NO_SHRINK = [ph for ph in Phase if ph is not Phase.shrink]
@@ -58,10 +58,10 @@ def test_shift_is_its_definition():
     for d, order in ((0.3, 6), (np.linspace(-0.5, 0.5, 17), 12)):
         want = np.array([np.polyval(np.polyder(p, m), d) / math.factorial(m)
                          for m in range(order + 1)])
-        got = _shift(rows, d, order)
+        got = jets.shift(rows, d, order)
         assert got.shape == want.shape == (order + 1,) + np.shape(d)
         assert got.tobytes() == want.tobytes()
-    assert not _shift(rows, 0.2, 12)[11:].any()   # beyond the degree
+    assert not jets.shift(rows, 0.2, 12)[11:].any()   # beyond the degree
 
 
 @pytest.mark.parametrize("r, order", [(0.0, 7), (1.0, 4), (2.0, 7),
@@ -77,7 +77,7 @@ def test_series_jets_match_per_node_horner(r, order):
     t = t0 + (np.arange(40) - 17) * (1.0 / 64.0)
     s = t - t0
     assert (s == 0.0).sum() == 1
-    got = _shift(np.append(np.zeros(int(r)), c), s, order)
+    got = jets.shift(np.append(np.zeros(int(r)), c), s, order)
     want = np.stack([reference_series_node_jet(c, r, float(s[i]), float(t[i]),
                                                order).coeffs
                      for i in range(t.size)], axis=1)

@@ -1,13 +1,19 @@
 """Truncated Taylor arithmetic checked against sympy derivatives."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from revfront import jets
 from revfront.jets import DomainError, Jet, Laurent
+
+NO_SHRINK = [ph for ph in Phase if ph is not Phase.shrink]
 
 
 def sympy_jet(fn_expr, t0, order=5):
@@ -180,3 +186,100 @@ def test_scalar_coercion_both_sides():
     right = (-v) + 2.0
     np.testing.assert_allclose(left.coeffs, right.coeffs)
     np.testing.assert_allclose((3.0 / (v + 1)).value, 3.0 / 1.3, rtol=1e-15)
+
+
+# -- jets.shift and jets.newton: a jet's rows read as a polynomial ----------
+
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
+@given(st.lists(finite(-10.0, 10.0), min_size=1, max_size=13),
+       st.lists(finite(-2.0, 2.0), min_size=1, max_size=3), st.data())
+def test_shift_recentres_the_polynomial(rows, offsets, data):
+    # coefficient m at d is sum_k rows[k] C(k, m) d^(k - m), exactly in
+    # rationals, against the scale of its terms' magnitudes
+    order = data.draw(st.integers(0, len(rows) + 1))
+    got = jets.shift(rows, np.array(offsets), order)
+    assert got.shape == (order + 1, len(offsets))
+    for j, d in enumerate(offsets):
+        for m in range(order + 1):
+            terms = [Fraction(r) * math.comb(k, m) * Fraction(d) ** (k - m)
+                     for k, r in enumerate(rows) if k >= m]
+            scale = float(sum(abs(x) for x in terms))
+            assert abs(got[m, j] - float(sum(terms))) <= 1e-12 * scale
+
+
+def cubic_rows(r, c0, c1, c2):
+    """Rows in u of c0 v + c1 v^2 + c2 v^3, v = u - r: a simple zero at r."""
+    return [-c0 * r + c1 * r * r - c2 * r ** 3,
+            c0 - 2 * c1 * r + 3 * c2 * r * r, c1 - 3 * c2 * r, c2]
+
+
+cubics = st.tuples(finite(-1.0, 1.0), st.sampled_from([-1.0, 1.0]),
+                   finite(1.0, 2.0), finite(-0.2, 0.2), finite(-0.2, 0.2))
+
+
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
+@given(cubics, finite(-5.0, 5.0), finite(1e-3, 0.2), finite(-0.9, 0.9))
+def test_newton_finds_a_simple_zero_within_h(cubic, base, h, where):
+    r, sign, c0, c1, c2 = cubic
+    rows = cubic_rows(r, sign * c0, c1, c2)
+    zero = base + r
+    t = zero + where * h
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = jets.newton(rows, base, t, h)
+    assert got is not None and abs(got - zero) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
+@given(cubics, finite(-5.0, 5.0), finite(0.01, 0.18), finite(1.1, 100.0),
+       st.sampled_from([-1.0, 1.0]))
+def test_newton_refuses_a_zero_beyond_h(cubic, base, gap, k, side):
+    # six steps reach the zero, a gap from t, and the gap exceeds h
+    r, sign, c0, c1, c2 = cubic
+    rows = cubic_rows(r, sign * c0, c1, c2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert jets.newton(rows, base, base + r + side * gap, gap / k) is None
+
+
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
+@given(finite(1e-3, 10.0), finite(0.0, 10.0), finite(0.0, 10.0),
+       st.integers(1, 5), finite(-5.0, 5.0), finite(1e-3, 10.0))
+def test_newton_gives_none_without_a_real_zero(k, c2, c4, size, base, h):
+    # k + c2 u^2 + c4 u^4 > 0, from its vertex u = 0, where the first step
+    # divides by a zero derivative: the iterate turns NaN, with no warning
+    rows = [k, 0.0, c2, 0.0, c4][:size]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert jets.newton(rows, base, base, h) is None
+
+
+def old_touch_newton(col, node, start, h):
+    """The touch locator's loop before jets.newton: (sin phi)' / (sin
+    phi)'' through a shift of the sin phi column at every step."""
+    ts = start
+    with np.errstate(all="ignore"):
+        for _ in range(6):
+            _, d1, d2 = jets.shift(col, ts - node, 2)
+            ts -= d1 / (2.0 * d2)
+    return float(ts) if abs(ts - start) <= h else None
+
+
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
+@given(st.lists(finite(-2.0, 2.0), min_size=3, max_size=13),
+       finite(-3.0, 3.0), finite(-0.5, 0.5), finite(1e-3, 1.0))
+def test_newton_on_the_derivative_rows_keeps_the_touch_bits(col, node, off,
+                                                             h):
+    # the construction calls newton on k * col[k], which np.polyder forms
+    # alike, so every iterate keeps its bits
+    col = np.array(col)
+    drows = np.arange(1, col.size) * col[1:]
+    got = jets.newton(drows, node, node + off, h)
+    want = old_touch_newton(col, node, node + off, h)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()

@@ -370,6 +370,30 @@ def test_evolute_bundle_degenerate_turning():
     assert "first" in bundle.diagnostics
 
 
+@pytest.mark.parametrize("source, order", [("pair", 0), ("expressions", 1)])
+def test_evolute_bundle_of_order_zero_evolute_jets(source, order):
+    # the evolute's jets are of order 0: its revolute would differentiate
+    # them, so the first evolute is left out as where ell vanishes, and
+    # the axis locus, which needs values only, is kept (before, revolve
+    # raised "cannot differentiate an order-0 jet")
+    g = uniform_grid(0.2, 1.4, 41)
+    if source == "pair":
+        c = reconstruct_from_curvature("1+t/4", "1", g, x0=2.0, order=order)
+        full = reconstruct_from_curvature("1+t/4", "1", g, x0=2.0)
+    else:
+        c, full = (legendre_from_expressions("2+cos(t)", "sin(t)", "cos(t)",
+                                             "sin(t)", g, k)
+                   for k in (order, 5))
+    bundle = revolution_evolutes(c, n_theta=8)
+    assert bundle.first_profile is None and bundle.first_surface is None
+    assert "order 0" in bundle.diagnostics["first"]
+    want = revolution_evolutes(full, n_theta=8)
+    assert want.first_surface is not None
+    np.testing.assert_array_equal(bundle.axis_flags, want.axis_flags)
+    np.testing.assert_allclose(bundle.axis_curve, want.axis_curve,
+                               atol=1e-9)
+
+
 def test_parallel_commutation_both_axes():
     rng = np.random.default_rng(31)
     g = uniform_grid(0.0, 1.5, 41)

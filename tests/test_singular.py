@@ -81,6 +81,24 @@ def test_model_germ_derivative_labels(x, z, a, b, label):
     assert out.diagnostics["criterion"] == "derivative"
 
 
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_derivative_criterion_on_short_jets_is_unresolved(order):
+    # order 0 has no first derivative to test (before, max() of nothing
+    # raised ValueError); orders 1 and 2 have no cusp test; a regular
+    # point still reads regular from order 1
+    g = uniform_grid(-1.0, 1.0, 81)
+    x, z, a, b, _ = GERMS[0]
+    for c in (legendre_from_expressions(x, z, a, b, g, order),
+              reconstruct_from_curvature("1", "t", g, order=order)):
+        out = cusp_classify_derivatives(c, 0.0)
+        assert out.label == "unresolved"
+        assert out.diagnostics["note"] == "jet order too low for any cusp test"
+        if not order:   # no derivative sets the scale
+            assert out.diagnostics["threshold"] == EXACT_TOL
+        want = "regular" if order else "unresolved"
+        assert cusp_classify_derivatives(c, 0.5).label == want
+
+
 def test_regular_point_both_criteria():
     g = uniform_grid(0.0, 2.0, 41)
     circle = legendre_from_expressions("cos(t)", "sin(t)",
