@@ -17,9 +17,10 @@ the anchor, or every node within the radius of a Frobenius series at a
 regular singular point of the ratio, its coefficients computed from the
 Laurent jets of alpha and beta at t0 (expr.eval_laurent).  Every construction
 holds its prescribed values at t0 itself (FineGrid.cumulative_from).
-Any finite, strictly increasing grid will do: RK4, the quadrature, the
-flip locator and the series region all read the lattice's own steps.
-Each touch, where |sin phi| = 1, is expanded once (_angle_jets).
+Any finite, strictly increasing grid will do: RK4, the quadrature and
+the series region read the lattice's own steps, the touch locator the
+grid's.  Each touch, where |sin phi| = 1, is located and expanded once
+(_angle_jets).
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ import numpy as np
 
 from . import expr
 from . import jets
-from .jets import DIV_TOL, DomainError, Jet, Laurent
+from .jets import DIV_TOL, ORDER_CAP, DomainError, Jet, Laurent
 from .legendre import (CurveJet, CurvaturePair, LegendreCurve, NormalJet,
                        verify_legendre)
 from .quadrature import (ConstructionError, FineGrid, check_finite, evaluated,
                          nearest_node)
 
-FLIP_TOL = 1e-8          # fitted |sin phi| extremum within this of 1 -> branch flip
+FLIP_TOL = 1e-8          # |sin phi| at a zero of (sin phi)' within this of 1 -> touch
 SIN_EXCESS_TOL = 1e-9    # |sin phi| beyond 1 + this -> inconsistent data
 COS_TOL = 1e-8           # |cos phi| within this (relative) of 0 -> (H, phi) rejects
 SERIES_ORDER = 12        # Frobenius coefficients c_0..c_12; data to twice that
@@ -147,48 +148,15 @@ def _lattice(grid, t0, order):
     return fg, order + 2, nearest_node(fg.s, t0), t0
 
 
-def _lattice_angle(s, steps, S, i0, anchor, cos_sign, touch):
-    """Branch signs, flips, clipped sin(phi) and cos(phi) on the lattice.
-
-    cos(phi) has sign cos_sign at the anchor, nearest lattice sample i0,
-    and flips where |sin phi| reaches 1: at the vertex of the parabola
-    through a local maximum of |S| and its neighbours, spaced by the
-    lattice's steps (steps[k] = s[k+1] - s[k]).  touch says the seed has
-    |sin phi| = 1 at the anchor; then a flip fitted on sample i0 or a
-    neighbour counts as lying at the anchor, so cos_sign holds up to it
-    however the fit rounds.  Flips are reported as fitted.  Returns
-    (sigma, flips, clipped S, sigma*sqrt(1 - S^2)).
-    """
-    absS = np.abs(S)
-    excess = float(np.max(absS)) - 1.0
-    if excess > SIN_EXCESS_TOL:
+def _clipped_sin(S):
+    """sin(phi) on the lattice clipped to [-1, 1]; ConstructionError where
+    |sin phi| exceeds 1 by more than SIN_EXCESS_TOL."""
+    top = float(np.max(np.abs(S)))
+    if top - 1.0 > SIN_EXCESS_TOL:
         raise ConstructionError(
-            f"|sin phi| exceeds 1 by {excess:.3e}; prescribed data inconsistent",
-            max_sin=float(np.max(absS)))
-    y0, y1, y2 = absS[:-2], absS[1:-1], absS[2:]
-    j = np.flatnonzero((y1 >= y0) & (y1 >= y2))   # local maxima at j + 1
-    y0, y1, y2, h0, h1 = y0[j], y1[j], y2[j], steps[j], steps[j + 1]
-    q = (h1 - h0) / (h0 + h1)    # 0 on equal steps: the symmetric fit
-    curv = y0 - 2.0 * y1 + y2
-    num = (y0 - y2) * (1.0 + q * q) + 2.0 * q * curv
-    den = curv + q * (y0 - y2)
-    delta = np.zeros_like(den)   # vertex offset in units of (h0 + h1)/2
-    np.divide(0.5 * num, den, out=delta, where=den < 0.0)
-    peak = y1 - 0.25 * num * delta / (1.0 - q * q)
-    at = []
-    for k in np.flatnonzero(peak >= 1.0 - FLIP_TOL):
-        if not at or j[k] > j[at[-1]] + 1:   # else the twin of the same touch
-            at.append(k)
-    centre = j[at] + 1
-    flips = s[centre] + delta[at] * (h0[at] + h1[at]) / 2
-    marks = np.where(touch & (np.abs(centre - i0) <= 1), anchor, flips)
-    # sign at position p: cos_sign * (-1)^(number of flips between anchor and p)
-    n_before = np.searchsorted(marks, s, side="left")
-    n_anchor = int(np.searchsorted(marks, anchor, side="left"))
-    sigma = np.where((n_before - n_anchor) % 2 == 0, cos_sign, -cos_sign)
-    Sc = np.clip(S, -1.0, 1.0)
-    return (sigma, [float(f) for f in flips], Sc,
-            sigma * np.sqrt(np.maximum(1.0 - Sc * Sc, 0.0)))
+            f"|sin phi| exceeds 1 by {top - 1.0:.3e}; prescribed data "
+            "inconsistent", max_sin=top)
+    return np.clip(S, -1.0, 1.0)
 
 
 def _settled(c, delta, floor):
@@ -203,16 +171,20 @@ def _settled(c, delta, floor):
     return None
 
 
-def _angle_jets(fg, b_j, sigma, C_s, flips, expand, notes):
-    """cos(phi) and ell jets from the sin(phi) jets b_j at the coarse nodes
-    and the signs sigma on the lattice: sigma*sqrt(1 - sin^2) and
-    (sin phi)'/cos phi node by node, except near a touch t* (README), the
-    zero of (sin phi)' by jets.newton on the jets of the node nearest a flip
-    or grid end (for an end, within a grid step or ConstructionError), where
-    |sin phi| reaches 1 - FLIP_TOL.  Near it the jets are the Taylor shift
-    of one expansion, from the sin phi jet expand(t*, n, at) (at(j): jet j
-    at t*), and C_s, which z integrates, takes its values.  Returns (a_j,
-    ell_j, the nodes near a touch).
+def _angle_jets(fg, b_j, Sc, anchor, cos_sign, touch, expand, notes):
+    """cos(phi) and ell jets from the sin(phi) jets b_j at the coarse nodes,
+    and cos(phi) on the lattice from its clipped sin(phi) samples Sc.
+
+    A touch t* (README) is a zero of (sin phi)' where |sin phi| reaches
+    1 - FLIP_TOL, found by jets.newton on the jets of the node nearest a
+    start: a grid end (a touch there within a grid step, else
+    ConstructionError) or the secant zero of a grid interval where
+    (sin phi)' changes sign.  cos(phi) has sign cos_sign at the anchor and
+    flips at each t*, one within a lattice sample of the anchor counting
+    as at it when the seed is a touch.  Near each t* the jets are the
+    Taylor shift of one expansion, from the sin phi jet expand(t*, n, at)
+    (at(j): jet j at t*), and the lattice cos(phi) takes its values.
+    Returns (a_j, ell_j, the nodes near a touch, the t*, lattice cos phi).
     """
     g, s, io = fg.grid, fg.s, b_j.order
     a_co, ell_co = np.empty((io + 1, g.size)), np.empty((io, g.size))
@@ -220,7 +192,10 @@ def _angle_jets(fg, b_j, sigma, C_s, flips, expand, notes):
     h, span = float(np.max(np.diff(g))), float(g[-1] - g[0])
     stars = []
     db = b_j.differentiated()                    # (sin phi)' in t - t_i
-    for f in sorted(flips + [g[0], g[-1]]):
+    d = db.value
+    k = np.flatnonzero((d[:-1] > 0) != (d[1:] > 0))
+    secants = g[k] - d[k] * (g[k + 1] - g[k]) / (d[k + 1] - d[k])
+    for f in [g[0], *secants, g[-1]]:
         i = nearest_node(g, f)
         zero = jets.newton(db.coeffs[:, i], g[i], f, h)
         found, ts = zero is not None, float(f if zero is None else zero)
@@ -232,18 +207,29 @@ def _angle_jets(fg, b_j, sigma, C_s, flips, expand, notes):
                     f"|sin phi| reaches 1 at the grid end t={ts:.6g}, but "
                     f"(sin phi)' = {S1:.3g}: cos phi = 0, ell unbounded", t=ts)
             stars.append((ts, i))
+    flips = [ts for ts, _ in stars]
+    i0 = nearest_node(s, anchor)
+    marks = [anchor if touch and abs(nearest_node(s, t) - i0) <= 1 else t
+             for t in flips]
+    # sign at position p: cos_sign * (-1)^(number of marks between anchor and p)
+    n = np.searchsorted(marks, np.append(s, anchor), side="left")
+    sigma = np.where((n[:-1] - n[-1]) % 2 == 0, cos_sign, -cos_sign)
+    C_s = sigma * np.sqrt(np.maximum(1.0 - Sc * Sc, 0.0))
     for ts, i in stars:
-        S = expand(ts, 2 * io,
+        S = expand(ts, 2 * (ORDER_CAP + 2),   # at every order, as at 5
                    lambda j: jets.shift(j.coeffs[:, i], ts - g[i], 0)[0])
         S0, S1 = S.rows[:2]
         S = Jet(ts, [math.copysign(1.0, S0), 0.0] + S.rows[2:])
         g2 = Laurent(1.0 - S * S, -2).taylor()    # / (t - t*)^2
-        room = min([abs(o - ts) / 2 for o, _ in stars if o != ts] + [span])
+        room = min([abs(o - ts) / 2 for o in flips if o != ts] + [span])
         side = 1.0 if ts + room / 4 <= s[-1] else -1.0   # sigma after t*:
         sign = side * sigma[nearest_node(s, ts + side * room / 4)]
-        a = Laurent(sign * jets.sqrt(g2), 1).taylor()
-        ell = (Laurent(S.differentiated()) / Laurent(a)).taylor()
-        w = min(_settled(c.coeffs, room, h) or 0.0 for c in (a, ell))
+        try:   # DomainError: 1 - sin^2 has no double zero at t*
+            a = Laurent(sign * jets.sqrt(g2), 1).taylor()
+            ell = (Laurent(S.differentiated()) / Laurent(a)).taylor()
+            w = min(_settled(c.coeffs, room, h) or 0.0 for c in (a, ell))
+        except DomainError:
+            w = 0.0
         if not w:
             raise ConstructionError(
                 f"the expansion at the touch t={ts:.6g} does not settle "
@@ -262,7 +248,8 @@ def _angle_jets(fg, b_j, sigma, C_s, flips, expand, notes):
                    1.0 - b * b)
     a_co[:, ~served] = sq.coeffs * sigma[fg.coarse_index][~served]
     ell_co[:, ~served] = (db.at(~served) / Jet(b.t, a_co[:io, ~served])).coeffs
-    return Jet(g, a_co), Jet(g, ell_co), np.flatnonzero(served).tolist()
+    return (Jet(g, a_co), Jet(g, ell_co), np.flatnonzero(served).tolist(),
+            flips, C_s)
 
 
 def _system_jets(beta_j, ab_j, x_vals, S_vals, order):
@@ -563,8 +550,7 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
             f"the RK4 sweep overflows: x or sin phi is not finite at "
             f"t={tb:.6g}", t=tb)
 
-    sigma, flips, Sc, C_s = _lattice_angle(s, fg.fine_step, S_s, i0, t0,
-                                           p.cos_sign, abs(sin_t0) == 1.0)
+    Sc = _clipped_sin(S_s)
 
     beta_j = _jet(p.beta, g, io, "beta")
     # coarse nodes inside the series radius (none for RK4); alpha may have
@@ -588,8 +574,8 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
         return _system_jets(_jet(p.beta, ts, n, "beta"), _jet(
             ab, ts, n, "alpha*beta"), at(x_j), at(b_j), n)[1]
 
-    a_j, ell_j, flagged = _angle_jets(fg, b_j, sigma, C_s, flips, expand,
-                                      notes)
+    a_j, ell_j, flagged, flips, C_s = _angle_jets(
+        fg, b_j, Sc, t0, p.cos_sign, abs(sin_t0) == 1.0, expand, notes)
     z_s = fg.cumulative_from(beta_s * C_s, t0, p.z0)
 
     resid = (beta_j.value * x_j.derivative(2)
@@ -620,13 +606,12 @@ def profile_from_JK(J: str, K: str, x0: float, grid, t0: float | None = None,
     _check_seeds(x0, sin0, cos_sign, z0)
     if x0 <= 0:
         raise ConstructionError(f"x0 must be positive, got {x0}")
-    fg, io, i0, t0 = _lattice(grid, t0, order)
+    fg, io, _, t0 = _lattice(grid, t0, order)
     g, s = fg.grid, fg.s
     J_s = _values(J, s, "J")
     K_s = _values(K, s, "K")
     S_s = sin0 - fg.cumulative_from(K_s, t0, 0.0)
-    sigma, flips, Sc, C_s = _lattice_angle(s, fg.fine_step, S_s, i0, t0,
-                                           cos_sign, abs(sin0) == 1.0)
+    Sc = _clipped_sin(S_s)
     b_j = (-_jet(K, g, io, "K")).antiderivative(
         fg.at_coarse(S_s)).truncated(io)
 
@@ -634,8 +619,8 @@ def profile_from_JK(J: str, K: str, x0: float, grid, t0: float | None = None,
         return (-_jet(K, ts, n - 1, "K")).antiderivative(at(b_j))
 
     notes = {}
-    a_j, ell_j, flagged = _angle_jets(fg, b_j, sigma, C_s, flips, expand,
-                                      notes)
+    a_j, ell_j, flagged, flips, C_s = _angle_jets(
+        fg, b_j, Sc, t0, cos_sign, abs(sin0) == 1.0, expand, notes)
     x2_s, z_s = _j_lattice(fg, t0, x0, z0, J_s, Sc, C_s,
                            "; x0 anchor incompatible with prescribed (J, K)")
     x_j, beta_j = _j_jets(fg, io, x2_s, _jet(J, g, io, "J"), b_j)

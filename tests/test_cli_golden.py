@@ -93,11 +93,13 @@ GOLDEN = {
     # z holds z0 at t0 = 1.5707963 itself, not at its nearest fine node
     # (z moves by up to 1.7e-10), and the report has no anchor_offset.
     # The touch at pi/2 is expanded once: nodes 19 to 44 read its Taylor
-    # shift (a moves by up to 1e-13, ell by 1.6e-12)
+    # shift (a moves by up to 1e-13, ell by 1.6e-12).  The report's flips
+    # are the located touch, 1.570796326794897, no longer the lattice
+    # parabola's vertex 1.5707963264729081; the CSV and OBJ keep their bytes
     "construct-gauss": (0, {
         "csv": "68762bdd5f57c73531d316927cd6b6e29f3e0bfe50e23bebdf847ebf8cdafeea",
         "obj": "cba738839c67582e9596677ca7d1dda2cd6905d2b1e60b458fb4ee03fd4033cb",
-        "json": "7ac490c068669eaf3321578833343be4ff4dd0b4f64a6863821318f05638b8bc",
+        "json": "241f820caf58708ba7c14cdbcd27d5f71b7b2202f39996f44900fc8048bb02f6",
     }),
     # indicial root 2, series radius 0.2025
     "construct-gauss-frobenius": (0, {

@@ -149,7 +149,7 @@ def test_non_uniform_grids_keep_uniform_accuracy():
     c = profile_from_gauss_ratio(p, g)
     assert report_of(c).method == "gauss_frobenius"
     assert np.max(np.abs(c.curve.x.value - g ** 2)) <= 1e-12
-    # the flip locator: the pseudo-sphere's flip at pi/2 lies in the
+    # the touch locator: the pseudo-sphere's touch at pi/2 lies in the
     # second block of steps, three times longer than the first
     g = np.concatenate([np.linspace(0.2, 1.0, 100),
                         np.linspace(1.0, PI - 0.2, 301)[1:]])
@@ -183,7 +183,7 @@ TOUCH_BUILDS = {   # the pseudo-sphere x = sin t seeded at t0
                          ids=TOUCH_BUILDS.keys())
 @pytest.mark.parametrize("cos_sign", [1.0, -1.0])
 def test_cos_sign_holds_up_to_a_touch_at_the_anchor(grid, build, cos_sign):
-    # |sin phi(t0)| = 1: the flip is fitted a rounding error to either
+    # |sin phi(t0)| = 1: the touch is located a rounding error to either
     # side of t0, which used to decide whether the profile came out
     # mirrored in z; cos_sign now holds for t <= t0 and flips after it
     assert np.min(np.abs(grid - PI / 2)) <= 1e-15

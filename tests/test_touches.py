@@ -75,9 +75,9 @@ def test_pseudo_sphere_touch_jets_converge(n, jk):
 @pytest.mark.parametrize("lo, hi", [(-PI / 2, PI / 2), (0.0, PI / 2),
                                     (-PI / 2, 0.3)])
 def test_touches_at_the_grid_ends(lo, hi, n):
-    # the sphere meets the axis at +-pi/2, here grid ends, where no flip
-    # can be fitted; each node there used to take its neighbour's jets,
-    # and ell'' was off by 2e-5 to 21
+    # the sphere meets the axis at +-pi/2, here grid ends, where no
+    # lattice maximum lies; each node there used to take its neighbour's
+    # jets, and ell'' was off by 2e-5 to 21
     c, ell0 = sphere(uniform_grid(lo, hi, n))
     assert_touch_jets(c, ell0)
     touches = c.flags["construction"].notes["touches"]
@@ -111,6 +111,130 @@ def test_a_touch_that_is_not_simple_is_refused():
     with pytest.raises(ConstructionError, match="does not settle"):
         profile_from_JK("-0.1", "4*(t-1)^3", x0=1.0,
                         grid=np.linspace(0.5, 1.5, 101), t0=1.0, sin0=1.0)
+
+
+def test_a_touch_that_is_not_simple_exits_two(tmp_path):
+    # t = 1 is a node, where (sin phi)' = -4(t - 1)^3 and its slope vanish:
+    # the touch sits at the node, and the radicand's quotient
+    # (1 - sin^2)/(t - 1)^2, zero there, has no square root to expand
+    base = str(tmp_path / "quartic")
+    assert run(["construct", "gauss-jk", "--J", "-0.1", "--K", "4*(t-1)^3",
+                "--x0", "1", "--t0", "1", "--sin0", "1",
+                "--grid", "0.5:1.5:101", "--out", base]) == 2
+    diag = json.loads((tmp_path / "quartic.json").read_text())
+    assert diag["error"] == "ConstructionError"
+    assert "does not settle" in diag["message"]
+
+
+def touch_ts(c):
+    """The t* of the report's touches, which are also its flips."""
+    report = c.flags["construction"]
+    ts = [t["t"] for t in report.notes.get("touches", [])]
+    assert report.flips == ts
+    return ts
+
+
+def test_flips_are_the_located_touches():
+    # construct gauss --alpha 1 --beta 1 --t0 0 --x0 1 --grid -3:3:97,
+    # whose flips were the lattice parabola's vertices, 5e-10 off +-pi/2
+    c, _ = sphere(uniform_grid(-3.0, 3.0, 97))
+    assert touch_ts(c) == pytest.approx([-PI / 2, PI / 2], rel=0, abs=1e-11)
+
+
+@settings(max_examples=100, deadline=None, phases=NO_SHRINK)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40),
+       graded=st.booleans(), where=st.floats(0.0, 1.0))
+def test_a_touch_on_a_graded_grid_is_located_once(seed, n, graded, where):
+    # the J-K pseudo-sphere on grid steps up to 200 times apart, in runs
+    # of 4 or each its own, with its touch at pi/2 between the second node
+    # and the last but one; (sin phi)' = -cos t, so Newton on its jets
+    # lands on pi/2.  The steps are those the lattice parabola was tested
+    # on, 1e-5 to 2e-3, times the 16 fine steps of a grid step
+    h = np.random.default_rng(seed).uniform(1.6e-4, 3.2e-2, n)
+    if graded:
+        h = np.repeat(h[:n // 4 + 1], 4)[:n]
+    u = np.append(0.0, np.cumsum(h))
+    g = PI / 2 - (u[1] + where * (u[-2] - u[1])) + u
+    c = profile_from_JK("-cos(t)", "cos(t)", x0=np.sin(g[0]), grid=g,
+                        t0=g[0], sin0=-np.sin(g[0]))
+    ts = touch_ts(c)
+    assert len(ts) == 1 and abs(ts[0] - PI / 2) <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, raises=ConstructionError,
+                   reason="an end within 1e-8 of |sin phi| = 1 is refused")
+def test_a_touch_a_few_steps_from_a_fine_grid_end_is_located():
+    # steps of 1e-5 put |sin phi| within 1e-8 of 1 at the left end, five
+    # steps from the touch at pi/2: Newton from that end stops beyond its
+    # one-step reach, and the end is refused as one where |sin phi|
+    # reaches 1 with a slope
+    g = PI / 2 + 1e-5 * np.arange(-5, 35)
+    c = profile_from_JK("-cos(t)", "cos(t)", x0=np.sin(g[0]), grid=g,
+                        t0=g[0], sin0=-np.sin(g[0]))
+    assert touch_ts(c) == pytest.approx([PI / 2], rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [40, 101])
+@pytest.mark.parametrize("jk", [False, True], ids=["gauss", "jk"])
+def test_two_starts_at_one_touch_give_one_touch(n, jk):
+    # pi/2 lies midway between the last two nodes: the secant zero of the
+    # last interval and the grid end both converge on it
+    g = 0.3 + (PI / 2 - 0.3) / (n - 1.5) * np.arange(n)
+    c, ell0 = pseudo_sphere(g, jk=jk)
+    assert touch_ts(c) == pytest.approx([PI / 2], rel=0, abs=1e-12)
+    assert_touch_jets(c, ell0)
+
+
+@pytest.mark.parametrize("n", [111, 1000])
+def test_touches_a_few_steps_apart_are_each_located(n):
+    # sin phi = cos(5 pi t) touches +-1 every 0.2, each touch 20 steps from
+    # the next at 111 nodes; cos phi = sin(5 pi t) changes sign at each
+    w = 5 * PI
+    g = uniform_grid(0.05, 1.15, n)
+    c = profile_from_JK("-1", "%r*sin(%r*t)" % (w, w), x0=1.0, grid=g,
+                        t0=0.05, sin0=np.cos(w * 0.05))
+    assert touch_ts(c) == pytest.approx(0.2 * np.arange(1, 6), rel=0,
+                                        abs=1e-12)
+    assert np.max(np.abs(c.normal.a.value - np.sin(w * g))) <= 1e-8
+    assert np.max(np.abs(c.curvature.ell.value + w)) <= 1e-8
+
+
+def test_sin_phi_beyond_one_is_refused():
+    # sin phi = 0.5 + t reaches 1.5 on [0, 1]
+    with pytest.raises(ConstructionError, match="exceeds 1"):
+        profile_from_JK("-1", "-1", x0=1.0, grid=uniform_grid(0.0, 1.0, 33),
+                        sin0=0.5)
+
+
+@pytest.mark.parametrize("jk", [False, True], ids=["gauss", "jk"])
+def test_a_touch_is_expanded_at_one_order(jk, tmp_path):
+    # the pseudo-sphere seeded at its touch t0 = pi/2, a node: at --order 0
+    # to 2 the touch's sin phi jet had order 2(order + 2), too short to
+    # settle, and the command exited 2.  Every order now expands it as
+    # order 5 does, so its jets are order 5's, truncated
+    g = uniform_grid(0.2, 2.9415926535897931, 65)
+    args = (["gauss-jk", "--J", "-cos(t)", "--K", "cos(t)"] if jk else
+            ["gauss", "--alpha", "-1", "--beta", "cot(t)"])
+
+    def build(order):
+        if jk:
+            return profile_from_JK("-cos(t)", "cos(t)", x0=1.0, grid=g,
+                                   t0=PI / 2, sin0=-1.0, order=order)
+        return profile_from_gauss_ratio(GaussRatioProblem(
+            alpha="-1", beta="cot(t)", t0=PI / 2, x0=1.0, sin_phi0=-1.0),
+            g, order=order)
+
+    top = build(5)
+    for order in range(5):
+        c = build(order)
+        assert touch_ts(c) == touch_ts(top) == [PI / 2]
+        for got, want in ((c.curvature.ell, top.curvature.ell),
+                          (c.normal.a, top.normal.a)):
+            assert np.array_equal(got.coeffs, want.truncated(order).coeffs)
+        assert run(["construct", *args, "--t0", repr(PI / 2), "--x0", "1",
+                    "--sin0", "-1", "--grid", "0.2:2.9415926535897931:65",
+                    "--order", str(order),
+                    "--out", str(tmp_path / str(order))]) == 0
 
 
 @settings(max_examples=30, deadline=None, phases=NO_SHRINK)
