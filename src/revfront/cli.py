@@ -189,7 +189,7 @@ def _add_cos_sign(p):
     p.add_argument("--cos-sign", type=_finite, choices=(1.0, -1.0),
                    default=1.0, dest="cos_sign", metavar="{1,-1}",
                    help="sign of cos(phi) at t0; where |sin(phi)| = 1 at "
-                        "t0 it holds for t <= t0 and flips after t0")
+                        "an inner t0 it holds for t <= t0 and flips after t0")
 
 
 def _add_tol(p):

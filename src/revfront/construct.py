@@ -50,7 +50,7 @@ class GaussRatioProblem:
     coefficient at a singular point of alpha; sin_phi0 seeds sin(phi) at
     t0 (ignored, and reported, when the series determines it); cos_sign,
     1 or -1, picks the initial branch of cos(phi).  When sin phi = +-1 at
-    t0, a touch, cos_sign holds for t <= t0 and the other sign after t0.
+    a t0 inside the grid, cos_sign holds for t <= t0, the other sign after.
     method is auto, rk4 or frobenius.
     """
 
@@ -171,19 +171,18 @@ def _settled(c, delta, floor):
     return None
 
 
-def _angle_jets(fg, b_j, Sc, anchor, cos_sign, touch, expand, notes):
+def _angle_jets(fg, b_j, Sc, i0, anchor, cos_sign, touch, expand, notes):
     """cos(phi) and ell jets from the sin(phi) jets b_j at the coarse nodes,
     and cos(phi) on the lattice from its clipped sin(phi) samples Sc.
 
     A touch t* (README) is a zero of (sin phi)' where |sin phi| reaches
-    1 - FLIP_TOL, found by jets.newton on the jets of the node nearest a
-    start: a grid end (a touch there within a grid step, else
-    ConstructionError) or the secant zero of a grid interval where
-    (sin phi)' changes sign.  cos(phi) has sign cos_sign at the anchor and
-    flips at each t*, one within a lattice sample of the anchor counting
-    as at it when the seed is a touch.  Near each t* the jets are the
-    Taylor shift of one expansion, from the sin phi jet expand(t*, n, at)
-    (at(j): jet j at t*), and the lattice cos(phi) takes its values.
+    1 - FLIP_TOL, found by jets.newton from a grid end or the secant zero
+    of a grid interval where (sin phi)' changes sign.  cos(phi) has sign
+    cos_sign at the anchor (sample i0) and flips at each t* off the
+    lattice's end samples, at the anchor if near i0 and the seed is a
+    touch.  Near each t* the jets and the lattice cos(phi) come from one
+    expansion, of the sin phi jet expand(t*, n, at) (at(j): jet j at t*);
+    a sample beyond them with |sin phi| >= 1 - FLIP_TOL is refused.
     Returns (a_j, ell_j, the nodes near a touch, the t*, lattice cos phi).
     """
     g, s, io = fg.grid, fg.s, b_j.order
@@ -208,13 +207,14 @@ def _angle_jets(fg, b_j, Sc, anchor, cos_sign, touch, expand, notes):
                     f"(sin phi)' = {S1:.3g}: cos phi = 0, ell unbounded", t=ts)
             stars.append((ts, i))
     flips = [ts for ts, _ in stars]
-    i0 = nearest_node(s, anchor)
-    marks = [anchor if touch and abs(nearest_node(s, t) - i0) <= 1 else t
-             for t in flips]
+    js = [nearest_node(s, t) for t in flips]   # an end sample marks nothing
+    marks = [anchor if touch and abs(j - i0) <= 1 else t
+             for t, j in zip(flips, js) if 0 < j < s.size - 1]
     # sign at position p: cos_sign * (-1)^(number of marks between anchor and p)
     n = np.searchsorted(marks, np.append(s, anchor), side="left")
     sigma = np.where((n[:-1] - n[-1]) % 2 == 0, cos_sign, -cos_sign)
     C_s = sigma * np.sqrt(np.maximum(1.0 - Sc * Sc, 0.0))
+    lost = np.abs(Sc) >= 1.0 - FLIP_TOL   # lattice samples at a touch
     for ts, i in stars:
         S = expand(ts, 2 * (ORDER_CAP + 2),   # at every order, as at 5
                    lambda j: jets.shift(j.coeffs[:, i], ts - g[i], 0)[0])
@@ -237,12 +237,17 @@ def _angle_jets(fg, b_j, Sc, anchor, cos_sign, touch, expand, notes):
         near = np.flatnonzero(np.abs(g - ts) <= w)
         fine = np.abs(s - ts) <= w
         C_s[fine] = jets.shift(a.coeffs, s[fine] - ts, 0)[0]
+        lost[fine] = False
         for out, c in ((a_co, a), (ell_co, ell)):
             out[:, near] = jets.shift(c.coeffs, g[near] - ts, len(out) - 1)
         served[near] = True
         notes.setdefault("touches", []).append(
             {"t": ts, "radius": float(w), "nodes": near.tolist(),
              "dropped_radicand": abs(1.0 - S0 * S0), "dropped_slope": abs(S1)})
+    if lost.any():   # two zeros of (sin phi)' in one grid interval (README)
+        tb = float(s[lost][0])
+        raise ConstructionError(f"|sin phi| reaches 1 at t={tb:.6g}, away "
+                                "from every located touch", t=tb)
     b = b_j.at(~served)
     sq = evaluated("cos phi", lambda _, r: jets.sqrt(r), "sqrt(1-sin(phi)^2)",
                    1.0 - b * b)
@@ -575,7 +580,7 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
             ab, ts, n, "alpha*beta"), at(x_j), at(b_j), n)[1]
 
     a_j, ell_j, flagged, flips, C_s = _angle_jets(
-        fg, b_j, Sc, t0, p.cos_sign, abs(sin_t0) == 1.0, expand, notes)
+        fg, b_j, Sc, i0, t0, p.cos_sign, abs(sin_t0) == 1.0, expand, notes)
     z_s = fg.cumulative_from(beta_s * C_s, t0, p.z0)
 
     resid = (beta_j.value * x_j.derivative(2)
@@ -600,13 +605,13 @@ def profile_from_JK(J: str, K: str, x0: float, grid, t0: float | None = None,
     sin phi is the anchored antiderivative of -K (value sin0 at t0), the
     squared axis distance the anchored antiderivative of 2*J*sin phi
     (value x0^2 at t0, x0 > 0 required), and beta = -J/x; cos_sign, 1 or
-    -1, is the sign of cos phi at t0.  When |sin0| = 1, a touch at t0,
-    cos_sign holds for t <= t0 and the other sign after t0.
+    -1, is the sign of cos phi at t0.  When |sin0| = 1 at a t0 inside
+    the grid, cos_sign holds for t <= t0 and the other sign after t0.
     """
     _check_seeds(x0, sin0, cos_sign, z0)
     if x0 <= 0:
         raise ConstructionError(f"x0 must be positive, got {x0}")
-    fg, io, _, t0 = _lattice(grid, t0, order)
+    fg, io, i0, t0 = _lattice(grid, t0, order)
     g, s = fg.grid, fg.s
     J_s = _values(J, s, "J")
     K_s = _values(K, s, "K")
@@ -620,7 +625,7 @@ def profile_from_JK(J: str, K: str, x0: float, grid, t0: float | None = None,
 
     notes = {}
     a_j, ell_j, flagged, flips, C_s = _angle_jets(
-        fg, b_j, Sc, t0, cos_sign, abs(sin0) == 1.0, expand, notes)
+        fg, b_j, Sc, i0, t0, cos_sign, abs(sin0) == 1.0, expand, notes)
     x2_s, z_s = _j_lattice(fg, t0, x0, z0, J_s, Sc, C_s,
                            "; x0 anchor incompatible with prescribed (J, K)")
     x_j, beta_j = _j_jets(fg, io, x2_s, _jet(J, g, io, "J"), b_j)

@@ -206,6 +206,43 @@ def test_sin_phi_beyond_one_is_refused():
                         sin0=0.5)
 
 
+@pytest.mark.parametrize("cos_sign", [1.0, -1.0])
+@pytest.mark.parametrize("end", ["left", "right"])
+@pytest.mark.parametrize("jk", [False, True], ids=["gauss", "jk"])
+def test_a_touch_seed_at_a_grid_end_keeps_cos_sign(jk, end, cos_sign):
+    # the pseudo-sphere seeded at its touch t0 = pi/2, an end of the grid:
+    # the grid lies on one side of t0 only, and cos phi has the sign
+    # cos_sign on all of it.  With t0 the left end, the located touch at
+    # the anchor used to flip cos phi, and z with it, on every later sample
+    g = (np.linspace(PI / 2, 2.9, 65) if end == "left"
+         else np.linspace(0.3, PI / 2, 65))
+    if jk:
+        c = profile_from_JK("-cos(t)", "cos(t)", x0=1.0, grid=g, t0=PI / 2,
+                            sin0=-1.0, cos_sign=cos_sign)
+    else:
+        c = profile_from_gauss_ratio(GaussRatioProblem(
+            alpha="-1", beta="cot(t)", t0=PI / 2, x0=1.0, sin_phi0=-1.0,
+            cos_sign=cos_sign), g)
+    assert np.max(np.abs(c.normal.a.value
+                         - cos_sign * np.abs(np.cos(g)))) <= 1e-12
+    assert touch_ts(c) == pytest.approx([PI / 2], rel=0, abs=1e-12)
+
+
+def test_a_touch_beside_an_extremum_in_one_grid_step_is_refused():
+    # sin phi = 1 - 100 (t^4/4 - t^3/120 + 3 t^2/40000) touches 1 at t = 0,
+    # has a minimum at 0.01 and a maximum below 1 at 0.015.  The touch and
+    # the minimum share the grid interval [-0.001, 0.011], where
+    # (sin phi)' keeps its sign, so no start reaches the touch; the
+    # construction went through with cos phi of one sign on both sides
+    g = -0.001 + 0.012 * np.arange(-40, 40)
+    u = g[0]
+    sin0 = 1 - 100 * (u ** 4 / 4 - u ** 3 / 120 + 3 * u ** 2 / 40000)
+    with pytest.raises(ConstructionError,
+                       match=r"reaches 1 at t=-0\.001\b.*located touch"):
+        profile_from_JK("1", "100*t*(t-0.01)*(t-0.015)", x0=2.0, grid=g,
+                        t0=u, sin0=sin0)
+
+
 @pytest.mark.parametrize("jk", [False, True], ids=["gauss", "jk"])
 def test_a_touch_is_expanded_at_one_order(jk, tmp_path):
     # the pseudo-sphere seeded at its touch t0 = pi/2, a node: at --order 0
