@@ -134,8 +134,6 @@ def _expand_config(argv):
 def _add_common(p, out_required=True, grid_required=True):
     p.add_argument("--grid", required=grid_required, metavar="MIN:MAX:COUNT",
                    help="uniform parameter grid")
-    p.add_argument("--order", type=_int_within(0, ORDER_CAP), default=5,
-                   help="jet order (0..%d)" % ORDER_CAP)
     p.add_argument("--out", required=out_required, metavar="BASE",
                    help="output path prefix (BASE.csv/.obj/.json)")
 
@@ -231,17 +229,13 @@ def _profile(ns):
         if missing:
             raise CliError("profile needs all of --x --z --a --b (missing: "
                            + " ".join("--" + m for m in missing) + ")")
-        if ns.order < 1:
-            raise CliError("--x/--z/--a/--b profiles need --order 1 or more: "
-                           "ell and beta read their first derivatives")
-        return legendre_from_expressions(ns.x, ns.z, ns.a, ns.b, grid,
-                                         ns.order)
+        return legendre_from_expressions(ns.x, ns.z, ns.a, ns.b, grid)
     if has_lb:
         if ns.ell is None or ns.beta is None:
             raise CliError("--ell and --beta must be given together")
         return reconstruct_from_curvature(ns.ell, ns.beta, grid,
                                           theta0=ns.theta0, x0=ns.x0,
-                                          z0=ns.z0, order=ns.order)
+                                          z0=ns.z0)
     raise CliError("no profile source given "
                    "(--x/--z/--a/--b or --ell/--beta)")
 
@@ -309,6 +303,8 @@ def build_parser() -> _Parser:
     _add_profile_source(pl)
     _add_tol(pl)
     _add_common(pl, out_required=False, grid_required=False)
+    pl.add_argument("--order", type=_int_within(0, ORDER_CAP), default=5,
+                    help="order of the labelled jets (0..%d)" % ORDER_CAP)
 
     pk = sub.add_parser("construct",
                         help="build a profile from prescribed curvature")
@@ -390,10 +386,7 @@ def build_parser() -> _Parser:
 
 def _curvature_roundtrip(ns, c):
     """Sup distance of the profile's (ell, beta) from --ell and --beta,
-    read from the profile's first derivatives: CliError at --order 0."""
-    if ns.order < 1:
-        raise CliError(f"{ns.command} reads ell and beta back from the "
-                       "profile's first derivatives: give --order 1 or more")
+    read from the first derivatives of its x, z, a and b."""
     pair = curvature_of(c)
     return {f"{name}_sup": float(np.max(np.abs(
                 np.atleast_1d(getattr(pair, name).value)
@@ -424,7 +417,7 @@ def _meta(ns, **extra):
 def _run_curve(ns):
     grid = _parse_grid(ns.grid)
     c = reconstruct_from_curvature(ns.ell, ns.beta, grid, theta0=ns.theta0,
-                                   x0=ns.x0, z0=ns.z0, order=ns.order)
+                                   x0=ns.x0, z0=ns.z0)
     payload = _meta(ns, legendre=_legendre_report(c),
                     curvature_roundtrip=_curvature_roundtrip(ns, c))
     _write(ns, curve=c, payload=payload)
@@ -484,12 +477,12 @@ def _run_classify(ns):
         payload = _meta(ns, family="gauss", orders=[m, n], **read,
                         record=export.classification_record(lab, ns.t0))
     elif ns.family == "revolution":
-        c = _profile(ns)
+        c = _profile(ns).truncated(ns.order)
         lab = revolution_singularity_classify(c, ns.t0, tol=ns.tol)
         payload = _meta(ns, family="revolution",
                         record=export.classification_record(lab, ns.t0))
     else:
-        c = _profile(ns)
+        c = _profile(ns).truncated(ns.order)
         d = curve_cusp_by_derivatives(c, ns.t0, tol=ns.tol)
         k = curve_cusp_by_curvature(c, ns.t0, tol=ns.tol)
         payload = _meta(ns, family="auto",
@@ -530,21 +523,20 @@ def _run_construct(ns):
                                  x0=ns.x0, sin_phi0=sin0,
                                  cos_sign=ns.cos_sign, z0=ns.z0,
                                  method=ns.method)
-        c = profile_from_gauss_ratio(prob, grid, order=ns.order)
+        c = profile_from_gauss_ratio(prob, grid)
     elif ns.subcommand == "gauss-jk":
         c = profile_from_JK(ns.J, ns.K, x0=ns.x0, grid=grid, t0=ns.t0,
-                            sin0=ns.sin0, cos_sign=ns.cos_sign, z0=ns.z0,
-                            order=ns.order)
+                            sin0=ns.sin0, cos_sign=ns.cos_sign, z0=ns.z0)
     elif ns.subcommand == "mean":
         prob = MeanRatioProblem(alpha=ns.alpha, beta=ns.beta, c1=ns.c1,
                                 c2=ns.c2, t0=ns.t0, z0=ns.z0)
-        c = profile_from_mean_ratio(prob, grid, order=ns.order)
+        c = profile_from_mean_ratio(prob, grid)
     elif ns.subcommand == "j-phi":
         c = profile_from_J_phi(ns.J, ns.phi, x0=ns.x0, grid=grid, t0=ns.t0,
-                               z0=ns.z0, order=ns.order)
+                               z0=ns.z0)
     else:
         c = profile_from_H_phi(ns.H, ns.phi, grid, c_a=ns.ca, t0=ns.t0,
-                               z0=ns.z0, order=ns.order)
+                               z0=ns.z0)
     surf = revolve(c, axis="z", n_theta=ns.n_theta)
     report = c.flags["construction"]
     payload = _meta(ns, report=report.as_dict(),

@@ -133,19 +133,20 @@ def _laurent_quotient(num, den):
 
 
 def _lattice(grid, t0, order):
-    """Fine lattice, internal jet order, the fine node nearest the anchor
-    and the anchor parameter, which None puts at the left end of the grid.
-    """
+    """Fine lattice, internal jet order max(order, ORDER_CAP) + 2, the fine
+    node nearest the anchor and the anchor parameter, which None puts at
+    the left end of the grid."""
     if order < 0:
         raise ValueError(f"jet order must be at least 0, got {order}")
     fg = FineGrid(grid)
+    io = max(order, ORDER_CAP) + 2
     lo, hi = fg.grid[0], fg.grid[-1]
     if t0 is None:
-        return fg, order + 2, 0, float(lo)
+        return fg, io, 0, float(lo)
     span = hi - lo
     if not lo - 1e-12 * span <= t0 <= hi + 1e-12 * span:   # NaN fails too
         raise ConstructionError(f"t0={t0} lies outside the grid [{lo}, {hi}]")
-    return fg, order + 2, nearest_node(fg.s, t0), t0
+    return fg, io, nearest_node(fg.s, t0), t0
 
 
 def _clipped_sin(S):
@@ -358,21 +359,19 @@ def _j_jets(fg, io, x2_s, J_j, b_j):
     return x_j, -(J_j / x_j)
 
 
-def _assemble(fg, io, z_s, x_j, a_j, b_j, ell_j, beta_j, report):
-    """The curve with z chained from its lattice values z_s; fills the
-    report's contact and norm residuals from the internal-order jets,
-    then cuts every jet to the order the caller asked for (io - 2)."""
+def _assemble(fg, order, z_s, x_j, a_j, b_j, ell_j, beta_j, report):
+    """The curve of the internal-order jets, z chained from its lattice
+    values z_s; fills the report's contact and norm residuals from those
+    jets, then cuts every jet to the order the caller asked for."""
     g = fg.grid
-    z_j = (beta_j * a_j).antiderivative(fg.at_coarse(z_s)).truncated(io)
-    rep = verify_legendre(LegendreCurve(CurveJet(g, x_j, z_j),
-                                        NormalJet(g, a_j, b_j)))
+    z_j = (beta_j * a_j).antiderivative(fg.at_coarse(z_s))
+    c = LegendreCurve(CurveJet(g, x_j, z_j), NormalJet(g, a_j, b_j),
+                      curvature=CurvaturePair(g, ell_j, beta_j),
+                      flags={"construction": report})
+    rep = verify_legendre(c)
     report.contact_residual = rep.max_contact_residual
     report.norm_residual = rep.max_norm_residual
-    x_j, z_j, a_j, b_j, ell_j, beta_j = (
-        j.truncated(io - 2) for j in (x_j, z_j, a_j, b_j, ell_j, beta_j))
-    return LegendreCurve(CurveJet(g, x_j, z_j), NormalJet(g, a_j, b_j),
-                         curvature=CurvaturePair(g, ell_j, beta_j),
-                         flags={"construction": report})
+    return c.truncated(order)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +589,7 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
     report = ConstructionReport(method, t0, flips=flips,
                                 flagged_nodes=flagged, ode_residual=ode_res,
                                 notes=notes)
-    return _assemble(fg, io, z_s, x_j, a_j, b_j, ell_j, beta_j, report)
+    return _assemble(fg, order, z_s, x_j, a_j, b_j, ell_j, beta_j, report)
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +630,7 @@ def profile_from_JK(J: str, K: str, x0: float, grid, t0: float | None = None,
     x_j, beta_j = _j_jets(fg, io, x2_s, _jet(J, g, io, "J"), b_j)
     report = ConstructionReport("jk_quadrature", t0, flips=flips,
                                 flagged_nodes=flagged, notes=notes)
-    return _assemble(fg, io, z_s, x_j, a_j, b_j, ell_j, beta_j, report)
+    return _assemble(fg, order, z_s, x_j, a_j, b_j, ell_j, beta_j, report)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +683,7 @@ def profile_from_mean_ratio(p: MeanRatioProblem, grid,
         "mean_ratio", t0,
         notes={"mean_identity_residual": ratio_resid,
                "x_min": float(np.min(x_s))})
-    return _assemble(fg, io, z_s, x_j, a_j, b_j, ell_j, beta_j, report)
+    return _assemble(fg, order, z_s, x_j, a_j, b_j, ell_j, beta_j, report)
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +708,7 @@ def profile_from_J_phi(J: str, phi: str, x0: float, grid,
     b_j, a_j = jets.sin_cos(phi_j)
     x_j, beta_j = _j_jets(fg, io, x2_s, J_j, b_j)
     report = ConstructionReport("j_phi_quadrature", t0)
-    return _assemble(fg, io, z_s, x_j, a_j, b_j, phi_j.differentiated(),
+    return _assemble(fg, order, z_s, x_j, a_j, b_j, phi_j.differentiated(),
                      beta_j, report)
 
 
@@ -750,4 +749,4 @@ def profile_from_H_phi(H: str, phi: str, grid, c_a: float = 0.0,
     beta_j = (2.0 * H_j - dphi_j * x_j) / a_j.truncated(io - 1)
 
     report = ConstructionReport("h_phi_quadrature", t0)
-    return _assemble(fg, io, z_s, x_j, a_j, b_j, dphi_j, beta_j, report)
+    return _assemble(fg, order, z_s, x_j, a_j, b_j, dphi_j, beta_j, report)

@@ -51,6 +51,15 @@ class LegendreCurve:
     def t(self) -> np.ndarray:
         return self.curve.t
 
+    def truncated(self, order: int) -> "LegendreCurve":
+        """Every jet cut to order, the curvature pair read before the cut."""
+        pair = curvature_pair_of(self)
+        x, z, a, b, ell, beta = (j.truncated(order) for j in (
+            self.curve.x, self.curve.z, self.normal.a, self.normal.b,
+            pair.ell, pair.beta))
+        return LegendreCurve(CurveJet(self.t, x, z), NormalJet(self.t, a, b),
+                             CurvaturePair(self.t, ell, beta), self.flags)
+
 
 class LegendreReport:
     def __init__(self, max_contact_residual: float, max_norm_residual: float,
@@ -71,10 +80,10 @@ def legendre_from_expressions(x_src, z_src, a_src, b_src, grid,
 
 
 def verify_legendre(c: LegendreCurve, tol: float = 1e-8) -> LegendreReport:
-    """Check the contact condition gamma'.nu = 0 and |nu| = 1 on the grid."""
+    """Check gamma'.nu = 0 and |nu| = 1 on the grid (ValueError at order 0)."""
     check_tol(tol)
-    xd = c.curve.x.derivative(1)
-    zd = c.curve.z.derivative(1)
+    xd = c.curve.x.differentiated().value
+    zd = c.curve.z.differentiated().value
     a, b = c.normal.a.value, c.normal.b.value
     contact = float(np.max(np.abs(xd * a + zd * b)))
     norm = float(np.max(np.abs(np.hypot(a, b) - 1.0)))

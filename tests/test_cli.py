@@ -263,76 +263,82 @@ def test_pole_of_a_negative_power_exits_two(ell, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["revolve", "--ell", "1", "--beta", "1", "--grid", "0:1:33"],
-    ["construct", "j-phi", "--J", "-t", "--phi", "1", "--x0", "1",
-     "--grid", "-0.9:0.9:33"],
-    ["construct", "h-phi", "--H", "0.5", "--phi", "0", "--grid", "0:1:33"],
+    ["--t0", "1", *CIRCLE, "--grid", "0:3:41"],
+    ["--family", "revolution", "--t0", "1", "--ell", "1", "--beta", "1",
+     "--grid", "0:3:41"],
+    ["--family", "gauss", "--t0", "0", "--a", "t", "--beta", "t"],
 ])
 @pytest.mark.parametrize("order", ["9", "-3", "x"])
 def test_jet_order_checked_at_parse_time(argv, order, tmp_path, capsys):
-    # --order takes 0..jets.ORDER_CAP on every command, as --theta its range
-    assert run([*argv, "--order", order, "--out", str(tmp_path / "o")]) == 1
+    # --order takes 0..jets.ORDER_CAP, as --theta its range
+    assert run(["classify", *argv, "--order", order,
+                "--out", str(tmp_path / "o")]) == 1
     assert "--order" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
-# Jets of order 0 hold values only: a command whose profile needs first
-# derivatives (ell and beta from --x/--z/--a/--b, the curvature round
-# trip) exits 1 naming --order 1; the others run.
-ORDER0_CIRCLE = [*CIRCLE, "--grid", "0:3:41", "--order", "0"]
+# --order sets the order of the jets classify labels; no other command
+# writes a jet coefficient, so none takes the flag, and each builds at the
+# default order
+SMALL_CIRCLE = [*CIRCLE, "--grid", "0:3:41"]
+WITHOUT_ORDER = {
+    "curve": ["curve", "from-curvature", "--ell", "1", "--beta", "1",
+              "--grid", "0:3:41"],
+    "revolve": ["revolve", *SMALL_CIRCLE],
+    "invariants": ["invariants", *SMALL_CIRCLE],
+    "construct-gauss": ["construct", "gauss", "--alpha", "-1", "--beta",
+                        "cot(t)", "--t0", "0.5", "--grid", "0.3:0.9:40"],
+    "construct-gauss-jk": ["construct", "gauss-jk", "--J", "-cos(t)", "--K",
+                           "cos(t)", "--x0", "1", "--grid", "0.3:0.9:40"],
+    "construct-mean": ["construct", "mean", "--alpha", "0", "--beta", "t",
+                       "--c1", "0.2", "--c2", "0.3", "--grid", "-1:1:41"],
+    "construct-j-phi": ["construct", "j-phi", "--J", "-t", "--phi", "1",
+                        "--x0", "1", "--grid", "-0.9:0.9:33"],
+    "construct-h-phi": ["construct", "h-phi", "--H", "0.5", "--phi", "0",
+                        "--grid", "0:1:33"],
+    "evolute": ["evolute", *SMALL_CIRCLE],
+    "parallel": ["parallel", "--lambda", "0.1", *SMALL_CIRCLE],
+    "check": ["check", *SMALL_CIRCLE],
+}
+
+
+@pytest.mark.parametrize("argv", WITHOUT_ORDER.values(), ids=WITHOUT_ORDER)
+def test_order_is_an_option_of_classify_only(argv, tmp_path, capsys):
+    base = str(tmp_path / "o")
+    assert run([*argv, "--order", "5", "--out", base]) == 1
+    assert "--order" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    assert run([*argv, "--out", base]) == 0
+
+
+@pytest.mark.parametrize("family", ["auto", "revolution"])
+def test_classify_from_expressions_runs_at_every_order(family, capsys):
+    # the profile is built at order 5 and its jets cut to --order; at
+    # --order 0 the command exited 1, as ell and beta read first
+    # derivatives, though the revolution family reads no curvature pair
+    argv = ["--family", family, "--t0", repr(PI / 2), *PS, "--grid", PS_GRID]
+    code, payload = _classify([*argv, "--order", "0"], capsys)
+    assert code == 0
+    records = ([payload["record"]] if family == "revolution"
+               else [payload["derivative"], payload["curvature"]])
+    assert {r["label"] for r in records} == {"unresolved"}
+    for order in range(1, 6):
+        assert _classify([*argv, "--order", str(order)], capsys)[0] == 0
+
+
+def test_classify_reads_the_curvature_pair_at_the_order_asked_for(capsys):
+    # the README's pseudo-sphere at --order 2: the pair came from order-2
+    # expressions, one order short, and the curvature criterion said "jet
+    # order too low"; it is now the order-5 pair cut to order 2
+    code, payload = _classify(["--t0", repr(PI / 2), *PS, "--grid", PS_GRID,
+                               "--order", "2"], capsys)
+    assert code == 0
+    assert payload["curvature"]["label"] == "cusp_3_2"
+    assert payload["derivative"]["label"] == "unresolved"
+
+
 ORDER0_PAIR = ["--ell", "1", "--beta", "1", "--x0", "1",
                "--grid", "0:3.141592653589793:41", "--order", "0"]
-
-
-@pytest.mark.parametrize("argv", [
-    ["revolve", *ORDER0_CIRCLE],
-    ["invariants", *ORDER0_CIRCLE],
-    ["parallel", "--lambda", "0.1", *ORDER0_CIRCLE],
-    ["check", *ORDER0_CIRCLE],
-    ["check", *ORDER0_PAIR],
-    ["evolute", *ORDER0_CIRCLE],
-    ["classify", "--t0", "1", *ORDER0_CIRCLE],
-    ["classify", "--family", "revolution", "--t0", "1", *ORDER0_CIRCLE],
-    ["curve", "from-curvature", *ORDER0_PAIR],
-], ids=["revolve", "invariants", "parallel", "check", "check-ell-beta",
-        "evolute", "classify-auto", "classify-revolution", "curve"])
-def test_order_zero_without_derivatives_exits_one(argv, tmp_path, capsys):
-    # before, each stopped on "cannot differentiate an order-0 jet" or
-    # "max() arg is an empty sequence" and exited 2
-    assert run([*argv, "--out", str(tmp_path / "o")]) == 1
-    assert "--order 1 or more" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
-
-
-def test_evolute_of_order_zero_jets_keeps_the_axis_locus(tmp_path):
-    # the unit circle about the origin: both evolutes are its centre.
-    # Order-0 jets cannot revolve the first; the axis locus needs values
-    # only, and at pi/2, where a = cos t vanishes, the structure equations
-    base = str(tmp_path / "evo")
-    assert run(["evolute", *ORDER0_PAIR, "--out", base]) == 0
-    payload = read_json(base + ".json")
-    assert list(payload["diagnostics"]) == ["first"]
-    assert "order 0" in payload["diagnostics"]["first"]
-    assert payload["axis_flagged_nodes"] == []
-    np.testing.assert_allclose(payload["axis_curve"], np.zeros((41, 3)),
-                               atol=1e-9)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["evo.json"]
-
-
-def test_evolute_of_order_one_expressions_keeps_the_axis_locus(tmp_path):
-    # ell and beta of order-1 expressions are of order 0, and so is the
-    # evolute: the axis locus z - x b / a matches the order-5 run
-    base = str(tmp_path / "evo")
-    circle = [*CIRCLE, "--grid", "0:3:41"]
-    assert run(["evolute", *circle, "--order", "1", "--out", base]) == 0
-    payload = read_json(base + ".json")
-    assert "order 0" in payload["diagnostics"]["first"]
-    assert run(["evolute", *circle, "--out", base + "5"]) == 0
-    want = read_json(base + "5.json")
-    assert "first" not in want["diagnostics"]
-    assert payload["axis_flagged_nodes"] == want["axis_flagged_nodes"]
-    np.testing.assert_allclose(payload["axis_curve"], want["axis_curve"],
-                               atol=1e-9)
 
 
 def test_classify_of_order_zero_jets_is_unresolved(capsys):

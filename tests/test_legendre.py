@@ -45,6 +45,19 @@ def test_non_orthogonal_pair_fails_verification():
     assert rep.max_contact_residual > 0.5
 
 
+def test_order_zero_jets_cannot_pass_verification():
+    # gamma' = (1, 2t) is no multiple of nu's quarter-turn: at order 1 the
+    # contact residual is 2.2; jets of order 0 hold no gamma', and the
+    # check read it as 0 and passed
+    g = uniform_grid(0.0, 1.0, 33)
+    c = legendre_from_expressions("t", "t^2", "0.6", "0.8", g, 1)
+    rep = verify_legendre(c)
+    assert not rep.passed and abs(rep.max_contact_residual - 2.2) < 1e-12
+    c = legendre_from_expressions("t", "t^2", "0.6", "0.8", g, 0)
+    with pytest.raises(ValueError, match="order-0 jet"):
+        verify_legendre(c)
+
+
 def test_cusp_curve_curvature_matches_sympy():
     t = sp.Symbol("t")
     r = sp.sqrt(9 * t**2 + 4)

@@ -370,6 +370,37 @@ def test_evolute_bundle_degenerate_turning():
     assert "first" in bundle.diagnostics
 
 
+def test_evolute_of_order_zero_jets_keeps_the_axis_locus():
+    # the unit circle about the origin: both evolutes are its centre.
+    # Order-0 jets cannot revolve the first; the axis locus needs values
+    # only, and at pi/2, where a = cos t vanishes, the structure equations
+    # give the first derivatives the jets lack
+    g = uniform_grid(0.0, np.pi, 41)
+    c = reconstruct_from_curvature("1", "1", g, x0=1.0, order=0)
+    bundle = revolution_evolutes(c, n_theta=8)
+    assert list(bundle.diagnostics) == ["first"]
+    assert "order 0" in bundle.diagnostics["first"]
+    assert bundle.first_profile is None and bundle.first_surface is None
+    assert np.flatnonzero(bundle.axis_flags).tolist() == []
+    np.testing.assert_allclose(bundle.axis_curve, np.zeros((41, 3)),
+                               atol=1e-9)
+
+
+def test_evolute_of_order_one_expressions_keeps_the_axis_locus():
+    # ell and beta of order-1 expressions are of order 0, and so is the
+    # evolute: the axis locus z - x b / a matches the order-5 run
+    g = uniform_grid(0.0, 3.0, 41)
+    c, full = (legendre_from_expressions("2+cos(t)", "sin(t)", "cos(t)",
+                                         "sin(t)", g, k) for k in (1, 5))
+    bundle = revolution_evolutes(c, n_theta=8)
+    assert "order 0" in bundle.diagnostics["first"]
+    want = revolution_evolutes(full, n_theta=8)
+    assert "first" not in want.diagnostics
+    np.testing.assert_array_equal(bundle.axis_flags, want.axis_flags)
+    np.testing.assert_allclose(bundle.axis_curve, want.axis_curve,
+                               atol=1e-9)
+
+
 @pytest.mark.parametrize("source, order", [("pair", 0), ("expressions", 1)])
 def test_evolute_bundle_of_order_zero_evolute_jets(source, order):
     # the evolute's jets are of order 0: its revolute would differentiate
