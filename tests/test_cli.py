@@ -351,6 +351,19 @@ def test_classify_of_order_zero_jets_is_unresolved(capsys):
         assert "jet order too low" in payload[key]["criterion_values"]["note"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", *SMALL_CIRCLE, "--order", "0"],
+    ["check", *ORDER0_PAIR],
+], ids=["check", "check-ell-beta"])
+def test_order_zero_without_derivatives_exits_one(argv, tmp_path, capsys):
+    # check reads first derivatives of its profile, from --x/--z/--a/--b
+    # or through the curvature round trip; it builds at the default order
+    # and refuses --order 0 as it refuses any --order
+    assert run([*argv, "--out", str(tmp_path / "o")]) == 1
+    assert "--order" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_rk4_overflow_exits_two(tmp_path):
     base = str(tmp_path / "overflow")
     code = run(["construct", "gauss", "--alpha", "1", "--beta", "exp(30*t)",
