@@ -17,6 +17,10 @@ the anchor, or every node within the radius of a Frobenius series at a
 regular singular point of the ratio, its coefficients computed from the
 Laurent jets of alpha and beta at t0 (expr.eval_laurent).  Every construction
 holds its prescribed values at t0 itself (FineGrid.cumulative_from).
+Each lattice array is released once its values at the grid nodes or its
+antiderivative are taken, and the RK4 sweep and the touch expansions run
+in place over blocks of _BLOCK samples, so that a construction holds a
+few lattice-length arrays at a time (README).
 Any finite, strictly increasing grid will do: RK4, the quadrature and
 the series region read the lattice's own steps, the touch locator the
 grid's.  Each touch, where |sin phi| = 1, is located and expanded once
@@ -25,6 +29,7 @@ grid's.  Each touch, where |sin phi| = 1, is located and expanded once
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -41,6 +46,7 @@ FLIP_TOL = 1e-8          # |sin phi| at a zero of (sin phi)' within this of 1 ->
 SIN_EXCESS_TOL = 1e-9    # |sin phi| beyond 1 + this -> inconsistent data
 COS_TOL = 1e-8           # |cos phi| within this (relative) of 0 -> (H, phi) rejects
 SERIES_ORDER = 12        # Frobenius coefficients c_0..c_12; data to twice that
+_BLOCK = 4096            # lattice samples per block of a blocked lattice pass
 
 
 class GaussRatioProblem:
@@ -146,18 +152,34 @@ def _lattice(grid, t0, order):
     span = hi - lo
     if not lo - 1e-12 * span <= t0 <= hi + 1e-12 * span:   # NaN fails too
         raise ConstructionError(f"t0={t0} lies outside the grid [{lo}, {hi}]")
-    return fg, io, nearest_node(fg.s, t0), t0
+    return fg, io, fg.nearest(t0), t0
 
 
-def _clipped_sin(S):
-    """sin(phi) on the lattice clipped to [-1, 1]; ConstructionError where
-    |sin phi| exceeds 1 by more than SIN_EXCESS_TOL."""
-    top = float(np.max(np.abs(S)))
+def _blocks(span):
+    """The slice span of a lattice cut into blocks of _BLOCK samples."""
+    return [slice(lo, min(lo + _BLOCK, span.stop))
+            for lo in range(span.start, span.stop, _BLOCK)]
+
+
+def _within(s, t, r):
+    """The slice of the increasing lattice s where abs(s - t) <= r holds,
+    as that array test decides it: s - t rounds monotonically, so the
+    samples that pass are consecutive and two bisections find them."""
+    nodes = range(s.size)
+    lo = bisect.bisect_left(nodes, True, key=lambda k: s[k] - t >= -r)
+    hi = bisect.bisect_left(nodes, True, key=lambda k: s[k] - t > r)
+    return slice(lo, max(lo, hi))
+
+
+def _clip_sin(S):
+    """Clip sin(phi) on the lattice to [-1, 1] in place; ConstructionError
+    where |sin phi| exceeds 1 by more than SIN_EXCESS_TOL."""
+    top = max(float(np.max(S)), -float(np.min(S)))
     if top - 1.0 > SIN_EXCESS_TOL:
         raise ConstructionError(
             f"|sin phi| exceeds 1 by {top - 1.0:.3e}; prescribed data "
             "inconsistent", max_sin=top)
-    return np.clip(S, -1.0, 1.0)
+    np.clip(S, -1.0, 1.0, out=S)
 
 
 def _settled(c, delta, floor):
@@ -172,18 +194,35 @@ def _settled(c, delta, floor):
     return None
 
 
+def _end_touch(db, b_j, f, i, h):
+    """The touch (t*, its nearest node) that Newton from the grid end f,
+    on the (sin phi)' jet at its node i, lands on beyond its one-step
+    reach, or None when the iterate leaves the grid or is no touch."""
+    g = db.t
+    far = jets.newton(db.coeffs[:, i], g[i], f, math.inf)
+    if far is None or not g[0] <= far <= g[-1]:
+        return None
+    i = nearest_node(g, far)
+    zero = jets.newton(db.coeffs[:, i], g[i], far, h)
+    if zero is None or abs(jets.shift(b_j.coeffs[:, i], zero - g[i], 0)[0]
+                           ) < 1.0 - FLIP_TOL:
+        return None
+    return zero, i
+
+
 def _angle_jets(fg, b_j, Sc, i0, anchor, cos_sign, touch, expand, notes):
     """cos(phi) and ell jets from the sin(phi) jets b_j at the coarse nodes,
     and cos(phi) on the lattice from its clipped sin(phi) samples Sc.
 
     A touch t* (README) is a zero of (sin phi)' where |sin phi| reaches
     1 - FLIP_TOL, found by jets.newton from a grid end or the secant zero
-    of a grid interval where (sin phi)' changes sign.  cos(phi) has sign
-    cos_sign at the anchor (sample i0) and flips at each t* off the
-    lattice's end samples, at the anchor if near i0 and the seed is a
-    touch.  Near each t* the jets and the lattice cos(phi) come from one
-    expansion, of the sin phi jet expand(t*, n, at) (at(j): jet j at t*);
-    a sample beyond them with |sin phi| >= 1 - FLIP_TOL is refused.
+    of a grid interval where (sin phi)' changes sign; from a grid end it
+    may lie beyond Newton's one-step reach.  cos(phi) has sign cos_sign at
+    the anchor (sample i0) and flips at each t* off the lattice's end
+    samples, at the anchor if near i0 and the seed is a touch.  Near each
+    t* the jets and the lattice cos(phi) come from one expansion, of the
+    sin phi jet expand(t*, n, at) (at(j): jet j at t*); a sample beyond
+    them with |sin phi| >= 1 - FLIP_TOL is refused.
     Returns (a_j, ell_j, the nodes near a touch, the t*, lattice cos phi).
     """
     g, s, io = fg.grid, fg.s, b_j.order
@@ -203,19 +242,31 @@ def _angle_jets(fg, b_j, Sc, i0, anchor, cos_sign, touch, expand, notes):
         if (abs(S0) >= 1.0 - FLIP_TOL                        # a touch,
                 and (not stars or ts - stars[-1][0] > h)):   # not its twin
             if not found and f in (g[0], g[-1]):
-                raise ConstructionError(
-                    f"|sin phi| reaches 1 at the grid end t={ts:.6g}, but "
-                    f"(sin phi)' = {S1:.3g}: cos phi = 0, ell unbounded", t=ts)
+                star = _end_touch(db, b_j, f, i, h)
+                if star is None:
+                    raise ConstructionError(
+                        f"|sin phi| reaches 1 at the grid end t={ts:.6g}, but "
+                        f"(sin phi)' = {S1:.3g}: cos phi = 0, ell unbounded",
+                        t=ts)
+                ts, i = float(star[0]), star[1]
+                if stars and ts - stars[-1][0] <= h:
+                    continue
             stars.append((ts, i))
     flips = [ts for ts, _ in stars]
-    js = [nearest_node(s, t) for t in flips]   # an end sample marks nothing
+    js = [fg.nearest(t) for t in flips]   # an end sample marks nothing
     marks = [anchor if touch and abs(j - i0) <= 1 else t
              for t, j in zip(flips, js) if 0 < j < s.size - 1]
-    # sign at position p: cos_sign * (-1)^(number of marks between anchor and p)
-    n = np.searchsorted(marks, np.append(s, anchor), side="left")
-    sigma = np.where((n[:-1] - n[-1]) % 2 == 0, cos_sign, -cos_sign)
-    C_s = sigma * np.sqrt(np.maximum(1.0 - Sc * Sc, 0.0))
-    lost = np.abs(Sc) >= 1.0 - FLIP_TOL   # lattice samples at a touch
+    start = np.searchsorted(marks, anchor)
+
+    def sign(t):
+        """cos_sign * (-1)^(number of marks between the anchor and t)."""
+        n = np.searchsorted(marks, t) - start
+        return np.where(n % 2 == 0, cos_sign, -cos_sign)
+
+    # lattice samples at a touch
+    lost = Sc >= 1.0 - FLIP_TOL
+    lost |= Sc <= FLIP_TOL - 1.0
+    expansions = []   # (lattice slice, t*, cos phi jet at t*) of each touch
     for ts, i in stars:
         S = expand(ts, 2 * (ORDER_CAP + 2),   # at every order, as at 5
                    lambda j: jets.shift(j.coeffs[:, i], ts - g[i], 0)[0])
@@ -223,10 +274,10 @@ def _angle_jets(fg, b_j, Sc, i0, anchor, cos_sign, touch, expand, notes):
         S = Jet(ts, [math.copysign(1.0, S0), 0.0] + S.rows[2:])
         g2 = Laurent(1.0 - S * S, -2).taylor()    # / (t - t*)^2
         room = min([abs(o - ts) / 2 for o in flips if o != ts] + [span])
-        side = 1.0 if ts + room / 4 <= s[-1] else -1.0   # sigma after t*:
-        sign = side * sigma[nearest_node(s, ts + side * room / 4)]
+        side = 1.0 if ts + room / 4 <= s[-1] else -1.0   # sign after t*:
+        after = side * sign(s[fg.nearest(ts + side * room / 4)])
         try:   # DomainError: 1 - sin^2 has no double zero at t*
-            a = Laurent(sign * jets.sqrt(g2), 1).taylor()
+            a = Laurent(after * jets.sqrt(g2), 1).taylor()
             ell = (Laurent(S.differentiated()) / Laurent(a)).taylor()
             w = min(_settled(c.coeffs, room, h) or 0.0 for c in (a, ell))
         except DomainError:
@@ -236,8 +287,8 @@ def _angle_jets(fg, b_j, Sc, i0, anchor, cos_sign, touch, expand, notes):
                 f"the expansion at the touch t={ts:.6g} does not settle "
                 "beyond a grid step: no simple touch", t=ts)
         near = np.flatnonzero(np.abs(g - ts) <= w)
-        fine = np.abs(s - ts) <= w
-        C_s[fine] = jets.shift(a.coeffs, s[fine] - ts, 0)[0]
+        fine = _within(s, ts, w)
+        expansions.append((fine, ts, a))
         lost[fine] = False
         for out, c in ((a_co, a), (ell_co, ell)):
             out[:, near] = jets.shift(c.coeffs, g[near] - ts, len(out) - 1)
@@ -249,11 +300,31 @@ def _angle_jets(fg, b_j, Sc, i0, anchor, cos_sign, touch, expand, notes):
         tb = float(s[lost][0])
         raise ConstructionError(f"|sin phi| reaches 1 at t={tb:.6g}, away "
                                 "from every located touch", t=tb)
-    b = b_j.at(~served)
+    del lost
+    free = ~served
+    b = b_j.at(free)
     sq = evaluated("cos phi", lambda _, r: jets.sqrt(r), "sqrt(1-sin(phi)^2)",
                    1.0 - b * b)
-    a_co[:, ~served] = sq.coeffs * sigma[fg.coarse_index][~served]
-    ell_co[:, ~served] = (db.at(~served) / Jet(b.t, a_co[:io, ~served])).coeffs
+    del b
+    a_co[:, free] = sq.coeffs * sign(g[free])
+    del sq
+    ell_co[:, free] = (db.at(free) / Jet(g[free], a_co[:io, free])).coeffs
+
+    # cos phi on the lattice, made once the coarse work is done: |cos phi|,
+    # its sign flipped past each mark as sign() flips it (the samples
+    # between two marks share the sign of the later), and each touch's
+    # expansion near it
+    C_s = np.multiply(Sc, Sc)
+    np.subtract(1.0, C_s, out=C_s)
+    np.maximum(C_s, 0.0, out=C_s)
+    np.sqrt(C_s, out=C_s)
+    ends = np.searchsorted(s, marks, side="right").tolist()
+    for lo, hi, m in zip([0] + ends, ends + [s.size], marks + [math.inf]):
+        if sign(m) < 0:
+            np.multiply(-1.0, C_s[lo:hi], out=C_s[lo:hi])
+    for fine, ts, a in expansions:
+        for blk in _blocks(fine):
+            C_s[blk] = jets.shift(a.coeffs, s[blk] - ts, 0)[0]
     return (Jet(g, a_co), Jet(g, ell_co), np.flatnonzero(served).tolist(),
             flips, C_s)
 
@@ -296,18 +367,21 @@ def _rk4_step(xc, Sc, b0, a0, b1, a1, b2, a2, h):
 
 
 def _prefix_products(m):
-    """Products M_k ... M_1 M_0 of the 2x2 matrices m[:, :, k] by
-    Hillis-Steele doubling, log2(n) array passes between m and one more
-    buffer; returns the buffer that holds them (m is overwritten)."""
-    src, dst = m, np.empty_like(m)
+    """Products M_k ... M_1 M_0 of the 2x2 matrices m[:, :, k], in place,
+    by Hillis-Steele doubling: log2(n) passes, each over blocks of _BLOCK
+    matrices taken from the last one down, so that a block reads only
+    entries its pass has not written yet.  Returns m."""
+    n = m.shape[-1]
+    buf = np.empty(m.shape[:-1] + (min(n, _BLOCK),))
     d = 1
-    while d < m.shape[-1]:
-        np.einsum("ijk,jlk->ilk", src[..., d:], src[..., :-d],
-                  out=dst[..., d:])
-        dst[..., :d] = src[..., :d]
-        src, dst = dst, src
+    while d < n:
+        for blk in reversed(_blocks(slice(d, n))):
+            out = buf[..., :blk.stop - blk.start]
+            np.einsum("ijk,jlk->ilk", m[..., blk],
+                      m[..., blk.start - d:blk.stop - d], out=out)
+            m[..., blk] = out
         d *= 2
-    return src
+    return m
 
 
 def _rk4_path(s, f_node, f_mid, x0, S0):
@@ -318,27 +392,33 @@ def _rk4_path(s, f_node, f_mid, x0, S0):
     midpoints, in the order of s.  Each interval takes its own step, so a
     reversed lattice (negative steps) integrates toward smaller t.  The
     system is linear, so an RK4 step is a 2x2 matrix (the step applied to
-    the unit vectors) and the sweep is a prefix product of those matrices.
-    Returns the rows x and S at every node of s.
+    the unit vectors) and the sweep is a prefix product of those matrices,
+    which fill one array block by block.  Returns the rows x and S at every
+    node of s, a view of that array.
     """
     (b, a), (b_mid, a_mid) = f_node, f_mid
-    coeffs = (b[:-1], a[:-1], b_mid, a_mid, b[1:], a[1:], np.diff(s))
-    m = np.empty((2, 2, s.size - 1))
-    m[0, 0], m[1, 0] = _rk4_step(1.0, 0.0, *coeffs)
-    m[0, 1], m[1, 1] = _rk4_step(0.0, 1.0, *coeffs)
-    m = _prefix_products(m)
-    xS = np.empty((2, s.size))
-    xS[:, 0] = x0, S0
-    xS[:, 1:] = m[:, 0] * x0 + m[:, 1] * S0
-    return xS
+    m = np.empty((2, 2, s.size))     # column k + 1 holds step k
+    for blk in _blocks(slice(0, s.size - 1)):
+        nxt = slice(blk.start + 1, blk.stop + 1)
+        coeffs = (b[blk], a[blk], b_mid[blk], a_mid[blk], b[nxt], a[nxt],
+                  np.diff(s[blk.start:blk.stop + 1]))
+        m[0, 0, nxt], m[1, 0, nxt] = _rk4_step(1.0, 0.0, *coeffs)
+        m[0, 1, nxt], m[1, 1, nxt] = _rk4_step(0.0, 1.0, *coeffs)
+    steps = m[..., 1:]
+    _prefix_products(steps)
+    np.multiply(steps[:, 0], x0, out=steps[:, 0])
+    np.multiply(steps[:, 1], S0, out=steps[:, 1])
+    np.add(steps[:, 0], steps[:, 1], out=steps[:, 0])
+    m[:, 0, 0] = x0, S0
+    return m[:, 0]
 
 
 def _j_lattice(fg, t0, x0, z0, J_s, sin_s, cos_s, why=""):
-    """Squared axis distance and z on the lattice from prescribed J and
-    the normal angle phi.
+    """Squared axis distance and z at the grid nodes from prescribed J and
+    the normal angle phi on the lattice.
 
     x^2 = x0^2 + 2*int(J sin phi) must stay positive; beta = -J/x and
-    z = z0 + int(beta cos phi).  Returns (x^2, z) on the lattice.
+    z = z0 + int(beta cos phi).  Returns (x^2, z) at the grid nodes.
     """
     s = fg.s
     x2_s = x0 * x0 + 2.0 * fg.cumulative_from(J_s * sin_s, t0, 0.0)
@@ -348,23 +428,24 @@ def _j_lattice(fg, t0, x0, z0, J_s, sin_s, cos_s, why=""):
         raise ConstructionError(
             f"squared axis distance becomes non-positive at t={tb:.6g}{why}",
             t=float(tb))
-    return x2_s, fg.cumulative_from(-J_s / np.sqrt(x2_s) * cos_s, t0, z0)
+    z_s = fg.cumulative_from(-J_s / np.sqrt(x2_s) * cos_s, t0, z0)
+    return fg.at_coarse(x2_s), fg.at_coarse(z_s)
 
 
-def _j_jets(fg, io, x2_s, J_j, b_j):
+def _j_jets(io, x2_c, J_j, b_j):
     """The x and beta jets from the J and sin phi jets by the relations of
-    _j_lattice, x^2 chained from its lattice values x2_s."""
-    rad_j = (2.0 * (J_j * b_j)).antiderivative(fg.at_coarse(x2_s)).truncated(io)
+    _j_lattice, x^2 chained from its values at the grid nodes, x2_c."""
+    rad_j = (2.0 * (J_j * b_j)).antiderivative(x2_c).truncated(io)
     x_j = jets.sqrt(rad_j)
     return x_j, -(J_j / x_j)
 
 
-def _assemble(fg, order, z_s, x_j, a_j, b_j, ell_j, beta_j, report):
-    """The curve of the internal-order jets, z chained from its lattice
-    values z_s; fills the report's contact and norm residuals from those
-    jets, then cuts every jet to the order the caller asked for."""
-    g = fg.grid
-    z_j = (beta_j * a_j).antiderivative(fg.at_coarse(z_s))
+def _assemble(g, order, z_c, x_j, a_j, b_j, ell_j, beta_j, report):
+    """The curve of the internal-order jets on the grid g, z chained from
+    its lattice values at the grid nodes, z_c; fills the report's contact
+    and norm residuals from those jets, then cuts every jet to the order
+    the caller asked for."""
+    z_j = (beta_j * a_j).antiderivative(z_c)
     c = LegendreCurve(CurveJet(g, x_j, z_j), NormalJet(g, a_j, b_j),
                       curvature=CurvaturePair(g, ell_j, beta_j),
                       flags={"construction": report})
@@ -452,7 +533,10 @@ def _frobenius_data(p, alpha, fg, i0):
         c[n] = -acc / Fn
 
     lo, hi = fg.grid[0], fg.grid[-1]
-    step = float(np.max(fg.fine_step[max(i0 - 1, 0):i0 + 1]))
+    # the larger fine step beside node i0: of fine intervals i0 - 1 and i0
+    k = fg.refine
+    step = float(np.max(fg.step[max(i0 - 1, 0) // k:
+                                min(i0, fg.s.size - 2) // k + 1]))
     left, right = t0 - lo, hi - t0
     two_sided = left > 4 * step and right > 4 * step
     room = min(0.6 * (min if two_sided else max)(left, right), 0.5 * (hi - lo))
@@ -489,8 +573,7 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
                                         or alpha.valuation() < 0)
 
     beta_s = _values(p.beta, s, "beta")
-    mid = 0.5 * (s[:-1] + s[1:])
-    beta_m = _values(p.beta, mid, "beta")
+    beta_m = _values(p.beta, 0.5 * (s[:-1] + s[1:]), "beta")   # midpoints
     ab = f"({p.alpha})*({p.beta})"
 
     def ab_values(t, beta_t):
@@ -500,29 +583,43 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
                          lambda _, t: expr.eval_values(p.alpha, t) * beta_t,
                          ab, t)
 
-    x_s, S_s = np.empty((2, s.size))
+    # sin phi is kept on the lattice; x at the grid nodes, with whether it
+    # is finite on the lattice, and at the seeded nodes the sweeps start from
+    S_s, x_c = np.empty(s.size), np.empty(g.size)
+    x_ok = np.empty(s.size, dtype=bool)
+
+    def keep_x(lo, x):
+        """Record x, given at the lattice samples lo, lo + 1, ..."""
+        hi = lo + x.size
+        np.isfinite(x, out=x_ok[lo:hi])
+        k = slice(-(-lo // fg.refine), (hi - 1) // fg.refine + 1)
+        x_c[k] = x[fg.coarse_index[k] - lo]
 
     if not use_series:
         method, notes, radius, sin_t0 = "gauss_rk4", {}, -np.inf, p.sin_phi0
         iL = iR = i0
-        x_s[i0], S_s[i0] = p.x0, p.sin_phi0
+        x_i0, S_s[i0] = p.x0, p.sin_phi0
         if s[i0] != t0:   # carry the seed from t0 to its node
             ts = np.array([t0, 0.5 * (t0 + s[i0]), s[i0]])
             bv = _values(p.beta, ts, "beta")
             av = ab_values(ts, bv)
-            x_s[i0], S_s[i0] = _rk4_step(p.x0, p.sin_phi0, bv[0], av[0], bv[1],
-                                         av[1], bv[2], av[2], s[i0] - t0)
+            x_i0, S_s[i0] = _rk4_step(p.x0, p.sin_phi0, bv[0], av[0], bv[1],
+                                      av[1], bv[2], av[2], s[i0] - t0)
+        seed_x = {i0: x_i0}
     else:
         method = "gauss_frobenius"
         r, c, radius, notes, beta0 = _frobenius_data(p, alpha, fg, i0)
         rows = np.append(np.zeros(int(r)), c)   # x in powers of t - t0
-        seeded = np.flatnonzero(np.abs(s - t0) <= radius)   # holds i0
-        iL, iR = int(seeded[0]), int(seeded[-1])
-        near = np.s_[iL:iR + 1]
-        x_s[near], dx = jets.shift(rows, s[near] - t0, 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            S_s[near] = -dx / beta_s[near]
-        if s[i0] == t0 and abs(beta_s[i0]) < DIV_TOL * (1 + abs(dx[i0 - iL])):
+        near = _within(s, t0, radius)   # holds i0
+        iL, iR = near.start, near.stop - 1
+        for blk in _blocks(near):
+            x, dx = jets.shift(rows, s[blk] - t0, 1)
+            keep_x(blk.start, x)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                S_s[blk] = -dx / beta_s[blk]
+        ends = jets.shift(rows, s[[iL, iR, i0]] - t0, 1)
+        seed_x, dx0 = {iL: ends[0, 0], iR: ends[0, 1]}, ends[1, 2]
+        if s[i0] == t0 and abs(beta_s[i0]) < DIV_TOL * (1 + abs(dx0)):
             # beta vanishes at t0: divide as at the coarse nodes (README)
             q = -Laurent(Jet(t0, rows).differentiated()) / beta0
             S_s[i0] = q.taylor().value if q.valuation() >= 0 else np.nan
@@ -534,27 +631,36 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
         notes.update(sin_phi0_ignored=True, series_sin_phi0=float(sin_t0),
                      ode_residual_excludes_series_nodes=True)
 
+    def sweep(nodes, mids, way, seed):
+        """RK4 over the lattice nodes, in the order way, from the seeded
+        node seed; its arrays die with the call."""
+        t = s[nodes]
+        b, b_mid = beta_s[nodes], beta_m[mids]
+        f_node = (b[way], ab_values(t, b)[way])
+        f_mid = (b_mid[way], ab_values(0.5 * (t[:-1] + t[1:]), b_mid)[way])
+        S = S_s[nodes][way]
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, S[:] = _rk4_path(t[way], f_node, f_mid, seed_x[seed], S[0])
+        keep_x(nodes.start, x[way])
+
     # sweep from the seeded nodes to both ends, the left one over the
     # reversed lattice; alpha*beta is evaluated only here, away from a
     # pole at t0
-    for nodes, mids, way in ((np.s_[:iL + 1], np.s_[:iL], np.s_[::-1]),
-                             (np.s_[iR:], np.s_[iR:], np.s_[:])):
-        t = s[nodes]
-        if t.size > 1:
-            b, b_mid = beta_s[nodes], beta_m[mids]
-            f_node = (b[way], ab_values(t, b)[way])
-            f_mid = (b_mid[way], ab_values(mid[mids], b_mid)[way])
-            x, S = x_s[nodes][way], S_s[nodes][way]
-            with np.errstate(over="ignore", invalid="ignore"):
-                x[:], S[:] = _rk4_path(t[way], f_node, f_mid, x[0], S[0])
-    bad = np.flatnonzero(~(np.isfinite(x_s) & np.isfinite(S_s)))
+    for nodes, mids, way, seed in (
+            (slice(0, iL + 1), slice(0, iL), np.s_[::-1], iL),
+            (slice(iR, s.size), slice(iR, s.size - 1), np.s_[:], iR)):
+        if nodes.stop - nodes.start > 1:
+            sweep(nodes, mids, way, seed)
+    del beta_m
+    bad = np.flatnonzero(~(x_ok & np.isfinite(S_s)))
     if bad.size:   # both sweeps run outward: name the node nearest t0
         tb = float(s[bad[np.argmin(np.abs(s[bad] - t0))]])
         raise ConstructionError(
             f"the RK4 sweep overflows: x or sin phi is not finite at "
             f"t={tb:.6g}", t=tb)
 
-    Sc = _clipped_sin(S_s)
+    del x_ok
+    _clip_sin(S_s)
 
     beta_j = _jet(p.beta, g, io, "beta")
     # coarse nodes inside the series radius (none for RK4); alpha may have
@@ -564,8 +670,7 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
     if (~in_c).any():
         ab_co[:, ~in_c] = _jet(ab, g[~in_c], io, "alpha*beta").coeffs
     ab_j = Jet(g, ab_co)
-    x_j, b_j = _system_jets(beta_j, ab_j, fg.at_coarse(x_s),
-                            fg.at_coarse(Sc), io)
+    x_j, b_j = _system_jets(beta_j, ab_j, x_c, fg.at_coarse(S_s), io)
     if in_c.any():   # series nodes: x from the series, sin phi = -x'/beta
         nodes = np.flatnonzero(in_c)
         x_j.coeffs[:, nodes] = jets.shift(rows, g[nodes] - t0, io)
@@ -579,8 +684,12 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
             ab, ts, n, "alpha*beta"), at(x_j), at(b_j), n)[1]
 
     a_j, ell_j, flagged, flips, C_s = _angle_jets(
-        fg, b_j, Sc, i0, t0, p.cos_sign, abs(sin_t0) == 1.0, expand, notes)
-    z_s = fg.cumulative_from(beta_s * C_s, t0, p.z0)
+        fg, b_j, S_s, i0, t0, p.cos_sign, abs(sin_t0) == 1.0, expand, notes)
+    del S_s
+    beta_cos = np.multiply(beta_s, C_s, out=C_s)
+    del beta_s, C_s
+    z_c = fg.at_coarse(fg.cumulative_from(beta_cos, t0, p.z0))
+    del beta_cos
 
     resid = (beta_j.value * x_j.derivative(2)
              - beta_j.derivative(1) * x_j.derivative(1)
@@ -589,7 +698,7 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
     report = ConstructionReport(method, t0, flips=flips,
                                 flagged_nodes=flagged, ode_residual=ode_res,
                                 notes=notes)
-    return _assemble(fg, order, z_s, x_j, a_j, b_j, ell_j, beta_j, report)
+    return _assemble(g, order, z_c, x_j, a_j, b_j, ell_j, beta_j, report)
 
 
 # ---------------------------------------------------------------------------
@@ -613,24 +722,24 @@ def profile_from_JK(J: str, K: str, x0: float, grid, t0: float | None = None,
     fg, io, i0, t0 = _lattice(grid, t0, order)
     g, s = fg.grid, fg.s
     J_s = _values(J, s, "J")
-    K_s = _values(K, s, "K")
-    S_s = sin0 - fg.cumulative_from(K_s, t0, 0.0)
-    Sc = _clipped_sin(S_s)
-    b_j = (-_jet(K, g, io, "K")).antiderivative(
-        fg.at_coarse(S_s)).truncated(io)
+    S_s = fg.cumulative_from(_values(K, s, "K"), t0, 0.0)
+    S_c = fg.at_coarse(np.subtract(sin0, S_s, out=S_s))
+    _clip_sin(S_s)
+    b_j = (-_jet(K, g, io, "K")).antiderivative(S_c).truncated(io)
 
     def expand(ts, n, at):   # the antiderivative of -K through sin phi
         return (-_jet(K, ts, n - 1, "K")).antiderivative(at(b_j))
 
     notes = {}
     a_j, ell_j, flagged, flips, C_s = _angle_jets(
-        fg, b_j, Sc, i0, t0, cos_sign, abs(sin0) == 1.0, expand, notes)
-    x2_s, z_s = _j_lattice(fg, t0, x0, z0, J_s, Sc, C_s,
+        fg, b_j, S_s, i0, t0, cos_sign, abs(sin0) == 1.0, expand, notes)
+    x2_c, z_c = _j_lattice(fg, t0, x0, z0, J_s, S_s, C_s,
                            "; x0 anchor incompatible with prescribed (J, K)")
-    x_j, beta_j = _j_jets(fg, io, x2_s, _jet(J, g, io, "J"), b_j)
+    del J_s, S_s, C_s
+    x_j, beta_j = _j_jets(io, x2_c, _jet(J, g, io, "J"), b_j)
     report = ConstructionReport("jk_quadrature", t0, flips=flips,
                                 flagged_nodes=flagged, notes=notes)
-    return _assemble(fg, order, z_s, x_j, a_j, b_j, ell_j, beta_j, report)
+    return _assemble(g, order, z_c, x_j, a_j, b_j, ell_j, beta_j, report)
 
 
 # ---------------------------------------------------------------------------
@@ -651,26 +760,29 @@ def profile_from_mean_ratio(p: MeanRatioProblem, grid,
     alpha_s = _values(p.alpha, s, "alpha")
     beta_s = _values(p.beta, s, "beta")
     eta_s = 2.0 * fg.cumulative_from(alpha_s * beta_s, t0, 0.0)
+    del alpha_s
     F_s = p.c1 - fg.cumulative_from(beta_s * np.cos(eta_s), t0, 0.0)
     G_s = p.c2 - fg.cumulative_from(beta_s * np.sin(eta_s), t0, 0.0)
     x_s = np.hypot(F_s, G_s)
-    scale = 1.0 + float(np.max(x_s))
-    if np.min(x_s) <= 1e-12 * scale:
+    x_min = float(np.min(x_s))
+    if x_min <= 1e-12 * (1.0 + float(np.max(x_s))):
         tb = s[int(np.argmin(x_s))]
         raise ConstructionError(
             f"axis distance sqrt(F^2+G^2) vanishes near t={tb:.6g}; "
             "constants (c1, c2) incompatible with beta on this grid",
             t=float(tb))
     cos_s = (F_s * np.sin(eta_s) - G_s * np.cos(eta_s)) / x_s
-    z_s = fg.cumulative_from(beta_s * cos_s, t0, p.z0)
+    eta_c, F_c, G_c = (fg.at_coarse(v) for v in (eta_s, F_s, G_s))
+    del eta_s, F_s, G_s, x_s
+    z_c = fg.at_coarse(fg.cumulative_from(beta_s * cos_s, t0, p.z0))
+    del beta_s, cos_s
 
     alpha_j = _jet(p.alpha, g, io, "alpha")
     beta_j = _jet(p.beta, g, io, "beta")
-    eta_j = (2.0 * (alpha_j * beta_j)).antiderivative(
-        fg.at_coarse(eta_s)).truncated(io)
+    eta_j = (2.0 * (alpha_j * beta_j)).antiderivative(eta_c).truncated(io)
     se, ce = jets.sin_cos(eta_j)
-    F_j = (-(beta_j * ce)).antiderivative(fg.at_coarse(F_s)).truncated(io)
-    G_j = (-(beta_j * se)).antiderivative(fg.at_coarse(G_s)).truncated(io)
+    F_j = (-(beta_j * ce)).antiderivative(F_c).truncated(io)
+    G_j = (-(beta_j * se)).antiderivative(G_c).truncated(io)
     x_j = jets.sqrt(F_j * F_j + G_j * G_j)
     a_j = (F_j * se - G_j * ce) / x_j
     b_j = (F_j * ce + G_j * se) / x_j
@@ -681,9 +793,8 @@ def profile_from_mean_ratio(p: MeanRatioProblem, grid,
         + np.atleast_1d((alpha_j * beta_j * x_j).value))))
     report = ConstructionReport(
         "mean_ratio", t0,
-        notes={"mean_identity_residual": ratio_resid,
-               "x_min": float(np.min(x_s))})
-    return _assemble(fg, order, z_s, x_j, a_j, b_j, ell_j, beta_j, report)
+        notes={"mean_identity_residual": ratio_resid, "x_min": x_min})
+    return _assemble(g, order, z_c, x_j, a_j, b_j, ell_j, beta_j, report)
 
 
 # ---------------------------------------------------------------------------
@@ -701,14 +812,15 @@ def profile_from_J_phi(J: str, phi: str, x0: float, grid,
     g, s = fg.grid, fg.s
     J_s = _values(J, s, "J")
     phi_s = _values(phi, s, "phi")
-    x2_s, z_s = _j_lattice(fg, t0, x0, z0, J_s, np.sin(phi_s),
+    x2_c, z_c = _j_lattice(fg, t0, x0, z0, J_s, np.sin(phi_s),
                            np.cos(phi_s))
+    del J_s, phi_s
     J_j = _jet(J, g, io, "J")
     phi_j = _jet(phi, g, io, "phi")
     b_j, a_j = jets.sin_cos(phi_j)
-    x_j, beta_j = _j_jets(fg, io, x2_s, J_j, b_j)
+    x_j, beta_j = _j_jets(io, x2_c, J_j, b_j)
     report = ConstructionReport("j_phi_quadrature", t0)
-    return _assemble(fg, order, z_s, x_j, a_j, b_j, phi_j.differentiated(),
+    return _assemble(g, order, z_c, x_j, a_j, b_j, phi_j.differentiated(),
                      beta_j, report)
 
 
@@ -725,8 +837,7 @@ def profile_from_H_phi(H: str, phi: str, grid, c_a: float = 0.0,
     g, s = fg.grid, fg.s
     H_s = _values(H, s, "H")
     phi_fine = _jet(phi, s, 1, "phi")
-    phi_s = np.atleast_1d(phi_fine.value)
-    dphi_s = np.atleast_1d(phi_fine.derivative(1))
+    phi_s, dphi_s = phi_fine.coeffs   # phi and phi' on the lattice
     cos_s = np.cos(phi_s)
     thr = COS_TOL * (1.0 + float(np.max(np.abs(cos_s))))
     crossings = np.flatnonzero(cos_s[:-1] * cos_s[1:] < 0)
@@ -738,15 +849,18 @@ def profile_from_H_phi(H: str, phi: str, grid, c_a: float = 0.0,
             "require a nonvanishing horizontal normal component", t=float(tb))
     A_s = c_a + fg.cumulative_from(2.0 * H_s * np.sin(phi_s), t0, 0.0)
     x_s = -A_s / cos_s
-    z_s = fg.cumulative_from(2.0 * H_s - dphi_s * x_s, t0, z0)
+    A_c = fg.at_coarse(A_s)
+    del A_s, cos_s
+    z_c = fg.at_coarse(fg.cumulative_from(2.0 * H_s - dphi_s * x_s, t0, z0))
+    del H_s, phi_fine, phi_s, dphi_s, x_s
 
     H_j = _jet(H, g, io, "H")
     phi_j = _jet(phi, g, io, "phi")
     b_j, a_j = jets.sin_cos(phi_j)
-    A_j = (2.0 * (H_j * b_j)).antiderivative(fg.at_coarse(A_s)).truncated(io)
+    A_j = (2.0 * (H_j * b_j)).antiderivative(A_c).truncated(io)
     x_j = -(A_j / a_j)
     dphi_j = phi_j.differentiated()
     beta_j = (2.0 * H_j - dphi_j * x_j) / a_j.truncated(io - 1)
 
     report = ConstructionReport("h_phi_quadrature", t0)
-    return _assemble(fg, order, z_s, x_j, a_j, b_j, dphi_j, beta_j, report)
+    return _assemble(g, order, z_c, x_j, a_j, b_j, dphi_j, beta_j, report)

@@ -118,13 +118,15 @@ def reconstruct_from_curvature(ell_src, beta_src, grid,
     ell_s = fg.eval_expr(ell_src)
     beta_s = fg.eval_expr(beta_src)
     theta_s = fg.cumulative(ell_s, theta0)
+    theta_c = fg.at_coarse(theta_s)
     x_c, z_c = fg.at_coarse(fg.cumulative(
         [-beta_s * np.sin(theta_s), beta_s * np.cos(theta_s)], [x0, z0]))
+    del ell_s, beta_s, theta_s
 
     g = fg.grid
     ell_j = evaluated("ell", expr.eval_jet, ell_src, g, order)
     beta_j = evaluated("beta", expr.eval_jet, beta_src, g, order)
-    theta_j = ell_j.antiderivative(fg.at_coarse(theta_s)).truncated(order)
+    theta_j = ell_j.antiderivative(theta_c).truncated(order)
     b_j, a_j = jets.sin_cos(theta_j)
     x_j = (-(beta_j * b_j)).antiderivative(x_c).truncated(order)
     z_j = (beta_j * a_j).antiderivative(z_c).truncated(order)

@@ -12,6 +12,7 @@ simple stride.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -68,12 +69,12 @@ class FineGrid:
         blocks = grid[:-1, None] + steps[:, None] * frac[None, :]
         self.s = np.append(blocks.ravel(), grid[-1])
         self.coarse_index = np.arange(0, n_int * refine + 1, refine)
-        step = steps / refine
-        self.fine_step = np.repeat(step, refine)
+        # the fine step of each grid interval
+        self.step = steps / refine
         # Simpson weights of the panel pairs [2k, 2k+2], one column per grid
         # interval: refine is even, so no pair straddles a grid node
-        self._third = (step / 3.0)[:, None]
-        self._twelfth = (step / 12.0)[:, None]
+        self._third = (self.step / 3.0)[:, None]
+        self._twelfth = (self.step / 12.0)[:, None]
 
     def eval_expr(self, e):
         """Values of an expression at all fine nodes; ConstructionError
@@ -101,10 +102,18 @@ class FineGrid:
         v2 = v[..., 2::2].reshape(by_interval)
         out = np.empty_like(v)
         out[..., :1] = init
-        panel = self._third * (v0 + 4.0 * v1 + v2)
-        out[..., 2::2] = init + np.cumsum(panel.reshape(rows + (-1,)), axis=-1)
-        half = self._twelfth * (5.0 * v0 + 8.0 * v1 - v2)
-        out[..., 1::2] = out[..., 0:-1:2] + half.reshape(rows + (-1,))
+        # one half-lattice buffer holds each formula in turn
+        w = v0 + 4.0 * v1
+        w += v2
+        w *= self._third
+        even = out[..., 2::2]
+        np.cumsum(w.reshape(rows + (-1,)), axis=-1, out=even)
+        np.add(init, even, out=even)
+        np.multiply(5.0, v0, out=w)
+        w += 8.0 * v1
+        w -= v2
+        w *= self._twelfth
+        np.add(out[..., 0:-1:2], w.reshape(rows + (-1,)), out=out[..., 1::2])
         return out
 
     def cumulative_from(self, values, t0: float, value: float):
@@ -112,10 +121,10 @@ class FineGrid:
         cumulative(values) shifted by value minus its entry i, bit for bit;
         elsewhere the piece from the node nearest t0 to t0 integrates the
         parabola through that node and its neighbours (the end triple at a
-        lattice end), so quadratics come out exact."""
-        base = self.cumulative(values, 0.0)
+        lattice end), so quadratics come out exact.  The shift is made in
+        place."""
         s, v = self.s, np.asarray(values, dtype=float)
-        i = nearest_node(s, t0)
+        i = self.nearest(t0)
         j = min(max(i, 1), s.size - 2)
         a, b, c = s[j - 1:j + 2]
         d_ab = (v[j] - v[j - 1]) / (b - a)
@@ -124,10 +133,31 @@ class FineGrid:
         u0, u1 = s[i] - b, t0 - b
         sq, cube = (u1 * u1 - u0 * u0) / 2.0, (u1 ** 3 - u0 ** 3) / 3.0
         piece = v[j] * (u1 - u0) + d_ab * sq + d_abc * (cube + (b - a) * sq)
-        return base - (base[i] + piece) + value
+        base = self.cumulative(v, 0.0)
+        np.subtract(base, base[i] + piece, out=base)
+        np.add(base, value, out=base)
+        return base
 
     def at_coarse(self, fine_values):
         return np.asarray(fine_values)[..., self.coarse_index]
+
+    def nearest(self, t0: float) -> int:
+        """nearest_node(self.s, t0) by bisection, without a lattice-length
+        temporary: s - t0 rounds monotonically along the increasing lattice,
+        so the first nearest node is the first node at or beyond t0, or the
+        first with the rounded distance of the last node before it."""
+        if not math.isfinite(t0):
+            check_finite(t0=t0)
+        s = self.s
+        i = int(np.searchsorted(s, t0))
+        if i == 0:
+            return 0
+        d = s[i - 1] - t0
+        if i < s.size and abs(s[i] - t0) < abs(d):
+            return i
+        if i == 1 or s[i - 2] - t0 < d:
+            return i - 1
+        return bisect.bisect_left(range(i), True, key=lambda k: s[k] - t0 >= d)
 
 
 def check_finite(**values):

@@ -10,7 +10,8 @@ is held bit for bit to its own definition and to the Horner jets within
 rounding (1e-14 of the largest coefficient), with the value at the
 centre exact.  The RK4 scan multiplies the step matrices in another
 order, so it agrees with the loop to rounding (1e-12 relative).  The
-system jets may give a NaN another sign (see bits_nan_as_one).
+system jets, and the doubling scan across blocks, may give a NaN another
+sign (see bits_nan_as_one).
 """
 
 import math
@@ -21,8 +22,8 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from revfront import jets
-from revfront.construct import (_laurent_quotient, _prefix_products,
-                                _rk4_path, _rk4_step, _system_jets)
+from revfront.construct import (_BLOCK, _laurent_quotient, _prefix_products,
+                                _rk4_path, _rk4_step, _system_jets, _within)
 from revfront.jets import DomainError, Jet, Laurent
 
 NO_SHRINK = [ph for ph in Phase if ph is not Phase.shrink]
@@ -328,3 +329,49 @@ def test_prefix_products_match_in_place_scan(n, seed, special):
         reference_prefix_products(want)
     assert got.shape == want.shape
     assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("n", [2 * _BLOCK + 1, 3 * _BLOCK, 4 * _BLOCK + 7])
+@pytest.mark.parametrize("special", [0.0, 0.02, 0.3])
+def test_prefix_products_across_blocks_match_in_place_scan(n, special):
+    # n spans three blocks or more, and the passes from d = _BLOCK on read
+    # a block whose entries lie a whole block or more below it.  Within
+    # one block the scan keeps every bit (the test above); across blocks
+    # a NaN from two NaN operands may take the other's sign, as numpy's
+    # einsum picks one by the loop that holds the element (see
+    # bits_nan_as_one).  A NaN in the scan makes x and sin phi NaN, which
+    # the sweep refuses, so no NaN reaches a profile
+    m = coefficients(n + int(100 * special), (2, 2, n), special)
+    want = m.copy()
+    with np.errstate(**QUIET):
+        got = _prefix_products(m)
+        reference_prefix_products(want)
+    assert got is m
+    assert np.array_equal(bits_nan_as_one(got), bits_nan_as_one(want))
+
+
+def ulp_lattice(base, ulps):
+    """The increasing lattice from base whose consecutive samples lie the
+    given numbers of units in the last place apart."""
+    s = [base]
+    for u in ulps:
+        s.append(s[-1] + u * abs(np.spacing(s[-1])))
+    return np.array(s)
+
+
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
+@given(base=st.sampled_from([-1e20, -1.0, -1e-300, 0.0, 0.5, 3.0]),
+       ulps=st.lists(st.sampled_from([1, 2, 3, 1000, 2**40]), min_size=1,
+                     max_size=30),
+       j=st.integers(0, 30), k=st.integers(-3, 3),
+       r=st.sampled_from([0.0, 1.0, 2.5, 1000.0, 2.0**50, np.inf]))
+def test_within_is_the_array_test(base, ulps, j, k, r):
+    # samples and t a few ulps apart, and radii of a few ulps of t, where
+    # the rounding of s - t decides which samples pass
+    s = ulp_lattice(base, ulps)
+    t = s[min(j, s.size - 1)]
+    t += k * abs(np.spacing(t))
+    r = r * abs(np.spacing(t)) if r < np.inf else r
+    want = np.flatnonzero(np.abs(s - t) <= r)
+    got = _within(s, t, r)
+    assert np.arange(s.size)[got].tolist() == want.tolist()

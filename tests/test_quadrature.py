@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from revfront.quadrature import (ConstructionError, FineGrid, nearest_node,
@@ -38,8 +40,9 @@ def test_cumulative_matches_scipy():
 
 
 def _cumulative_reference(fg, v, init):
-    """One row, with the panel weights taken from fine_step on each call."""
-    d = fg.fine_step
+    """One row, with the panel weights taken from the fine steps on each
+    call."""
+    d = np.repeat(fg.step, fg.refine)
     out = np.empty_like(v)
     out[0] = init
     panel = (d[0::2] / 3.0) * (v[0:-1:2] + 4.0 * v[1::2] + v[2::2])
@@ -100,7 +103,7 @@ def test_nearest_node():
     g = uniform_grid(0.0, 1.0, 17)
     fg = FineGrid(g, refine=4)
     k = nearest_node(fg.s, 0.50001)
-    assert abs(fg.s[k] - 0.50001) <= np.max(fg.fine_step) / 2 + 1e-15
+    assert abs(fg.s[k] - 0.50001) <= np.max(fg.step) / 2 + 1e-15
     assert nearest_node(g, -3.0) == 0 and nearest_node(g, 3.0) == 16
     for t0 in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="t0 must be finite"):
@@ -114,6 +117,27 @@ def test_nearest_node():
         for t0 in (-3.0, 0.0, 0.5, 1.0, 1.5, 2.9, 3, 10.0):
             want = int(np.abs(np.asarray(nodes) - t0).argmin())
             assert nearest_node(nodes, t0) == want, (nodes, t0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.lists(st.sampled_from([1e-300, 1e-9, 0.125, 0.3, 1.0]),
+                      min_size=1, max_size=12),
+       refine=st.sampled_from([2, 4, 16]),
+       start=st.sampled_from([-7.0, -1.0, 0.0, 0.7]),
+       t0=st.one_of(st.floats(-9.0, 9.0),
+                    st.sampled_from([-1e17, -1.0, 1.0, 1e17])))
+def test_lattice_nearest_is_nearest_node(steps, refine, start, t0):
+    # far from t0 many distances round alike (steps of 1e-300 beside
+    # t0 = 1, or t0 = 1e17), and a tie goes to the lower index, as argmin
+    # gives it
+    grid = start + np.append(0.0, np.cumsum(steps))
+    assume(np.all(np.diff(grid) > 0.0))
+    fg = FineGrid(grid, refine=refine)
+    assume(np.all(np.diff(fg.s) > 0.0))
+    for t in (t0, *fg.s[:3], 0.5 * (fg.s[0] + fg.s[1]), fg.s[-1] + 1.0):
+        assert fg.nearest(t) == nearest_node(fg.s, t), t
+    with pytest.raises(ValueError, match="t0 must be finite"):
+        fg.nearest(np.nan)
 
 
 def test_coarse_index_roundtrip():

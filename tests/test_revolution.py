@@ -370,59 +370,48 @@ def test_evolute_bundle_degenerate_turning():
     assert "first" in bundle.diagnostics
 
 
-def test_evolute_of_order_zero_jets_keeps_the_axis_locus():
-    # the unit circle about the origin: both evolutes are its centre.
-    # Order-0 jets cannot revolve the first; the axis locus needs values
-    # only, and at pi/2, where a = cos t vanishes, the structure equations
-    # give the first derivatives the jets lack
-    g = uniform_grid(0.0, np.pi, 41)
-    c = reconstruct_from_curvature("1", "1", g, x0=1.0, order=0)
-    bundle = revolution_evolutes(c, n_theta=8)
+def _pair_profile(ell, x0):
+    return lambda g, order: reconstruct_from_curvature(ell, "1", g, x0=x0,
+                                                       order=order)
+
+
+def _expression_profile(g, order):
+    return legendre_from_expressions("2+cos(t)", "sin(t)", "cos(t)",
+                                     "sin(t)", g, order)
+
+
+@pytest.mark.parametrize("profile, order, span", [
+    # the unit circle about the origin: both evolutes are its centre, and
+    # at pi/2, where a = cos t vanishes, the structure equations give the
+    # first derivatives the order-0 jets lack
+    (_pair_profile("1", 1.0), 0, (0.0, np.pi)),
+    # ell and beta of order-1 expressions are of order 0, and so is the
+    # evolute
+    (_expression_profile, 1, (0.0, 3.0)),
+    (_pair_profile("1+t/4", 2.0), 0, (0.2, 1.4)),
+    (_expression_profile, 1, (0.2, 1.4)),
+], ids=["circle-0", "expressions-1-to-3", "pair-0", "expressions-1"])
+def test_order_zero_evolute_jets_keep_the_axis_locus(profile, order, span):
+    # the evolute's jets are of order 0: its revolute would differentiate
+    # them, so the first evolute is left out as where ell vanishes, and
+    # the axis locus, which needs values only, is kept and matches the
+    # order-5 run (before, revolve raised "cannot differentiate an order-0
+    # jet")
+    g = uniform_grid(*span, 41)
+    bundle = revolution_evolutes(profile(g, order), n_theta=8)
     assert list(bundle.diagnostics) == ["first"]
     assert "order 0" in bundle.diagnostics["first"]
     assert bundle.first_profile is None and bundle.first_surface is None
-    assert np.flatnonzero(bundle.axis_flags).tolist() == []
-    np.testing.assert_allclose(bundle.axis_curve, np.zeros((41, 3)),
-                               atol=1e-9)
-
-
-def test_evolute_of_order_one_expressions_keeps_the_axis_locus():
-    # ell and beta of order-1 expressions are of order 0, and so is the
-    # evolute: the axis locus z - x b / a matches the order-5 run
-    g = uniform_grid(0.0, 3.0, 41)
-    c, full = (legendre_from_expressions("2+cos(t)", "sin(t)", "cos(t)",
-                                         "sin(t)", g, k) for k in (1, 5))
-    bundle = revolution_evolutes(c, n_theta=8)
-    assert "order 0" in bundle.diagnostics["first"]
-    want = revolution_evolutes(full, n_theta=8)
+    want = revolution_evolutes(profile(g, 5), n_theta=8)
     assert "first" not in want.diagnostics
-    np.testing.assert_array_equal(bundle.axis_flags, want.axis_flags)
-    np.testing.assert_allclose(bundle.axis_curve, want.axis_curve,
-                               atol=1e-9)
-
-
-@pytest.mark.parametrize("source, order", [("pair", 0), ("expressions", 1)])
-def test_evolute_bundle_of_order_zero_evolute_jets(source, order):
-    # the evolute's jets are of order 0: its revolute would differentiate
-    # them, so the first evolute is left out as where ell vanishes, and
-    # the axis locus, which needs values only, is kept (before, revolve
-    # raised "cannot differentiate an order-0 jet")
-    g = uniform_grid(0.2, 1.4, 41)
-    if source == "pair":
-        c = reconstruct_from_curvature("1+t/4", "1", g, x0=2.0, order=order)
-        full = reconstruct_from_curvature("1+t/4", "1", g, x0=2.0)
-    else:
-        c, full = (legendre_from_expressions("2+cos(t)", "sin(t)", "cos(t)",
-                                             "sin(t)", g, k)
-                   for k in (order, 5))
-    bundle = revolution_evolutes(c, n_theta=8)
-    assert bundle.first_profile is None and bundle.first_surface is None
-    assert "order 0" in bundle.diagnostics["first"]
-    want = revolution_evolutes(full, n_theta=8)
     assert want.first_surface is not None
     np.testing.assert_array_equal(bundle.axis_flags, want.axis_flags)
     np.testing.assert_allclose(bundle.axis_curve, want.axis_curve,
                                atol=1e-9)
+    if span == (0.0, np.pi):   # the circle's centre, flagged nowhere
+        assert np.flatnonzero(bundle.axis_flags).tolist() == []
+        np.testing.assert_allclose(bundle.axis_curve, np.zeros((41, 3)),
+                                   atol=1e-9)
 
 
 def test_parallel_commutation_both_axes():

@@ -161,13 +161,11 @@ def test_a_touch_on_a_graded_grid_is_located_once(seed, n, graded, where):
     assert len(ts) == 1 and abs(ts[0] - PI / 2) <= 1e-12
 
 
-@pytest.mark.xfail(strict=True, raises=ConstructionError,
-                   reason="an end within 1e-8 of |sin phi| = 1 is refused")
 def test_a_touch_a_few_steps_from_a_fine_grid_end_is_located():
     # steps of 1e-5 put |sin phi| within 1e-8 of 1 at the left end, five
-    # steps from the touch at pi/2: Newton from that end stops beyond its
-    # one-step reach, and the end is refused as one where |sin phi|
-    # reaches 1 with a slope
+    # steps from the touch at pi/2: Newton from that end lands on the
+    # touch beyond its one-step reach, and the end counts as that touch
+    # instead of one where |sin phi| reaches 1 with a slope
     g = PI / 2 + 1e-5 * np.arange(-5, 35)
     c = profile_from_JK("-cos(t)", "cos(t)", x0=np.sin(g[0]), grid=g,
                         t0=g[0], sin0=-np.sin(g[0]))
