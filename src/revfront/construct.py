@@ -18,9 +18,11 @@ regular singular point of the ratio, its coefficients computed from the
 Laurent jets of alpha and beta at t0 (expr.eval_laurent).  Every construction
 holds its prescribed values at t0 itself (FineGrid.cumulative_from).
 Each lattice array is released once its values at the grid nodes or its
-antiderivative are taken, and the RK4 sweep and the touch expansions run
-in place over blocks of _BLOCK samples, so that a construction holds a
-few lattice-length arrays at a time (README).
+antiderivative are taken, the RK4 step matrices and the touch expansions
+fill their arrays over blocks of _BLOCK samples, and an RK4 sweep scans
+its steps in blocks of _RUN, so that a construction holds a few
+lattice-length arrays at a time and a sweep costs O(n) 2x2 products
+(README).
 Any finite, strictly increasing grid will do: RK4, the quadrature and
 the series region read the lattice's own steps, the touch locator the
 grid's.  Each touch, where |sin phi| = 1, is located and expanded once
@@ -47,6 +49,7 @@ SIN_EXCESS_TOL = 1e-9    # |sin phi| beyond 1 + this -> inconsistent data
 COS_TOL = 1e-8           # |cos phi| within this (relative) of 0 -> (H, phi) rejects
 SERIES_ORDER = 12        # Frobenius coefficients c_0..c_12; data to twice that
 _BLOCK = 4096            # lattice samples per block of a blocked lattice pass
+_RUN = 16                # RK4 steps per block of the sweep's scan
 
 
 class GaussRatioProblem:
@@ -194,12 +197,11 @@ def _settled(c, delta, floor):
     return None
 
 
-def _end_touch(db, b_j, f, i, h):
-    """The touch (t*, its nearest node) that Newton from the grid end f,
-    on the (sin phi)' jet at its node i, lands on beyond its one-step
-    reach, or None when the iterate leaves the grid or is no touch."""
+def _end_touch(db, b_j, far, h):
+    """The touch (t*, its nearest node) at far, where Newton from a grid
+    end lands beyond its one-step reach, located again from the node
+    nearest it; None when far leaves the grid or is no touch."""
     g = db.t
-    far = jets.newton(db.coeffs[:, i], g[i], f, math.inf)
     if far is None or not g[0] <= far <= g[-1]:
         return None
     i = nearest_node(g, far)
@@ -217,12 +219,13 @@ def _angle_jets(fg, b_j, Sc, i0, anchor, cos_sign, touch, expand, notes):
     A touch t* (README) is a zero of (sin phi)' where |sin phi| reaches
     1 - FLIP_TOL, found by jets.newton from a grid end or the secant zero
     of a grid interval where (sin phi)' changes sign; from a grid end it
-    may lie beyond Newton's one-step reach.  cos(phi) has sign cos_sign at
-    the anchor (sample i0) and flips at each t* off the lattice's end
-    samples, at the anchor if near i0 and the seed is a touch.  Near each
-    t* the jets and the lattice cos(phi) come from one expansion, of the
-    sin phi jet expand(t*, n, at) (at(j): jet j at t*); a sample beyond
-    them with |sin phi| >= 1 - FLIP_TOL is refused.
+    may lie beyond Newton's one-step reach, inside the grid or, within
+    the radius where that node's series settles, beyond it.  cos(phi) has
+    sign cos_sign at the anchor (sample i0) and flips at each t* off the
+    lattice's end samples, at the anchor if near i0 and the seed is a
+    touch.  Near each t* the jets and the lattice cos(phi) come from one
+    expansion, of the sin phi jet expand(t*, n, at) (at(j): jet j at t*);
+    a sample beyond them with |sin phi| >= 1 - FLIP_TOL is refused.
     Returns (a_j, ell_j, the nodes near a touch, the t*, lattice cos phi).
     """
     g, s, io = fg.grid, fg.s, b_j.order
@@ -237,12 +240,21 @@ def _angle_jets(fg, b_j, Sc, i0, anchor, cos_sign, touch, expand, notes):
     for f in [g[0], *secants, g[-1]]:
         i = nearest_node(g, f)
         zero = jets.newton(db.coeffs[:, i], g[i], f, h)
+        if zero is None and f in (g[0], g[-1]):   # a touch beyond the end?
+            far = jets.newton(db.coeffs[:, i], g[i], f, math.inf)
+            if (far is not None and not g[0] <= far <= g[-1]
+                    and abs(far - g[i]) <= (_settled(b_j.coeffs[:, i], span, h)
+                                            or 0.0)
+                    and 1.0 - FLIP_TOL <= abs(jets.shift(
+                        b_j.coeffs[:, i], far - g[i], 0)[0])
+                    <= 1.0 + SIN_EXCESS_TOL):   # as _clip_sin, off the lattice
+                zero = far
         found, ts = zero is not None, float(f if zero is None else zero)
         S0, S1 = jets.shift(b_j.coeffs[:, i], ts - g[i], 1)
         if (abs(S0) >= 1.0 - FLIP_TOL                        # a touch,
                 and (not stars or ts - stars[-1][0] > h)):   # not its twin
             if not found and f in (g[0], g[-1]):
-                star = _end_touch(db, b_j, f, i, h)
+                star = _end_touch(db, b_j, far, h)
                 if star is None:
                     raise ConstructionError(
                         f"|sin phi| reaches 1 at the grid end t={ts:.6g}, but "
@@ -353,17 +365,25 @@ def _system_jets(beta_j, ab_j, x_vals, S_vals, order):
     return Jet(beta_j.t, x), Jet(beta_j.t, S)
 
 
-def _rk4_step(xc, Sc, b0, a0, b1, a1, b2, a2, h):
-    k1x = -b0 * Sc
-    k1s = a0 * xc
-    k2x = -b1 * (Sc + 0.5 * h * k1s)
-    k2s = a1 * (xc + 0.5 * h * k1x)
-    k3x = -b1 * (Sc + 0.5 * h * k2s)
-    k3s = a1 * (xc + 0.5 * h * k2x)
-    k4x = -b2 * (Sc + h * k3s)
-    k4s = a2 * (xc + h * k3x)
-    return (xc + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x),
-            Sc + h / 6.0 * (k1s + 2 * k2s + 2 * k3s + k4s))
+def _rk4_matrices(m, p0, q0, pm, qm, p1, q1, h):
+    """Fill m (2, 2, ...) with the classical RK4 steps of x' = -p S,
+    S' = q x, from (p, q) at the step's start, midpoint and end and its
+    length h.  A = [[0, -p], [q, 0]] squares to -p q I, so the step
+    I + h/6 (A0 + 4 Am + A1) + h^2/6 (Am A0 + Am^2 + A1 Am)
+    + h^3/12 (Am^2 A0 + A1 Am^2) + h^4/24 A1 Am^2 A0 has the closed form
+    below, with c = pm qm and v = h^2 c / 2.  Returns m."""
+    c = pm * qm
+    e, g = h * h, h / 6.0
+    v = e * c
+    v *= 0.5
+    e /= 6.0
+    d = 0.5 * v
+    m[0, 0] = 1.0 - e * (pm * q0 + c + p1 * qm - d * p1 * q0)
+    m[1, 1] = 1.0 - e * (qm * p0 + c + q1 * pm - d * q1 * p0)
+    v -= 1.0
+    m[0, 1] = g * (v * (p0 + p1) - 4.0 * pm)
+    m[1, 0] = g * (4.0 * qm - v * (q0 + q1))
+    return m
 
 
 def _prefix_products(m):
@@ -391,26 +411,38 @@ def _rk4_path(s, f_node, f_mid, x0, S0):
     f_node and f_mid hold (beta, alpha*beta) at the nodes and interval
     midpoints, in the order of s.  Each interval takes its own step, so a
     reversed lattice (negative steps) integrates toward smaller t.  The
-    system is linear, so an RK4 step is a 2x2 matrix (the step applied to
-    the unit vectors) and the sweep is a prefix product of those matrices,
-    which fill one array block by block.  Returns the rows x and S at every
-    node of s, a view of that array.
+    system is linear, so an RK4 step is a 2x2 matrix (_rk4_matrices), and
+    the sweep runs in blocks of _RUN steps, one grid interval from a grid
+    node: the product of each block's steps, one pass per step across all
+    blocks; the doubling scan over these block totals only, which carries
+    (x0, S0) to each block's start; then the steps from there, again one
+    pass per step.  That is O(n) 2x2 products, not n log2 n.  Returns the
+    rows x and S at every node of s, a view of one (2, 2, n) array.
     """
     (b, a), (b_mid, a_mid) = f_node, f_mid
-    m = np.empty((2, 2, s.size))     # column k + 1 holds step k
-    for blk in _blocks(slice(0, s.size - 1)):
+    n = s.size - 1
+    nb = -(-n // _RUN)
+    m = np.empty((2, 2, 1 + nb * _RUN))   # column k + 1 holds step k
+    for blk in _blocks(slice(0, n)):
         nxt = slice(blk.start + 1, blk.stop + 1)
-        coeffs = (b[blk], a[blk], b_mid[blk], a_mid[blk], b[nxt], a[nxt],
-                  np.diff(s[blk.start:blk.stop + 1]))
-        m[0, 0, nxt], m[1, 0, nxt] = _rk4_step(1.0, 0.0, *coeffs)
-        m[0, 1, nxt], m[1, 1, nxt] = _rk4_step(0.0, 1.0, *coeffs)
-    steps = m[..., 1:]
-    _prefix_products(steps)
-    np.multiply(steps[:, 0], x0, out=steps[:, 0])
-    np.multiply(steps[:, 1], S0, out=steps[:, 1])
-    np.add(steps[:, 0], steps[:, 1], out=steps[:, 0])
+        _rk4_matrices(m[..., nxt], b[blk], a[blk], b_mid[blk], a_mid[blk],
+                      b[nxt], a[nxt], np.diff(s[blk.start:blk.stop + 1]))
+    m[..., n + 1:] = np.eye(2)[..., None]   # the last block's padding
+    w = m[..., 1:].reshape(2, 2, nb, _RUN)   # step j of block i: w[..., i, j]
+    tot, buf = w[..., 0].copy(), np.empty((2, 2, nb))   # each block's product
+    for j in range(1, _RUN):
+        np.einsum("ijk,jlk->ilk", w[..., j], tot, out=buf)
+        tot, buf = buf, tot
+    tot = _prefix_products(tot[..., :-1])   # steps before each later block
+    u, v = np.empty((2, nb)), np.empty((2, nb))   # (x, S) at each block's start
+    u[:, :1] = [[x0], [S0]]
+    u[:, 1:] = tot[:, 0] * x0 + tot[:, 1] * S0
+    for j in range(_RUN):
+        np.einsum("ijk,jk->ik", w[..., j], u, out=v)
+        w[:, 0, :, j] = v
+        u, v = v, u
     m[:, 0, 0] = x0, S0
-    return m[:, 0]
+    return m[:, 0, :n + 1]
 
 
 def _j_lattice(fg, t0, x0, z0, J_s, sin_s, cos_s, why=""):
@@ -603,8 +635,9 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
             ts = np.array([t0, 0.5 * (t0 + s[i0]), s[i0]])
             bv = _values(p.beta, ts, "beta")
             av = ab_values(ts, bv)
-            x_i0, S_s[i0] = _rk4_step(p.x0, p.sin_phi0, bv[0], av[0], bv[1],
-                                      av[1], bv[2], av[2], s[i0] - t0)
+            step = _rk4_matrices(np.empty((2, 2)), bv[0], av[0], bv[1],
+                                 av[1], bv[2], av[2], s[i0] - t0)
+            x_i0, S_s[i0] = step[:, 0] * p.x0 + step[:, 1] * p.sin_phi0
         seed_x = {i0: x_i0}
     else:
         method = "gauss_frobenius"
@@ -836,8 +869,9 @@ def profile_from_H_phi(H: str, phi: str, grid, c_a: float = 0.0,
     fg, io, _, t0 = _lattice(grid, t0, order)
     g, s = fg.grid, fg.s
     H_s = _values(H, s, "H")
-    phi_fine = _jet(phi, s, 1, "phi")
-    phi_s, dphi_s = phi_fine.coeffs   # phi and phi' on the lattice
+    phi_s, dphi_s = np.empty(s.size), np.empty(s.size)   # phi and phi'
+    for blk in _blocks(slice(0, s.size)):
+        phi_s[blk], dphi_s[blk] = _jet(phi, s[blk], 1, "phi").coeffs
     cos_s = np.cos(phi_s)
     thr = COS_TOL * (1.0 + float(np.max(np.abs(cos_s))))
     crossings = np.flatnonzero(cos_s[:-1] * cos_s[1:] < 0)
@@ -852,7 +886,7 @@ def profile_from_H_phi(H: str, phi: str, grid, c_a: float = 0.0,
     A_c = fg.at_coarse(A_s)
     del A_s, cos_s
     z_c = fg.at_coarse(fg.cumulative_from(2.0 * H_s - dphi_s * x_s, t0, z0))
-    del H_s, phi_fine, phi_s, dphi_s, x_s
+    del H_s, phi_s, dphi_s, x_s
 
     H_j = _jet(H, g, io, "H")
     phi_j = _jet(phi, g, io, "phi")

@@ -2,16 +2,18 @@
 
 Each reference below is the earlier loop, kept here as the oracle: the
 Horner series jet of one node, the Laurent quotient of one column, RK4
-one step at a time, the Picard iteration of the system jets and the
-in-place doubling scan.  The array passes must give the same bits and
-raise the same errors, except two.  The Taylor shift, which reads every
-expansion off its centre (the Frobenius series and the touches alike),
-is held bit for bit to its own definition and to the Horner jets within
-rounding (1e-14 of the largest coefficient), with the value at the
-centre exact.  The RK4 scan multiplies the step matrices in another
-order, so it agrees with the loop to rounding (1e-12 relative).  The
-system jets, and the doubling scan across blocks, may give a NaN another
-sign (see bits_nan_as_one).
+one step at a time in its stage form, the Picard iteration of the system
+jets and the in-place doubling scan.  The array passes must give the
+same bits and raise the same errors, except two.  The Taylor shift,
+which reads every expansion off its centre (the Frobenius series and the
+touches alike), is held bit for bit to its own definition and to the
+Horner jets within rounding (1e-14 of the largest coefficient), with the
+value at the centre exact.  The RK4 step matrices are the stage form's
+closed form, equal to it within rounding (1e-15 relative), and the
+blocked scan multiplies them in another order, so the sweep agrees with
+the loop to rounding (1e-12 relative).  The system jets, and the
+doubling scan across blocks, may give a NaN another sign (see
+bits_nan_as_one).
 """
 
 import math
@@ -22,8 +24,9 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from revfront import jets
-from revfront.construct import (_BLOCK, _laurent_quotient, _prefix_products,
-                                _rk4_path, _rk4_step, _system_jets, _within)
+from revfront.construct import (_BLOCK, _RUN, _laurent_quotient,
+                                _prefix_products, _rk4_matrices, _rk4_path,
+                                _system_jets, _within)
 from revfront.jets import DomainError, Jet, Laurent
 
 NO_SHRINK = [ph for ph in Phase if ph is not Phase.shrink]
@@ -169,6 +172,21 @@ def test_laurent_quotient_raises_first_pole_in_index_order():
     assert "0.74" in str(got.value)   # t of column 4
 
 
+def rk4_step(xc, Sc, b0, a0, b1, a1, b2, a2, h):
+    """One classical RK4 step of x' = -beta S, S' = (alpha beta) x, stage
+    by stage, from (beta, alpha beta) at its start, midpoint and end."""
+    k1x = -b0 * Sc
+    k1s = a0 * xc
+    k2x = -b1 * (Sc + 0.5 * h * k1s)
+    k2s = a1 * (xc + 0.5 * h * k1x)
+    k3x = -b1 * (Sc + 0.5 * h * k2s)
+    k3s = a1 * (xc + 0.5 * h * k2x)
+    k4x = -b2 * (Sc + h * k3s)
+    k4s = a2 * (xc + h * k3x)
+    return (xc + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x),
+            Sc + h / 6.0 * (k1s + 2 * k2s + 2 * k3s + k4s))
+
+
 def reference_rk4_path(s, f_node, f_mid, x0, S0):
     """RK4 one node at a time in Python floats, each interval with its own
     step, from s[0] along s."""
@@ -180,10 +198,26 @@ def reference_rk4_path(s, f_node, f_mid, x0, S0):
     bm, am = (v.tolist() for v in f_mid)
     xc, Sc = float(x0), float(S0)
     for i in range(s.size - 1):
-        xc, Sc = _rk4_step(xc, Sc, bn[i], an[i], bm[i], am[i],
-                           bn[i + 1], an[i + 1], sl[i + 1] - sl[i])
+        xc, Sc = rk4_step(xc, Sc, bn[i], an[i], bm[i], am[i],
+                          bn[i + 1], an[i + 1], sl[i + 1] - sl[i])
         x[i + 1], S[i + 1] = xc, Sc
     return x, S
+
+
+def test_step_matrices_are_the_stage_form():
+    # the stage form applied to the unit vectors, over coefficients of
+    # mixed signs and scales with +-0.0 among them, and steps of both signs
+    rng = np.random.default_rng(11)
+    co = rng.normal(size=(6, 500)) * 10.0 ** rng.integers(-2, 3, (6, 500))
+    co[rng.uniform(size=co.shape) < 0.1] = 0.0
+    co[rng.uniform(size=co.shape) < 0.1] = -0.0
+    h = rng.choice([-1.0, 1.0], 500) * 10.0 ** rng.uniform(-5, -1, 500)
+    got = _rk4_matrices(np.empty((2, 2, 500)), *co, h)
+    want = np.empty_like(got)
+    want[:, 0] = rk4_step(1.0, 0.0, *co, h)
+    want[:, 1] = rk4_step(0.0, 1.0, *co, h)
+    scale = np.maximum(np.abs(want), 1.0)
+    assert np.max(np.abs(got - want) / scale) <= 1e-15
 
 
 def assert_rk4_close(s, f_node, f_mid, i0, x0=0.7, S0=-0.2):
@@ -202,7 +236,9 @@ def assert_rk4_close(s, f_node, f_mid, i0, x0=0.7, S0=-0.2):
         assert got[0][0] == x0 and got[1][0] == S0
 
 
-@pytest.mark.parametrize("n", [2, 3, 15, 8195])
+# one node (the seed alone), one block of _RUN steps and one step either
+# side of it, two blocks and one step more, and many blocks
+@pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 33, 4097, 8195])
 def test_rk4_scan_matches_per_step_loop(n):
     rng = np.random.default_rng(n)
     # jittered steps: an RK4 that reused s[1] - s[0] would drift off
@@ -215,11 +251,12 @@ def test_rk4_scan_matches_per_step_loop(n):
 
 @st.composite
 def smooth_systems(draw):
-    """A strictly increasing lattice of up to 300 nodes and span up to 2,
-    with beta = b0 + b1 sin(w t + p) and alpha*beta = c0 + c1 cos(v t + q)
-    at its nodes and midpoints."""
-    gaps = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=1,
-                                  max_size=299)))
+    """A strictly increasing lattice of up to 2000 nodes (125 blocks of
+    _RUN steps) and span up to 2, with beta = b0 + b1 sin(w t + p) and
+    alpha*beta = c0 + c1 cos(v t + q) at its nodes and midpoints."""
+    n = draw(st.integers(2, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaps = rng.uniform(1e-3, 1.0, n - 1)
     span = draw(st.floats(1e-3, 2.0))
     s = draw(st.floats(-2.0, 2.0)) + np.append(0.0, np.cumsum(gaps)) * (
         span / gaps.sum())
@@ -240,6 +277,35 @@ def test_rk4_scan_matches_loop_on_random_lattices(system, anchor, x0, S0):
     s, f_node, f_mid = system
     assume(max(abs(x0), abs(S0)) >= 0.1)
     assert_rk4_close(s, f_node, f_mid, round(anchor * (s.size - 1)), x0, S0)
+
+
+def test_a_one_node_sweep_is_its_seed():
+    s = np.array([0.25])
+    got = _rk4_path(s, (np.ones(1), np.ones(1)), (np.ones(0), np.ones(0)),
+                    -0.0, 0.3)
+    assert got.shape == (2, 1)
+    assert bits(got).tolist() == bits(np.array([[-0.0], [0.3]])).tolist()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, 1], ids=["beta", "alpha_beta"])
+@pytest.mark.parametrize("k", [0, 5, _RUN - 1, _RUN, 3 * _RUN + 2, 98])
+def test_a_non_finite_step_spoils_the_samples_after_it(bad, row, k):
+    # the value at the midpoint of interval k enters step k alone: every
+    # sample up to k stays finite and every later one is not, in its own
+    # block and through the block totals into the later blocks, so the
+    # sweep's overflow refusal names the first sample it spoils
+    n = 100
+    rng = np.random.default_rng(k)
+    s = np.linspace(0.0, 0.5, n)
+    f_node = (1.0 + 0.3 * rng.normal(size=n), rng.normal(size=n))
+    f_mid = [1.0 + 0.3 * rng.normal(size=n - 1), rng.normal(size=n - 1)]
+    f_mid[row][k] = bad
+    with np.errstate(**QUIET):
+        x, S = _rk4_path(s, f_node, tuple(f_mid), 0.7, -0.2)
+    finite = np.isfinite(x) & np.isfinite(S)
+    assert finite[:k + 1].all()
+    assert not finite[k + 1:].any()
 
 
 def reference_system_jets(beta_j, ab_j, x_vals, S_vals, order):

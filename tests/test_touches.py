@@ -95,6 +95,15 @@ def test_a_grid_end_with_a_nonzero_slope_is_refused(n):
         profile_from_JK("-1", "1", x0=1.0, grid=uniform_grid(0.0, 1.0, n))
 
 
+def test_an_extremum_beyond_the_end_past_one_is_no_touch():
+    # sin phi = -t + 50 (t - 1)^2 reaches -1 at t = 1 with slope -1 and
+    # turns at 1.01, beyond the end, where |sin phi| = 1.005: no touch,
+    # so the end stays refused
+    with pytest.raises(ConstructionError, match=r"grid end t=1\b.*= -1\b"):
+        profile_from_JK("-1", "1-100.0*(t-1)", x0=1.0,
+                        grid=uniform_grid(0.9, 1.0, 33), t0=0.9, sin0=-0.4)
+
+
 def test_a_grid_end_with_a_nonzero_slope_exits_two(tmp_path):
     base = str(tmp_path / "end")
     assert run(["construct", "gauss-jk", "--J", "-1", "--K", "1", "--x0", "1",
@@ -170,6 +179,20 @@ def test_a_touch_a_few_steps_from_a_fine_grid_end_is_located():
     c = profile_from_JK("-cos(t)", "cos(t)", x0=np.sin(g[0]), grid=g,
                         t0=g[0], sin0=-np.sin(g[0]))
     assert touch_ts(c) == pytest.approx([PI / 2], rel=0, abs=1e-12)
+
+
+def test_touches_beyond_both_grid_ends_are_located():
+    # the sphere's touches at -pi/2 and 3pi/2 lie 0.077 beyond the ends of
+    # this grid, more than a grid step: Newton from each end lands on them
+    # within the radius where the end node's sin phi series settles, and
+    # their expansions serve the nodes near the ends, where ell'' was off
+    # by 8e-8
+    half = 3.0638
+    c, ell0 = sphere(uniform_grid(PI / 2 - half, PI / 2 + half, 513))
+    assert np.max(np.abs(c.curvature.ell.derivative(2))) <= 1e-10
+    assert_touch_jets(c, ell0)
+    assert touch_ts(c) == pytest.approx([-PI / 2, PI / 2, 3 * PI / 2], rel=0,
+                                        abs=1e-9)
 
 
 @pytest.mark.parametrize("n", [40, 101])
