@@ -59,7 +59,8 @@ class RevolutionSurface:
     """A revolved profile, held as its axis-adapted columns and theta.
 
     Every grid field is an outer product of profile columns with cos theta
-    or sin theta, so the fields are built when read: ring_table(i0, i1)
+    or sin theta, both read from one exactly symmetric table (_cos_sin), so
+    the fields are built when read: ring_table(i0, i1)
     gives the positions of a block of rings, each distinct magnitude once
     plus a sign per coordinate, validate() checks the frame one block of
     rings at a time, and grid is the whole FramedSurfaceGrid, each field
@@ -78,7 +79,7 @@ class RevolutionSurface:
         """Rows i0:i1 of the grid field name, shape (rows, n_theta, 3)."""
         recipe, *names = _FIELDS[name]
         cols = [self.columns[k][i0:i1] for k in names]
-        ct, st = np.cos(self.theta), np.sin(self.theta)
+        ct, st = self._cos_sin
         outer = np.multiply.outer
         if recipe == "meridian":
             f, g = cols
@@ -115,13 +116,39 @@ class RevolutionSurface:
         return values, order, neg
 
     @cached_property
+    def _cos_sin(self):
+        """cos theta_j and sin theta_j, the one table the fields and
+        ring_table read.
+
+        The mirrors of the plane at pi/4 (when 4 | n_theta), at pi/2 (when
+        2 | n_theta) and at pi map grid angles to grid angles.  Taken in
+        that order, each copies the half of the arc [0, 2 pi / d] below
+        its axis onto the half above, so the first sector, [0, pi/4],
+        [0, pi/2] or [0, pi], gives every value: np.cos and np.sin of
+        theta there, and sqrt(1/2) correctly rounded for both at pi/4.
+        The table is then exactly symmetric, each value as close to the
+        exact circle as its sector value, and every zero is +0.0.
+        """
+        n = self.theta.size
+        c, s = np.cos(self.theta), np.sin(self.theta)
+        if n % 8 == 0:
+            c[n // 8] = s[n // 8] = np.sqrt(0.5)
+        for d in (4, 2, 1):
+            if n % d == 0:
+                p = n // d      # the mirror at pi / d fixes theta_(p/2)
+                j = np.arange(p // 2 + 1, min(p, n - 1) + 1)
+                cj, sj = c[p - j], s[p - j]
+                c[j], s[j] = {4: (sj, cj), 2: (-cj, sj), 1: (cj, -sj)}[d]
+        return c, s
+
+    @cached_property
     def _ring_slots(self):
         """What ring_table reads from theta: the distinct magnitudes mult of
-        the cos theta_j and sin theta_j, and per slot 3j + c, component c
-        of vertex j, its column of values, whether it is h, and the sign of
-        its multiplier."""
+        the cos theta_j and sin theta_j (33 at n_theta = 128), and per slot
+        3j + c, component c of vertex j, its column of values, whether it
+        is h, and the sign of its multiplier."""
         n = self.theta.size
-        cs = np.concatenate([np.cos(self.theta), np.sin(self.theta)])
+        cs = np.concatenate(self._cos_sin)
         bits, inverse = np.unique(np.abs(cs).view(np.int64),
                                   return_inverse=True)
         # the components (r cos theta_j, r sin theta_j, h) in the axis's

@@ -7,6 +7,7 @@ curvature densities against explicit formulas in the profile data.
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -439,12 +440,101 @@ def test_x_axis_parallel_pairs_with_negated_offset():
     np.testing.assert_allclose(off_grid.x, direct.grid.x, atol=1e-12)
 
 
+TABLE_SIZES = (8, 12, 16, 30, 64, 128, 129, 130, 256)
+
+
+def table(n):
+    """theta and the cos/sin table of a revolute on n angles."""
+    surf = revolve(pseudo_sphere(np.linspace(0.3, 2.8, 5)), n_theta=n)
+    return surf.theta, *surf._cos_sin
+
+
+@pytest.mark.parametrize("n", TABLE_SIZES)
+def test_cos_sin_table_is_exactly_symmetric(n):
+    # == is exact; the zeros' signs are checked on their own below
+    _, c, s = table(n)
+    j = np.arange(1, n)
+    assert np.array_equal(c[n - j], c[j]) and np.array_equal(s[n - j], -s[j])
+    if n % 2 == 0:
+        j = np.arange(n // 2)
+        assert np.array_equal(c[j + n // 2], -c[j])
+        assert np.array_equal(s[j + n // 2], -s[j])
+    if n % 4 == 0:
+        j = np.arange(3 * n // 4)
+        assert np.array_equal(c[j + n // 4], -s[j])
+        assert np.array_equal(s[j + n // 4], c[j])
+        j = np.arange(n // 4 + 1)
+        assert np.array_equal(c[n // 4 - j], s[j])
+
+
+@pytest.mark.parametrize("n", TABLE_SIZES)
+def test_cos_sin_table_zeros_are_positive(n):
+    _, c, s = table(n)
+    cs = np.concatenate([c, s])
+    zeros = cs[cs == 0.0]
+    assert zeros.size == 1 + (n % 2 == 0) + 2 * (n % 4 == 0)
+    assert not np.signbit(zeros).any()
+
+
+@pytest.mark.parametrize("n", TABLE_SIZES)
+def test_cos_sin_table_sector_is_numpys(n):
+    # the first sector: [0, pi/4], [0, pi/2] or [0, pi]; at pi/4 sin takes
+    # the value of cos, sqrt(1/2) correctly rounded
+    theta, c, s = table(n)
+    d = 8 if n % 4 == 0 else 4 if n % 2 == 0 else 2
+    j = np.arange(n // d + 1)
+    assert np.array_equal(c[j], np.cos(theta[j]))
+    if n % 8 == 0:
+        assert c[n // 8] == s[n // 8] == np.sqrt(0.5)
+        j = j[:-1]
+    assert np.array_equal(s[j], np.sin(theta[j]))
+
+
+@pytest.mark.parametrize("n", TABLE_SIZES)
+def test_cos_sin_table_is_no_farther_from_the_circle_than_numpy(n):
+    theta, c, s = table(n)
+
+    def error(cos, sin):
+        with mpmath.workdps(40):
+            angle = [2 * mpmath.pi * j / n for j in range(n)]
+            return max(max(abs(mpmath.mpf(float(v)) - f(a))
+                           for v, a in zip(vals, angle))
+                       for vals, f in ((cos, mpmath.cos), (sin, mpmath.sin)))
+
+    assert error(c, s) <= error(np.cos(theta), np.sin(theta))
+
+
+@pytest.mark.parametrize("n, count", zip(TABLE_SIZES,
+                                         (3, 4, 5, 16, 17, 33, 130, 66, 65)))
+def test_ring_slots_count_the_sector_magnitudes(n, count):
+    surf = revolve(pseudo_sphere(np.linspace(0.3, 2.8, 5)), n_theta=n)
+    assert surf._ring_slots[0].size == count
+
+
+@pytest.mark.parametrize("axis", ["z", "x"])
+def test_mirrored_vertices_print_equal_magnitudes(axis, tmp_path):
+    n = 128
+    surf = revolve(pseudo_sphere(np.linspace(0.3, 2.8, 70)), axis=axis,
+                   n_theta=n)
+    export.write_surface_obj(surf, tmp_path / "mesh.obj")
+    lines = (tmp_path / "mesh.obj").read_text().splitlines()
+    rings = np.array([line.replace("-", "").split()[1:]
+                      for line in lines if line.startswith("v ")])
+    rings = rings.reshape(70, n + 1, 3)[:, :n]
+    j = np.arange(1, n)
+    assert (rings[:, n - j] == rings[:, j]).all()
+    # the quarter turn is exact: r cos(pi/2) prints 0
+    r = "xyz".index({"z": "x", "x": "y"}[axis])
+    assert (rings[:, n // 4, r] == "0").all()
+
+
 def eager_grid(c, axis, n_theta):
     """The framed grid with all twelve fields built at once.
 
     The reference for the grid that revolve builds on read: the adapted
     profile is written out per axis, and every field is an outer product
-    of a profile column with cos theta or sin theta.
+    of a profile column with cos theta or sin theta, read from the
+    surface's one table (its identities are tested above).
     """
     x, z = c.curve.x.value, c.curve.z.value
     a, b = c.normal.a.value, c.normal.b.value
@@ -456,7 +546,7 @@ def eager_grid(c, axis, n_theta):
         r, h, n_r, n_h, k, order = z, x, -b, -a, -ell, (2, 0, 1)
     r_t, h_t, n_r_t, n_h_t = -beta * n_h, beta * n_r, -k * n_h, k * n_r
     theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    ct, st = np.cos(theta), np.sin(theta)
+    ct, st = revolve(c, axis=axis, n_theta=n_theta)._cos_sin
     ones, zero = np.ones(c.t.size), np.zeros((c.t.size, n_theta))
     outer = np.multiply.outer
 
