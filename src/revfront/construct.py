@@ -22,11 +22,10 @@ antiderivative are taken, the RK4 step matrices and the touch expansions
 fill their arrays over blocks of _BLOCK samples, and an RK4 sweep scans
 its steps in blocks of _RUN, so that a construction holds a few
 lattice-length arrays at a time and a sweep costs O(n) 2x2 products
-(README).
-Any finite, strictly increasing grid will do: RK4, the quadrature and
-the series region read the lattice's own steps, the touch locator the
-grid's.  Each touch, where |sin phi| = 1, is located and expanded once
-(_angle_jets).
+(README).  Any finite, strictly increasing grid will do: RK4, the
+quadrature and the series region read the lattice's own steps, the touch
+locator (jets.zeros) the grid's.  Each touch, where |sin phi| = 1, is
+located and expanded once (_angle_jets).
 """
 
 from __future__ import annotations
@@ -41,8 +40,7 @@ from . import jets
 from .jets import DIV_TOL, ORDER_CAP, DomainError, Jet, Laurent
 from .legendre import (CurveJet, CurvaturePair, LegendreCurve, NormalJet,
                        verify_legendre)
-from .quadrature import (ConstructionError, FineGrid, check_finite, evaluated,
-                         nearest_node)
+from .quadrature import ConstructionError, FineGrid, check_finite, evaluated
 
 FLIP_TOL = 1e-8          # |sin phi| at a zero of (sin phi)' within this of 1 -> touch
 SIN_EXCESS_TOL = 1e-9    # |sin phi| beyond 1 + this -> inconsistent data
@@ -197,35 +195,18 @@ def _settled(c, delta, floor):
     return None
 
 
-def _end_touch(db, b_j, far, h):
-    """The touch (t*, its nearest node) at far, where Newton from a grid
-    end lands beyond its one-step reach, located again from the node
-    nearest it; None when far leaves the grid or is no touch."""
-    g = db.t
-    if far is None or not g[0] <= far <= g[-1]:
-        return None
-    i = nearest_node(g, far)
-    zero = jets.newton(db.coeffs[:, i], g[i], far, h)
-    if zero is None or abs(jets.shift(b_j.coeffs[:, i], zero - g[i], 0)[0]
-                           ) < 1.0 - FLIP_TOL:
-        return None
-    return zero, i
-
-
 def _angle_jets(fg, b_j, Sc, i0, anchor, cos_sign, touch, expand, notes):
     """cos(phi) and ell jets from the sin(phi) jets b_j at the coarse nodes,
     and cos(phi) on the lattice from its clipped sin(phi) samples Sc.
 
-    A touch t* (README) is a zero of (sin phi)' where |sin phi| reaches
-    1 - FLIP_TOL, found by jets.newton from a grid end or the secant zero
-    of a grid interval where (sin phi)' changes sign; from a grid end it
-    may lie beyond Newton's one-step reach, inside the grid or, within
-    the radius where that node's series settles, beyond it.  cos(phi) has
-    sign cos_sign at the anchor (sample i0) and flips at each t* off the
-    lattice's end samples, at the anchor if near i0 and the seed is a
-    touch.  Near each t* the jets and the lattice cos(phi) come from one
-    expansion, of the sin phi jet expand(t*, n, at) (at(j): jet j at t*);
-    a sample beyond them with |sin phi| >= 1 - FLIP_TOL is refused.
+    A touch t* (README) is a zero of (sin phi)' (jets.zeros) with
+    |sin phi| >= 1 - FLIP_TOL, past a grid end only as far as the end
+    node's series settles.  cos(phi) has sign cos_sign at the anchor
+    (sample i0) and flips at each t* off the lattice's end samples, at the
+    anchor if near i0 and the seed is a touch.  Near each t* the jets and
+    the lattice cos(phi) come from one expansion, of the sin phi jet
+    expand(t*, n, at) (at(j): jet j at t*).  An end, or a sample beyond
+    the expansions, with |sin phi| >= 1 - FLIP_TOL and no t* is refused.
     Returns (a_j, ell_j, the nodes near a touch, the t*, lattice cos phi).
     """
     g, s, io = fg.grid, fg.s, b_j.order
@@ -234,36 +215,21 @@ def _angle_jets(fg, b_j, Sc, i0, anchor, cos_sign, touch, expand, notes):
     h, span = float(np.max(np.diff(g))), float(g[-1] - g[0])
     stars = []
     db = b_j.differentiated()                    # (sin phi)' in t - t_i
-    d = db.value
-    k = np.flatnonzero((d[:-1] > 0) != (d[1:] > 0))
-    secants = g[k] - d[k] * (g[k + 1] - g[k]) / (d[k + 1] - d[k])
-    for f in [g[0], *secants, g[-1]]:
-        i = nearest_node(g, f)
-        zero = jets.newton(db.coeffs[:, i], g[i], f, h)
-        if zero is None and f in (g[0], g[-1]):   # a touch beyond the end?
-            far = jets.newton(db.coeffs[:, i], g[i], f, math.inf)
-            if (far is not None and not g[0] <= far <= g[-1]
-                    and abs(far - g[i]) <= (_settled(b_j.coeffs[:, i], span, h)
-                                            or 0.0)
-                    and 1.0 - FLIP_TOL <= abs(jets.shift(
-                        b_j.coeffs[:, i], far - g[i], 0)[0])
-                    <= 1.0 + SIN_EXCESS_TOL):   # as _clip_sin, off the lattice
-                zero = far
-        found, ts = zero is not None, float(f if zero is None else zero)
-        S0, S1 = jets.shift(b_j.coeffs[:, i], ts - g[i], 1)
-        if (abs(S0) >= 1.0 - FLIP_TOL                        # a touch,
-                and (not stars or ts - stars[-1][0] > h)):   # not its twin
-            if not found and f in (g[0], g[-1]):
-                star = _end_touch(db, b_j, far, h)
-                if star is None:
-                    raise ConstructionError(
-                        f"|sin phi| reaches 1 at the grid end t={ts:.6g}, but "
-                        f"(sin phi)' = {S1:.3g}: cos phi = 0, ell unbounded",
-                        t=ts)
-                ts, i = float(star[0]), star[1]
-                if stars and ts - stars[-1][0] <= h:
-                    continue
-            stars.append((ts, i))
+    for ts, i, how in jets.zeros(db.coeffs, g, h):
+        col = b_j.coeffs[:, i]
+        S0 = jets.shift(col, ts - g[i], 0)[0]
+        if how == "beyond" and not (   # as _clip_sin, off the lattice
+                1.0 - FLIP_TOL <= abs(S0) <= 1.0 + SIN_EXCESS_TOL
+                and abs(ts - g[i]) <= (_settled(col, span, h) or 0.0)):
+            ts, how = float(g[i]), "unlocated"   # no touch: the end itself
+        S0, S1 = jets.shift(col, ts - g[i], 1)
+        if abs(S0) < 1.0 - FLIP_TOL:
+            continue
+        if how == "unlocated" and ts in (g[0], g[-1]):
+            raise ConstructionError(
+                f"|sin phi| reaches 1 at the grid end t={ts:.6g}, but "
+                f"(sin phi)' = {S1:.3g}: cos phi = 0, ell unbounded", t=ts)
+        stars.append((ts, i))
     flips = [ts for ts, _ in stars]
     js = [fg.nearest(t) for t in flips]   # an end sample marks nothing
     marks = [anchor if touch and abs(j - i0) <= 1 else t

@@ -41,11 +41,12 @@ without a numpy warning.
 A Laurent jet is a scalar-base jet times an integer power of t - t0, so
 that a quotient passes a pole (Knuth, TAOCP vol. 2, 4.7); see Laurent.
 A jet's rows are also a polynomial in t - t0: shift re-expands it at an
-offset, and newton takes six Newton steps towards a zero of it.
+offset; zeros finds a function's zeros from its node jets by newton.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -462,13 +463,46 @@ def newton(rows, base, t, h):
     """Six Newton steps from t on the polynomial sum rows[k] (s - base)^k,
     its derivative built once.  The last iterate as a float, or None when
     it lies more than h from t or is NaN, as a step off a zero derivative
-    leaves it (without a warning)."""
+    leaves it (without a warning).  zeros is its caller."""
     p = np.asarray(rows)[::-1]
     dp, s = np.polyder(p), t
     with np.errstate(all="ignore"):
         for _ in range(6):
             s -= np.polyval(p, s - base) / np.polyval(dp, s - base)
     return float(s) if abs(s - t) <= h else None
+
+
+def zeros(coeffs, grid, h):
+    """The zeros of a function from its node jets, coeffs[:, i] in
+    t - grid[i], as [(t*, its node, status)] sorted by t*: newton from
+    each grid end and each secant zero, 'located' within h, 'beyond' an
+    end or 'unlocated' (README, "One zero scan")."""
+    c, g = np.asarray(coeffs), np.asarray(grid, dtype=float)
+    k = np.flatnonzero(np.diff(c[0] > 0))
+    secants = g[k] - c[0, k] * (g[k + 1] - g[k]) / (c[0, k + 1] - c[0, k])
+
+    def step(f, reach):   # newton from the node nearest f
+        i = int(np.argmin(np.abs(g - f)))
+        return newton(c[:, i], g[i], f, reach), i
+
+    found = []   # (rank, t*, node, status)
+    for side, f in [(-1, g[0]), *((0, f) for f in secants), (1, g[-1])]:
+        t, i = step(f, math.inf)
+        z = (2, float(f), i, "unlocated")
+        if t is not None and abs(t - f) <= h:
+            z = (0, t, i, "located")
+        elif t is not None and side and g[0] <= t <= g[-1]:
+            r, j = step(t, h)
+            z = z if r is None else (1, r, j, "located")
+        elif t is not None and math.isfinite(t) and side * (t - f) > 0:
+            z = (1, t, i, "beyond")
+        found.append(z)
+    kept = []
+    for _, t, i, how in sorted(found, key=lambda z: z[0]):
+        j = bisect.bisect(kept, t, key=lambda z: z[0])
+        if all(abs(t - o[0]) > h for o in kept[max(j - 1, 0):j + 1]):
+            kept.insert(j, (t, i, how))
+    return kept
 
 
 def _vanishing(rows, tol: float) -> int:

@@ -6,8 +6,10 @@ a least-squares fit (``polyfit``, ``lstsq``) or uses ``numpy.polynomial``,
 whose classes fit and extrapolate.  A jet's rows are read as a polynomial
 by one Taylor shift and one Newton rule, ``jets.shift`` and
 ``jets.newton``, so ``np.polyval`` and ``np.polyder`` are called in
-``jets.py`` alone.  The checks read the source with ``ast``, so strings
-and comments that name these do not count.
+``jets.py`` alone; and every zero of a column of node jets is found by
+one scan, ``jets.zeros``, the one function that calls ``newton``.  The
+checks read the source with ``ast``, so strings and comments that name
+these do not count.
 """
 
 import ast
@@ -88,3 +90,42 @@ def test_polynomials_are_read_in_jets_alone(path):
 ])
 def test_the_polynomial_check_sees_each_form(source):
     assert polynomial_calls(source)
+
+
+def newton_callers(source):
+    """The module-level functions and methods (Class.method) that call
+    newton, in their own body or a def nested in it; <module> for a call
+    outside every def."""
+    found = set()
+
+    def visit(node, owner, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and called(child) == "newton":
+                found.add(owner or "<module>")
+            if owner is None and isinstance(child, ast.ClassDef):
+                visit(child, None, prefix + child.name + ".")
+            elif owner is None and isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, prefix + child.name, prefix)
+            else:
+                visit(child, owner, prefix)
+
+    visit(ast.parse(source), None, "")
+    return found
+
+
+def test_newton_has_one_caller_the_zero_scan():
+    callers = {(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
+               for name in newton_callers(path.read_text())}
+    assert callers == {("jets.py", "zeros")}
+
+
+@pytest.mark.parametrize("source, owner", [
+    ("def f():\n    return newton(r, 0, 0, 1)", "f"),
+    ("def f():\n    def g():\n        return jets.newton(r, 0, 0, 1)", "f"),
+    ("class C:\n    def m(self):\n        return newton(r, 0, 0, 1)", "C.m"),
+    ("t = newton(r, 0, 0, 1)", "<module>"),
+    ("async def f():\n    return newton(r, 0, 0, 1)", "f"),
+])
+def test_the_caller_check_sees_each_form(source, owner):
+    assert newton_callers(source) == {owner}

@@ -283,3 +283,85 @@ def test_newton_on_the_derivative_rows_keeps_the_touch_bits(col, node, off,
     assert (got is None) == (want is None)
     if got is not None:
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+# -- jets.zeros: one scan over the node jets of a function -------------------
+
+def planted(seed, n, graded):
+    """A grid on [0, 1], uniform or with steps up to 8 times apart, its
+    largest step h, and zeros planted at least 4h apart, each with the
+    status the scan owes it: at or within a step past an end (located),
+    1.1 to 1.5 steps past an end (beyond, with no other zero within 10h,
+    so that Newton from the end heads for it), on an interior node, or
+    inside a grid interval, a quarter of it from its nodes (located)."""
+    rng = np.random.default_rng(seed)
+    steps = rng.uniform(1.0, 8.0, n - 1) if graded else np.ones(n - 1)
+    g = np.append(0.0, np.cumsum(steps) / np.sum(steps))
+    h = float(np.max(np.diff(g)))
+    planted = []
+    for end, way in ((0.0, -1.0), (1.0, 1.0)):
+        u = rng.choice([None, 0.0, rng.uniform(0.2, 0.8),
+                        rng.uniform(1.1, 1.5)])
+        if u is not None:
+            planted.append((end + way * u * h,
+                            "beyond" if u > 1 else "located"))
+    for k in rng.permutation(n - 1)[:rng.integers(0, 5)]:
+        planted.append((g[k] if k and rng.random() < 0.3 else (
+            g[k] + rng.uniform(0.25, 0.75) * (g[k + 1] - g[k])), "located"))
+    out = []
+    for z, how in planted:
+        if all(abs(z - o) >= (10 if "beyond" in (how, s) else 4) * h
+               for o, s in out):
+            out.append((z, how))
+    return g, h, out
+
+
+def node_jets(roots, g, rng):
+    """The node jets at g of +-prod(t - r) * (1 + c (t - m)^2), c >= 0:
+    its real zeros are the roots, each simple; the jets are of full
+    degree, so each node's polynomial is the function itself."""
+    c, m = rng.uniform(0.0, 0.5), rng.uniform(0.0, 1.0)
+    p = rng.choice([-1.0, 1.0]) * np.polymul(np.poly(roots),
+                                             [c, -2 * c * m, 1 + c * m * m])
+    return jets.shift(p[::-1], g, p.size - 1)
+
+
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
+@given(st.integers(0, 2**32 - 1), st.integers(8, 40), st.booleans())
+def test_zeros_returns_each_planted_zero_once(seed, n, graded):
+    # what else it returns is where Newton from an end came to rest
+    # without a zero, on the quadratic factor: no residual is tested
+    g, h, want = planted(seed, n, graded)
+    rng = np.random.default_rng(seed + 1)
+    got = jets.zeros(node_jets([z for z, _ in want], g, rng), g, h)
+    assert [t for t, _, _ in got] == sorted(t for t, _, _ in got)
+    for z, how in want:
+        hits = [(t, i, s) for t, i, s in got if abs(t - z) <= 1e-9]
+        assert len(hits) == 1 and hits[0][2] == how, (z, how, got)
+        t, i, _ = hits[0]
+        assert i in (0, n - 1) if how == "beyond" else abs(t - g[i]) <= h
+
+
+@settings(max_examples=100, deadline=None, phases=NO_SHRINK)
+@given(st.integers(0, 2**32 - 1), st.integers(8, 40), st.booleans())
+def test_zeros_passes_over_two_zeros_in_one_interval(seed, n, graded):
+    # the node values keep one sign across the interval, so no secant
+    # starts there; zeros at both ends keep the ends' Newton off it.  The
+    # touch construction relies on this: its lattice check refuses such a
+    # pair (test_touches: a touch beside an extremum in one grid step)
+    g, h, _ = planted(seed, n, graded)
+    rng = np.random.default_rng(seed + 1)
+    k = int(rng.integers(1, n - 2))
+    pair = g[k] + np.array([0.3, 0.7]) * (g[k + 1] - g[k])
+    got = jets.zeros(node_jets([0.0, *pair, 1.0], g, rng), g, h)
+    assert [(round(t, 9), how) for t, _, how in got] == [
+        (0.0, "located"), (1.0, "located")]
+
+
+def test_zeros_on_one_node_finds_a_zero_within_h():
+    # the axis evolute's use: the jet of a at one node, as its own grid
+    rows = cubic_rows(0.01, 1.0, 0.5, 0.1)
+    assert jets.zeros(np.c_[rows], [0.0], 0.02) == [
+        (pytest.approx(0.01, abs=1e-15), 0, "located")]
+    assert all(how != "located" for _, _, how in
+               jets.zeros(np.c_[rows], [0.0], 0.005))

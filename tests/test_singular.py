@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from revfront import expr
-from revfront.legendre import (legendre_from_expressions,
+from revfront import expr, jets
+from revfront.legendre import (curvature_pair_of, legendre_from_expressions,
                                reconstruct_from_curvature)
 from revfront.quadrature import uniform_grid
 from revfront.singular import (EXACT_TOL, LABELS, CuspLabel,
@@ -159,6 +159,18 @@ def test_off_node_singularity_reads_regular():
     out = curve_cusp_by_derivatives(c, PI / 2)
     assert out.label == "regular"
     assert abs(out.diagnostics["t0"] - PI / 2) > 1e-4
+
+
+@pytest.mark.parametrize("n", [160, 400])
+def test_one_scan_of_beta_locates_the_off_node_cusp(n):
+    # the cusp at pi/2 falls between two nodes; one jets.zeros call on the
+    # beta node jets locates it (-6.35e-12 and -6.4e-14 off), the rest of
+    # what it returns being the grid ends, where Newton finds no zero
+    g = uniform_grid(0.2, 2.941592653589793, n)
+    beta = curvature_pair_of(pseudo_sphere(g)).beta
+    found = jets.zeros(beta.coeffs, g, float(np.max(np.diff(g))))
+    located = [t for t, _, how in found if how == "located"]
+    assert located == pytest.approx([PI / 2], rel=0, abs=1e-11)
 
 
 @pytest.mark.parametrize("t0", [float("nan"), float("inf"), -float("inf")])

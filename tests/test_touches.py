@@ -16,6 +16,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from revfront import jets
 from revfront.cli import run
 from revfront.construct import (ConstructionError, GaussRatioProblem,
                                 profile_from_JK, profile_from_gauss_ratio)
@@ -193,6 +194,29 @@ def test_touches_beyond_both_grid_ends_are_located():
     assert_touch_jets(c, ell0)
     assert touch_ts(c) == pytest.approx([-PI / 2, PI / 2, 3 * PI / 2], rel=0,
                                         abs=1e-9)
+
+
+def test_touches_beyond_the_settle_radius_are_not_flipped(monkeypatch):
+    # the sphere's touches at -pi/2 and 3pi/2 lie 0.1416 beyond the ends
+    # of this grid.  The scan of the end nodes' (sin phi)' jets finds both
+    # (2.2e-10 off), but the end nodes' sin phi series settle only within
+    # 0.069 of the ends, so the construction takes neither: its flips stay
+    # [pi/2], and ell'' at the ends is still 1.5e-9 off
+    scans = []
+
+    def scan(*args):
+        scans.append(real(*args))
+        return scans[-1]
+
+    real = jets.zeros
+    monkeypatch.setattr(jets, "zeros", scan)
+    c, _ = sphere(uniform_grid(PI / 2 - 3.0, PI / 2 + 3.0, 513))
+    [found] = scans
+    assert [(i, how) for _, i, how in found if how == "beyond"] == [
+        (0, "beyond"), (512, "beyond")]
+    assert [t for t, _, how in found if how == "beyond"] == pytest.approx(
+        [-PI / 2, 3 * PI / 2], rel=0, abs=1e-9)
+    assert touch_ts(c) == pytest.approx([PI / 2], rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [40, 101])
