@@ -215,20 +215,20 @@ def _angle_jets(fg, b_j, Sc, i0, anchor, cos_sign, touch, expand, notes):
     h, span = float(np.max(np.diff(g))), float(g[-1] - g[0])
     stars = []
     db = b_j.differentiated()                    # (sin phi)' in t - t_i
-    for ts, i, how in jets.zeros(db.coeffs, g, h):
+
+    def is_touch(t, i, how):   # |sin phi| at t; beyond the grid, as _clip_sin
         col = b_j.coeffs[:, i]
-        S0 = jets.shift(col, ts - g[i], 0)[0]
-        if how == "beyond" and not (   # as _clip_sin, off the lattice
-                1.0 - FLIP_TOL <= abs(S0) <= 1.0 + SIN_EXCESS_TOL
-                and abs(ts - g[i]) <= (_settled(col, span, h) or 0.0)):
-            ts, how = float(g[i]), "unlocated"   # no touch: the end itself
-        S0, S1 = jets.shift(col, ts - g[i], 1)
-        if abs(S0) < 1.0 - FLIP_TOL:
-            continue
+        S0 = abs(jets.shift(col, t - g[i], 0)[0])
+        return S0 >= 1.0 - FLIP_TOL and (how != "beyond" or (
+            S0 <= 1.0 + SIN_EXCESS_TOL
+            and abs(t - g[i]) <= (_settled(col, span, h) or 0.0)))
+
+    for ts, i, how in jets.zeros(db.coeffs, g, h, is_touch):
         if how == "unlocated" and ts in (g[0], g[-1]):
             raise ConstructionError(
                 f"|sin phi| reaches 1 at the grid end t={ts:.6g}, but "
-                f"(sin phi)' = {S1:.3g}: cos phi = 0, ell unbounded", t=ts)
+                f"(sin phi)' = {db.coeffs[0, i]:.3g}: cos phi = 0, ell "
+                "unbounded", t=ts)
         stars.append((ts, i))
     flips = [ts for ts, _ in stars]
     js = [fg.nearest(t) for t in flips]   # an end sample marks nothing

@@ -46,7 +46,6 @@ offset; zeros finds a function's zeros from its node jets by newton.
 
 from __future__ import annotations
 
-import bisect
 import math
 
 import numpy as np
@@ -463,7 +462,8 @@ def newton(rows, base, t, h):
     """Six Newton steps from t on the polynomial sum rows[k] (s - base)^k,
     its derivative built once.  The last iterate as a float, or None when
     it lies more than h from t or is NaN, as a step off a zero derivative
-    leaves it (without a warning).  zeros is its caller."""
+    leaves it (without a warning).  zeros is its caller, and the axis
+    evolute's read at one node (revolution._quotient_at_zero)."""
     p = np.asarray(rows)[::-1]
     dp, s = np.polyder(p), t
     with np.errstate(all="ignore"):
@@ -472,37 +472,36 @@ def newton(rows, base, t, h):
     return float(s) if abs(s - t) <= h else None
 
 
-def zeros(coeffs, grid, h):
-    """The zeros of a function from its node jets, coeffs[:, i] in
-    t - grid[i], as [(t*, its node, status)] sorted by t*: newton from
-    each grid end and each secant zero, 'located' within h, 'beyond' an
-    end or 'unlocated' (README, "One zero scan")."""
+def zeros(coeffs, grid, h, keep=lambda t, i, status: True):
+    """The zeros that keep(t*, node, status) accepts of a function with
+    node jets coeffs[:, i] in t - grid[i], as [(t*, node, status)] by t*:
+    newton from each grid end and secant zero, 'located' within h, else
+    'beyond' an end or 'unlocated' (so is an end whose far zero keep
+    refuses); a zero within h of one kept before it is its twin (README)."""
     c, g = np.asarray(coeffs), np.asarray(grid, dtype=float)
     k = np.flatnonzero(np.diff(c[0] > 0))
     secants = g[k] - c[0, k] * (g[k + 1] - g[k]) / (c[0, k + 1] - c[0, k])
-
-    def step(f, reach):   # newton from the node nearest f
-        i = int(np.argmin(np.abs(g - f)))
-        return newton(c[:, i], g[i], f, reach), i
-
-    found = []   # (rank, t*, node, status)
-    for side, f in [(-1, g[0]), *((0, f) for f in secants), (1, g[-1])]:
-        t, i = step(f, math.inf)
-        z = (2, float(f), i, "unlocated")
-        if t is not None and abs(t - f) <= h:
-            z = (0, t, i, "located")
-        elif t is not None and side and g[0] <= t <= g[-1]:
-            r, j = step(t, h)
-            z = z if r is None else (1, r, j, "located")
-        elif t is not None and math.isfinite(t) and side * (t - f) > 0:
-            z = (1, t, i, "beyond")
-        found.append(z)
     kept = []
-    for _, t, i, how in sorted(found, key=lambda z: z[0]):
-        j = bisect.bisect(kept, t, key=lambda z: z[0])
-        if all(abs(t - o[0]) > h for o in kept[max(j - 1, 0):j + 1]):
-            kept.insert(j, (t, i, how))
-    return kept
+
+    def new(t, i, how):
+        return keep(t, i, how) and all(abs(t - o) > h for o, _, _ in kept)
+
+    for side, f in [(-1, g[0]), *((0, f) for f in secants), (1, g[-1])]:
+        i = int(np.argmin(np.abs(g - f)))
+        t = newton(c[:, i], g[i], f, math.inf if side else h)
+        z = (float(f), i, "unlocated")
+        if t is not None and abs(t - f) <= h:
+            z = (t, i, "located")
+        elif t is not None and math.isfinite(t) and side * (t - f) > 0:
+            z = (t, i, "beyond") if keep(t, i, "beyond") else z
+        elif t is not None and g[0] <= t <= g[-1] and new(*z):
+            j = int(np.argmin(np.abs(g - t)))   # from a kept end, anew
+            r = newton(c[:, j], g[j], t, h)
+            z = (r, j, "located") if r is not None and keep(
+                r, j, "located") else z
+        if new(*z):
+            kept.append(z)
+    return sorted(kept)
 
 
 def _vanishing(rows, tol: float) -> int:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .framed import (BasicInvariants, FramedSurfaceGrid, FSCurvature,
                      curvature_of, parallel_surface)
-from .jets import DomainError, Jet, Laurent, shift, zeros
+from .jets import DomainError, Jet, Laurent, newton, shift
 from .legendre import (LegendreCurve, NormalJet, curvature_pair_of,
                        parallel_curve, plane_evolute)
 from .quadrature import check_finite, check_tol, nearest_node
@@ -340,11 +340,12 @@ class EvoluteBundle:
 
 def _quotient_at_zero(num, den, h, thr):
     """num / den at the node of these scalar-base jets, where den's value
-    counts as zero: both shifted to the zero of den that jets.zeros locates
-    on the node's one-node grid (else the node), divided by the Laurent
-    rule with num's value there zero if at most thr, and shifted back."""
-    d = next((t for t, _, how in zeros(np.c_[den.rows], [0.0], h)
-              if how == "located"), None) or 0.0   # no -0.0 arises
+    counts as zero: both re-expanded (jets.shift) at the zero d of den that
+    jets.newton finds from the node (else the node itself), divided by the
+    jets.Laurent rule with num's value there counted as zero when at most
+    thr, and the quotient shifted back to the node.  DomainError at a pole.
+    (jets.zeros on this one node, both its grid ends, would run it twice.)"""
+    d = newton(den.rows, 0.0, 0.0, h) or 0.0   # None -> 0.0; no -0.0 arises
     n, m = (shift(j.rows, d, j.order) for j in (num, den))
     n[0], m[0] = (0.0 if abs(n[0]) <= thr else n[0]), 0.0
     q = Laurent(Jet(den.t + d, n)) / Laurent(Jet(den.t + d, m))

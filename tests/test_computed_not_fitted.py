@@ -7,9 +7,9 @@ whose classes fit and extrapolate.  A jet's rows are read as a polynomial
 by one Taylor shift and one Newton rule, ``jets.shift`` and
 ``jets.newton``, so ``np.polyval`` and ``np.polyder`` are called in
 ``jets.py`` alone; and every zero of a column of node jets is found by
-one scan, ``jets.zeros``, the one function that calls ``newton``.  The
-checks read the source with ``ast``, so strings and comments that name
-these do not count.
+one scan, ``jets.zeros``, which calls ``newton`` (besides it, only the
+axis evolute's read at one node does).  The checks read the source with
+``ast``, so strings and comments that name these do not count.
 """
 
 import ast
@@ -117,7 +117,10 @@ def newton_callers(source):
 def test_newton_has_one_caller_the_zero_scan():
     callers = {(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
                for name in newton_callers(path.read_text())}
-    assert callers == {("jets.py", "zeros")}
+    # the axis evolute's Laurent read starts one Newton at its one node,
+    # where a one-node scan would start the same one at both its ends
+    assert callers == {("jets.py", "zeros"),
+                       ("revolution.py", "_quotient_at_zero")}
 
 
 @pytest.mark.parametrize("source, owner", [

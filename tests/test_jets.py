@@ -359,9 +359,39 @@ def test_zeros_passes_over_two_zeros_in_one_interval(seed, n, graded):
 
 
 def test_zeros_on_one_node_finds_a_zero_within_h():
-    # the axis evolute's use: the jet of a at one node, as its own grid
+    # a one-node grid: both ends are the node, and a zero within h of it
+    # is located once
     rows = cubic_rows(0.01, 1.0, 0.5, 0.1)
     assert jets.zeros(np.c_[rows], [0.0], 0.02) == [
         (pytest.approx(0.01, abs=1e-15), 0, "located")]
     assert all(how != "located" for _, _, how in
                jets.zeros(np.c_[rows], [0.0], 0.005))
+
+
+def test_zeros_drops_twins_only_among_the_zeros_it_keeps():
+    # zeros at 0.3 and 0.3 + 0.6h lie in adjacent intervals: the first
+    # found is the second's twin, unless keep refuses it, and then the
+    # second is returned (a touch right after an extremum that is none)
+    g = np.linspace(0.0, 1.0, 41)
+    h = float(g[1] - g[0])
+    pair = [0.3, 0.3 + 0.6 * h]
+    c = node_jets(pair, g, np.random.default_rng(3))
+    assert [round(t, 12) for t, _, _ in jets.zeros(c, g, h)] == [0.3]
+    got = jets.zeros(c, g, h, keep=lambda t, i, how: t > 0.301)
+    assert [(round(t, 12), how) for t, _, how in got] == [
+        (round(pair[1], 12), "located")]
+
+
+def test_zeros_keeps_an_end_whose_far_zero_it_refuses():
+    # Newton from the right end of [0.2, 1] on t - 0.5 lands on 0.5, more
+    # than a step inside; keep refuses that zero, so the end comes back
+    # unlocated, as it does when keep refuses a zero beyond the end
+    g = np.linspace(0.2, 1.0, 9)
+    c = jets.shift([-0.5, 1.0], g, 1)
+
+    def the_end(t, i, how):
+        return how == "unlocated" and i == 8
+
+    assert jets.zeros(c, g, 0.1, the_end) == [(1.0, 8, "unlocated")]
+    c = jets.shift([-1.5, 1.0], g, 1)
+    assert jets.zeros(c, g, 0.1, the_end) == [(1.0, 8, "unlocated")]

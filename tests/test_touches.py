@@ -200,13 +200,13 @@ def test_touches_beyond_the_settle_radius_are_not_flipped(monkeypatch):
     # the sphere's touches at -pi/2 and 3pi/2 lie 0.1416 beyond the ends
     # of this grid.  The scan of the end nodes' (sin phi)' jets finds both
     # (2.2e-10 off), but the end nodes' sin phi series settle only within
-    # 0.069 of the ends, so the construction takes neither: its flips stay
+    # 0.069 of the ends, so the construction keeps neither: its flips stay
     # [pi/2], and ell'' at the ends is still 1.5e-9 off
     scans = []
 
-    def scan(*args):
-        scans.append(real(*args))
-        return scans[-1]
+    def scan(coeffs, grid, h, keep):
+        scans.append(real(coeffs, grid, h))   # every zero, kept or not
+        return real(coeffs, grid, h, keep)
 
     real = jets.zeros
     monkeypatch.setattr(jets, "zeros", scan)
@@ -217,6 +217,46 @@ def test_touches_beyond_the_settle_radius_are_not_flipped(monkeypatch):
     assert [t for t, _, how in found if how == "beyond"] == pytest.approx(
         [-PI / 2, 3 * PI / 2], rel=0, abs=1e-9)
     assert touch_ts(c) == pytest.approx([PI / 2], rel=0, abs=1e-12)
+
+
+def test_a_touch_a_step_after_an_extremum_is_located():
+    # sin phi = 1 - t^2 - 200 t^3 / 3 has a minimum 0.99997 at -0.01 and
+    # touches 1 at 0, in the next grid interval and within a step of it.
+    # Both are zeros of (sin phi)'; when the minimum, found first, hid the
+    # touch as its twin, the construction went through with no flip and
+    # cos phi of one sign on both sides.  Located, the touch is refused:
+    # sin phi reaches 1 again at -0.015, so its expansion does not settle
+    # beyond a step
+    g = np.append(-0.0145, -0.005 + 0.012 * np.arange(17))
+    u = g[0]
+    with pytest.raises(ConstructionError, match="touch t=.*does not settle"
+                       ) as err:
+        profile_from_JK("1", "2*t+200*t^2", x0=1.0, grid=g, t0=u,
+                        sin0=1 - u * u - 200 * u ** 3 / 3)
+    assert abs(err.value.info["t"]) <= 1e-12
+
+
+def test_a_touch_a_step_after_an_extremum_flips_cos_phi():
+    # sin phi = 1 - w^2, w = t + 50 t^2: a minimum at -0.01 and a touch at
+    # 0, in adjacent intervals of a 0.012 grid, with the left end's Newton
+    # on the minimum too.  The touch is located, and cos phi, a multiple
+    # of -w, changes sign there with w
+    g = -0.013 + 0.012 * np.arange(11)
+    w = g + 50 * g * g
+    c = profile_from_JK("1", "2*(t+50*t^2)*(1+100*t)", x0=1.0, grid=g,
+                        t0=g[0], sin0=1 - w[0] ** 2)
+    assert touch_ts(c) == pytest.approx([0.0], rel=0, abs=1e-12)
+    assert np.array_equal(np.sign(c.normal.a.coeffs[0]), -np.sign(w))
+
+
+def test_an_end_whose_far_zero_is_no_touch_is_refused():
+    # sin phi = 0.5 + 2 (t - 0.5)^2 reaches 1 at the right end t = 1 with
+    # slope 2.  Newton on (sin phi)' = 4 (t - 0.5) from that end lands on
+    # the minimum at 0.5, four steps inside, where |sin phi| = 0.5: no
+    # touch, so the end is refused as one where cos phi = 0
+    with pytest.raises(ConstructionError, match=r"grid end t=1\b.*= 2\b"):
+        profile_from_JK("1", "-4*(t-0.5)", x0=1.0,
+                        grid=uniform_grid(0.2, 1.0, 9), t0=0.2, sin0=0.68)
 
 
 @pytest.mark.parametrize("n", [40, 101])
