@@ -9,23 +9,24 @@ z-axis revolute realizes prescribed curvature relations:
   * (J, phi)         density plus normal angle
   * (H, phi)         mean density plus normal angle
 
-Each returns a LegendreCurve with jets chained analytically from the
-defining relations; the numerical content is lattice quadrature (16 fine
-steps per grid step) plus, for the gauss ratio, RK4 sweeps of the
-first-order system outward from seeded lattice nodes: the node nearest
-the anchor, or every node within the radius of a Frobenius series at a
-regular singular point of the ratio, its coefficients computed from the
-Laurent jets of alpha and beta at t0 (expr.eval_laurent).  Every construction
-holds its prescribed values at t0 itself (FineGrid.cumulative_from).
-Each lattice array is released once its values at the grid nodes or its
-antiderivative are taken, the RK4 step matrices and the touch expansions
-fill their arrays over blocks of _BLOCK samples, and an RK4 sweep scans
-its steps in blocks of _RUN, so that a construction holds a few
-lattice-length arrays at a time and a sweep costs O(n) 2x2 products
-(README).  Any finite, strictly increasing grid will do: RK4, the
-quadrature and the series region read the lattice's own steps, the touch
-locator (jets.zeros) the grid's.  Each touch, where |sin phi| = 1, is
-located and expanded once (_angle_jets).
+Each returns a LegendreCurve of order-ORDER_CAP (5) jets, chained
+analytically from the defining relations at WORK_ORDER (7) and cut once
+(_assemble); a caller who wants fewer coefficients calls .truncated(k).
+The numerical content is lattice quadrature (16 fine steps per grid step)
+plus, for the gauss ratio, RK4 sweeps of the first-order system outward
+from seeded lattice nodes: the node nearest the anchor, or every node
+within the radius of a Frobenius series at a regular singular point of
+the ratio, its coefficients computed from the Laurent jets of alpha and
+beta at t0 (expr.eval_laurent).  Every construction holds its prescribed
+values at t0 itself (FineGrid.cumulative_from).  Each lattice array is
+released once its values at the grid nodes or its antiderivative are
+taken, the RK4 step matrices and the touch expansions fill their arrays
+over blocks of _BLOCK samples, and an RK4 sweep scans its steps in blocks
+of _RUN, so that a construction holds a few lattice-length arrays at a
+time and a sweep costs O(n) 2x2 products (README).  Any finite, strictly
+increasing grid will do: RK4, the quadrature and the series region read
+the lattice's own steps, the touch locator (jets.zeros) the grid's.  Each
+touch, where |sin phi| = 1, is located and expanded once (_angle_jets).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ FLIP_TOL = 1e-8          # |sin phi| at a zero of (sin phi)' within this of 1 ->
 SIN_EXCESS_TOL = 1e-9    # |sin phi| beyond 1 + this -> inconsistent data
 COS_TOL = 1e-8           # |cos phi| within this (relative) of 0 -> (H, phi) rejects
 SERIES_ORDER = 12        # Frobenius coefficients c_0..c_12; data to twice that
+WORK_ORDER = ORDER_CAP + 2   # the jet order every construction computes at
 _BLOCK = 4096            # lattice samples per block of a blocked lattice pass
 _RUN = 16                # RK4 steps per block of the sweep's scan
 
@@ -139,21 +141,17 @@ def _laurent_quotient(num, den):
     return out
 
 
-def _lattice(grid, t0, order):
-    """Fine lattice, internal jet order max(order, ORDER_CAP) + 2, the fine
-    node nearest the anchor and the anchor parameter, which None puts at
-    the left end of the grid."""
-    if order < 0:
-        raise ValueError(f"jet order must be at least 0, got {order}")
+def _lattice(grid, t0):
+    """Fine lattice, the fine node nearest the anchor and the anchor
+    parameter, which None puts at the left end of the grid."""
     fg = FineGrid(grid)
-    io = max(order, ORDER_CAP) + 2
     lo, hi = fg.grid[0], fg.grid[-1]
     if t0 is None:
-        return fg, io, 0, float(lo)
+        return fg, 0, float(lo)
     span = hi - lo
     if not lo - 1e-12 * span <= t0 <= hi + 1e-12 * span:   # NaN fails too
         raise ConstructionError(f"t0={t0} lies outside the grid [{lo}, {hi}]")
-    return fg, io, fg.nearest(t0), t0
+    return fg, fg.nearest(t0), t0
 
 
 def _blocks(span):
@@ -209,8 +207,9 @@ def _angle_jets(fg, b_j, Sc, i0, anchor, cos_sign, touch, expand, notes):
     the expansions, with |sin phi| >= 1 - FLIP_TOL and no t* is refused.
     Returns (a_j, ell_j, the nodes near a touch, the t*, lattice cos phi).
     """
-    g, s, io = fg.grid, fg.s, b_j.order
-    a_co, ell_co = np.empty((io + 1, g.size)), np.empty((io, g.size))
+    g, s = fg.grid, fg.s
+    a_co = np.empty((WORK_ORDER + 1, g.size))
+    ell_co = np.empty((WORK_ORDER, g.size))
     served = np.zeros(g.size, dtype=bool)
     h, span = float(np.max(np.diff(g))), float(g[-1] - g[0])
     stars = []
@@ -246,7 +245,7 @@ def _angle_jets(fg, b_j, Sc, i0, anchor, cos_sign, touch, expand, notes):
     lost |= Sc <= FLIP_TOL - 1.0
     expansions = []   # (lattice slice, t*, cos phi jet at t*) of each touch
     for ts, i in stars:
-        S = expand(ts, 2 * (ORDER_CAP + 2),   # at every order, as at 5
+        S = expand(ts, 2 * WORK_ORDER,
                    lambda j: jets.shift(j.coeffs[:, i], ts - g[i], 0)[0])
         S0, S1 = S.rows[:2]
         S = Jet(ts, [math.copysign(1.0, S0), 0.0] + S.rows[2:])
@@ -286,7 +285,7 @@ def _angle_jets(fg, b_j, Sc, i0, anchor, cos_sign, touch, expand, notes):
     del b
     a_co[:, free] = sq.coeffs * sign(g[free])
     del sq
-    ell_co[:, free] = (db.at(free) / Jet(g[free], a_co[:io, free])).coeffs
+    ell_co[:, free] = (db.at(free) / Jet(g[free], a_co[:-1, free])).coeffs
 
     # cos phi on the lattice, made once the coarse work is done: |cos phi|,
     # its sign flipped past each mark as sign() flips it (the samples
@@ -430,19 +429,18 @@ def _j_lattice(fg, t0, x0, z0, J_s, sin_s, cos_s, why=""):
     return fg.at_coarse(x2_s), fg.at_coarse(z_s)
 
 
-def _j_jets(io, x2_c, J_j, b_j):
+def _j_jets(x2_c, J_j, b_j):
     """The x and beta jets from the J and sin phi jets by the relations of
     _j_lattice, x^2 chained from its values at the grid nodes, x2_c."""
-    rad_j = (2.0 * (J_j * b_j)).antiderivative(x2_c).truncated(io)
+    rad_j = (2.0 * (J_j * b_j)).antiderivative(x2_c).truncated(WORK_ORDER)
     x_j = jets.sqrt(rad_j)
     return x_j, -(J_j / x_j)
 
 
-def _assemble(g, order, z_c, x_j, a_j, b_j, ell_j, beta_j, report):
-    """The curve of the internal-order jets on the grid g, z chained from
-    its lattice values at the grid nodes, z_c; fills the report's contact
-    and norm residuals from those jets, then cuts every jet to the order
-    the caller asked for."""
+def _assemble(g, z_c, x_j, a_j, b_j, ell_j, beta_j, report):
+    """The curve of the WORK_ORDER jets on the grid g, z chained from its
+    lattice values at the grid nodes, z_c; fills the report's contact and
+    norm residuals from those jets, then cuts every jet to ORDER_CAP."""
     z_j = (beta_j * a_j).antiderivative(z_c)
     c = LegendreCurve(CurveJet(g, x_j, z_j), NormalJet(g, a_j, b_j),
                       curvature=CurvaturePair(g, ell_j, beta_j),
@@ -450,7 +448,7 @@ def _assemble(g, order, z_c, x_j, a_j, b_j, ell_j, beta_j, report):
     rep = verify_legendre(c)
     report.contact_residual = rep.max_contact_residual
     report.norm_residual = rep.max_norm_residual
-    return c.truncated(order)
+    return c.truncated(ORDER_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +547,8 @@ def _frobenius_data(p, alpha, fg, i0):
     return r, c, delta, notes, beta
 
 
-def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
-                             order: int = 5) -> LegendreCurve:
-    """Profile whose z-axis revolute satisfies K = alpha * J.
+def profile_from_gauss_ratio(p: GaussRatioProblem, grid) -> LegendreCurve:
+    """Order-5 profile whose z-axis revolute satisfies K = alpha * J.
 
     The axis distance x solves beta*x'' - beta'*x' + alpha*beta^3*x = 0,
     integrated as the first-order system x' = -beta*sinphi,
@@ -564,7 +561,7 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
     from an off-lattice t0 by a partial step; the series seeds every node
     within its radius of t0.
     """
-    fg, io, i0, t0 = _lattice(grid, p.t0, order)
+    fg, i0, t0 = _lattice(grid, p.t0)
     g, s = fg.grid, fg.s
     alpha = _alpha_expansion(p)
     use_series = alpha is not None and (p.method == "frobenius"
@@ -661,22 +658,22 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
     del x_ok
     _clip_sin(S_s)
 
-    beta_j = _jet(p.beta, g, io, "beta")
+    beta_j = _jet(p.beta, g, WORK_ORDER, "beta")
     # coarse nodes inside the series radius (none for RK4); alpha may have
     # its pole among them, so zeros stand in for alpha*beta there
     in_c = np.abs(g - t0) <= radius
-    ab_co = np.zeros((io + 1, g.size))
+    ab_co = np.zeros((WORK_ORDER + 1, g.size))
     if (~in_c).any():
-        ab_co[:, ~in_c] = _jet(ab, g[~in_c], io, "alpha*beta").coeffs
+        ab_co[:, ~in_c] = _jet(ab, g[~in_c], WORK_ORDER, "alpha*beta").coeffs
     ab_j = Jet(g, ab_co)
-    x_j, b_j = _system_jets(beta_j, ab_j, x_c, fg.at_coarse(S_s), io)
+    x_j, b_j = _system_jets(beta_j, ab_j, x_c, fg.at_coarse(S_s), WORK_ORDER)
     if in_c.any():   # series nodes: x from the series, sin phi = -x'/beta
         nodes = np.flatnonzero(in_c)
-        x_j.coeffs[:, nodes] = jets.shift(rows, g[nodes] - t0, io)
+        x_j.coeffs[:, nodes] = jets.shift(rows, g[nodes] - t0, WORK_ORDER)
         b_j.coeffs[:, nodes] = 0.0
-        xs_j = x_j.at(nodes)
-        b_j.coeffs[:io, nodes] = _laurent_quotient(
-            -xs_j.differentiated(), beta_j.at(nodes).truncated(io - 1))
+        b_j.coeffs[:WORK_ORDER, nodes] = _laurent_quotient(
+            -x_j.at(nodes).differentiated(),
+            beta_j.at(nodes).truncated(WORK_ORDER - 1))
 
     def expand(ts, n, at):   # the system's recurrence from x and sin phi
         return _system_jets(_jet(p.beta, ts, n, "beta"), _jet(
@@ -697,7 +694,7 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
     report = ConstructionReport(method, t0, flips=flips,
                                 flagged_nodes=flagged, ode_residual=ode_res,
                                 notes=notes)
-    return _assemble(g, order, z_c, x_j, a_j, b_j, ell_j, beta_j, report)
+    return _assemble(g, z_c, x_j, a_j, b_j, ell_j, beta_j, report)
 
 
 # ---------------------------------------------------------------------------
@@ -705,9 +702,9 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid,
 # ---------------------------------------------------------------------------
 
 def profile_from_JK(J: str, K: str, x0: float, grid, t0: float | None = None,
-                    sin0: float = 0.0, cos_sign: float = 1.0, z0: float = 0.0,
-                    order: int = 5) -> LegendreCurve:
-    """Profile with prescribed curvature densities J and K of the revolute.
+                    sin0: float = 0.0, cos_sign: float = 1.0,
+                    z0: float = 0.0) -> LegendreCurve:
+    """Order-5 profile whose revolute has curvature densities J and K.
 
     sin phi is the anchored antiderivative of -K (value sin0 at t0), the
     squared axis distance the anchored antiderivative of 2*J*sin phi
@@ -718,13 +715,14 @@ def profile_from_JK(J: str, K: str, x0: float, grid, t0: float | None = None,
     _check_seeds(x0, sin0, cos_sign, z0)
     if x0 <= 0:
         raise ConstructionError(f"x0 must be positive, got {x0}")
-    fg, io, i0, t0 = _lattice(grid, t0, order)
+    fg, i0, t0 = _lattice(grid, t0)
     g, s = fg.grid, fg.s
     J_s = _values(J, s, "J")
     S_s = fg.cumulative_from(_values(K, s, "K"), t0, 0.0)
     S_c = fg.at_coarse(np.subtract(sin0, S_s, out=S_s))
     _clip_sin(S_s)
-    b_j = (-_jet(K, g, io, "K")).antiderivative(S_c).truncated(io)
+    b_j = (-_jet(K, g, WORK_ORDER, "K")).antiderivative(S_c)
+    b_j = b_j.truncated(WORK_ORDER)
 
     def expand(ts, n, at):   # the antiderivative of -K through sin phi
         return (-_jet(K, ts, n - 1, "K")).antiderivative(at(b_j))
@@ -735,26 +733,25 @@ def profile_from_JK(J: str, K: str, x0: float, grid, t0: float | None = None,
     x2_c, z_c = _j_lattice(fg, t0, x0, z0, J_s, S_s, C_s,
                            "; x0 anchor incompatible with prescribed (J, K)")
     del J_s, S_s, C_s
-    x_j, beta_j = _j_jets(io, x2_c, _jet(J, g, io, "J"), b_j)
+    x_j, beta_j = _j_jets(x2_c, _jet(J, g, WORK_ORDER, "J"), b_j)
     report = ConstructionReport("jk_quadrature", t0, flips=flips,
                                 flagged_nodes=flagged, notes=notes)
-    return _assemble(g, order, z_c, x_j, a_j, b_j, ell_j, beta_j, report)
+    return _assemble(g, z_c, x_j, a_j, b_j, ell_j, beta_j, report)
 
 
 # ---------------------------------------------------------------------------
 # Mean ratio: H = alpha * J
 # ---------------------------------------------------------------------------
 
-def profile_from_mean_ratio(p: MeanRatioProblem, grid,
-                            order: int = 5) -> LegendreCurve:
-    """Profile whose z-axis revolute satisfies H = alpha * J.
+def profile_from_mean_ratio(p: MeanRatioProblem, grid) -> LegendreCurve:
+    """Order-5 profile whose z-axis revolute satisfies H = alpha * J.
 
     Everything is explicit quadrature: eta = 2*int(alpha*beta), F and G
     are c1, c2 minus the antiderivatives of beta*cos(eta) and
     beta*sin(eta), the axis distance is sqrt(F^2+G^2), and the normal
     angle comes from (F, G, eta) without any branch ambiguity.
     """
-    fg, io, _, t0 = _lattice(grid, p.t0, order)
+    fg, _, t0 = _lattice(grid, p.t0)
     g, s = fg.grid, fg.s
     alpha_s = _values(p.alpha, s, "alpha")
     beta_s = _values(p.beta, s, "beta")
@@ -776,12 +773,13 @@ def profile_from_mean_ratio(p: MeanRatioProblem, grid,
     z_c = fg.at_coarse(fg.cumulative_from(beta_s * cos_s, t0, p.z0))
     del beta_s, cos_s
 
-    alpha_j = _jet(p.alpha, g, io, "alpha")
-    beta_j = _jet(p.beta, g, io, "beta")
-    eta_j = (2.0 * (alpha_j * beta_j)).antiderivative(eta_c).truncated(io)
+    alpha_j = _jet(p.alpha, g, WORK_ORDER, "alpha")
+    beta_j = _jet(p.beta, g, WORK_ORDER, "beta")
+    eta_j = (2.0 * (alpha_j * beta_j)).antiderivative(eta_c)
+    eta_j = eta_j.truncated(WORK_ORDER)
     se, ce = jets.sin_cos(eta_j)
-    F_j = (-(beta_j * ce)).antiderivative(F_c).truncated(io)
-    G_j = (-(beta_j * se)).antiderivative(G_c).truncated(io)
+    F_j = (-(beta_j * ce)).antiderivative(F_c).truncated(WORK_ORDER)
+    G_j = (-(beta_j * se)).antiderivative(G_c).truncated(WORK_ORDER)
     x_j = jets.sqrt(F_j * F_j + G_j * G_j)
     a_j = (F_j * se - G_j * ce) / x_j
     b_j = (F_j * ce + G_j * se) / x_j
@@ -793,7 +791,7 @@ def profile_from_mean_ratio(p: MeanRatioProblem, grid,
     report = ConstructionReport(
         "mean_ratio", t0,
         notes={"mean_identity_residual": ratio_resid, "x_min": x_min})
-    return _assemble(g, order, z_c, x_j, a_j, b_j, ell_j, beta_j, report)
+    return _assemble(g, z_c, x_j, a_j, b_j, ell_j, beta_j, report)
 
 
 # ---------------------------------------------------------------------------
@@ -801,38 +799,38 @@ def profile_from_mean_ratio(p: MeanRatioProblem, grid,
 # ---------------------------------------------------------------------------
 
 def profile_from_J_phi(J: str, phi: str, x0: float, grid,
-                       t0: float | None = None, z0: float = 0.0,
-                       order: int = 5) -> LegendreCurve:
-    """Profile with prescribed J and normal angle phi; x(t0) = x0 > 0."""
+                       t0: float | None = None,
+                       z0: float = 0.0) -> LegendreCurve:
+    """Order-5 profile of prescribed J and normal angle phi, x(t0) = x0 > 0."""
     _check_seeds(x0, z0=z0)
     if x0 <= 0:
         raise ConstructionError(f"x0 must be positive, got {x0}")
-    fg, io, _, t0 = _lattice(grid, t0, order)
+    fg, _, t0 = _lattice(grid, t0)
     g, s = fg.grid, fg.s
     J_s = _values(J, s, "J")
     phi_s = _values(phi, s, "phi")
     x2_c, z_c = _j_lattice(fg, t0, x0, z0, J_s, np.sin(phi_s),
                            np.cos(phi_s))
     del J_s, phi_s
-    J_j = _jet(J, g, io, "J")
-    phi_j = _jet(phi, g, io, "phi")
+    J_j = _jet(J, g, WORK_ORDER, "J")
+    phi_j = _jet(phi, g, WORK_ORDER, "phi")
     b_j, a_j = jets.sin_cos(phi_j)
-    x_j, beta_j = _j_jets(io, x2_c, J_j, b_j)
+    x_j, beta_j = _j_jets(x2_c, J_j, b_j)
     report = ConstructionReport("j_phi_quadrature", t0)
-    return _assemble(g, order, z_c, x_j, a_j, b_j, phi_j.differentiated(),
+    return _assemble(g, z_c, x_j, a_j, b_j, phi_j.differentiated(),
                      beta_j, report)
 
 
 def profile_from_H_phi(H: str, phi: str, grid, c_a: float = 0.0,
-                       t0: float | None = None, z0: float = 0.0,
-                       order: int = 5) -> LegendreCurve:
-    """Profile with prescribed mean density H and normal angle phi.
+                       t0: float | None = None,
+                       z0: float = 0.0) -> LegendreCurve:
+    """Order-5 profile with prescribed mean density H and normal angle phi.
 
     Requires cos(phi) bounded away from zero on the grid; c_a shifts the
     antiderivative of 2*H*sin(phi) and thereby scales the axis distance.
     """
     check_finite(c_a=c_a, z0=z0)
-    fg, io, _, t0 = _lattice(grid, t0, order)
+    fg, _, t0 = _lattice(grid, t0)
     g, s = fg.grid, fg.s
     H_s = _values(H, s, "H")
     phi_s, dphi_s = np.empty(s.size), np.empty(s.size)   # phi and phi'
@@ -854,13 +852,13 @@ def profile_from_H_phi(H: str, phi: str, grid, c_a: float = 0.0,
     z_c = fg.at_coarse(fg.cumulative_from(2.0 * H_s - dphi_s * x_s, t0, z0))
     del H_s, phi_s, dphi_s, x_s
 
-    H_j = _jet(H, g, io, "H")
-    phi_j = _jet(phi, g, io, "phi")
+    H_j = _jet(H, g, WORK_ORDER, "H")
+    phi_j = _jet(phi, g, WORK_ORDER, "phi")
     b_j, a_j = jets.sin_cos(phi_j)
-    A_j = (2.0 * (H_j * b_j)).antiderivative(A_c).truncated(io)
+    A_j = (2.0 * (H_j * b_j)).antiderivative(A_c).truncated(WORK_ORDER)
     x_j = -(A_j / a_j)
     dphi_j = phi_j.differentiated()
-    beta_j = (2.0 * H_j - dphi_j * x_j) / a_j.truncated(io - 1)
+    beta_j = (2.0 * H_j - dphi_j * x_j) / a_j.truncated(WORK_ORDER - 1)
 
     report = ConstructionReport("h_phi_quadrature", t0)
-    return _assemble(g, order, z_c, x_j, a_j, b_j, dphi_j, beta_j, report)
+    return _assemble(g, z_c, x_j, a_j, b_j, dphi_j, beta_j, report)

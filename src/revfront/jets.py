@@ -120,6 +120,8 @@ class Jet:
     def truncated(self, order: int) -> "Jet":
         if order >= self.order:
             return self
+        if order < 0:
+            raise ValueError(f"jet order must be at least 0, got {order}")
         return _jet(self.t, self.rows[: order + 1])
 
     def differentiated(self) -> "Jet":

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import expr, jets
-from .jets import Jet
+from .jets import ORDER_CAP, Jet
 from .quadrature import (FineGrid, check_finite, check_tol, checked_grid,
                          evaluated)
 
@@ -69,12 +69,12 @@ class LegendreReport:
         self.passed = passed
 
 
-def legendre_from_expressions(x_src, z_src, a_src, b_src, grid,
-                              order: int = 5) -> LegendreCurve:
-    """Build a curve from four closed-form expressions of t on a finite,
+def legendre_from_expressions(x_src, z_src, a_src, b_src,
+                              grid) -> LegendreCurve:
+    """An order-5 curve from four closed-form expressions of t on a finite,
     strictly increasing grid; one node will do."""
     grid, _ = checked_grid(grid, 1)
-    xj, zj, aj, bj = (evaluated(n, expr.eval_jet, s, grid, order)
+    xj, zj, aj, bj = (evaluated(n, expr.eval_jet, s, grid, ORDER_CAP)
                       for n, s in zip("xzab", (x_src, z_src, a_src, b_src)))
     return LegendreCurve(CurveJet(grid, xj, zj), NormalJet(grid, aj, bj))
 
@@ -101,11 +101,10 @@ def curvature_of(c: LegendreCurve) -> CurvaturePair:
     return CurvaturePair(c.t, ell, beta)
 
 
-def reconstruct_from_curvature(ell_src, beta_src, grid,
-                               theta0: float = 0.0,
-                               x0: float = 0.0, z0: float = 0.0,
-                               order: int = 5) -> LegendreCurve:
-    """Integrate a curvature pair back to a Legendre curve.
+def reconstruct_from_curvature(ell_src, beta_src, grid, theta0: float = 0.0,
+                               x0: float = 0.0,
+                               z0: float = 0.0) -> LegendreCurve:
+    """Integrate a curvature pair back to an order-5 Legendre curve.
 
     The normal direction is the antiderivative angle of ell, the curve the
     antiderivative of beta times the tangent frame vector.  Antiderivative
@@ -124,12 +123,12 @@ def reconstruct_from_curvature(ell_src, beta_src, grid,
     del ell_s, beta_s, theta_s
 
     g = fg.grid
-    ell_j = evaluated("ell", expr.eval_jet, ell_src, g, order)
-    beta_j = evaluated("beta", expr.eval_jet, beta_src, g, order)
-    theta_j = ell_j.antiderivative(theta_c).truncated(order)
+    ell_j = evaluated("ell", expr.eval_jet, ell_src, g, ORDER_CAP)
+    beta_j = evaluated("beta", expr.eval_jet, beta_src, g, ORDER_CAP)
+    theta_j = ell_j.antiderivative(theta_c).truncated(ORDER_CAP)
     b_j, a_j = jets.sin_cos(theta_j)
-    x_j = (-(beta_j * b_j)).antiderivative(x_c).truncated(order)
-    z_j = (beta_j * a_j).antiderivative(z_c).truncated(order)
+    x_j = (-(beta_j * b_j)).antiderivative(x_c).truncated(ORDER_CAP)
+    z_j = (beta_j * a_j).antiderivative(z_c).truncated(ORDER_CAP)
     pair = CurvaturePair(g, ell_j, beta_j)
     return LegendreCurve(CurveJet(g, x_j, z_j), NormalJet(g, a_j, b_j),
                          curvature=pair)

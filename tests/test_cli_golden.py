@@ -3,8 +3,9 @@
 One small run per command and variant: revolve about both axes for a
 curvature-pair profile and an (x, z, a, b) profile, invariants about both
 axes, check, parallel about both axes, evolute, construct gauss, and
-classify in each of its four families; construct gauss also at a pole
-of alpha (Frobenius) and failing on alpha*beta.  Each run writes
+classify in each of its four families; evolute also through a pole of
+the sphere, construct gauss also at a pole of alpha (Frobenius) and
+failing on alpha*beta.  Each run writes
 BASE.csv, BASE.obj and BASE.json as the command does; the sha256 of
 every file written, and the exit code, are compared with the values
 recorded before the revolution invariants were reduced to one (n_t, 1)
@@ -50,6 +51,12 @@ RUNS = {
     "parallel-x": ["parallel", "--lambda", "0.4", "--axis", "x",
                    *ELL_BETA, *THETA],
     "evolute": ["evolute", *XZAB, *THETA],
+    # the unit sphere through its pole at t = 0, node 20: a = sin t
+    # vanishes there, and the axis locus z - x b / a reads 1 - 1 = 0, the
+    # quotient taken at the zero of a (revolution._quotient_at_zero)
+    "evolute-pole": ["evolute", "--x", "sin(t)", "--z", "cos(t)",
+                     "--a", "sin(t)", "--b", "cos(t)",
+                     "--grid", "-0.5:0.5:41", *THETA],
     "construct-gauss": ["construct", "gauss", "--alpha", "-1",
                         "--beta", "cot(t)", "--t0", "1.5707963",
                         "--grid", "0.2:2.94:64", *THETA],
@@ -130,6 +137,12 @@ GOLDEN = {
         "csv": "c8cb7019dbf4ec30acabbfdc0f89a78d3dc6daa8f07dc140e1917b4f75158228",
         "obj": "194afd287f571ca21abeeff9bcec89da4c68d290a1f00ec62a84a7332623a4de",
         "json": "29995b1de17d71e2cc3c9a237ab19c9145281cd5a68744bbf9e1c62d41fcde1a",
+    }),
+    # one _quotient_at_zero call, at node 20; no node flagged
+    "evolute-pole": (0, {
+        "csv": "7cc25412eed9e4f01e22eba4415db30feaaa9b70688d0e7479baba85734834f1",
+        "obj": "e5e8ab42fc25d3333e6a84c23547577e94fa79992d2710a298089f0df98dc513",
+        "json": "a6cb92d8b17d7884dcb32cae036e2839d192caf3f6ec466062f39362e8349ce7",
     }),
     "invariants-x-ell": (0, {
         "json": "887c57372326b71c26fe0172e484e098fc6f3f0598e5072c9f3406c572d4026a",

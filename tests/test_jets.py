@@ -123,6 +123,17 @@ def test_truncate_differentiate_antidifferentiate():
     assert f.truncated(9).order == 5
 
 
+@pytest.mark.parametrize("order", [-1, -3])
+def test_truncated_refuses_a_negative_order(order):
+    # -1 used to give an empty jet of order -1, and -3 the value alone:
+    # the slice counted from the end (a curve's truncated, which cuts each
+    # jet here, is held to the same in test_construct)
+    for f in (Jet(0.0, [1.0, 2.0, 3.0]),
+              jets.variable(np.array([0.0, 1.0]), 2)):
+        with pytest.raises(ValueError, match=f"order .*got {order}"):
+            f.truncated(order)
+
+
 @pytest.mark.parametrize("t", [0.4, np.array([0.4, -1.3, 2.0])])
 def test_antiderivative_divides_each_coefficient_by_its_new_index(t):
     f = jets.sin(jets.variable(t, 5)) * 3.0

@@ -17,15 +17,15 @@ from revfront.quadrature import uniform_grid
 from oracles import congruence_align
 
 
-def circle(grid, order=5):
+def circle(grid):
     return legendre_from_expressions("cos(t)", "sin(t)", "cos(t)", "sin(t)",
-                                     grid, order)
+                                     grid)
 
 
-def tractrix(grid, order=5):
+def tractrix(grid):
     # unit-speed-normal pair for (sin t, cos t + log tan(t/2))
     return legendre_from_expressions("sin(t)", "cos(t)+log(tan(t/2))",
-                                     "cos(t)", "-sin(t)", grid, order)
+                                     "cos(t)", "-sin(t)", grid)
 
 
 def test_circle_is_legendre_with_unit_curvature():
@@ -50,12 +50,11 @@ def test_order_zero_jets_cannot_pass_verification():
     # contact residual is 2.2; jets of order 0 hold no gamma', and the
     # check read it as 0 and passed
     g = uniform_grid(0.0, 1.0, 33)
-    c = legendre_from_expressions("t", "t^2", "0.6", "0.8", g, 1)
-    rep = verify_legendre(c)
+    c = legendre_from_expressions("t", "t^2", "0.6", "0.8", g)
+    rep = verify_legendre(c.truncated(1))
     assert not rep.passed and abs(rep.max_contact_residual - 2.2) < 1e-12
-    c = legendre_from_expressions("t", "t^2", "0.6", "0.8", g, 0)
     with pytest.raises(ValueError, match="order-0 jet"):
-        verify_legendre(c)
+        verify_legendre(c.truncated(0))
 
 
 def test_cusp_curve_curvature_matches_sympy():

@@ -16,7 +16,8 @@ from revfront.framed import (FramedSurfaceGrid, basic_invariants_of,
                              curvature_of, immersion_status,
                              integrability_residual)
 from revfront.framed import parallel_surface
-from revfront.legendre import (curvature_pair_of, legendre_from_expressions,
+from revfront.legendre import (CurveJet, LegendreCurve, NormalJet,
+                               curvature_pair_of, legendre_from_expressions,
                                parallel_curve, plane_evolute,
                                reconstruct_from_curvature, verify_legendre)
 from revfront.quadrature import uniform_grid
@@ -331,9 +332,9 @@ def test_axis_locus_from_jets_of_order_zero():
     theta0 = np.pi / 2 + 0.375
     x0 = -reconstruct_from_curvature("t-1", "1", g, theta0=theta0).curve.x.value[10]
     axis = {}
+    top = reconstruct_from_curvature("t-1", "1", g, theta0=theta0, x0=x0)
     for order in (0, 5):
-        c = reconstruct_from_curvature("t-1", "1", g, theta0=theta0, x0=x0,
-                                       order=order)
+        c = top.truncated(order)
         bundle = revolution_evolutes(c, n_theta=8)
         assert np.flatnonzero(bundle.axis_flags).tolist() == [30]
         axis[order] = bundle.axis_curve[:, 2]
@@ -372,13 +373,19 @@ def test_evolute_bundle_degenerate_turning():
 
 
 def _pair_profile(ell, x0):
-    return lambda g, order: reconstruct_from_curvature(ell, "1", g, x0=x0,
-                                                       order=order)
+    return lambda g, order: reconstruct_from_curvature(
+        ell, "1", g, x0=x0).truncated(order)
 
 
 def _expression_profile(g, order):
-    return legendre_from_expressions("2+cos(t)", "sin(t)", "cos(t)",
-                                     "sin(t)", g, order)
+    """The expression curve's x, z, a and b jets cut to order, with no
+    curvature pair: its evolute jets are one order lower (truncated would
+    attach the order-5 pair, cut to order)."""
+    c = legendre_from_expressions("2+cos(t)", "sin(t)", "cos(t)", "sin(t)",
+                                  g)
+    x, z, a, b = (j.truncated(order) for j in (c.curve.x, c.curve.z,
+                                                c.normal.a, c.normal.b))
+    return LegendreCurve(CurveJet(g, x, z), NormalJet(g, a, b))
 
 
 @pytest.mark.parametrize("profile, order, span", [

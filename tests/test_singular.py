@@ -88,8 +88,8 @@ def test_derivative_criterion_on_short_jets_is_unresolved(order):
     # point still reads regular from order 1
     g = uniform_grid(-1.0, 1.0, 81)
     x, z, a, b, _ = GERMS[0]
-    for c in (legendre_from_expressions(x, z, a, b, g, order),
-              reconstruct_from_curvature("1", "t", g, order=order)):
+    for c in (legendre_from_expressions(x, z, a, b, g).truncated(order),
+              reconstruct_from_curvature("1", "t", g).truncated(order)):
         out = cusp_classify_derivatives(c, 0.0)
         assert out.label == "unresolved"
         assert out.diagnostics["note"] == "jet order too low for any cusp test"

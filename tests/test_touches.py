@@ -332,23 +332,19 @@ def test_a_touch_beside_an_extremum_in_one_grid_step_is_refused():
 def test_a_touch_is_expanded_at_one_order(jk, tmp_path):
     # the pseudo-sphere seeded at its touch t0 = pi/2, a node: at order 0
     # to 2 the touch's sin phi jet had order 2(order + 2), too short to
-    # settle, and the construction failed.  Every order now expands it as
-    # order 5 does, so its jets are order 5's, truncated
+    # settle, and the construction failed.  It is expanded at the one
+    # working order, and a lower order is the order-5 curve truncated
     g = uniform_grid(0.2, 2.9415926535897931, 65)
     args = (["gauss-jk", "--J", "-cos(t)", "--K", "cos(t)"] if jk else
             ["gauss", "--alpha", "-1", "--beta", "cot(t)"])
-
-    def build(order):
-        if jk:
-            return profile_from_JK("-cos(t)", "cos(t)", x0=1.0, grid=g,
-                                   t0=PI / 2, sin0=-1.0, order=order)
-        return profile_from_gauss_ratio(GaussRatioProblem(
-            alpha="-1", beta="cot(t)", t0=PI / 2, x0=1.0, sin_phi0=-1.0),
-            g, order=order)
-
-    top = build(5)
+    if jk:
+        top = profile_from_JK("-cos(t)", "cos(t)", x0=1.0, grid=g,
+                              t0=PI / 2, sin0=-1.0)
+    else:
+        top = profile_from_gauss_ratio(GaussRatioProblem(
+            alpha="-1", beta="cot(t)", t0=PI / 2, x0=1.0, sin_phi0=-1.0), g)
     for order in range(5):
-        c = build(order)
+        c = top.truncated(order)
         assert touch_ts(c) == touch_ts(top) == [PI / 2]
         for got, want in ((c.curvature.ell, top.curvature.ell),
                           (c.normal.a, top.normal.a)):
