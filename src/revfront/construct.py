@@ -12,21 +12,28 @@ z-axis revolute realizes prescribed curvature relations:
 Each returns a LegendreCurve of order-ORDER_CAP (5) jets, chained
 analytically from the defining relations at WORK_ORDER (7) and cut once
 (_assemble); a caller who wants fewer coefficients calls .truncated(k).
-The numerical content is lattice quadrature (16 fine steps per grid step)
-plus, for the gauss ratio, RK4 sweeps of the first-order system outward
-from seeded lattice nodes: the node nearest the anchor, or every node
-within the radius of a Frobenius series at a regular singular point of
-the ratio, its coefficients computed from the Laurent jets of alpha and
-beta at t0 (expr.eval_laurent).  Every construction holds its prescribed
-values at t0 itself (FineGrid.cumulative_from).  Each lattice array is
-released once its values at the grid nodes or its antiderivative are
+The mean, (J, phi) and (H, phi) constructions integrate the WORK_ORDER
+jets of their integrands at the grid nodes with the two-point Hermite
+rule (quadrature.integrated, through _integrator), which refuses an
+interval whose jets do not resolve the integrand and keeps the largest
+interval estimate in the report's notes.  The gauss ratio and (J, K)
+read values between the nodes, and their numerical content is lattice
+quadrature (16 fine steps per grid step) plus, for the gauss ratio, RK4
+sweeps of the first-order system outward from seeded lattice nodes: the
+node nearest the anchor, or every node within the radius of a Frobenius
+series at a regular singular point of the ratio, its coefficients
+computed from the Laurent jets of alpha and beta at t0
+(expr.eval_laurent).  Every construction holds its prescribed values at
+t0 itself (jets.integral, FineGrid.cumulative_from).  Each lattice array
+is released once its values at the grid nodes or its antiderivative are
 taken, the RK4 step matrices and the touch expansions fill their arrays
 over blocks of _BLOCK samples, and an RK4 sweep scans its steps in blocks
 of _RUN, so that a construction holds a few lattice-length arrays at a
 time and a sweep costs O(n) 2x2 products (README).  Any finite, strictly
 increasing grid will do: RK4, the quadrature and the series region read
-the lattice's own steps, the touch locator (jets.zeros) the grid's.  Each
-touch, where |sin phi| = 1, is located and expanded once (_angle_jets).
+the lattice's own steps, the node rule and the touch locator
+(jets.zeros) the grid's.  Each touch, where |sin phi| = 1, is located and
+expanded once (_angle_jets).
 """
 
 from __future__ import annotations
@@ -41,7 +48,8 @@ from . import jets
 from .jets import DIV_TOL, ORDER_CAP, DomainError, Jet, Laurent
 from .legendre import (CurveJet, CurvaturePair, LegendreCurve, NormalJet,
                        verify_legendre)
-from .quadrature import ConstructionError, FineGrid, check_finite, evaluated
+from .quadrature import (ConstructionError, FineGrid, check_finite,
+                         checked_grid, evaluated, integrated)
 
 FLIP_TOL = 1e-8          # |sin phi| at a zero of (sin phi)' within this of 1 -> touch
 SIN_EXCESS_TOL = 1e-9    # |sin phi| beyond 1 + this -> inconsistent data
@@ -141,17 +149,41 @@ def _laurent_quotient(num, den):
     return out
 
 
-def _lattice(grid, t0):
-    """Fine lattice, the fine node nearest the anchor and the anchor
-    parameter, which None puts at the left end of the grid."""
-    fg = FineGrid(grid)
-    lo, hi = fg.grid[0], fg.grid[-1]
+def _anchor(grid, t0):
+    """The grid as a float array (checked_grid) and the anchor parameter,
+    which None puts at the left end of the grid."""
+    grid, _ = checked_grid(grid)
+    lo, hi = grid[0], grid[-1]
     if t0 is None:
-        return fg, 0, float(lo)
+        return grid, float(lo)
     span = hi - lo
     if not lo - 1e-12 * span <= t0 <= hi + 1e-12 * span:   # NaN fails too
         raise ConstructionError(f"t0={t0} lies outside the grid [{lo}, {hi}]")
+    return grid, t0
+
+
+def _lattice(grid, t0):
+    """Fine lattice, the fine node nearest the anchor and the anchor
+    parameter (_anchor)."""
+    grid, t0 = _anchor(grid, t0)
+    fg = FineGrid(grid)
     return fg, fg.nearest(t0), t0
+
+
+def _integrator(t0, sources):
+    """(integral, estimates): integral(f, value, what) is the WORK_ORDER
+    antiderivative of the node jets f equal to value at t0
+    (quadrature.integrated, which names what it refuses and evaluates the
+    sources there), and estimates collects the largest interval estimate
+    of each integral taken."""
+    estimates = []
+
+    def integral(f, value, what):
+        F, worst = integrated(f, t0, value, sources, what)
+        estimates.append(worst)
+        return F.truncated(WORK_ORDER)
+
+    return integral, estimates
 
 
 def _blocks(span):
@@ -410,6 +442,17 @@ def _rk4_path(s, f_node, f_mid, x0, S0):
     return m[:, 0, :n + 1]
 
 
+def _positive_radicand(x2, t, why=""):
+    """ConstructionError at the first sample of t where the squared axis
+    distance x2 is not positive."""
+    bad = x2 <= 0.0
+    if bad.any():
+        tb = t[bad][0]
+        raise ConstructionError(
+            f"squared axis distance becomes non-positive at t={tb:.6g}{why}",
+            t=float(tb))
+
+
 def _j_lattice(fg, t0, x0, z0, J_s, sin_s, cos_s, why=""):
     """Squared axis distance and z at the grid nodes from prescribed J and
     the normal angle phi on the lattice.
@@ -417,31 +460,23 @@ def _j_lattice(fg, t0, x0, z0, J_s, sin_s, cos_s, why=""):
     x^2 = x0^2 + 2*int(J sin phi) must stay positive; beta = -J/x and
     z = z0 + int(beta cos phi).  Returns (x^2, z) at the grid nodes.
     """
-    s = fg.s
     x2_s = x0 * x0 + 2.0 * fg.cumulative_from(J_s * sin_s, t0, 0.0)
-    bad = x2_s <= 0.0
-    if bad.any():
-        tb = s[bad][0]
-        raise ConstructionError(
-            f"squared axis distance becomes non-positive at t={tb:.6g}{why}",
-            t=float(tb))
+    _positive_radicand(x2_s, fg.s, why)
     z_s = fg.cumulative_from(-J_s / np.sqrt(x2_s) * cos_s, t0, z0)
     return fg.at_coarse(x2_s), fg.at_coarse(z_s)
 
 
-def _j_jets(x2_c, J_j, b_j):
-    """The x and beta jets from the J and sin phi jets by the relations of
-    _j_lattice, x^2 chained from its values at the grid nodes, x2_c."""
-    rad_j = (2.0 * (J_j * b_j)).antiderivative(x2_c).truncated(WORK_ORDER)
+def _j_jets(rad_j, J_j):
+    """The x and beta jets from the squared axis distance and J jets by
+    the relations of _j_lattice."""
     x_j = jets.sqrt(rad_j)
     return x_j, -(J_j / x_j)
 
 
-def _assemble(g, z_c, x_j, a_j, b_j, ell_j, beta_j, report):
-    """The curve of the WORK_ORDER jets on the grid g, z chained from its
-    lattice values at the grid nodes, z_c; fills the report's contact and
-    norm residuals from those jets, then cuts every jet to ORDER_CAP."""
-    z_j = (beta_j * a_j).antiderivative(z_c)
+def _assemble(g, z_j, x_j, a_j, b_j, ell_j, beta_j, report):
+    """The curve of the WORK_ORDER jets on the grid g, z's included; fills
+    the report's contact and norm residuals from those jets, then cuts
+    every jet to ORDER_CAP."""
     c = LegendreCurve(CurveJet(g, x_j, z_j), NormalJet(g, a_j, b_j),
                       curvature=CurvaturePair(g, ell_j, beta_j),
                       flags={"construction": report})
@@ -694,7 +729,8 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid) -> LegendreCurve:
     report = ConstructionReport(method, t0, flips=flips,
                                 flagged_nodes=flagged, ode_residual=ode_res,
                                 notes=notes)
-    return _assemble(g, z_c, x_j, a_j, b_j, ell_j, beta_j, report)
+    z_j = (beta_j * a_j).antiderivative(z_c)
+    return _assemble(g, z_j, x_j, a_j, b_j, ell_j, beta_j, report)
 
 
 # ---------------------------------------------------------------------------
@@ -733,10 +769,13 @@ def profile_from_JK(J: str, K: str, x0: float, grid, t0: float | None = None,
     x2_c, z_c = _j_lattice(fg, t0, x0, z0, J_s, S_s, C_s,
                            "; x0 anchor incompatible with prescribed (J, K)")
     del J_s, S_s, C_s
-    x_j, beta_j = _j_jets(x2_c, _jet(J, g, WORK_ORDER, "J"), b_j)
+    J_j = _jet(J, g, WORK_ORDER, "J")
+    rad_j = (2.0 * (J_j * b_j)).antiderivative(x2_c).truncated(WORK_ORDER)
+    x_j, beta_j = _j_jets(rad_j, J_j)
     report = ConstructionReport("jk_quadrature", t0, flips=flips,
                                 flagged_nodes=flagged, notes=notes)
-    return _assemble(g, z_c, x_j, a_j, b_j, ell_j, beta_j, report)
+    z_j = (beta_j * a_j).antiderivative(z_c)
+    return _assemble(g, z_j, x_j, a_j, b_j, ell_j, beta_j, report)
 
 
 # ---------------------------------------------------------------------------
@@ -746,52 +785,42 @@ def profile_from_JK(J: str, K: str, x0: float, grid, t0: float | None = None,
 def profile_from_mean_ratio(p: MeanRatioProblem, grid) -> LegendreCurve:
     """Order-5 profile whose z-axis revolute satisfies H = alpha * J.
 
-    Everything is explicit quadrature: eta = 2*int(alpha*beta), F and G
-    are c1, c2 minus the antiderivatives of beta*cos(eta) and
+    Everything is explicit quadrature of node jets: eta = 2*int(alpha*beta),
+    F and G are c1, c2 minus the antiderivatives of beta*cos(eta) and
     beta*sin(eta), the axis distance is sqrt(F^2+G^2), and the normal
     angle comes from (F, G, eta) without any branch ambiguity.
     """
-    fg, _, t0 = _lattice(grid, p.t0)
-    g, s = fg.grid, fg.s
-    alpha_s = _values(p.alpha, s, "alpha")
-    beta_s = _values(p.beta, s, "beta")
-    eta_s = 2.0 * fg.cumulative_from(alpha_s * beta_s, t0, 0.0)
-    del alpha_s
-    F_s = p.c1 - fg.cumulative_from(beta_s * np.cos(eta_s), t0, 0.0)
-    G_s = p.c2 - fg.cumulative_from(beta_s * np.sin(eta_s), t0, 0.0)
-    x_s = np.hypot(F_s, G_s)
-    x_min = float(np.min(x_s))
-    if x_min <= 1e-12 * (1.0 + float(np.max(x_s))):
-        tb = s[int(np.argmin(x_s))]
+    g, t0 = _anchor(grid, p.t0)
+    alpha_j = _jet(p.alpha, g, WORK_ORDER, "alpha")
+    beta_j = _jet(p.beta, g, WORK_ORDER, "beta")
+    integral, estimates = _integrator(t0, (("alpha", p.alpha),
+                                           ("beta", p.beta)))
+    eta_j = integral(2.0 * (alpha_j * beta_j), 0.0, "eta")
+    se, ce = jets.sin_cos(eta_j)
+    F_j = integral(-(beta_j * ce), p.c1, "F")
+    G_j = integral(-(beta_j * se), p.c2, "G")
+    x_c = np.hypot(F_j.value, G_j.value)
+    x_min = float(np.min(x_c))
+    if x_min <= 1e-12 * (1.0 + float(np.max(x_c))):
+        tb = g[int(np.argmin(x_c))]
         raise ConstructionError(
             f"axis distance sqrt(F^2+G^2) vanishes near t={tb:.6g}; "
             "constants (c1, c2) incompatible with beta on this grid",
             t=float(tb))
-    cos_s = (F_s * np.sin(eta_s) - G_s * np.cos(eta_s)) / x_s
-    eta_c, F_c, G_c = (fg.at_coarse(v) for v in (eta_s, F_s, G_s))
-    del eta_s, F_s, G_s, x_s
-    z_c = fg.at_coarse(fg.cumulative_from(beta_s * cos_s, t0, p.z0))
-    del beta_s, cos_s
-
-    alpha_j = _jet(p.alpha, g, WORK_ORDER, "alpha")
-    beta_j = _jet(p.beta, g, WORK_ORDER, "beta")
-    eta_j = (2.0 * (alpha_j * beta_j)).antiderivative(eta_c)
-    eta_j = eta_j.truncated(WORK_ORDER)
-    se, ce = jets.sin_cos(eta_j)
-    F_j = (-(beta_j * ce)).antiderivative(F_c).truncated(WORK_ORDER)
-    G_j = (-(beta_j * se)).antiderivative(G_c).truncated(WORK_ORDER)
     x_j = jets.sqrt(F_j * F_j + G_j * G_j)
     a_j = (F_j * se - G_j * ce) / x_j
     b_j = (F_j * ce + G_j * se) / x_j
     ell_j = -(beta_j * (a_j / x_j + 2.0 * alpha_j))
+    z_j = integral(beta_j * a_j, p.z0, "z")
 
     ratio_resid = float(np.max(np.abs(
         np.atleast_1d((x_j * ell_j + beta_j * a_j).value) / 2.0
         + np.atleast_1d((alpha_j * beta_j * x_j).value))))
     report = ConstructionReport(
         "mean_ratio", t0,
-        notes={"mean_identity_residual": ratio_resid, "x_min": x_min})
-    return _assemble(g, z_c, x_j, a_j, b_j, ell_j, beta_j, report)
+        notes={"mean_identity_residual": ratio_resid, "x_min": x_min,
+               "quadrature_estimate": max(estimates)})
+    return _assemble(g, z_j, x_j, a_j, b_j, ell_j, beta_j, report)
 
 
 # ---------------------------------------------------------------------------
@@ -801,23 +830,28 @@ def profile_from_mean_ratio(p: MeanRatioProblem, grid) -> LegendreCurve:
 def profile_from_J_phi(J: str, phi: str, x0: float, grid,
                        t0: float | None = None,
                        z0: float = 0.0) -> LegendreCurve:
-    """Order-5 profile of prescribed J and normal angle phi, x(t0) = x0 > 0."""
+    """Order-5 profile of prescribed J and normal angle phi, x(t0) = x0 > 0.
+
+    x^2 = x0^2 + 2*int(J sin phi) must stay positive at the grid nodes;
+    beta = -J/x and z = z0 + int(beta cos phi), both integrals of node
+    jets.
+    """
     _check_seeds(x0, z0=z0)
     if x0 <= 0:
         raise ConstructionError(f"x0 must be positive, got {x0}")
-    fg, _, t0 = _lattice(grid, t0)
-    g, s = fg.grid, fg.s
-    J_s = _values(J, s, "J")
-    phi_s = _values(phi, s, "phi")
-    x2_c, z_c = _j_lattice(fg, t0, x0, z0, J_s, np.sin(phi_s),
-                           np.cos(phi_s))
-    del J_s, phi_s
+    g, t0 = _anchor(grid, t0)
     J_j = _jet(J, g, WORK_ORDER, "J")
     phi_j = _jet(phi, g, WORK_ORDER, "phi")
     b_j, a_j = jets.sin_cos(phi_j)
-    x_j, beta_j = _j_jets(x2_c, J_j, b_j)
-    report = ConstructionReport("j_phi_quadrature", t0)
-    return _assemble(g, z_c, x_j, a_j, b_j, phi_j.differentiated(),
+    integral, estimates = _integrator(t0, (("J", J), ("phi", phi)))
+    rad_j = integral(2.0 * (J_j * b_j), x0 * x0, "x^2")
+    _positive_radicand(rad_j.value, g)
+    x_j, beta_j = _j_jets(rad_j, J_j)
+    z_j = integral(beta_j * a_j, z0, "z")
+    report = ConstructionReport(
+        "j_phi_quadrature", t0,
+        notes={"quadrature_estimate": max(estimates)})
+    return _assemble(g, z_j, x_j, a_j, b_j, phi_j.differentiated(),
                      beta_j, report)
 
 
@@ -826,39 +860,32 @@ def profile_from_H_phi(H: str, phi: str, grid, c_a: float = 0.0,
                        z0: float = 0.0) -> LegendreCurve:
     """Order-5 profile with prescribed mean density H and normal angle phi.
 
-    Requires cos(phi) bounded away from zero on the grid; c_a shifts the
-    antiderivative of 2*H*sin(phi) and thereby scales the axis distance.
+    Requires cos(phi) bounded away from zero at the grid nodes, without a
+    sign change between them; c_a shifts the antiderivative A of
+    2*H*sin(phi) and thereby scales the axis distance x = -A/cos(phi).
+    z = z0 + int(beta cos phi); both integrals are of node jets.
     """
     check_finite(c_a=c_a, z0=z0)
-    fg, _, t0 = _lattice(grid, t0)
-    g, s = fg.grid, fg.s
-    H_s = _values(H, s, "H")
-    phi_s, dphi_s = np.empty(s.size), np.empty(s.size)   # phi and phi'
-    for blk in _blocks(slice(0, s.size)):
-        phi_s[blk], dphi_s[blk] = _jet(phi, s[blk], 1, "phi").coeffs
-    cos_s = np.cos(phi_s)
-    thr = COS_TOL * (1.0 + float(np.max(np.abs(cos_s))))
-    crossings = np.flatnonzero(cos_s[:-1] * cos_s[1:] < 0)
-    if np.min(np.abs(cos_s)) <= thr or crossings.size:
-        bad = int(crossings[0]) if crossings.size else int(np.argmin(np.abs(cos_s)))
-        tb = s[bad]
-        raise ConstructionError(
-            f"cos(phi) vanishes near t={tb:.6g}; the (H, phi) formulas "
-            "require a nonvanishing horizontal normal component", t=float(tb))
-    A_s = c_a + fg.cumulative_from(2.0 * H_s * np.sin(phi_s), t0, 0.0)
-    x_s = -A_s / cos_s
-    A_c = fg.at_coarse(A_s)
-    del A_s, cos_s
-    z_c = fg.at_coarse(fg.cumulative_from(2.0 * H_s - dphi_s * x_s, t0, z0))
-    del H_s, phi_s, dphi_s, x_s
-
+    g, t0 = _anchor(grid, t0)
     H_j = _jet(H, g, WORK_ORDER, "H")
     phi_j = _jet(phi, g, WORK_ORDER, "phi")
     b_j, a_j = jets.sin_cos(phi_j)
-    A_j = (2.0 * (H_j * b_j)).antiderivative(A_c).truncated(WORK_ORDER)
+    cos_c = a_j.value
+    thr = COS_TOL * (1.0 + float(np.max(np.abs(cos_c))))
+    crossings = np.flatnonzero(cos_c[:-1] * cos_c[1:] < 0)
+    if np.min(np.abs(cos_c)) <= thr or crossings.size:
+        tb = g[crossings[0] if crossings.size else np.argmin(np.abs(cos_c))]
+        raise ConstructionError(
+            f"cos(phi) vanishes near t={tb:.6g}; the (H, phi) formulas "
+            "require a nonvanishing horizontal normal component", t=float(tb))
+    integral, estimates = _integrator(t0, (("H", H), ("phi", phi)))
+    A_j = integral(2.0 * (H_j * b_j), c_a, "A")
     x_j = -(A_j / a_j)
     dphi_j = phi_j.differentiated()
     beta_j = (2.0 * H_j - dphi_j * x_j) / a_j.truncated(WORK_ORDER - 1)
+    z_j = integral(beta_j * a_j, z0, "z")
 
-    report = ConstructionReport("h_phi_quadrature", t0)
-    return _assemble(g, z_c, x_j, a_j, b_j, dphi_j, beta_j, report)
+    report = ConstructionReport(
+        "h_phi_quadrature", t0,
+        notes={"quadrature_estimate": max(estimates)})
+    return _assemble(g, z_j, x_j, a_j, b_j, dphi_j, beta_j, report)

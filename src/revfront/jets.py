@@ -41,11 +41,14 @@ without a numpy warning.
 A Laurent jet is a scalar-base jet times an integer power of t - t0, so
 that a quotient passes a pole (Knuth, TAOCP vol. 2, 4.7); see Laurent.
 A jet's rows are also a polynomial in t - t0: shift re-expands it at an
-offset; zeros finds a function's zeros from its node jets by newton.
+offset; zeros finds a function's zeros from its node jets by newton;
+integral integrates a function over its grid from its node jets, by the
+two-point Hermite rule of hermite_weights.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -458,6 +461,57 @@ def shift(rows, d, order):
         p = np.polyder(p)
         out.append(np.polyval(p, d) / math.factorial(m))
     return np.array(out)
+
+
+def hermite_weights(m: int) -> list:
+    """W_k = C(m, k) / (2 (k + 1) C(2m + 1, k)), k = 0..m: the two-point
+    Hermite rule (Davis and Rabinowitz, Methods of Numerical Integration,
+    2nd ed., 1984), exact to degree 2m + 1, integrates f over [a, a + h]
+    as sum_k W_k h^(k+1) (c_k(a) + (-1)^k c_k(a + h))."""
+    return [math.comb(m, k) / (2 * (k + 1) * math.comb(2 * m + 1, k))
+            for k in range(m + 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _rule(m: int):
+    """Read-only columns: (-1)^k, the order-m weights, and those less the
+    order-(m - 1) weights (0 for k = m)."""
+    w = np.array(hermite_weights(m))
+    cols = (np.where(np.arange(m + 1) % 2, -1.0, 1.0), w,
+            w - np.append(hermite_weights(m - 1), 0.0))
+    for col in cols:
+        col.setflags(write=False)
+    return tuple(col[:, None] for col in cols)
+
+
+def integral(f: Jet, t0: float, value: float):
+    """(F, est): the values F at the nodes f.t of the antiderivative of f
+    equal to value at t0, and for each grid interval the magnitude of the
+    difference between the order-m Hermite rule on f's node jets
+    (hermite_weights, m = f.order >= 1) and the order-(m - 1) rule beside
+    it, an estimate of the interval's error.  Each rule sums its terms
+    W_k h^(k+1) (c_k(i) +- c_k(i+1)) from k = m down.  F is the
+    cumulative sum of the interval integrals, shifted so that at the node
+    i nearest t0 it equals value minus the integral of node i's
+    polynomial from t_i to t0: at a t0 on a node F holds value there
+    exactly."""
+    g, c, m = f.t, f.coeffs, f.order
+    if m < 1:
+        raise ValueError("the node rule needs jets of order at least 1")
+    sign, w, w_diff = _rule(m)
+    terms = c[:, 1:] * sign
+    terms += c[:, :-1]
+    terms *= np.cumprod(np.broadcast_to(np.diff(g), terms.shape), axis=0)
+    F = np.zeros_like(g)
+    np.cumsum((w * terms)[::-1].sum(axis=0), out=F[1:])
+    i = int(np.argmin(np.abs(g - t0)))
+    d = t0 - g[i]
+    piece = 0.0
+    for k, ck in reversed(list(enumerate(c[:, i].tolist()))):
+        piece = d * (piece + ck / (k + 1))
+    F -= F[i]
+    F += value - piece
+    return F, np.abs((w_diff * terms)[::-1].sum(axis=0))
 
 
 def newton(rows, base, t, h):

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import expr, jets
 from .jets import ORDER_CAP, Jet
-from .quadrature import (FineGrid, check_finite, check_tol, checked_grid,
-                         evaluated)
+from .quadrature import (check_finite, check_tol, checked_grid, evaluated,
+                         integrated)
 
 
 class DegenerateCurvatureError(ValueError):
@@ -106,29 +106,29 @@ def reconstruct_from_curvature(ell_src, beta_src, grid, theta0: float = 0.0,
                                z0: float = 0.0) -> LegendreCurve:
     """Integrate a curvature pair back to an order-5 Legendre curve.
 
-    The normal direction is the antiderivative angle of ell, the curve the
-    antiderivative of beta times the tangent frame vector.  Antiderivative
-    values come from the lattice quadrature; every jet coefficient above
-    order zero is chained analytically from the structure equations, so the
-    output satisfies the contact condition to rounding.
+    The normal direction is the antiderivative angle theta of ell, the
+    curve the antiderivative of beta times the tangent frame vector, all
+    anchored at the left end of the grid.  Each antiderivative integrates
+    the order-5 node jets of its integrand (ell, -beta sin theta and
+    beta cos theta) with the two-point Hermite rule (quadrature.integrated),
+    which refuses an interval its jets do not resolve, and its jet
+    coefficients above order zero are the integrand's, so the output
+    satisfies the contact condition to rounding.
     """
     check_finite(theta0=theta0, x0=x0, z0=z0)
-    fg = FineGrid(grid)
-    ell_s = fg.eval_expr(ell_src)
-    beta_s = fg.eval_expr(beta_src)
-    theta_s = fg.cumulative(ell_s, theta0)
-    theta_c = fg.at_coarse(theta_s)
-    x_c, z_c = fg.at_coarse(fg.cumulative(
-        [-beta_s * np.sin(theta_s), beta_s * np.cos(theta_s)], [x0, z0]))
-    del ell_s, beta_s, theta_s
-
-    g = fg.grid
+    g, _ = checked_grid(grid)
     ell_j = evaluated("ell", expr.eval_jet, ell_src, g, ORDER_CAP)
     beta_j = evaluated("beta", expr.eval_jet, beta_src, g, ORDER_CAP)
-    theta_j = ell_j.antiderivative(theta_c).truncated(ORDER_CAP)
+    sources = (("ell", ell_src), ("beta", beta_src))
+
+    def integral(f, value, what):
+        return integrated(f, g[0], value, sources, what)[0].truncated(
+            ORDER_CAP)
+
+    theta_j = integral(ell_j, theta0, "theta")
     b_j, a_j = jets.sin_cos(theta_j)
-    x_j = (-(beta_j * b_j)).antiderivative(x_c).truncated(ORDER_CAP)
-    z_j = (beta_j * a_j).antiderivative(z_c).truncated(ORDER_CAP)
+    x_j = integral(-(beta_j * b_j), x0, "x")
+    z_j = integral(beta_j * a_j, z0, "z")
     pair = CurvaturePair(g, ell_j, beta_j)
     return LegendreCurve(CurveJet(g, x_j, z_j), NormalJet(g, a_j, b_j),
                          curvature=pair)

@@ -1,13 +1,18 @@
-"""Cumulative antiderivatives on a refined lattice.
+"""Cumulative antiderivatives: from node jets, or on a refined lattice.
 
 All reconstructions in this package chain antiderivatives: the next
-integrand needs the previous antiderivative at interior quadrature points.
-Working on a lattice that refines each grid interval into an even number of
-sub-intervals makes that composable: composite Simpson over pairs of fine
-intervals gives the antiderivative at even fine nodes, a local three-point
-(Newton) formula fills the odd nodes, and the result is then available at
-every fine node for the next stage.  Restriction to the original grid is a
-simple stride.
+integrand needs the previous antiderivative.  Where the builder holds the
+integrand as Taylor jets at the grid nodes, and every later integrand is
+a jet function of the earlier antiderivatives, integrated chains them at
+the nodes alone: the two-point Hermite rule of jets.integral on each grid
+interval, refused where its estimate shows the jets do not resolve the
+integrand between the nodes.  The gauss ratio's RK4 sweeps and the (J, K)
+touch machinery read values between the nodes, and for them FineGrid
+refines each grid interval into an even number of sub-intervals:
+composite Simpson over pairs of fine intervals gives the antiderivative at
+even fine nodes, a local three-point (Newton) formula fills the odd nodes,
+and the result is then available at every fine node for the next stage.
+Restriction to the original grid is a simple stride.
 """
 
 from __future__ import annotations
@@ -17,8 +22,12 @@ import math
 
 import numpy as np
 
-from . import expr
-from .jets import DomainError
+from . import expr, jets
+from .jets import DomainError, Jet
+
+# An interval whose node-rule estimate exceeds INTERVAL_TOL times
+# (1 + max |f| at the nodes) times its length is refused (integrated).
+INTERVAL_TOL = 1e-6
 
 
 class ConstructionError(RuntimeError):
@@ -38,6 +47,33 @@ def evaluated(what, evaluate, src, *args):
         raise ConstructionError(
             f"{what} cannot be evaluated on the grid: {exc}",
             source=str(src)) from exc
+
+
+def integrated(f: Jet, t0: float, value: float, sources, what: str):
+    """(F, worst): the antiderivative jet F of the node jets f with
+    F(t0) = value (jets.integral), and the largest interval estimate over
+    (1 + max |f| at the nodes) times the interval's length.  Where that
+    exceeds INTERVAL_TOL, the jets do not resolve f between the nodes, as
+    at a pole or a branch point there: ConstructionError naming the first
+    such interval, or the ConstructionError of evaluated where one of the
+    sources, (what, expression) pairs, cannot be evaluated at the
+    midpoints of the grid intervals."""
+    values, est = jets.integral(f, t0, value)
+    t = f.t
+    scaled = est / ((1.0 + float(np.max(np.abs(f.value)))) * np.diff(t))
+    worst = float(np.max(scaled))
+    if not worst <= INTERVAL_TOL:      # NaN too
+        for name, src in sources:
+            evaluated(name, expr.eval_values, src, 0.5 * (t[:-1] + t[1:]))
+        k = int(np.flatnonzero(~(scaled <= INTERVAL_TOL))[0])
+        a, b = float(t[k]), float(t[k + 1])
+        raise ConstructionError(
+            f"{what} cannot be integrated between the grid nodes "
+            f"t={a:.6g} and t={b:.6g}: the rule's estimate "
+            f"{scaled[k]:.3g} exceeds {INTERVAL_TOL:g} (a pole or branch "
+            "point there, or too coarse a grid)",
+            interval=[a, b], estimate=float(scaled[k]))
+    return f.antiderivative(values), worst
 
 
 def checked_grid(grid, min_nodes: int = 2):

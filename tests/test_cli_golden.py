@@ -15,7 +15,9 @@ taken from beta's lattice values; the RK4 and Frobenius gauss runs:
 after the RK4 sweep became a scan blocked by grid interval, which moves
 their CSV, OBJ and RK4 JSON bytes at rounding level; every OBJ, and the
 revolve and parallel-z JSON: after cos theta and sin theta came from the
-angle grid's symmetry sector, see SECTOR below).  Any byte change
+angle grid's symmetry sector, see SECTOR below; the --ell/--beta runs:
+after reconstruct_from_curvature integrated node jets, see NODE_RULE
+below).  Any byte change
 in an artifact fails here; a deliberate change must update the hash and
 say why.
 """
@@ -91,6 +93,15 @@ TOL_COMMANDS = ("revolve", "invariants", "classify", "evolute", "check")
 # that of parallel-z only in its commutation residuals (x_u, x_uv), by an
 # ulp or two; every CSV and every other JSON keeps its bytes.
 
+# NODE_RULE: reconstruct_from_curvature integrates its node jets with the
+# two-point Hermite rule instead of the 16-step lattice.  The --ell/--beta
+# profile (ELL_BETA) moved from 3.7e-12 to 6.7e-16 of a scipy quad
+# reference, so every number of its CSV and OBJ moves by at most 3.7e-12
+# (revolve, 3.8e-12 for parallel), the invariants records by at most
+# 4.3e-12 (J), and the revolve-z and parallel JSON only in frame and
+# commutation residuals of 1e-16; revolve-x's JSON and check-ell keep
+# their bytes.
+
 # run -> (exit code, {extension: sha256 of BASE.extension})
 GOLDEN = {
     "classify-auto": (0, {
@@ -144,31 +155,31 @@ GOLDEN = {
         "obj": "e5e8ab42fc25d3333e6a84c23547577e94fa79992d2710a298089f0df98dc513",
         "json": "a6cb92d8b17d7884dcb32cae036e2839d192caf3f6ec466062f39362e8349ce7",
     }),
-    "invariants-x-ell": (0, {
-        "json": "887c57372326b71c26fe0172e484e098fc6f3f0598e5072c9f3406c572d4026a",
+    "invariants-x-ell": (0, {   # NODE_RULE
+        "json": "0583d2c5fa1b50f45807425c8ca300f7810fd9392ffd9d9fd38f42ac6d356191",
     }),
     "invariants-x-xzab": (0, {
         "json": "336c7cf7a96b17385817298bf6989bdac24e4ecf3f36152d5ba6c432f10694b6",
     }),
-    "invariants-z-ell": (0, {
-        "json": "7fda7ad6c8bab4543974282e569d5df3e6303e0546c8e2427edc3d48a8cbbbbf",
+    "invariants-z-ell": (0, {   # NODE_RULE
+        "json": "08fdca74e6c2841c8f6dc5b95d3ca6a918ed4fa35960fdeed73d0acff1da8745",
     }),
     "invariants-z-xzab": (0, {
         "json": "db7924af03bf523762f80f518687abc5564f197275abcee1bca82a17512555b7",
     }),
-    "parallel-x": (0, {   # obj: SECTOR
-        "csv": "e0a0acf24590fce5bd50a365630a9051e2111d5c24a14b4c48cd70d59fc1e58a",
-        "obj": "d731b34e7db9bba5ea352134c2a322ba2749dbc8bb6476660a274ba978feff00",
-        "json": "a17259f008196740dcee71d6c5e57e2fd22178d1f22ba657c004bb42b2cf971f",
+    "parallel-x": (0, {   # obj: SECTOR; csv, obj, json: NODE_RULE
+        "csv": "07be7508bca5a31e2f2061e639fe5a5f3342c4fb7fc60af1d7bcc9a6fadefd2d",
+        "obj": "dbd36510cb4fa64e2653c2b7020d2854db10bd5135eb9f2dc7599c2d1bbaac40",
+        "json": "8164e2cc9386172daca6c0b296634495ac9fe2bc5049893eed289df8dfd1bd06",
     }),
-    "parallel-z": (0, {   # obj, json: SECTOR
-        "csv": "e0a0acf24590fce5bd50a365630a9051e2111d5c24a14b4c48cd70d59fc1e58a",
-        "obj": "f74e61c4441c39469143be9279081f76508a4b651bff88185238d9d926d3d794",
-        "json": "048eb24d40b03c03a6f47e9a7bb0936034b8a87ff6e78bc6cea40df93a3d52ef",
+    "parallel-z": (0, {   # obj, json: SECTOR; csv, obj, json: NODE_RULE
+        "csv": "07be7508bca5a31e2f2061e639fe5a5f3342c4fb7fc60af1d7bcc9a6fadefd2d",
+        "obj": "190c338599af6af9e459360a3170da9bd0732d7d27b2df38a32c0dc5cac8ff34",
+        "json": "ea5474253a75e435f8d1ee304d35a9ed55a9423a655ec18571d199f232125ee4",
     }),
-    "revolve-x-ell": (0, {   # obj, json: SECTOR
-        "csv": "f19810152a5ebde678ea979311f10471e16d6f2477eb4bec37ae7aa96fd38af6",
-        "obj": "2e4a91f8d53956654f3e1471b2d9c135ababdc369286f4bd39ef52bcd6e7506c",
+    "revolve-x-ell": (0, {   # obj, json: SECTOR; csv, obj: NODE_RULE
+        "csv": "1cf806def3234904f5955148b4cb9ea3113a336ac11326928fa75db3cd311ebc",
+        "obj": "3534a3ccd3333bb6c1ab718c63e023e69a217118b55aea9ebca9c08a25bb3531",
         "json": "5706035cbd45d469f99fc26842ef52594c10213ebb5bef82de470f557c53781c",
     }),
     "revolve-x-xzab": (0, {   # obj, json: SECTOR
@@ -176,10 +187,10 @@ GOLDEN = {
         "obj": "daf4dc7848a7edc48555d2a2387b7b69f362f0876b53ba92159daba1b0b553c4",
         "json": "4f741aabe04eba3e1a7c2e0835650dcdfb762d414a6bf913e218b91442d0da09",
     }),
-    "revolve-z-ell": (0, {   # obj, json: SECTOR
-        "csv": "f19810152a5ebde678ea979311f10471e16d6f2477eb4bec37ae7aa96fd38af6",
-        "obj": "21f475d31508895656b0fbdca4c02683b1304b48190d8c0cd1648c91391b5704",
-        "json": "ea50162a98fa6bacba1254bf4fb136920eb985cbc55836f3d6ff29490052dc65",
+    "revolve-z-ell": (0, {   # obj, json: SECTOR; csv, obj, json: NODE_RULE
+        "csv": "1cf806def3234904f5955148b4cb9ea3113a336ac11326928fa75db3cd311ebc",
+        "obj": "8dcdf78c7153770cdaccf10d9b68238c0d5bd81c2db46fd5aba21b8d87c1a888",
+        "json": "216c2cef04aaed141ef4bf9d47e24f8b549f59e1fd3594404af744e3ef2d6a04",
     }),
     "revolve-z-xzab": (0, {   # obj, json: SECTOR
         "csv": "9d653d0e43fde02903cf6a5ca7b2a53d76452214bbdba012be49807d01cd50de",

@@ -25,7 +25,8 @@ from revfront.construct import (ConstructionError, GaussRatioProblem,
 from revfront.jets import ORDER_CAP
 from revfront.legendre import (curvature_pair_of, legendre_from_expressions,
                                reconstruct_from_curvature, verify_legendre)
-from revfront.quadrature import FineGrid, nearest_node, uniform_grid
+from revfront.quadrature import (INTERVAL_TOL, FineGrid, nearest_node,
+                                 uniform_grid)
 from revfront.revolution import revolution_curvature
 from revfront.singular import revolution_singularity_classify
 
@@ -721,6 +722,9 @@ def test_construction_report_shape():
                        "notes"]
     assert d["contact_residual"] <= 1e-10
     assert c.curvature is not None
+    # a node-jet construction keeps its largest interval estimate
+    est = d["notes"]["quadrature_estimate"]
+    assert type(est) is float and 0.0 <= est <= INTERVAL_TOL
     # a touch adds one record per located t* to the notes; none, no key
     assert "touches" not in d["notes"]
     for build in TOUCH_BUILDS.values():

@@ -8,8 +8,12 @@ pi/2 on node 2000, the Frobenius branch of alpha = -2/(k t)^2, and the
 coefficients and of its ConstructionReport is compared with the value
 recorded before the lattice work was done in blocks and in place (the
 two gauss ratio cases: after the RK4 sweep became a scan blocked by
-grid interval, which reassociates its matrix products); any bit that
-moves fails here.  The second test holds each construction's
+grid interval, which reassociates its matrix products; the mean, (J, phi),
+(H, phi) and curvature-pair cases: after they integrated their node jets
+with the two-point Hermite rule instead of the lattice, which moved
+their x and z values by at most 1.1e-14 (z of (H, phi)) toward closed
+forms and scipy quad references, and added the report's
+quadrature_estimate); any bit that moves fails here.  The second test holds each construction's
 traced peak of memory, its output included, to a few lattice-length
 arrays: the fine lattice of the 4000-node grid holds 63 985 samples,
 0.49 MiB an array.
@@ -87,14 +91,14 @@ GOLDEN = {
         "5d7805043e72a884d1d4a6550c91ce075ffe146630b759dfc249772b5e6ea9e5",
     "gauss_rk4":
         "5cd90fa3a0adcc4d6db60a9132bb26ab5bba2b68cfdde7edda16c317cd564011",
-    "h_phi":
-        "033110cc401b68c2a61d94193ab4fc8f30a6af20e8e917c0c23aac0f6f484481",
-    "j_phi":
-        "89af4b7700f06acd197f7cbadeb15e499b572932a2fe8097b6c5716c6d680aa1",
-    "mean":
-        "4bc6d71be6356014afaabb2c345b4c9ea207b0c32f2467a8eb2c0ff4dc179965",
-    "reconstruct":
-        "4d0cc3cb49f1fa2ec14f266495ad96dee57b6efcd8bab838ce0d6e85c9344028",
+    "h_phi":   # node jets, not the lattice
+        "586b28199a970e74d880bab283dc3d21903a06d20af0fba5e98727a078abd4ac",
+    "j_phi":   # node jets, not the lattice
+        "ceed89c64b801edbb644d18a7498eb21fcd9d81d80f885882d097e12f7ed2d79",
+    "mean":   # node jets, not the lattice
+        "2736627b7bbd56a131efabdff604bcc5df74a0d382ef622cafbe5bd2dbb81339",
+    "reconstruct":   # node jets, not the lattice
+        "5270c0976a4b78863965c3615f40f1feab2a2012ded5536a19df22730335165c",
 }
 
 # traced peak in MiB: the 4000-node RK4 case, and each 2000-node case
