@@ -506,9 +506,9 @@ def integral(f: Jet, t0: float, value: float):
     np.cumsum((w * terms)[::-1].sum(axis=0), out=F[1:])
     i = int(np.argmin(np.abs(g - t0)))
     d = t0 - g[i]
-    piece = 0.0
-    for k, ck in reversed(list(enumerate(c[:, i].tolist()))):
-        piece = d * (piece + ck / (k + 1))
+    col, piece = c[:, i].tolist(), 0.0
+    for k in range(m, -1, -1):
+        piece = d * (piece + col[k] / (k + 1))
     F -= F[i]
     F += value - piece
     return F, np.abs((w_diff * terms)[::-1].sum(axis=0))
