@@ -501,7 +501,11 @@ def integral(f: Jet, t0: float, value: float):
     sign, w, w_diff = _rule(m)
     terms = c[:, 1:] * sign
     terms += c[:, :-1]
-    terms *= np.cumprod(np.broadcast_to(np.diff(g), terms.shape), axis=0)
+    h = np.diff(g)
+    power = h.copy()
+    for row in terms:               # row k times h^(k+1)
+        row *= power
+        power *= h
     F = np.zeros_like(g)
     np.cumsum((w * terms)[::-1].sum(axis=0), out=F[1:])
     i = int(np.argmin(np.abs(g - t0)))
