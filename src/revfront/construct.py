@@ -186,6 +186,25 @@ def _integrator(t0, sources):
     return integral, estimates
 
 
+def _with_turns(f):
+    """(t, values): the function of the node jets f at the grid nodes and,
+    between them, at each zero of f' that jets.zeros locates, read off its
+    node's polynomial, in the order of t.  Where f is least between two
+    nodes, f' changes sign there, unless it has two zeros in one interval;
+    where f' changes sign at no node, the scan is skipped."""
+    g, df = f.t, f.differentiated()
+    if not np.diff(df.value > 0).any():
+        return g, f.value
+    turns = [(t, i) for t, i, how in jets.zeros(
+        df.coeffs, g, float(np.max(np.diff(g))))
+        if how == "located" and g[0] < t < g[-1]]
+    t = np.append(g, [t for t, _ in turns])
+    v = np.append(f.value, [jets.shift(f.coeffs[:, i], t - g[i], 0)[0]
+                            for t, i in turns])
+    order = np.argsort(t, kind="stable")
+    return t[order], v[order]
+
+
 def _blocks(span):
     """The slice span of a lattice cut into blocks of _BLOCK samples."""
     return [slice(lo, min(lo + _BLOCK, span.stop))
@@ -799,15 +818,17 @@ def profile_from_mean_ratio(p: MeanRatioProblem, grid) -> LegendreCurve:
     se, ce = jets.sin_cos(eta_j)
     F_j = integral(-(beta_j * ce), p.c1, "F")
     G_j = integral(-(beta_j * se), p.c2, "G")
-    x_c = np.hypot(F_j.value, G_j.value)
-    x_min = float(np.min(x_c))
-    if x_min <= 1e-12 * (1.0 + float(np.max(x_c))):
-        tb = g[int(np.argmin(x_c))]
+    x2_j = F_j * F_j + G_j * G_j
+    t, x2 = _with_turns(x2_j)
+    x_s = np.sqrt(np.maximum(x2, 0.0))
+    x_min = float(np.min(x_s))
+    if x_min <= 1e-12 * (1.0 + float(np.max(x_s))):
+        tb = t[int(np.argmin(x_s))]
         raise ConstructionError(
             f"axis distance sqrt(F^2+G^2) vanishes near t={tb:.6g}; "
             "constants (c1, c2) incompatible with beta on this grid",
             t=float(tb))
-    x_j = jets.sqrt(F_j * F_j + G_j * G_j)
+    x_j = jets.sqrt(x2_j)
     a_j = (F_j * se - G_j * ce) / x_j
     b_j = (F_j * ce + G_j * se) / x_j
     ell_j = -(beta_j * (a_j / x_j + 2.0 * alpha_j))
@@ -845,7 +866,7 @@ def profile_from_J_phi(J: str, phi: str, x0: float, grid,
     b_j, a_j = jets.sin_cos(phi_j)
     integral, estimates = _integrator(t0, (("J", J), ("phi", phi)))
     rad_j = integral(2.0 * (J_j * b_j), x0 * x0, "x^2")
-    _positive_radicand(rad_j.value, g)
+    _positive_radicand(*_with_turns(rad_j)[::-1])
     x_j, beta_j = _j_jets(rad_j, J_j)
     z_j = integral(beta_j * a_j, z0, "z")
     report = ConstructionReport(
@@ -870,11 +891,12 @@ def profile_from_H_phi(H: str, phi: str, grid, c_a: float = 0.0,
     H_j = _jet(H, g, WORK_ORDER, "H")
     phi_j = _jet(phi, g, WORK_ORDER, "phi")
     b_j, a_j = jets.sin_cos(phi_j)
-    cos_c = a_j.value
-    thr = COS_TOL * (1.0 + float(np.max(np.abs(cos_c))))
-    crossings = np.flatnonzero(cos_c[:-1] * cos_c[1:] < 0)
-    if np.min(np.abs(cos_c)) <= thr or crossings.size:
-        tb = g[crossings[0] if crossings.size else np.argmin(np.abs(cos_c))]
+    t, cos_t = _with_turns(a_j)
+    thr = COS_TOL * (1.0 + float(np.max(np.abs(cos_t))))
+    crossings = np.flatnonzero(cos_t[:-1] * cos_t[1:] < 0)
+    if np.min(np.abs(cos_t)) <= thr or crossings.size:
+        least = int(np.argmin(np.abs(cos_t)))
+        tb = t[least if abs(cos_t[least]) <= thr else crossings[0]]
         raise ConstructionError(
             f"cos(phi) vanishes near t={tb:.6g}; the (H, phi) formulas "
             "require a nonvanishing horizontal normal component", t=float(tb))

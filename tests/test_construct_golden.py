@@ -96,7 +96,7 @@ GOLDEN = {
     "j_phi":   # node jets, not the lattice
         "ceed89c64b801edbb644d18a7498eb21fcd9d81d80f885882d097e12f7ed2d79",
     "mean":   # node jets, not the lattice
-        "2736627b7bbd56a131efabdff604bcc5df74a0d382ef622cafbe5bd2dbb81339",
+        "7133470e78910886418aca6379afcd59c4707ac9c8781eaebd43902323e69117",
     "reconstruct":   # node jets, not the lattice
         "5270c0976a4b78863965c3615f40f1feab2a2012ded5536a19df22730335165c",
 }

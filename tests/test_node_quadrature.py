@@ -151,6 +151,33 @@ def test_a_pole_between_nodes_is_refused(name):
     assert a < b < 0.0001 and ei.value.info["estimate"] > INTERVAL_TOL
 
 
+# x^2 of (J, phi) dips below 0, cos phi of (H, phi) touches 0 and the
+# mean's axis distance vanishes at t = 0.5, between the nodes 4/9 and 5/9
+# of the 10-node grid on [0, 1]: each refusal reads the node jets where
+# the function turns between nodes
+TURN_GRID = uniform_grid(0.0, 1.0, 10)
+TURNS = {
+    "J phi": (lambda: profile_from_J_phi(
+        "t-0.5", repr(math.pi / 2), x0=math.sqrt(0.249), grid=TURN_GRID),
+              "squared axis distance becomes non-positive at t=0.5"),
+    "H phi": (lambda: profile_from_H_phi(
+        "1", "1.5707963267948966-(t-0.5)^2", TURN_GRID, c_a=-1.0),
+              r"cos\(phi\) vanishes near t=0.5;"),
+    # F = t - 0.5, G = 0: the axis distance |t - 0.5|
+    "mean": (lambda: profile_from_mean_ratio(MeanRatioProblem(
+        alpha="0", beta="-1", c1=-0.5, c2=0.0), TURN_GRID),
+             r"axis distance sqrt\(F\^2\+G\^2\) vanishes near t=0.5;"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TURNS))
+def test_a_refusal_between_nodes_is_kept(name):
+    build, message = TURNS[name]
+    with pytest.raises(ConstructionError, match=message) as ei:
+        build()
+    assert abs(ei.value.info["t"] - 0.5) < 1e-6
+
+
 def test_a_branch_point_beside_the_grid_is_refused():
     # sqrt(t + 0.001): its jets at t = 0 see the branch point at -0.001
     with pytest.raises(ConstructionError, match="estimate 94.3 exceeds"):
