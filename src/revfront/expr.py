@@ -433,6 +433,10 @@ def _exponent(e: Expr, t, var, literals) -> float:
         if flat.size != 1 and not (flat.size and np.all(flat == flat[0])):
             raise ExponentError("exponent must be a single constant")
         if _mentions_t(e):
+            # a Laurent walk tests its Taylor variable's order, as a jet
+            # walk does, so both see the same derivatives of e
+            if isinstance(var, jets.Laurent):
+                var = var.jet
             if not (isinstance(var, Jet) and var.order >= jets.ORDER_CAP):
                 var = jets.variable(t, jets.ORDER_CAP)
             if np.any(_eval(e, t, var, literals).coeffs[1:]):

@@ -398,6 +398,16 @@ def test_scalar_jet_is_a_column_of_the_array_jet(e, t0, order):
 # a product with a constant jet would give c_3 = 0.0 here, not -0.0
 @example(BinOp("*", Num(2.0),
               Neg(BinOp("-", BinOp("*", Var(), Var()), Var()))), 0.5, 3)
+# an exponent's derivatives above jets.ORDER_CAP: t^6 at 0 depends on t
+# only at order 6, and cos(t^1.5) overflows at order 7 near 0
+@example(BinOp("^", Num(2.0), BinOp("^", Var(), Num(6.0))), 0.0, 8)
+@example(BinOp("^", BinOp("^", Num(0.5), Num(0.0)),
+               Call("cos", BinOp("^", Var(), Num(1.5)))),
+         1.0509411148209696e-45, 7)
+# -t^1 * ... : t^-1 * -t = -1 leaves rounding noise at orders above 5
+@example(BinOp("^", Neg(BinOp("^", Var(), Num(1.0))),
+               BinOp("*", BinOp("^", Var(), Num(-1.0)), Neg(Var()))),
+         2.5649481554137585, 8)
 def test_valuation_walk_is_the_jet_walk_where_nothing_is_stripped(e, t0,
                                                                    order):
     stripped = []
