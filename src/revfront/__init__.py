@@ -1,7 +1,7 @@
 """Legendre curves in the plane and surfaces of revolution of frontals.
 
 The package splits into thin layers: expression parsing and Taylor jets
-(expr, jets), lattice quadrature (quadrature), plane Legendre curves
+(expr, jets), quadrature of node jets (quadrature), plane Legendre curves
 (legendre), framed surface grids and their invariants (framed), revolved
 surfaces of profile curves (revolution), profile construction from
 prescribed curvature data (construct), singularity classification
@@ -11,7 +11,7 @@ cli).
 
 from .jets import Jet, DomainError, ORDER_CAP
 from .expr import parse, eval_jet, eval_values, ExprSyntaxError
-from .quadrature import FineGrid, uniform_grid
+from .quadrature import uniform_grid
 from .legendre import (CurvaturePair, CurveJet, LegendreCurve, NormalJet,
                        curvature_of, curvature_pair_of,
                        legendre_from_expressions, parallel_curve,

@@ -12,33 +12,29 @@ z-axis revolute realizes prescribed curvature relations:
 Each returns a LegendreCurve of order-ORDER_CAP (5) jets, chained
 analytically from the defining relations at WORK_ORDER (7) and cut once
 (_assemble); a caller who wants fewer coefficients calls .truncated(k).
-The mean, (J, phi) and (H, phi) constructions integrate the WORK_ORDER
-jets of their integrands at the grid nodes with the two-point Hermite
-rule (quadrature.integrated, through _integrator), which refuses an
-interval whose jets do not resolve the integrand and keeps the largest
-interval estimate in the report's notes.  The gauss ratio and (J, K)
-read values between the nodes, and their numerical content is lattice
-quadrature (16 fine steps per grid step) plus, for the gauss ratio, RK4
-sweeps of the first-order system outward from seeded lattice nodes: the
-node nearest the anchor, or every node within the radius of a Frobenius
-series at a regular singular point of the ratio, its coefficients
-computed from the Laurent jets of alpha and beta at t0
-(expr.eval_laurent).  Every construction holds its prescribed values at
-t0 itself (jets.integral, FineGrid.cumulative_from).  Each lattice array
-is released once its values at the grid nodes or its antiderivative are
-taken, the RK4 step matrices and the touch expansions fill their arrays
-over blocks of _BLOCK samples, and an RK4 sweep scans its steps in blocks
-of _RUN, so that a construction holds a few lattice-length arrays at a
-time and a sweep costs O(n) 2x2 products (README).  Any finite, strictly
-increasing grid will do: RK4, the quadrature and the series region read
-the lattice's own steps, the node rule and the touch locator
-(jets.zeros) the grid's.  Each touch, where |sin phi| = 1, is located and
-expanded once (_angle_jets).
+Every construction works on the jets it holds at the grid nodes and reads
+no value between them.  Each integrates the WORK_ORDER jets of its
+integrands with the two-point Hermite rule (quadrature.integrated,
+through _integrator), which refuses an interval whose jets do not
+resolve the integrand and keeps the largest interval estimate in the
+report's notes; each holds its prescribed values at t0 itself
+(jets.integral).  The gauss ratio solves its linear first-order system
+by the same rule: each grid interval's step is a 2x2 matrix Q^-1 P made
+from the system's jets from the unit seeds at its two nodes
+(_hermite_side), exact for solutions of degree up to 14, and a sweep
+scans those steps outward from the seeded nodes in blocks of _RUN, O(n)
+2x2 products (_rk4_path).  The seeds are the node nearest the anchor, or
+every node within the radius of a Frobenius series at a regular singular
+point of the ratio, its coefficients computed from the Laurent jets of
+alpha and beta at t0 (expr.eval_laurent); a seed off the nodes reaches
+its node through that node's own Taylor polynomials.  Any finite,
+strictly increasing grid will do: every rule reads the grid's own steps.
+Each touch, where |sin phi| = 1, is located and expanded once
+(_angle_jets).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 
 import numpy as np
@@ -48,16 +44,16 @@ from . import jets
 from .jets import DIV_TOL, ORDER_CAP, DomainError, Jet, Laurent
 from .legendre import (CurveJet, CurvaturePair, LegendreCurve, NormalJet,
                        verify_legendre)
-from .quadrature import (ConstructionError, FineGrid, check_finite,
-                         checked_grid, evaluated, integrated)
+from .quadrature import (ConstructionError, check_finite, checked_grid,
+                         evaluated, integrated, nearest_node)
 
 FLIP_TOL = 1e-8          # |sin phi| at a zero of (sin phi)' within this of 1 -> touch
 SIN_EXCESS_TOL = 1e-9    # |sin phi| beyond 1 + this -> inconsistent data
 COS_TOL = 1e-8           # |cos phi| within this (relative) of 0 -> (H, phi) rejects
 SERIES_ORDER = 12        # Frobenius coefficients c_0..c_12; data to twice that
 WORK_ORDER = ORDER_CAP + 2   # the jet order every construction computes at
-_BLOCK = 4096            # lattice samples per block of a blocked lattice pass
-_RUN = 16                # RK4 steps per block of the sweep's scan
+_BLOCK = 4096            # matrices per block of the in-place doubling scan
+_RUN = 16                # steps per block of the sweep's scan
 
 
 class GaussRatioProblem:
@@ -128,10 +124,6 @@ def _check_seeds(x0, sin0=0.0, cos_sign=1.0, z0=0.0):
         raise ValueError(f"cos_sign must be 1 or -1, got {cos_sign!r}")
 
 
-def _values(src, t, what):
-    return evaluated(what, expr.eval_values, src, t)
-
-
 def _jet(src, t, order, what):
     return evaluated(what, expr.eval_jet_any_order, src, t, order)
 
@@ -160,14 +152,6 @@ def _anchor(grid, t0):
     if not lo - 1e-12 * span <= t0 <= hi + 1e-12 * span:   # NaN fails too
         raise ConstructionError(f"t0={t0} lies outside the grid [{lo}, {hi}]")
     return grid, t0
-
-
-def _lattice(grid, t0):
-    """Fine lattice, the fine node nearest the anchor and the anchor
-    parameter (_anchor)."""
-    grid, t0 = _anchor(grid, t0)
-    fg = FineGrid(grid)
-    return fg, fg.nearest(t0), t0
 
 
 def _integrator(t0, sources):
@@ -206,30 +190,9 @@ def _with_turns(f):
 
 
 def _blocks(span):
-    """The slice span of a lattice cut into blocks of _BLOCK samples."""
+    """The slice span of an array cut into blocks of _BLOCK entries."""
     return [slice(lo, min(lo + _BLOCK, span.stop))
             for lo in range(span.start, span.stop, _BLOCK)]
-
-
-def _within(s, t, r):
-    """The slice of the increasing lattice s where abs(s - t) <= r holds,
-    as that array test decides it: s - t rounds monotonically, so the
-    samples that pass are consecutive and two bisections find them."""
-    nodes = range(s.size)
-    lo = bisect.bisect_left(nodes, True, key=lambda k: s[k] - t >= -r)
-    hi = bisect.bisect_left(nodes, True, key=lambda k: s[k] - t > r)
-    return slice(lo, max(lo, hi))
-
-
-def _clip_sin(S):
-    """Clip sin(phi) on the lattice to [-1, 1] in place; ConstructionError
-    where |sin phi| exceeds 1 by more than SIN_EXCESS_TOL."""
-    top = max(float(np.max(S)), -float(np.min(S)))
-    if top - 1.0 > SIN_EXCESS_TOL:
-        raise ConstructionError(
-            f"|sin phi| exceeds 1 by {top - 1.0:.3e}; prescribed data "
-            "inconsistent", max_sin=top)
-    np.clip(S, -1.0, 1.0, out=S)
 
 
 def _settled(c, delta, floor):
@@ -244,46 +207,60 @@ def _settled(c, delta, floor):
     return None
 
 
-def _angle_jets(fg, b_j, Sc, i0, anchor, cos_sign, touch, expand, notes):
-    """cos(phi) and ell jets from the sin(phi) jets b_j at the coarse nodes,
-    and cos(phi) on the lattice from its clipped sin(phi) samples Sc.
+def _angle_jets(b_j, anchor, cos_sign, touch, expand, notes):
+    """cos(phi) and ell jets from the sin(phi) jets b_j at the grid nodes,
+    whose values it clips to [-1, 1] in place.
 
-    A touch t* (README) is a zero of (sin phi)' (jets.zeros) with
-    |sin phi| >= 1 - FLIP_TOL, past a grid end only as far as the end
-    node's series settles.  cos(phi) has sign cos_sign at the anchor
-    (sample i0) and flips at each t* off the lattice's end samples, at the
-    anchor if near i0 and the seed is a touch.  Near each t* the jets and
-    the lattice cos(phi) come from one expansion, of the sin phi jet
-    expand(t*, n, at) (at(j): jet j at t*).  An end, or a sample beyond
-    the expansions, with |sin phi| >= 1 - FLIP_TOL and no t* is refused.
-    Returns (a_j, ell_j, the nodes near a touch, the t*, lattice cos phi).
+    |sin phi| is read at the nodes and at the zeros of (sin phi)' that the
+    scan below locates between them: beyond 1 + SIN_EXCESS_TOL the data
+    are refused as inconsistent.  A touch t* (README) is a zero of
+    (sin phi)' (jets.zeros) with |sin phi| >= 1 - FLIP_TOL, past a grid
+    end only as far as the end node's series settles.  cos(phi) has sign
+    cos_sign at the anchor and flips at each t* strictly inside the grid,
+    at the anchor itself if the seed is a touch and t* lies within a grid
+    step of it.  Near each t* the jets come from one expansion, of the sin
+    phi jet expand(t*, n, at) (at(j): jet j at t*).  A grid end with
+    |sin phi| >= 1 - FLIP_TOL and no t*, or a node or turn with it away
+    from every expansion, is refused.  Returns (a_j, ell_j, the nodes near
+    a touch, the t*).
     """
-    g, s = fg.grid, fg.s
+    g = b_j.t
     a_co = np.empty((WORK_ORDER + 1, g.size))
     ell_co = np.empty((WORK_ORDER, g.size))
     served = np.zeros(g.size, dtype=bool)
     h, span = float(np.max(np.diff(g))), float(g[-1] - g[0])
-    stars = []
     db = b_j.differentiated()                    # (sin phi)' in t - t_i
+    turns = []   # (t, sin phi) at the zeros of (sin phi)' inside the grid
 
-    def is_touch(t, i, how):   # |sin phi| at t; beyond the grid, as _clip_sin
+    def is_touch(t, i, how):   # |sin phi| at t; beyond the grid, as the clip
         col = b_j.coeffs[:, i]
-        S0 = abs(jets.shift(col, t - g[i], 0)[0])
+        S = jets.shift(col, t - g[i], 0)[0]
+        if how == "located" and g[0] < t < g[-1]:
+            turns.append((t, S))
+        S0 = abs(S)
         return S0 >= 1.0 - FLIP_TOL and (how != "beyond" or (
             S0 <= 1.0 + SIN_EXCESS_TOL
             and abs(t - g[i]) <= (_settled(col, span, h) or 0.0)))
 
-    for ts, i, how in jets.zeros(db.coeffs, g, h, is_touch):
+    found = jets.zeros(db.coeffs, g, h, is_touch)
+    t_read = np.append(g, [t for t, _ in turns])
+    S_read = np.abs(np.append(b_j.value, [S for _, S in turns]))
+    top = float(np.max(S_read))
+    if top - 1.0 > SIN_EXCESS_TOL:
+        raise ConstructionError(
+            f"|sin phi| exceeds 1 by {top - 1.0:.3e}; prescribed data "
+            "inconsistent", max_sin=top)
+    np.clip(b_j.coeffs[0], -1.0, 1.0, out=b_j.coeffs[0])
+    lost = t_read[S_read >= 1.0 - FLIP_TOL]   # expansions excuse their windows
+    for ts, i, how in found:
         if how == "unlocated" and ts in (g[0], g[-1]):
             raise ConstructionError(
                 f"|sin phi| reaches 1 at the grid end t={ts:.6g}, but "
                 f"(sin phi)' = {db.coeffs[0, i]:.3g}: cos phi = 0, ell "
                 "unbounded", t=ts)
-        stars.append((ts, i))
-    flips = [ts for ts, _ in stars]
-    js = [fg.nearest(t) for t in flips]   # an end sample marks nothing
-    marks = [anchor if touch and abs(j - i0) <= 1 else t
-             for t, j in zip(flips, js) if 0 < j < s.size - 1]
+    flips = [ts for ts, _, _ in found]
+    marks = [m for m in (anchor if touch and abs(t - anchor) <= h else t
+                         for t in flips) if g[0] < m < g[-1]]
     start = np.searchsorted(marks, anchor)
 
     def sign(t):
@@ -291,19 +268,15 @@ def _angle_jets(fg, b_j, Sc, i0, anchor, cos_sign, touch, expand, notes):
         n = np.searchsorted(marks, t) - start
         return np.where(n % 2 == 0, cos_sign, -cos_sign)
 
-    # lattice samples at a touch
-    lost = Sc >= 1.0 - FLIP_TOL
-    lost |= Sc <= FLIP_TOL - 1.0
-    expansions = []   # (lattice slice, t*, cos phi jet at t*) of each touch
-    for ts, i in stars:
+    for ts, i, _ in found:
         S = expand(ts, 2 * WORK_ORDER,
                    lambda j: jets.shift(j.coeffs[:, i], ts - g[i], 0)[0])
         S0, S1 = S.rows[:2]
         S = Jet(ts, [math.copysign(1.0, S0), 0.0] + S.rows[2:])
         g2 = Laurent(1.0 - S * S, -2).taylor()    # / (t - t*)^2
         room = min([abs(o - ts) / 2 for o in flips if o != ts] + [span])
-        side = 1.0 if ts + room / 4 <= s[-1] else -1.0   # sign after t*:
-        after = side * sign(s[fg.nearest(ts + side * room / 4)])
+        side = 1.0 if ts + room / 4 <= g[-1] else -1.0   # sign after t*:
+        after = side * sign(ts + side * room / 4)
         try:   # DomainError: 1 - sin^2 has no double zero at t*
             a = Laurent(after * jets.sqrt(g2), 1).taylor()
             ell = (Laurent(S.differentiated()) / Laurent(a)).taylor()
@@ -315,20 +288,17 @@ def _angle_jets(fg, b_j, Sc, i0, anchor, cos_sign, touch, expand, notes):
                 f"the expansion at the touch t={ts:.6g} does not settle "
                 "beyond a grid step: no simple touch", t=ts)
         near = np.flatnonzero(np.abs(g - ts) <= w)
-        fine = _within(s, ts, w)
-        expansions.append((fine, ts, a))
-        lost[fine] = False
+        lost = lost[np.abs(lost - ts) > w]
         for out, c in ((a_co, a), (ell_co, ell)):
             out[:, near] = jets.shift(c.coeffs, g[near] - ts, len(out) - 1)
         served[near] = True
         notes.setdefault("touches", []).append(
             {"t": ts, "radius": float(w), "nodes": near.tolist(),
              "dropped_radicand": abs(1.0 - S0 * S0), "dropped_slope": abs(S1)})
-    if lost.any():   # two zeros of (sin phi)' in one grid interval (README)
-        tb = float(s[lost][0])
+    if lost.size:   # two zeros of (sin phi)' in one grid interval (README)
+        tb = float(np.min(lost))
         raise ConstructionError(f"|sin phi| reaches 1 at t={tb:.6g}, away "
                                 "from every located touch", t=tb)
-    del lost
     free = ~served
     b = b_j.at(free)
     sq = evaluated("cos phi", lambda _, r: jets.sqrt(r), "sqrt(1-sin(phi)^2)",
@@ -337,24 +307,8 @@ def _angle_jets(fg, b_j, Sc, i0, anchor, cos_sign, touch, expand, notes):
     a_co[:, free] = sq.coeffs * sign(g[free])
     del sq
     ell_co[:, free] = (db.at(free) / Jet(g[free], a_co[:-1, free])).coeffs
-
-    # cos phi on the lattice, made once the coarse work is done: |cos phi|,
-    # its sign flipped past each mark as sign() flips it (the samples
-    # between two marks share the sign of the later), and each touch's
-    # expansion near it
-    C_s = np.multiply(Sc, Sc)
-    np.subtract(1.0, C_s, out=C_s)
-    np.maximum(C_s, 0.0, out=C_s)
-    np.sqrt(C_s, out=C_s)
-    ends = np.searchsorted(s, marks, side="right").tolist()
-    for lo, hi, m in zip([0] + ends, ends + [s.size], marks + [math.inf]):
-        if sign(m) < 0:
-            np.multiply(-1.0, C_s[lo:hi], out=C_s[lo:hi])
-    for fine, ts, a in expansions:
-        for blk in _blocks(fine):
-            C_s[blk] = jets.shift(a.coeffs, s[blk] - ts, 0)[0]
     return (Jet(g, a_co), Jet(g, ell_co), np.flatnonzero(served).tolist(),
-            flips, C_s)
+            flips)
 
 
 def _system_jets(beta_j, ab_j, x_vals, S_vals, order):
@@ -381,25 +335,48 @@ def _system_jets(beta_j, ab_j, x_vals, S_vals, order):
     return Jet(beta_j.t, x), Jet(beta_j.t, S)
 
 
-def _rk4_matrices(m, p0, q0, pm, qm, p1, q1, h):
-    """Fill m (2, 2, ...) with the classical RK4 steps of x' = -p S,
-    S' = q x, from (p, q) at the step's start, midpoint and end and its
-    length h.  A = [[0, -p], [q, 0]] squares to -p q I, so the step
-    I + h/6 (A0 + 4 Am + A1) + h^2/6 (Am A0 + Am^2 + A1 Am)
-    + h^3/12 (Am^2 A0 + A1 Am^2) + h^4/24 A1 Am^2 A0 has the closed form
-    below, with c = pm qm and v = h^2 c / 2.  Returns m."""
-    c = pm * qm
-    e, g = h * h, h / 6.0
-    v = e * c
-    v *= 0.5
-    e /= 6.0
-    d = 0.5 * v
-    m[0, 0] = 1.0 - e * (pm * q0 + c + p1 * qm - d * p1 * q0)
-    m[1, 1] = 1.0 - e * (qm * p0 + c + q1 * pm - d * q1 * p0)
-    v -= 1.0
-    m[0, 1] = g * (v * (p0 + p1) - 4.0 * pm)
-    m[1, 0] = g * (4.0 * qm - v * (q0 + q1))
-    return m
+def _unit_jets(beta_j, ab_j):
+    """(WORK_ORDER + 1, 2, 2) + t.shape: coefficient k of the jets of
+    (x, sin phi) (_system_jets) from the seed (1, 0) in column 0 and from
+    (0, 1) in column 1.  The system is linear, so the jets from a seed y
+    are these times y."""
+    c = np.empty((WORK_ORDER + 1, 2, 2) + beta_j.t.shape)
+    for col, seed in enumerate(((1.0, 0.0), (0.0, 1.0))):
+        x, S = _system_jets(beta_j, ab_j, *seed, WORK_ORDER)
+        c[:, 0, col], c[:, 1, col] = x.coeffs, S.coeffs
+    return c
+
+
+# k W_(k-1), k = 1..WORK_ORDER: the order-(WORK_ORDER - 1) Hermite weights
+# on the derivative's coefficients k c_k, moved onto the c_k themselves
+_STEP_WEIGHTS = [k * w for k, w in enumerate(
+    jets.hermite_weights(WORK_ORDER - 1), 1)]
+
+
+def _hermite_side(c, h):
+    """I + sum_k k W_(k-1) h^k c[k], summed from k = WORK_ORDER down to 1:
+    one end's share of a two-point Hermite step of length h, from the
+    unit jets c (_unit_jets) at that end.  The step from a to b = a + h is
+    Q^-1 P, P = _hermite_side(c(a), h) and Q = _hermite_side(c(b), -h):
+    the rule (jets.hermite_weights) integrates the derivative's node jets,
+    so the step is exact for solutions of degree up to 2 WORK_ORDER."""
+    power = [h]
+    for _ in range(WORK_ORDER - 1):
+        power.append(power[-1] * h)
+    out = (_STEP_WEIGHTS[-1] * power[-1]) * c[WORK_ORDER]
+    for k in range(WORK_ORDER - 1, 0, -1):
+        out += (_STEP_WEIGHTS[k - 1] * power[k - 1]) * c[k]
+    out[0, 0] += 1.0
+    out[1, 1] += 1.0
+    return out
+
+
+def _solve2(q, p):
+    """q^-1 p of the stacked 2x2 matrices q and p, (2, 2, n) each, by the
+    adjugate of q."""
+    adj = np.array([[q[1, 1], -q[0, 1]], [-q[1, 0], q[0, 0]]])
+    return (np.einsum("ijk,jlk->ilk", adj, p)
+            / (q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]))
 
 
 def _prefix_products(m):
@@ -420,49 +397,40 @@ def _prefix_products(m):
     return m
 
 
-def _rk4_path(s, f_node, f_mid, x0, S0):
-    """Integrate x' = -beta(t)*S, S' = (alpha*beta)(t)*x along the lattice
-    s from (x0, S0) at s[0].
+def _rk4_path(t, m, x0, S0):
+    """(x, sin phi) at the nodes t, in their order, from (x0, S0) at t[0]:
+    the 2x2 matrix m[..., k] carries them from t[k] to t[k + 1].
 
-    f_node and f_mid hold (beta, alpha*beta) at the nodes and interval
-    midpoints, in the order of s.  Each interval takes its own step, so a
-    reversed lattice (negative steps) integrates toward smaller t.  The
-    system is linear, so an RK4 step is a 2x2 matrix (_rk4_matrices), and
-    the sweep runs in blocks of _RUN steps, one grid interval from a grid
-    node: the product of each block's steps, one pass per step across all
-    blocks; the doubling scan over these block totals only, which carries
-    (x0, S0) to each block's start; then the steps from there, again one
-    pass per step.  That is O(n) 2x2 products, not n log2 n.  Returns the
-    rows x and S at every node of s, a view of one (2, 2, n) array.
+    The sweep runs in blocks of _RUN steps: the product of each block's
+    steps, one pass per step across all blocks; the doubling scan over
+    these block totals only (_prefix_products), which carries (x0, S0) to
+    each block's start; then the steps from there, again one pass per
+    step.  That is O(n) 2x2 products, not n log2 n.  Returns the rows x
+    and S, (2, t.size).
     """
-    (b, a), (b_mid, a_mid) = f_node, f_mid
-    n = s.size - 1
+    n = t.size - 1
     nb = -(-n // _RUN)
-    m = np.empty((2, 2, 1 + nb * _RUN))   # column k + 1 holds step k
-    for blk in _blocks(slice(0, n)):
-        nxt = slice(blk.start + 1, blk.stop + 1)
-        _rk4_matrices(m[..., nxt], b[blk], a[blk], b_mid[blk], a_mid[blk],
-                      b[nxt], a[nxt], np.diff(s[blk.start:blk.stop + 1]))
-    m[..., n + 1:] = np.eye(2)[..., None]   # the last block's padding
-    w = m[..., 1:].reshape(2, 2, nb, _RUN)   # step j of block i: w[..., i, j]
+    w = np.empty((2, 2, nb * _RUN))
+    w[..., :n] = m
+    w[..., n:] = np.eye(2)[..., None]   # the last block's padding
+    w = w.reshape(2, 2, nb, _RUN)   # step j of block i: w[..., i, j]
     tot, buf = w[..., 0].copy(), np.empty((2, 2, nb))   # each block's product
     for j in range(1, _RUN):
         np.einsum("ijk,jlk->ilk", w[..., j], tot, out=buf)
         tot, buf = buf, tot
     tot = _prefix_products(tot[..., :-1])   # steps before each later block
-    u, v = np.empty((2, nb)), np.empty((2, nb))   # (x, S) at each block's start
+    u = np.empty((2, nb))   # (x, S) at each block's start, then after step j
     u[:, :1] = [[x0], [S0]]
     u[:, 1:] = tot[:, 0] * x0 + tot[:, 1] * S0
+    path = np.empty((2, nb, _RUN))
     for j in range(_RUN):
-        np.einsum("ijk,jk->ik", w[..., j], u, out=v)
-        w[:, 0, :, j] = v
-        u, v = v, u
-    m[:, 0, 0] = x0, S0
-    return m[:, 0, :n + 1]
+        u = np.einsum("ijk,jk->ik", w[..., j], u)
+        path[:, :, j] = u
+    return np.concatenate([[[x0], [S0]], path.reshape(2, -1)[:, :n]], axis=1)
 
 
 def _positive_radicand(x2, t, why=""):
-    """ConstructionError at the first sample of t where the squared axis
+    """ConstructionError at the first point of t where the squared axis
     distance x2 is not positive."""
     bad = x2 <= 0.0
     if bad.any():
@@ -472,22 +440,9 @@ def _positive_radicand(x2, t, why=""):
             t=float(tb))
 
 
-def _j_lattice(fg, t0, x0, z0, J_s, sin_s, cos_s, why=""):
-    """Squared axis distance and z at the grid nodes from prescribed J and
-    the normal angle phi on the lattice.
-
-    x^2 = x0^2 + 2*int(J sin phi) must stay positive; beta = -J/x and
-    z = z0 + int(beta cos phi).  Returns (x^2, z) at the grid nodes.
-    """
-    x2_s = x0 * x0 + 2.0 * fg.cumulative_from(J_s * sin_s, t0, 0.0)
-    _positive_radicand(x2_s, fg.s, why)
-    z_s = fg.cumulative_from(-J_s / np.sqrt(x2_s) * cos_s, t0, z0)
-    return fg.at_coarse(x2_s), fg.at_coarse(z_s)
-
-
 def _j_jets(rad_j, J_j):
-    """The x and beta jets from the squared axis distance and J jets by
-    the relations of _j_lattice."""
+    """The x and beta jets from the squared axis distance and J jets:
+    x = sqrt(x^2) and beta = -J/x."""
     x_j = jets.sqrt(rad_j)
     return x_j, -(J_j / x_j)
 
@@ -523,16 +478,16 @@ def _alpha_expansion(p):
             f"alpha cannot be expanded at t0={p.t0}: {exc}", t0=p.t0) from exc
 
 
-def _frobenius_data(p, alpha, fg, i0):
+def _frobenius_data(p, alpha, g):
     """Series solution x = sum c_k s^(k+r), s = t - t0, of the profile ODE
     s^2 x'' + s P x' + Q x = 0 about t0 (the Frobenius method).
 
     P = -s*beta'/beta and Q = alpha*beta^2*s^2, from the Laurent jets of
     alpha and beta at t0, are exact Taylor jets of order SERIES_ORDER once
     v(P) >= 0 and v(Q) >= 0 certify a regular singular point.  The series
-    region spans at least four of the larger fine step beside the anchor
-    node i0 on each side it covers.  Returns (r, coeffs, delta, notes,
-    beta's Laurent jet at t0).
+    region spans at least a quarter of the longer grid step that holds t0
+    on each side it covers.  Returns (r, coeffs, delta, notes, beta's
+    Laurent jet at t0).
     """
     t0 = p.t0
     beta = evaluated("beta", expr.eval_laurent, p.beta, t0, 2 * SERIES_ORDER)
@@ -582,15 +537,14 @@ def _frobenius_data(p, alpha, fg, i0):
             acc += (p_co[j] * (n - j + r) + q_co[j]) * c[n - j]
         c[n] = -acc / Fn
 
-    lo, hi = fg.grid[0], fg.grid[-1]
-    # the larger fine step beside node i0: of fine intervals i0 - 1 and i0
-    k = fg.refine
-    step = float(np.max(fg.step[max(i0 - 1, 0) // k:
-                                min(i0, fg.s.size - 2) // k + 1]))
+    lo, hi = g[0], g[-1]
+    # a quarter of the longer grid step that holds t0 (two, at a node)
+    t = min(max(t0, lo), hi)
+    quarter = 0.25 * float(np.max(np.diff(g)[(g[:-1] <= t) & (t <= g[1:])]))
     left, right = t0 - lo, hi - t0
-    two_sided = left > 4 * step and right > 4 * step
+    two_sided = left > quarter and right > quarter
     room = min(0.6 * (min if two_sided else max)(left, right), 0.5 * (hi - lo))
-    delta = _settled(c, 0.9 * room, 4 * step)
+    delta = _settled(c, 0.9 * room, quarter)
     if delta is None:
         raise ConstructionError(
             "Frobenius series does not settle inside its start radius; "
@@ -610,136 +564,118 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid) -> LegendreCurve:
     are; a pole of alpha at t0 is handled by a Frobenius series whose
     leading coefficient is x0 and which determines sin_phi0 itself.
 
-    Both methods seed lattice nodes, then sweep RK4 from the outermost
-    seeded nodes to the ends.  RK4 seeds the node nearest t0, carried there
-    from an off-lattice t0 by a partial step; the series seeds every node
-    within its radius of t0.
+    Both methods seed the grid, then sweep from the seeds to the ends,
+    one two-point Hermite step a grid interval (_hermite_side) from the
+    system's jets at its two nodes.  RK4 seeds the node nearest t0; the
+    series gives every node within its radius of t0 and seeds each sweep
+    at its edge point t0 -+ radius.  A seed off the nodes reaches its
+    node through the node's own Taylor polynomials (carry).
     """
-    fg, i0, t0 = _lattice(grid, p.t0)
-    g, s = fg.grid, fg.s
+    g, t0 = _anchor(grid, p.t0)
     alpha = _alpha_expansion(p)
     use_series = alpha is not None and (p.method == "frobenius"
                                         or alpha.valuation() < 0)
-
-    beta_s = _values(p.beta, s, "beta")
-    beta_m = _values(p.beta, 0.5 * (s[:-1] + s[1:]), "beta")   # midpoints
     ab = f"({p.alpha})*({p.beta})"
+    beta_j = _jet(p.beta, g, WORK_ORDER, "beta")
 
-    def ab_values(t, beta_t):
-        """alpha*beta at t as alpha's values times beta's, beta_t: the bits
-        of the text ab, which a failure of alpha names."""
-        return evaluated("alpha*beta",
-                         lambda _, t: expr.eval_values(p.alpha, t) * beta_t,
-                         ab, t)
-
-    # sin phi is kept on the lattice; x at the grid nodes, with whether it
-    # is finite on the lattice, and at the seeded nodes the sweeps start from
-    S_s, x_c = np.empty(s.size), np.empty(g.size)
-    x_ok = np.empty(s.size, dtype=bool)
-
-    def keep_x(lo, x):
-        """Record x, given at the lattice samples lo, lo + 1, ..."""
-        hi = lo + x.size
-        np.isfinite(x, out=x_ok[lo:hi])
-        k = slice(-(-lo // fg.refine), (hi - 1) // fg.refine + 1)
-        x_c[k] = x[fg.coarse_index[k] - lo]
-
+    x_c, S_c = np.empty(g.size), np.empty(g.size)
     if not use_series:
-        method, notes, radius, sin_t0 = "gauss_rk4", {}, -np.inf, p.sin_phi0
-        iL = iR = i0
-        x_i0, S_s[i0] = p.x0, p.sin_phi0
-        if s[i0] != t0:   # carry the seed from t0 to its node
-            ts = np.array([t0, 0.5 * (t0 + s[i0]), s[i0]])
-            bv = _values(p.beta, ts, "beta")
-            av = ab_values(ts, bv)
-            step = _rk4_matrices(np.empty((2, 2)), bv[0], av[0], bv[1],
-                                 av[1], bv[2], av[2], s[i0] - t0)
-            x_i0, S_s[i0] = step[:, 0] * p.x0 + step[:, 1] * p.sin_phi0
-        seed_x = {i0: x_i0}
+        method, notes, sin_t0 = "gauss_rk4", {}, p.sin_phi0
+        in_c = np.zeros(g.size, dtype=bool)
     else:
         method = "gauss_frobenius"
-        r, c, radius, notes, beta0 = _frobenius_data(p, alpha, fg, i0)
+        r, c, radius, notes, beta0 = _frobenius_data(p, alpha, g)
         rows = np.append(np.zeros(int(r)), c)   # x in powers of t - t0
-        near = _within(s, t0, radius)   # holds i0
-        iL, iR = near.start, near.stop - 1
-        for blk in _blocks(near):
-            x, dx = jets.shift(rows, s[blk] - t0, 1)
-            keep_x(blk.start, x)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                S_s[blk] = -dx / beta_s[blk]
-        ends = jets.shift(rows, s[[iL, iR, i0]] - t0, 1)
-        seed_x, dx0 = {iL: ends[0, 0], iR: ends[0, 1]}, ends[1, 2]
-        if s[i0] == t0 and abs(beta_s[i0]) < DIV_TOL * (1 + abs(dx0)):
-            # beta vanishes at t0: divide as at the coarse nodes (README)
-            q = -Laurent(Jet(t0, rows).differentiated()) / beta0
-            S_s[i0] = q.taylor().value if q.valuation() >= 0 else np.nan
-        if not np.all(np.isfinite(S_s[near])):
-            raise ConstructionError(
-                "sin phi = -x'/beta is not finite inside the series region "
-                "(beta vanishes without matching zero of x')", t0=t0)
-        sin_t0 = S_s[i0]
+        in_c = np.abs(g - t0) <= radius
+        nodes = np.flatnonzero(in_c)
+        x_ser = jets.shift(rows, g[nodes] - t0, WORK_ORDER)
+        q = -Laurent(Jet(t0, rows).differentiated()) / beta0
+        sin_t0 = q.taylor().value if q.valuation() >= 0 else np.nan
+        try:   # sin phi = -x'/beta, a Laurent quotient where beta vanishes
+            b_ser = _laurent_quotient(
+                -Jet(g[nodes], x_ser).differentiated(),
+                beta_j.at(nodes).truncated(WORK_ORDER - 1))
+        except DomainError:
+            b_ser = np.full((WORK_ORDER, nodes.size), np.nan)
+        x_c[nodes], S_c[nodes] = x_ser[0], b_ser[0]
         notes.update(sin_phi0_ignored=True, series_sin_phi0=float(sin_t0),
                      ode_residual_excludes_series_nodes=True)
 
-    def sweep(nodes, mids, way, seed):
-        """RK4 over the lattice nodes, in the order way, from the seeded
-        node seed; its arrays die with the call."""
-        t = s[nodes]
-        b, b_mid = beta_s[nodes], beta_m[mids]
-        f_node = (b[way], ab_values(t, b)[way])
-        f_mid = (b_mid[way], ab_values(0.5 * (t[:-1] + t[1:]), b_mid)[way])
-        S = S_s[nodes][way]
-        with np.errstate(over="ignore", invalid="ignore"):
-            x, S[:] = _rk4_path(t[way], f_node, f_mid, seed_x[seed], S[0])
-        keep_x(nodes.start, x[way])
-
-    # sweep from the seeded nodes to both ends, the left one over the
-    # reversed lattice; alpha*beta is evaluated only here, away from a
-    # pole at t0
-    for nodes, mids, way, seed in (
-            (slice(0, iL + 1), slice(0, iL), np.s_[::-1], iL),
-            (slice(iR, s.size), slice(iR, s.size - 1), np.s_[:], iR)):
-        if nodes.stop - nodes.start > 1:
-            sweep(nodes, mids, way, seed)
-    del beta_m
-    bad = np.flatnonzero(~(x_ok & np.isfinite(S_s)))
-    if bad.size:   # both sweeps run outward: name the node nearest t0
-        tb = float(s[bad[np.argmin(np.abs(s[bad] - t0))]])
-        raise ConstructionError(
-            f"the RK4 sweep overflows: x or sin phi is not finite at "
-            f"t={tb:.6g}", t=tb)
-
-    del x_ok
-    _clip_sin(S_s)
-
-    beta_j = _jet(p.beta, g, WORK_ORDER, "beta")
-    # coarse nodes inside the series radius (none for RK4); alpha may have
-    # its pole among them, so zeros stand in for alpha*beta there
-    in_c = np.abs(g - t0) <= radius
+    # alpha*beta at every node the sweeps read, away from a pole at t0:
+    # zeros stand in for it at the series nodes
     ab_co = np.zeros((WORK_ORDER + 1, g.size))
     if (~in_c).any():
         ab_co[:, ~in_c] = _jet(ab, g[~in_c], WORK_ORDER, "alpha*beta").coeffs
     ab_j = Jet(g, ab_co)
-    x_j, b_j = _system_jets(beta_j, ab_j, x_c, fg.at_coarse(S_s), WORK_ORDER)
+    unit = _unit_jets(beta_j, ab_j)
+    h = np.diff(g)
+    P, Q = _hermite_side(unit[..., :-1], h), _hermite_side(unit[..., 1:], -h)
+
+    def carry(te, k, y):
+        """(x, sin phi) y at the point te carried to the node k: y is the
+        node's Taylor polynomials of the unit solutions at te times the
+        values at the node, solved for those."""
+        d, c = te - g[k], unit[..., k]
+        T = c[WORK_ORDER]
+        for j in range(WORK_ORDER - 1, -1, -1):
+            T = T * d + c[j]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _solve2(T[..., None], y.reshape(2, 1, 1))[:, 0, 0]
+
+    if not use_series:   # both sweeps start at the node nearest t0
+        i0 = nearest_node(g, t0)
+        y = np.array([p.x0, p.sin_phi0])
+        if g[i0] != t0:
+            y = carry(t0, i0, y)
+        sweeps = [(i0, y, -1), (i0, y, 1)]
+    else:   # each from the series' edge point, on a side with nodes beyond
+        sweeps, ok = [], np.isfinite(sin_t0) and np.isfinite(b_ser[0]).all()
+        for way, beyond in ((-1, ~in_c & (g < t0)), (1, ~in_c & (g > t0))):
+            if beyond.any():
+                te = t0 + way * radius
+                x, dx = jets.shift(rows, te - t0, 1)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    y = np.array([x, -dx / _jet(p.beta, te, 0, "beta").value])
+                ok = ok and np.isfinite(y).all()
+                k = np.flatnonzero(beyond)[0 if way > 0 else -1]
+                sweeps.append((k, carry(te, k, y), way))
+        if not ok:
+            raise ConstructionError(
+                "sin phi = -x'/beta is not finite inside the series region "
+                "(beta vanishes without matching zero of x')", t0=t0)
+    for k, y, way in sweeps:   # the left one steps by P^-1 Q, toward t[0]
+        side = np.s_[k::-1] if way < 0 else np.s_[k:]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            m = (_solve2(P[..., :k], Q[..., :k])[..., ::-1] if way < 0
+                 else _solve2(Q[..., k:], P[..., k:]))
+            x_c[side], S_c[side] = (_rk4_path(g[side], m, *y)
+                                    if m.shape[-1] else y)
+    del unit, P, Q
+    bad = np.flatnonzero(~(np.isfinite(x_c) & np.isfinite(S_c)))
+    if bad.size:   # both sweeps run outward: name the node nearest t0
+        tb = float(g[bad[np.argmin(np.abs(g[bad] - t0))]])
+        raise ConstructionError(
+            f"the RK4 sweep overflows: x or sin phi is not finite at "
+            f"t={tb:.6g}", t=tb)
+
+    x_j, b_j = _system_jets(beta_j, ab_j, x_c, S_c, WORK_ORDER)
     if in_c.any():   # series nodes: x from the series, sin phi = -x'/beta
-        nodes = np.flatnonzero(in_c)
-        x_j.coeffs[:, nodes] = jets.shift(rows, g[nodes] - t0, WORK_ORDER)
+        x_j.coeffs[:, nodes] = x_ser
         b_j.coeffs[:, nodes] = 0.0
-        b_j.coeffs[:WORK_ORDER, nodes] = _laurent_quotient(
-            -x_j.at(nodes).differentiated(),
-            beta_j.at(nodes).truncated(WORK_ORDER - 1))
+        b_j.coeffs[:WORK_ORDER, nodes] = b_ser
+    integral, estimates = _integrator(t0, (("alpha", p.alpha),
+                                           ("beta", p.beta)))
+    for f, what in ((b_j, "sin phi"), (x_j, "x")):   # refuse a pole between
+        integral(f.differentiated(), 0.0, what)
 
     def expand(ts, n, at):   # the system's recurrence from x and sin phi
         return _system_jets(_jet(p.beta, ts, n, "beta"), _jet(
             ab, ts, n, "alpha*beta"), at(x_j), at(b_j), n)[1]
 
-    a_j, ell_j, flagged, flips, C_s = _angle_jets(
-        fg, b_j, S_s, i0, t0, p.cos_sign, abs(sin_t0) == 1.0, expand, notes)
-    del S_s
-    beta_cos = np.multiply(beta_s, C_s, out=C_s)
-    del beta_s, C_s
-    z_c = fg.at_coarse(fg.cumulative_from(beta_cos, t0, p.z0))
-    del beta_cos
+    a_j, ell_j, flagged, flips = _angle_jets(
+        b_j, t0, p.cos_sign, abs(sin_t0) == 1.0, expand, notes)
+    z_j = integral(beta_j * a_j, p.z0, "z")
+    notes["quadrature_estimate"] = max(estimates)
 
     resid = (beta_j.value * x_j.derivative(2)
              - beta_j.derivative(1) * x_j.derivative(1)
@@ -748,7 +684,6 @@ def profile_from_gauss_ratio(p: GaussRatioProblem, grid) -> LegendreCurve:
     report = ConstructionReport(method, t0, flips=flips,
                                 flagged_nodes=flagged, ode_residual=ode_res,
                                 notes=notes)
-    z_j = (beta_j * a_j).antiderivative(z_c)
     return _assemble(g, z_j, x_j, a_j, b_j, ell_j, beta_j, report)
 
 
@@ -766,34 +701,31 @@ def profile_from_JK(J: str, K: str, x0: float, grid, t0: float | None = None,
     (value x0^2 at t0, x0 > 0 required), and beta = -J/x; cos_sign, 1 or
     -1, is the sign of cos phi at t0.  When |sin0| = 1 at a t0 inside
     the grid, cos_sign holds for t <= t0 and the other sign after t0.
+    All three integrals, z's too, are of node jets.
     """
     _check_seeds(x0, sin0, cos_sign, z0)
     if x0 <= 0:
         raise ConstructionError(f"x0 must be positive, got {x0}")
-    fg, i0, t0 = _lattice(grid, t0)
-    g, s = fg.grid, fg.s
-    J_s = _values(J, s, "J")
-    S_s = fg.cumulative_from(_values(K, s, "K"), t0, 0.0)
-    S_c = fg.at_coarse(np.subtract(sin0, S_s, out=S_s))
-    _clip_sin(S_s)
-    b_j = (-_jet(K, g, WORK_ORDER, "K")).antiderivative(S_c)
-    b_j = b_j.truncated(WORK_ORDER)
+    g, t0 = _anchor(grid, t0)
+    J_j = _jet(J, g, WORK_ORDER, "J")
+    K_j = _jet(K, g, WORK_ORDER, "K")
+    integral, estimates = _integrator(t0, (("J", J), ("K", K)))
+    b_j = integral(-K_j, sin0, "sin phi")
 
     def expand(ts, n, at):   # the antiderivative of -K through sin phi
         return (-_jet(K, ts, n - 1, "K")).antiderivative(at(b_j))
 
     notes = {}
-    a_j, ell_j, flagged, flips, C_s = _angle_jets(
-        fg, b_j, S_s, i0, t0, cos_sign, abs(sin0) == 1.0, expand, notes)
-    x2_c, z_c = _j_lattice(fg, t0, x0, z0, J_s, S_s, C_s,
-                           "; x0 anchor incompatible with prescribed (J, K)")
-    del J_s, S_s, C_s
-    J_j = _jet(J, g, WORK_ORDER, "J")
-    rad_j = (2.0 * (J_j * b_j)).antiderivative(x2_c).truncated(WORK_ORDER)
+    a_j, ell_j, flagged, flips = _angle_jets(
+        b_j, t0, cos_sign, abs(sin0) == 1.0, expand, notes)
+    rad_j = integral(2.0 * (J_j * b_j), x0 * x0, "x^2")
+    _positive_radicand(*_with_turns(rad_j)[::-1],
+                       "; x0 anchor incompatible with prescribed (J, K)")
     x_j, beta_j = _j_jets(rad_j, J_j)
+    z_j = integral(beta_j * a_j, z0, "z")
+    notes["quadrature_estimate"] = max(estimates)
     report = ConstructionReport("jk_quadrature", t0, flips=flips,
                                 flagged_nodes=flagged, notes=notes)
-    z_j = (beta_j * a_j).antiderivative(z_c)
     return _assemble(g, z_j, x_j, a_j, b_j, ell_j, beta_j, report)
 
 

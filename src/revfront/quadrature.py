@@ -1,18 +1,17 @@
 """Cumulative antiderivatives: from node jets, or on a refined lattice.
 
 All reconstructions in this package chain antiderivatives: the next
-integrand needs the previous antiderivative.  Where the builder holds the
-integrand as Taylor jets at the grid nodes, and every later integrand is
-a jet function of the earlier antiderivatives, integrated chains them at
-the nodes alone: the two-point Hermite rule of jets.integral on each grid
-interval, refused where its estimate shows the jets do not resolve the
-integrand between the nodes.  The gauss ratio's RK4 sweeps and the (J, K)
-touch machinery read values between the nodes, and for them FineGrid
-refines each grid interval into an even number of sub-intervals:
-composite Simpson over pairs of fine intervals gives the antiderivative at
-even fine nodes, a local three-point (Newton) formula fills the odd nodes,
-and the result is then available at every fine node for the next stage.
-Restriction to the original grid is a simple stride.
+integrand needs the previous antiderivative.  Every builder holds its
+integrands as Taylor jets at the grid nodes, each a jet function of the
+earlier antiderivatives, and integrated chains them at the nodes alone:
+the two-point Hermite rule of jets.integral on each grid interval,
+refused where its estimate shows the jets do not resolve the integrand
+between the nodes.  FineGrid, which no builder uses any more, samples
+values instead: it refines each grid interval into an even number of
+sub-intervals, composite Simpson over pairs of fine intervals gives the
+antiderivative at even fine nodes, a local three-point (Newton) formula
+fills the odd nodes, and restriction to the original grid is a simple
+stride.
 """
 
 from __future__ import annotations

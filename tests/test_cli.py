@@ -366,9 +366,10 @@ def test_order_zero_without_derivatives_exits_one(argv, tmp_path, capsys):
 
 def test_rk4_overflow_exits_two(tmp_path):
     base = str(tmp_path / "overflow")
-    code = run(["construct", "gauss", "--alpha", "1", "--beta", "exp(30*t)",
+    # x grows like exp(30 t) and leaves the doubles at t = 23.7
+    code = run(["construct", "gauss", "--alpha", "-1", "--beta", "30",
                 "--t0", "0", "--x0", "1", "--sin0", "0.1",
-                "--grid", "0:0.4:81", "--out", base])
+                "--grid", "0:30:1001", "--out", base])
     assert code == 2
     diag = read_json(base + ".json")
     assert diag["error"] == "ConstructionError"

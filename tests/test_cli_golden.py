@@ -17,9 +17,10 @@ their CSV, OBJ and RK4 JSON bytes at rounding level; every OBJ, and the
 revolve and parallel-z JSON: after cos theta and sin theta came from the
 angle grid's symmetry sector, see SECTOR below; the --ell/--beta runs:
 after reconstruct_from_curvature integrated node jets, see NODE_RULE
-below).  Any byte change
-in an artifact fails here; a deliberate change must update the hash and
-say why.
+below; the RK4 and Frobenius gauss runs again: after the gauss ratio
+stepped between its nodes on their jets, see NODE_SWEEP below).  Any
+byte change in an artifact fails here; a deliberate change must update
+the hash and say why.
 """
 
 import hashlib
@@ -127,18 +128,24 @@ GOLDEN = {
     # The touch at pi/2 is expanded once: nodes 19 to 44 read its Taylor
     # shift (a moves by up to 1e-13, ell by 1.6e-12).  The report's flips
     # are the located touch, 1.570796326794897, no longer the lattice
-    # parabola's vertex 1.5707963264729081; the CSV and OBJ keep their bytes
-    # (the OBJ moved later: SECTOR)
+    # parabola's vertex 1.5707963264729081.  NODE_SWEEP: the sweep steps
+    # from node to node on the system's jets, and z integrates them: z
+    # moved by up to 1.1e-9, x by 1.7e-12; max |x - sin t| 1.7e-12
+    # before, 7.8e-16 after, and |z - (log tan(t/2) + cos t)|, anchored
+    # at t0, 1.1e-9 before, 8.9e-16 after; the report gains
+    # quadrature_estimate
     "construct-gauss": (0, {
-        "csv": "bacf1bce0493caf19633f5dda0320bf89309a5777c118ba5e41c812d4b9cbf35",
-        "obj": "4180846420f84ae32638fd6fc8401a326fe8c46a88deaa984a210a084ded1299",
-        "json": "d6b8fbc64bee692bd881110343a9abb8b68a914f3322c76b41a2e34224dc9e4c",
+        "csv": "0eaaca05b6eda41a3f952729ac2861fe249abb2fbe856faa555211a56523667c",
+        "obj": "1cab7e4adaaacd5680628e9fc1b99b87b08eb036ddc3c3eb6197daf4b7684350",
+        "json": "e93cdb7d77c4067046ffa3efe7dd4690ef269911cdf860c3dbce6dbdaff68228",
     }),
-    # indicial root 2, series radius 0.2025
-    "construct-gauss-frobenius": (0, {   # obj: SECTOR
-        "csv": "dd0cd36733ffaecbaa0fa8a76e85af332348443e7ec8648cb8ac8683c184a462",
-        "obj": "0db8781d2f3687bbeba11e932d7c9e79ba649a514a00e97ed2c91fd005e1cd3f",
-        "json": "40e6ef6f136df4fc503784cca5bfb658fd9f8bc9dd2a05474202f8f2b9b99538",
+    # indicial root 2, series radius 0.2025.  NODE_SWEEP: ell moved by up
+    # to 4.0e-12, z by 2.7e-13; max |x - t^2| 2.5e-14 before, 1.1e-16
+    # after, |z - int sqrt(1 - 4t^2)| 2.7e-13 before, 1.1e-16 after
+    "construct-gauss-frobenius": (0, {
+        "csv": "fc9ac6358aa66d0b67dc01ec644be4531e0d48d8e23e3dc86b2d6279d3844247",
+        "obj": "6a846078086fffe2efb07442f800068be757d207d5b015f38e0c8891594cf881",
+        "json": "5e46d90cded9b1d4ec8c5e18dcd538ae201ec36ff9ca1d5641d7e7d9fe95fcc1",
     }),
     # the error names the text (alpha)*(beta): "source": "(1/(t-0.3))*(1)"
     "construct-gauss-alpha-beta-pole": (2, {

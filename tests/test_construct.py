@@ -222,16 +222,26 @@ def test_gauss_sin_band_violation():
 
 
 def test_gauss_rk4_overflow_is_a_construction_error():
-    # beta = exp(30 t) drives the sweep past the doubles from t = 0.359:
-    # a ConstructionError that says so, with no numpy warning, rather than
-    # a DomainError from jets built on the overflowed lattice
-    p = GaussRatioProblem(alpha="1", beta="exp(30*t)", t0=0.0, x0=1.0,
+    # alpha = -1, beta = 30: x grows like exp(30 t) and leaves the doubles
+    # at t = 23.7, where the sweep overflows: a ConstructionError that says
+    # so, with no numpy warning, rather than a DomainError from jets built
+    # on the overflowed values.  beta = exp(30 t) with alpha = 1, whose
+    # lattice RK4 overflowed at t = 0.359, turns by 4 rad a grid step at
+    # t = 0.225, where its node jets no longer resolve it: it is refused
+    # there, as unresolved between the nodes
+    p = GaussRatioProblem(alpha="-1", beta="30", t0=0.0, x0=1.0,
+                          sin_phi0=0.1)
+    q = GaussRatioProblem(alpha="1", beta="exp(30*t)", t0=0.0, x0=1.0,
                           sin_phi0=0.1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConstructionError,
-                           match="RK4 sweep overflows.*t=0.359375"):
-            profile_from_gauss_ratio(p, uniform_grid(0.0, 0.4, 81))
+                           match=r"RK4 sweep overflows.*t=23\.7\b"):
+            profile_from_gauss_ratio(p, uniform_grid(0.0, 30.0, 1001))
+        with pytest.raises(ConstructionError,
+                           match="cannot be integrated between the grid "
+                                 "nodes t=0.225 and t=0.23"):
+            profile_from_gauss_ratio(q, uniform_grid(0.0, 0.4, 81))
 
 
 def test_gauss_frobenius_euler_equation():
@@ -323,10 +333,11 @@ def test_gauss_frobenius_beta_rounding_to_zero_at_t0(tmp_path):
 
 
 # alphas analytic at t0 whose Taylor coefficients grow fast, or that have
-# no jet there: auto keeps the seeds and runs RK4
+# no jet there (exp(-1/s^2), smooth but not analytic at t0): auto keeps
+# the seeds and runs RK4
 @pytest.mark.parametrize("alpha, t0, n", [
     ("1/exp(27*t)", 0.0, 81), ("1/sqrt(t+0.25)", 0.0, 81),
-    ("sqrt((t-0.2013)^2)", 0.2013, 41)])
+    ("exp(-1/(t-0.2013)^2)", 0.2013, 41)])
 def test_gauss_auto_keeps_rk4_where_alpha_has_no_pole(alpha, t0, n):
     p = GaussRatioProblem(alpha=alpha, beta="1", t0=t0, x0=1.0,
                           sin_phi0=0.1)
@@ -335,6 +346,18 @@ def test_gauss_auto_keeps_rk4_where_alpha_has_no_pole(alpha, t0, n):
     if t0 == 0.0:
         assert c.curve.x.value[0] == 1.0
         assert c.normal.b.value[0] == 0.1
+
+
+def test_gauss_refuses_a_kink_of_alpha_between_nodes():
+    # sqrt((t-0.2013)^2) = |t - 0.2013| has no jet at t0 = 0.2013, so auto
+    # runs RK4, whose node jets cannot follow the kink between the nodes
+    # 0.2 and 0.21: refused there (the lattice RK4 stepped over it)
+    p = GaussRatioProblem(alpha="sqrt((t-0.2013)^2)", beta="1", t0=0.2013,
+                          x0=1.0, sin_phi0=0.1)
+    with pytest.raises(ConstructionError,
+                       match="cannot be integrated between the grid nodes "
+                             "t=0.2 and t=0.21"):
+        profile_from_gauss_ratio(p, uniform_grid(0.0, 0.4, 41))
 
 
 @pytest.mark.parametrize("alpha", ["sin(t-0.2)/(t-0.2)", "t/t"])
@@ -354,8 +377,8 @@ def test_gauss_frobenius_data_with_fast_growing_coefficients(alpha, beta, c1):
     # the indicial roots are 2 and -1 however large the higher coefficients
     # grow, and c_1 = -(2 p1 + q1)/4 with (p1, q1) = (0, 60), (-30, -120)
     p = GaussRatioProblem(alpha=alpha, beta=beta, t0=0.0, x0=1.0)
-    fg = FineGrid(uniform_grid(0.0, 0.4, 81))
-    r, c, *_ = _frobenius_data(p, _alpha_expansion(p), fg, 0)
+    r, c, *_ = _frobenius_data(p, _alpha_expansion(p),
+                               uniform_grid(0.0, 0.4, 81))
     assert r == 2.0 and c[0] == 1.0
     assert c[1] == pytest.approx(c1, rel=1e-13)
 
@@ -368,9 +391,7 @@ def test_gauss_frobenius_exact_series_with_nonzero_terms(grid):
     # (x) and 1.3e-8 (sin phi)
     p = GaussRatioProblem(alpha="-(t^2+4*t+2)/t^2", beta="1", t0=0.0,
                           x0=0.5)
-    fg = FineGrid(grid)
-    r, c, _, notes, _ = _frobenius_data(p, _alpha_expansion(p), fg,
-                                        nearest_node(fg.s, 0.0))
+    r, c, _, notes, _ = _frobenius_data(p, _alpha_expansion(p), grid)
     assert r == 2.0 and notes["series_order"] == 12
     want = 0.5 / np.array([math.factorial(k) for k in range(13)])
     np.testing.assert_allclose(c, want, rtol=1e-13, atol=0)
@@ -407,9 +428,7 @@ def test_bench_frobenius_requests_are_exact_series():
             g = np.linspace(*spec["grid"][:2], spec["grid"][2])
             p = GaussRatioProblem(alpha=spec["alpha"], beta=spec["beta"],
                                   t0=t0, x0=x0, method="frobenius")
-            fg = FineGrid(g)
-            _, c, *_ = _frobenius_data(p, _alpha_expansion(p), fg,
-                                       nearest_node(fg.s, t0))
+            _, c, *_ = _frobenius_data(p, _alpha_expansion(p), g)
             assert c[0] == x0 and np.max(np.abs(c[1:])) <= 1e-12, seed
             prof = profile_from_gauss_ratio(p, g)
             rep = report_of(prof)
@@ -722,13 +741,21 @@ def test_construction_report_shape():
                        "notes"]
     assert d["contact_residual"] <= 1e-10
     assert c.curvature is not None
-    # a node-jet construction keeps its largest interval estimate
+    # every construction keeps its largest interval estimate
     est = d["notes"]["quadrature_estimate"]
     assert type(est) is float and 0.0 <= est <= INTERVAL_TOL
     # a touch adds one record per located t* to the notes; none, no key
     assert "touches" not in d["notes"]
-    for build in TOUCH_BUILDS.values():
+    frobenius = profile_from_gauss_ratio(GaussRatioProblem(
+        alpha="-2/t^2", beta="1", t0=0.0, x0=1.0), uniform_grid(0, 0.45, 41))
+    notes = report_of(frobenius).as_dict()["notes"]
+    assert report_of(frobenius).method == "gauss_frobenius"
+    assert type(notes["quadrature_estimate"]) is float
+    assert 0.0 <= notes["quadrature_estimate"] <= INTERVAL_TOL
+    for build in TOUCH_BUILDS.values():   # gauss_rk4 and jk_quadrature
         rep = report_of(build(uniform_grid(0.2, PI - 0.2, 61), 1.0))
+        est = rep.as_dict()["notes"]["quadrature_estimate"]
+        assert type(est) is float and 0.0 <= est <= INTERVAL_TOL
         (touch,) = rep.as_dict()["notes"]["touches"]
         assert list(touch) == ["t", "radius", "nodes", "dropped_radicand",
                                "dropped_slope"]

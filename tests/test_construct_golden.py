@@ -6,17 +6,15 @@ pi/2 on node 2000, the Frobenius branch of alpha = -2/(k t)^2, and the
 (J, K), mean, (J, phi), (H, phi) and curvature-pair constructions on
 2000 nodes.  The sha256 of each profile's x, z, a, b, ell and beta jet
 coefficients and of its ConstructionReport is compared with the value
-recorded before the lattice work was done in blocks and in place (the
-two gauss ratio cases: after the RK4 sweep became a scan blocked by
-grid interval, which reassociates its matrix products; the mean, (J, phi),
-(H, phi) and curvature-pair cases: after they integrated their node jets
-with the two-point Hermite rule instead of the lattice, which moved
-their x and z values by at most 1.1e-14 (z of (H, phi)) toward closed
-forms and scipy quad references, and added the report's
-quadrature_estimate); any bit that moves fails here.  The second test holds each construction's
-traced peak of memory, its output included, to a few lattice-length
-arrays: the fine lattice of the 4000-node grid holds 63 985 samples,
-0.49 MiB an array.
+recorded after every construction integrated its node jets instead of
+sampling the 16-step lattice (the mean, (J, phi), (H, phi) and
+curvature-pair cases one change before the gauss ratio and (J, K); each
+case's comment gives how far its values moved and its error against the
+closed form before and after); any bit that moves fails here.  The
+second test holds each construction's traced peak of memory, its output
+included, to what it needs: no construction holds a lattice, and the
+largest arrays are the jets at the grid nodes (0.24 MiB an order-7 jet
+of the 4000-node grid).
 """
 
 import hashlib
@@ -85,12 +83,18 @@ CASES = {f.__name__: f for f in (gauss_rk4, gauss_frobenius, gauss_jk, mean,
                                   j_phi, h_phi, reconstruct)}
 
 GOLDEN = {
+    # node sweep, not lattice RK4: values moved by at most 2.4e-12 (ell;
+    # x 3.3e-14); max |x - t^2| 3.4e-14 before, 1.4e-15 after
     "gauss_frobenius":
-        "5023d0d12deb9568c9d34689f0e6ec207cdb0be287b3b5d1f14df33093efe8fd",
+        "a54d51e7185755f832fa2e3964dd2ecaec3e73466e5a319eaefd0fcec6c54890",
+    # node jets, not the lattice: values moved by at most 2.9e-13 (beta;
+    # x 1.8e-14); max |x - 1.1 sin t| 1.9e-14 before, 8.9e-16 after
     "gauss_jk":
-        "5d7805043e72a884d1d4a6550c91ce075ffe146630b759dfc249772b5e6ea9e5",
+        "29504661bc4b0161cfa1738478d2b811cbcc97aa9227c7a8be6c88d054ef5ecc",
+    # node sweep, not lattice RK4: values moved by at most 3.2e-13 (ell;
+    # x 1.4e-13); max |x - 1.2 sin t| 1.2e-13 before, 2.7e-14 after
     "gauss_rk4":
-        "5cd90fa3a0adcc4d6db60a9132bb26ab5bba2b68cfdde7edda16c317cd564011",
+        "8062b8b644769ed2983507663f96c355ada23785ae3e54ac68c45d14912772c2",
     "h_phi":   # node jets, not the lattice
         "586b28199a970e74d880bab283dc3d21903a06d20af0fba5e98727a078abd4ac",
     "j_phi":   # node jets, not the lattice
@@ -101,9 +105,12 @@ GOLDEN = {
         "5270c0976a4b78863965c3615f40f1feab2a2012ded5536a19df22730335165c",
 }
 
-# traced peak in MiB: the 4000-node RK4 case, and each 2000-node case
-PEAK_MIB = {name: 4.5 if name == "gauss_rk4" else 3.5 for name in CASES}
-PEAK_MIB["h_phi"] = 2.5   # phi's lattice jet is taken block by block
+# traced peak in MiB, measured 2.66 (the 4000-node RK4 case), 1.59
+# (Frobenius), 1.55 (J, K), 2.14 (mean), 1.41 ((J, phi), (H, phi)) and
+# 1.0 (curvature pair); the gauss ratio and (J, K) peaked at 4.12, 2.25
+# and 2.48 on the lattice
+PEAK_MIB = {"gauss_rk4": 3.0, "gauss_frobenius": 1.8, "gauss_jk": 1.8,
+            "mean": 3.5, "j_phi": 3.5, "h_phi": 2.5, "reconstruct": 3.5}
 
 
 def digest(c):
@@ -123,19 +130,20 @@ def test_construction_bits(case):
 
 
 def test_rk4_sweeps_as_the_tracer_counts_them(monkeypatch):
-    # the benchmark's tracer wraps construct._rk4_path and counts s.size - 1
-    # steps a call (construct.rk4_steps): the pseudo-sphere sweeps once on
-    # each side of its seed node, over the 63 985 lattice samples
+    # the benchmark's tracer wraps construct._rk4_path and counts
+    # t.size - 1 steps a call (construct.rk4_steps): the pseudo-sphere
+    # sweeps once on each side of its seed node 2000, one step a grid
+    # interval
     steps = []
     sweep = construct._rk4_path
 
-    def counted(s, f_node, f_mid, x0, S0):
-        steps.append(s.size - 1)
-        return sweep(s, f_node, f_mid, x0, S0)
+    def counted(t, m, x0, S0):
+        steps.append(t.size - 1)
+        return sweep(t, m, x0, S0)
 
     monkeypatch.setattr(construct, "_rk4_path", counted)
     gauss_rk4()
-    assert len(steps) == 2 and sum(steps) == 63984
+    assert sorted(steps) == [1999, 2000]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

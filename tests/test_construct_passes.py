@@ -1,19 +1,19 @@
 """The array passes of construct.py against the per-node loops they replace.
 
 Each reference below is the earlier loop, kept here as the oracle: the
-Horner series jet of one node, the Laurent quotient of one column, RK4
-one step at a time in its stage form, the Picard iteration of the system
-jets and the in-place doubling scan.  The array passes must give the
-same bits and raise the same errors, except two.  The Taylor shift,
-which reads every expansion off its centre (the Frobenius series and the
+Horner series jet of one node, the Laurent quotient of one column, the
+node sweep one step at a time, the Picard iteration of the system jets
+and the in-place doubling scan.  The array passes must give the same
+bits and raise the same errors, except two.  The Taylor shift, which
+reads every expansion off its centre (the Frobenius series and the
 touches alike), is held bit for bit to its own definition and to the
 Horner jets within rounding (1e-14 of the largest coefficient), with the
-value at the centre exact.  The RK4 step matrices are the stage form's
-closed form, equal to it within rounding (1e-15 relative), and the
-blocked scan multiplies them in another order, so the sweep agrees with
-the loop to rounding (1e-12 relative).  The system jets, and the
-doubling scan across blocks, may give a NaN another sign (see
-bits_nan_as_one).
+value at the centre exact.  The blocked scan multiplies the sweep's step
+matrices in another order, so the sweep agrees with the loop to rounding
+(1e-12 relative).  The system jets, and the doubling scan across blocks,
+may give a NaN another sign (see bits_nan_as_one).  The step itself, the
+two-point Hermite rule on the node jets, is held to the polynomial
+solutions it is exact for.
 """
 
 import math
@@ -24,9 +24,10 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from revfront import jets
-from revfront.construct import (_BLOCK, _RUN, _laurent_quotient,
-                                _prefix_products, _rk4_matrices, _rk4_path,
-                                _system_jets, _within)
+from revfront.construct import (_BLOCK, _RUN, WORK_ORDER, _hermite_side,
+                                _laurent_quotient, _prefix_products,
+                                _rk4_path, _solve2, _system_jets, _unit_jets)
+from revfront.expr import eval_jet_any_order
 from revfront.jets import DomainError, Jet, Laurent
 
 NO_SHRINK = [ph for ph in Phase if ph is not Phase.shrink]
@@ -172,68 +173,77 @@ def test_laurent_quotient_raises_first_pole_in_index_order():
     assert "0.74" in str(got.value)   # t of column 4
 
 
-def rk4_step(xc, Sc, b0, a0, b1, a1, b2, a2, h):
-    """One classical RK4 step of x' = -beta S, S' = (alpha beta) x, stage
-    by stage, from (beta, alpha beta) at its start, midpoint and end."""
-    k1x = -b0 * Sc
-    k1s = a0 * xc
-    k2x = -b1 * (Sc + 0.5 * h * k1s)
-    k2s = a1 * (xc + 0.5 * h * k1x)
-    k3x = -b1 * (Sc + 0.5 * h * k2s)
-    k3s = a1 * (xc + 0.5 * h * k2x)
-    k4x = -b2 * (Sc + h * k3s)
-    k4s = a2 * (xc + h * k3x)
-    return (xc + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x),
-            Sc + h / 6.0 * (k1s + 2 * k2s + 2 * k3s + k4s))
+def node_steps(beta_j, ab_j, i0):
+    """The node sweep's steps from node i0: forward to the last node, and
+    backward to node 0, each in the order it takes them."""
+    unit = _unit_jets(beta_j, ab_j)
+    h = np.diff(beta_j.t)
+    P, Q = _hermite_side(unit[..., :-1], h), _hermite_side(unit[..., 1:], -h)
+    return (_solve2(Q[..., i0:], P[..., i0:]),
+            _solve2(P[..., :i0], Q[..., :i0])[..., ::-1])
 
 
-def reference_rk4_path(s, f_node, f_mid, x0, S0):
-    """RK4 one node at a time in Python floats, each interval with its own
-    step, from s[0] along s."""
-    x = np.empty(s.size)
-    S = np.empty(s.size)
-    x[0], S[0] = x0, S0
-    sl = s.tolist()
-    bn, an = (v.tolist() for v in f_node)
-    bm, am = (v.tolist() for v in f_mid)
-    xc, Sc = float(x0), float(S0)
-    for i in range(s.size - 1):
-        xc, Sc = rk4_step(xc, Sc, bn[i], an[i], bm[i], am[i],
-                          bn[i + 1], an[i + 1], sl[i + 1] - sl[i])
-        x[i + 1], S[i + 1] = xc, Sc
-    return x, S
+def polynomial(coef):
+    """The text of sum coef[k] t^k."""
+    return "+".join(f"({float(c)!r})*t^{k}" for k, c in enumerate(coef))
 
 
-def test_step_matrices_are_the_stage_form():
-    # the stage form applied to the unit vectors, over coefficients of
-    # mixed signs and scales with +-0.0 among them, and steps of both signs
-    rng = np.random.default_rng(11)
-    co = rng.normal(size=(6, 500)) * 10.0 ** rng.integers(-2, 3, (6, 500))
-    co[rng.uniform(size=co.shape) < 0.1] = 0.0
-    co[rng.uniform(size=co.shape) < 0.1] = -0.0
-    h = rng.choice([-1.0, 1.0], 500) * 10.0 ** rng.uniform(-5, -1, 500)
-    got = _rk4_matrices(np.empty((2, 2, 500)), *co, h)
-    want = np.empty_like(got)
-    want[:, 0] = rk4_step(1.0, 0.0, *co, h)
-    want[:, 1] = rk4_step(0.0, 1.0, *co, h)
-    scale = np.maximum(np.abs(want), 1.0)
-    assert np.max(np.abs(got - want) / scale) <= 1e-15
+@pytest.mark.parametrize("degree", [2, 9, 14, 16])
+def test_the_step_is_exact_for_degree_14_solutions(degree):
+    # beta = 1 and alpha*beta = -p''/p: (x, sin phi) = (p, -p') solves the
+    # system.  The step integrates the derivative's order-6 node jets by
+    # the two-point rule, exact to degree 13, so it carries p of degree
+    # up to 14 from node to node to rounding (relative to the largest of
+    # x and sin phi), and one of degree 16 only to the rule's error, over
+    # steps of up to 0.6
+    g = np.array([0.0, 0.5, 1.1, 1.4])
+    coef = 0.3 * np.cos(np.arange(degree + 1.0))
+    coef[0], coef[-1] = 1.0, 0.1 / 1.4 ** degree
+    k = np.arange(degree + 1.0)
+    d1, d2 = (coef * k)[1:], (coef * k * (k - 1))[2:]
+    beta_j = eval_jet_any_order("1", g, WORK_ORDER)
+    ab_j = eval_jet_any_order(f"-({polynomial(d2)})/({polynomial(coef)})",
+                              g, WORK_ORDER)
+    x = np.polyval(coef[::-1], g)
+    S = -np.polyval(d1[::-1], g)
+    forward, backward = node_steps(beta_j, ab_j, 1)
+    got = np.hstack([_rk4_path(g[1::-1], backward, x[1], S[1])[:, ::-1],
+                     _rk4_path(g[1:], forward, x[1], S[1])[:, 1:]])
+    err = np.max(np.abs(got - [x, S])) / np.max(np.abs([x, S]))
+    if degree <= 14:   # 5.2e-15 at degree 14
+        assert err <= 2e-14, err
+    else:              # 3.8e-8
+        assert err > 1e-9, err
 
 
-def assert_rk4_close(s, f_node, f_mid, i0, x0=0.7, S0=-0.2):
-    """Both sweeps from node i0: forward over s[i0:], and backward over the
-    reversed s[:i0 + 1], whose steps are negative."""
-    for nodes, mids, way in ((np.s_[i0:], np.s_[i0:], np.s_[:]),
-                             (np.s_[:i0 + 1], np.s_[:i0], np.s_[::-1])):
-        args = (s[nodes][way], tuple(v[nodes][way] for v in f_node),
-                tuple(v[mids][way] for v in f_mid), x0, S0)
-        got = _rk4_path(*args)
-        want = reference_rk4_path(*args)
-        scale = max(np.max(np.abs(want[0])), np.max(np.abs(want[1])))
-        for g, w in zip(got, want):
-            assert g.shape == w.shape
-            assert np.max(np.abs(g - w)) <= 1e-12 * scale
-        assert got[0][0] == x0 and got[1][0] == S0
+def assert_sweep_close(beta_j, ab_j, i0, x0=0.7, S0=-0.2):
+    """Both sweeps from node i0, forward and backward, against the loop."""
+    for m, t in zip(node_steps(beta_j, ab_j, i0),
+                    (beta_j.t[i0:], beta_j.t[i0::-1])):
+        got = _rk4_path(t, m, x0, S0)
+        want = reference_rk4_path(m, x0, S0)
+        assert got.shape == want.shape == (2, t.size)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert got[0, 0] == x0 and got[1, 0] == S0
+
+
+def reference_rk4_path(m, x0, S0):
+    """The steps m[..., k] one at a time, in Python floats."""
+    y = [float(x0), float(S0)]
+    out = [y]
+    for k in range(m.shape[-1]):
+        (a, b), (c, d) = m[..., k].tolist()
+        y = [a * y[0] + b * y[1], c * y[0] + d * y[1]]
+        out.append(y)
+    return np.array(out).T
+
+
+def smooth_jets(s, b0, b1, w, p, c0, c1, v, q):
+    """The WORK_ORDER node jets at s of beta = b0 + b1 sin(w t + p) and
+    alpha*beta = c0 + c1 cos(v t + q)."""
+    t = jets.variable(s, WORK_ORDER)
+    return (b0 + b1 * jets.sin_cos(w * t + p)[0],
+            c0 + c1 * jets.sin_cos(v * t + q)[1])
 
 
 # one node (the seed alone), one block of _RUN steps and one step either
@@ -241,19 +251,18 @@ def assert_rk4_close(s, f_node, f_mid, i0, x0=0.7, S0=-0.2):
 @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 33, 4097, 8195])
 def test_rk4_scan_matches_per_step_loop(n):
     rng = np.random.default_rng(n)
-    # jittered steps: an RK4 that reused s[1] - s[0] would drift off
+    # jittered steps: a sweep that reused s[1] - s[0] would drift off
     s = 0.5 + np.append(0.0, np.cumsum(1e-4 * rng.uniform(0.5, 1.5, n - 1)))
-    f_node = (1.0 + 0.3 * rng.normal(size=n), rng.normal(size=n))
-    f_mid = (1.0 + 0.3 * rng.normal(size=n - 1), rng.normal(size=n - 1))
+    beta_j, ab_j = smooth_jets(s, 1.0, 0.3, 40.0, 0.2, 0.5, 1.0, 70.0, -1.0)
     for i0 in sorted({0, n - 1, n // 2}):
-        assert_rk4_close(s, f_node, f_mid, i0)
+        assert_sweep_close(beta_j, ab_j, i0)
 
 
 @st.composite
 def smooth_systems(draw):
-    """A strictly increasing lattice of up to 2000 nodes (125 blocks of
-    _RUN steps) and span up to 2, with beta = b0 + b1 sin(w t + p) and
-    alpha*beta = c0 + c1 cos(v t + q) at its nodes and midpoints."""
+    """A strictly increasing grid of up to 2000 nodes (125 blocks of _RUN
+    steps) and span up to 2, with the node jets of beta = b0 + b1 sin(w t
+    + p) and alpha*beta = c0 + c1 cos(v t + q)."""
     n = draw(st.integers(2, 2000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     gaps = rng.uniform(1e-3, 1.0, n - 1)
@@ -263,26 +272,21 @@ def smooth_systems(draw):
     assume(np.all(np.diff(s) > 0.0))
     b0, b1, c0, c1 = (draw(st.floats(-1.5, 1.5)) for _ in range(4))
     w, p, v, q = (draw(st.floats(0.0, 5.0)) for _ in range(4))
-
-    def pair(t):
-        return b0 + b1 * np.sin(w * t + p), c0 + c1 * np.cos(v * t + q)
-
-    return s, pair(s), pair(0.5 * (s[:-1] + s[1:]))
+    return smooth_jets(s, b0, b1, w, p, c0, c1, v, q)
 
 
 @settings(max_examples=300, deadline=None, phases=NO_SHRINK)
 @given(system=smooth_systems(), anchor=st.floats(0.0, 1.0),
        x0=st.floats(-1.0, 1.0), S0=st.floats(-1.0, 1.0))
 def test_rk4_scan_matches_loop_on_random_lattices(system, anchor, x0, S0):
-    s, f_node, f_mid = system
+    beta_j, ab_j = system
     assume(max(abs(x0), abs(S0)) >= 0.1)
-    assert_rk4_close(s, f_node, f_mid, round(anchor * (s.size - 1)), x0, S0)
+    assert_sweep_close(beta_j, ab_j, round(anchor * (beta_j.t.size - 1)),
+                       x0, S0)
 
 
 def test_a_one_node_sweep_is_its_seed():
-    s = np.array([0.25])
-    got = _rk4_path(s, (np.ones(1), np.ones(1)), (np.ones(0), np.ones(0)),
-                    -0.0, 0.3)
+    got = _rk4_path(np.array([0.25]), np.empty((2, 2, 0)), -0.0, 0.3)
     assert got.shape == (2, 1)
     assert bits(got).tolist() == bits(np.array([[-0.0], [0.3]])).tolist()
 
@@ -291,18 +295,20 @@ def test_a_one_node_sweep_is_its_seed():
 @pytest.mark.parametrize("row", [0, 1], ids=["beta", "alpha_beta"])
 @pytest.mark.parametrize("k", [0, 5, _RUN - 1, _RUN, 3 * _RUN + 2, 98])
 def test_a_non_finite_step_spoils_the_samples_after_it(bad, row, k):
-    # the value at the midpoint of interval k enters step k alone: every
-    # sample up to k stays finite and every later one is not, in its own
-    # block and through the block totals into the later blocks, so the
-    # sweep's overflow refusal names the first sample it spoils
+    # beta or alpha*beta at node k + 1 enters step k, which ends there, and
+    # the steps after it: every node up to k stays finite and every later
+    # one is not, in its own block and through the block totals into the
+    # later blocks, so the sweep's overflow refusal names the first node
+    # it spoils
     n = 100
     rng = np.random.default_rng(k)
     s = np.linspace(0.0, 0.5, n)
-    f_node = (1.0 + 0.3 * rng.normal(size=n), rng.normal(size=n))
-    f_mid = [1.0 + 0.3 * rng.normal(size=n - 1), rng.normal(size=n - 1)]
-    f_mid[row][k] = bad
+    f = list(smooth_jets(s, 1.0, 0.3, *rng.uniform(1, 5, 2), 0.5, 1.0,
+                         *rng.uniform(1, 5, 2)))
+    f[row].coeffs[0, k + 1] = bad
     with np.errstate(**QUIET):
-        x, S = _rk4_path(s, f_node, tuple(f_mid), 0.7, -0.2)
+        forward, _ = node_steps(*f, 0)
+        x, S = _rk4_path(s, forward, 0.7, -0.2)
     finite = np.isfinite(x) & np.isfinite(S)
     assert finite[:k + 1].all()
     assert not finite[k + 1:].any()
@@ -414,30 +420,3 @@ def test_prefix_products_across_blocks_match_in_place_scan(n, special):
         reference_prefix_products(want)
     assert got is m
     assert np.array_equal(bits_nan_as_one(got), bits_nan_as_one(want))
-
-
-def ulp_lattice(base, ulps):
-    """The increasing lattice from base whose consecutive samples lie the
-    given numbers of units in the last place apart."""
-    s = [base]
-    for u in ulps:
-        s.append(s[-1] + u * abs(np.spacing(s[-1])))
-    return np.array(s)
-
-
-@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
-@given(base=st.sampled_from([-1e20, -1.0, -1e-300, 0.0, 0.5, 3.0]),
-       ulps=st.lists(st.sampled_from([1, 2, 3, 1000, 2**40]), min_size=1,
-                     max_size=30),
-       j=st.integers(0, 30), k=st.integers(-3, 3),
-       r=st.sampled_from([0.0, 1.0, 2.5, 1000.0, 2.0**50, np.inf]))
-def test_within_is_the_array_test(base, ulps, j, k, r):
-    # samples and t a few ulps apart, and radii of a few ulps of t, where
-    # the rounding of s - t decides which samples pass
-    s = ulp_lattice(base, ulps)
-    t = s[min(j, s.size - 1)]
-    t += k * abs(np.spacing(t))
-    r = r * abs(np.spacing(t)) if r < np.inf else r
-    want = np.flatnonzero(np.abs(s - t) <= r)
-    got = _within(s, t, r)
-    assert np.arange(s.size)[got].tolist() == want.tolist()

@@ -1,12 +1,14 @@
-"""Four builders integrate their node jets and never sample a lattice.
+"""Every builder integrates its node jets and never samples a lattice.
 
-``reconstruct_from_curvature`` and the mean, (J, phi) and (H, phi)
-constructions hold every integrand as Taylor jets at the grid nodes and
-integrate those (``quadrature.integrated``).  Building a ``FineGrid``, or
-calling ``_lattice``, ``_values`` or ``expr.eval_values`` in one of them,
-would bring back a second evaluation of the sources, whose bits differ
-from the jets'.  The check reads the sources with ``ast``, so strings and
-comments that name these do not count.
+``reconstruct_from_curvature`` and every construction (the gauss ratio,
+(J, K), mean, (J, phi) and (H, phi)) hold every integrand as Taylor jets
+at the grid nodes and integrate those (``quadrature.integrated``); the
+gauss ratio also steps its system between the nodes on their jets.
+Building a ``FineGrid``, or calling ``_lattice``, ``_values`` or
+``expr.eval_values`` in one of them, would bring back a second
+evaluation of the sources, whose bits differ from the jets'.  The check
+reads the sources with ``ast``, so strings and comments that name these
+do not count.
 """
 
 import ast
@@ -16,7 +18,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "revfront"
 BUILDERS = {"legendre.py": {"reconstruct_from_curvature"},
-            "construct.py": {"profile_from_mean_ratio", "profile_from_J_phi",
+            "construct.py": {"profile_from_gauss_ratio", "profile_from_JK",
+                             "profile_from_mean_ratio", "profile_from_J_phi",
                              "profile_from_H_phi"}}
 FORBIDDEN = {"FineGrid", "_lattice", "_values", "eval_values"}
 
